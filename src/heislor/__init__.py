@@ -5,6 +5,8 @@ witnesses, full curvature computation with Ricci soliton certificates, and
 orbit geometry including the degeneration graph.
 """
 
+from types import ModuleType as _ModuleType
+
 from .numerics import (
     APPROX,
     DEFAULT_TOL,
@@ -87,4 +89,8 @@ from .orbits import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -1,7 +1,9 @@
 """Small dense linear algebra over the two scalar backends.
 
-Exact routines operate on numpy object arrays filled with QSqrt3 entries and
-use plain Gaussian elimination (every pivot decision is an exact zero test).
+Exact routines operate on numpy object arrays filled with QSqrt3 entries.
+Elimination is sparse Gauss-Jordan on rows held as Python lists: a pivot row
+is scaled and subtracted only over its nonzero columns, and rows with a zero
+in the pivot column are skipped (every pivot decision is an exact zero test).
 Float routines wrap numpy.  Everything here is sized for n <= 16.
 """
 
@@ -67,25 +69,35 @@ def minkowski_gram(n: int, exact: bool = False) -> np.ndarray:
 
 def exact_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over Q(sqrt3); returns (rref, pivot columns)."""
-    m = a.copy()
-    rows, cols = m.shape
+    rows, cols = a.shape
+    m = [list(row) for row in a]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not m[i, c].is_zero()), None)
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        m[r] = m[r] / m[r, c]
+        m[r], m[pivot] = m[pivot], m[r]
+        prow = m[r]
+        # entries left of c in rows r.. are zero, so only these columns move
+        support = [j for j in range(c, cols) if prow[j]]
+        head = prow[c]
+        for j in support:
+            prow[j] = prow[j] / head
         for i in range(rows):
-            if i != r and not m[i, c].is_zero():
-                m[i] = m[i] - m[i, c] * m[r]
+            row = m[i]
+            f = row[c]
+            if i != r and f:
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    out = np.empty((rows, cols), dtype=object)
+    for i, row in enumerate(m):
+        out[i] = row
+    return out, pivots
 
 
 def exact_rank(a: np.ndarray) -> int:
@@ -121,26 +133,6 @@ def exact_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def exact_inv(a: np.ndarray) -> np.ndarray:
     return exact_solve(a, exact_eye(a.shape[0]))
-
-
-def exact_det(a: np.ndarray) -> QSqrt3:
-    """Determinant by fraction-free-enough elimination (exact field ops)."""
-    m = a.copy()
-    n = m.shape[0]
-    det = QSqrt3(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if not m[i, c].is_zero()), None)
-        if pivot is None:
-            return QSqrt3(0)
-        if pivot != c:
-            m[[c, pivot]] = m[[pivot, c]]
-            det = -det
-        det = det * m[c, c]
-        inv = QSqrt3(1) / m[c, c]
-        for i in range(c + 1, n):
-            if not m[i, c].is_zero():
-                m[i] = m[i] - (m[i, c] * inv) * m[c]
-    return det
 
 
 def congruence_diagonal(a: np.ndarray) -> list[QSqrt3]:

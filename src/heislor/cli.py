@@ -23,7 +23,9 @@ from .numerics import APPROX, DEFAULT_TOL, EXACT
 from .curvature import curvature_report
 from .orbits import degeneration_graph, orbit_report
 from .reduction import (
+    ClassificationMismatch,
     NoTableMatch,
+    NumericalBreakdown,
     classification_to_json,
     classify,
     restricted_signatures,
@@ -79,7 +81,15 @@ def cmd_classify(args) -> int:
         if args.n is not None and metric.n != args.n:
             raise ValueError(f"file has n={metric.n}, --n says {args.n}")
         form, k, witness = classify(metric, args.tol)
-    except (ValueError, KeyError, json.JSONDecodeError, NoTableMatch, WrongSignature) as exc:
+    except (
+        ValueError,
+        KeyError,
+        json.JSONDecodeError,
+        NoTableMatch,
+        WrongSignature,
+        ClassificationMismatch,
+        NumericalBreakdown,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     check = verify_witness(metric, witness)
@@ -107,7 +117,7 @@ def cmd_classify(args) -> int:
         )
         if witness.flags:
             print(f"flags: {', '.join(witness.flags)}")
-    return EXIT_OK
+    return EXIT_OK if check.ok else EXIT_CHECK_FAILED
 
 
 def cmd_curvature(args) -> int:

@@ -2,10 +2,12 @@
 
 Two kinds of scalars run through the whole library.  Exact computations
 (canonical representatives, curvature tables, signature counts) use
-:class:`QSqrt3`, numbers of the form a + b*sqrt(3) with rational a, b.
-Everything touched by eigendecompositions or hyperbolic normalization uses
-plain floats with an explicit tolerance.  A certified midpoint bisection
-solver lives here as well.
+:class:`QSqrt3`, numbers of the form a + b*sqrt(3) with rational a, b, held
+as three Python ints (p + q*sqrt(3))/d in lowest terms so that exact
+arithmetic creates no intermediate Fractions.  Everything touched by
+eigendecompositions or hyperbolic normalization uses plain floats with an
+explicit tolerance.  A certified midpoint bisection solver lives here as
+well.
 """
 
 from __future__ import annotations
@@ -59,29 +61,35 @@ def _fraction_sqrt(q: Fraction) -> Fraction | None:
 class QSqrt3:
     """An element a + b*sqrt(3) of the real quadratic field Q(sqrt3).
 
-    Immutable and hashable; arithmetic is exact.  Mixing with floats is
+    Stored as the integer triple (p + q*sqrt3)/d with d > 0 and
+    gcd(p, q, d) = 1, so equal values have identical triples; a and b are
+    exposed as read-only Fractions.  Hashable and immutable by contract (the
+    triple is private); arithmetic is exact.  Mixing with floats is
     deliberately not supported so that exact data cannot be contaminated
     silently -- convert with :func:`float` at the boundary instead.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0) -> None:
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("QSqrt3 is immutable")
+        if type(a) is int and type(b) is int:
+            self._p, self._q, self._d = a, b, 1
+            return
+        a, b = Fraction(a), Fraction(b)
+        # over the lcm of two reduced denominators the triple is already normal
+        d = math.lcm(a.denominator, b.denominator)
+        self._p = int(a.numerator) * (d // a.denominator)
+        self._q = int(b.numerator) * (d // b.denominator)
+        self._d = d
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def coerce(cls, x: "QSqrt3 | RationalLike") -> "QSqrt3":
-        if isinstance(x, QSqrt3):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to QSqrt3")
+        o = _operand(x)
+        if o is None:
+            raise TypeError(f"cannot coerce {type(x).__name__} to QSqrt3")
+        return o
 
     @classmethod
     def parse(cls, text: str) -> "QSqrt3":
@@ -104,22 +112,33 @@ class QSqrt3:
                 a += Fraction(term)
         return cls(a, b)
 
+    @property
+    def a(self) -> Fraction:
+        """Rational part."""
+        return Fraction(self._p, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        """Coefficient of sqrt3."""
+        return Fraction(self._q, self._d)
+
     # -- presentation ------------------------------------------------------
 
     def format(self) -> str:
         """Canonical string form, inverse of :meth:`parse`."""
-        if self.b == 0:
-            return str(self.a)
-        if self.b == 1:
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        if b == 1:
             root = "sqrt3"
-        elif self.b == -1:
+        elif b == -1:
             root = "-sqrt3"
         else:
-            root = f"{self.b}*sqrt3"
-        if self.a == 0:
+            root = f"{b}*sqrt3"
+        if a == 0:
             return root
-        sign = "+" if self.b > 0 else ""
-        return f"{self.a}{sign}{root}"
+        sign = "+" if b > 0 else ""
+        return f"{a}{sign}{root}"
 
     def __repr__(self) -> str:
         return f"QSqrt3({self.a!s}, {self.b!s})"
@@ -130,52 +149,66 @@ class QSqrt3:
     # -- ring/field structure ---------------------------------------------
 
     def __add__(self, other):
-        try:
-            o = QSqrt3.coerce(other)
-        except TypeError:
+        if type(other) is int:
+            # gcd(p + o*d, q, d) = gcd(p, q, d) = 1: no normalization needed
+            return _make(self._p + other * self._d, self._q, self._d)
+        o = _operand(other)
+        if o is None:
             return NotImplemented
-        return QSqrt3(self.a + o.a, self.b + o.b)
+        d, od = self._d, o._d
+        return _normalized(self._p * od + o._p * d, self._q * od + o._q * d, d * od)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSqrt3(-self.a, -self.b)
+        return _make(-self._p, -self._q, self._d)
 
     def __sub__(self, other):
-        try:
-            o = QSqrt3.coerce(other)
-        except TypeError:
+        if type(other) is int:
+            return _make(self._p - other * self._d, self._q, self._d)
+        o = _operand(other)
+        if o is None:
             return NotImplemented
-        return QSqrt3(self.a - o.a, self.b - o.b)
+        d, od = self._d, o._d
+        return _normalized(self._p * od - o._p * d, self._q * od - o._q * d, d * od)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        try:
-            o = QSqrt3.coerce(other)
-        except TypeError:
+        if type(other) is int:
+            return _normalized(self._p * other, self._q * other, self._d)
+        o = _operand(other)
+        if o is None:
             return NotImplemented
-        return QSqrt3(self.a * o.a + 3 * self.b * o.b, self.a * o.b + self.b * o.a)
+        p, q, op, oq = self._p, self._q, o._p, o._q
+        return _normalized(p * op + 3 * q * oq, p * oq + q * op, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            o = QSqrt3.coerce(other)
-        except TypeError:
+        if type(other) is int:
+            if other == 0:
+                raise ZeroDivisionError("division by zero in Q(sqrt3)")
+            return _normalized(self._p, self._q, self._d * other)
+        o = _operand(other)
+        if o is None:
             return NotImplemented
-        norm = o.a * o.a - 3 * o.b * o.b
+        op, oq = o._p, o._q
+        norm = op * op - 3 * oq * oq
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt3)")
         # multiply by the conjugate: 1/(a+b s3) = (a-b s3)/(a^2-3 b^2)
-        return QSqrt3(
-            (self.a * o.a - 3 * self.b * o.b) / norm,
-            (self.b * o.a - self.a * o.b) / norm,
+        p, q = self._p, self._q
+        return _normalized(
+            (p * op - 3 * q * oq) * o._d, (q * op - p * oq) * o._d, self._d * norm
         )
 
     def __rtruediv__(self, other):
-        return QSqrt3.coerce(other) / self
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return o / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -193,36 +226,37 @@ class QSqrt3:
         return out
 
     def conjugate(self) -> "QSqrt3":
-        return QSqrt3(self.a, -self.b)
+        return _make(self._p, -self._q, self._d)
 
     # -- order structure ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self._p == 0 and self._q == 0
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return (self.b > 0) - (self.b < 0)
-        sa = 1 if self.a > 0 else -1
-        sb = 1 if self.b > 0 else -1
-        if sa == sb:
-            return sa
-        # opposite signs: compare a^2 with 3 b^2 (never equal for b != 0)
-        return sa if self.a * self.a > 3 * self.b * self.b else sb
+        """Exact sign in {-1, 0, +1} (of p + q sqrt3, as d > 0)."""
+        p, q = self._p, self._q
+        if q == 0:
+            return (p > 0) - (p < 0)
+        if p == 0:
+            return (q > 0) - (q < 0)
+        sp = 1 if p > 0 else -1
+        sq = 1 if q > 0 else -1
+        if sp == sq:
+            return sp
+        # opposite signs: compare p^2 with 3 q^2 (never equal for q != 0)
+        return sp if p * p > 3 * q * q else sq
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, QSqrt3)):
-            o = QSqrt3.coerce(other)
-            return self.a == o.a and self.b == o.b
-        return NotImplemented
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return self._p == o._p and self._q == o._q and self._d == o._d
 
     def __hash__(self) -> int:
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
+        if self._q == 0:
+            return hash(self._p) if self._d == 1 else hash(Fraction(self._p, self._d))
+        return hash((self._p, self._q, self._d))
 
     def __lt__(self, other) -> bool:
         return (self - QSqrt3.coerce(other)).sign() < 0
@@ -237,10 +271,11 @@ class QSqrt3:
         return (self - QSqrt3.coerce(other)).sign() >= 0
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self._p != 0 or self._q != 0
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * _SQRT3_FLOAT
+        # float(a) + float(b)*sqrt3; int true division rounds like Fraction
+        return self._p / self._d + self._q / self._d * _SQRT3_FLOAT
 
     def __abs__(self) -> "QSqrt3":
         return self if self.sign() >= 0 else -self
@@ -258,26 +293,58 @@ class QSqrt3:
             raise SqrtOfNegative(f"sqrt of negative exact scalar {self}")
         if sgn == 0:
             return QSqrt3(0)
+        a, b = self.a, self.b
         # solve (p + q sqrt3)^2 = a + b sqrt3, i.e. p^2+3q^2=a, 2pq=b
-        if self.b == 0:
-            p = _fraction_sqrt(self.a)
+        if b == 0:
+            p = _fraction_sqrt(a)
             if p is not None:
                 return QSqrt3(p)
-            q = _fraction_sqrt(self.a / 3)
+            q = _fraction_sqrt(a / 3)
             if q is not None:
                 return QSqrt3(0, q)
             raise SqrtUnsupportedExact(f"{self} is not a square in Q(sqrt3)")
-        disc = _fraction_sqrt(self.a * self.a - 3 * self.b * self.b)
+        disc = _fraction_sqrt(a * a - 3 * b * b)
         if disc is not None:
-            for q2 in ((self.a + disc) / 6, (self.a - disc) / 6):
+            for q2 in ((a + disc) / 6, (a - disc) / 6):
                 q = _fraction_sqrt(q2)
                 if q is not None and q != 0:
-                    root = QSqrt3(self.b / (2 * q), q)
+                    root = QSqrt3(b / (2 * q), q)
                     if root.sign() < 0:
                         root = -root
                     if root * root == self:
                         return root
         raise SqrtUnsupportedExact(f"{self} is not a square in Q(sqrt3)")
+
+
+_new_qsqrt3 = object.__new__
+
+
+def _make(p: int, q: int, d: int) -> QSqrt3:
+    """A QSqrt3 from a triple that is already normalized."""
+    x = _new_qsqrt3(QSqrt3)
+    x._p, x._q, x._d = p, q, d
+    return x
+
+
+def _normalized(p: int, q: int, d: int) -> QSqrt3:
+    """The QSqrt3 (p + q sqrt3)/d, brought to d > 0 and gcd(p, q, d) = 1."""
+    if d < 0:
+        p, q, d = -p, -q, -d
+    g = math.gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    return _make(p, q, d)
+
+
+def _operand(x) -> QSqrt3 | None:
+    """x as a QSqrt3 when it is an exact scalar, else None."""
+    if isinstance(x, QSqrt3):
+        return x
+    if isinstance(x, int):
+        return _make(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, x.denominator)
+    return None
 
 
 ZERO = QSqrt3(0)

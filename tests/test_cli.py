@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, formats, round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from heislor.cli import EXIT_BAD_INPUT, EXIT_OK, main
-from heislor.metrics import canonical_metric, metric_to_json
+from heislor.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, main
+from heislor.metrics import canonical_gram, canonical_metric, metric_to_json
 
 
 def _write_metric(tmp_path, metric, name="metric.json"):
@@ -47,6 +48,27 @@ def test_classify_rejects_malformed_json(tmp_path, capsys):
     code = main(["classify", "--input", str(path)])
     assert code == EXIT_BAD_INPUT
     assert "error" in capsys.readouterr().err
+
+
+def _write_gram(tmp_path, gram):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"n": gram.shape[0], "backend": "approx", "gram": gram.tolist()}))
+    return str(path)
+
+
+def test_classify_near_wall_disagreement_is_bad_input(tmp_path, capsys):
+    # pipeline and invariant classifier disagree this close to the (2, sqrt3) wall
+    gram = canonical_gram(2, math.sqrt(3.0) + 1e-7, 5, exact=False)
+    code = main(["classify", "--input", _write_gram(tmp_path, gram)])
+    assert code == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_classify_failed_witness_exits_check_failed(tmp_path, capsys):
+    gram = 1e6 * canonical_gram(1, 1, 5, exact=False)
+    code = main(["classify", "--input", _write_gram(tmp_path, gram)])
+    assert code == EXIT_CHECK_FAILED
+    assert json.loads(capsys.readouterr().out)["witness_ok"] is False
 
 
 def test_classify_rejects_mismatched_n(tmp_path):

@@ -96,7 +96,7 @@ def test_derivation_space_dimension_small(n, expected):
     assert derivation_space_dim(n) == expected == n * n - 3 * n + 7
 
 
-@pytest.mark.parametrize("n", range(4, 11))
+@pytest.mark.parametrize("n", [*range(4, 11), 12, 16])
 def test_derivation_space_dimension_formula(n):
     assert derivation_space_dim(n) == n * n - 3 * n + 7
 

@@ -46,7 +46,7 @@ def test_stabilizer_closed_form_matches_rank_oracle(n):
         assert stabilizer_dim(pair[0], pair[1], n) == 1 + (n - 4) * (n - 5) // 2 + dim_u + dim_w
 
 
-@pytest.mark.parametrize("n", range(4, 11))
+@pytest.mark.parametrize("n", [*range(4, 11), 12, 16])
 def test_codimension_table(n):
     expected = {
         (0, "0"): 0,
