@@ -19,11 +19,9 @@ from .numerics import (
 from .liealg import (
     BlockPattern,
     LieAlgebra,
-    Subspace,
     aut_pattern,
     bracket_vec,
     build_algebra,
-    center_and_derived,
     derivation_basis,
     derivation_space_dim,
     hprime_pattern,

@@ -16,10 +16,6 @@ from .numerics import QSqrt3
 # -- construction and conversion -------------------------------------------
 
 
-def qs(x) -> QSqrt3:
-    return QSqrt3.coerce(x)
-
-
 def exact_array(rows) -> np.ndarray:
     """Object array of QSqrt3 from nested ints/Fractions/QSqrt3."""
     arr = np.array(rows, dtype=object)
@@ -171,30 +167,15 @@ def congruence_diagonal(a: np.ndarray) -> list[QSqrt3]:
 # -- float helpers -----------------------------------------------------------
 
 
-def rotation_mapping_to_e1(v: np.ndarray) -> np.ndarray:
-    """Orthogonal H with v @ H = (||v||, 0, ..., 0) for a row vector v."""
+def householder(v: np.ndarray, k: int) -> np.ndarray:
+    """Symmetric orthogonal H with H @ v = ||v|| e_k (so also v @ H = ||v|| e_k)."""
     v = np.asarray(v, dtype=float)
     n = v.shape[0]
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return np.eye(n)
     u = v.copy()
-    u[0] -= norm
-    uu = float(u @ u)
-    if uu < 1e-300:
-        return np.eye(n)
-    return np.eye(n) - 2.0 * np.outer(u, u) / uu
-
-
-def rotation_mapping_to_last(v: np.ndarray) -> np.ndarray:
-    """Orthogonal H with H @ v = (0, ..., 0, ||v||) for a column vector v."""
-    v = np.asarray(v, dtype=float)
-    n = v.shape[0]
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return np.eye(n)
-    u = v.copy()
-    u[-1] -= norm
+    u[k] -= norm
     uu = float(u @ u)
     if uu < 1e-300:
         return np.eye(n)

@@ -1,7 +1,10 @@
 """Command-line interface: classify metrics, emit reports, run the suite.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input.
-The METRICLASS_TOL environment variable overrides the default tolerance.
+Subcommands: classify (a metric JSON file), curvature (one canonical class),
+orbits (orbit table and degeneration graph, also as DOT via --format dot)
+and verify (the named check suite).  Exit codes: 0 success, 1 verification
+failure, 2 invalid input.  The METRICLASS_TOL environment variable sets the
+float tolerance of classify when --tol is not given.
 """
 
 from __future__ import annotations
@@ -76,11 +79,12 @@ def _xi_arg(value: str):
 
 
 def cmd_classify(args) -> int:
+    tol = _default_tol() if args.tol is None else args.tol
     try:
         metric = _load_metric(args.input, args.backend)
         if args.n is not None and metric.n != args.n:
             raise ValueError(f"file has n={metric.n}, --n says {args.n}")
-        form, k, witness = classify(metric, args.tol)
+        form, k, witness = classify(metric, tol)
     except (
         ValueError,
         KeyError,
@@ -96,7 +100,7 @@ def cmd_classify(args) -> int:
     payload = classification_to_json(form, k, witness)
     payload["witness_residual"] = check.residual
     payload["witness_ok"] = check.ok
-    center, derived = restricted_signatures(metric, args.tol)
+    center, derived = restricted_signatures(metric, tol)
     payload["signatures"] = {"center": center.as_tuple(), "derived": derived.as_tuple()}
     if args.format == "json":
         print(canonical_json(payload))
@@ -139,8 +143,7 @@ def cmd_curvature(args) -> int:
             f"{report.einstein},{c},{orbit.codim},{spectrum}"
         )
     else:
-        xi = report.xi_key if report.xi_key == "sqrt3" else report.xi_key
-        print(f"canonical class (lambda, xi) = ({report.lam}, {xi}), n = {args.n}")
+        print(f"canonical class (lambda, xi) = ({report.lam}, {report.xi_key}), n = {args.n}")
         print(f"  signature on center      : {orbit.sig_center.as_tuple()}")
         print(f"  signature on derived     : {orbit.sig_derived.as_tuple()}")
         print(f"  flat                     : {report.flat}")
@@ -157,12 +160,12 @@ def cmd_curvature(args) -> int:
 
 def cmd_orbits(args) -> int:
     try:
-        graph = degeneration_graph(args.n, args.tol)
+        graph = degeneration_graph(args.n)
         reports = [orbit_report(lam, key, args.n) for lam, key in CANONICAL_PAIRS]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.dot or args.format == "dot":
+    if args.format == "dot":
         print(graph.to_dot())
         return EXIT_OK
     if args.format == "json":
@@ -242,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_orb = sub.add_parser("orbits", help="orbit table and degeneration graph")
     p_orb.add_argument("--n", type=int, required=True)
-    p_orb.add_argument("--dot", action="store_true", help="emit DOT text")
-    p_orb.add_argument("--tol", type=float, default=None)
     p_orb.add_argument("--format", choices=("json", "csv", "text", "dot"), default="text")
     p_orb.set_defaults(func=cmd_orbits)
 
@@ -259,12 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "tol", None) is None and hasattr(args, "tol"):
-        args.tol = _default_tol()
-    if args.command == "curvature" and args.n < 4:
-        print("error: need n >= 4", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if args.command == "orbits" and args.n < 4:
+    if args.command in ("curvature", "orbits") and args.n < 4:
         print("error: need n >= 4", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:

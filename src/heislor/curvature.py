@@ -75,21 +75,6 @@ class BilinearTable:
     """Values of a bilinear map on frame pairs: values[i, j] is a vector."""
 
     values: np.ndarray = field(repr=False)
-    symmetry: str = "none"  # symmetric | antisymmetric | none
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def symmetry_residual(self) -> float:
-        v = to_float(self.values.reshape(self.n * self.n, self.n)).reshape(
-            self.n, self.n, self.n
-        )
-        if self.symmetry == "symmetric":
-            return float(np.max(np.abs(v - v.transpose(1, 0, 2))))
-        if self.symmetry == "antisymmetric":
-            return float(np.max(np.abs(v + v.transpose(1, 0, 2))))
-        return 0.0
 
 
 def u_map(
@@ -114,13 +99,13 @@ def u_map(
                 val = eps[j] * brackets[k, i, j] + eps[i] * brackets[k, j, i]
                 if not _is_zero(val):
                     u[i, j, k] = (eps[k] * half) * val
-    return BilinearTable(values=u, symmetry="symmetric")
+    return BilinearTable(values=u)
 
 
 def levi_civita(u: BilinearTable, brackets: np.ndarray) -> BilinearTable:
     """nabla_(x_i) x_j = (1/2)[x_i, x_j] + U(x_i, x_j)."""
     half = HALF if brackets.dtype == object else 0.5
-    return BilinearTable(values=u.values + half * brackets, symmetry="none")
+    return BilinearTable(values=u.values + half * brackets)
 
 
 def _nabla_vec(nabla: np.ndarray, i: int, v: np.ndarray) -> np.ndarray:
@@ -215,7 +200,7 @@ def closed_form_u(lam, xi, n: int, exact: bool = True) -> BilinearTable:
     put(b, d, [(a, -half), (c, -half * xi), (d, half * lam)])
     put(c, d, [(b, half * xi)])
     put(d, d, [(b, lam)])
-    return BilinearTable(values=u, symmetry="symmetric")
+    return BilinearTable(values=u)
 
 
 def closed_form_nabla(lam, xi, n: int, exact: bool = True) -> BilinearTable:
@@ -244,7 +229,7 @@ def closed_form_nabla(lam, xi, n: int, exact: bool = True) -> BilinearTable:
     put(d, b, [(a, -half * (lam2 + one)), (c, -half * xi), (d, lam)])
     put(d, c, [(b, half * xi)])
     put(d, d, [(b, lam)])
-    return BilinearTable(values=nb, symmetry="none")
+    return BilinearTable(values=nb)
 
 
 def closed_form_riemann(
@@ -532,13 +517,17 @@ class CurvatureReport:
         }
 
 
-def curvature_report(
-    lam, xi, n: int, backend: str = EXACT, generic: bool = False
-) -> CurvatureReport:
+def _snap_zeros(x, scale: float):
+    """Float values within DEFAULT_TOL * scale of zero, set to +0.0."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x) <= DEFAULT_TOL * scale, 0.0, x)
+
+
+def curvature_report(lam, xi, n: int, backend: str = EXACT) -> CurvatureReport:
     """Assemble the full report for one canonical parameter pair.
 
-    With generic=True the tables come from the structure-constant pipeline
-    instead of the closed forms (used as the oracle in tests).
+    The tables are the closed forms.  On floats, ric and everything derived
+    from it are snapped to +0.0 within DEFAULT_TOL * max(1, max|ric|).
     """
     key = xi_key_of(xi)
     if (int(lam), key) not in CANONICAL_PAIRS:
@@ -546,17 +535,22 @@ def curvature_report(
     exact = backend == EXACT
     xi_val = xi_exact(key) if exact else float(xi_exact(key))
     lam_val = QSqrt3(int(lam)) if exact else float(lam)
-    if generic:
-        _, u, nabla, ops, ric = generic_curvature(lam_val, xi_val, n, exact)
-    else:
-        u = closed_form_u(lam_val, xi_val, n, exact)
-        nabla = closed_form_nabla(lam_val, xi_val, n, exact)
-        ops = closed_form_riemann(lam_val, xi_val, n, exact)
-        ric = closed_form_ricci(lam_val, xi_val, n, exact)
+    u = closed_form_u(lam_val, xi_val, n, exact)
+    nabla = closed_form_nabla(lam_val, xi_val, n, exact)
+    ops = closed_form_riemann(lam_val, xi_val, n, exact)
+    ric = closed_form_ricci(lam_val, xi_val, n, exact)
+    if not exact:
+        scale = max(1.0, float(np.max(np.abs(ric))))
+        ric = _snap_zeros(ric, scale)
     flat = is_flat(ops, 0.0 if exact else DEFAULT_TOL)
     einstein = einstein_test(ric)
     soliton = soliton_certificate(lam_val, xi_val, n, ric, exact)
     spectrum = ricci_spectrum(lam_val, xi_val, n, ric, exact)
+    if not exact:  # einstein is ric[0, 0], already snapped
+        if soliton is not None:
+            c = float(_snap_zeros(soliton[0], scale))
+            soliton = (c, _snap_zeros(ric - c * np.eye(n), scale))
+        spectrum = _snap_zeros(spectrum, scale).tolist()
     return CurvatureReport(
         lam=int(lam),
         xi_key=key,

@@ -1,10 +1,10 @@
-"""The Lie algebra h3 + R^(n-3): brackets, center, derivations, automorphism pattern.
+"""The Lie algebra h3 + R^(n-3): brackets, derivations, automorphism pattern.
 
 The algebra is spanned by e_1, ..., e_n with the single relation
-[e_1, e_2] = e_n (n >= 4).  Structural subspaces and the derivation algebra
-are computed generically from the structure constants by exact linear
-solves; the closed-form block pattern of R x Aut is kept alongside as a
-cross-check and as the sampling space for random automorphisms.
+[e_1, e_2] = e_n (n >= 4).  The derivation algebra is computed generically
+from the structure constants by exact linear solves; the closed-form block
+pattern of R x Aut is kept alongside as a cross-check and as the sampling
+space for random automorphisms.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import exact_nullspace, exact_rank, exact_rref, exact_zeros, to_float
+from ._linalg import exact_nullspace, exact_rank, exact_zeros
 from .numerics import QSqrt3
 
 
@@ -57,51 +57,6 @@ def bracket_vec(alg: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             out[k] = out[k] + v * x[i] * y[j]
         return out
     return np.einsum("ijk,i,j->k", alg.structure, x, y)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace given by an explicit basis (columns of an n x d array)."""
-
-    basis: np.ndarray
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
-def center_and_derived(alg: LieAlgebra) -> tuple[Subspace, Subspace]:
-    """Center and derived ideal, both computed by exact linear algebra.
-
-    The center is the kernel of x -> ad_x; the derived ideal is the span of
-    all bracket values on basis pairs.
-    """
-    n = alg.n
-    c = alg.structure
-    # ad_x = 0: for every (j, k), sum_i x_i c[i, j, k] = 0
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            if np.any(c[:, j, k]):
-                rows.append([QSqrt3(int(c[i, j, k])) for i in range(n)])
-    kernel = exact_nullspace(np.array(rows, dtype=object))
-    center = np.stack(kernel, axis=1) if kernel else exact_zeros((n, 0))
-
-    values = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.any(c[i, j]):
-                values.append([QSqrt3(int(v)) for v in c[i, j]])
-    if values:
-        rref, pivots = exact_rref(np.array(values, dtype=object))
-        derived = np.stack([rref[r] for r in range(len(pivots))], axis=1)
-    else:
-        derived = exact_zeros((n, 0))
-    return Subspace(basis=center), Subspace(basis=derived)
 
 
 @lru_cache(maxsize=None)
@@ -155,16 +110,8 @@ class BlockPattern:
     n: int
     mask: np.ndarray = field(repr=False, compare=False)
 
-    @property
-    def sizes(self) -> tuple[int, int, int]:
-        return (2, self.n - 3, 1)
-
     def transposed(self) -> "BlockPattern":
         return BlockPattern(n=self.n, mask=self.mask.T.copy())
-
-    def contains(self, m: np.ndarray, tol: float = 0.0) -> bool:
-        outside = to_float(m)[~self.mask]
-        return bool(np.all(np.abs(outside) <= tol))
 
     def project(self, m: np.ndarray) -> np.ndarray:
         out = m.copy()
@@ -194,13 +141,3 @@ def hprime_pattern(n: int) -> BlockPattern:
     """Transposed pattern, the group acting on the left in the reduction."""
     return aut_pattern(n).transposed()
 
-
-def pattern_decomposition(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Split an invertible pattern matrix as c * (automorphism).
-
-    The automorphism constraint is m_nn = det(top-left 2x2 block); the scale
-    c = det2 / m_nn is the unique scalar making m / c an automorphism.
-    """
-    mf = to_float(m)
-    det2 = mf[0, 0] * mf[1, 1] - mf[0, 1] * mf[1, 0]
-    return det2 / mf[-1, -1], mf * (mf[-1, -1] / det2)

@@ -18,12 +18,12 @@ from ._linalg import (
     exact_array,
     exact_eye,
     exact_inv,
+    exact_rank,
     congruence_diagonal,
     is_exact,
     minkowski_gram,
     to_float,
 )
-from .liealg import Subspace
 from .numerics import APPROX, DEFAULT_TOL, EXACT, QSqrt3, SQRT3, sign_with_tol
 
 
@@ -36,7 +36,7 @@ class SingularMatrix(ValueError):
 
 
 class DependentBasis(ValueError):
-    """Subspace basis vectors must be linearly independent."""
+    """Restriction basis vectors must be linearly independent."""
 
 
 class WrongSignature(ValueError):
@@ -163,13 +163,10 @@ def act(g: np.ndarray, metric: Metric) -> Metric:
     return Metric(gram=ginv.T @ metric.gram @ ginv, backend=metric.backend)
 
 
-def restrict(metric: Metric, subspace: Subspace | np.ndarray) -> np.ndarray:
+def restrict(metric: Metric, b: np.ndarray) -> np.ndarray:
     """Gram matrix B^T gram B of the restriction to span(columns of B)."""
-    b = subspace.basis if isinstance(subspace, Subspace) else subspace
     d = b.shape[1]
     if b.dtype == object:
-        from ._linalg import exact_rank
-
         if exact_rank(b.T) != d:
             raise DependentBasis("restriction basis is dependent")
     elif d and np.linalg.matrix_rank(b) != d:
@@ -291,10 +288,6 @@ def metric_from_json(data: dict) -> Metric:
     metric = Metric(gram=gram, backend=backend)
     _check_symmetric(gram, DEFAULT_TOL)
     return metric
-
-
-def metric_to_json_str(metric: Metric) -> str:
-    return canonical_json(metric_to_json(metric))
 
 
 def canonical_json(obj) -> str:

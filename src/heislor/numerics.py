@@ -19,7 +19,6 @@ from typing import Callable, Union
 
 EXACT = "exact"
 APPROX = "approx"
-BACKENDS = (EXACT, APPROX)
 
 #: default tolerance for float sign classification
 DEFAULT_TOL = 1e-9
@@ -347,8 +346,6 @@ def _operand(x) -> QSqrt3 | None:
     return None
 
 
-ZERO = QSqrt3(0)
-ONE = QSqrt3(1)
 SQRT3 = QSqrt3(0, 1)
 
 NEGATIVE, ZEROCLASS, POSITIVE = -1, 0, 1
@@ -361,13 +358,6 @@ def sign_with_tol(x: float, tol: float = DEFAULT_TOL) -> int:
     if abs(x) <= tol:
         return ZEROCLASS
     return POSITIVE if x > 0 else NEGATIVE
-
-
-def approx_sqrt(x: float, tol: float = DEFAULT_TOL) -> float:
-    """Float square root with values in [-tol, 0] clamped to zero."""
-    if x < -tol:
-        raise SqrtOfNegative(f"sqrt of negative value {x}")
-    return math.sqrt(x) if x > 0 else 0.0
 
 
 def bisect_root(

@@ -30,7 +30,7 @@ from .metrics import (
     xi_exact,
     xi_key_of,
 )
-from .numerics import APPROX, DEFAULT_TOL, QSqrt3
+from .numerics import APPROX, QSqrt3
 from .reduction import (
     FLAG_NEAR_DEGENERATE,
     classify_by_invariants_flagged,
@@ -38,6 +38,8 @@ from .reduction import (
 )
 
 SQRT3_F = math.sqrt(3.0)
+#: interior parameters sampled on each degeneration curve
+CURVE_SAMPLES = 10
 
 
 class ParameterOutOfRange(ValueError):
@@ -293,7 +295,7 @@ def _signature_jump(src_sigs, dst_sigs) -> bool:
     return False
 
 
-def degeneration_graph(n: int, tol: float = DEFAULT_TOL, interior_samples: int = 10) -> DegenerationGraph:
+def degeneration_graph(n: int) -> DegenerationGraph:
     """Recompute the closure diagram from curves and obstructions."""
     if n < 4:
         raise ValueError("need n >= 4")
@@ -305,17 +307,17 @@ def degeneration_graph(n: int, tol: float = DEFAULT_TOL, interior_samples: int =
     for name, fam in CURVE_FAMILIES.items():
         samples = []
         span = fam.hi - fam.lo
-        ts = [fam.lo + span * (k + 0.5) / interior_samples for k in range(interior_samples)]
+        ts = [fam.lo + span * (k + 0.5) / CURVE_SAMPLES for k in range(CURVE_SAMPLES)]
         near = fam.limit + (1e-4 if fam.limit == fam.lo else -1e-4)
         for t, flags in [(t, ()) for t in ts] + [(near, (FLAG_NEAR_DEGENERATE,))]:
-            form, _ = classify_by_invariants_flagged(curve_sample(name, t, n), tol)
+            form, _ = classify_by_invariants_flagged(curve_sample(name, t, n))
             if form.pair != fam.source:
                 raise EvidenceFailure(
                     f"family {name}: sample t={t} classifies to {form.pair}, "
                     f"expected {fam.source}"
                 )
             samples.append((t, form.pair, flags))
-        limit_form, _ = classify_by_invariants_flagged(_limit_metric(fam, n), tol)
+        limit_form, _ = classify_by_invariants_flagged(_limit_metric(fam, n))
         if limit_form.pair != fam.target:
             raise EvidenceFailure(
                 f"family {name}: limit classifies to {limit_form.pair}, "

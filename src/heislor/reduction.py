@@ -19,11 +19,10 @@ import numpy as np
 
 from ._linalg import (
     embed,
+    householder,
     max_abs,
     minkowski_gram,
     right_triangularize,
-    rotation_mapping_to_e1,
-    rotation_mapping_to_last,
     to_float,
 )
 from .liealg import hprime_pattern
@@ -55,6 +54,8 @@ SQRT3_F = math.sqrt(3.0)
 
 #: parameter band around a reduction wall treated as being on the wall
 WALL_BAND = 1e-6
+#: relative deviation from the exact shape that a snap may absorb
+SNAP_TOL = 1e-6
 #: ill-conditioned zone around a wall that triggers a refactorization retry
 RETRY_BAND = 2e-2
 #: largest t accepted without a retry (factor entries grow with t)
@@ -173,13 +174,12 @@ class VerificationResult:
 class _Builder:
     """Tracks the working matrix and the factor chain during a reduction."""
 
-    def __init__(self, start: np.ndarray, snap_tol: float = 1e-6):
+    def __init__(self, start: np.ndarray):
         self.start = np.array(start, dtype=float)
         self.current = self.start.copy()
         self.left_app: list[np.ndarray] = []
         self.right_app: list[np.ndarray] = []
         self.left_product = np.eye(start.shape[0])
-        self.snap_tol = snap_tol
         self.flags: list[str] = []
 
     @property
@@ -200,7 +200,7 @@ class _Builder:
         ideal = np.asarray(ideal, dtype=float)
         dev = float(np.max(np.abs(self.current - ideal)))
         scale = max(1.0, float(np.max(np.abs(ideal))), float(np.max(np.abs(self.current))))
-        if dev > self.snap_tol * scale:
+        if dev > SNAP_TOL * scale:
             raise NumericalBreakdown(f"snap deviation {dev:.3e} exceeds tolerance")
         self.current = ideal.copy()
 
@@ -275,7 +275,7 @@ def _reduce_last_row(builder: _Builder, tol: float) -> int:
     """Rotate and boost the last row to (-lam, 0, ..., 0, 1), clear last column."""
     n = builder.n
     row = builder.current[n - 1]
-    alpha = rotation_mapping_to_e1(row[: n - 1])
+    alpha = householder(row[: n - 1], 0)
     builder.apply_right(embed(alpha, n, tuple(range(n - 1))))
     x, y = float(builder.current[n - 1, 0]), float(builder.current[n - 1, n - 1])
     a, lam, g2 = o11_normalize(x, y, tol)
@@ -310,7 +310,7 @@ def _reduce_to_t(builder: _Builder, lam: int, tol: float) -> float:
     cur = builder.current
     if n >= 5:
         # zero the first column below its third entry
-        h = rotation_mapping_to_e1(cur[2 : n - 1, 0])
+        h = householder(cur[2 : n - 1, 0], 0)
         builder.apply_left(embed(h, n, tuple(range(2, n - 1))))
         ideal = builder.current.copy()
         ideal[3 : n - 1, 0] = 0.0
@@ -366,7 +366,7 @@ def _reduce_to_t(builder: _Builder, lam: int, tol: float) -> float:
     if abs(t_signed) > 0.0:
         v = np.zeros(n - 3)
         v[0] = t_signed
-        h = rotation_mapping_to_last(v)
+        h = householder(v, -1)
         coords = tuple(range(2, n - 1))
         builder.apply_left(embed(h, n, coords))
         builder.apply_right(embed(h.T, n, coords))
@@ -483,9 +483,27 @@ def _phi(s):
     return np.sqrt(v) if v > 0 else type(s)(0)
 
 
-def _bracket_and_bisect(f, eps: float) -> float:
-    # extended precision: near s = 5/3 the slope of the branch equations is
-    # huge for small t and a double bisection cannot certify the residual
+def lambda2_equation(xi_key: str, t):
+    """The root equation in s that carries the t-form of lam=2 to xi = 0 or 2.
+
+    xi = 0 (t < sqrt3): 3 phi(s) = t (3s - 4); xi = 2 (t > sqrt3):
+    (3 + 2t) phi(s) = (t + 2)(3s - 4).  Evaluated in extended precision.
+    """
+    t = _LD(t)
+    if xi_key == "0":
+        return lambda s: 3 * _phi(s) - t * (3 * s - 4)
+    if xi_key == "2":
+        return lambda s: (3 + 2 * t) * _phi(s) - (t + 2) * (3 * s - 4)
+    raise ValueError(f"no lam=2 root equation for xi = {xi_key!r}")
+
+
+def lambda2_root(xi_key: str, t, eps: float = ROOT_EPS):
+    """The root s >= 5/3 of lambda2_equation(xi_key, t), as a long double.
+
+    Extended precision: near s = 5/3 the slope of the equations is huge for
+    small t and a double bisection cannot certify the residual.
+    """
+    f = lambda2_equation(xi_key, t)
     lo = _LD(5) / _LD(3)
     hi = _LD(2)
     for _ in range(80):
@@ -507,15 +525,8 @@ def _reduce_lambda2(builder: _Builder, t: float, eps: float = ROOT_EPS) -> str:
         # on the t = 0 chart the root sits exactly at the branch point
         xi_key, s, phi = "0", 5.0 / 3.0, 0.0
     else:
-        t_ld = _LD(t)
-        if t < SQRT3_F:
-            xi_key = "0"
-            root = _bracket_and_bisect(lambda u: 3 * _phi(u) - t_ld * (3 * u - 4), eps)
-        else:
-            xi_key = "2"
-            root = _bracket_and_bisect(
-                lambda u: (3 + 2 * t_ld) * _phi(u) - (t_ld + 2) * (3 * u - 4), eps
-            )
+        xi_key = "0" if t < SQRT3_F else "2"
+        root = lambda2_root(xi_key, t, eps)
         s = float(root)
         phi = float(_phi(root))
     c4 = _corner_coords(n)
@@ -618,14 +629,15 @@ def reduce_lambda2(t: float, n: int, eps: float = ROOT_EPS) -> tuple[str, Witnes
 # -- invariant classifier ------------------------------------------------------
 
 
-def _signature_table(n: int) -> dict[tuple, tuple[int, str]]:
+def signature_table(n: int) -> dict[tuple[int, str], tuple[tuple, tuple]]:
+    """Restricted signatures (center, derived ideal) of the six classes."""
     return {
-        ((n - 3, 1, 0), (0, 1, 0)): (0, "0"),
-        ((n - 3, 0, 1), (0, 0, 1)): (1, "0"),
-        ((n - 3, 1, 0), (0, 0, 1)): (1, "1"),
-        ((n - 2, 0, 0), (1, 0, 0)): (2, "0"),
-        ((n - 3, 0, 1), (1, 0, 0)): (2, "sqrt3"),
-        ((n - 3, 1, 0), (1, 0, 0)): (2, "2"),
+        (0, "0"): ((n - 3, 1, 0), (0, 1, 0)),
+        (1, "0"): ((n - 3, 0, 1), (0, 0, 1)),
+        (1, "1"): ((n - 3, 1, 0), (0, 0, 1)),
+        (2, "0"): ((n - 2, 0, 0), (1, 0, 0)),
+        (2, "sqrt3"): ((n - 3, 0, 1), (1, 0, 0)),
+        (2, "2"): ((n - 3, 1, 0), (1, 0, 0)),
     }
 
 
@@ -665,7 +677,7 @@ def classify_by_invariants_flagged(
     n = metric.n
     sig_center, sig_derived = restricted_signatures(metric, tol)
     key = (sig_center.as_tuple(), sig_derived.as_tuple())
-    pair = _signature_table(n).get(key)
+    pair = next((p for p, sigs in signature_table(n).items() if sigs == key), None)
     if pair is None:
         raise NoTableMatch(
             f"signatures {key} match no class; input may be numerically degenerate"

@@ -33,30 +33,21 @@ from .metrics import (
     canonical_metric,
     xi_exact,
 )
-from .numerics import APPROX, EXACT, QSqrt3, bisect_root
+from .numerics import APPROX, EXACT, QSqrt3
 from .orbits import codimension, degeneration_graph, is_closed
 from .reduction import (
     classify,
     classify_by_invariants,
+    lambda2_equation,
+    lambda2_root,
     restricted_signatures,
+    signature_table,
     verify_witness,
 )
 
 WITNESS_TOL = 1e-8
 IVT_RESIDUAL = 1e-12
 SPOT_CHECK_TOL = 1e-10
-
-#: restricted signatures (center, derived) of the six classes, n-dependent
-def signature_table(n: int) -> dict[tuple[int, str], tuple[tuple, tuple]]:
-    return {
-        (0, "0"): ((n - 3, 1, 0), (0, 1, 0)),
-        (1, "0"): ((n - 3, 0, 1), (0, 0, 1)),
-        (1, "1"): ((n - 3, 1, 0), (0, 0, 1)),
-        (2, "0"): ((n - 2, 0, 0), (1, 0, 0)),
-        (2, "sqrt3"): ((n - 3, 0, 1), (1, 0, 0)),
-        (2, "2"): ((n - 3, 1, 0), (1, 0, 0)),
-    }
-
 
 #: codimensions of the six orbits as a function of n
 def codimension_table(n: int) -> dict[tuple[int, str], int]:
@@ -143,7 +134,6 @@ def run_randomized_classification(
     n_values=(4, 5, 6, 7, 8),
     samples: int = 1000,
     seed: int = 20240,
-    collect_witness_stats: bool = True,
 ) -> tuple[CheckResult, CheckResult]:
     """Classify random orbit samples with both classifiers; verify witnesses.
 
@@ -170,11 +160,10 @@ def run_randomized_classification(
                     mismatches.append(
                         f"{pair} n={n}: classify={form.pair}, invariants={inv_form.pair}"
                     )
-                if collect_witness_stats:
-                    result = verify_witness(metric, witness, WITNESS_TOL)
-                    worst_residual = max(worst_residual, result.residual)
-                    if not result.ok:
-                        witness_failures.append(f"{pair} n={n}: {result.detail}")
+                result = verify_witness(metric, witness, WITNESS_TOL)
+                worst_residual = max(worst_residual, result.residual)
+                if not result.ok:
+                    witness_failures.append(f"{pair} n={n}: {result.detail}")
     elapsed = time.perf_counter() - start
     ok1 = not mismatches
     detail1 = (
@@ -329,39 +318,24 @@ def check_degeneration_graph(n_values=(4, 5, 6)) -> CheckResult:
 
 
 def check_ivt_roots(samples: int = 100, seed: int = 7) -> CheckResult:
+    """Certify the lam=2 root solver that classify runs, on random t of each branch."""
     sqrt3 = float(np.sqrt(3.0))
-    ld = np.longdouble
 
     def run():
         rng = np.random.default_rng(seed)
-
-        def phi(s):
-            v = 3 * s * s - 8 * s + 5
-            return np.sqrt(v) if v > 0 else ld(0)
-
-        def solve(f):
-            hi = ld(2)
-            while f(hi) <= 0:
-                hi = hi * 2
-            return bisect_root(f, ld(5) / ld(3), hi, eps=IVT_RESIDUAL)
-
         worst = 0.0
-        for t in map(ld, rng.uniform(0.0, sqrt3, samples)):
-            f = lambda s: 3 * phi(s) - t * (3 * s - 4)  # noqa: E731
-            s0 = solve(f)
-            worst = max(worst, float(abs(f(s0))))
-            if s0 < 5.0 / 3.0 - 1e-12:
-                raise AssertionError(f"root below the domain: {s0}")
-        for t in map(ld, rng.uniform(sqrt3, 20.0, samples)):
-            f = lambda s: (3 + 2 * t) * phi(s) - (t + 2) * (3 * s - 4)  # noqa: E731
-            s1 = solve(f)
-            worst = max(worst, float(abs(f(s1))))
-            if s1 < 5.0 / 3.0 - 1e-12:
-                raise AssertionError(f"root below the domain: {s1}")
-        s0 = float(solve(lambda s: 3 * phi(s) - 0 * (3 * s - 4)))
+        for xi_key, lo, hi in (("0", 0.0, sqrt3), ("2", sqrt3, 20.0)):
+            for t in rng.uniform(lo, hi, samples):
+                s = lambda2_root(xi_key, t, IVT_RESIDUAL)
+                worst = max(worst, float(abs(lambda2_equation(xi_key, t)(s))))
+                if s < 5.0 / 3.0 - 1e-12:
+                    raise AssertionError(f"root below the domain: {s}")
+        if worst > IVT_RESIDUAL:
+            raise AssertionError(f"residual {worst:.2e} above {IVT_RESIDUAL:.0e}")
+        s0 = float(lambda2_root("0", 0.0, IVT_RESIDUAL))
         if abs(s0 - 5.0 / 3.0) > SPOT_CHECK_TOL:
             raise AssertionError(f"t=0 root {s0} != 5/3")
-        s1 = float(solve(lambda s: 7 * phi(s) - 4 * (3 * s - 4)))
+        s1 = float(lambda2_root("2", 2.0, IVT_RESIDUAL))
         if abs(s1 - 11.0 / 3.0) > SPOT_CHECK_TOL:
             raise AssertionError(f"t=2 root {s1} != 11/3")
         return f"residuals <= {IVT_RESIDUAL:.0e} (worst {worst:.2e}), spot checks hit"

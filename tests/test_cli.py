@@ -126,8 +126,18 @@ def test_orbits_text_and_dot(capsys):
     assert main(["orbits", "--n", "5"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "codim" in out and "(1,0)" in out
-    assert main(["orbits", "--n", "5", "--dot"]) == EXIT_OK
+    assert main(["orbits", "--n", "5", "--format", "dot"]) == EXIT_OK
     assert "digraph" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option", [["--tol", "1e-2"], ["--dot"]])
+def test_orbits_rejects_retired_options(option, capsys):
+    # the graph is a fixed object: no tolerance, and DOT is --format dot
+    with pytest.raises(SystemExit) as exc:
+        main(["orbits", "--n", "4", *option])
+    assert exc.value.code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
 
 
 def test_orbits_rejects_small_n(capsys):

@@ -1,5 +1,6 @@
 """Curvature tables, their generic oracle, and the soliton machinery."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -78,8 +79,8 @@ def test_u_middle_directions_inert():
 
 
 def test_u_symmetry():
-    table = u_map(frame_brackets(QSqrt3(2), xi_exact("sqrt3"), 5), frame_signs(5))
-    assert table.symmetry_residual() == 0.0
+    values = u_map(frame_brackets(QSqrt3(2), xi_exact("sqrt3"), 5), frame_signs(5)).values
+    assert (values == values.transpose(1, 0, 2)).all()
 
 
 # -- connection --------------------------------------------------------------------
@@ -329,6 +330,24 @@ def test_curvature_report_round_trip():
     assert set(blob["spectrum"]) == {"0"}
     with pytest.raises(NotARepresentative):
         curvature_report(3, "0", 4)
+
+
+@pytest.mark.parametrize("n", (4, 6))
+@pytest.mark.parametrize("pair", CANONICAL_PAIRS)
+def test_approx_report_matches_exact_with_clean_zeros(pair, n):
+    exact = curvature_report(pair[0], pair[1], n)
+    approx = curvature_report(pair[0], pair[1], n, backend="approx")
+    (c_exact, d_exact), (c_approx, d_approx) = exact.soliton, approx.soliton
+    values = [(c_exact, c_approx)]
+    values += zip(sorted(exact.spectrum, key=float), sorted(approx.spectrum))
+    values += zip(exact.ric.reshape(-1), approx.ric.reshape(-1))
+    values += zip(d_exact.reshape(-1), d_approx.reshape(-1))
+    if exact.einstein is not None:
+        values.append((exact.einstein, approx.einstein))
+    for want, got in values:
+        assert got == pytest.approx(float(want), abs=1e-12)
+        if want == 0:
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0  # +0.0, never -0.0
 
 
 def test_u_map_validates_frame_gram():

@@ -1,4 +1,4 @@
-"""Lie algebra structure: brackets, center, derivations, block pattern."""
+"""Lie algebra structure: brackets, derivations, block pattern."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ from heislor.liealg import (
     aut_pattern,
     bracket_vec,
     build_algebra,
-    center_and_derived,
     derivation_basis,
     derivation_space_dim,
     hprime_pattern,
-    pattern_decomposition,
 )
 from heislor._linalg import exact_array, exact_rank, to_float
 
@@ -72,25 +70,6 @@ def test_two_step_nilpotency():
     assert np.allclose(bracket_vec(alg, bracket_vec(alg, x, y), z), 0.0)
 
 
-@pytest.mark.parametrize("n,expected_center", [(4, 2), (6, 4)])
-def test_center_and_derived_dims(n, expected_center):
-    center, derived = center_and_derived(build_algebra(n))
-    assert center.dim == expected_center == n - 2
-    assert derived.dim == 1
-    # canonical bases: center = span(e3..en), derived = span(en)
-    c = to_float(center.basis)
-    assert np.allclose(c[:2, :], 0.0)
-    assert np.linalg.matrix_rank(c) == n - 2
-    d = to_float(derived.basis)
-    assert np.allclose(d.reshape(-1)[:-1], 0.0) and d[n - 1, 0] == 1.0
-
-
-def test_derived_inside_center():
-    center, derived = center_and_derived(build_algebra(5))
-    stacked = np.concatenate([center.basis.T, derived.basis.T], axis=0)
-    assert exact_rank(stacked) == center.dim
-
-
 @pytest.mark.parametrize("n,expected", [(4, 11), (5, 17)])
 def test_derivation_space_dimension_small(n, expected):
     assert derivation_space_dim(n) == expected == n * n - 3 * n + 7
@@ -126,21 +105,7 @@ def test_derivations_match_constrained_pattern(n):
 
 
 def test_pattern_masks():
-    pat = aut_pattern(5)
-    assert pat.sizes == (2, 2, 1)
-    m = pat.mask
+    m = aut_pattern(5).mask
     assert not m[0, 2] and not m[0, 4] and not m[2, 4]
     assert m[4, 0] and m[2, 1] and m[0, 1]
     assert np.array_equal(hprime_pattern(5).mask, m.T)
-
-
-def test_pattern_decomposition_scale():
-    n = 4
-    rng = np.random.default_rng(3)
-    mask = aut_pattern(n).mask
-    phi = np.where(mask, rng.uniform(-1, 1, (n, n)), 0.0)
-    phi[n - 1, n - 1] = 1.7
-    c, auto = pattern_decomposition(phi)
-    assert np.allclose(c * auto, phi)
-    det2 = auto[0, 0] * auto[1, 1] - auto[0, 1] * auto[1, 0]
-    assert auto[n - 1, n - 1] == pytest.approx(det2)  # automorphism constraint

@@ -15,7 +15,6 @@ from heislor.numerics import (
     NoSignChange,
     SqrtOfNegative,
     SqrtUnsupportedExact,
-    approx_sqrt,
     bisect_root,
     sign_with_tol,
 )
@@ -108,12 +107,6 @@ def test_sign_with_tol_monotone():
     values = [-1.0, -1e-10, 0.0, 1e-10, 2e-9, 0.5]
     classes = [sign_with_tol(v, tol=1e-9) for v in values]
     assert classes == sorted(classes)
-
-
-def test_approx_sqrt_clamps():
-    assert approx_sqrt(-1e-12) == 0.0
-    with pytest.raises(SqrtOfNegative):
-        approx_sqrt(-1e-3)
 
 
 def test_bisect_sqrt2():
