@@ -193,16 +193,13 @@ def right_triangularize(b: np.ndarray) -> np.ndarray:
 
 def embed(block: np.ndarray, n: int, coords: tuple[int, ...]) -> np.ndarray:
     """Place a small block at the given coordinates of an n x n identity."""
-    if block.dtype == object:
-        out = exact_eye(n)
-    else:
-        out = np.eye(n)
-    for bi, i in enumerate(coords):
-        for bj, j in enumerate(coords):
-            out[i, j] = block[bi, bj]
+    out = exact_eye(n) if block.dtype == object else np.eye(n)
+    idx = np.array(coords, dtype=np.intp)
+    out[idx[:, None], idx] = block
     return out
 
 
 def max_abs(a: np.ndarray) -> float:
+    """Largest entry magnitude, 0.0 for an empty array."""
     a = to_float(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0

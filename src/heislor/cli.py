@@ -4,13 +4,15 @@ Subcommands: classify (a metric JSON file), curvature (one canonical class),
 orbits (orbit table and degeneration graph, also as DOT via --format dot)
 and verify (the named check suite).  Exit codes: 0 success, 1 verification
 failure, 2 invalid input.  The METRICLASS_TOL environment variable sets the
-float tolerance of classify when --tol is not given.
+float tolerance of classify when --tol is not given; either must be a
+positive finite number.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -41,16 +43,21 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 
-def _default_tol() -> float:
-    env = os.environ.get("METRICLASS_TOL")
-    if env is None:
-        return DEFAULT_TOL
+def _classify_tol(flag: float | None) -> float:
+    """--tol, else METRICLASS_TOL, else DEFAULT_TOL; ValueError unless positive and finite."""
+    if flag is not None:
+        source, raw = "--tol", flag
+    else:
+        raw = os.environ.get("METRICLASS_TOL")
+        if raw is None:
+            return DEFAULT_TOL
+        source = "METRICLASS_TOL"
     try:
-        tol = float(env)
+        tol = float(raw)
     except ValueError:
-        raise SystemExit(f"METRICLASS_TOL={env!r} is not a number")
-    if tol <= 0:
-        raise SystemExit("METRICLASS_TOL must be positive")
+        raise ValueError(f"{source}={raw!r} is not a number") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{source}={raw!r} must be a positive finite number")
     return tol
 
 
@@ -79,8 +86,8 @@ def _xi_arg(value: str):
 
 
 def cmd_classify(args) -> int:
-    tol = _default_tol() if args.tol is None else args.tol
     try:
+        tol = _classify_tol(args.tol)
         metric = _load_metric(args.input, args.backend)
         if args.n is not None and metric.n != args.n:
             raise ValueError(f"file has n={metric.n}, --n says {args.n}")

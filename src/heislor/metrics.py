@@ -21,6 +21,7 @@ from ._linalg import (
     exact_rank,
     congruence_diagonal,
     is_exact,
+    max_abs,
     minkowski_gram,
     to_float,
 )
@@ -91,6 +92,11 @@ class SignatureTriple:
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.plus, self.minus, self.zero)
 
+    @classmethod
+    def of_signs(cls, signs: list[int]) -> "SignatureTriple":
+        """Counts of a list of signs, each -1, 0 or +1."""
+        return cls(signs.count(1), signs.count(-1), signs.count(0))
+
 
 @dataclass(frozen=True)
 class Metric:
@@ -125,8 +131,27 @@ def _check_symmetric(m: np.ndarray, tol: float) -> None:
             for j in range(i + 1, n):
                 if m[i, j] != m[j, i]:
                     raise AsymmetricInput(f"entries ({i},{j}) and ({j},{i}) differ")
-    elif np.max(np.abs(m - m.T)) > tol * max(1.0, np.max(np.abs(m))):
+    elif max_abs(m - m.T) > tol * max(1.0, max_abs(m)):
         raise AsymmetricInput("matrix is not symmetric within tolerance")
+
+
+def _eigen_signature(eigs: np.ndarray, tol: float) -> tuple[SignatureTriple, float]:
+    """Sign counts of eigenvalues relative to the spectral radius, and the zero band.
+
+    An eigenvalue within band = tol * max(1, spectral radius) of 0 counts as zero.
+    """
+    band = tol * max(1.0, max_abs(eigs))
+    return SignatureTriple.of_signs([sign_with_tol(e, band) for e in eigs.tolist()]), band
+
+
+def spectral_signature(
+    m: np.ndarray, tol: float = DEFAULT_TOL
+) -> tuple[SignatureTriple, np.ndarray, float]:
+    """Float signature of a symmetric matrix, with its eigenvalues and zero band."""
+    _check_symmetric(m, tol)
+    eigs = np.linalg.eigvalsh(m)
+    sig, band = _eigen_signature(eigs, tol)
+    return sig, eigs, band
 
 
 def signature_of(m: np.ndarray, tol: float = DEFAULT_TOL) -> SignatureTriple:
@@ -136,20 +161,10 @@ def signature_of(m: np.ndarray, tol: float = DEFAULT_TOL) -> SignatureTriple:
     tolerance.  Float backend: eigenvalue signs relative to the spectral
     radius.
     """
+    if m.dtype != object:
+        return spectral_signature(m, tol)[0]
     _check_symmetric(m, tol)
-    if m.shape[0] == 0:
-        return SignatureTriple(0, 0, 0)
-    if m.dtype == object:
-        signs = [d.sign() for d in congruence_diagonal(m)]
-    else:
-        eigs = np.linalg.eigvalsh(m)
-        scale = max(1.0, float(np.max(np.abs(eigs))))
-        signs = [sign_with_tol(float(e), tol * scale) for e in eigs]
-    return SignatureTriple(
-        plus=sum(1 for s in signs if s > 0),
-        minus=sum(1 for s in signs if s < 0),
-        zero=sum(1 for s in signs if s == 0),
-    )
+    return SignatureTriple.of_signs([d.sign() for d in congruence_diagonal(m)])
 
 
 def act(g: np.ndarray, metric: Metric) -> Metric:
@@ -238,11 +253,10 @@ def factor_metric(metric: Metric, tol: float = DEFAULT_TOL) -> np.ndarray:
     gram = to_float(metric.gram)
     _check_symmetric(gram, tol)
     eigvals, q = np.linalg.eigh(gram)
-    scale = max(1.0, float(np.max(np.abs(eigvals))))
-    signs = [sign_with_tol(float(e), tol * scale) for e in eigvals]
-    if sum(1 for s in signs if s < 0) != 1 or sum(1 for s in signs if s > 0) != gram.shape[0] - 1:
+    sig, _ = _eigen_signature(eigvals, tol)
+    if (sig.plus, sig.minus) != (gram.shape[0] - 1, 1):
         raise WrongSignature(
-            f"signature ({signs.count(1)},{signs.count(-1)},{signs.count(0)}) unsupported;"
+            f"signature ({sig.plus},{sig.minus},{sig.zero}) unsupported;"
             " expected (n-1, 1, 0)"
         )
     order = np.argsort(-eigvals)  # positives first, the negative one last

@@ -34,6 +34,7 @@ from .metrics import (
     WrongSignature,
     factor_metric,
     signature_of,
+    spectral_signature,
     xi_exact,
     xi_float,
     xi_key_of,
@@ -198,9 +199,9 @@ class _Builder:
     def snap(self, ideal: np.ndarray) -> None:
         """Replace the working matrix by its known exact shape."""
         ideal = np.asarray(ideal, dtype=float)
-        dev = float(np.max(np.abs(self.current - ideal)))
-        scale = max(1.0, float(np.max(np.abs(ideal))), float(np.max(np.abs(self.current))))
-        if dev > SNAP_TOL * scale:
+        dev = max_abs(self.current - ideal)
+        # the scale is at least 1, so it only matters once dev exceeds SNAP_TOL
+        if dev > SNAP_TOL and dev > SNAP_TOL * max(1.0, max_abs(ideal), max_abs(self.current)):
             raise NumericalBreakdown(f"snap deviation {dev:.3e} exceeds tolerance")
         self.current = ideal.copy()
 
@@ -337,7 +338,7 @@ def _reduce_to_t(builder: _Builder, lam: int, tol: float) -> float:
         ideal[j, :] = 0.0
         ideal[j, j] = 1.0
         builder.snap(ideal)
-    row_scale = max(1.0, float(np.max(np.abs(builder.current[2]))))
+    row_scale = max(1.0, max_abs(builder.current[2]))
     if abs(builder.current[2, 2]) <= 1e-9 * row_scale:
         _fix_zero_corner(builder, lam)
     x = float(builder.current[2, 2])
@@ -558,8 +559,8 @@ def _check_g_lambda(g: np.ndarray, lam: int | None, tol: float) -> int:
     scale = max(1.0, max_abs(g))
     row_ok = (
         abs(g[n - 1, n - 1] - 1.0) <= tol * scale
-        and np.max(np.abs(g[n - 1, 1 : n - 1])) <= tol * scale
-        and np.max(np.abs(g[: n - 1, n - 1])) <= tol * scale
+        and max_abs(g[n - 1, 1 : n - 1]) <= tol * scale
+        and max_abs(g[: n - 1, n - 1]) <= tol * scale
     )
     found = -float(g[n - 1, 0])
     lam_val = int(round(found)) if lam is None else lam
@@ -652,13 +653,17 @@ def restricted_signatures(
     )
 
 
-def _near_degenerate(gram_block: np.ndarray, tol: float) -> bool:
-    if gram_block.dtype == object or gram_block.size == 0:
-        return False
-    eigs = np.linalg.eigvalsh(to_float(gram_block))
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    band = tol * scale
-    return bool(np.any((np.abs(eigs) > 0.01 * band) & (np.abs(eigs) < 100.0 * band)))
+def _block_signature(block: np.ndarray, tol: float) -> tuple[SignatureTriple, bool]:
+    """Signature of a restricted Gram block, and whether it is near degenerate.
+
+    Near degenerate: a float eigenvalue within a factor 100 of the zero band,
+    on either side.  Exact signs need no band, so an exact block never is.
+    """
+    if block.dtype == object:
+        return signature_of(block, tol), False
+    sig, eigs, band = spectral_signature(block, tol)
+    mags = np.abs(eigs)
+    return sig, bool(np.any((mags > 0.01 * band) & (mags < 100.0 * band)))
 
 
 def classify_by_invariants(metric: Metric, tol: float = DEFAULT_TOL) -> CanonicalForm:
@@ -675,18 +680,15 @@ def classify_by_invariants_flagged(
     metric: Metric, tol: float = DEFAULT_TOL
 ) -> tuple[CanonicalForm, list[str]]:
     n = metric.n
-    sig_center, sig_derived = restricted_signatures(metric, tol)
+    sig_center, near_center = _block_signature(metric.gram[2:, 2:], tol)
+    sig_derived, near_derived = _block_signature(metric.gram[-1:, -1:], tol)
     key = (sig_center.as_tuple(), sig_derived.as_tuple())
     pair = next((p for p, sigs in signature_table(n).items() if sigs == key), None)
     if pair is None:
         raise NoTableMatch(
             f"signatures {key} match no class; input may be numerically degenerate"
         )
-    flags = []
-    if _near_degenerate(metric.gram[2:, 2:], tol) or _near_degenerate(
-        metric.gram[-1:, -1:], tol
-    ):
-        flags.append(FLAG_NEAR_DEGENERATE)
+    flags = [FLAG_NEAR_DEGENERATE] if near_center or near_derived else []
     return canonical_form(pair[0], pair[1], n), flags
 
 
@@ -796,38 +798,39 @@ def verify_witness(
     """
     n = witness.n
     problems = []
+    ipq = minkowski_gram(n)
     if isinstance(subject, Metric):
         if witness.m_factor is None:
             return VerificationResult(False, math.inf, "witness has no m-factor")
-        m = witness.m_factor
+        minv = np.linalg.inv(witness.m_factor)
         gram = to_float(subject.gram)
-        minv = np.linalg.inv(m)
-        gram_res = float(np.max(np.abs(minv.T @ minkowski_gram(n) @ minv - gram)))
-        if gram_res > tol * max(1.0, float(np.max(np.abs(gram)))):
+        gram_res = max_abs(minv.T @ ipq @ minv - gram)
+        if gram_res > tol * max(1.0, max_abs(gram)):
             problems.append(f"m-factor does not reproduce the metric ({gram_res:.2e})")
-        start_res = float(np.max(np.abs(np.linalg.inv(m).T - witness.start)))
+        start_res = max_abs(minv.T - witness.start)
         if start_res > tol * max(1.0, max_abs(witness.start)):
             problems.append("start matrix is not the transpose-inverse of m")
     else:
         g = to_float(np.asarray(subject))
-        if g.shape != witness.start.shape or float(np.max(np.abs(g - witness.start))) > tol * max(
+        if g.shape != witness.start.shape or max_abs(g - witness.start) > tol * max(
             1.0, max_abs(g)
         ):
             problems.append("start matrix differs from the supplied element")
-    pattern = hprime_pattern(n)
-    ipq = minkowski_gram(n)
-    for idx, h in enumerate(witness.left):
-        outside = float(np.max(np.abs(to_float(h)[~pattern.mask]))) if n else 0.0
-        if outside > tol:
-            problems.append(f"left factor {idx} violates the pattern ({outside:.2e})")
-        if abs(np.linalg.det(to_float(h))) < 1e-300:
+    left = np.array([to_float(h) for h in witness.left]).reshape(-1, n, n)
+    outside = np.abs(left[:, ~hprime_pattern(n).mask]).max(axis=1)
+    singular = np.abs(np.linalg.det(left)) < 1e-300
+    for idx, (out, sing) in enumerate(zip(outside.tolist(), singular.tolist())):
+        if out > tol:
+            problems.append(f"left factor {idx} violates the pattern ({out:.2e})")
+        if sing:
             problems.append(f"left factor {idx} is singular")
-    for idx, kmat in enumerate(witness.right):
-        kf = to_float(kmat)
-        dev = float(np.max(np.abs(kf.T @ ipq @ kf - ipq)))
-        if dev > tol * max(1.0, float(np.max(np.abs(kf))) ** 2):
+    right = np.array([to_float(k) for k in witness.right]).reshape(-1, n, n)
+    devs = np.abs(right.transpose(0, 2, 1) @ ipq @ right - ipq).max(axis=(1, 2))
+    sizes = np.abs(right).max(axis=(1, 2))
+    for idx, (dev, size) in enumerate(zip(devs.tolist(), sizes.tolist())):
+        if dev > tol * max(1.0, size**2):
             problems.append(f"right factor {idx} is not pseudo-orthogonal ({dev:.2e})")
-    residual = float(np.max(np.abs(witness.product() - witness.target)))
+    residual = max_abs(witness.product() - witness.target)
     if residual > tol:
         problems.append(f"chain product misses the target by {residual:.2e}")
     return VerificationResult(not problems, residual, "; ".join(problems))

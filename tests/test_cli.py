@@ -183,9 +183,21 @@ def test_env_tolerance_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("METRICLASS_TOL", "1e-7")
     metric, _ = canonical_metric(2, "0", 4, backend="approx")
     assert main(["classify", "--input", _write_metric(tmp_path, metric)]) == EXIT_OK
-    monkeypatch.setenv("METRICLASS_TOL", "-3")
-    with pytest.raises(SystemExit):
-        main(["classify", "--input", _write_metric(tmp_path, metric)])
+    for bad in ("-3", "abc", "nan", "inf", "0"):
+        monkeypatch.setenv("METRICLASS_TOL", bad)
+        assert main(["classify", "--input", _write_metric(tmp_path, metric)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: METRICLASS_TOL=") and "Traceback" not in err
+
+
+def test_tol_flag_rejects_non_positive_and_non_finite(tmp_path, capsys):
+    metric, _ = canonical_metric(2, "0", 4, backend="approx")
+    path = _write_metric(tmp_path, metric)
+    for bad in ("-1", "nan", "inf", "0"):
+        assert main(["classify", "--input", path, "--tol", bad]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol=") and "symmetric" not in err
+    assert main(["classify", "--input", path, "--tol", "1e-7"]) == EXIT_OK
 
 
 def test_classification_json_round_trip(tmp_path, capsys):

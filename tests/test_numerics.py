@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from heislor._linalg import exact_array, exact_nullspace, exact_rank, exact_rref, to_float
+from heislor._linalg import (
+    embed,
+    exact_array,
+    exact_eye,
+    exact_nullspace,
+    exact_rank,
+    exact_rref,
+    to_float,
+)
 from heislor.numerics import (
     QSqrt3,
     NoConvergence,
@@ -287,3 +295,27 @@ def test_exact_rref_sparse_matrices():
         assert len(basis) == cols - rank
         for v in basis:
             assert all(x.is_zero() for x in a @ v)
+
+
+def _embed_reference(block, n, coords):
+    out = exact_eye(n) if block.dtype == object else np.eye(n)
+    for bi, i in enumerate(coords):
+        for bj, j in enumerate(coords):
+            out[i, j] = block[bi, bj]
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_embed_matches_double_loop_reference(n):
+    rng = np.random.default_rng(n)
+    for coords in (tuple(range(1, n - 1)), (0, 1, n - 2, n - 1)):
+        k = len(coords)
+        floats = rng.standard_normal((k, k))
+        exact = exact_array(
+            [[QSqrt3(Fraction(int(v), 7), i - j) for j, v in enumerate(row)]
+             for i, row in enumerate(rng.integers(-9, 9, (k, k)))]
+        )
+        for block in (floats, exact):
+            got, ref = embed(block, n, coords), _embed_reference(block, n, coords)
+            assert got.dtype == ref.dtype and got.shape == (n, n)
+            assert (got == ref).all()

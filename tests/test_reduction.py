@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heislor._linalg import minkowski_gram
+from heislor._linalg import max_abs, minkowski_gram, to_float
 from heislor.liealg import aut_pattern, hprime_pattern
 from heislor.metrics import (
     APPROX,
@@ -22,9 +22,11 @@ from heislor.reduction import (
     NoTableMatch,
     NotInG0,
     NotInGLambda,
+    VerificationResult,
     ZeroVector,
     classify,
     classify_by_invariants,
+    classify_by_invariants_flagged,
     o11_normalize,
     reduce_lambda0,
     reduce_lambda1,
@@ -32,6 +34,8 @@ from heislor.reduction import (
     reduce_last_row,
     reduce_to_t,
     representative_matrix,
+    restricted_signatures,
+    signature_table,
     verify_witness,
 )
 
@@ -400,3 +404,156 @@ def test_near_wall_classification_is_flagged():
     form, _, witness = classify(metric)
     assert form.pair == (2, "sqrt3")
     assert "NearDegenerate" in witness.flags
+
+
+# -- stacked checks against per-factor references ---------------------------------
+
+
+def _verify_witness_reference(subject, witness, tol=1e-8):
+    """The per-factor loop that verify_witness stacks; kept as its reference."""
+    n = witness.n
+    problems = []
+    if isinstance(subject, Metric):
+        if witness.m_factor is None:
+            return VerificationResult(False, math.inf, "witness has no m-factor")
+        m = witness.m_factor
+        gram = to_float(subject.gram)
+        minv = np.linalg.inv(m)
+        gram_res = float(np.max(np.abs(minv.T @ minkowski_gram(n) @ minv - gram)))
+        if gram_res > tol * max(1.0, float(np.max(np.abs(gram)))):
+            problems.append(f"m-factor does not reproduce the metric ({gram_res:.2e})")
+        start_res = float(np.max(np.abs(np.linalg.inv(m).T - witness.start)))
+        if start_res > tol * max(1.0, max_abs(witness.start)):
+            problems.append("start matrix is not the transpose-inverse of m")
+    else:
+        g = to_float(np.asarray(subject))
+        if g.shape != witness.start.shape or float(np.max(np.abs(g - witness.start))) > tol * max(
+            1.0, max_abs(g)
+        ):
+            problems.append("start matrix differs from the supplied element")
+    pattern = hprime_pattern(n)
+    ipq = minkowski_gram(n)
+    for idx, h in enumerate(witness.left):
+        outside = float(np.max(np.abs(to_float(h)[~pattern.mask]))) if n else 0.0
+        if outside > tol:
+            problems.append(f"left factor {idx} violates the pattern ({outside:.2e})")
+        if abs(np.linalg.det(to_float(h))) < 1e-300:
+            problems.append(f"left factor {idx} is singular")
+    for idx, kmat in enumerate(witness.right):
+        kf = to_float(kmat)
+        dev = float(np.max(np.abs(kf.T @ ipq @ kf - ipq)))
+        if dev > tol * max(1.0, float(np.max(np.abs(kf))) ** 2):
+            problems.append(f"right factor {idx} is not pseudo-orthogonal ({dev:.2e})")
+    residual = float(np.max(np.abs(witness.product() - witness.target)))
+    if residual > tol:
+        problems.append(f"chain product misses the target by {residual:.2e}")
+    return VerificationResult(not problems, residual, "; ".join(problems))
+
+
+def _orbit_sample(lam, xi_key, n, seed):
+    rng = np.random.default_rng(seed)
+    g = np.eye(n) + 0.3 * rng.standard_normal((n, n)) * aut_pattern(n).mask
+    metric, _ = canonical_metric(lam, xi_key, n, backend=APPROX)
+    return act(g, metric)
+
+
+def _corrupt(witness, side, idx, fn):
+    factors = list(getattr(witness, side))
+    factors[idx] = fn(factors[idx].copy())
+    setattr(witness, side, factors)
+    return witness
+
+
+def _outside_entry(h):
+    h[h.shape[0] - 1, 0] += 0.5  # (n, 1) lies outside the transposed pattern
+    return h
+
+
+_CORRUPTIONS = {
+    "intact": (lambda w: w, ""),
+    "pattern": (
+        lambda w: _corrupt(w, "left", 1, _outside_entry),
+        "left factor 1 violates the pattern",
+    ),
+    "singular": (lambda w: _corrupt(w, "left", 0, lambda h: 0.0 * h), "left factor 0 is singular"),
+    "lorentz": (
+        lambda w: _corrupt(w, "right", 1, lambda k: 1.01 * k),
+        "right factor 1 is not pseudo-orthogonal",
+    ),
+    "start": (
+        lambda w: setattr(w, "start", w.start + 1e-3) or w,
+        "start matrix is not the transpose-inverse of m",
+    ),
+    "no-m": (lambda w: setattr(w, "m_factor", None) or w, "witness has no m-factor"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+@pytest.mark.parametrize("pair, n", [((2, "0"), 5), ((1, "1"), 8), ((0, "0"), 4)])
+def test_verify_witness_matches_per_factor_reference(pair, n, corruption):
+    corrupt, expected = _CORRUPTIONS[corruption]
+    metric = _orbit_sample(pair[0], pair[1], n, seed=n)
+    _, _, witness = classify(metric)
+    witness = corrupt(witness)
+    got = verify_witness(metric, witness)
+    ref = _verify_witness_reference(metric, witness)
+    assert (got.ok, got.residual, got.detail) == (ref.ok, ref.residual, ref.detail)
+    assert got.ok == (expected == "") and expected in got.detail
+
+
+def test_verify_witness_stacks_match_reference_on_element_subjects():
+    # an element subject, a wrong start, and a witness with no factors at all
+    _, empty = reduce_lambda1(0.0, 5)
+    assert empty.left == [] and empty.right == []
+    g = np.eye(5)
+    g[3, 0], g[4, 0] = 1.0, -2.0
+    _, _, chain = reduce_last_row(g)
+    for subject, witness in (
+        (empty.start, empty),
+        (empty.start + 1e-3, empty),
+        (g, chain),
+        (g + 1e-3, chain),
+    ):
+        got = verify_witness(subject, witness)
+        ref = _verify_witness_reference(subject, witness)
+        assert (got.ok, got.residual, got.detail) == (ref.ok, ref.residual, ref.detail)
+    assert verify_witness(empty.start, empty).ok
+    assert "start matrix differs" in verify_witness(g + 1e-3, chain).detail
+
+
+def _invariants_reference(metric, tol=1e-9):
+    """restricted_signatures plus one eigvalsh per block for the near-wall band."""
+    def near_degenerate(block):
+        if block.dtype == object:
+            return False
+        eigs = np.linalg.eigvalsh(block)
+        band = tol * max(1.0, float(np.max(np.abs(eigs))))
+        return bool(np.any((np.abs(eigs) > 0.01 * band) & (np.abs(eigs) < 100.0 * band)))
+
+    center, derived = restricted_signatures(metric, tol)
+    key = (center.as_tuple(), derived.as_tuple())
+    pair = next((p for p, sigs in signature_table(metric.n).items() if sigs == key), None)
+    near = near_degenerate(metric.gram[2:, 2:]) or near_degenerate(metric.gram[-1:, -1:])
+    return pair, ["NearDegenerate"] if near else []
+
+
+def _near_wall_metrics():
+    for n in (4, 5, 8):
+        # center eigenvalues from about 3e2 down to 3e-3 zero bands, and exact zeros
+        for offset in (1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 0.0):
+            for lam, xi in ((2, SQRT3 - offset), (2, SQRT3 + offset), (1, math.sqrt(offset))):
+                yield Metric(gram=canonical_gram(lam, xi, n, exact=False), backend=APPROX)
+        for lam, key in CANONICAL_PAIRS:
+            gram = canonical_gram(lam, xi_float(key), n, exact=False)
+            yield Metric(gram=1e6 * gram, backend=APPROX)
+            yield _orbit_sample(lam, key, n, seed=lam + n)
+            yield canonical_metric(lam, key, n)[0]
+
+
+def test_invariant_classifier_matches_two_eigvalsh_reference():
+    flagged = 0
+    for metric in _near_wall_metrics():
+        form, flags = classify_by_invariants_flagged(metric)
+        assert (form.pair, flags) == _invariants_reference(metric)
+        flagged += bool(flags)
+    assert flagged  # the band is exercised, not only the clean side of it
