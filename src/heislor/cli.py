@@ -24,16 +24,16 @@ from .metrics import (
     metric_from_json,
     xi_key_of,
 )
-from .numerics import APPROX, DEFAULT_TOL, EXACT
+from .numerics import APPROX, DEFAULT_TOL, EXACT, NoConvergence
 from .curvature import curvature_report
-from .orbits import degeneration_graph, orbit_report
+from .orbits import EvidenceFailure, OracleMismatch, degeneration_graph, orbit_report
 from .reduction import (
     ClassificationMismatch,
     NoTableMatch,
     NumericalBreakdown,
     classification_to_json,
     classify,
-    restricted_signatures,
+    signature_table,
     verify_witness,
 )
 from .verification import run_all
@@ -41,6 +41,9 @@ from .verification import run_all
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
+
+#: a recomputed table disagrees with its independent check: a failed verification
+SELF_CHECK_FAILURES = (OracleMismatch, EvidenceFailure)
 
 
 def _classify_tol(flag: float | None) -> float:
@@ -100,6 +103,7 @@ def cmd_classify(args) -> int:
         WrongSignature,
         ClassificationMismatch,
         NumericalBreakdown,
+        NoConvergence,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -107,8 +111,9 @@ def cmd_classify(args) -> int:
     payload = classification_to_json(form, k, witness)
     payload["witness_residual"] = check.residual
     payload["witness_ok"] = check.ok
-    center, derived = restricted_signatures(metric, tol)
-    payload["signatures"] = {"center": center.as_tuple(), "derived": derived.as_tuple()}
+    # classify matched the metric's restricted signatures to this table row
+    center, derived = signature_table(metric.n)[form.pair]
+    payload["signatures"] = {"center": center, "derived": derived}
     if args.format == "json":
         print(canonical_json(payload))
     elif args.format == "csv":
@@ -121,7 +126,7 @@ def cmd_classify(args) -> int:
         xi = payload["xi"]
         print(f"class: (lambda, xi) = ({form.lam}, {xi})")
         print(f"scale k: {k:.12g}")
-        print(f"signature on center: {center.as_tuple()}  on derived ideal: {derived.as_tuple()}")
+        print(f"signature on center: {center}  on derived ideal: {derived}")
         print(
             f"witness: {len(witness.left)} left x {len(witness.right)} right factors, "
             f"residual {check.residual:.2e} ({'ok' if check.ok else 'FAILED'})"
@@ -138,6 +143,9 @@ def cmd_curvature(args) -> int:
     except (NotARepresentative, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except SELF_CHECK_FAILURES as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     if args.format == "json":
         payload = {"curvature": report.to_json(), "orbit": orbit.to_json()}
         print(canonical_json(payload))
@@ -172,6 +180,9 @@ def cmd_orbits(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except SELF_CHECK_FAILURES as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     if args.format == "dot":
         print(graph.to_dot())
         return EXIT_OK

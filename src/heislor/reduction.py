@@ -57,8 +57,6 @@ SQRT3_F = math.sqrt(3.0)
 WALL_BAND = 1e-6
 #: relative deviation from the exact shape that a snap may absorb
 SNAP_TOL = 1e-6
-#: ill-conditioned zone around a wall that triggers a refactorization retry
-RETRY_BAND = 2e-2
 #: largest t accepted without a retry (factor entries grow with t)
 T_RETRY_MAX = 200.0
 MAX_RETRIES = 8
@@ -707,16 +705,13 @@ def _retry_factor(n: int, attempt: int) -> np.ndarray:
 
 
 def _needs_retry(lam: int, t: float) -> bool:
-    if t > T_RETRY_MAX:
-        return True
-    if lam == 2:
-        # two ill-conditioned zones: the branch point t ~ 0 (steep root
-        # equation) and the wall t ~ sqrt3 (root escapes to infinity)
-        if 1e-9 < t < 1e-3:
-            return True
-        gap = abs(t - SQRT3_F)
-        return WALL_BAND < gap < RETRY_BAND
-    return False
+    """Whether another chart can give a better-conditioned t.
+
+    Large t and the lam=2 branch point t ~ 0 (steep root equation) depend on
+    the chart.  The distance from t to the sqrt3 wall does not, so it is no
+    reason to redraw.
+    """
+    return t > T_RETRY_MAX or (lam == 2 and 1e-9 < t < 1e-3)
 
 
 def _pipeline_scale(builder: _Builder, lam: int, xi_key: str) -> float:
@@ -773,6 +768,9 @@ def classify(
             last_error = ClassificationMismatch(
                 f"pipeline found ({lam}, {xi_key}), invariants say {inv_form.pair}"
             )
+            if lam == 1:
+                # the lam=1 t-form barely moves between charts: no redraw helps
+                raise last_error
             continue
         witness = builder.witness(representative_matrix(lam, xi_key, n), m_factor=m)
         witness.flags.extend(f for f in inv_flags if f not in witness.flags)

@@ -7,7 +7,18 @@ import numpy as np
 import pytest
 
 from heislor.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, main
-from heislor.metrics import canonical_gram, canonical_metric, metric_to_json
+from heislor.liealg import aut_pattern
+from heislor.metrics import (
+    APPROX,
+    CANONICAL_PAIRS,
+    act,
+    canonical_gram,
+    canonical_metric,
+    metric_to_json,
+)
+from heislor.numerics import NoConvergence
+from heislor.orbits import EvidenceFailure, OracleMismatch
+from heislor.reduction import restricted_signatures
 
 
 def _write_metric(tmp_path, metric, name="metric.json"):
@@ -242,3 +253,57 @@ def test_classify_payload_schema(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert {"lambda", "xi", "k", "witness", "flags"} <= set(payload)
     assert {"left", "right", "start", "target", "m", "flags"} <= set(payload["witness"])
+
+
+def _signature_subject(name):
+    if name == "orbit":
+        rng = np.random.default_rng(3)
+        g = np.eye(6) + 0.3 * rng.standard_normal((6, 6)) * aut_pattern(6).mask
+        return act(g, canonical_metric(2, "2", 6, backend=APPROX)[0])
+    return canonical_metric(name[0], name[1], 5, backend=APPROX)[0]
+
+
+@pytest.mark.parametrize("name", [*CANONICAL_PAIRS, "orbit"])
+def test_classify_signatures_equal_restricted_signatures(name, tmp_path, capsys):
+    # the CLI prints the table row classify matched, not a recomputation
+    metric = _signature_subject(name)
+    path = _write_metric(tmp_path, metric)
+    assert main(["classify", "--input", path]) == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)["signatures"]
+    center, derived = restricted_signatures(metric)
+    assert printed == {"center": list(center.as_tuple()), "derived": list(derived.as_tuple())}
+    assert main(["classify", "--input", path, "--format", "text"]) == EXIT_OK
+    assert (
+        f"signature on center: {center.as_tuple()}  on derived ideal: {derived.as_tuple()}"
+        in capsys.readouterr().out
+    )
+
+
+def _raise(exc):
+    def fail(*_args, **_kwargs):
+        raise exc
+    return fail
+
+
+def test_classify_no_convergence_is_bad_input(tmp_path, monkeypatch, capsys):
+    metric, _ = canonical_metric(2, "0", 4, backend=APPROX)
+    monkeypatch.setattr("heislor.cli.classify", _raise(NoConvergence("bisection stalled")))
+    assert main(["classify", "--input", _write_metric(tmp_path, metric)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: bisection stalled\n"
+
+
+@pytest.mark.parametrize("error", [OracleMismatch, EvidenceFailure])
+@pytest.mark.parametrize(
+    "argv, patched",
+    [
+        (["curvature", "--lambda", "1", "--xi", "0", "--n", "4"], "orbit_report"),
+        (["orbits", "--n", "4"], "orbit_report"),
+        (["orbits", "--n", "4"], "degeneration_graph"),
+    ],
+    ids=["curvature", "orbits-report", "orbits-graph"],
+)
+def test_self_check_failures_exit_check_failed(argv, patched, error, monkeypatch, capsys):
+    monkeypatch.setattr(f"heislor.cli.{patched}", _raise(error("recomputation disagrees")))
+    assert main(argv) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.err == "error: recomputation disagrees\n" and captured.out == ""

@@ -17,7 +17,9 @@ from heislor.metrics import (
     canonical_metric,
     xi_float,
 )
+import heislor.reduction as reduction
 from heislor.reduction import (
+    ClassificationMismatch,
     NegativeT,
     NoTableMatch,
     NotInG0,
@@ -406,6 +408,76 @@ def test_near_wall_classification_is_flagged():
     assert "NearDegenerate" in witness.flags
 
 
+# -- chart retries and near-wall sweeps ------------------------------------------
+
+
+def _count_charts(monkeypatch):
+    """Patch the first stage of every chart; the returned list grows per chart."""
+    charts = []
+    real = reduction._reduce_last_row
+
+    def counted(*args):
+        charts.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(reduction, "_reduce_last_row", counted)
+    return charts
+
+
+def _float_metric(gram):
+    return Metric(gram=gram, backend=APPROX)
+
+
+@pytest.mark.parametrize("n", (5, 8))
+@pytest.mark.parametrize("offset", (1e-3, -1e-3, 1e-5, -1e-5))
+def test_sqrt3_neighbourhood_classifies_on_first_chart(n, offset, monkeypatch):
+    # the distance from t to sqrt3 is the same on every chart: no redraw
+    charts = _count_charts(monkeypatch)
+    metric = _float_metric(canonical_gram(2, SQRT3 + offset, n, exact=False))
+    form, _, witness = classify(metric)
+    assert len(charts) == 1
+    assert form.pair == ((2, "2") if offset > 0 else (2, "0"))
+    assert "RetriesExhausted" not in witness.flags
+    assert verify_witness(metric, witness).ok
+
+
+def test_lambda1_mismatch_stops_after_one_chart(monkeypatch):
+    charts = _count_charts(monkeypatch)
+    with pytest.raises(ClassificationMismatch):
+        classify(_float_metric(canonical_gram(1, 1e-5, 5, exact=False)))
+    assert len(charts) == 1
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [1e6 * canonical_gram(1, 1, 5, exact=False), canonical_gram(2, 1e-4, 5, exact=False)],
+    ids=["large-t", "lambda2-branch-point"],
+)
+def test_chart_dependent_t_still_redraws(gram, monkeypatch):
+    # t above T_RETRY_MAX and the lam=2 branch point depend on the chart
+    charts = _count_charts(monkeypatch)
+    classify(_float_metric(gram))
+    assert len(charts) > 1
+
+
+_NEAR_WALLS = (
+    [(2, SQRT3 - 10.0**-k, (2, "0")) for k in range(1, 6)]
+    + [(2, SQRT3 + 10.0**-k, (2, "2")) for k in range(1, 6)]
+    + [(1, 10.0**-k, (1, "1")) for k in range(1, 4)]
+)
+
+
+@pytest.mark.parametrize("lam, xi, truth", _NEAR_WALLS)
+def test_near_wall_sweep_gives_true_class_and_sound_witness(lam, xi, truth):
+    for n in range(4, 9):
+        base = _float_metric(canonical_gram(lam, xi, n, exact=False))
+        for seed in range(3):
+            metric = act(_pattern_element(n, seed), base)
+            form, _, witness = classify(metric)
+            assert form.pair == truth, (n, seed)
+            assert verify_witness(metric, witness, tol=1e-8).ok, (n, seed)
+
+
 # -- stacked checks against per-factor references ---------------------------------
 
 
@@ -450,11 +522,14 @@ def _verify_witness_reference(subject, witness, tol=1e-8):
     return VerificationResult(not problems, residual, "; ".join(problems))
 
 
-def _orbit_sample(lam, xi_key, n, seed):
+def _pattern_element(n, seed):
     rng = np.random.default_rng(seed)
-    g = np.eye(n) + 0.3 * rng.standard_normal((n, n)) * aut_pattern(n).mask
+    return np.eye(n) + 0.3 * rng.standard_normal((n, n)) * aut_pattern(n).mask
+
+
+def _orbit_sample(lam, xi_key, n, seed):
     metric, _ = canonical_metric(lam, xi_key, n, backend=APPROX)
-    return act(g, metric)
+    return act(_pattern_element(n, seed), metric)
 
 
 def _corrupt(witness, side, idx, fn):
