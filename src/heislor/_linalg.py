@@ -131,6 +131,12 @@ def exact_inv(a: np.ndarray) -> np.ndarray:
     return exact_solve(a, exact_eye(a.shape[0]))
 
 
+def conjugate_unit(ginv: np.ndarray, g: np.ndarray, k: int, l: int) -> list:
+    """Nonzero entries (a, c, x) of ginv @ E_kl @ g, multiplying nonzero factors only."""
+    right = [(c, y) for c, y in enumerate(g[l]) if y]
+    return [(a, c, x * y) for a, x in enumerate(ginv[:, k]) if x for c, y in right]
+
+
 def congruence_diagonal(a: np.ndarray) -> list[QSqrt3]:
     """Diagonal of S^T A S for some invertible S, by symmetric elimination.
 

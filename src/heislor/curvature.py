@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import exact_eye, exact_inv, exact_rref, exact_zeros, to_float
+from ._linalg import conjugate_unit, exact_eye, exact_inv, exact_rref, exact_zeros, to_float
 from .liealg import derivation_basis
 from .metrics import CANONICAL_PAIRS, NotARepresentative, shear_matrix, xi_exact, xi_key_of
 from .numerics import DEFAULT_TOL, EXACT, QSqrt3
@@ -366,15 +366,22 @@ def soliton_certificate(lam, xi, n: int, ric: np.ndarray | None = None, exact: b
 
     The derivation algebra is taken in frame coordinates, i.e. conjugated by
     the shear matrix of (lam, xi).  On the exact backend the certificate is
-    exact; on floats it is a least-squares solution checked to 1e-10.
+    exact, each g^-1 b g summed from b[k, l] outer(ginv[:, k], g[l, :]) skipping
+    zero products (values unchanged); on floats, least squares checked to 1e-10.
     """
     if ric is None:
         ric = closed_form_ricci(lam, xi, n, exact)
     basis = derivation_basis(n)
     if exact:
         g = shear_matrix(lam, xi, n, exact=True)
-        conj = [exact_inv(g) @ b @ g for b in basis]
-        cols = [exact_eye(n).reshape(-1)] + [m.reshape(-1) for m in conj]
+        ginv = exact_inv(g)
+        cols = [exact_eye(n).reshape(-1)]
+        for b in basis:
+            col = exact_zeros(n * n)
+            for k, l in zip(*np.nonzero(b)):
+                for a, c, x in conjugate_unit(ginv, g, k, l):
+                    col[a * n + c] = col[a * n + c] + b[k, l] * x
+            cols.append(col)
         system = np.stack(cols, axis=1)
         aug = np.concatenate([system, ric.reshape(-1, 1)], axis=1)
         rref, pivots = exact_rref(aug)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import exact_inv, exact_rank, exact_zeros
+from ._linalg import conjugate_unit, exact_inv, exact_rank, exact_zeros
 from .curvature import closed_form_riemann, is_flat
 from .liealg import aut_pattern
 from .metrics import (
@@ -85,22 +85,34 @@ def dims_UW(lam: int, xi, n: int) -> tuple[int, int]:
     return dim_u, dim_w
 
 
-def _stabilizer_rank_oracle(lam: int, xi, n: int) -> int:
-    """dim of {pattern matrices M : g^-1 M g is skew wrt the Lorentz form}."""
+def _stabilizer_system(lam: int, xi, n: int) -> np.ndarray:
+    """Column E_ij: the upper triangle of eps X + (eps X)^T for X = g^-1 E_ij g.
+
+    X = outer(ginv[:, i], g[j, :]) is formed from its nonzero products only.
+    """
     key = _check_pair(lam, xi)
     g = shear_matrix(QSqrt3(int(lam)), xi_exact(key), n, exact=True)
     ginv = exact_inv(g)
     eps = [1] * (n - 1) + [-1]
     mask = aut_pattern(n).mask
     positions = [(i, j) for i in range(n) for j in range(n) if mask[i, j]]
-    upper = [(r, s) for r in range(n) for s in range(r, n)]
-    system = exact_zeros((len(upper), len(positions)))
+    row_of = {rs: row for row, rs in enumerate((r, s) for r in range(n) for s in range(r, n))}
+    system = exact_zeros((len(row_of), len(positions)))
     for col, (i, j) in enumerate(positions):
-        u = ginv[:, i]  # g^-1 E_ij g = outer(u, v)
-        v = g[j, :]
-        for row, (r, s) in enumerate(upper):
-            system[row, col] = eps[s] * u[s] * v[r] + eps[r] * u[r] * v[s]
-    return len(positions) - exact_rank(system)
+        for a, b, x in conjugate_unit(ginv, g, i, j):
+            row = row_of[(a, b) if a <= b else (b, a)]
+            system[row, col] = system[row, col] + (2 if a == b else 1) * eps[a] * x
+    return system
+
+
+def _stabilizer_rank_oracle(lam: int, xi, n: int) -> int:
+    """dim of {pattern matrices M : g^-1 M g is skew wrt the Lorentz form}.
+
+    Exact rank of :func:`_stabilizer_system`, which skips zero products; each
+    value equals the dense eps_s X_sr + eps_r X_rs.
+    """
+    system = _stabilizer_system(lam, xi, n)
+    return system.shape[1] - exact_rank(system)
 
 
 @lru_cache(maxsize=None)
@@ -372,7 +384,7 @@ def is_closed(lam: int, xi, n: int = 4) -> bool:
     """True when the orbit has no outgoing degeneration; cross-checked as flat."""
     key = _check_pair(lam, xi)
     closed = not _graph_cached(n).outgoing((int(lam), key))
-    flat = is_flat(closed_form_riemann(QSqrt3(int(lam)), xi_exact(key), 4), 0.0)
+    flat = is_flat(closed_form_riemann(QSqrt3(int(lam)), xi_exact(key), n), 0.0)
     if closed != flat:
         raise EvidenceFailure(
             f"closed-orbit and flatness disagree at ({lam}, {key}): {closed} vs {flat}"

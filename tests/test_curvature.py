@@ -25,7 +25,9 @@ from heislor.curvature import (
     soliton_certificate,
     u_map,
 )
-from heislor.metrics import CANONICAL_PAIRS, NotARepresentative, xi_exact
+from heislor._linalg import exact_eye, exact_inv, exact_rref, exact_zeros
+from heislor.liealg import derivation_basis
+from heislor.metrics import CANONICAL_PAIRS, NotARepresentative, shear_matrix, xi_exact
 from heislor.numerics import QSqrt3
 
 HALF = QSqrt3(Fraction(1, 2))
@@ -293,6 +295,36 @@ def test_soliton_exists_for_all_classes_exactly():
                 recon[i, i] = recon[i, i] + c
             assert all(a == b for a, b in zip(recon.reshape(-1), ric.reshape(-1)))
             assert derivation_identity_residual(d, frame_brackets(lam, xi, n)) == 0.0
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_exact_soliton_matches_dense_conjugate_solve(n):
+    basis = derivation_basis(n)
+    for pair in CANONICAL_PAIRS:
+        lam, xi = _exact_frame(pair, n)
+        ric = closed_form_ricci(lam, xi, n)
+        g = shear_matrix(lam, xi, n, exact=True)
+        conj = [exact_inv(g) @ b @ g for b in basis]
+        system = np.stack([exact_eye(n).reshape(-1)] + [m.reshape(-1) for m in conj], axis=1)
+        rref, pivots = exact_rref(np.concatenate([system, ric.reshape(-1, 1)], axis=1))
+        # id and the conjugated basis are independent: one solution, every column a pivot
+        assert pivots == list(range(system.shape[1]))
+        coeffs = rref[: system.shape[1], -1]
+        d = exact_zeros((n, n))
+        for coeff, m in zip(coeffs[1:], conj):
+            d = d + coeff * m
+        c, got_d = soliton_certificate(lam, xi, n, ric)
+        assert c == coeffs[0]
+        assert all(a == b for a, b in zip(got_d.reshape(-1), d.reshape(-1)))
+
+
+def test_soliton_none_outside_span():
+    n = 5
+    for pair in CANONICAL_PAIRS:
+        lam, xi = _exact_frame(pair, n)
+        ric = closed_form_ricci(lam, xi, n)
+        ric[0, n - 1] = ric[0, n - 1] + QSqrt3(1)
+        assert soliton_certificate(lam, xi, n, ric) is None
 
 
 def test_soliton_approx_backend():

@@ -5,9 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from heislor.metrics import CANONICAL_PAIRS, NotARepresentative, canonical_gram
+from heislor import orbits
+from heislor._linalg import exact_inv
+from heislor.liealg import aut_pattern
+from heislor.metrics import (
+    CANONICAL_PAIRS,
+    NotARepresentative,
+    canonical_gram,
+    shear_matrix,
+    xi_exact,
+)
+from heislor.numerics import QSqrt3
 from heislor.orbits import (
     CURVE_FAMILIES,
+    OracleMismatch,
     ParameterOutOfRange,
     codimension,
     curve_sample,
@@ -44,6 +55,39 @@ def test_stabilizer_closed_form_matches_rank_oracle(n):
     for pair in CANONICAL_PAIRS:
         dim_u, dim_w = dims_UW(pair[0], pair[1], n)
         assert stabilizer_dim(pair[0], pair[1], n) == 1 + (n - 4) * (n - 5) // 2 + dim_u + dim_w
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_stabilizer_system_equals_dense_formula(n):
+    eps = [1] * (n - 1) + [-1]
+    mask = aut_pattern(n).mask
+    positions = [(i, j) for i in range(n) for j in range(n) if mask[i, j]]
+    upper = [(r, s) for r in range(n) for s in range(r, n)]
+    for lam, key in CANONICAL_PAIRS:
+        g = shear_matrix(QSqrt3(lam), xi_exact(key), n, exact=True)
+        ginv = exact_inv(g)
+        system = orbits._stabilizer_system(lam, key, n)
+        assert system.shape == (len(upper), len(positions))
+        for col, (i, j) in enumerate(positions):
+            u, v = ginv[:, i], g[j, :]  # g^-1 E_ij g = outer(u, v)
+            for row, (r, s) in enumerate(upper):
+                assert system[row, col] == eps[s] * u[s] * v[r] + eps[r] * u[r] * v[s]
+
+
+def test_stabilizer_oracle_catches_planted_disagreement(monkeypatch):
+    real_dims = orbits.dims_UW
+
+    def planted(lam, xi, n):
+        dim_u, dim_w = real_dims(lam, xi, n)
+        return dim_u + 1, dim_w
+
+    orbits._stabilizer_dim_cached.cache_clear()
+    monkeypatch.setattr(orbits, "dims_UW", planted)
+    try:
+        with pytest.raises(OracleMismatch):
+            stabilizer_dim(1, "0", 5)
+    finally:
+        orbits._stabilizer_dim_cached.cache_clear()
 
 
 @pytest.mark.parametrize("n", [*range(4, 11), 12, 16])
@@ -148,6 +192,19 @@ def test_is_closed_unique_flat_orbit():
     assert not is_closed(2, "2", 5)
     for pair in CANONICAL_PAIRS:
         assert is_closed(pair[0], pair[1], 4) == (pair == (1, "0"))
+
+
+def test_is_closed_checks_flatness_at_its_own_n(monkeypatch):
+    seen = []
+    real = orbits.closed_form_riemann
+
+    def recording(lam, xi, n):
+        seen.append(n)
+        return real(lam, xi, n)
+
+    monkeypatch.setattr(orbits, "closed_form_riemann", recording)
+    assert is_closed(1, "0", 6)
+    assert seen == [6]
 
 
 def test_orbit_report_contents():

@@ -26,7 +26,7 @@ def _attribute_chain(node: ast.Attribute) -> list[str] | None:
     return [node.id, *reversed(names)] if isinstance(node, ast.Name) else None
 
 
-@pytest.mark.parametrize("script", ["sweep.py", "tables.py"])
+@pytest.mark.parametrize("script", ["sweep.py", "tables.py", "selftest.py"])
 def test_benchmark_names_exist(script):
     """Every package name the benchmark imports or reads off a package alias resolves."""
     tree = ast.parse((PERFBENCH / script).read_text(encoding="utf-8"))
