@@ -13,7 +13,6 @@ from .numerics import (
     EXACT,
     QSqrt3,
     SQRT3,
-    bisect_root,
     sign_with_tol,
 )
 from .liealg import (

@@ -181,8 +181,12 @@ def householder(v: np.ndarray, k: int) -> np.ndarray:
     if norm == 0.0:
         return np.eye(n)
     u = v.copy()
-    u[k] -= norm
-    uu = float(u @ u)
+    u[k] = 0.0
+    rest = float(u @ u)
+    # v[k] - ||v|| cancels when v is close to ||v|| e_k: use its equal
+    # -rest / (v[k] + ||v||) there (Golub & Van Loan, Algorithm 5.1.1)
+    u[k] = v[k] - norm if v[k] <= 0.0 else -rest / (v[k] + norm)
+    uu = rest + float(u[k]) ** 2
     if uu < 1e-300:
         return np.eye(n)
     return np.eye(n) - 2.0 * np.outer(u, u) / uu

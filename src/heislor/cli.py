@@ -3,9 +3,10 @@
 Subcommands: classify (a metric JSON file), curvature (one canonical class),
 orbits (orbit table and degeneration graph, also as DOT via --format dot)
 and verify (the named check suite).  Exit codes: 0 success, 1 verification
-failure, 2 invalid input.  The METRICLASS_TOL environment variable sets the
-float tolerance of classify when --tol is not given; either must be a
-positive finite number.
+failure, 2 invalid input (including AmbiguousNearWall, a metric too close to
+a classification wall to decide).  The METRICLASS_TOL environment variable
+sets the float tolerance of classify when --tol is not given; either must be
+a positive finite number.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .metrics import (
     metric_from_json,
     xi_key_of,
 )
-from .numerics import APPROX, DEFAULT_TOL, EXACT, NoConvergence
+from .numerics import APPROX, DEFAULT_TOL, EXACT
 from .curvature import curvature_report
 from .orbits import EvidenceFailure, OracleMismatch, degeneration_graph, orbit_report
 from .reduction import (
@@ -103,7 +104,6 @@ def cmd_classify(args) -> int:
         WrongSignature,
         ClassificationMismatch,
         NumericalBreakdown,
-        NoConvergence,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

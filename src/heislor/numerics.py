@@ -6,8 +6,7 @@ Two kinds of scalars run through the whole library.  Exact computations
 as three Python ints (p + q*sqrt(3))/d in lowest terms so that exact
 arithmetic creates no intermediate Fractions.  Everything touched by
 eigendecompositions or hyperbolic normalization uses plain floats with an
-explicit tolerance.  A certified midpoint bisection solver lives here as
-well.
+explicit tolerance.
 """
 
 from __future__ import annotations
@@ -15,15 +14,13 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 EXACT = "exact"
 APPROX = "approx"
 
 #: default tolerance for float sign classification
 DEFAULT_TOL = 1e-9
-#: default residual bound for bisection roots
-ROOT_EPS = 1e-12
 
 _SQRT3_FLOAT = math.sqrt(3.0)
 
@@ -36,14 +33,6 @@ class SqrtOfNegative(ArithmeticError):
 
 class SqrtUnsupportedExact(ArithmeticError):
     """Square root of an exact scalar that is not a perfect square in Q(sqrt3)."""
-
-
-class NoSignChange(ValueError):
-    """Bisection bracket endpoints do not straddle a root."""
-
-
-class NoConvergence(RuntimeError):
-    """Iteration budget exhausted before the residual target was met."""
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
@@ -358,37 +347,3 @@ def sign_with_tol(x: float, tol: float = DEFAULT_TOL) -> int:
     if abs(x) <= tol:
         return ZEROCLASS
     return POSITIVE if x > 0 else NEGATIVE
-
-
-def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    eps: float = ROOT_EPS,
-    max_iter: int = 200,
-) -> float:
-    """Deterministic midpoint bisection on a sign-changing bracket.
-
-    Returns s in [lo, hi] with |f(s)| <= eps.  The bracket must satisfy
-    f(lo)*f(hi) <= 0; endpoints whose residual already meets eps are
-    returned as-is.
-    """
-    if not lo < hi:
-        raise ValueError(f"invalid bracket [{lo}, {hi}]")
-    flo, fhi = f(lo), f(hi)
-    if abs(flo) <= eps:
-        return lo
-    if abs(fhi) <= eps:
-        return hi
-    if flo * fhi > 0:
-        raise NoSignChange(f"f({lo})={flo} and f({hi})={fhi} have equal sign")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if abs(fmid) <= eps:
-            return mid
-        if flo * fmid < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    raise NoConvergence(f"no root with residual <= {eps} after {max_iter} bisections")

@@ -39,22 +39,19 @@ from .metrics import (
     xi_float,
     xi_key_of,
 )
-from .numerics import (
-    DEFAULT_TOL,
-    NEGATIVE,
-    NoConvergence,
-    NoSignChange,
-    POSITIVE,
-    QSqrt3,
-    ROOT_EPS,
-    bisect_root,
-    sign_with_tol,
-)
+from .numerics import DEFAULT_TOL, NEGATIVE, POSITIVE, QSqrt3, sign_with_tol
 
 SQRT3_F = math.sqrt(3.0)
+#: sqrt3 - SQRT3_F, the digits of sqrt3 a float drops
+SQRT3_LO = 1.0035084221806903e-16
 
-#: parameter band around a reduction wall treated as being on the wall
+#: chain residual, pattern and pseudo-orthogonality bound of a sound witness
+WITNESS_TOL = 1e-8
+#: band around a reduction wall inside which t cannot tell the wall's side
 WALL_BAND = 1e-6
+#: largest distance |t - wall| a snap onto the wall absorbs: the chain then
+#: misses its target by that distance, which must stay within WITNESS_TOL
+SNAP_LIMIT = WITNESS_TOL / 4
 #: relative deviation from the exact shape that a snap may absorb
 SNAP_TOL = 1e-6
 #: largest t accepted without a retry (factor entries grow with t)
@@ -86,6 +83,23 @@ class NegativeT(ValueError):
 
 class NoTableMatch(ValueError):
     """Restricted signatures match no row of the classification table."""
+
+
+class AmbiguousNearWall(ValueError):
+    """t lies in the wall band but too far from the wall to snap onto it.
+
+    `candidates` holds the class off the wall and the wall class; `statistic`
+    is the signed distance of t from the wall.
+    """
+
+    def __init__(self, candidates: tuple[tuple[int, str], tuple[int, str]], statistic: float):
+        self.candidates = candidates
+        self.statistic = statistic
+        (lam, key), (_, wall) = candidates
+        super().__init__(
+            f"ambiguous near the wall xi = {wall}: t is {statistic:+.2e} from it, "
+            f"so the class is ({lam}, {key}) or ({lam}, {wall})"
+        )
 
 
 class ClassificationMismatch(RuntimeError):
@@ -440,10 +454,7 @@ def _boost_t(builder: _Builder, lam: int, t: float, e_theta: float) -> float:
 def _reduce_lambda1(builder: _Builder, t: float) -> str:
     """From I + t E - E' reach xi = 0 (t on the wall) or xi = 1."""
     n = builder.n
-    if t <= WALL_BAND:
-        if t > 1e-9:
-            builder.flags.append(FLAG_NEAR_DEGENERATE)
-        builder.snap(representative_matrix(1, "0", n))
+    if _snap_onto_wall(builder, 1, "1", "0", t):
         return "0"
     while t > 2.0:
         t = _boost_t(builder, 1, t, 0.5)
@@ -473,7 +484,21 @@ def _reduce_lambda1(builder: _Builder, t: float) -> str:
     return "1"
 
 
-_LD = np.longdouble
+def _snap_onto_wall(builder: _Builder, lam: int, key: str, wall: str, t: float) -> bool:
+    """Snap onto the wall class when t is within SNAP_LIMIT of its wall.
+
+    Returns False outside WALL_BAND and raises AmbiguousNearWall between the
+    two: the band is decided from t alone, once, on the chart that reached it.
+    """
+    dist = t - xi_float(wall)
+    if abs(dist) > WALL_BAND:
+        return False
+    if abs(dist) > SNAP_LIMIT:
+        raise AmbiguousNearWall(((lam, key), (lam, wall)), dist)
+    if abs(dist) > 1e-9:
+        builder.flags.append(FLAG_NEAR_DEGENERATE)
+    builder.snap(representative_matrix(lam, wall, builder.n))
+    return True
 
 
 def _phi(s):
@@ -486,9 +511,10 @@ def lambda2_equation(xi_key: str, t):
     """The root equation in s that carries the t-form of lam=2 to xi = 0 or 2.
 
     xi = 0 (t < sqrt3): 3 phi(s) = t (3s - 4); xi = 2 (t > sqrt3):
-    (3 + 2t) phi(s) = (t + 2)(3s - 4).  Evaluated in extended precision.
+    (3 + 2t) phi(s) = (t + 2)(3s - 4).  Evaluated in extended precision, as
+    the independent check of :func:`lambda2_closed_form`.
     """
-    t = _LD(t)
+    t = np.longdouble(t)
     if xi_key == "0":
         return lambda s: 3 * _phi(s) - t * (3 * s - 4)
     if xi_key == "2":
@@ -496,38 +522,29 @@ def lambda2_equation(xi_key: str, t):
     raise ValueError(f"no lam=2 root equation for xi = {xi_key!r}")
 
 
-def lambda2_root(xi_key: str, t, eps: float = ROOT_EPS):
-    """The root s >= 5/3 of lambda2_equation(xi_key, t), as a long double.
+def lambda2_closed_form(t: float) -> tuple[str, float, float]:
+    """The class xi and the root (s, phi) of lambda2_equation for t off sqrt3.
 
-    Extended precision: near s = 5/3 the slope of the equations is huge for
-    small t and a double bisection cannot certify the residual.
+    With u = 3s - 4, phi^2 = (u^2 - 1)/3, so squaring either root equation
+    leaves a quadratic in u with one root u >= 1.  phi is read from t*u, not
+    from s, so nothing cancels at the branch point u = 1 (t = 0); and 3 - t^2
+    is formed as (sqrt3 - t)(sqrt3 + t) with sqrt3 in two parts, so nothing
+    cancels next to the wall either.
     """
-    f = lambda2_equation(xi_key, t)
-    lo = _LD(5) / _LD(3)
-    hi = _LD(2)
-    for _ in range(80):
-        if f(hi) > 0.0:
-            break
-        hi = hi * 2
-    return bisect_root(f, lo, hi, eps=eps)
+    gap = (SQRT3_F - t + SQRT3_LO) * (SQRT3_F + t)
+    if gap > 0.0:
+        u = SQRT3_F / math.sqrt(gap)
+        return "0", (4.0 + u) / 3.0, t * u / 3.0
+    r = math.sqrt(-gap)
+    return "2", (4.0 + (3.0 + 2.0 * t) / r) / 3.0, (t + 2.0) / r
 
 
-def _reduce_lambda2(builder: _Builder, t: float, eps: float = ROOT_EPS) -> str:
-    """From I + t E - 2 E' reach xi in {0, sqrt3, 2} via the two root equations."""
+def _reduce_lambda2(builder: _Builder, t: float) -> str:
+    """From I + t E - 2 E' reach xi in {0, sqrt3, 2} via the closed-form root."""
     n = builder.n
-    if abs(t - SQRT3_F) <= WALL_BAND:
-        if abs(t - SQRT3_F) > 1e-9:
-            builder.flags.append(FLAG_NEAR_DEGENERATE)
-        builder.snap(representative_matrix(2, "sqrt3", n))
+    if _snap_onto_wall(builder, 2, "0" if t < SQRT3_F else "2", "sqrt3", t):
         return "sqrt3"
-    if t <= 1e-9:
-        # on the t = 0 chart the root sits exactly at the branch point
-        xi_key, s, phi = "0", 5.0 / 3.0, 0.0
-    else:
-        xi_key = "0" if t < SQRT3_F else "2"
-        root = lambda2_root(xi_key, t, eps)
-        s = float(root)
-        phi = float(_phi(root))
+    xi_key, s, phi = lambda2_closed_form(t)
     c4 = _corner_coords(n)
     k1 = np.array(
         [
@@ -613,7 +630,7 @@ def reduce_lambda1(t: float, n: int) -> tuple[str, Witness]:
     return xi_key, builder.witness(representative_matrix(1, xi_key, n))
 
 
-def reduce_lambda2(t: float, n: int, eps: float = ROOT_EPS) -> tuple[str, Witness]:
+def reduce_lambda2(t: float, n: int) -> tuple[str, Witness]:
     """Decide xi in {0, sqrt3, 2} for the spacelike branch."""
     if t < 0:
         raise NegativeT(f"t must be >= 0, got {t}")
@@ -621,7 +638,7 @@ def reduce_lambda2(t: float, n: int, eps: float = ROOT_EPS) -> tuple[str, Witnes
     start[n - 2, 0] = t
     start[n - 1, 0] = -2.0
     builder = _Builder(start)
-    xi_key = _reduce_lambda2(builder, t, eps)
+    xi_key = _reduce_lambda2(builder, t)
     return xi_key, builder.witness(representative_matrix(2, xi_key, n))
 
 
@@ -704,16 +721,6 @@ def _retry_factor(n: int, attempt: int) -> np.ndarray:
     return rot @ boost
 
 
-def _needs_retry(lam: int, t: float) -> bool:
-    """Whether another chart can give a better-conditioned t.
-
-    Large t and the lam=2 branch point t ~ 0 (steep root equation) depend on
-    the chart.  The distance from t to the sqrt3 wall does not, so it is no
-    reason to redraw.
-    """
-    return t > T_RETRY_MAX or (lam == 2 and 1e-9 < t < 1e-3)
-
-
 def _pipeline_scale(builder: _Builder, lam: int, xi_key: str) -> float:
     """Scale k with k * M in the automorphism orbit of the representative."""
     n = builder.n
@@ -735,7 +742,8 @@ def classify(
 
     Returns the class, the scale k making k*M pseudo-orthonormalizable on
     the canonical frame, and the witness chain.  The result is cross-checked
-    against the restricted-signature classifier.
+    against the restricted-signature classifier.  Raises AmbiguousNearWall
+    when t falls between SNAP_LIMIT and WALL_BAND of a wall.
     """
     approx = metric.to_approx()
     base_m = factor_metric(approx, tol)  # validates the Lorentzian signature
@@ -752,16 +760,16 @@ def classify(
                 xi_key = "0"
             else:
                 t = _reduce_to_t(builder, lam, tol)
-                if _needs_retry(lam, t) and attempt < MAX_RETRIES:
-                    continue
-                if _needs_retry(lam, t):
+                if t > T_RETRY_MAX:  # t depends on the chart: redraw
+                    if attempt < MAX_RETRIES:
+                        continue
                     builder.flags.append(FLAG_RETRIES_EXHAUSTED)
                 xi_key = (
                     _reduce_lambda1(builder, t)
                     if lam == 1
                     else _reduce_lambda2(builder, t)
                 )
-        except (NumericalBreakdown, NoConvergence, NoSignChange) as exc:
+        except NumericalBreakdown as exc:
             last_error = exc
             continue
         if (lam, xi_key) != inv_form.pair:
@@ -787,7 +795,7 @@ def classify(
 def verify_witness(
     subject: Metric | np.ndarray,
     witness: Witness,
-    tol: float = 1e-8,
+    tol: float = WITNESS_TOL,
 ) -> VerificationResult:
     """Re-multiply a witness chain and check every membership claim.
 

@@ -36,16 +36,16 @@ from .metrics import (
 from .numerics import APPROX, EXACT, QSqrt3
 from .orbits import codimension, degeneration_graph, is_closed
 from .reduction import (
+    WITNESS_TOL,
     classify,
     classify_by_invariants,
+    lambda2_closed_form,
     lambda2_equation,
-    lambda2_root,
     restricted_signatures,
     signature_table,
     verify_witness,
 )
 
-WITNESS_TOL = 1e-8
 IVT_RESIDUAL = 1e-12
 SPOT_CHECK_TOL = 1e-10
 
@@ -318,7 +318,7 @@ def check_degeneration_graph(n_values=(4, 5, 6)) -> CheckResult:
 
 
 def check_ivt_roots(samples: int = 100, seed: int = 7) -> CheckResult:
-    """Certify the lam=2 root solver that classify runs, on random t of each branch."""
+    """Certify the closed-form lam=2 root that classify runs against its equation."""
     sqrt3 = float(np.sqrt(3.0))
 
     def run():
@@ -326,16 +326,18 @@ def check_ivt_roots(samples: int = 100, seed: int = 7) -> CheckResult:
         worst = 0.0
         for xi_key, lo, hi in (("0", 0.0, sqrt3), ("2", sqrt3, 20.0)):
             for t in rng.uniform(lo, hi, samples):
-                s = lambda2_root(xi_key, t, IVT_RESIDUAL)
-                worst = max(worst, float(abs(lambda2_equation(xi_key, t)(s))))
+                key, s, _ = lambda2_closed_form(t)
+                if key != xi_key:
+                    raise AssertionError(f"t={t} solved on the xi={key} branch")
+                worst = max(worst, float(abs(lambda2_equation(xi_key, t)(np.longdouble(s)))))
                 if s < 5.0 / 3.0 - 1e-12:
                     raise AssertionError(f"root below the domain: {s}")
         if worst > IVT_RESIDUAL:
             raise AssertionError(f"residual {worst:.2e} above {IVT_RESIDUAL:.0e}")
-        s0 = float(lambda2_root("0", 0.0, IVT_RESIDUAL))
+        s0 = lambda2_closed_form(0.0)[1]
         if abs(s0 - 5.0 / 3.0) > SPOT_CHECK_TOL:
             raise AssertionError(f"t=0 root {s0} != 5/3")
-        s1 = float(lambda2_root("2", 2.0, IVT_RESIDUAL))
+        s1 = lambda2_closed_form(2.0)[1]
         if abs(s1 - 11.0 / 3.0) > SPOT_CHECK_TOL:
             raise AssertionError(f"t=2 root {s1} != 11/3")
         return f"residuals <= {IVT_RESIDUAL:.0e} (worst {worst:.2e}), spot checks hit"

@@ -16,7 +16,6 @@ from heislor.metrics import (
     canonical_metric,
     metric_to_json,
 )
-from heislor.numerics import NoConvergence
 from heislor.orbits import EvidenceFailure, OracleMismatch
 from heislor.reduction import restricted_signatures
 
@@ -68,11 +67,28 @@ def _write_gram(tmp_path, gram):
 
 
 def test_classify_near_wall_disagreement_is_bad_input(tmp_path, capsys):
-    # pipeline and invariant classifier disagree this close to the (2, sqrt3) wall
+    # this close to the (2, sqrt3) wall the class cannot be decided: exit 2
     gram = canonical_gram(2, math.sqrt(3.0) + 1e-7, 5, exact=False)
     code = main(["classify", "--input", _write_gram(tmp_path, gram)])
     assert code == EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "lam, xi, classes",
+    [
+        (2, math.sqrt(3.0) - 1e-7, ("(2, 0)", "(2, sqrt3)")),
+        (2, math.sqrt(3.0) + 1e-7, ("(2, 2)", "(2, sqrt3)")),
+        (1, 1e-7, ("(1, 1)", "(1, 0)")),
+    ],
+)
+def test_classify_ambiguous_near_wall_names_both_classes(tmp_path, capsys, lam, xi, classes):
+    gram = canonical_gram(lam, xi, 5, exact=False)
+    assert main(["classify", "--input", _write_gram(tmp_path, gram)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ambiguous near the wall")
+    assert all(name in captured.err for name in classes)
 
 
 def test_classify_failed_witness_exits_check_failed(tmp_path, capsys):
@@ -283,13 +299,6 @@ def _raise(exc):
     def fail(*_args, **_kwargs):
         raise exc
     return fail
-
-
-def test_classify_no_convergence_is_bad_input(tmp_path, monkeypatch, capsys):
-    metric, _ = canonical_metric(2, "0", 4, backend=APPROX)
-    monkeypatch.setattr("heislor.cli.classify", _raise(NoConvergence("bisection stalled")))
-    assert main(["classify", "--input", _write_metric(tmp_path, metric)]) == EXIT_BAD_INPUT
-    assert capsys.readouterr().err == "error: bisection stalled\n"
 
 
 @pytest.mark.parametrize("error", [OracleMismatch, EvidenceFailure])

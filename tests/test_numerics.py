@@ -1,4 +1,4 @@
-"""Exact field arithmetic, tolerance signs, and the bisection solver."""
+"""Exact field arithmetic and tolerance signs."""
 
 import math
 import operator
@@ -19,11 +19,8 @@ from heislor._linalg import (
 )
 from heislor.numerics import (
     QSqrt3,
-    NoConvergence,
-    NoSignChange,
     SqrtOfNegative,
     SqrtUnsupportedExact,
-    bisect_root,
     sign_with_tol,
 )
 
@@ -115,53 +112,6 @@ def test_sign_with_tol_monotone():
     values = [-1.0, -1e-10, 0.0, 1e-10, 2e-9, 0.5]
     classes = [sign_with_tol(v, tol=1e-9) for v in values]
     assert classes == sorted(classes)
-
-
-def test_bisect_sqrt2():
-    root = bisect_root(lambda s: s * s - 2.0, 1.0, 2.0, eps=1e-12)
-    assert abs(root - math.sqrt(2.0)) < 1e-10
-
-
-def _phi(s):
-    return math.sqrt(max(3 * s * s - 8 * s + 5, 0.0))
-
-
-def test_bisect_branch_point_root():
-    # 3 phi(s) = 0 forces 3 s^2 - 8 s + 5 = 0, i.e. s = 5/3 on the domain
-    root = bisect_root(lambda s: 3 * _phi(s) - 0.0 * (3 * s - 4), 5.0 / 3.0, 10.0)
-    assert root == pytest.approx(5.0 / 3.0, abs=1e-12)
-
-
-def test_bisect_quadratic_oracle():
-    # 7 phi(s) = 4 (3s - 4) squares to 3 s^2 - 8 s - 11 = 0; root (8+14)/6 = 11/3
-    f = lambda s: 3 * _phi(s) - 2 * (3 * s - 4) - 2 * (-2 * _phi(s) + 3 * s - 4)  # noqa: E731
-    root = bisect_root(f, 5.0 / 3.0, 10.0, eps=1e-12)
-    quadratic_root = (8 + math.sqrt(64 + 4 * 3 * 11)) / 6
-    assert quadratic_root == pytest.approx(11.0 / 3.0, abs=1e-14)
-    assert root == pytest.approx(quadratic_root, abs=1e-10)
-
-
-def test_bisect_rejects_bad_bracket():
-    with pytest.raises(NoSignChange):
-        bisect_root(lambda s: s * s + 1.0, 0.0, 1.0)
-
-
-def test_bisect_reports_nonconvergence():
-    # a jump function with no actual root cannot meet the residual target
-    with pytest.raises(NoConvergence):
-        bisect_root(lambda s: 1.0 if s >= 0.5 else -1.0, 0.0, 1.0, eps=1e-12)
-
-
-def test_bisect_result_stays_in_bracket():
-    import numpy as np
-
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        a, b = sorted(rng.uniform(-3, 3, 2))
-        if (a - 1.3) * (b - 1.3) < 0:
-            root = bisect_root(lambda s: s - 1.3, a, b, eps=1e-13)
-            assert a <= root <= b
-            assert abs(root - 1.3) < 1e-12
 
 
 # -- differential test against a Fraction-pair reference -----------------------

@@ -1,5 +1,6 @@
 """The reduction pipeline, both classifiers, and witness verification."""
 
+import decimal
 import math
 
 import numpy as np
@@ -19,6 +20,9 @@ from heislor.metrics import (
 )
 import heislor.reduction as reduction
 from heislor.reduction import (
+    SNAP_LIMIT,
+    WALL_BAND,
+    AmbiguousNearWall,
     ClassificationMismatch,
     NegativeT,
     NoTableMatch,
@@ -29,6 +33,8 @@ from heislor.reduction import (
     classify,
     classify_by_invariants,
     classify_by_invariants_flagged,
+    lambda2_closed_form,
+    lambda2_equation,
     o11_normalize,
     reduce_lambda0,
     reduce_lambda1,
@@ -270,6 +276,125 @@ def test_reduce_lambda2_rejects_negative():
         reduce_lambda2(-1.0, 4)
 
 
+# -- the closed-form lam=2 root against a bisection reference ---------------------
+
+
+def _bisect_reference(f, lo, hi):
+    """Midpoint bisection of a sign-changing bracket down to its last bit."""
+    flo = f(lo)
+    if flo == 0:
+        return lo
+    assert flo * f(hi) < 0, "bracket does not straddle a root"
+    while True:
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            return mid
+        fmid = f(mid)
+        if fmid == 0:
+            return mid
+        if (fmid < 0) == (flo < 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+
+
+def _lambda2_reference(t):
+    """The root s >= 5/3 of the lam=2 root equation, bisected in long double."""
+    xi_key = "0" if t < SQRT3 else "2"
+    f = lambda2_equation(xi_key, t)
+    lo, hi = np.longdouble(5) / 3, np.longdouble(2)
+    if f(lo) >= 0:  # the root sits on the branch point within long-double rounding
+        return xi_key, lo
+    while f(hi) <= 0:
+        hi *= 2
+    return xi_key, _bisect_reference(f, lo, hi)
+
+
+def test_bisect_reference_converges_in_bracket():
+    root = _bisect_reference(lambda s: s * s - 2.0, 1.0, 2.0)
+    assert root == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        a, b = sorted(rng.uniform(-3, 3, 2))
+        if (a - 1.3) * (b - 1.3) < 0:
+            root = _bisect_reference(lambda s: s - 1.3, a, b)
+            assert a <= root <= b and abs(root - 1.3) < 1e-15
+    with pytest.raises(AssertionError):
+        _bisect_reference(lambda s: s * s + 1.0, 0.0, 1.0)
+
+
+def test_closed_form_branch_point_root():
+    # t = 0: 3 phi(s) = 0 forces 3 s^2 - 8 s + 5 = 0, i.e. s = 5/3, phi = 0
+    assert lambda2_closed_form(0.0) == ("0", 5.0 / 3.0, 0.0)
+    assert float(_lambda2_reference(0.0)[1]) == pytest.approx(5.0 / 3.0, abs=1e-15)
+
+
+def test_closed_form_quadratic_oracle():
+    # t = 2: 7 phi = 4 (3s - 4) squares to 3 s^2 - 8 s - 11 = 0, root 11/3
+    xi_key, s, phi = lambda2_closed_form(2.0)
+    assert xi_key == "2"
+    assert s == pytest.approx((8 + math.sqrt(64 + 4 * 3 * 11)) / 6, abs=1e-14)
+    assert s == pytest.approx(11.0 / 3.0, abs=1e-14)
+    assert phi == pytest.approx(4.0, abs=1e-14)
+    assert float(_lambda2_reference(2.0)[1]) == pytest.approx(11.0 / 3.0, abs=1e-14)
+
+
+#: both branches: the branch point, t within 1e-5 of sqrt3 on either side, large t
+_CLOSED_FORM_TS = sorted(
+    [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 1.7, 2.0, 5.0, 20.0, 200.0, 1e4]
+    + [SQRT3 + sign * 10.0**-k for sign in (-1, 1) for k in (1, 2, 3, 4, 5)]
+    + [SQRT3 + d for d in np.random.default_rng(11).uniform(-1e-5, 1e-5, 20)]
+    + list(np.random.default_rng(12).uniform(0.0, 20.0, 200))
+)
+
+
+def test_closed_form_matches_bisection_reference():
+    for t in _CLOSED_FORM_TS:
+        xi_key, s, phi = lambda2_closed_form(t)
+        ref_key, ref_s = _lambda2_reference(t)
+        assert xi_key == ref_key, t
+        assert s == pytest.approx(float(ref_s), rel=1e-11), t
+        # phi^2 = (u^2 - 1)/3 with u = 3s - 4; the reference's phi cancels near
+        # the branch point u = 1, so there phi is checked in 40 digits only
+        u = 3 * ref_s - 4
+        if t >= 1e-3:
+            assert phi == pytest.approx(float(np.sqrt((u * u - 1) / 3)), rel=1e-10), t
+        assert phi == pytest.approx(_phi_digits(t), rel=1e-14), t
+
+
+def _phi_digits(t):
+    """phi of the closed form in 40 digits: t / sqrt(3 (3 - t^2)) or (t + 2) / sqrt(t^2 - 3)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        d = decimal.Decimal(t)
+        if d * d < 3:
+            return float(d / (3 * (3 - d * d)).sqrt())
+        return float((d + 2) / (d * d - 3).sqrt())
+
+
+def test_closed_form_residual_in_root_equation():
+    # at the branch point the equation's slope 3u/phi ~ 9/t turns the rounding
+    # of s itself into a residual of about 1e-15/t, so that end is left to the
+    # reference comparison above
+    for t in _CLOSED_FORM_TS:
+        if t < 1e-2:
+            continue
+        xi_key, s, _ = lambda2_closed_form(t)
+        assert abs(float(lambda2_equation(xi_key, t)(np.longdouble(s)))) <= 1e-12, t
+
+
+def test_reduce_lambda2_witness_is_sound_across_both_branches():
+    for t in _CLOSED_FORM_TS:
+        if abs(t - SQRT3) <= WALL_BAND:
+            continue
+        for n in (4, 7):
+            xi_key, witness = reduce_lambda2(t, n)
+            assert xi_key == ("0" if t < SQRT3 else "2")
+            # factors grow like |t - sqrt3|^(-1/2): still sound at the band edge
+            res = verify_witness(witness.start, witness, tol=1e-8)
+            assert res.ok, (t, n, res.detail)
+
+
 # -- full classification ----------------------------------------------------------
 
 
@@ -399,13 +524,26 @@ def test_verify_witness_detects_pattern_violation():
 
 
 def test_near_wall_classification_is_flagged():
-    # a metric one step off the degenerate-center wall classifies to the
-    # nearest generic class and carries the near-degenerate warning
-    gram = canonical_gram(2.0, SQRT3 - 1e-8, 5, exact=False)
-    metric = Metric(gram=gram, backend=APPROX)
-    form, _, witness = classify(metric)
-    assert form.pair == (2, "sqrt3")
-    assert "NearDegenerate" in witness.flags
+    # xi = sqrt3 -/+ 5e-10 puts t about 1.3e-9 from the wall on this chart:
+    # inside SNAP_LIMIT, so it snaps onto (2, sqrt3), is flagged, and the
+    # witness, which misses its target by that distance, still verifies
+    for offset in (-5e-10, 5e-10):
+        metric = Metric(gram=canonical_gram(2.0, SQRT3 + offset, 5, exact=False), backend=APPROX)
+        form, _, witness = classify(metric)
+        assert form.pair == (2, "sqrt3")
+        assert "NearDegenerate" in witness.flags
+        assert verify_witness(metric, witness, tol=1e-8).ok
+
+
+def test_in_band_lambda2_input_is_ambiguous():
+    # xi = sqrt3 - 1e-8 puts t about 2.5e-8 below the wall: a snap would
+    # leave that residual, above 1e-8, and t cannot tell (2, 0) from (2, sqrt3)
+    metric = Metric(gram=canonical_gram(2.0, SQRT3 - 1e-8, 5, exact=False), backend=APPROX)
+    with pytest.raises(AmbiguousNearWall) as info:
+        classify(metric)
+    assert info.value.candidates == ((2, "0"), (2, "sqrt3"))
+    assert -WALL_BAND <= info.value.statistic < -SNAP_LIMIT
+    assert isinstance(info.value, ValueError)
 
 
 # -- chart retries and near-wall sweeps ------------------------------------------
@@ -449,21 +587,32 @@ def test_lambda1_mismatch_stops_after_one_chart(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "gram",
-    [1e6 * canonical_gram(1, 1, 5, exact=False), canonical_gram(2, 1e-4, 5, exact=False)],
-    ids=["large-t", "lambda2-branch-point"],
+    "gram", [1e6 * canonical_gram(1, 1, 5, exact=False)], ids=["large-t"]
 )
 def test_chart_dependent_t_still_redraws(gram, monkeypatch):
-    # t above T_RETRY_MAX and the lam=2 branch point depend on the chart
+    # t above T_RETRY_MAX depends on the chart
     charts = _count_charts(monkeypatch)
     classify(_float_metric(gram))
     assert len(charts) > 1
+
+
+@pytest.mark.parametrize("n", (4, 5, 8))
+def test_lambda2_branch_point_classifies_on_first_chart(n, monkeypatch):
+    # the closed-form root has no steep equation to solve near t = 0
+    charts = _count_charts(monkeypatch)
+    for k in range(3, 10):
+        metric = _float_metric(canonical_gram(2, 10.0**-k, n, exact=False))
+        form, _, witness = classify(metric)
+        assert form.pair == (2, "0"), k
+        assert verify_witness(metric, witness, tol=1e-8).ok, k
+        assert len(charts) == k - 2, k
 
 
 _NEAR_WALLS = (
     [(2, SQRT3 - 10.0**-k, (2, "0")) for k in range(1, 6)]
     + [(2, SQRT3 + 10.0**-k, (2, "2")) for k in range(1, 6)]
     + [(1, 10.0**-k, (1, "1")) for k in range(1, 4)]
+    + [(2, SQRT3 - 1e-6, (2, "0")), (2, SQRT3 + 1e-6, (2, "2"))]
 )
 
 
@@ -475,6 +624,38 @@ def test_near_wall_sweep_gives_true_class_and_sound_witness(lam, xi, truth):
             metric = act(_pattern_element(n, seed), base)
             form, _, witness = classify(metric)
             assert form.pair == truth, (n, seed)
+            assert verify_witness(metric, witness, tol=1e-8).ok, (n, seed)
+
+
+_IN_BAND = (
+    [(2, SQRT3 + sign * d, ((2, key), (2, "sqrt3")))
+     for d in (1e-7, 1e-8) for sign, key in ((-1, "0"), (1, "2"))]
+    + [(1, d, ((1, "1"), (1, "0"))) for d in (1e-7, 1e-8)]
+)
+
+
+@pytest.mark.parametrize("lam, xi, candidates", _IN_BAND)
+def test_in_band_wall_inputs_raise_ambiguous(lam, xi, candidates, monkeypatch):
+    # t between SNAP_LIMIT and WALL_BAND from the wall: decided on the first
+    # chart, never retried
+    charts = _count_charts(monkeypatch)
+    for n in range(4, 9):
+        base = _float_metric(canonical_gram(lam, xi, n, exact=False))
+        for seed in range(3):
+            with pytest.raises(AmbiguousNearWall) as info:
+                classify(act(_pattern_element(n, seed), base))
+            assert info.value.candidates == candidates, (n, seed)
+            assert SNAP_LIMIT < abs(info.value.statistic) <= WALL_BAND, (n, seed)
+    assert len(charts) == 15
+
+
+@pytest.mark.parametrize("pair", [(2, "sqrt3"), (1, "0")])
+def test_exact_wall_samples_are_never_ambiguous(pair):
+    for n in range(4, 9):
+        for seed in range(10):
+            metric = _orbit_sample(pair[0], pair[1], n, seed)
+            form, _, witness = classify(metric)
+            assert form.pair == pair, (n, seed)
             assert verify_witness(metric, witness, tol=1e-8).ok, (n, seed)
 
 
