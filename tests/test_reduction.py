@@ -310,15 +310,21 @@ def _lambda2_reference(t):
     return xi_key, _bisect_reference(f, lo, hi)
 
 
-def test_bisect_reference_converges_in_bracket():
+def test_bisect_reference_sqrt2():
     root = _bisect_reference(lambda s: s * s - 2.0, 1.0, 2.0)
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-15)
+
+
+def test_bisect_reference_stays_in_bracket():
     rng = np.random.default_rng(5)
     for _ in range(50):
         a, b = sorted(rng.uniform(-3, 3, 2))
         if (a - 1.3) * (b - 1.3) < 0:
             root = _bisect_reference(lambda s: s - 1.3, a, b)
             assert a <= root <= b and abs(root - 1.3) < 1e-15
+
+
+def test_bisect_reference_rejects_bad_bracket():
     with pytest.raises(AssertionError):
         _bisect_reference(lambda s: s * s + 1.0, 0.0, 1.0)
 
