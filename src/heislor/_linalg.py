@@ -9,6 +9,8 @@ Float routines wrap numpy.  Everything here is sized for n <= 16.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .numerics import QSqrt3
@@ -57,6 +59,14 @@ def minkowski_gram(n: int, exact: bool = False) -> np.ndarray:
         return g
     g = np.eye(n)
     g[n - 1, n - 1] = -1.0
+    return g
+
+
+@lru_cache(maxsize=None)
+def shared_minkowski_gram(n: int) -> np.ndarray:
+    """The float minkowski_gram(n), built once and read-only."""
+    g = minkowski_gram(n)
+    g.flags.writeable = False
     return g
 
 

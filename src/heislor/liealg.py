@@ -10,7 +10,7 @@ space for random automorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -113,6 +113,13 @@ class BlockPattern:
     def transposed(self) -> "BlockPattern":
         return BlockPattern(n=self.n, mask=self.mask.T.copy())
 
+    @cached_property
+    def outside(self) -> np.ndarray:
+        """Read-only mask of the entries the pattern forces to zero."""
+        out = ~self.mask
+        out.flags.writeable = False
+        return out
+
     def project(self, m: np.ndarray) -> np.ndarray:
         out = m.copy()
         if out.dtype == object:
@@ -122,7 +129,7 @@ class BlockPattern:
                     if not self.mask[i, j]:
                         out[i, j] = zero
         else:
-            out[~self.mask] = 0.0
+            out[self.outside] = 0.0
         return out
 
 

@@ -10,6 +10,7 @@ matrix itself.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,6 +251,16 @@ def factor_metric(metric: Metric, tol: float = DEFAULT_TOL) -> np.ndarray:
     Unique only up to right multiplication by the Lorentz group of the
     canonical form; the negative direction is sorted last.
     """
+    return _factor_metric(metric, tol)[0]
+
+
+def _factor_metric(metric: Metric, tol: float) -> tuple[np.ndarray, float]:
+    """factor_metric's m, and 2^-e with e = round(log|det M| / (n ln 4)).
+
+    Both come from one eigendecomposition.  2^-e (m^-1)^T factors M / 4^e,
+    whose |det|^(1/n) lies within a factor 2 of 1; a power of 2 rescales a
+    float exactly.  Every canonical Gram matrix has |det| = 1, so e = 0.
+    """
     gram = to_float(metric.gram)
     _check_symmetric(gram, tol)
     eigvals, q = np.linalg.eigh(gram)
@@ -262,7 +273,9 @@ def factor_metric(metric: Metric, tol: float = DEFAULT_TOL) -> np.ndarray:
     order = np.argsort(-eigvals)  # positives first, the negative one last
     eigvals = eigvals[order]
     q = q[:, order]
-    return q * (np.abs(eigvals) ** -0.5)
+    log_det = sum(math.log(abs(v)) for v in eigvals.tolist())
+    e = round(log_det / (len(eigvals) * math.log(4.0)))
+    return q * (np.abs(eigvals) ** -0.5), math.ldexp(1.0, -e)
 
 
 # -- JSON schema --------------------------------------------------------------

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -21,8 +23,8 @@ from ._linalg import (
     embed,
     householder,
     max_abs,
-    minkowski_gram,
     right_triangularize,
+    shared_minkowski_gram,
     to_float,
 )
 from .liealg import hprime_pattern
@@ -32,7 +34,7 @@ from .metrics import (
     NotARepresentative,
     SignatureTriple,
     WrongSignature,
-    factor_metric,
+    _factor_metric,
     signature_of,
     spectral_signature,
     xi_exact,
@@ -54,7 +56,8 @@ WALL_BAND = 1e-6
 SNAP_LIMIT = WITNESS_TOL / 4
 #: relative deviation from the exact shape that a snap may absorb
 SNAP_TOL = 1e-6
-#: largest t accepted without a retry (factor entries grow with t)
+#: largest t accepted without a retry (factor entries grow with t); classify
+#: normalizes the input scale away first, so a larger t comes from the chart
 T_RETRY_MAX = 200.0
 MAX_RETRIES = 8
 
@@ -135,12 +138,17 @@ def canonical_form(lam: int, xi, n: int) -> CanonicalForm:
     return CanonicalForm(lam=int(lam), xi=xi_exact(xi_key_of(xi)), n=n)
 
 
-def representative_matrix(lam: int, xi_key: str, n: int) -> np.ndarray:
-    """The reduction target I + xi E_(n-1,1) - lam E_(n,1) as floats."""
+def _t_form(lam: int, t: float, n: int) -> np.ndarray:
+    """I + t E_(n-1,1) - lam E_(n,1) as floats."""
     u = np.eye(n)
-    u[n - 2, 0] = xi_float(xi_key)
+    u[n - 2, 0] = t
     u[n - 1, 0] = -float(lam)
     return u
+
+
+def representative_matrix(lam: int, xi_key: str, n: int) -> np.ndarray:
+    """The reduction target, the t-form with t = xi."""
+    return _t_form(lam, xi_float(xi_key), n)
 
 
 @dataclass
@@ -185,11 +193,16 @@ class VerificationResult:
 
 
 class _Builder:
-    """Tracks the working matrix and the factor chain during a reduction."""
+    """Tracks the working matrix and the factor chain during a reduction.
 
-    def __init__(self, start: np.ndarray):
+    The working matrix starts as prescale * start, exact for a power of 2;
+    the first left factor carries prescale, so the chain starts from `start`.
+    """
+
+    def __init__(self, start: np.ndarray, prescale: float = 1.0):
         self.start = np.array(start, dtype=float)
-        self.current = self.start.copy()
+        self.current = prescale * self.start if prescale != 1.0 else self.start.copy()
+        self.prescale = prescale
         self.left_app: list[np.ndarray] = []
         self.right_app: list[np.ndarray] = []
         self.left_product = np.eye(start.shape[0])
@@ -199,10 +212,13 @@ class _Builder:
     def n(self) -> int:
         return self.start.shape[0]
 
-    def apply_left(self, h: np.ndarray) -> None:
+    def apply_left(self, h: np.ndarray, fold: float = 1.0) -> None:
+        """Apply h to the working matrix; the chain records fold * h."""
+        self.current = h @ self.current
+        if fold != 1.0:
+            h = fold * h
         self.left_app.append(h)
         self.left_product = h @ self.left_product
-        self.current = h @ self.current
 
     def apply_right(self, k: np.ndarray) -> None:
         self.right_app.append(k)
@@ -296,7 +312,8 @@ def _reduce_last_row(builder: _Builder, tol: float) -> int:
     h = float(a) * np.eye(n)
     h[n - 1, n - 1] = 1.0 / a
     h[: n - 1, n - 1] = -builder.current[: n - 1, n - 1]
-    builder.apply_left(h)
+    # the first left factor: the witness records it times the exact prescale
+    builder.apply_left(h, builder.prescale)
     _snap_g_lambda(builder, lam)
     return lam
 
@@ -384,10 +401,7 @@ def _reduce_to_t(builder: _Builder, lam: int, tol: float) -> float:
         builder.apply_left(embed(h, n, coords))
         builder.apply_right(embed(h.T, n, coords))
     t = abs(t_signed)
-    ideal = np.eye(n)
-    ideal[n - 2, 0] = t
-    ideal[n - 1, 0] = -float(lam)
-    builder.snap(ideal)
+    builder.snap(_t_form(lam, t, n))
     return t
 
 
@@ -426,13 +440,8 @@ def _fix_zero_corner(builder: _Builder, lam: int) -> None:
     builder.snap(ideal)
 
 
-def _corner_coords(n: int) -> tuple[int, int, int, int]:
-    return (0, 1, n - 2, n - 1)
-
-
-def _boost_t(builder: _Builder, lam: int, t: float, e_theta: float) -> float:
+def _boost_t(builder: _Builder, t: float, e_theta: float) -> float:
     """Rescale the shear parameter t -> t * e_theta (light-cone case only)."""
-    assert lam == 1
     n = builder.n
     c = 0.5 * (e_theta + 1.0 / e_theta)
     s = 0.5 * (e_theta - 1.0 / e_theta)
@@ -444,10 +453,7 @@ def _boost_t(builder: _Builder, lam: int, t: float, e_theta: float) -> float:
     h[n - 1, n - 1] = e_theta
     builder.apply_left(h)
     t_new = t * e_theta
-    ideal = np.eye(n)
-    ideal[n - 2, 0] = t_new
-    ideal[n - 1, 0] = -1.0
-    builder.snap(ideal)
+    builder.snap(_t_form(1, t_new, n))
     return t_new
 
 
@@ -457,11 +463,11 @@ def _reduce_lambda1(builder: _Builder, t: float) -> str:
     if _snap_onto_wall(builder, 1, "1", "0", t):
         return "0"
     while t > 2.0:
-        t = _boost_t(builder, 1, t, 0.5)
+        t = _boost_t(builder, t, 0.5)
     while t < 0.5:
-        t = _boost_t(builder, 1, t, 2.0)
+        t = _boost_t(builder, t, 2.0)
     s = (t - 1.0) / t
-    c4 = _corner_coords(n)
+    c4 = (0, 1, n - 2, n - 1)
     k1 = np.array(
         [
             [1.0 - s * s / 2.0, 0.0, s, s * s / 2.0],
@@ -545,7 +551,7 @@ def _reduce_lambda2(builder: _Builder, t: float) -> str:
     if _snap_onto_wall(builder, 2, "0" if t < SQRT3_F else "2", "sqrt3", t):
         return "sqrt3"
     xi_key, s, phi = lambda2_closed_form(t)
-    c4 = _corner_coords(n)
+    c4 = (0, 1, n - 2, n - 1)
     k1 = np.array(
         [
             [s, 0.0, -phi, -2.0 * s + 2.0],
@@ -618,43 +624,38 @@ def reduce_to_t(
     return t, builder.witness(builder.current)
 
 
-def reduce_lambda1(t: float, n: int) -> tuple[str, Witness]:
-    """Decide xi in {0, 1} for the light-cone branch, with witness from the t-form."""
+def _reduce_from_t(lam: int, t: float, n: int, stage) -> tuple[str, Witness]:
     if t < 0:
         raise NegativeT(f"t must be >= 0, got {t}")
-    start = np.eye(n)
-    start[n - 2, 0] = t
-    start[n - 1, 0] = -1.0
-    builder = _Builder(start)
-    xi_key = _reduce_lambda1(builder, t)
-    return xi_key, builder.witness(representative_matrix(1, xi_key, n))
+    builder = _Builder(_t_form(lam, t, n))
+    xi_key = stage(builder, t)
+    return xi_key, builder.witness(representative_matrix(lam, xi_key, n))
+
+
+def reduce_lambda1(t: float, n: int) -> tuple[str, Witness]:
+    """Decide xi in {0, 1} for the light-cone branch, with witness from the t-form."""
+    return _reduce_from_t(1, t, n, _reduce_lambda1)
 
 
 def reduce_lambda2(t: float, n: int) -> tuple[str, Witness]:
     """Decide xi in {0, sqrt3, 2} for the spacelike branch."""
-    if t < 0:
-        raise NegativeT(f"t must be >= 0, got {t}")
-    start = np.eye(n)
-    start[n - 2, 0] = t
-    start[n - 1, 0] = -2.0
-    builder = _Builder(start)
-    xi_key = _reduce_lambda2(builder, t)
-    return xi_key, builder.witness(representative_matrix(2, xi_key, n))
+    return _reduce_from_t(2, t, n, _reduce_lambda2)
 
 
 # -- invariant classifier ------------------------------------------------------
 
 
-def signature_table(n: int) -> dict[tuple[int, str], tuple[tuple, tuple]]:
-    """Restricted signatures (center, derived ideal) of the six classes."""
-    return {
+@lru_cache(maxsize=None)
+def signature_table(n: int) -> MappingProxyType:
+    """Restricted signatures (center, derived ideal) of the six classes, read-only."""
+    return MappingProxyType({
         (0, "0"): ((n - 3, 1, 0), (0, 1, 0)),
         (1, "0"): ((n - 3, 0, 1), (0, 0, 1)),
         (1, "1"): ((n - 3, 1, 0), (0, 0, 1)),
         (2, "0"): ((n - 2, 0, 0), (1, 0, 0)),
         (2, "sqrt3"): ((n - 3, 0, 1), (1, 0, 0)),
         (2, "2"): ((n - 3, 1, 0), (1, 0, 0)),
-    }
+    })
 
 
 def restricted_signatures(
@@ -710,6 +711,7 @@ def classify_by_invariants_flagged(
 # -- full classifier -----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _retry_factor(n: int, attempt: int) -> np.ndarray:
     """Deterministic O(n-1, 1) elements used to redraw an ill-conditioned chart."""
     rng = np.random.default_rng(7700 + 131 * attempt + n)
@@ -717,8 +719,9 @@ def _retry_factor(n: int, attempt: int) -> np.ndarray:
     rot = embed(q, n, tuple(range(n - 1)))
     theta = 0.35 + 0.17 * attempt
     c, s = math.cosh(theta), math.sinh(theta)
-    boost = embed(np.array([[c, s], [s, c]]), n, (0, n - 1))
-    return rot @ boost
+    out = rot @ embed(np.array([[c, s], [s, c]]), n, (0, n - 1))
+    out.flags.writeable = False
+    return out
 
 
 def _pipeline_scale(builder: _Builder, lam: int, xi_key: str) -> float:
@@ -746,13 +749,15 @@ def classify(
     when t falls between SNAP_LIMIT and WALL_BAND of a wall.
     """
     approx = metric.to_approx()
-    base_m = factor_metric(approx, tol)  # validates the Lorentzian signature
+    # validates the Lorentzian signature; the scale of M is not part of its
+    # class, so the reduction runs on M / 4^e (retry factors have |det| = 1)
+    base_m, prescale = _factor_metric(approx, tol)
     inv_form, inv_flags = classify_by_invariants_flagged(metric, tol)
     n = metric.n
     last_error: Exception | None = None
     for attempt in range(MAX_RETRIES + 1):
         m = base_m if attempt == 0 else base_m @ _retry_factor(n, attempt)
-        builder = _Builder(np.linalg.inv(m).T)
+        builder = _Builder(np.linalg.inv(m).T, prescale)
         try:
             lam = _reduce_last_row(builder, tol)
             if lam == 0:
@@ -760,7 +765,7 @@ def classify(
                 xi_key = "0"
             else:
                 t = _reduce_to_t(builder, lam, tol)
-                if t > T_RETRY_MAX:  # t depends on the chart: redraw
+                if t > T_RETRY_MAX:  # the scale is gone: only the chart makes t this large
                     if attempt < MAX_RETRIES:
                         continue
                     builder.flags.append(FLAG_RETRIES_EXHAUSTED)
@@ -804,7 +809,7 @@ def verify_witness(
     """
     n = witness.n
     problems = []
-    ipq = minkowski_gram(n)
+    ipq = shared_minkowski_gram(n)
     if isinstance(subject, Metric):
         if witness.m_factor is None:
             return VerificationResult(False, math.inf, "witness has no m-factor")
@@ -823,7 +828,7 @@ def verify_witness(
         ):
             problems.append("start matrix differs from the supplied element")
     left = np.array([to_float(h) for h in witness.left]).reshape(-1, n, n)
-    outside = np.abs(left[:, ~hprime_pattern(n).mask]).max(axis=1)
+    outside = np.abs(left[:, hprime_pattern(n).outside]).max(axis=1)
     singular = np.abs(np.linalg.det(left)) < 1e-300
     for idx, (out, sing) in enumerate(zip(outside.tolist(), singular.tolist())):
         if out > tol:

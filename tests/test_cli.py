@@ -11,6 +11,7 @@ from heislor.liealg import aut_pattern
 from heislor.metrics import (
     APPROX,
     CANONICAL_PAIRS,
+    Metric,
     act,
     canonical_gram,
     canonical_metric,
@@ -92,7 +93,11 @@ def test_classify_ambiguous_near_wall_names_both_classes(tmp_path, capsys, lam, 
 
 
 def test_classify_failed_witness_exits_check_failed(tmp_path, capsys):
-    gram = 1e6 * canonical_gram(1, 1, 5, exact=False)
+    # lam=1 just outside the wall band: the factors grow like 1/xi and this
+    # chain misses the representative by about 2.4e-7
+    rng = np.random.default_rng(3)
+    g = np.eye(5) + 0.3 * rng.standard_normal((5, 5)) * aut_pattern(5).mask
+    gram = act(g, Metric(gram=canonical_gram(1, 5e-5, 5, exact=False))).gram
     code = main(["classify", "--input", _write_gram(tmp_path, gram)])
     assert code == EXIT_CHECK_FAILED
     assert json.loads(capsys.readouterr().out)["witness_ok"] is False
