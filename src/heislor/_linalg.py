@@ -1,10 +1,10 @@
-"""Small dense linear algebra over the two scalar backends.
+"""Small linear algebra over the two scalar backends.
 
-Exact routines operate on numpy object arrays filled with QSqrt3 entries.
-Elimination is sparse Gauss-Jordan on rows held as Python lists: a pivot row
-is scaled and subtracted only over its nonzero columns, and rows with a zero
-in the pivot column are skipped (every pivot decision is an exact zero test).
-Float routines wrap numpy.  Everything here is sized for n <= 16.
+Exact elimination is one sparse Gauss-Jordan kernel over Q(sqrt3) on rows
+{column: nonzero QSqrt3}; an entry is deleted the moment it cancels, so no
+zero is stored or tested again (T. A. Davis, *Direct Methods for Sparse Linear
+Systems*, 2006, ch. 3).  exact_rref/rank/nullspace/inv adapt object arrays of
+QSqrt3 to it.  Float routines wrap numpy.  Everything is sized for n <= 24.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import QSqrt3
+
+_ONE = QSqrt3(1)
 
 # -- construction and conversion -------------------------------------------
 
@@ -73,111 +75,128 @@ def shared_minkowski_gram(n: int) -> np.ndarray:
 # -- exact elimination -------------------------------------------------------
 
 
+def _subtract(row: dict[int, QSqrt3], f: QSqrt3, tail: dict[int, QSqrt3]) -> None:
+    """row -= f * tail in place, deleting every entry that cancels to zero."""
+    for j, y in tail.items():
+        x = row.pop(j, None)
+        x = -(f * y) if x is None else x - f * y
+        if x:
+            row[j] = x
+
+
+def _echelon(rows) -> dict[int, dict[int, QSqrt3]]:
+    """Forward elimination of rows given as iterables of (column, value) pairs.
+
+    Returns {pivot column c: tail}, the row e_c + tail with tail right of c.  A
+    row is reduced from its leftmost entry, where a pivot row fills in rightwards.
+    """
+    pivots: dict[int, dict[int, QSqrt3]] = {}
+    for items in rows:
+        row = {c: x for c, x in items if x}
+        while row:
+            c = min(row)
+            f = row.pop(c)
+            if c not in pivots:
+                pivots[c] = row if f == _ONE else {j: x / f for j, x in row.items()}
+                break
+            _subtract(row, f, pivots[c])
+    return pivots
+
+
+def rank_rows(rows) -> int:
+    """Exact rank of sparse rows, by forward elimination alone."""
+    return len(_echelon(rows))
+
+
+def rref_rows(rows) -> dict[int, dict[int, QSqrt3]]:
+    """Reduced row echelon form as {pivot column: tail}, in pivot order.
+
+    Back substitution runs from the last pivot, whose tail is already free of
+    later pivot columns, so no subtraction brings one back.
+    """
+    pivots = _echelon(rows)
+    order = sorted(pivots)
+    for k in reversed(order):
+        for c in order[: order.index(k)]:
+            f = pivots[c].pop(k, None)
+            if f is not None:
+                _subtract(pivots[c], f, pivots[k])
+    return {c: pivots[c] for c in order}
+
+
+def nullspace_rows(rows, cols: int) -> list[dict[int, QSqrt3]]:
+    """Right nullspace basis, one sparse vector per free column."""
+    rref = rref_rows(rows)
+    free = (fc for fc in range(cols) if fc not in rref)
+    return [{fc: _ONE, **{pc: -t[fc] for pc, t in rref.items() if fc in t}} for fc in free]
+
+
+def exact_dense(rows, shape) -> np.ndarray:
+    """Object array of the given shape whose leading rows are the sparse rows."""
+    out = exact_zeros(shape)
+    for r, items in enumerate(rows):
+        for j, x in items:
+            out[r, j] = x
+    return out
+
+
 def exact_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over Q(sqrt3); returns (rref, pivot columns)."""
-    rows, cols = a.shape
-    m = [list(row) for row in a]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        prow = m[r]
-        # entries left of c in rows r.. are zero, so only these columns move
-        support = [j for j in range(c, cols) if prow[j]]
-        head = prow[c]
-        for j in support:
-            prow[j] = prow[j] / head
-        for i in range(rows):
-            row = m[i]
-            f = row[c]
-            if i != r and f:
-                for j in support:
-                    row[j] = row[j] - f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    out = np.empty((rows, cols), dtype=object)
-    for i, row in enumerate(m):
-        out[i] = row
-    return out, pivots
+    rref = rref_rows(enumerate(row) for row in a)
+    return exact_dense([[(c, _ONE), *t.items()] for c, t in rref.items()], a.shape), list(rref)
 
 
 def exact_rank(a: np.ndarray) -> int:
-    return len(exact_rref(a)[1])
+    return rank_rows(enumerate(row) for row in a)
 
 
 def exact_nullspace(a: np.ndarray) -> list[np.ndarray]:
     """Basis of the right nullspace, one vector per free column."""
-    rref, pivots = exact_rref(a)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = exact_zeros(cols)
-        v[fc] = QSqrt3(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r, fc]
-        basis.append(v)
-    return basis
-
-
-def exact_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for square invertible a (b may be a matrix)."""
-    n = a.shape[0]
-    rhs = b if b.ndim == 2 else b.reshape(n, 1)
-    aug = np.concatenate([a.copy(), rhs.copy()], axis=1)
-    rref, pivots = exact_rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError("singular exact matrix")
-    x = rref[:, n:]
-    return x if b.ndim == 2 else x.reshape(n)
+    basis = nullspace_rows((enumerate(row) for row in a), a.shape[1])
+    return list(exact_dense([v.items() for v in basis], (len(basis), a.shape[1])))
 
 
 def exact_inv(a: np.ndarray) -> np.ndarray:
-    return exact_solve(a, exact_eye(a.shape[0]))
+    """Inverse of a square exact matrix, from the rref of [a | id]."""
+    n = a.shape[0]
+    rref = rref_rows([*enumerate(row), (n + i, _ONE)] for i, row in enumerate(a))
+    if list(rref) != list(range(n)):
+        raise ZeroDivisionError("singular exact matrix")
+    return exact_dense([[(j - n, x) for j, x in rref[i].items()] for i in range(n)], (n, n))
 
 
-def conjugate_unit(ginv: np.ndarray, g: np.ndarray, k: int, l: int) -> list:
-    """Nonzero entries (a, c, x) of ginv @ E_kl @ g, multiplying nonzero factors only."""
-    right = [(c, y) for c, y in enumerate(g[l]) if y]
-    return [(a, c, x * y) for a, x in enumerate(ginv[:, k]) if x for c, y in right]
+def unit_conjugator(g: np.ndarray):
+    """(k, l) -> nonzero entries (a, c, x) of g^-1 E_kl g, from nonzero factors read once."""
+    ginv = exact_inv(g)
+    cols = [[(a, x) for a, x in enumerate(col) if x] for col in ginv.T]
+    rows = [[(c, y) for c, y in enumerate(row) if y] for row in g]
+    return lambda k, l: [(a, c, x * y) for a, x in cols[k] for c, y in rows[l]]
 
 
 def congruence_diagonal(a: np.ndarray) -> list[QSqrt3]:
     """Diagonal of S^T A S for some invertible S, by symmetric elimination.
 
-    Sylvester's law makes the sign counts of the result basis-independent,
-    which is all the signature code needs.
+    Sylvester's law makes the sign counts of the result basis-independent, which
+    is all the signature code needs.  A pivot m_kk on sparse symmetric rows leaves
+    m_il - m_ik m_kl / m_kk; a block [[0, b], [b, 0]] (signs +, -) stands in for it
+    once the diagonal is zero.
     """
-    m = a.copy()
-    n = m.shape[0]
+    m = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
     diag: list[QSqrt3] = []
-    for k in range(n):
-        if m[k, k].is_zero():
-            j = next((j for j in range(k + 1, n) if not m[j, j].is_zero()), None)
-            if j is not None:
-                m[[k, j]] = m[[j, k]]
-                m[:, [k, j]] = m[:, [j, k]]
-            else:
-                j = next((j for j in range(k + 1, n) if not m[k, j].is_zero()), None)
-                if j is None:
-                    diag.append(QSqrt3(0))
-                    continue
-                # zero diagonal block with off-diagonal coupling: fold row/col j in
-                m[k] = m[k] + m[j]
-                m[:, k] = m[:, k] + m[:, j]
-        pivot = m[k, k]
-        for i in range(k + 1, n):
-            if not m[i, k].is_zero():
-                f = m[i, k] / pivot
-                m[i] = m[i] - f * m[k]
-                m[:, i] = m[:, i] - f * m[:, k]
-        diag.append(pivot)
-    return diag
+    while any(m.values()):
+        k = next((i for i, row in m.items() if i in row), None)
+        block = [k] if k is not None else next([i, j] for i, row in m.items() for j in row)
+        cols = [m.pop(i) for i in block]
+        for row in m.values():
+            for i in block:
+                row.pop(i, None)
+        d = cols[0].pop(block[-1])  # m_kk, or b
+        cols[-1].pop(block[0], None)  # b again, in the block's second row
+        for mine, other in zip(cols, cols[::-1]):
+            for i, x in mine.items():
+                _subtract(m[i], x / d, other)
+        diag += [d, -d][: len(block)]
+    return diag + [QSqrt3(0)] * (a.shape[0] - len(diag))
 
 
 # -- float helpers -----------------------------------------------------------

@@ -17,13 +17,14 @@ supported on the corner coordinates (1, 2, n-1, n).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import conjugate_unit, exact_eye, exact_inv, exact_rref, exact_zeros, to_float
-from .liealg import derivation_basis
+from ._linalg import exact_eye, exact_zeros, rref_rows, to_float, unit_conjugator
+from .liealg import _derivation_vectors, derivation_basis
 from .metrics import CANONICAL_PAIRS, NotARepresentative, shear_matrix, xi_exact, xi_key_of
 from .numerics import DEFAULT_TOL, EXACT, QSqrt3
 
@@ -366,32 +367,30 @@ def soliton_certificate(lam, xi, n: int, ric: np.ndarray | None = None, exact: b
 
     The derivation algebra is taken in frame coordinates, i.e. conjugated by
     the shear matrix of (lam, xi).  On the exact backend the certificate is
-    exact, each g^-1 b g summed from b[k, l] outer(ginv[:, k], g[l, :]) skipping
-    zero products (values unchanged); on floats, least squares checked to 1e-10.
+    exact: each g^-1 b g is summed from b[k, l] outer(ginv[:, k], g[l, :]) over
+    nonzero products into sparse equations; on floats, least squares checked
+    to 1e-10.
     """
     if ric is None:
         ric = closed_form_ricci(lam, xi, n, exact)
-    basis = derivation_basis(n)
     if exact:
-        g = shear_matrix(lam, xi, n, exact=True)
-        ginv = exact_inv(g)
-        cols = [exact_eye(n).reshape(-1)]
-        for b in basis:
-            col = exact_zeros(n * n)
-            for k, l in zip(*np.nonzero(b)):
-                for a, c, x in conjugate_unit(ginv, g, k, l):
-                    col[a * n + c] = col[a * n + c] + b[k, l] * x
-            cols.append(col)
-        system = np.stack(cols, axis=1)
-        aug = np.concatenate([system, ric.reshape(-1, 1)], axis=1)
-        rref, pivots = exact_rref(aug)
-        if system.shape[1] in pivots:
+        conjugate = unit_conjugator(shear_matrix(lam, xi, n, exact=True))
+        basis = _derivation_vectors(n)
+        rhs = 1 + len(basis)
+        # one sparse equation per entry (a, c); columns: identity, the basis, then ric
+        eqs = [Counter({0: QSqrt3(1)} if a == c else {}) for a in range(n) for c in range(n)]
+        for col, vec in enumerate(basis, 1):
+            for kl, y in vec:
+                for a, c, x in conjugate(*divmod(kl, n)):
+                    eqs[a * n + c][col] += y * x
+        for eq, r in zip(eqs, ric.reshape(-1)):
+            eq[rhs] = r
+        rref = rref_rows(eq.items() for eq in eqs)
+        if rhs in rref:
             return None  # right-hand side outside the span
-        c_val = QSqrt3(0)
-        if pivots and pivots[0] == 0:
-            c_val = rref[0, -1]
-        d = ric - c_val * exact_eye(n)
-        return c_val, d
+        c_val = rref[0].get(rhs, QSqrt3(0))  # the identity column is always a pivot
+        return c_val, ric - c_val * exact_eye(n)
+    basis = derivation_basis(n)
     gf = shear_matrix(lam, xi, n, exact=False)
     gf_inv = np.linalg.inv(gf)
     system = np.stack(

@@ -9,12 +9,13 @@ space for random automorphisms.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._linalg import exact_nullspace, exact_rank, exact_zeros
+from ._linalg import exact_dense, exact_zeros, nullspace_rows, rank_rows
 from .numerics import QSqrt3
 
 
@@ -33,10 +34,10 @@ class LieAlgebra:
     n: int
     structure: np.ndarray = field(repr=False, compare=False)
 
-    @property
-    def nonzero_terms(self) -> list[tuple[int, int, int, int]]:
-        ii, jj, kk = np.nonzero(self.structure)
-        return [(i, j, k, int(self.structure[i, j, k])) for i, j, k in zip(ii, jj, kk)]
+    @cached_property
+    def nonzero_terms(self) -> tuple[tuple[int, int, int, int], ...]:
+        c = self.structure
+        return tuple((i, j, k, int(c[i, j, k])) for i, j, k in np.argwhere(c).tolist())
 
 
 def build_algebra(n: int) -> LieAlgebra:
@@ -60,42 +61,39 @@ def bracket_vec(alg: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def derivation_basis(n: int) -> tuple[np.ndarray, ...]:
-    """Basis of Der(g) from the Leibniz identity, solved exactly.
+def _derivation_vectors(n: int) -> tuple[tuple, ...]:
+    """Der(g) as sparse vectors of (n*r + c, D[r, c]) pairs, from the Leibniz identity.
 
-    Unknowns are the n^2 entries of D; each basis pair (e_i, e_j) with i < j
-    contributes the n component equations of
-    D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j] = 0.
+    Unknowns are the n^2 entries of D; each pair e_i, e_j with i < j gives the
+    n equations D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j] = 0, whose coefficients
+    come from the nonzero structure constants c[a, b, l] = v alone.
     """
-    alg = build_algebra(n)
-    c = alg.structure.astype(int)
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
+    rows: defaultdict[tuple[int, int, int], Counter] = defaultdict(Counter)
+    for a, b, l, v in build_algebra(n).nonzero_terms:
+        if a < b:  # D applied to the bracket value v e_l
             for k in range(n):
-                coeff = np.zeros((n, n), dtype=int)
-                # D applied to the bracket value
-                for l in range(n):
-                    coeff[k, l] += c[i, j, l]
-                # minus bracket with D on each slot
-                for l in range(n):
-                    coeff[l, i] -= c[l, j, k]
-                    coeff[l, j] -= c[i, l, k]
-                if np.any(coeff):
-                    rows.append([QSqrt3(int(v)) for v in coeff.reshape(-1)])
-    kernel = exact_nullspace(np.array(rows, dtype=object))
-    return tuple(vec.reshape(n, n) for vec in kernel)
+                rows[a, b, k][k * n + l] += v
+        for i in range(b):  # [D e_i, e_b] picks D[a, i]
+            rows[i, b, l][a * n + i] -= v
+        for j in range(a + 1, n):  # [e_a, D e_j] picks D[b, j]
+            rows[a, j, l][b * n + j] -= v
+    system = (((c, QSqrt3(v)) for c, v in row.items()) for row in rows.values())
+    return tuple(tuple(vec.items()) for vec in nullspace_rows(system, n * n))
+
+
+@lru_cache(maxsize=None)
+def derivation_basis(n: int) -> tuple[np.ndarray, ...]:
+    """Basis of Der(g) as read-only n x n matrices, solved exactly."""
+    vectors = _derivation_vectors(n)
+    basis = exact_dense(vectors, (len(vectors), n * n)).reshape(-1, n, n)
+    basis.flags.writeable = False
+    return tuple(basis)
 
 
 def derivation_space_dim(n: int) -> int:
     """dim(R*id + Der(g)); identity is never a derivation here."""
-    basis = derivation_basis(n)
-    mats = [m.reshape(-1) for m in basis]
-    eye = exact_zeros(n * n)
-    for i in range(n):
-        eye[i * n + i] = QSqrt3(1)
-    mats.append(eye)
-    return exact_rank(np.array(mats, dtype=object))
+    identity = [(i * n + i, QSqrt3(1)) for i in range(n)]
+    return rank_rows([*_derivation_vectors(n), identity])
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,9 @@ class BlockPattern:
     mask: np.ndarray = field(repr=False, compare=False)
 
     def transposed(self) -> "BlockPattern":
-        return BlockPattern(n=self.n, mask=self.mask.T.copy())
+        mask = self.mask.T.copy()  # C order keeps boolean indexing by `outside` fast
+        mask.flags.writeable = False
+        return BlockPattern(n=self.n, mask=mask)
 
     @cached_property
     def outside(self) -> np.ndarray:
@@ -122,14 +122,7 @@ class BlockPattern:
 
     def project(self, m: np.ndarray) -> np.ndarray:
         out = m.copy()
-        if out.dtype == object:
-            zero = QSqrt3(0)
-            for i in range(self.n):
-                for j in range(self.n):
-                    if not self.mask[i, j]:
-                        out[i, j] = zero
-        else:
-            out[self.outside] = 0.0
+        out[self.outside] = QSqrt3(0) if out.dtype == object else 0.0
         return out
 
 
@@ -140,6 +133,7 @@ def aut_pattern(n: int) -> BlockPattern:
     mask[0:2, 0:2] = True
     mask[2 : n - 1, 0 : n - 1] = True
     mask[n - 1, :] = True
+    mask.flags.writeable = False  # shared through the cache, like hprime_pattern's
     return BlockPattern(n=n, mask=mask)
 
 

@@ -11,12 +11,13 @@ transcribed.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import conjugate_unit, exact_inv, exact_rank, exact_zeros
+from ._linalg import rank_rows, unit_conjugator
 from .curvature import closed_form_riemann, is_flat
 from .liealg import aut_pattern
 from .metrics import (
@@ -69,50 +70,37 @@ def dims_UW(lam: int, xi, n: int) -> tuple[int, int]:
     coordinate pairs.
     """
     key = _check_pair(lam, xi)
-    lam_e = QSqrt3(int(lam))
-    xi_e = xi_exact(key)
-    one = QSqrt3(1)
-    corner = np.array(
-        [
-            [lam_e * lam_e - xi_e * xi_e - one, lam_e * xi_e],
-            [QSqrt3(0), lam_e * lam_e - one],
-        ],
-        dtype=object,
-    )
-    dim_u = 2 - exact_rank(corner)
-    mixing = np.array([[lam_e * lam_e - one, xi_e]], dtype=object)
-    dim_w = (n - 4) * (2 - exact_rank(mixing))
+    lam_e, xi_e = QSqrt3(int(lam)), xi_exact(key)
+    a = lam_e * lam_e - 1
+    dim_u = 2 - rank_rows([[(0, a - xi_e * xi_e), (1, lam_e * xi_e)], [(1, a)]])
+    dim_w = (n - 4) * (2 - rank_rows([[(0, a), (1, xi_e)]]))
     return dim_u, dim_w
 
 
-def _stabilizer_system(lam: int, xi, n: int) -> np.ndarray:
-    """Column E_ij: the upper triangle of eps X + (eps X)^T for X = g^-1 E_ij g.
-
-    X = outer(ginv[:, i], g[j, :]) is formed from its nonzero products only.
+def _stabilizer_system(lam: int, xi, n: int) -> list[Counter]:
+    """Per position E_ij, the upper triangle of eps X + (eps X)^T for X = g^-1 E_ij g
+    as a sparse column {row: eps_s X_sr + eps_r X_rs}, from nonzero products only.
     """
     key = _check_pair(lam, xi)
-    g = shear_matrix(QSqrt3(int(lam)), xi_exact(key), n, exact=True)
-    ginv = exact_inv(g)
+    conjugate = unit_conjugator(shear_matrix(QSqrt3(int(lam)), xi_exact(key), n, exact=True))
     eps = [1] * (n - 1) + [-1]
-    mask = aut_pattern(n).mask
-    positions = [(i, j) for i in range(n) for j in range(n) if mask[i, j]]
     row_of = {rs: row for row, rs in enumerate((r, s) for r in range(n) for s in range(r, n))}
-    system = exact_zeros((len(row_of), len(positions)))
-    for col, (i, j) in enumerate(positions):
-        for a, b, x in conjugate_unit(ginv, g, i, j):
-            row = row_of[(a, b) if a <= b else (b, a)]
-            system[row, col] = system[row, col] + (2 if a == b else 1) * eps[a] * x
+    system = []
+    for i, j in zip(*np.nonzero(aut_pattern(n).mask)):
+        col = Counter()
+        for a, b, x in conjugate(i, j):
+            col[row_of[min(a, b), max(a, b)]] += (2 if a == b else 1) * eps[a] * x
+        system.append(col)
     return system
 
 
 def _stabilizer_rank_oracle(lam: int, xi, n: int) -> int:
     """dim of {pattern matrices M : g^-1 M g is skew wrt the Lorentz form}.
 
-    Exact rank of :func:`_stabilizer_system`, which skips zero products; each
-    value equals the dense eps_s X_sr + eps_r X_rs.
+    The number of positions less the rank of the :func:`_stabilizer_system` columns.
     """
     system = _stabilizer_system(lam, xi, n)
-    return system.shape[1] - exact_rank(system)
+    return len(system) - rank_rows(col.items() for col in system)
 
 
 @lru_cache(maxsize=None)

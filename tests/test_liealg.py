@@ -12,7 +12,8 @@ from heislor.liealg import (
     derivation_space_dim,
     hprime_pattern,
 )
-from heislor._linalg import exact_array, exact_rank, to_float
+from heislor._linalg import exact_array, exact_nullspace, exact_rank, to_float
+from heislor.numerics import QSqrt3
 
 
 def test_build_algebra_examples():
@@ -24,6 +25,9 @@ def test_build_algebra_examples():
         expected = np.zeros(n)
         expected[n - 1] = 1.0
         assert np.array_equal(out, expected)
+        # computed once per algebra; bracket_vec's exact path reads it on every call
+        assert alg.nonzero_terms is alg.nonzero_terms
+        assert alg.nonzero_terms == ((0, 1, n - 1, 1), (1, 0, n - 1, -1))
     with pytest.raises(DimensionTooSmall):
         build_algebra(3)
 
@@ -75,9 +79,39 @@ def test_derivation_space_dimension_small(n, expected):
     assert derivation_space_dim(n) == expected == n * n - 3 * n + 7
 
 
-@pytest.mark.parametrize("n", [*range(4, 11), 12, 16])
+@pytest.mark.parametrize("n", [*range(4, 11), 12, 16, 24])
 def test_derivation_space_dimension_formula(n):
     assert derivation_space_dim(n) == n * n - 3 * n + 7
+
+
+def _leibniz_system_reference(n):
+    """The Leibniz rows built densely, one n x n coefficient array per (i < j, k)."""
+    c = build_algebra(n).structure.astype(int)
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                coeff = np.zeros((n, n), dtype=int)
+                # D applied to the bracket value
+                for l in range(n):
+                    coeff[k, l] += c[i, j, l]
+                # minus bracket with D on each slot
+                for l in range(n):
+                    coeff[l, i] -= c[l, j, k]
+                    coeff[l, j] -= c[i, l, k]
+                if np.any(coeff):
+                    rows.append([QSqrt3(int(v)) for v in coeff.reshape(-1)])
+    return np.array(rows, dtype=object)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_derivation_basis_matches_dense_leibniz_reference(n):
+    want = exact_nullspace(_leibniz_system_reference(n))
+    got = derivation_basis(n)
+    assert len(got) == len(want)
+    for d, v in zip(got, want):
+        assert d.shape == (n, n)
+        assert all(x == y for x, y in zip(d.reshape(-1), v))
 
 
 @pytest.mark.parametrize("n", (4, 5, 7))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from heislor._linalg import exact_array, minkowski_gram, to_float
+from heislor._linalg import congruence_diagonal, exact_array, minkowski_gram, to_float
 from heislor.metrics import (
     APPROX,
     CANONICAL_PAIRS,
@@ -42,6 +42,58 @@ def test_signature_identity_block():
 def test_signature_one_by_one_zero():
     assert signature_of(np.array([[0.0]])).as_tuple() == (0, 0, 1)
     assert signature_of(exact_array([[0]])).as_tuple() == (0, 0, 1)
+
+
+def _congruence_diagonal_reference(a):
+    """The former dense symmetric elimination; it folds a coupled row into a zero diagonal."""
+    m = a.copy()
+    n = m.shape[0]
+    diag = []
+    for k in range(n):
+        if m[k, k].is_zero():
+            j = next((j for j in range(k + 1, n) if not m[j, j].is_zero()), None)
+            if j is not None:
+                m[[k, j]] = m[[j, k]]
+                m[:, [k, j]] = m[:, [j, k]]
+            else:
+                j = next((j for j in range(k + 1, n) if not m[k, j].is_zero()), None)
+                if j is None:
+                    diag.append(QSqrt3(0))
+                    continue
+                m[k] = m[k] + m[j]
+                m[:, k] = m[:, k] + m[:, j]
+        pivot = m[k, k]
+        for i in range(k + 1, n):
+            if not m[i, k].is_zero():
+                f = m[i, k] / pivot
+                m[i] = m[i] - f * m[k]
+                m[:, i] = m[:, i] - f * m[:, k]
+        diag.append(pivot)
+    return diag
+
+
+def test_sparse_congruence_signs_match_dense_reference():
+    rng = np.random.default_rng(11)
+    hyperbolic = exact_array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])  # a zero diagonal only
+    cases = [hyperbolic, exact_array([[0, 0], [0, 0]])]
+    for _ in range(80):
+        n = int(rng.integers(1, 9))
+        b = rng.integers(-2, 3, (n, n)) * (rng.random((n, n)) < 0.4)
+        c = rng.integers(-2, 3, (n, n)) * (rng.random((n, n)) < 0.3)
+        sym = b + b.T
+        if rng.random() < 0.5:
+            np.fill_diagonal(sym, 0)  # forces the 2 x 2 block pivots
+        cases.append(exact_array([[QSqrt3(int(x), int(y)) for x, y in zip(r, s)]
+                                  for r, s in zip(sym, c + c.T)]))
+    for a in cases:
+        got = congruence_diagonal(a)
+        want = _congruence_diagonal_reference(a)
+        assert len(got) == len(want) == a.shape[0]
+        signs = sorted(x.sign() for x in got)
+        assert signs == sorted(x.sign() for x in want)
+        eigs = np.linalg.eigvalsh(to_float(a))
+        scale = 1e-9 * max(1.0, float(np.abs(eigs).max()))
+        assert signs == sorted(int(np.sign(e)) if abs(e) > scale else 0 for e in eigs)
 
 
 def test_signature_rejects_asymmetric():

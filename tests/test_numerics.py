@@ -15,6 +15,8 @@ from heislor._linalg import (
     exact_nullspace,
     exact_rank,
     exact_rref,
+    exact_zeros,
+    rref_rows,
     to_float,
 )
 from heislor.numerics import (
@@ -245,6 +247,57 @@ def test_exact_rref_sparse_matrices():
         assert len(basis) == cols - rank
         for v in basis:
             assert all(x.is_zero() for x in a @ v)
+
+
+def _cancelling_exact_matrix(rng, rows, cols, rank):
+    """Sparse combinations of rank sparse rows: elimination fill-in cancels exactly."""
+    base = _sparse_exact_matrix(rng, rank, cols, density=4 / cols)
+    mix = _sparse_exact_matrix(rng, rows, rank, density=min(1.0, 3 / rank))
+    out = exact_zeros((rows, cols))
+    for i, j in zip(*np.nonzero(mix)):
+        out[i] = out[i] + mix[i, j] * base[j]
+    return out
+
+
+def test_sparse_kernel_matches_sympy_rref():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    field = sympy.QQ.algebraic_field(sympy.sqrt(3))
+
+    def lift(x):  # a + b*sqrt3 is the field element with coefficients [b, a]
+        if not x:
+            return field.zero
+        return field([sympy.QQ(x.b.numerator, x.b.denominator),
+                      sympy.QQ(x.a.numerator, x.a.denominator)])
+
+    def lifted(vectors, shape):
+        return DomainMatrix([[lift(x) for x in v] for v in vectors], shape, field).to_sparse()
+
+    rng = np.random.default_rng(31)
+    shapes = [(55, 77), (77, 55), (30, 40), (12, 9), (1, 5), (5, 1)]
+    cases = [_sparse_exact_matrix(rng, r, c, density=min(1.0, 3 / c)) for r, c in shapes]
+    cases += [_cancelling_exact_matrix(rng, r, c, k) for r, c, k in
+              ((55, 77, 20), (40, 30, 12), (20, 20, 19), (9, 12, 3))]
+    # the second row's fill-in at column 1 cancels exactly against the first
+    one, x, y = QSqrt3(1), QSqrt3(2, 1), QSqrt3(Fraction(1, 3), -1)
+    cases.append(exact_array([[one, x, y, 0], [2 * one, 2 * x, y, 1], [0, 0, y, 0]]))
+    for a in cases:
+        rows, cols = a.shape
+        want, want_pivots = lifted(a, a.shape).rref()
+        got, pivots = exact_rref(a)
+        assert pivots == list(want_pivots)
+        assert got.shape == a.shape
+        assert lifted(got, a.shape) == want
+        # the kernel never keeps an exact zero, and a tail lies right of its pivot
+        for c, tail in rref_rows(enumerate(row) for row in a).items():
+            assert all(tail.values()) and min(tail, default=cols) > c
+        assert exact_rank(a) == len(pivots)
+        basis = exact_nullspace(a)
+        assert len(basis) == cols - len(pivots) == want.shape[1] - want.rank()
+        if basis:
+            product = lifted(a, a.shape) * lifted(basis, (len(basis), cols)).transpose()
+            assert product.is_zero_matrix
 
 
 def _embed_reference(block, n, coords):
