@@ -4,9 +4,10 @@ Subcommands: classify (a metric JSON file), curvature (one canonical class),
 orbits (orbit table and degeneration graph, also as DOT via --format dot)
 and verify (the named check suite).  Exit codes: 0 success, 1 verification
 failure, 2 invalid input (including AmbiguousNearWall, a metric too close to
-a classification wall to decide).  The METRICLASS_TOL environment variable
-sets the float tolerance of classify when --tol is not given; either must be
-a positive finite number.
+a classification wall to decide).  Commands raise; main maps each typed
+error to its exit code in one table, EXIT_CODES.  The METRICLASS_TOL
+environment variable sets the float tolerance of classify when --tol is not
+given; either must be a positive finite number.
 """
 
 from __future__ import annotations
@@ -17,20 +18,13 @@ import math
 import os
 import sys
 
-from .metrics import (
-    CANONICAL_PAIRS,
-    NotARepresentative,
-    WrongSignature,
-    canonical_json,
-    metric_from_json,
-    xi_key_of,
-)
+from .liealg import DimensionTooSmall
+from .metrics import CANONICAL_PAIRS, canonical_json, metric_from_json, xi_key_of
 from .numerics import APPROX, DEFAULT_TOL, EXACT
 from .curvature import curvature_report
 from .orbits import EvidenceFailure, OracleMismatch, degeneration_graph, orbit_report
 from .reduction import (
     ClassificationMismatch,
-    NoTableMatch,
     NumericalBreakdown,
     classification_to_json,
     classify,
@@ -43,8 +37,20 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
-#: a recomputed table disagrees with its independent check: a failed verification
-SELF_CHECK_FAILURES = (OracleMismatch, EvidenceFailure)
+#: exit code of each typed error, in order: the first type that matches wins.
+#: BrokenPipeError comes first because it is an OSError: the reader went
+#: away, which is no error.  A recomputed table that disagrees with its
+#: independent check is a failed verification; the rest is input the program
+#: cannot answer.  Any other exception is a bug and keeps its traceback.
+EXIT_CODES = {
+    BrokenPipeError: EXIT_OK,
+    OracleMismatch: EXIT_CHECK_FAILED,
+    EvidenceFailure: EXIT_CHECK_FAILED,
+    ValueError: EXIT_BAD_INPUT,
+    OSError: EXIT_BAD_INPUT,
+    ClassificationMismatch: EXIT_BAD_INPUT,
+    NumericalBreakdown: EXIT_BAD_INPUT,
+}
 
 
 def _classify_tol(flag: float | None) -> float:
@@ -85,28 +91,16 @@ def _load_metric(path: str, backend: str | None):
 def _xi_arg(value: str):
     try:
         return xi_key_of(value if value == "sqrt3" else float(value))
-    except (ValueError, NotARepresentative) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
 def cmd_classify(args) -> int:
-    try:
-        tol = _classify_tol(args.tol)
-        metric = _load_metric(args.input, args.backend)
-        if args.n is not None and metric.n != args.n:
-            raise ValueError(f"file has n={metric.n}, --n says {args.n}")
-        form, k, witness = classify(metric, tol)
-    except (
-        ValueError,
-        KeyError,
-        json.JSONDecodeError,
-        NoTableMatch,
-        WrongSignature,
-        ClassificationMismatch,
-        NumericalBreakdown,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    tol = _classify_tol(args.tol)
+    metric = _load_metric(args.input, args.backend)
+    if args.n is not None and metric.n != args.n:
+        raise ValueError(f"file has n={metric.n}, --n says {args.n}")
+    form, k, witness = classify(metric, tol)
     check = verify_witness(metric, witness)
     payload = classification_to_json(form, k, witness)
     payload["witness_residual"] = check.residual
@@ -137,15 +131,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    try:
-        report = curvature_report(args.lam, args.xi, args.n, backend=args.backend)
-        orbit = orbit_report(args.lam, args.xi, args.n)
-    except (NotARepresentative, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except SELF_CHECK_FAILURES as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    report = curvature_report(args.lam, args.xi, args.n, backend=args.backend)
+    orbit = orbit_report(args.lam, args.xi, args.n)
     if args.format == "json":
         payload = {"curvature": report.to_json(), "orbit": orbit.to_json()}
         print(canonical_json(payload))
@@ -174,15 +161,8 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    try:
-        graph = degeneration_graph(args.n)
-        reports = [orbit_report(lam, key, args.n) for lam, key in CANONICAL_PAIRS]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except SELF_CHECK_FAILURES as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    graph = degeneration_graph(args.n)
+    reports = [orbit_report(lam, key, args.n) for lam, key in CANONICAL_PAIRS]
     if args.format == "dot":
         print(graph.to_dot())
         return EXIT_OK
@@ -210,8 +190,9 @@ def cmd_orbits(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.n_min < 4 or args.n_max > 12 or args.n_min > args.n_max:
-        print("error: need 4 <= n-min <= n-max <= 12", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("need 4 <= n-min <= n-max <= 12")
+    if args.samples < 1:
+        raise ValueError(f"need --samples >= 1, got {args.samples}")
     results = run_all(args.n_min, args.n_max, samples=args.samples, seed=args.seed)
     ok = all(r.passed for r in results)
     if args.format == "json":
@@ -278,13 +259,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("curvature", "orbits") and args.n < 4:
-        print("error: need n >= 4", file=sys.stderr)
-        return EXIT_BAD_INPUT
     try:
+        if args.command in ("curvature", "orbits") and args.n < 4:
+            raise DimensionTooSmall(f"need n >= 4, got {args.n}")
         return args.func(args)
-    except BrokenPipeError:  # pragma: no cover
-        return EXIT_OK
+    except tuple(EXIT_CODES) as exc:
+        code = next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+        if code != EXIT_OK:
+            print(f"error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

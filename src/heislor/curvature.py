@@ -18,7 +18,7 @@ supported on the corner coordinates (1, 2, n-1, n).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -523,51 +523,43 @@ class CurvatureReport:
         }
 
 
-def _snap_zeros(x, scale: float):
-    """Float values within DEFAULT_TOL * scale of zero, set to +0.0."""
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) <= DEFAULT_TOL * scale, 0.0, x)
-
-
 def curvature_report(lam, xi, n: int, backend: str = EXACT) -> CurvatureReport:
     """Assemble the full report for one canonical parameter pair.
 
-    The tables are the closed forms.  On floats, ric and everything derived
-    from it are snapped to +0.0 within DEFAULT_TOL * max(1, max|ric|).
+    The tables are the closed forms, built exactly.  The float report is the
+    exact one with every value rounded once, so an exact zero stays +0.0.
     """
     key = xi_key_of(xi)
     if (int(lam), key) not in CANONICAL_PAIRS:
         raise NotARepresentative(f"({lam}, {key}) is not a canonical pair")
-    exact = backend == EXACT
-    xi_val = xi_exact(key) if exact else float(xi_exact(key))
-    lam_val = QSqrt3(int(lam)) if exact else float(lam)
-    u = closed_form_u(lam_val, xi_val, n, exact)
-    nabla = closed_form_nabla(lam_val, xi_val, n, exact)
-    ops = closed_form_riemann(lam_val, xi_val, n, exact)
-    ric = closed_form_ricci(lam_val, xi_val, n, exact)
-    if not exact:
-        scale = max(1.0, float(np.max(np.abs(ric))))
-        ric = _snap_zeros(ric, scale)
-    flat = is_flat(ops, 0.0 if exact else DEFAULT_TOL)
-    einstein = einstein_test(ric)
-    soliton = soliton_certificate(lam_val, xi_val, n, ric, exact)
-    spectrum = ricci_spectrum(lam_val, xi_val, n, ric, exact)
-    if not exact:  # einstein is ric[0, 0], already snapped
-        if soliton is not None:
-            c = float(_snap_zeros(soliton[0], scale))
-            soliton = (c, _snap_zeros(ric - c * np.eye(n), scale))
-        spectrum = _snap_zeros(spectrum, scale).tolist()
-    return CurvatureReport(
+    xi_val, lam_val = xi_exact(key), QSqrt3(int(lam))
+    ops = closed_form_riemann(lam_val, xi_val, n)
+    ric = closed_form_ricci(lam_val, xi_val, n)
+    report = CurvatureReport(
         lam=int(lam),
         xi_key=key,
         n=n,
-        backend=backend,
-        u=u,
-        nabla=nabla,
+        backend=EXACT,
+        u=closed_form_u(lam_val, xi_val, n),
+        nabla=closed_form_nabla(lam_val, xi_val, n),
         riemann_ops=ops,
         ric=ric,
-        flat=flat,
-        einstein=einstein,
-        soliton=soliton,
-        spectrum=spectrum,
+        flat=is_flat(ops, 0.0),
+        einstein=einstein_test(ric),
+        soliton=soliton_certificate(lam_val, xi_val, n, ric),
+        spectrum=ricci_spectrum(lam_val, xi_val, n, ric),
+    )
+    if backend == EXACT:
+        return report
+    c_d = report.soliton
+    return replace(
+        report,
+        backend=backend,
+        u=BilinearTable(report.u.values.astype(float)),
+        nabla=BilinearTable(report.nabla.values.astype(float)),
+        riemann_ops={ij: op.astype(float) for ij, op in ops.items()},
+        ric=ric.astype(float),
+        einstein=None if report.einstein is None else float(report.einstein),
+        soliton=None if c_d is None else (float(c_d[0]), c_d[1].astype(float)),
+        spectrum=[float(x) for x in report.spectrum],
     )

@@ -293,25 +293,44 @@ def metric_to_json(metric: Metric) -> dict:
     return {"n": metric.n, "gram": gram, "backend": metric.backend}
 
 
-def metric_from_json(data: dict) -> Metric:
+def _json_entry(x, backend: str, where: str):
+    """One gram entry read from JSON; ValueError naming the entry if unusable."""
     try:
-        n = int(data["n"])
+        if backend == EXACT:
+            value = x if isinstance(x, QSqrt3) else QSqrt3.parse(str(x))
+        else:
+            value = float(x)
+        finite = math.isfinite(float(value))
+    except ZeroDivisionError:
+        raise ValueError(f"{where} = {x!r} has a zero denominator") from None
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"{where} = {x!r} is not a valid {backend} entry: {exc}") from None
+    if not finite:
+        raise ValueError(f"{where} = {x!r} is not a finite number")
+    return value
+
+
+def metric_from_json(data: dict) -> Metric:
+    """Read a metric from parsed JSON; every fault in the input is a ValueError."""
+    try:
+        n = data["n"]
         backend = data["backend"]
         rows = data["gram"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed metric JSON: {exc}") from exc
+    if type(n) is not int:
+        raise ValueError(f"n = {n!r} is not an integer")
     if backend not in (EXACT, APPROX):
         raise ValueError(f"unknown backend {backend!r}")
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError("gram shape does not match n")
-    if backend == EXACT:
-        parsed = [
-            [x if isinstance(x, QSqrt3) else QSqrt3.parse(str(x)) for x in row]
-            for row in rows
-        ]
-        gram = exact_array(parsed)
-    else:
-        gram = np.array(rows, dtype=float)
+    if not isinstance(rows, list) or len(rows) != n or any(
+        not isinstance(r, list) or len(r) != n for r in rows
+    ):
+        raise ValueError(f"gram must be n = {n} rows of {n} entries")
+    parsed = [
+        [_json_entry(x, backend, f"gram[{i}][{j}]") for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    gram = exact_array(parsed) if backend == EXACT else np.array(parsed, dtype=float)
     metric = Metric(gram=gram, backend=backend)
     _check_symmetric(gram, DEFAULT_TOL)
     return metric

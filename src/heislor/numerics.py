@@ -213,9 +213,6 @@ class QSqrt3:
             e >>= 1
         return out
 
-    def conjugate(self) -> "QSqrt3":
-        return _make(self._p, -self._q, self._d)
-
     # -- order structure ---------------------------------------------------
 
     def is_zero(self) -> bool:

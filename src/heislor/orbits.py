@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from ._linalg import rank_rows, unit_conjugator
 from .curvature import closed_form_riemann, is_flat
-from .liealg import aut_pattern
+from .liealg import DimensionTooSmall, aut_pattern
 from .metrics import (
     CANONICAL_PAIRS,
     Metric,
@@ -220,9 +222,9 @@ class CurveEvidence:
     samples: tuple[tuple[float, tuple[int, str], tuple[str, ...]], ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegenerationGraph:
-    """Directed closure relations among the six orbits with evidence.
+    """Directed closure relations among the six orbits with evidence, read-only.
 
     edges maps (source, target) to an evidence tag ("curve:X" or
     "transitive"); non_edges maps every other ordered pair to its
@@ -230,11 +232,11 @@ class DegenerationGraph:
     """
 
     n: int
-    nodes: list[tuple[int, str]]
-    edges: dict[tuple, str]
-    non_edges: dict[tuple, str]
-    evidence: dict[str, CurveEvidence] = field(default_factory=dict)
-    codimensions: dict[tuple, int] = field(default_factory=dict)
+    nodes: tuple[tuple[int, str], ...]
+    edges: Mapping[tuple, str]
+    non_edges: Mapping[tuple, str]
+    evidence: Mapping[str, CurveEvidence]
+    codimensions: Mapping[tuple, int]
 
     def outgoing(self, node: tuple[int, str]) -> list[tuple[int, str]]:
         return [dst for (src, dst) in self.edges if src == node]
@@ -295,11 +297,12 @@ def _signature_jump(src_sigs, dst_sigs) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
 def degeneration_graph(n: int) -> DegenerationGraph:
-    """Recompute the closure diagram from curves and obstructions."""
+    """Recompute the closure diagram from curves and obstructions, once per n."""
     if n < 4:
-        raise ValueError("need n >= 4")
-    nodes = list(CANONICAL_PAIRS)
+        raise DimensionTooSmall(f"need n >= 4, got {n}")
+    nodes = CANONICAL_PAIRS
     codims = {pair: codimension(pair[0], pair[1], n) for pair in nodes}
 
     edges: dict[tuple, str] = {}
@@ -353,25 +356,20 @@ def degeneration_graph(n: int) -> DegenerationGraph:
     graph = DegenerationGraph(
         n=n,
         nodes=nodes,
-        edges=edges,
-        non_edges=non_edges,
-        evidence=evidence,
-        codimensions=codims,
+        edges=MappingProxyType(edges),
+        non_edges=MappingProxyType(non_edges),
+        evidence=MappingProxyType(evidence),
+        codimensions=MappingProxyType(codims),
     )
     if not graph.is_acyclic():
         raise EvidenceFailure("degeneration edges do not strictly increase codimension")
     return graph
 
 
-@lru_cache(maxsize=None)
-def _graph_cached(n: int) -> DegenerationGraph:
-    return degeneration_graph(n)
-
-
 def is_closed(lam: int, xi, n: int = 4) -> bool:
     """True when the orbit has no outgoing degeneration; cross-checked as flat."""
     key = _check_pair(lam, xi)
-    closed = not _graph_cached(n).outgoing((int(lam), key))
+    closed = not degeneration_graph(n).outgoing((int(lam), key))
     flat = is_flat(closed_form_riemann(QSqrt3(int(lam)), xi_exact(key), n), 0.0)
     if closed != flat:
         raise EvidenceFailure(

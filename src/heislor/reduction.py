@@ -27,7 +27,7 @@ from ._linalg import (
     shared_minkowski_gram,
     to_float,
 )
-from .liealg import hprime_pattern
+from .liealg import DimensionTooSmall, hprime_pattern
 from .metrics import (
     CANONICAL_PAIRS,
     Metric,
@@ -334,7 +334,7 @@ def _reduce_lambda0(builder: _Builder) -> None:
     builder.snap(np.eye(n))
 
 
-def _reduce_to_t(builder: _Builder, lam: int, tol: float) -> float:
+def _reduce_to_t(builder: _Builder, lam: int) -> float:
     """Peel the matrix down to I + t E_(n-1,1) - lam E_(n,1) with t >= 0."""
     n = builder.n
     cur = builder.current
@@ -620,7 +620,7 @@ def reduce_to_t(
     g = to_float(np.asarray(g))
     _check_g_lambda(g, lam, tol)
     builder = _Builder(g)
-    t = _reduce_to_t(builder, lam, tol)
+    t = _reduce_to_t(builder, lam)
     return t, builder.witness(builder.current)
 
 
@@ -685,6 +685,8 @@ def _block_signature(block: np.ndarray, tol: float) -> tuple[SignatureTriple, bo
 def classify_by_invariants(metric: Metric, tol: float = DEFAULT_TOL) -> CanonicalForm:
     """Classify via restricted signatures alone (no group elements)."""
     n = metric.n
+    if n < 4:
+        raise DimensionTooSmall(f"need n >= 4, got {n}")
     full = signature_of(metric.gram, tol)
     if full.as_tuple() != (n - 1, 1, 0):
         raise WrongSignature(f"signature {full.as_tuple()} unsupported; expected (n-1, 1, 0)")
@@ -746,14 +748,17 @@ def classify(
     Returns the class, the scale k making k*M pseudo-orthonormalizable on
     the canonical frame, and the witness chain.  The result is cross-checked
     against the restricted-signature classifier.  Raises AmbiguousNearWall
-    when t falls between SNAP_LIMIT and WALL_BAND of a wall.
+    when t falls between SNAP_LIMIT and WALL_BAND of a wall, and
+    DimensionTooSmall for n < 4.
     """
+    n = metric.n
+    if n < 4:
+        raise DimensionTooSmall(f"need n >= 4, got {n}")
     approx = metric.to_approx()
     # validates the Lorentzian signature; the scale of M is not part of its
     # class, so the reduction runs on M / 4^e (retry factors have |det| = 1)
     base_m, prescale = _factor_metric(approx, tol)
     inv_form, inv_flags = classify_by_invariants_flagged(metric, tol)
-    n = metric.n
     last_error: Exception | None = None
     for attempt in range(MAX_RETRIES + 1):
         m = base_m if attempt == 0 else base_m @ _retry_factor(n, attempt)
@@ -764,7 +769,7 @@ def classify(
                 _reduce_lambda0(builder)
                 xi_key = "0"
             else:
-                t = _reduce_to_t(builder, lam, tol)
+                t = _reduce_to_t(builder, lam)
                 if t > T_RETRY_MAX:  # the scale is gone: only the chart makes t this large
                     if attempt < MAX_RETRIES:
                         continue

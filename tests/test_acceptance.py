@@ -12,7 +12,8 @@ report when run with `pytest -s tests/test_acceptance.py`.
  5. Ricci spectra of the corner block, exact
  6. codimension table + stabilizer rank oracle + derivation dimension
  7. degeneration diagram: six direct edges, obstructed non-edges, flat sink
- 8. certified bisection residuals for the two root equations
+ 8. the closed-form lam=2 root that classify runs, certified against its
+    two root equations (residual <= 1e-12, spot checks at t = 0 and 2)
  9. witness soundness for every witness from criterion 1
 """
 

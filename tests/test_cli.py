@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heislor
 from heislor.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, main
 from heislor.liealg import aut_pattern
 from heislor.metrics import (
@@ -321,3 +326,87 @@ def test_self_check_failures_exit_check_failed(argv, patched, error, monkeypatch
     assert main(argv) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
     assert captured.err == "error: recomputation disagrees\n" and captured.out == ""
+
+
+_MINKOWSKI_4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
+
+
+def _exact_with(entry):
+    gram = [[str(x) for x in row] for row in _MINKOWSKI_4]
+    gram[0][0] = entry
+    return json.dumps({"n": 4, "backend": "exact", "gram": gram})
+
+
+def _approx(n=4, gram=_MINKOWSKI_4):
+    return json.dumps({"n": n, "backend": "approx", "gram": gram})
+
+
+#: --input contents that must end in exit 2, and a word the error must name;
+#: None stands for a missing file, "" for a directory
+BAD_INPUTS = {
+    "missing-file": (None, "No such file"),
+    "directory": ("", "directory"),
+    "gram-not-rows": (_approx(gram=5), "gram"),
+    "gram-ragged": (_approx(gram=[[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, -1]]), "gram"),
+    "zero-denominator": (_exact_with("1/0"), "gram[0][0]"),
+    "exact-beyond-float": (_exact_with("1e400"), "gram[0][0]"),
+    "nan-entry": (_approx().replace("1, 0, 0, 0]", "NaN, 0, 0, 0]", 1), "gram[0][0]"),
+    "infinite-entry": (_approx().replace("1, 0, 0, 0]", "1e400, 0, 0, 0]", 1), "gram[0][0]"),
+    "entry-not-a-number": (_approx(gram=[[{}, 0, 0, 0], *_MINKOWSKI_4[1:]]), "gram[0][0]"),
+    "n-not-integer": (_approx(n=4.7), "n = 4.7"),
+    "n1": (_approx(n=1, gram=[[-1]]), "n >= 4"),
+    "n2": (_approx(n=2, gram=[[1, 0], [0, -1]]), "n >= 4"),
+    "n3-center-timelike": (_approx(n=3, gram=[[1, 0, 0], [0, -1, 0], [0, 0, 1]]), "n >= 4"),
+    "n3-minkowski": (_approx(n=3, gram=[[1, 0, 0], [0, 1, 0], [0, 0, -1]]), "n >= 4"),
+}
+
+
+@pytest.mark.parametrize("text, named", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_classify_bad_input_exits_bad_input(text, named, tmp_path, capsys):
+    path = tmp_path / "metric.json"
+    if text == "":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text)
+    assert main(["classify", "--input", str(path)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_missing_input_exit_status_of_the_process(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(heislor.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "heislor.cli", "classify", "--input", str(tmp_path / "absent.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_BAD_INPUT
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_samples_below_one(samples, capsys):
+    assert main(["verify", "--n-min", "4", "--n-max", "4", "--samples", samples]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: need --samples >= 1, got {samples}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["curvature", "--lambda", "1", "--xi", "0", "--n", "3"],
+                                  ["orbits", "--n", "3"]])
+def test_small_n_report_is_bad_input(argv, capsys):
+    assert main(argv) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: need n >= 4, got 3\n"
+
+
+def test_broken_pipe_exits_ok_quietly(monkeypatch, capsys):
+    monkeypatch.setattr("heislor.cli.degeneration_graph", _raise(BrokenPipeError()))
+    assert main(["orbits", "--n", "4"]) == EXIT_OK
+    assert capsys.readouterr() == ("", "")
+
+
+def test_untyped_error_keeps_its_traceback(monkeypatch):
+    # only the typed errors of the exit-code table are mapped; a bug propagates
+    monkeypatch.setattr("heislor.cli.degeneration_graph", _raise(ZeroDivisionError("bug")))
+    with pytest.raises(ZeroDivisionError, match="bug"):
+        main(["orbits", "--n", "4"])

@@ -382,6 +382,28 @@ def test_approx_report_matches_exact_with_clean_zeros(pair, n):
             assert got == 0.0 and math.copysign(1.0, got) == 1.0  # +0.0, never -0.0
 
 
+@pytest.mark.parametrize("n", (4, 5, 6, 8))
+@pytest.mark.parametrize("pair", CANONICAL_PAIRS)
+def test_approx_report_is_the_exact_report_rounded_once(pair, n):
+    exact = curvature_report(pair[0], pair[1], n)
+    approx = curvature_report(pair[0], pair[1], n, backend="approx")
+    tables = [(exact.u.values, approx.u.values), (exact.nabla.values, approx.nabla.values)]
+    tables += [(op, approx.riemann_ops[ij]) for ij, op in exact.riemann_ops.items()]
+    tables += [(exact.ric, approx.ric), (exact.soliton[1], approx.soliton[1])]
+    scalars = [(exact.soliton[0], approx.soliton[0]), *zip(exact.spectrum, approx.spectrum)]
+    if exact.einstein is not None:
+        scalars.append((exact.einstein, approx.einstein))
+    want = [float(x) for table, _ in tables for x in table.reshape(-1)]
+    want += [float(x) for x, _ in scalars]
+    got = [y for _, table in tables for y in table.reshape(-1).tolist()]
+    got += [y for _, y in scalars]
+    assert all(type(y) is float for y in got)
+    assert got == want
+    assert len(exact.spectrum) == len(approx.spectrum)
+    assert (approx.flat, approx.backend) == (exact.flat, "approx")
+    assert (approx.einstein is None) == (exact.einstein is None)
+
+
 def test_u_map_validates_frame_gram():
     from heislor.curvature import FrameNotPseudoOrthonormal
 

@@ -240,3 +240,48 @@ def test_orbit_report_invariant_identities(n):
         assert r.stab_dim == 1 + (n - 4) * (n - 5) // 2 + r.dim_u + r.dim_w
         assert r.codim >= 0
         assert r.closed == ((lam, key) == (1, "0"))
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """The n of every degeneration graph built from here on, starting from an empty cache."""
+    builds = []
+    real = orbits.DegenerationGraph
+
+    def counted(**fields):
+        builds.append(fields["n"])
+        return real(**fields)
+
+    monkeypatch.setattr(orbits, "DegenerationGraph", counted)
+    orbits.degeneration_graph.cache_clear()
+    yield builds
+    orbits.degeneration_graph.cache_clear()
+
+
+def test_orbits_command_builds_one_graph(graph_builds):
+    from heislor.cli import EXIT_OK, main
+
+    assert main(["orbits", "--n", "5", "--format", "json"]) == EXIT_OK
+    assert graph_builds == [5]
+
+
+def test_degeneration_check_builds_one_graph_per_n(graph_builds):
+    from heislor.verification import check_degeneration_graph
+
+    assert check_degeneration_graph((4, 5, 6)).passed
+    assert graph_builds == [4, 5, 6]
+
+
+def test_shared_graph_is_read_only():
+    import dataclasses
+
+    graph = degeneration_graph(4)
+    assert graph is degeneration_graph(4)
+    with pytest.raises(TypeError):
+        graph.edges[((1, "0"), (0, "0"))] = "curve:Z"
+    with pytest.raises(TypeError):
+        graph.codimensions[(1, "0")] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        graph.nodes = ()
+    assert isinstance(graph.nodes, tuple)
+    assert ((1, "0"), (0, "0")) not in graph.edges

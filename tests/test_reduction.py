@@ -467,6 +467,24 @@ def test_classify_rejects_wrong_signature():
         classify(Metric(gram=np.eye(5), backend=APPROX))
 
 
+#: Lorentzian grams below the paper's range: at n = 3 there are three classes, not six
+SMALL_N_GRAMS = {
+    "n1": [[-1.0]],
+    "n2": [[1.0, 0.0], [0.0, -1.0]],
+    "n3-center-timelike": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
+    "n3-minkowski": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]],
+}
+
+
+@pytest.mark.parametrize("gram", SMALL_N_GRAMS.values(), ids=SMALL_N_GRAMS)
+@pytest.mark.parametrize("classifier", [classify, classify_by_invariants])
+def test_classifiers_refuse_n_below_four(classifier, gram):
+    from heislor.liealg import DimensionTooSmall
+
+    with pytest.raises(DimensionTooSmall, match="need n >= 4"):
+        classifier(Metric(gram=np.array(gram), backend=APPROX))
+
+
 def test_invariant_classifier_table_rows():
     expectations = {
         (2, "sqrt3"): ((2, 0, 1), (1, 0, 0)),
