@@ -30,9 +30,7 @@ def exact_array(rows) -> np.ndarray:
 
 
 def exact_zeros(shape) -> np.ndarray:
-    arr = np.empty(shape, dtype=object)
-    arr.reshape(-1)[:] = [QSqrt3(0)] * arr.size
-    return arr
+    return np.full(shape, QSqrt3(0), dtype=object)
 
 
 def exact_eye(n: int) -> np.ndarray:

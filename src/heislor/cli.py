@@ -21,8 +21,8 @@ import sys
 from .liealg import DimensionTooSmall
 from .metrics import CANONICAL_PAIRS, canonical_json, metric_from_json, xi_key_of
 from .numerics import APPROX, DEFAULT_TOL, EXACT
-from .curvature import curvature_report
-from .orbits import EvidenceFailure, OracleMismatch, degeneration_graph, orbit_report
+from .curvature import EvidenceFailure, curvature_report
+from .orbits import OracleMismatch, degeneration_graph, orbit_report
 from .reduction import (
     ClassificationMismatch,
     NumericalBreakdown,

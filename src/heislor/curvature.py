@@ -7,9 +7,14 @@ Every quantity is computed in a pseudo-orthonormal frame x_1, ..., x_n with
     [x_2, x_(n-1)] = xi (lam x_1 - x_n),
     [x_2, x_n] = lam (lam x_1 - x_n).
 
-Two independent code paths produce the component tables: a generic pipeline
-driven purely by structure constants, and hard-coded closed forms in
-(lam, xi).  Tests require them to agree exactly on the exact backend.
+Curvature is exact only, over Q(sqrt3); the approx report is the exact one
+rounded once.  Two independent code paths produce the component tables, and
+tests require them to agree exactly: hard-coded closed forms in (lam, xi), and
+a generic route driven purely by structure constants (Koszul formula; Milnor,
+Adv. Math. 21, 1976).  The generic route loops over nonzero terms only: it
+keeps brackets, connection and curvature columns as sparse rows
+{(i, j): {k: QSqrt3}}, drops an entry that cancels, and builds dense tables
+once at the end.
 
 The middle frame directions x_3, ..., x_(n-2) are inert; every table is
 supported on the corner coordinates (1, 2, n-1, n).
@@ -17,14 +22,14 @@ supported on the corner coordinates (1, 2, n-1, n).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import exact_eye, exact_zeros, rref_rows, to_float, unit_conjugator
-from .liealg import _derivation_vectors, derivation_basis
+from ._linalg import _subtract, exact_eye, exact_zeros, max_abs, rref_rows, to_float, unit_conjugator
+from .liealg import _derivation_vectors
 from .metrics import CANONICAL_PAIRS, NotARepresentative, shear_matrix, xi_exact, xi_key_of
 from .numerics import DEFAULT_TOL, EXACT, QSqrt3
 
@@ -35,39 +40,34 @@ class FrameNotPseudoOrthonormal(ValueError):
     """The U-map needs a frame with <x_i, x_j> = eps_i delta_ij."""
 
 
+class EvidenceFailure(RuntimeError):
+    """A recomputation that certifies a table failed."""
+
+
+def _exact_only(exact: bool) -> None:
+    """Refuse exact=False, kept as a keyword only for existing callers."""
+    if not exact:
+        raise ValueError("curvature is exact only; round the exact report instead")
+
+
 def frame_signs(n: int) -> list[int]:
     """eps_i for the Lorentzian frame: all +1 except the last."""
     return [1] * (n - 1) + [-1]
 
 
-def _zeros(shape, exact: bool) -> np.ndarray:
-    return exact_zeros(shape) if exact else np.zeros(shape)
-
-
-def _is_zero(x) -> bool:
-    return x.is_zero() if isinstance(x, QSqrt3) else x == 0.0
-
-
-def frame_brackets(lam, xi, n: int, exact: bool = True) -> np.ndarray:
+def frame_brackets(lam, xi, n: int) -> np.ndarray:
     """Structure constants C[i, j] = coordinates of [x_i, x_j] in the frame."""
-    if exact:
-        lam = QSqrt3.coerce(lam)
-        xi = QSqrt3.coerce(xi)
-        one = QSqrt3(1)
-    else:
-        lam, xi, one = float(lam), float(xi), 1.0
-    c = _zeros((n, n, n), exact)
+    lam, xi = QSqrt3.coerce(lam), QSqrt3.coerce(xi)
+    c = exact_zeros((n, n, n))
     # (i, j, coefficient of x_1, coefficient of x_n)
     relations = (
-        (0, 1, -lam, one),
+        (0, 1, -lam, QSqrt3(1)),
         (1, n - 2, xi * lam, -xi),
         (1, n - 1, lam * lam, -lam),
     )
     for i, j, first, last in relations:
-        c[i, j, 0] = first
-        c[i, j, n - 1] = last
-        c[j, i, 0] = -first
-        c[j, i, n - 1] = -last
+        c[i, j, 0], c[i, j, n - 1] = first, last
+        c[j, i, 0], c[j, i, n - 1] = -first, -last
     return c
 
 
@@ -78,6 +78,90 @@ class BilinearTable:
     values: np.ndarray = field(repr=False)
 
 
+# -- the generic route on sparse rows --------------------------------------------
+
+
+def _rows(table: np.ndarray) -> dict:
+    """The nonzero entries of a table as sparse rows {index[:-1]: {index[-1]: value}}."""
+    out: dict = {}
+    for *key, k in zip(*(idx.tolist() for idx in np.nonzero(table))):
+        out.setdefault(tuple(key), {})[k] = table[(*key, k)]
+    return out
+
+
+def _dense(rows: dict, shape: tuple[int, ...]) -> np.ndarray:
+    out = exact_zeros(shape)
+    for key, row in rows.items():
+        for k, x in row.items():
+            out[(*key, k)] = x
+    return out
+
+
+def _u_terms(br: dict, eps: list[int]) -> dict:
+    """2 U(x_i, x_j)_k = eps_k (eps_j C[k, i, j] + eps_i C[k, j, i]), term by term.
+
+    A term C[k, p, q] = c enters both U(x_p, x_q)_k and U(x_q, x_p)_k with
+    eps_k eps_q c / 2.
+    """
+    u: defaultdict[tuple[int, int], Counter] = defaultdict(Counter)
+    for (k, p), row in br.items():
+        for q, c in row.items():
+            x = c * HALF if eps[k] == eps[q] else c * -HALF
+            u[p, q][k] += x
+            u[q, p][k] += x
+    return {key: {k: x for k, x in row.items() if x} for key, row in u.items()}
+
+
+def _nabla_terms(u: dict, br: dict) -> dict:
+    """nabla_(x_i) x_j = (1/2)[x_i, x_j] + U(x_i, x_j)."""
+    nabla = {key: dict(row) for key, row in u.items()}
+    for key, row in br.items():
+        _subtract(nabla.setdefault(key, {}), -HALF, row)
+    return nabla
+
+
+def _riemann_terms(nabla: dict, br: dict, n: int) -> dict:
+    """R(x_i, x_j) x_k = nabla_i nabla_j x_k - nabla_j nabla_i x_k - nabla_[x_i, x_j] x_k.
+
+    With nabla_i v = sum_l v_l nabla_i x_l, each column is a sum over the
+    nonzero entries of nabla_j x_k, nabla_i x_k and [x_i, x_j] only.  Returns
+    the nonzero columns as {(i, j, k): column} for i < j.
+    """
+    empty: dict = {}
+    ops = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            bracket = br.get((i, j), empty)
+            for k in range(n):
+                col: dict[int, QSqrt3] = {}
+                for l, f in nabla.get((j, k), empty).items():
+                    _subtract(col, -f, nabla.get((i, l), empty))
+                for l, f in nabla.get((i, k), empty).items():
+                    _subtract(col, f, nabla.get((j, l), empty))
+                for l, f in bracket.items():
+                    _subtract(col, f, nabla.get((l, k), empty))
+                if col:
+                    ops[i, j, k] = col
+    return ops
+
+
+def _ricci_terms(ops: dict, eps: list[int]) -> dict:
+    """Ric(x_j) = sum_i eps_i R(x_j, x_i) x_i as columns {(j,): Ric(x_j)}."""
+    ric: dict = {}
+    for (i, j, k), col in ops.items():
+        if k == j:
+            _subtract(ric.setdefault((i,), {}), -eps[j], col)
+        elif k == i:  # R(x_j, x_i) = -R(x_i, x_j)
+            _subtract(ric.setdefault((j,), {}), eps[i], col)
+    return ric
+
+
+def _operators(ops: dict, n: int) -> dict[tuple[int, int], np.ndarray]:
+    """Dense R(x_i, x_j) for every i < j from the columns {(i, j, k): R(x_i, x_j) x_k}."""
+    full = _dense(ops, (n, n, n, n))  # full[i, j, k] is column k, hence the transpose
+    return {(i, j): full[i, j].T for i in range(n) for j in range(i + 1, n)}
+
+
 def u_map(
     brackets: np.ndarray, eps: list[int], frame_gram: np.ndarray | None = None
 ) -> BilinearTable:
@@ -86,107 +170,66 @@ def u_map(
     The components are read off using the frame signs eps_i, which assumes a
     pseudo-orthonormal frame; pass frame_gram to have that assumption checked.
     """
-    n = len(eps)
     if frame_gram is not None:
         expected = np.diag(np.asarray(eps, dtype=float))
         if np.max(np.abs(to_float(frame_gram) - expected)) > DEFAULT_TOL:
             raise FrameNotPseudoOrthonormal("frame gram is not diag(eps)")
-    exact = brackets.dtype == object
-    half = HALF if exact else 0.5
-    u = _zeros((n, n, n), exact)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                val = eps[j] * brackets[k, i, j] + eps[i] * brackets[k, j, i]
-                if not _is_zero(val):
-                    u[i, j, k] = (eps[k] * half) * val
-    return BilinearTable(values=u)
+    return BilinearTable(values=_dense(_u_terms(_rows(brackets), eps), brackets.shape))
 
 
 def levi_civita(u: BilinearTable, brackets: np.ndarray) -> BilinearTable:
     """nabla_(x_i) x_j = (1/2)[x_i, x_j] + U(x_i, x_j)."""
-    half = HALF if brackets.dtype == object else 0.5
-    return BilinearTable(values=u.values + half * brackets)
-
-
-def _nabla_vec(nabla: np.ndarray, i: int, v: np.ndarray) -> np.ndarray:
-    """Covariant derivative in direction x_i of a coordinate vector."""
-    n = nabla.shape[0]
-    out = _zeros(n, nabla.dtype == object)
-    for l in range(n):
-        if not _is_zero(v[l]):
-            out = out + v[l] * nabla[i, l]
-    return out
+    nabla = _nabla_terms(_rows(u.values), _rows(brackets))
+    return BilinearTable(values=_dense(nabla, brackets.shape))
 
 
 def riemann(
     nabla_table: BilinearTable, brackets: np.ndarray
 ) -> dict[tuple[int, int], np.ndarray]:
     """Curvature operators R(x_i, x_j) = [nabla_i, nabla_j] - nabla_[x_i, x_j]."""
-    nabla = nabla_table.values
-    n = nabla.shape[0]
-    exact = nabla.dtype == object
-    ops: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            op = _zeros((n, n), exact)
-            for k in range(n):
-                col = _nabla_vec(nabla, i, nabla[j, k]) - _nabla_vec(nabla, j, nabla[i, k])
-                for l in range(n):
-                    if not _is_zero(brackets[i, j, l]):
-                        col = col - brackets[i, j, l] * nabla[l, k]
-                op[:, k] = col
-            ops[(i, j)] = op
-    return ops
-
-
-def riemann_apply(ops: dict, i: int, j: int, k: int) -> np.ndarray:
-    """R(x_i, x_j) x_k with the antisymmetry filled in."""
-    some = next(iter(ops.values()))
-    if i == j:
-        return _zeros(some.shape[0], some.dtype == object)
-    if (i, j) in ops:
-        return ops[(i, j)][:, k]
-    return -ops[(j, i)][:, k]
+    n = brackets.shape[0]
+    return _operators(_riemann_terms(_rows(nabla_table.values), _rows(brackets), n), n)
 
 
 def ricci(ops: dict, eps: list[int]) -> np.ndarray:
     """Ricci operator: Ric(x_j) = sum_i eps_i R(x_j, x_i) x_i."""
-    n = len(eps)
-    exact = next(iter(ops.values())).dtype == object
-    a = _zeros((n, n), exact)
-    for j in range(n):
-        col = _zeros(n, exact)
-        for i in range(n):
-            if i != j:
-                col = col + eps[i] * riemann_apply(ops, j, i, i)
-        a[:, j] = col
-    return a
+    columns = {ij + k: col for ij, op in ops.items() for k, col in _rows(op.T).items()}
+    return _dense(_ricci_terms(columns, eps), (len(eps),) * 2).T
 
 
 def generic_curvature(lam, xi, n: int, exact: bool = True):
-    """Full pipeline from structure constants alone; the oracle code path."""
-    brackets = frame_brackets(lam, xi, n, exact)
+    """Full pipeline from structure constants alone; the oracle code path.
+
+    Returns (brackets, U, nabla, {(i, j): R(x_i, x_j)}, Ric), each dense.
+    """
+    _exact_only(exact)
+    brackets = frame_brackets(lam, xi, n)
     eps = frame_signs(n)
-    u = u_map(brackets, eps)
-    nabla = levi_civita(u, brackets)
-    ops = riemann(nabla, brackets)
-    ric = ricci(ops, eps)
-    return brackets, u, nabla, ops, ric
+    br = _rows(brackets)
+    u = _u_terms(br, eps)
+    nabla = _nabla_terms(u, br)
+    ops = _riemann_terms(nabla, br, n)
+    return (
+        brackets,
+        BilinearTable(values=_dense(u, brackets.shape)),
+        BilinearTable(values=_dense(nabla, brackets.shape)),
+        _operators(ops, n),
+        _dense(_ricci_terms(ops, eps), (n, n)).T,
+    )
 
 
 # -- closed-form component tables ---------------------------------------------
 
 
-def _scal(x, exact: bool):
-    return QSqrt3.coerce(x) if exact else float(x)
+def _scalars(lam, xi) -> tuple[QSqrt3, QSqrt3, QSqrt3, QSqrt3]:
+    """(lam, xi, 1, 1/2) in Q(sqrt3), the closed forms' scalars."""
+    return QSqrt3.coerce(lam), QSqrt3.coerce(xi), QSqrt3(1), HALF
 
 
-def closed_form_u(lam, xi, n: int, exact: bool = True) -> BilinearTable:
+def closed_form_u(lam, xi, n: int) -> BilinearTable:
     """Hard-coded symmetric U components on the corner coordinates."""
-    u = _zeros((n, n, n), exact)
-    lam, xi, one = _scal(lam, exact), _scal(xi, exact), _scal(1, exact)
-    half = HALF if exact else 0.5
+    u = exact_zeros((n, n, n))
+    lam, xi, one, half = _scalars(lam, xi)
     a, b, c, d = 0, 1, n - 2, n - 1
 
     def put(i, j, entries):
@@ -204,11 +247,10 @@ def closed_form_u(lam, xi, n: int, exact: bool = True) -> BilinearTable:
     return BilinearTable(values=u)
 
 
-def closed_form_nabla(lam, xi, n: int, exact: bool = True) -> BilinearTable:
+def closed_form_nabla(lam, xi, n: int) -> BilinearTable:
     """Hard-coded connection components on the corner coordinates."""
-    nb = _zeros((n, n, n), exact)
-    lam, xi, one = _scal(lam, exact), _scal(xi, exact), _scal(1, exact)
-    half = HALF if exact else 0.5
+    nb = exact_zeros((n, n, n))
+    lam, xi, one, half = _scalars(lam, xi)
     a, b, c, d = 0, 1, n - 2, n - 1
     lam2 = lam * lam
 
@@ -233,13 +275,11 @@ def closed_form_nabla(lam, xi, n: int, exact: bool = True) -> BilinearTable:
     return BilinearTable(values=nb)
 
 
-def closed_form_riemann(
-    lam, xi, n: int, exact: bool = True
-) -> dict[tuple[int, int], np.ndarray]:
+def closed_form_riemann(lam, xi, n: int) -> dict[tuple[int, int], np.ndarray]:
     """Hard-coded curvature operators on the corner coordinates."""
     a, b, c, d = 0, 1, n - 2, n - 1
-    lam, xi, one = _scal(lam, exact), _scal(xi, exact), _scal(1, exact)
-    quarter = HALF * HALF if exact else 0.25
+    lam, xi, one, half = _scalars(lam, xi)
+    quarter = half * half
     lam2, xi2 = lam * lam, xi * xi
     m = lam2 - one
     p = lam2 * lam2 - lam2 * (xi2 - 2 * one) - 3 * one
@@ -250,7 +290,7 @@ def closed_form_riemann(
     ops: dict[tuple[int, int], np.ndarray] = {}
 
     def op(i, j, columns):
-        table = _zeros((n, n), exact)
+        table = exact_zeros((n, n))
         for k, entries in columns.items():
             for l, v in entries:
                 table[l, k] = quarter * v
@@ -294,12 +334,12 @@ def closed_form_riemann(
 
 def closed_form_ricci(lam, xi, n: int, exact: bool = True) -> np.ndarray:
     """Hard-coded Ricci operator matrix on the corner coordinates."""
+    _exact_only(exact)
     a, b, c, d = 0, 1, n - 2, n - 1
-    lam, xi, one = _scal(lam, exact), _scal(xi, exact), _scal(1, exact)
-    half = HALF if exact else 0.5
+    lam, xi, one, half = _scalars(lam, xi)
     lam2, xi2 = lam * lam, xi * xi
     m = lam2 - one
-    ric = _zeros((n, n), exact)
+    ric = exact_zeros((n, n))
     ric[a, a] = -half * (lam2 * lam2 - lam2 * xi2 - one)
     ric[c, a] = -half * xi * m
     ric[d, a] = half * (2 * lam2 * lam - lam * (xi2 + 2 * one))
@@ -318,47 +358,25 @@ def closed_form_ricci(lam, xi, n: int, exact: bool = True) -> np.ndarray:
 
 def is_flat(ops: dict, tol: float = DEFAULT_TOL) -> bool:
     """True when every curvature operator vanishes."""
-    worst = 0.0
-    for op in ops.values():
-        if op.size:
-            worst = max(worst, float(np.max(np.abs(to_float(op)))))
-    return worst <= tol
+    return all(max_abs(op) <= tol for op in ops.values())
 
 
-def einstein_test(ric: np.ndarray, tol: float = DEFAULT_TOL):
+def einstein_test(ric: np.ndarray):
     """The scalar c with Ric = c * id, or None."""
-    n = ric.shape[0]
-    if ric.dtype == object:
-        c = ric[0, 0]
-        for i in range(n):
-            for j in range(n):
-                expected = c if i == j else QSqrt3(0)
-                if ric[i, j] != expected:
-                    return None
-        return c
-    c = float(ric[0, 0])
-    scale = max(1.0, float(np.max(np.abs(ric))))
-    if np.max(np.abs(ric - c * np.eye(n))) <= tol * scale:
-        return c
-    return None
+    c = ric[0, 0]
+    scalar = all(x == (c if i == j else 0) for (i, j), x in np.ndenumerate(ric))
+    return c if scalar else None
 
 
 def derivation_identity_residual(d: np.ndarray, brackets: np.ndarray) -> float:
     """Max deviation of D from the Leibniz rule on the frame brackets."""
     n = d.shape[0]
-    exact = d.dtype == object and brackets.dtype == object
     worst = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = d @ brackets[i, j]
-            rhs = _zeros(n, exact)
-            for l in range(n):
-                if not _is_zero(d[l, i]):
-                    rhs = rhs + d[l, i] * brackets[l, j]
-                if not _is_zero(d[l, j]):
-                    rhs = rhs + d[l, j] * brackets[i, l]
-            diff = to_float((lhs - rhs).reshape(1, -1))
-            worst = max(worst, float(np.max(np.abs(diff))))
+            # D[x_i, x_j] - [D x_i, x_j] - [x_i, D x_j]
+            diff = d @ brackets[i, j] - d[:, i] @ brackets[:, j] - d[:, j] @ brackets[i]
+            worst = max(worst, max_abs(diff.reshape(1, -1)))
     return worst
 
 
@@ -366,78 +384,68 @@ def soliton_certificate(lam, xi, n: int, ric: np.ndarray | None = None, exact: b
     """Solve Ric = c*id + D over (c, derivation coefficients), or None.
 
     The derivation algebra is taken in frame coordinates, i.e. conjugated by
-    the shear matrix of (lam, xi).  On the exact backend the certificate is
-    exact: each g^-1 b g is summed from b[k, l] outer(ginv[:, k], g[l, :]) over
-    nonzero products into sparse equations; on floats, least squares checked
-    to 1e-10.
+    the shear matrix of (lam, xi).  The certificate is exact: each g^-1 b g
+    is summed from b[k, l] outer(ginv[:, k], g[l, :]) over nonzero products
+    into sparse equations.
     """
+    _exact_only(exact)
     if ric is None:
-        ric = closed_form_ricci(lam, xi, n, exact)
-    if exact:
-        conjugate = unit_conjugator(shear_matrix(lam, xi, n, exact=True))
-        basis = _derivation_vectors(n)
-        rhs = 1 + len(basis)
-        # one sparse equation per entry (a, c); columns: identity, the basis, then ric
-        eqs = [Counter({0: QSqrt3(1)} if a == c else {}) for a in range(n) for c in range(n)]
-        for col, vec in enumerate(basis, 1):
-            for kl, y in vec:
-                for a, c, x in conjugate(*divmod(kl, n)):
-                    eqs[a * n + c][col] += y * x
-        for eq, r in zip(eqs, ric.reshape(-1)):
-            eq[rhs] = r
-        rref = rref_rows(eq.items() for eq in eqs)
-        if rhs in rref:
-            return None  # right-hand side outside the span
-        c_val = rref[0].get(rhs, QSqrt3(0))  # the identity column is always a pivot
-        return c_val, ric - c_val * exact_eye(n)
-    basis = derivation_basis(n)
-    gf = shear_matrix(lam, xi, n, exact=False)
-    gf_inv = np.linalg.inv(gf)
-    system = np.stack(
-        [np.eye(n).reshape(-1)]
-        + [(gf_inv @ to_float(b) @ gf).reshape(-1) for b in basis],
-        axis=1,
-    )
-    rhs = to_float(ric).reshape(-1)
-    sol, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    if float(np.max(np.abs(system @ sol - rhs))) > 1e-10:
-        return None
-    c_val = float(sol[0])
-    return c_val, to_float(ric) - c_val * np.eye(n)
+        ric = closed_form_ricci(lam, xi, n)
+    conjugate = unit_conjugator(shear_matrix(lam, xi, n, exact=True))
+    basis = _derivation_vectors(n)
+    rhs = 1 + len(basis)
+    # one sparse equation per entry (a, c); columns: identity, the basis, then ric
+    eqs = [Counter({0: QSqrt3(1)} if a == c else {}) for a in range(n) for c in range(n)]
+    for col, vec in enumerate(basis, 1):
+        for kl, y in vec:
+            for a, c, x in conjugate(*divmod(kl, n)):
+                eqs[a * n + c][col] += y * x
+    for eq, r in zip(eqs, ric.reshape(-1)):
+        eq[rhs] = r
+    rref = rref_rows(eq.items() for eq in eqs)
+    if rhs in rref:
+        return None  # right-hand side outside the span
+    c_val = rref[0].get(rhs, QSqrt3(0))  # the identity column is always a pivot
+    return c_val, ric - c_val * exact_eye(n)
 
 
 def _charpoly(a: np.ndarray) -> list[QSqrt3]:
-    """Monic characteristic polynomial coefficients, highest degree first."""
-    n = a.shape[0]
+    """Monic characteristic polynomial coefficients, highest degree first.
+
+    Faddeev-LeVerrier: M_1 = A, M_k = A (M_(k-1) + c_(k-1) I) and
+    c_k = -tr(M_k) / k, on sparse rows {column: value}, so no product with a
+    zero entry is formed.
+    """
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
     coeffs = [QSqrt3(1)]
-    m = a.copy()
-    ident = exact_eye(n)
-    for k in range(1, n + 1):
+    m = rows
+    for k in range(1, len(rows) + 1):
         if k > 1:
-            m = a @ (m + coeffs[-1] * ident)
-        trace = sum((m[i, i] for i in range(n)), QSqrt3(0))
+            shifted = [dict(row) for row in m]
+            for i, row in enumerate(shifted):
+                _subtract(row, -coeffs[-1], {i: QSqrt3(1)})  # row += c e_i
+            m = []
+            for row in rows:
+                product: dict[int, QSqrt3] = {}
+                for l, f in row.items():
+                    _subtract(product, -f, shifted[l])
+                m.append(product)
+        trace = sum((row[i] for i, row in enumerate(m) if i in row), QSqrt3(0))
         coeffs.append(QSqrt3(Fraction(-1, k)) * trace)
     return coeffs
 
 
 def _poly_from_roots(roots: list[QSqrt3]) -> list[QSqrt3]:
+    """Coefficients of prod (x - r), highest degree first."""
     poly = [QSqrt3(1)]
     for r in roots:
-        new = [QSqrt3(0)] * (len(poly) + 1)
-        for i, coeff in enumerate(poly):
-            new[i] = new[i] + coeff
-            new[i + 1] = new[i + 1] - coeff * r
-        poly = new
+        poly = [a - b * r for a, b in zip(poly + [0], [0] + poly)]
     return poly
 
 
 def _snap_exact(value: float) -> QSqrt3 | None:
     """Lift a float to a small rational or a rational multiple of sqrt3."""
-    candidates = (
-        (1.0, lambda f: QSqrt3(f)),
-        (float(np.sqrt(3.0)), lambda f: QSqrt3(0, f)),
-    )
-    for scale, make in candidates:
+    for scale, make in ((1.0, QSqrt3), (float(np.sqrt(3.0)), lambda f: QSqrt3(0, f))):
         frac = Fraction(value / scale).limit_denominator(64)
         if abs(float(frac) * scale - value) < 1e-9:
             return make(frac)
@@ -447,21 +455,21 @@ def _snap_exact(value: float) -> QSqrt3 | None:
 def ricci_spectrum(lam, xi, n: int, ric: np.ndarray | None = None, exact: bool = True):
     """Eigenvalues of the Ricci operator on the corner block.
 
-    On the exact backend the float eigenvalues are lifted into Q(sqrt3) and
-    certified by comparing characteristic polynomials; a failed lift falls
-    back to the float spectrum.
+    The float eigenvalues are lifted into Q(sqrt3) and certified by comparing
+    characteristic polynomials; EvidenceFailure when that fails.
     """
+    _exact_only(exact)
     if ric is None:
-        ric = closed_form_ricci(lam, xi, n, exact)
+        ric = closed_form_ricci(lam, xi, n)
     idx = [0, 1, n - 2, n - 1]
     block = ric[np.ix_(idx, idx)]
     roots = sorted(np.linalg.eigvals(to_float(block)).real.tolist(), reverse=True)
-    if not exact:
-        return roots
     lifted = [_snap_exact(r) for r in roots]
     if all(x is not None for x in lifted) and _poly_from_roots(lifted) == _charpoly(block):
         return lifted
-    return roots
+    raise EvidenceFailure(
+        f"Ricci spectrum at lam={lam}, xi={xi}, n={n} does not lift into Q(sqrt3): {roots}"
+    )
 
 
 @dataclass
@@ -491,18 +499,14 @@ class CurvatureReport:
             return [num(x) for x in v]
 
         def table_entries(name, table):
-            entries = {}
-            for i in idx:
-                for j in idx:
-                    v = table[i, j]
-                    if float(np.max(np.abs(to_float(v.reshape(1, -1))))) > 0:
-                        entries[f"{name}[{i + 1}][{j + 1}]"] = vec(v)
-            return entries
+            pairs = ((i, j) for i in idx for j in idx if any(table[i, j]))
+            return {f"{name}[{i + 1}][{j + 1}]": vec(table[i, j]) for i, j in pairs}
 
-        r_entries = {}
-        for (i, j), op in self.riemann_ops.items():
-            if op.size and float(np.max(np.abs(to_float(op)))) > 0:
-                r_entries[f"R[{i + 1}][{j + 1}]"] = [vec(op[:, k]) for k in range(self.n)]
+        r_entries = {
+            f"R[{i + 1}][{j + 1}]": [vec(op[:, k]) for k in range(self.n)]
+            for (i, j), op in self.riemann_ops.items()
+            if any(op.reshape(-1))
+        }
         soliton = None
         if self.soliton is not None:
             c, d = self.soliton

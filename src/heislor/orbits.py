@@ -20,7 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 from ._linalg import rank_rows, unit_conjugator
-from .curvature import closed_form_riemann, is_flat
+from .curvature import EvidenceFailure, closed_form_riemann, is_flat
 from .liealg import DimensionTooSmall, aut_pattern
 from .metrics import (
     CANONICAL_PAIRS,
@@ -47,10 +47,6 @@ CURVE_SAMPLES = 10
 
 class ParameterOutOfRange(ValueError):
     """Curve parameter outside the family's declared interval."""
-
-
-class EvidenceFailure(RuntimeError):
-    """A degeneration claim failed its recomputation."""
 
 
 class OracleMismatch(RuntimeError):

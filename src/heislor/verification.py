@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._linalg import exact_zeros
 from .curvature import (
     closed_form_nabla,
     closed_form_ricci,
@@ -208,29 +209,24 @@ def _tables_equal_exact(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def check_curvature_oracle(n_values=(4, 6)) -> CheckResult:
+def check_curvature_oracle(n_values=tuple(range(4, 11))) -> CheckResult:
     def run():
         for n in n_values:
             for pair in CANONICAL_PAIRS:
                 lam = QSqrt3(pair[0])
                 xi = xi_exact(pair[1])
-                _, u_g, nabla_g, ops_g, ric_g = generic_curvature(lam, xi, n, exact=True)
-                if not _tables_equal_exact(u_g.values, closed_form_u(lam, xi, n).values):
-                    raise AssertionError(f"U mismatch at {pair}, n={n}")
-                if not _tables_equal_exact(
-                    nabla_g.values, closed_form_nabla(lam, xi, n).values
-                ):
-                    raise AssertionError(f"nabla mismatch at {pair}, n={n}")
+                _, u_g, nabla_g, ops_g, ric_g = generic_curvature(lam, xi, n)
                 ops_c = closed_form_riemann(lam, xi, n)
-                for key, op_g in ops_g.items():
-                    if key in ops_c:
-                        if not _tables_equal_exact(op_g, ops_c[key]):
-                            raise AssertionError(f"R{key} mismatch at {pair}, n={n}")
-                    elif any(not x.is_zero() for x in op_g.reshape(-1)):
-                        # pairs touching the inert middle directions must vanish
-                        raise AssertionError(f"R{key} nonzero at {pair}, n={n}")
-                if not _tables_equal_exact(ric_g, closed_form_ricci(lam, xi, n)):
-                    raise AssertionError(f"ric mismatch at {pair}, n={n}")
+                zero = exact_zeros((n, n))  # pairs touching the inert middle directions
+                tables = [
+                    ("U", u_g.values, closed_form_u(lam, xi, n).values),
+                    ("nabla", nabla_g.values, closed_form_nabla(lam, xi, n).values),
+                    ("ric", ric_g, closed_form_ricci(lam, xi, n)),
+                    *((f"R{key}", op, ops_c.get(key, zero)) for key, op in ops_g.items()),
+                ]
+                for name, got, want in tables:
+                    if not _tables_equal_exact(got, want):
+                        raise AssertionError(f"{name} mismatch at {pair}, n={n}")
         return f"generic pipeline equals closed forms exactly, n in {list(n_values)}"
 
     return _timed("curvature-tables-oracle", run)
@@ -250,7 +246,7 @@ def check_flat_einstein_soliton(n_values=(4, 6)) -> CheckResult:
                     raise AssertionError(f"no soliton certificate at {pair}, n={n}")
                 _c, d = report.soliton
                 # the certificate is exact by construction; D must be a derivation
-                brackets = frame_brackets(QSqrt3(pair[0]), xi_exact(pair[1]), n, exact=True)
+                brackets = frame_brackets(QSqrt3(pair[0]), xi_exact(pair[1]), n)
                 if derivation_identity_residual(d, brackets) != 0.0:
                     raise AssertionError(f"soliton D not a derivation at {pair}, n={n}")
         return f"flat iff (1,0); Einstein iff flat; exact soliton for all six, n in {list(n_values)}"
@@ -262,7 +258,7 @@ def check_ricci_spectra(n_values=(4, 6)) -> CheckResult:
     def run():
         for n in n_values:
             for pair, expected in RICCI_SPECTRA.items():
-                spectrum = ricci_spectrum(pair[0], xi_exact(pair[1]), n, exact=True)
+                spectrum = ricci_spectrum(pair[0], xi_exact(pair[1]), n)
                 got = sorted(spectrum, reverse=True)
                 want = [QSqrt3(f) for f in sorted(expected, reverse=True)]
                 if len(got) != len(want) or any(
@@ -358,7 +354,7 @@ def run_all(
     return [
         crit1,
         check_signature_table(table_ns),
-        check_curvature_oracle((4, 6)),
+        check_curvature_oracle(),
         check_flat_einstein_soliton((4, 6)),
         check_ricci_spectra((4, 6)),
         check_codimension_table(table_ns),

@@ -202,8 +202,8 @@ def test_verify_detects_injected_table_error(monkeypatch, capsys):
     from heislor.curvature import closed_form_riemann as real
     from heislor.numerics import QSqrt3
 
-    def corrupted(lam, xi, n, exact=True):
-        ops = real(lam, xi, n, exact)
+    def corrupted(lam, xi, n):
+        ops = real(lam, xi, n)
         bad = ops[(0, 1)].copy()
         bad[1, 0] = bad[1, 0] + QSqrt3(1)
         ops[(0, 1)] = bad

@@ -5,8 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import heislor as hl
 from heislor.curvature import (
+    EvidenceFailure,
+    FrameNotPseudoOrthonormal,
+    _charpoly,
     closed_form_nabla,
     closed_form_ricci,
     closed_form_riemann,
@@ -21,11 +26,10 @@ from heislor.curvature import (
     levi_civita,
     ricci_spectrum,
     riemann,
-    riemann_apply,
     soliton_certificate,
     u_map,
 )
-from heislor._linalg import exact_eye, exact_inv, exact_rref, exact_zeros
+from heislor._linalg import exact_eye, exact_inv, exact_rref, exact_zeros, to_float
 from heislor.liealg import derivation_basis
 from heislor.metrics import CANONICAL_PAIRS, NotARepresentative, shear_matrix, xi_exact
 from heislor.numerics import QSqrt3
@@ -41,24 +45,36 @@ def _inner(u, v, eps):
     return sum(e * a * b for e, a, b in zip(eps, u, v))
 
 
+def _riemann_apply(ops, i, j, k):
+    """R(x_i, x_j) x_k with the antisymmetry filled in."""
+    if i == j:
+        return exact_zeros(next(iter(ops.values())).shape[0])
+    if (i, j) in ops:
+        return ops[(i, j)][:, k]
+    return -ops[(j, i)][:, k]
+
+
+def _equal(a, b):
+    return a.reshape(-1).tolist() == b.reshape(-1).tolist()
+
+
 # -- U-map ------------------------------------------------------------------------
 
 
 def test_u_map_defining_identity_random():
     """2 <U(x,y), z> = <[z,x], y> + <x, [z,y]> on random frame triples."""
-    lam, xi = 1.3, 0.4
+    lam, xi = QSqrt3(Fraction(13, 10)), QSqrt3(Fraction(2, 5))
     n = 5
-    brackets = frame_brackets(lam, xi, n, exact=False)
+    brackets = frame_brackets(lam, xi, n)
     eps = frame_signs(n)
     u = u_map(brackets, eps).values
+    eye = np.eye(n, dtype=int)
     rng = np.random.default_rng(0)
     for _ in range(20):
         i, j, k = rng.integers(0, n, 3)
-        lhs = 2 * _inner(u[i, j], np.eye(n)[k], eps)
-        rhs = _inner(brackets[k, i], np.eye(n)[j], eps) + _inner(
-            np.eye(n)[i], brackets[k, j], eps
-        )
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+        lhs = 2 * _inner(u[i, j], eye[k], eps)
+        rhs = _inner(brackets[k, i], eye[j], eps) + _inner(eye[i], brackets[k, j], eps)
+        assert lhs == rhs
 
 
 def test_u_component_examples():
@@ -133,9 +149,9 @@ def test_first_bianchi():
     for _ in range(15):
         i, j, k = rng.integers(0, n, 3)
         total = (
-            riemann_apply(ops, i, j, k)
-            + riemann_apply(ops, j, k, i)
-            + riemann_apply(ops, k, i, j)
+            _riemann_apply(ops, i, j, k)
+            + _riemann_apply(ops, j, k, i)
+            + _riemann_apply(ops, k, i, j)
         )
         assert all(x.is_zero() for x in total)
 
@@ -166,9 +182,9 @@ def test_riemann_component_example_light_cone():
 
 def test_riemann_antisymmetry():
     ops = closed_form_riemann(QSqrt3(2), QSqrt3(2), 4)
-    got = riemann_apply(ops, 1, 0, 0)
+    got = _riemann_apply(ops, 1, 0, 0)
     assert all((a + b).is_zero() for a, b in zip(got, ops[(0, 1)][:, 0]))
-    assert all(x.is_zero() for x in riemann_apply(ops, 1, 1, 0))
+    assert all(x.is_zero() for x in _riemann_apply(ops, 1, 1, 0))
 
 
 # -- Ricci ---------------------------------------------------------------------------
@@ -210,35 +226,57 @@ def test_ricci_self_adjointness():
                 assert eps[i] * ric[i, j] == eps[j] * ric[j, i]
 
 
+def _assert_generic_equals_closed_forms(lam, xi, n):
+    _, u_g, nb_g, ops_g, ric_g = generic_curvature(lam, xi, n)
+    assert _equal(u_g.values, closed_form_u(lam, xi, n).values)
+    assert _equal(nb_g.values, closed_form_nabla(lam, xi, n).values)
+    ops_c = closed_form_riemann(lam, xi, n)
+    assert len(ops_g) == n * (n - 1) // 2 and set(ops_c) <= set(ops_g)
+    for key, op in ops_g.items():
+        # pairs touching the inert middle directions vanish
+        assert _equal(op, ops_c.get(key, exact_zeros((n, n))))
+    assert _equal(ric_g, closed_form_ricci(lam, xi, n))
+
+
 def test_generic_equals_closed_forms_exactly():
     for n in (4, 6):
         for pair in CANONICAL_PAIRS:
-            lam, xi = _exact_frame(pair, n)
-            _, u_g, nb_g, ops_g, ric_g = generic_curvature(lam, xi, n)
-            assert all(
-                a == b
-                for a, b in zip(
-                    u_g.values.reshape(-1), closed_form_u(lam, xi, n).values.reshape(-1)
-                )
-            )
-            assert all(
-                a == b
-                for a, b in zip(
-                    nb_g.values.reshape(-1),
-                    closed_form_nabla(lam, xi, n).values.reshape(-1),
-                )
-            )
-            ops_c = closed_form_riemann(lam, xi, n)
-            for key, op in ops_g.items():
-                target = ops_c.get(key)
-                if target is None:
-                    assert all(x.is_zero() for x in op.reshape(-1))
-                else:
-                    assert all(a == b for a, b in zip(op.reshape(-1), target.reshape(-1)))
-            assert all(
-                a == b
-                for a, b in zip(ric_g.reshape(-1), closed_form_ricci(lam, xi, n).reshape(-1))
-            )
+            _assert_generic_equals_closed_forms(*_exact_frame(pair, n), n)
+
+
+_small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=10)
+_field = st.builds(QSqrt3, _small_fractions, _small_fractions)
+
+
+# the closed forms hold for every (lam, xi), not just the six representatives;
+# the examples are fixed to keep the suite repeatable
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(_field, _field, st.sampled_from((4, 5, 7)))
+@example(QSqrt3(Fraction(-3, 7)), QSqrt3(1, 2), 4)
+@example(QSqrt3(Fraction(-3, 7)), QSqrt3(1, 2), 5)
+@example(QSqrt3(Fraction(-3, 7)), QSqrt3(1, 2), 7)
+@example(QSqrt3(Fraction(5, 3), Fraction(1, 2)), QSqrt3(Fraction(2, 5)), 4)
+@example(QSqrt3(Fraction(5, 3), Fraction(1, 2)), QSqrt3(Fraction(2, 5)), 5)
+@example(QSqrt3(Fraction(5, 3), Fraction(1, 2)), QSqrt3(Fraction(2, 5)), 7)
+@example(QSqrt3(Fraction(13, 10)), QSqrt3(Fraction(2, 5)), 4)
+@example(QSqrt3(Fraction(13, 10)), QSqrt3(Fraction(2, 5)), 5)
+@example(QSqrt3(Fraction(13, 10)), QSqrt3(Fraction(2, 5)), 7)
+def test_generic_equals_closed_forms_off_the_representatives(lam, xi, n):
+    _assert_generic_equals_closed_forms(lam, xi, n)
+
+
+@pytest.mark.parametrize("n", (4, 6))
+def test_generic_ricci_in_the_benchmark_contract(n):
+    # the exact call and comparison the exact-tables benchmark makes; a change
+    # to generic_curvature's return shape fails here first
+    for pair in CANONICAL_PAIRS:
+        lam, xi = QSqrt3(pair[0]), hl.metrics.xi_exact(pair[1])
+        ric = hl.generic_curvature(lam, xi, n, exact=True)[-1]
+        closed = hl.curvature_report(pair[0], pair[1], n, backend=hl.EXACT).ric
+        assert all(
+            a == b for a, b in zip(ric.reshape(-1).tolist(), closed.reshape(-1).tolist())
+        )
+        assert len(ric.reshape(-1).tolist()) == n * n
 
 
 # -- flat / Einstein / soliton --------------------------------------------------------
@@ -327,12 +365,17 @@ def test_soliton_none_outside_span():
         assert soliton_certificate(lam, xi, n, ric) is None
 
 
-def test_soliton_approx_backend():
-    cert = soliton_certificate(2.0, 2.0, 5, exact=False)
-    assert cert is not None
-    c, d = cert
-    ric = closed_form_ricci(2.0, 2.0, 5, exact=False)
-    assert np.max(np.abs(ric - (c * np.eye(5) + d))) < 1e-12
+def test_exact_false_is_refused():
+    lam, xi = QSqrt3(2), QSqrt3(2)
+    calls = (
+        lambda: generic_curvature(lam, xi, 5, exact=False),
+        lambda: closed_form_ricci(lam, xi, 5, exact=False),
+        lambda: soliton_certificate(lam, xi, 5, exact=False),
+        lambda: ricci_spectrum(lam, xi, 5, exact=False),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="exact only"):
+            call()
 
 
 # -- spectra and reports ---------------------------------------------------------------
@@ -351,6 +394,62 @@ def test_ricci_spectra_exact_values():
         for n in (4, 7):
             got = ricci_spectrum(QSqrt3(pair[0]), xi_exact(pair[1]), n)
             assert got == want
+
+
+def test_ricci_spectrum_refuses_a_failed_lift():
+    # off the representatives the corner block has eigenvalues +-8.467..., which
+    # are not in Q(sqrt3); the exact spectrum fails instead of returning floats
+    from heislor.cli import EXIT_CHECK_FAILED, EXIT_CODES
+
+    with pytest.raises(EvidenceFailure, match="does not lift"):
+        ricci_spectrum(QSqrt3(Fraction(-3, 7)), QSqrt3(1, 2), 5)
+    assert EXIT_CODES[EvidenceFailure] == EXIT_CHECK_FAILED
+
+
+def _dense_charpoly(a):
+    """Faddeev-LeVerrier on dense object matrices: the reference for _charpoly."""
+    n = a.shape[0]
+    coeffs = [QSqrt3(1)]
+    m = a.copy()
+    for k in range(1, n + 1):
+        if k > 1:
+            m = a @ (m + coeffs[-1] * exact_eye(n))
+        coeffs.append(QSqrt3(Fraction(-1, k)) * sum((m[i, i] for i in range(n)), QSqrt3(0)))
+    return coeffs
+
+
+def _ricci_blocks():
+    for n in (4, 6):
+        for pair in CANONICAL_PAIRS:
+            idx = [0, 1, n - 2, n - 1]
+            yield closed_form_ricci(*_exact_frame(pair, n), n)[np.ix_(idx, idx)]
+
+
+def _half_zero_matrices(seed, count=8):
+    rng = np.random.default_rng(seed)
+
+    def entry():
+        return Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5)))
+
+    for size in (4, 6):
+        for _ in range(count):
+            a = exact_zeros((size, size))
+            for i, j in np.ndindex(size, size):
+                if rng.random() < 0.5:
+                    a[i, j] = QSqrt3(entry(), entry())
+            yield a
+
+
+@pytest.mark.parametrize("source", ["ricci-blocks", "random"])
+def test_sparse_charpoly_matches_dense_reference(source):
+    blocks = list(_ricci_blocks() if source == "ricci-blocks" else _half_zero_matrices(5))
+    assert len(blocks) in (12, 16)
+    for a in blocks:
+        got = _charpoly(a)
+        assert got == _dense_charpoly(a)
+        want = np.real_if_close(np.poly(to_float(a)))
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(np.array([float(c) for c in got]) - want)) <= 1e-9 * scale
 
 
 def test_curvature_report_round_trip():
@@ -405,9 +504,7 @@ def test_approx_report_is_the_exact_report_rounded_once(pair, n):
 
 
 def test_u_map_validates_frame_gram():
-    from heislor.curvature import FrameNotPseudoOrthonormal
-
-    brackets = frame_brackets(1.0, 0.0, 4, exact=False)
+    brackets = frame_brackets(QSqrt3(1), QSqrt3(0), 4)
     eps = frame_signs(4)
     good = np.diag([1.0, 1, 1, -1])
     u_map(brackets, eps, frame_gram=good)  # accepted
