@@ -17,6 +17,11 @@ from .numerics import QSqrt3
 
 _ONE = QSqrt3(1)
 
+#: |det|^(1/n) below this (unit roundoff) times the largest entry reads as singular
+SINGULAR_RATIO = 2.0**-52
+#: a Householder vector with squared norm below this has underflowed
+UNDERFLOW = 1e-300
+
 # -- construction and conversion -------------------------------------------
 
 
@@ -214,9 +219,17 @@ def householder(v: np.ndarray, k: int) -> np.ndarray:
     # -rest / (v[k] + ||v||) there (Golub & Van Loan, Algorithm 5.1.1)
     u[k] = v[k] - norm if v[k] <= 0.0 else -rest / (v[k] + norm)
     uu = rest + float(u[k]) ** 2
-    if uu < 1e-300:
+    if uu < UNDERFLOW:
         return np.eye(n)
     return np.eye(n) - 2.0 * np.outer(u, u) / uu
+
+
+def is_singular(a: np.ndarray):
+    """Whether a float matrix, or each of a stack, is numerically singular, at any
+    scale: |det|^(1/n) against the largest entry (Golub & Van Loan, section 2.6)."""
+    sign, logdet = np.linalg.slogdet(a)
+    size = np.abs(a).max(axis=(-2, -1))
+    return (sign == 0) | (np.exp(logdet / a.shape[-1]) < SINGULAR_RATIO * size)
 
 
 def right_triangularize(b: np.ndarray) -> np.ndarray:

@@ -5,22 +5,20 @@ orbits (orbit table and degeneration graph, also as DOT via --format dot)
 and verify (the named check suite).  Exit codes: 0 success, 1 verification
 failure, 2 invalid input (including AmbiguousNearWall, a metric too close to
 a classification wall to decide).  Commands raise; main maps each typed
-error to its exit code in one table, EXIT_CODES.  The METRICLASS_TOL
-environment variable sets the float tolerance of classify when --tol is not
-given; either must be a positive finite number.
+error to its exit code in one table, EXIT_CODES.  classify takes no tolerance:
+it reads every metric at unit scale, so c * M gets the class of M, and each
+threshold is a fixed constant of the library.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 
 from .liealg import DimensionTooSmall
 from .metrics import CANONICAL_PAIRS, canonical_json, metric_from_json, xi_key_of
-from .numerics import APPROX, DEFAULT_TOL, EXACT
+from .numerics import APPROX, EXACT
 from .curvature import EvidenceFailure, curvature_report
 from .orbits import OracleMismatch, degeneration_graph, orbit_report
 from .reduction import (
@@ -53,24 +51,6 @@ EXIT_CODES = {
 }
 
 
-def _classify_tol(flag: float | None) -> float:
-    """--tol, else METRICLASS_TOL, else DEFAULT_TOL; ValueError unless positive and finite."""
-    if flag is not None:
-        source, raw = "--tol", flag
-    else:
-        raw = os.environ.get("METRICLASS_TOL")
-        if raw is None:
-            return DEFAULT_TOL
-        source = "METRICLASS_TOL"
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise ValueError(f"{source}={raw!r} is not a number") from None
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"{source}={raw!r} must be a positive finite number")
-    return tol
-
-
 def _load_metric(path: str, backend: str | None):
     if path == "-":
         data = json.load(sys.stdin)
@@ -96,11 +76,10 @@ def _xi_arg(value: str):
 
 
 def cmd_classify(args) -> int:
-    tol = _classify_tol(args.tol)
     metric = _load_metric(args.input, args.backend)
     if args.n is not None and metric.n != args.n:
         raise ValueError(f"file has n={metric.n}, --n says {args.n}")
-    form, k, witness = classify(metric, tol)
+    form, k, witness = classify(metric)
     check = verify_witness(metric, witness)
     payload = classification_to_json(form, k, witness)
     payload["witness_residual"] = check.residual
@@ -230,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--input", required=True, help="metric JSON path, or - for stdin")
     p_cls.add_argument("--n", type=int, default=None)
     p_cls.add_argument("--backend", choices=(EXACT, APPROX), default=None)
-    p_cls.add_argument("--tol", type=float, default=None)
     p_cls.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p_cls.set_defaults(func=cmd_classify)
 

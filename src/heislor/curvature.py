@@ -34,6 +34,8 @@ from .metrics import CANONICAL_PAIRS, NotARepresentative, shear_matrix, xi_exact
 from .numerics import DEFAULT_TOL, EXACT, QSqrt3
 
 HALF = QSqrt3(Fraction(1, 2))
+#: a float eigenvalue this close to a small element of Q(sqrt3) lifts onto it
+LIFT_TOL = 1e-9
 
 
 class FrameNotPseudoOrthonormal(ValueError):
@@ -356,9 +358,9 @@ def closed_form_ricci(lam, xi, n: int, exact: bool = True) -> np.ndarray:
 # -- curvature properties --------------------------------------------------------
 
 
-def is_flat(ops: dict, tol: float = DEFAULT_TOL) -> bool:
-    """True when every curvature operator vanishes."""
-    return all(max_abs(op) <= tol for op in ops.values())
+def is_flat(ops: dict) -> bool:
+    """True when every curvature operator is exactly zero."""
+    return not any(any(op.flat) for op in ops.values())
 
 
 def einstein_test(ric: np.ndarray):
@@ -447,7 +449,7 @@ def _snap_exact(value: float) -> QSqrt3 | None:
     """Lift a float to a small rational or a rational multiple of sqrt3."""
     for scale, make in ((1.0, QSqrt3), (float(np.sqrt(3.0)), lambda f: QSqrt3(0, f))):
         frac = Fraction(value / scale).limit_denominator(64)
-        if abs(float(frac) * scale - value) < 1e-9:
+        if abs(float(frac) * scale - value) < LIFT_TOL:
             return make(frac)
     return None
 
@@ -548,7 +550,7 @@ def curvature_report(lam, xi, n: int, backend: str = EXACT) -> CurvatureReport:
         nabla=closed_form_nabla(lam_val, xi_val, n),
         riemann_ops=ops,
         ric=ric,
-        flat=is_flat(ops, 0.0),
+        flat=is_flat(ops),
         einstein=einstein_test(ric),
         soliton=soliton_certificate(lam_val, xi_val, n, ric),
         spectrum=ricci_spectrum(lam_val, xi_val, n, ric),

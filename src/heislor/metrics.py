@@ -22,6 +22,7 @@ from ._linalg import (
     exact_rank,
     congruence_diagonal,
     is_exact,
+    is_singular,
     max_abs,
     minkowski_gram,
     to_float,
@@ -59,6 +60,9 @@ CANONICAL_PAIRS: tuple[tuple[int, str], ...] = (
     (2, "2"),
 )
 
+#: a float xi this close to a canonical value names it (exact keys need no band)
+XI_MATCH_TOL = 1e-12
+
 _XI_EXACT = {"0": QSqrt3(0), "1": QSqrt3(1), "sqrt3": SQRT3, "2": QSqrt3(2)}
 
 
@@ -77,7 +81,7 @@ def xi_key_of(value) -> str:
             return key
         if isinstance(value, str) and value == key:
             return key
-        if isinstance(value, (int, float)) and abs(float(exact) - float(value)) < 1e-12:
+        if isinstance(value, (int, float)) and abs(float(exact) - float(value)) < XI_MATCH_TOL:
             return key
     raise NotARepresentative(f"xi value {value!r} is not one of 0, 1, sqrt3, 2")
 
@@ -125,37 +129,41 @@ class Metric:
         return Metric(gram=to_float(self.gram), backend=APPROX)
 
 
-def _check_symmetric(m: np.ndarray, tol: float) -> None:
+def _check_symmetric(m: np.ndarray) -> None:
     if m.dtype == object:
         n = m.shape[0]
         for i in range(n):
             for j in range(i + 1, n):
                 if m[i, j] != m[j, i]:
                     raise AsymmetricInput(f"entries ({i},{j}) and ({j},{i}) differ")
-    elif max_abs(m - m.T) > tol * max(1.0, max_abs(m)):
+    elif max_abs(m - m.T) > DEFAULT_TOL * max_abs(m):
         raise AsymmetricInput("matrix is not symmetric within tolerance")
 
 
-def _eigen_signature(eigs: np.ndarray, tol: float) -> tuple[SignatureTriple, float]:
+def _eigen_signature(eigs: np.ndarray) -> tuple[SignatureTriple, float]:
     """Sign counts of eigenvalues relative to the spectral radius, and the zero band.
 
-    An eigenvalue within band = tol * max(1, spectral radius) of 0 counts as zero.
+    An eigenvalue within band = DEFAULT_TOL * max(1, spectral radius) of 0
+    counts as zero; the 1 is the unit scale that classify reads a metric at.
     """
-    band = tol * max(1.0, max_abs(eigs))
+    band = DEFAULT_TOL * max(1.0, max_abs(eigs))
     return SignatureTriple.of_signs([sign_with_tol(e, band) for e in eigs.tolist()]), band
 
 
-def spectral_signature(
-    m: np.ndarray, tol: float = DEFAULT_TOL
-) -> tuple[SignatureTriple, np.ndarray, float]:
+def _require_lorentzian(sig: SignatureTriple) -> None:
+    if (sig.minus, sig.zero) != (1, 0):
+        raise WrongSignature(f"signature {sig.as_tuple()} unsupported; expected (n-1, 1, 0)")
+
+
+def spectral_signature(m: np.ndarray) -> tuple[SignatureTriple, np.ndarray, float]:
     """Float signature of a symmetric matrix, with its eigenvalues and zero band."""
-    _check_symmetric(m, tol)
+    _check_symmetric(m)
     eigs = np.linalg.eigvalsh(m)
-    sig, band = _eigen_signature(eigs, tol)
+    sig, band = _eigen_signature(eigs)
     return sig, eigs, band
 
 
-def signature_of(m: np.ndarray, tol: float = DEFAULT_TOL) -> SignatureTriple:
+def signature_of(m: np.ndarray) -> SignatureTriple:
     """Eigenvalue sign counts of a symmetric matrix.
 
     Exact backend: symmetric congruence elimination, no square roots, no
@@ -163,8 +171,8 @@ def signature_of(m: np.ndarray, tol: float = DEFAULT_TOL) -> SignatureTriple:
     radius.
     """
     if m.dtype != object:
-        return spectral_signature(m, tol)[0]
-    _check_symmetric(m, tol)
+        return spectral_signature(m)[0]
+    _check_symmetric(m)
     return SignatureTriple.of_signs([d.sign() for d in congruence_diagonal(m)])
 
 
@@ -173,7 +181,7 @@ def act(g: np.ndarray, metric: Metric) -> Metric:
     if g.dtype == object:
         ginv = exact_inv(g)
     else:
-        if abs(np.linalg.det(g)) < 1e-300:
+        if is_singular(g):
             raise SingularMatrix("change of basis is singular")
         ginv = np.linalg.inv(g)
     return Metric(gram=ginv.T @ metric.gram @ ginv, backend=metric.backend)
@@ -245,37 +253,34 @@ def canonical_metric(lam, xi, n: int, backend: str = EXACT) -> tuple[Metric, Fra
     return Metric(gram=gram, backend=EXACT if exact else APPROX), Frame(cols, scale)
 
 
-def factor_metric(metric: Metric, tol: float = DEFAULT_TOL) -> np.ndarray:
+def factor_metric(metric: Metric) -> np.ndarray:
     """An m with act(m, <,>_0) = metric, via eigendecomposition.
 
     Unique only up to right multiplication by the Lorentz group of the
     canonical form; the negative direction is sorted last.
     """
-    return _factor_metric(metric, tol)[0]
+    return _factor_metric(metric)[0]
 
 
-def _factor_metric(metric: Metric, tol: float) -> tuple[np.ndarray, float]:
+def _factor_metric(metric: Metric) -> tuple[np.ndarray, float]:
     """factor_metric's m, and 2^-e with e = round(log|det M| / (n ln 4)).
 
     Both come from one eigendecomposition.  2^-e (m^-1)^T factors M / 4^e,
     whose |det|^(1/n) lies within a factor 2 of 1; a power of 2 rescales a
-    float exactly.  Every canonical Gram matrix has |det| = 1, so e = 0.
+    float exactly.  Every canonical Gram matrix has |det| = 1, so e = 0.  The
+    signature is read at M / 4^e, so c * M passes or fails with M; a zero
+    eigenvalue fails at every e and is left out of the determinant.
     """
     gram = to_float(metric.gram)
-    _check_symmetric(gram, tol)
+    _check_symmetric(gram)
     eigvals, q = np.linalg.eigh(gram)
-    sig, _ = _eigen_signature(eigvals, tol)
-    if (sig.plus, sig.minus) != (gram.shape[0] - 1, 1):
-        raise WrongSignature(
-            f"signature ({sig.plus},{sig.minus},{sig.zero}) unsupported;"
-            " expected (n-1, 1, 0)"
-        )
     order = np.argsort(-eigvals)  # positives first, the negative one last
     eigvals = eigvals[order]
     q = q[:, order]
-    log_det = sum(math.log(abs(v)) for v in eigvals.tolist())
-    e = round(log_det / (len(eigvals) * math.log(4.0)))
-    return q * (np.abs(eigvals) ** -0.5), math.ldexp(1.0, -e)
+    log_det = sum(math.log(abs(v)) for v in eigvals.tolist() if v)
+    prescale = math.ldexp(1.0, -round(log_det / (len(eigvals) * math.log(4.0))))
+    _require_lorentzian(_eigen_signature(eigvals * prescale * prescale)[0])
+    return q * (np.abs(eigvals) ** -0.5), prescale
 
 
 # -- JSON schema --------------------------------------------------------------
@@ -332,7 +337,7 @@ def metric_from_json(data: dict) -> Metric:
     ]
     gram = exact_array(parsed) if backend == EXACT else np.array(parsed, dtype=float)
     metric = Metric(gram=gram, backend=backend)
-    _check_symmetric(gram, DEFAULT_TOL)
+    _check_symmetric(gram)
     return metric
 
 

@@ -5,8 +5,8 @@ Two kinds of scalars run through the whole library.  Exact computations
 :class:`QSqrt3`, numbers of the form a + b*sqrt(3) with rational a, b, held
 as three Python ints (p + q*sqrt(3))/d in lowest terms so that exact
 arithmetic creates no intermediate Fractions.  Everything touched by
-eigendecompositions or hyperbolic normalization uses plain floats with an
-explicit tolerance.
+eigendecompositions or hyperbolic normalization uses plain floats, signed
+against one relative zero band, DEFAULT_TOL, at unit scale (reduction.classify).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Union
 EXACT = "exact"
 APPROX = "approx"
 
-#: default tolerance for float sign classification
+#: relative zero band of float sign classification, at unit scale
 DEFAULT_TOL = 1e-9
 
 _SQRT3_FLOAT = math.sqrt(3.0)
@@ -28,7 +28,7 @@ RationalLike = Union[int, Fraction]
 
 
 class SqrtOfNegative(ArithmeticError):
-    """Square root requested for a value below -tol."""
+    """Square root requested for a negative exact value."""
 
 
 class SqrtUnsupportedExact(ArithmeticError):

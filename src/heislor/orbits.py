@@ -43,6 +43,8 @@ from .reduction import (
 SQRT3_F = math.sqrt(3.0)
 #: interior parameters sampled on each degeneration curve
 CURVE_SAMPLES = 10
+#: distance of each curve's flagged sample from its limit: close, yet well outside the zero band
+NEAR_LIMIT_STEP = 1e-4
 
 
 class ParameterOutOfRange(ValueError):
@@ -307,7 +309,7 @@ def degeneration_graph(n: int) -> DegenerationGraph:
         samples = []
         span = fam.hi - fam.lo
         ts = [fam.lo + span * (k + 0.5) / CURVE_SAMPLES for k in range(CURVE_SAMPLES)]
-        near = fam.limit + (1e-4 if fam.limit == fam.lo else -1e-4)
+        near = fam.limit + (NEAR_LIMIT_STEP if fam.limit == fam.lo else -NEAR_LIMIT_STEP)
         for t, flags in [(t, ()) for t in ts] + [(near, (FLAG_NEAR_DEGENERATE,))]:
             form, _ = classify_by_invariants_flagged(curve_sample(name, t, n))
             if form.pair != fam.source:
@@ -366,7 +368,7 @@ def is_closed(lam: int, xi, n: int = 4) -> bool:
     """True when the orbit has no outgoing degeneration; cross-checked as flat."""
     key = _check_pair(lam, xi)
     closed = not degeneration_graph(n).outgoing((int(lam), key))
-    flat = is_flat(closed_form_riemann(QSqrt3(int(lam)), xi_exact(key), n), 0.0)
+    flat = is_flat(closed_form_riemann(QSqrt3(int(lam)), xi_exact(key), n))
     if closed != flat:
         raise EvidenceFailure(
             f"closed-orbit and flatness disagree at ({lam}, {key}): {closed} vs {flat}"

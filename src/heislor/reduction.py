@@ -22,6 +22,7 @@ import numpy as np
 from ._linalg import (
     embed,
     householder,
+    is_singular,
     max_abs,
     right_triangularize,
     shared_minkowski_gram,
@@ -33,20 +34,21 @@ from .metrics import (
     Metric,
     NotARepresentative,
     SignatureTriple,
-    WrongSignature,
     _factor_metric,
+    _require_lorentzian,
     signature_of,
     spectral_signature,
     xi_exact,
     xi_float,
     xi_key_of,
 )
-from .numerics import DEFAULT_TOL, NEGATIVE, POSITIVE, QSqrt3, sign_with_tol
+from .numerics import DEFAULT_TOL, EXACT, NEGATIVE, POSITIVE, QSqrt3, sign_with_tol
 
 SQRT3_F = math.sqrt(3.0)
 #: sqrt3 - SQRT3_F, the digits of sqrt3 a float drops
 SQRT3_LO = 1.0035084221806903e-16
 
+# classify runs every float test on M / 4^e, so these bound O(1) matrices
 #: chain residual, pattern and pseudo-orthogonality bound of a sound witness
 WITNESS_TOL = 1e-8
 #: band around a reduction wall inside which t cannot tell the wall's side
@@ -54,8 +56,16 @@ WALL_BAND = 1e-6
 #: largest distance |t - wall| a snap onto the wall absorbs: the chain then
 #: misses its target by that distance, which must stay within WITNESS_TOL
 SNAP_LIMIT = WITNESS_TOL / 4
+#: a snap onto a wall from further than this is flagged NearDegenerate
+NEAR_WALL_FLAG = 1e-9
 #: relative deviation from the exact shape that a snap may absorb
 SNAP_TOL = 1e-6
+#: a peel pivot (or corner pair) this small relative to the matrix is rounding noise
+PIVOT_TOL = 1e-12
+#: a (3, 3) corner below this fraction of its row is rotated into a nonzero one
+CORNER_TOL = 1e-9
+#: an eigenvalue within this factor of the zero band is flagged NearDegenerate
+NEAR_DEGENERATE_MARGIN = 100.0
 #: largest t accepted without a retry (factor entries grow with t); classify
 #: normalizes the input scale away first, so a larger t comes from the chart
 T_RETRY_MAX = 200.0
@@ -247,9 +257,7 @@ class _Builder:
 # -- hyperbolic normalization of a pair ---------------------------------------
 
 
-def o11_normalize(
-    x: float, y: float, tol: float = DEFAULT_TOL
-) -> tuple[float, int, np.ndarray]:
+def o11_normalize(x: float, y: float) -> tuple[float, int, np.ndarray]:
     """Normalize (x, y) to (-lam*a, a) with a > 0 by an O(1, 1) element.
 
     The branch is decided by the sign of the invariant x^2 - y^2 relative
@@ -260,7 +268,7 @@ def o11_normalize(
     if scale == 0.0:
         raise ZeroVector("(x, y) must be nonzero")
     q = x * x - y * y
-    branch = sign_with_tol(q, tol * scale)
+    branch = sign_with_tol(q, DEFAULT_TOL * scale)
     if branch == NEGATIVE:
         sigma = 1.0 if y > 0 else -1.0
         a = math.sqrt(y * y - x * x)
@@ -300,14 +308,14 @@ def _snap_g_lambda(builder: _Builder, lam: int) -> None:
     builder.snap(ideal)
 
 
-def _reduce_last_row(builder: _Builder, tol: float) -> int:
+def _reduce_last_row(builder: _Builder) -> int:
     """Rotate and boost the last row to (-lam, 0, ..., 0, 1), clear last column."""
     n = builder.n
     row = builder.current[n - 1]
     alpha = householder(row[: n - 1], 0)
     builder.apply_right(embed(alpha, n, tuple(range(n - 1))))
     x, y = float(builder.current[n - 1, 0]), float(builder.current[n - 1, n - 1])
-    a, lam, g2 = o11_normalize(x, y, tol)
+    a, lam, g2 = o11_normalize(x, y)
     builder.apply_right(embed(g2, n, (0, n - 1)))
     h = float(a) * np.eye(n)
     h[n - 1, n - 1] = 1.0 / a
@@ -356,7 +364,7 @@ def _reduce_to_t(builder: _Builder, lam: int) -> float:
     # peel columns n-1 .. 4 down to identity
     for j in range(n - 2, 2, -1):
         pivot = float(builder.current[j, j])
-        if abs(pivot) < 1e-12 * max(1.0, max_abs(builder.current)):
+        if abs(pivot) < PIVOT_TOL * max(1.0, max_abs(builder.current)):
             raise NumericalBreakdown(f"vanishing peel pivot at column {j}")
         h = np.eye(n)
         h[j, j] = 1.0 / pivot
@@ -368,7 +376,7 @@ def _reduce_to_t(builder: _Builder, lam: int) -> float:
         ideal[j, j] = 1.0
         builder.snap(ideal)
     row_scale = max(1.0, max_abs(builder.current[2]))
-    if abs(builder.current[2, 2]) <= 1e-9 * row_scale:
+    if abs(builder.current[2, 2]) <= CORNER_TOL * row_scale:
         _fix_zero_corner(builder, lam)
     x = float(builder.current[2, 2])
     y = float(builder.current[2, 0])
@@ -413,7 +421,7 @@ def _fix_zero_corner(builder: _Builder, lam: int) -> None:
     """
     n = builder.n
     y = float(builder.current[2, 0])
-    if abs(y) < 1e-12 * max(1.0, max_abs(builder.current)):
+    if abs(y) < PIVOT_TOL * max(1.0, max_abs(builder.current)):
         raise NumericalBreakdown("degenerate corner: both x and y vanish")
     r = math.sqrt(lam * lam + 1.0)
     lam_f = float(lam)
@@ -501,7 +509,7 @@ def _snap_onto_wall(builder: _Builder, lam: int, key: str, wall: str, t: float) 
         return False
     if abs(dist) > SNAP_LIMIT:
         raise AmbiguousNearWall(((lam, key), (lam, wall)), dist)
-    if abs(dist) > 1e-9:
+    if abs(dist) > NEAR_WALL_FLAG:
         builder.flags.append(FLAG_NEAR_DEGENERATE)
     builder.snap(representative_matrix(lam, wall, builder.n))
     return True
@@ -575,50 +583,45 @@ def _reduce_lambda2(builder: _Builder, t: float) -> str:
 # -- public single-stage entry points -----------------------------------------
 
 
-def _check_g_lambda(g: np.ndarray, lam: int | None, tol: float) -> int:
+def _check_g_lambda(g: np.ndarray, lam: int) -> None:
     n = g.shape[0]
-    scale = max(1.0, max_abs(g))
-    row_ok = (
-        abs(g[n - 1, n - 1] - 1.0) <= tol * scale
-        and max_abs(g[n - 1, 1 : n - 1]) <= tol * scale
-        and max_abs(g[: n - 1, n - 1]) <= tol * scale
-    )
-    found = -float(g[n - 1, 0])
-    lam_val = int(round(found)) if lam is None else lam
-    if not row_ok or abs(found - lam_val) > tol * scale or lam_val not in (0, 1, 2):
+    band = DEFAULT_TOL * max(1.0, max_abs(g))
+    if not (
+        abs(g[n - 1, n - 1] - 1.0) <= band
+        and max_abs(g[n - 1, 1 : n - 1]) <= band
+        and max_abs(g[: n - 1, n - 1]) <= band
+        and abs(g[n - 1, 0] + lam) <= band
+    ):
         raise (NotInG0 if lam == 0 else NotInGLambda)(
             "matrix is not in the normalized last-row form"
         )
-    return lam_val
 
 
-def reduce_last_row(g: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int, Witness]:
+def reduce_last_row(g: np.ndarray) -> tuple[np.ndarray, int, Witness]:
     """Send an invertible matrix into the class with normalized last row."""
     g = to_float(np.asarray(g))
-    if abs(np.linalg.det(g)) < 1e-300:
+    if is_singular(g):
         raise np.linalg.LinAlgError("singular input")
     builder = _Builder(g)
-    lam = _reduce_last_row(builder, tol)
+    lam = _reduce_last_row(builder)
     return builder.current.copy(), lam, builder.witness(builder.current)
 
 
-def reduce_lambda0(g: np.ndarray, tol: float = DEFAULT_TOL) -> Witness:
+def reduce_lambda0(g: np.ndarray) -> Witness:
     """Reduce an element with trivial last row/column to the identity."""
     g = to_float(np.asarray(g))
-    _check_g_lambda(g, 0, tol)
+    _check_g_lambda(g, 0)
     builder = _Builder(g)
     _reduce_lambda0(builder)
     return builder.witness(np.eye(g.shape[0]))
 
 
-def reduce_to_t(
-    g: np.ndarray, lam: int, tol: float = DEFAULT_TOL
-) -> tuple[float, Witness]:
+def reduce_to_t(g: np.ndarray, lam: int) -> tuple[float, Witness]:
     """Reduce a normalized-last-row element to the single-shear form."""
     if lam not in (1, 2):
         raise NotInGLambda(f"lam must be 1 or 2, got {lam}")
     g = to_float(np.asarray(g))
-    _check_g_lambda(g, lam, tol)
+    _check_g_lambda(g, lam)
     builder = _Builder(g)
     t = _reduce_to_t(builder, lam)
     return t, builder.witness(builder.current)
@@ -658,48 +661,50 @@ def signature_table(n: int) -> MappingProxyType:
     })
 
 
-def restricted_signatures(
-    metric: Metric, tol: float = DEFAULT_TOL
-) -> tuple[SignatureTriple, SignatureTriple]:
+def restricted_signatures(metric: Metric) -> tuple[SignatureTriple, SignatureTriple]:
     """Signatures of the metric on the center and on the derived ideal."""
     gram = metric.gram
-    return (
-        signature_of(gram[2:, 2:], tol),
-        signature_of(gram[-1:, -1:], tol),
-    )
+    return signature_of(gram[2:, 2:]), signature_of(gram[-1:, -1:])
 
 
-def _block_signature(block: np.ndarray, tol: float) -> tuple[SignatureTriple, bool]:
+def _block_signature(block: np.ndarray) -> tuple[SignatureTriple, bool]:
     """Signature of a restricted Gram block, and whether it is near degenerate.
 
-    Near degenerate: a float eigenvalue within a factor 100 of the zero band,
-    on either side.  Exact signs need no band, so an exact block never is.
+    Near degenerate: a float eigenvalue within NEAR_DEGENERATE_MARGIN of the zero
+    band, on either side.  Exact signs need no band, so an exact block never is.
     """
     if block.dtype == object:
-        return signature_of(block, tol), False
-    sig, eigs, band = spectral_signature(block, tol)
+        return signature_of(block), False
+    sig, eigs, band = spectral_signature(block)
     mags = np.abs(eigs)
-    return sig, bool(np.any((mags > 0.01 * band) & (mags < 100.0 * band)))
+    near = (mags > band / NEAR_DEGENERATE_MARGIN) & (mags < NEAR_DEGENERATE_MARGIN * band)
+    return sig, bool(np.any(near))
 
 
-def classify_by_invariants(metric: Metric, tol: float = DEFAULT_TOL) -> CanonicalForm:
-    """Classify via restricted signatures alone (no group elements)."""
+def classify_by_invariants(metric: Metric) -> CanonicalForm:
+    """Classify via restricted signatures alone (no group elements).
+
+    An exact metric is read by exact signs, a float one at unit scale, M / 4^e.
+    """
     n = metric.n
     if n < 4:
         raise DimensionTooSmall(f"need n >= 4, got {n}")
-    full = signature_of(metric.gram, tol)
-    if full.as_tuple() != (n - 1, 1, 0):
-        raise WrongSignature(f"signature {full.as_tuple()} unsupported; expected (n-1, 1, 0)")
-    form, _ = classify_by_invariants_flagged(metric, tol)
-    return form
+    if metric.backend == EXACT:
+        _require_lorentzian(signature_of(metric.gram))
+        return _classify_gram(metric.gram)[0]
+    prescale = _factor_metric(metric)[1]  # validates the signature of M / 4^e
+    return _classify_gram(to_float(metric.gram) * (prescale * prescale))[0]
 
 
-def classify_by_invariants_flagged(
-    metric: Metric, tol: float = DEFAULT_TOL
-) -> tuple[CanonicalForm, list[str]]:
-    n = metric.n
-    sig_center, near_center = _block_signature(metric.gram[2:, 2:], tol)
-    sig_derived, near_derived = _block_signature(metric.gram[-1:, -1:], tol)
+def classify_by_invariants_flagged(metric: Metric) -> tuple[CanonicalForm, list[str]]:
+    """The table row of the metric's restricted signatures, read as given, and its flags."""
+    return _classify_gram(metric.gram)
+
+
+def _classify_gram(gram: np.ndarray) -> tuple[CanonicalForm, list[str]]:
+    n = gram.shape[0]
+    sig_center, near_center = _block_signature(gram[2:, 2:])
+    sig_derived, near_derived = _block_signature(gram[-1:, -1:])
     key = (sig_center.as_tuple(), sig_derived.as_tuple())
     pair = next((p for p, sigs in signature_table(n).items() if sigs == key), None)
     if pair is None:
@@ -740,9 +745,7 @@ def _pipeline_scale(builder: _Builder, lam: int, xi_key: str) -> float:
     return float(c * c)
 
 
-def classify(
-    metric: Metric, tol: float = DEFAULT_TOL
-) -> tuple[CanonicalForm, float, Witness]:
+def classify(metric: Metric) -> tuple[CanonicalForm, float, Witness]:
     """Full reduction of a Lorentzian metric to its canonical class.
 
     Returns the class, the scale k making k*M pseudo-orthonormalizable on
@@ -750,21 +753,23 @@ def classify(
     against the restricted-signature classifier.  Raises AmbiguousNearWall
     when t falls between SNAP_LIMIT and WALL_BAND of a wall, and
     DimensionTooSmall for n < 4.
+
+    The scale of M is not part of its class, so both classifiers read M / 4^e
+    (retry factors have |det| = 1); an exact metric keeps its exact signs.
     """
     n = metric.n
     if n < 4:
         raise DimensionTooSmall(f"need n >= 4, got {n}")
     approx = metric.to_approx()
-    # validates the Lorentzian signature; the scale of M is not part of its
-    # class, so the reduction runs on M / 4^e (retry factors have |det| = 1)
-    base_m, prescale = _factor_metric(approx, tol)
-    inv_form, inv_flags = classify_by_invariants_flagged(metric, tol)
+    base_m, prescale = _factor_metric(approx)  # validates the signature
+    inv_gram = metric.gram if metric.backend == EXACT else approx.gram * (prescale * prescale)
+    inv_form, inv_flags = _classify_gram(inv_gram)
     last_error: Exception | None = None
     for attempt in range(MAX_RETRIES + 1):
         m = base_m if attempt == 0 else base_m @ _retry_factor(n, attempt)
         builder = _Builder(np.linalg.inv(m).T, prescale)
         try:
-            lam = _reduce_last_row(builder, tol)
+            lam = _reduce_last_row(builder)
             if lam == 0:
                 _reduce_lambda0(builder)
                 xi_key = "0"
@@ -802,15 +807,13 @@ def classify(
 # -- witness verification ------------------------------------------------------
 
 
-def verify_witness(
-    subject: Metric | np.ndarray,
-    witness: Witness,
-    tol: float = WITNESS_TOL,
-) -> VerificationResult:
-    """Re-multiply a witness chain and check every membership claim.
+def verify_witness(subject: Metric | np.ndarray, witness: Witness) -> VerificationResult:
+    """Re-multiply a witness chain and check every membership claim at WITNESS_TOL.
 
     `subject` is either the starting group element or the classified metric
     (in which case the recorded m-factor is checked against its Gram matrix).
+    Every size test is relative and singularity is judged by conditioning, so
+    a witness of c * M checks as one of M does.
     """
     n = witness.n
     problems = []
@@ -821,22 +824,20 @@ def verify_witness(
         minv = np.linalg.inv(witness.m_factor)
         gram = to_float(subject.gram)
         gram_res = max_abs(minv.T @ ipq @ minv - gram)
-        if gram_res > tol * max(1.0, max_abs(gram)):
+        if gram_res > WITNESS_TOL * max_abs(gram):
             problems.append(f"m-factor does not reproduce the metric ({gram_res:.2e})")
         start_res = max_abs(minv.T - witness.start)
-        if start_res > tol * max(1.0, max_abs(witness.start)):
+        if start_res > WITNESS_TOL * max_abs(witness.start):
             problems.append("start matrix is not the transpose-inverse of m")
     else:
         g = to_float(np.asarray(subject))
-        if g.shape != witness.start.shape or max_abs(g - witness.start) > tol * max(
-            1.0, max_abs(g)
-        ):
+        if g.shape != witness.start.shape or max_abs(g - witness.start) > WITNESS_TOL * max_abs(g):
             problems.append("start matrix differs from the supplied element")
     left = np.array([to_float(h) for h in witness.left]).reshape(-1, n, n)
     outside = np.abs(left[:, hprime_pattern(n).outside]).max(axis=1)
-    singular = np.abs(np.linalg.det(left)) < 1e-300
+    singular = is_singular(left)
     for idx, (out, sing) in enumerate(zip(outside.tolist(), singular.tolist())):
-        if out > tol:
+        if out > WITNESS_TOL:
             problems.append(f"left factor {idx} violates the pattern ({out:.2e})")
         if sing:
             problems.append(f"left factor {idx} is singular")
@@ -844,10 +845,10 @@ def verify_witness(
     devs = np.abs(right.transpose(0, 2, 1) @ ipq @ right - ipq).max(axis=(1, 2))
     sizes = np.abs(right).max(axis=(1, 2))
     for idx, (dev, size) in enumerate(zip(devs.tolist(), sizes.tolist())):
-        if dev > tol * max(1.0, size**2):
+        if dev > WITNESS_TOL * size**2:
             problems.append(f"right factor {idx} is not pseudo-orthogonal ({dev:.2e})")
     residual = max_abs(witness.product() - witness.target)
-    if residual > tol:
+    if residual > WITNESS_TOL:
         problems.append(f"chain product misses the target by {residual:.2e}")
     return VerificationResult(not problems, residual, "; ".join(problems))
 

@@ -167,11 +167,19 @@ def test_orbits_text_and_dot(capsys):
     assert "digraph" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("option", [["--tol", "1e-2"], ["--dot"]])
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["orbits", "--n", "4", "--tol", "1e-2"],
+        ["orbits", "--n", "4", "--dot"],
+        ["classify", "--input", "-", "--tol", "1e-7"],
+    ],
+)
 def test_orbits_rejects_retired_options(option, capsys):
-    # the graph is a fixed object: no tolerance, and DOT is --format dot
+    # the graph is a fixed object: no tolerance, and DOT is --format dot;
+    # classify reads every metric at unit scale and takes no tolerance either
     with pytest.raises(SystemExit) as exc:
-        main(["orbits", "--n", "4", *option])
+        main(option)
     assert exc.value.code == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err and "Traceback" not in err
@@ -214,27 +222,6 @@ def test_verify_detects_injected_table_error(monkeypatch, capsys):
     assert not result.passed
     assert result.name == "curvature-tables-oracle"
     assert "mismatch" in result.detail
-
-
-def test_env_tolerance_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("METRICLASS_TOL", "1e-7")
-    metric, _ = canonical_metric(2, "0", 4, backend="approx")
-    assert main(["classify", "--input", _write_metric(tmp_path, metric)]) == EXIT_OK
-    for bad in ("-3", "abc", "nan", "inf", "0"):
-        monkeypatch.setenv("METRICLASS_TOL", bad)
-        assert main(["classify", "--input", _write_metric(tmp_path, metric)]) == EXIT_BAD_INPUT
-        err = capsys.readouterr().err
-        assert err.startswith("error: METRICLASS_TOL=") and "Traceback" not in err
-
-
-def test_tol_flag_rejects_non_positive_and_non_finite(tmp_path, capsys):
-    metric, _ = canonical_metric(2, "0", 4, backend="approx")
-    path = _write_metric(tmp_path, metric)
-    for bad in ("-1", "nan", "inf", "0"):
-        assert main(["classify", "--input", path, "--tol", bad]) == EXIT_BAD_INPUT
-        err = capsys.readouterr().err
-        assert err.startswith("error: --tol=") and "symmetric" not in err
-    assert main(["classify", "--input", path, "--tol", "1e-7"]) == EXIT_OK
 
 
 def test_classification_json_round_trip(tmp_path, capsys):

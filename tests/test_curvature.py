@@ -161,9 +161,9 @@ def test_first_bianchi():
 
 def test_riemann_flat_class_vanishes():
     ops = closed_form_riemann(QSqrt3(1), QSqrt3(0), 5)
-    assert is_flat(ops, 0.0)
+    assert is_flat(ops)
     _, _, _, ops_g, _ = generic_curvature(QSqrt3(1), QSqrt3(0), 5)
-    assert is_flat(ops_g, 0.0)
+    assert is_flat(ops_g)
 
 
 def test_riemann_component_example_origin():
@@ -285,7 +285,7 @@ def test_generic_ricci_in_the_benchmark_contract(n):
 def test_flat_only_at_one_zero():
     for pair in CANONICAL_PAIRS:
         lam, xi = _exact_frame(pair, 4)
-        assert is_flat(closed_form_riemann(lam, xi, 4), 0.0) == (pair == (1, "0"))
+        assert is_flat(closed_form_riemann(lam, xi, 4)) == (pair == (1, "0"))
 
 
 def test_einstein_only_at_flat_class():

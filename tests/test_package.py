@@ -55,3 +55,30 @@ def test_benchmark_names_exist(script):
                     break
                 value = getattr(value, name)
     assert not missing
+
+
+def test_small_float_literals_are_named_constants():
+    """Every nonzero float literal below 1e-3 in the package is a module-level
+    UPPER_CASE constant, so no threshold hides inline."""
+    inline = []
+    for path in sorted(Path(heislor.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if all(isinstance(t, ast.Name) and t.id.isupper() for t in targets):
+                named.update(id(sub) for sub in ast.walk(node.value))
+        inline += [
+            f"{path.name}:{node.lineno} {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, float)
+            and 0 < abs(node.value) < 1e-3
+            and id(node) not in named
+        ]
+    assert not inline
