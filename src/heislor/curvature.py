@@ -30,8 +30,8 @@ import numpy as np
 
 from ._linalg import _subtract, exact_eye, exact_zeros, max_abs, rref_rows, to_float, unit_conjugator
 from .liealg import _derivation_vectors
-from .metrics import CANONICAL_PAIRS, NotARepresentative, shear_matrix, xi_exact, xi_key_of
-from .numerics import DEFAULT_TOL, EXACT, QSqrt3
+from .metrics import canonical_key, shear_matrix, xi_exact
+from .numerics import DEFAULT_TOL, EXACT, SQRT3_F, QSqrt3
 
 HALF = QSqrt3(Fraction(1, 2))
 #: a float eigenvalue this close to a small element of Q(sqrt3) lifts onto it
@@ -447,7 +447,7 @@ def _poly_from_roots(roots: list[QSqrt3]) -> list[QSqrt3]:
 
 def _snap_exact(value: float) -> QSqrt3 | None:
     """Lift a float to a small rational or a rational multiple of sqrt3."""
-    for scale, make in ((1.0, QSqrt3), (float(np.sqrt(3.0)), lambda f: QSqrt3(0, f))):
+    for scale, make in ((1.0, QSqrt3), (SQRT3_F, lambda f: QSqrt3(0, f))):
         frac = Fraction(value / scale).limit_denominator(64)
         if abs(float(frac) * scale - value) < LIFT_TOL:
             return make(frac)
@@ -535,9 +535,7 @@ def curvature_report(lam, xi, n: int, backend: str = EXACT) -> CurvatureReport:
     The tables are the closed forms, built exactly.  The float report is the
     exact one with every value rounded once, so an exact zero stays +0.0.
     """
-    key = xi_key_of(xi)
-    if (int(lam), key) not in CANONICAL_PAIRS:
-        raise NotARepresentative(f"({lam}, {key}) is not a canonical pair")
+    key = canonical_key(lam, xi)
     xi_val, lam_val = xi_exact(key), QSqrt3(int(lam))
     ops = closed_form_riemann(lam_val, xi_val, n)
     ric = closed_form_ricci(lam_val, xi_val, n)

@@ -86,6 +86,14 @@ def xi_key_of(value) -> str:
     raise NotARepresentative(f"xi value {value!r} is not one of 0, 1, sqrt3, 2")
 
 
+def canonical_key(lam, xi) -> str:
+    """xi's key when (lam, xi) is one of the six canonical pairs."""
+    key = xi_key_of(xi)
+    if (int(lam), key) not in CANONICAL_PAIRS:
+        raise NotARepresentative(f"({lam}, {key}) is not a canonical pair")
+    return key
+
+
 @dataclass(frozen=True)
 class SignatureTriple:
     """Counts (plus, minus, zero) of a restricted inner product."""
@@ -241,9 +249,7 @@ def canonical_gram(lam, xi, n: int, exact: bool = True) -> np.ndarray:
 
 def canonical_metric(lam, xi, n: int, backend: str = EXACT) -> tuple[Metric, Frame]:
     """One of the six canonical metrics together with its orthonormal frame."""
-    key = xi_key_of(xi)
-    if (int(lam), key) not in CANONICAL_PAIRS:
-        raise NotARepresentative(f"(lam, xi) = ({lam}, {key}) is not canonical")
+    key = canonical_key(lam, xi)
     exact = backend == EXACT
     xi_val = xi_exact(key) if exact else xi_float(key)
     lam_val = QSqrt3(lam) if exact else float(lam)
@@ -277,10 +283,25 @@ def _factor_metric(metric: Metric) -> tuple[np.ndarray, float]:
     order = np.argsort(-eigvals)  # positives first, the negative one last
     eigvals = eigvals[order]
     q = q[:, order]
-    log_det = sum(math.log(abs(v)) for v in eigvals.tolist() if v)
-    prescale = math.ldexp(1.0, -round(log_det / (len(eigvals) * math.log(4.0))))
+    prescale = _unit_prescale(eigvals)
     _require_lorentzian(_eigen_signature(eigvals * prescale * prescale)[0])
     return q * (np.abs(eigvals) ** -0.5), prescale
+
+
+def _unit_prescale(eigvals: np.ndarray) -> float:
+    """2^-e, e = round(log|det| / (n ln 4)) over the nonzero eigenvalues of a gram."""
+    log_det = sum(math.log(abs(v)) for v in eigvals.tolist() if v)
+    return math.ldexp(1.0, -round(log_det / (len(eigvals) * math.log(4.0))))
+
+
+def _unit_gram(metric: Metric) -> np.ndarray:
+    """The gram an invariant reader sees: an exact one as given, a float one at
+    unit scale, M / 4^e.  Unlike factor_metric it takes any signature."""
+    if metric.backend == EXACT:
+        return metric.gram
+    gram = to_float(metric.gram)
+    prescale = _unit_prescale(np.linalg.eigvalsh(gram))
+    return gram * (prescale * prescale)
 
 
 # -- JSON schema --------------------------------------------------------------

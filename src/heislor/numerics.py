@@ -22,7 +22,8 @@ APPROX = "approx"
 #: relative zero band of float sign classification, at unit scale
 DEFAULT_TOL = 1e-9
 
-_SQRT3_FLOAT = math.sqrt(3.0)
+#: sqrt3 rounded to the nearest float
+SQRT3_F = math.sqrt(3.0)
 
 RationalLike = Union[int, Fraction]
 
@@ -260,7 +261,7 @@ class QSqrt3:
 
     def __float__(self) -> float:
         # float(a) + float(b)*sqrt3; int true division rounds like Fraction
-        return self._p / self._d + self._q / self._d * _SQRT3_FLOAT
+        return self._p / self._d + self._q / self._d * SQRT3_F
 
     def __abs__(self) -> "QSqrt3":
         return self if self.sign() >= 0 else -self

@@ -25,22 +25,16 @@ from .liealg import DimensionTooSmall, aut_pattern
 from .metrics import (
     CANONICAL_PAIRS,
     Metric,
-    NotARepresentative,
     SignatureTriple,
     canonical_gram,
+    canonical_key,
     canonical_metric,
     shear_matrix,
     xi_exact,
-    xi_key_of,
 )
-from .numerics import APPROX, QSqrt3
-from .reduction import (
-    FLAG_NEAR_DEGENERATE,
-    classify_by_invariants_flagged,
-    restricted_signatures,
-)
+from .numerics import APPROX, SQRT3_F, QSqrt3
+from .reduction import FLAG_NEAR_DEGENERATE, _classify_gram, restricted_signatures
 
-SQRT3_F = math.sqrt(3.0)
 #: interior parameters sampled on each degeneration curve
 CURVE_SAMPLES = 10
 #: distance of each curve's flagged sample from its limit: close, yet well outside the zero band
@@ -55,13 +49,6 @@ class OracleMismatch(RuntimeError):
     """Closed-form stabilizer dimension disagrees with the rank oracle."""
 
 
-def _check_pair(lam: int, xi) -> str:
-    key = xi_key_of(xi)
-    if (int(lam), key) not in CANONICAL_PAIRS:
-        raise NotARepresentative(f"({lam}, {key}) is not a canonical pair")
-    return key
-
-
 def dims_UW(lam: int, xi, n: int) -> tuple[int, int]:
     """Dimensions of the two stabilizer solution spaces, by exact rank.
 
@@ -69,7 +56,7 @@ def dims_UW(lam: int, xi, n: int) -> tuple[int, int]:
     in R^2; the mixing space imposes (lam^2-1) a = -xi c on each of the n-4
     coordinate pairs.
     """
-    key = _check_pair(lam, xi)
+    key = canonical_key(lam, xi)
     lam_e, xi_e = QSqrt3(int(lam)), xi_exact(key)
     a = lam_e * lam_e - 1
     dim_u = 2 - rank_rows([[(0, a - xi_e * xi_e), (1, lam_e * xi_e)], [(1, a)]])
@@ -81,7 +68,7 @@ def _stabilizer_system(lam: int, xi, n: int) -> list[Counter]:
     """Per position E_ij, the upper triangle of eps X + (eps X)^T for X = g^-1 E_ij g
     as a sparse column {row: eps_s X_sr + eps_r X_rs}, from nonzero products only.
     """
-    key = _check_pair(lam, xi)
+    key = canonical_key(lam, xi)
     conjugate = unit_conjugator(shear_matrix(QSqrt3(int(lam)), xi_exact(key), n, exact=True))
     eps = [1] * (n - 1) + [-1]
     row_of = {rs: row for row, rs in enumerate((r, s) for r in range(n) for s in range(r, n))}
@@ -117,7 +104,7 @@ def _stabilizer_dim_cached(lam: int, key: str, n: int) -> int:
 
 def stabilizer_dim(lam: int, xi, n: int) -> int:
     """Stabilizer dimension, closed form cross-checked by the rank oracle."""
-    return _stabilizer_dim_cached(int(lam), _check_pair(lam, xi), n)
+    return _stabilizer_dim_cached(int(lam), canonical_key(lam, xi), n)
 
 
 def moduli_dim(n: int) -> int:
@@ -206,11 +193,6 @@ def curve_sample(family: str, t: float, n: int) -> Metric:
             f"{'[' if fam.closed_lo else '('}{fam.lo}, {fam.hi}{']' if fam.closed_hi else ')'}"
         )
     lam, xi = fam.params(t)
-    return Metric(gram=canonical_gram(lam, xi, n, exact=False), backend=APPROX)
-
-
-def _limit_metric(fam: CurveFamily, n: int) -> Metric:
-    lam, xi = fam.params(fam.limit)
     return Metric(gram=canonical_gram(lam, xi, n, exact=False), backend=APPROX)
 
 
@@ -310,15 +292,16 @@ def degeneration_graph(n: int) -> DegenerationGraph:
         span = fam.hi - fam.lo
         ts = [fam.lo + span * (k + 0.5) / CURVE_SAMPLES for k in range(CURVE_SAMPLES)]
         near = fam.limit + (NEAR_LIMIT_STEP if fam.limit == fam.lo else -NEAR_LIMIT_STEP)
+        # every canonical gram has |det| = 1, so each sample is read at unit scale as given
         for t, flags in [(t, ()) for t in ts] + [(near, (FLAG_NEAR_DEGENERATE,))]:
-            form, _ = classify_by_invariants_flagged(curve_sample(name, t, n))
+            form, _ = _classify_gram(curve_sample(name, t, n).gram)
             if form.pair != fam.source:
                 raise EvidenceFailure(
                     f"family {name}: sample t={t} classifies to {form.pair}, "
                     f"expected {fam.source}"
                 )
             samples.append((t, form.pair, flags))
-        limit_form, _ = classify_by_invariants_flagged(_limit_metric(fam, n))
+        limit_form, _ = _classify_gram(canonical_gram(*fam.params(fam.limit), n, exact=False))
         if limit_form.pair != fam.target:
             raise EvidenceFailure(
                 f"family {name}: limit classifies to {limit_form.pair}, "
@@ -366,7 +349,7 @@ def degeneration_graph(n: int) -> DegenerationGraph:
 
 def is_closed(lam: int, xi, n: int = 4) -> bool:
     """True when the orbit has no outgoing degeneration; cross-checked as flat."""
-    key = _check_pair(lam, xi)
+    key = canonical_key(lam, xi)
     closed = not degeneration_graph(n).outgoing((int(lam), key))
     flat = is_flat(closed_form_riemann(QSqrt3(int(lam)), xi_exact(key), n))
     if closed != flat:
@@ -407,7 +390,7 @@ class OrbitReport:
 
 
 def orbit_report(lam: int, xi, n: int) -> OrbitReport:
-    key = _check_pair(lam, xi)
+    key = canonical_key(lam, xi)
     dim_u, dim_w = dims_UW(lam, key, n)
     stab = stabilizer_dim(lam, key, n)
     codim = codimension(lam, key, n)

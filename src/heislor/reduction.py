@@ -3,8 +3,10 @@
 The classifier factors a metric as M = m.<,>_0 and drives m's
 transpose-inverse through a chain of left factors from the transposed
 automorphism pattern and right factors from O(n-1, 1) until it reaches a
-representative matrix I + xi*E_(n-1,1) - lam*E_(n,1).  Every factor is kept,
-so the result ships with a witness that can be re-multiplied and checked.
+representative matrix I + xi*E_(n-1,1) - lam*E_(n,1).  Each stage picks its
+right factors in closed form, then takes one left solve onto its known target.
+Every factor is kept, so the result ships with a witness that can be
+re-multiplied and checked.
 
 An independent classifier reads the same answer off the signatures of the
 restrictions to the center and the derived ideal; the two must agree.
@@ -30,21 +32,20 @@ from ._linalg import (
 )
 from .liealg import DimensionTooSmall, hprime_pattern
 from .metrics import (
-    CANONICAL_PAIRS,
     Metric,
-    NotARepresentative,
     SignatureTriple,
     _factor_metric,
     _require_lorentzian,
+    _unit_gram,
+    canonical_key,
     signature_of,
     spectral_signature,
     xi_exact,
     xi_float,
     xi_key_of,
 )
-from .numerics import DEFAULT_TOL, EXACT, NEGATIVE, POSITIVE, QSqrt3, sign_with_tol
+from .numerics import DEFAULT_TOL, EXACT, NEGATIVE, POSITIVE, SQRT3_F, QSqrt3, sign_with_tol
 
-SQRT3_F = math.sqrt(3.0)
 #: sqrt3 - SQRT3_F, the digits of sqrt3 a float drops
 SQRT3_LO = 1.0035084221806903e-16
 
@@ -60,9 +61,9 @@ SNAP_LIMIT = WITNESS_TOL / 4
 NEAR_WALL_FLAG = 1e-9
 #: relative deviation from the exact shape that a snap may absorb
 SNAP_TOL = 1e-6
-#: a peel pivot (or corner pair) this small relative to the matrix is rounding noise
+#: a (3, 1) entry this small relative to the matrix leaves no corner to rotate in
 PIVOT_TOL = 1e-12
-#: a (3, 3) corner below this fraction of its row is rotated into a nonzero one
+#: a (3, 3) corner below this fraction of max(1, |(3, 1) entry|) is rotated into a nonzero one
 CORNER_TOL = 1e-9
 #: an eigenvalue within this factor of the zero band is flagged NearDegenerate
 NEAR_DEGENERATE_MARGIN = 100.0
@@ -140,8 +141,7 @@ class CanonicalForm:
         return (self.lam, self.xi_key)
 
     def __post_init__(self):
-        if (self.lam, xi_key_of(self.xi)) not in CANONICAL_PAIRS:
-            raise NotARepresentative(f"({self.lam}, {self.xi}) not canonical")
+        canonical_key(self.lam, self.xi)
 
 
 def canonical_form(lam: int, xi, n: int) -> CanonicalForm:
@@ -243,6 +243,16 @@ class _Builder:
             raise NumericalBreakdown(f"snap deviation {dev:.3e} exceeds tolerance")
         self.current = ideal.copy()
 
+    def solve_onto(self, target: np.ndarray) -> None:
+        """Apply the left factor target @ current^-1, projected on the pattern;
+        the snap checks that what the projection dropped was rounding residue."""
+        try:
+            h = hprime_pattern(self.n).project(target @ np.linalg.inv(self.current))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalBreakdown("the working matrix is singular") from exc
+        self.apply_left(h)
+        self.snap(target)
+
     def witness(self, target: np.ndarray, m_factor: np.ndarray | None = None) -> Witness:
         return Witness(
             left=list(reversed(self.left_app)),
@@ -327,79 +337,31 @@ def _reduce_last_row(builder: _Builder) -> int:
 
 
 def _reduce_lambda0(builder: _Builder) -> None:
-    """Triangularize the (n-1)-block and cancel it from the left."""
+    """Triangularize the (n-1)-block, then solve onto the identity."""
     n = builder.n
-    block = builder.current[: n - 1, : n - 1]
-    q = right_triangularize(block)
+    q = right_triangularize(builder.current[: n - 1, : n - 1])
     builder.apply_right(embed(q, n, tuple(range(n - 1))))
-    upper = builder.current.copy()
-    upper[n - 1, :] = 0.0
-    upper[n - 1, n - 1] = 1.0
-    for i in range(1, n - 1):
-        upper[i, :i] = 0.0  # triangular up to rotation residue
-    builder.snap(upper)
-    builder.apply_left(hprime_pattern(n).project(np.linalg.inv(upper)))
-    builder.snap(np.eye(n))
+    builder.solve_onto(np.eye(n))
 
 
 def _reduce_to_t(builder: _Builder, lam: int) -> float:
-    """Peel the matrix down to I + t E_(n-1,1) - lam E_(n,1) with t >= 0."""
+    """Reach I + t E_(n-1,1) - lam E_(n,1), t >= 0: a Householder factor and a
+    middle rotation leave the (3, 3) corner x and (3, 1) entry y that fix
+    t = |y / x|, and one left solve lands on it."""
     n = builder.n
-    cur = builder.current
     if n >= 5:
         # zero the first column below its third entry
-        h = householder(cur[2 : n - 1, 0], 0)
+        h = householder(builder.current[2 : n - 1, 0], 0)
         builder.apply_left(embed(h, n, tuple(range(2, n - 1))))
-        ideal = builder.current.copy()
-        ideal[3 : n - 1, 0] = 0.0
-        builder.snap(ideal)
-    # triangularize the middle block from the right
-    block = builder.current[1 : n - 1, 1 : n - 1]
-    q = right_triangularize(block)
+    q = right_triangularize(builder.current[1 : n - 1, 1 : n - 1])
     builder.apply_right(embed(q, n, tuple(range(1, n - 1))))
-    ideal = builder.current.copy()
-    for i in range(2, n - 1):
-        ideal[i, 1:i] = 0.0
-    builder.snap(ideal)
-    # peel columns n-1 .. 4 down to identity
-    for j in range(n - 2, 2, -1):
-        pivot = float(builder.current[j, j])
-        if abs(pivot) < PIVOT_TOL * max(1.0, max_abs(builder.current)):
-            raise NumericalBreakdown(f"vanishing peel pivot at column {j}")
-        h = np.eye(n)
-        h[j, j] = 1.0 / pivot
-        h[:j, j] = -builder.current[:j, j] / pivot
-        builder.apply_left(h)
-        ideal = builder.current.copy()
-        ideal[:, j] = 0.0
-        ideal[j, :] = 0.0
-        ideal[j, j] = 1.0
-        builder.snap(ideal)
-    row_scale = max(1.0, max_abs(builder.current[2]))
-    if abs(builder.current[2, 2]) <= CORNER_TOL * row_scale:
+    if abs(builder.current[2, 2]) <= CORNER_TOL * max(1.0, abs(builder.current[2, 0])):
         _fix_zero_corner(builder, lam)
-    x = float(builder.current[2, 2])
-    y = float(builder.current[2, 0])
-    # clear the third column, then cancel the top 2x2 block
-    h4 = np.eye(n)
-    h4[2, 2] = 1.0 / x
-    h4[0, 2] = -builder.current[0, 2] / x
-    h4[1, 2] = -builder.current[1, 2] / x
-    builder.apply_left(h4)
-    ideal = builder.current.copy()
-    ideal[:, 2] = 0.0
-    ideal[2, :] = 0.0
-    ideal[2, 2] = 1.0
-    ideal[2, 0] = y / x
-    builder.snap(ideal)
-    top = builder.current[0:2, 0:2]
-    h5 = embed(np.linalg.inv(top), n, (0, 1))
-    builder.apply_left(h5)
-    t_signed = y / x
-    ideal = np.eye(n)
-    ideal[2, 0] = t_signed
-    ideal[n - 1, 0] = -float(lam)
-    builder.snap(ideal)
+    t_signed = float(builder.current[2, 0] / builder.current[2, 2])
+    target = np.eye(n)
+    target[2, 0] = t_signed
+    target[n - 1, 0] = -float(lam)
+    builder.solve_onto(target)
     # conjugate the shear entry into the (n-1, 1) slot with a positive sign
     if abs(t_signed) > 0.0:
         v = np.zeros(n - 3)
@@ -569,14 +531,7 @@ def _reduce_lambda2(builder: _Builder, t: float) -> str:
         ]
     )
     builder.apply_right(embed(k1, n, c4))
-    h1 = np.eye(n)
-    h1[0, n - 1] = 2.0 * s - 2.0
-    h1[n - 2, n - 1] = 2.0 * s * t - 2.0 * t - 2.0 * phi
-    builder.apply_left(h1)
-    target = representative_matrix(2, xi_key, n)
-    h_final = hprime_pattern(n).project(target @ np.linalg.inv(builder.current))
-    builder.apply_left(h_final)
-    builder.snap(target)
+    builder.solve_onto(representative_matrix(2, xi_key, n))
     return xi_key
 
 
@@ -662,8 +617,8 @@ def signature_table(n: int) -> MappingProxyType:
 
 
 def restricted_signatures(metric: Metric) -> tuple[SignatureTriple, SignatureTriple]:
-    """Signatures of the metric on the center and on the derived ideal."""
-    gram = metric.gram
+    """Signatures of the metric on the center and on the derived ideal, at unit scale."""
+    gram = _unit_gram(metric)
     return signature_of(gram[2:, 2:]), signature_of(gram[-1:, -1:])
 
 
@@ -689,16 +644,14 @@ def classify_by_invariants(metric: Metric) -> CanonicalForm:
     n = metric.n
     if n < 4:
         raise DimensionTooSmall(f"need n >= 4, got {n}")
-    if metric.backend == EXACT:
-        _require_lorentzian(signature_of(metric.gram))
-        return _classify_gram(metric.gram)[0]
-    prescale = _factor_metric(metric)[1]  # validates the signature of M / 4^e
-    return _classify_gram(to_float(metric.gram) * (prescale * prescale))[0]
+    gram = _unit_gram(metric)
+    _require_lorentzian(signature_of(gram))
+    return _classify_gram(gram)[0]
 
 
 def classify_by_invariants_flagged(metric: Metric) -> tuple[CanonicalForm, list[str]]:
-    """The table row of the metric's restricted signatures, read as given, and its flags."""
-    return _classify_gram(metric.gram)
+    """The table row of the metric's restricted signatures, at unit scale, and its flags."""
+    return _classify_gram(_unit_gram(metric))
 
 
 def _classify_gram(gram: np.ndarray) -> tuple[CanonicalForm, list[str]]:

@@ -34,7 +34,7 @@ from .metrics import (
     canonical_metric,
     xi_exact,
 )
-from .numerics import APPROX, EXACT, QSqrt3
+from .numerics import APPROX, EXACT, SQRT3_F, QSqrt3
 from .orbits import codimension, degeneration_graph, is_closed
 from .reduction import (
     classify,
@@ -313,12 +313,11 @@ def check_degeneration_graph(n_values=(4, 5, 6)) -> CheckResult:
 
 def check_ivt_roots(samples: int = 100, seed: int = 7) -> CheckResult:
     """Certify the closed-form lam=2 root that classify runs against its equation."""
-    sqrt3 = float(np.sqrt(3.0))
 
     def run():
         rng = np.random.default_rng(seed)
         worst = 0.0
-        for xi_key, lo, hi in (("0", 0.0, sqrt3), ("2", sqrt3, 20.0)):
+        for xi_key, lo, hi in (("0", 0.0, SQRT3_F), ("2", SQRT3_F, 20.0)):
             for t in rng.uniform(lo, hi, samples):
                 key, s, _ = lambda2_closed_form(t)
                 if key != xi_key:

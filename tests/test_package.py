@@ -82,3 +82,40 @@ def test_small_float_literals_are_named_constants():
             and id(node) not in named
         ]
     assert not inline
+
+
+def _module_level_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every module-level assignment, function and class."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            out += [(sub.id, node.lineno) for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+    return out
+
+
+def test_private_names_and_constants_are_read():
+    """Every module-level _private name and UPPER_CASE constant in the package is
+    read somewhere in it, so no helper or threshold outlives its last use."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(heislor.__file__).resolve().parent.glob("*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [
+        f"{name}:{line} {ident}"
+        for name, tree in trees.items()
+        for ident, line in _module_level_names(tree)
+        if (ident.startswith("_") and not ident.startswith("__") or ident.isupper())
+        and ident not in read
+    ]
+    assert not unread

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from heislor._linalg import (
+    embed,
     exact_array,
     exact_rank,
+    householder,
     max_abs,
     minkowski_gram,
+    right_triangularize,
     shared_minkowski_gram,
     to_float,
 )
@@ -36,6 +39,7 @@ from heislor.reduction import (
     NoTableMatch,
     NotInG0,
     NotInGLambda,
+    NumericalBreakdown,
     VerificationResult,
     ZeroVector,
     classify,
@@ -192,30 +196,161 @@ def _middle_rotation(n, rng):
     return k
 
 
+#: (lam, t) of the round-trip inputs
+_ROUND_TRIP = [(1, 2.0), (2, 0.8), (2, 2.4)]
+
+
+def _round_trip_input(n, lam, t_true):
+    """The shear form dressed by structure-preserving factors on both sides."""
+    rng = np.random.default_rng(100 * n + lam)
+    return _random_hprime_stabilizer(n, rng) @ _t_form(n, lam, t_true) @ _middle_rotation(n, rng)
+
+
 @pytest.mark.parametrize("n", (4, 5, 7))
-@pytest.mark.parametrize("lam,t_true", [(1, 2.0), (2, 0.8), (2, 2.4)])
+@pytest.mark.parametrize("lam,t_true", _ROUND_TRIP)
 def test_reduce_to_t_round_trip(n, lam, t_true):
     """Dressing the shear form by structure-preserving factors leaves t fixed."""
-    rng = np.random.default_rng(100 * n + lam)
-    g = _random_hprime_stabilizer(n, rng) @ _t_form(n, lam, t_true) @ _middle_rotation(n, rng)
+    g = _round_trip_input(n, lam, t_true)
     t, witness = reduce_to_t(g, lam)
     assert t == pytest.approx(t_true, rel=1e-9)
     assert verify_witness(g, witness).ok
 
 
-def test_reduce_to_t_zero_corner_subcase():
-    # row n-1 proportional to e_1 exercises the sqrt(lam^2+1) fix-up
-    g = np.array(
-        [
-            [0.0, 1, 0, 0],
-            [0, 0, 1, 0],
-            [1, 0, 0, 0],
-            [-1, 0, 0, 1],
-        ]
-    )
-    t, witness = reduce_to_t(g, 1)
+def _reduce_to_t_peel_reference(g, lam):
+    """Reduction to the t-form by back substitution written out step by step.
+
+    After the Householder factor and the middle rotation it peels columns
+    n-1 .. 4 to the identity with one factor each, clears the third column and
+    cancels the top 2x2 block, snapping onto the known shape after every step.
+    The library takes one left solve instead; this is its reference.
+    """
+    builder = reduction._Builder(g)
+    n = builder.n
+    if n >= 5:
+        h = householder(builder.current[2 : n - 1, 0], 0)
+        builder.apply_left(embed(h, n, tuple(range(2, n - 1))))
+        ideal = builder.current.copy()
+        ideal[3 : n - 1, 0] = 0.0
+        builder.snap(ideal)
+    q = right_triangularize(builder.current[1 : n - 1, 1 : n - 1])
+    builder.apply_right(embed(q, n, tuple(range(1, n - 1))))
+    ideal = builder.current.copy()
+    for i in range(2, n - 1):
+        ideal[i, 1:i] = 0.0
+    builder.snap(ideal)
+    for j in range(n - 2, 2, -1):
+        pivot = float(builder.current[j, j])
+        if abs(pivot) < reduction.PIVOT_TOL * max(1.0, max_abs(builder.current)):
+            raise NumericalBreakdown(f"vanishing peel pivot at column {j}")
+        h = np.eye(n)
+        h[j, j] = 1.0 / pivot
+        h[:j, j] = -builder.current[:j, j] / pivot
+        builder.apply_left(h)
+        ideal = builder.current.copy()
+        ideal[:, j] = 0.0
+        ideal[j, :] = 0.0
+        ideal[j, j] = 1.0
+        builder.snap(ideal)
+    if abs(builder.current[2, 2]) <= reduction.CORNER_TOL * max(1.0, max_abs(builder.current[2])):
+        reduction._fix_zero_corner(builder, lam)
+    x = float(builder.current[2, 2])
+    y = float(builder.current[2, 0])
+    h4 = np.eye(n)
+    h4[2, 2] = 1.0 / x
+    h4[0, 2] = -builder.current[0, 2] / x
+    h4[1, 2] = -builder.current[1, 2] / x
+    builder.apply_left(h4)
+    ideal = builder.current.copy()
+    ideal[:, 2] = 0.0
+    ideal[2, :] = 0.0
+    ideal[2, 2] = 1.0
+    ideal[2, 0] = y / x
+    builder.snap(ideal)
+    builder.apply_left(embed(np.linalg.inv(builder.current[0:2, 0:2]), n, (0, 1)))
+    t_signed = y / x
+    ideal = np.eye(n)
+    ideal[2, 0] = t_signed
+    ideal[n - 1, 0] = -float(lam)
+    builder.snap(ideal)
+    if abs(t_signed) > 0.0:
+        v = np.zeros(n - 3)
+        v[0] = t_signed
+        h = householder(v, -1)
+        coords = tuple(range(2, n - 1))
+        builder.apply_left(embed(h, n, coords))
+        builder.apply_right(embed(h.T, n, coords))
+    t = abs(t_signed)
+    builder.snap(_t_form(n, lam, t))
+    return t, builder.witness(builder.current)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("lam,t_true", _ROUND_TRIP)
+def test_reduce_to_t_matches_peel_reference(n, lam, t_true):
+    g = _round_trip_input(n, lam, t_true)
+    t, witness = reduce_to_t(g, lam)
+    t_ref, ref = _reduce_to_t_peel_reference(g, lam)
+    assert t == pytest.approx(t_ref, rel=1e-12)
+    assert verify_witness(g, witness).ok and verify_witness(g, ref).ok
+
+
+def test_stages_end_in_one_left_solve():
+    rng = np.random.default_rng(8)
+    g = np.eye(5)
+    g[:4, :4] = rng.uniform(-1, 1, (4, 4)) + 2 * np.eye(4)
+    assert len(reduce_lambda0(g).left) == 1
+    for t in (0.8, 2.4):  # both sides of the sqrt3 wall
+        _, witness = reduce_lambda2(t, 5)
+        assert (len(witness.left), len(witness.right)) == (1, 1)
+    for lam, t_true in _ROUND_TRIP:
+        # the Householder factor, the solve and the shear's conjugation
+        g = _round_trip_input(7, lam, t_true)
+        assert len(reduce_to_t(g, lam)[1].left) <= 3
+
+
+def _zero_corner_input(n, lam):
+    """Rows e_2, e_3, e_1, e_4 .. e_(n-1), (-lam, 0, .., 0, 1): the middle block's
+    first row is zero, so the (3, 3) corner vanishes after the rotation."""
+    g = np.eye(n)
+    g[:3, :3] = [[0.0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    g[n - 1, 0] = -float(lam)
+    return g
+
+
+@pytest.mark.parametrize("n", (4, 5, 7))
+@pytest.mark.parametrize("lam", (1, 2))
+def test_reduce_to_t_zero_corner_subcase(n, lam, monkeypatch):
+    # the corner is rotated into a nonzero one by the sqrt(lam^2+1) fix-up
+    calls = []
+    fix = reduction._fix_zero_corner
+    monkeypatch.setattr(reduction, "_fix_zero_corner", lambda b, l: calls.append(l) or fix(b, l))
+    g = _zero_corner_input(n, lam)
+    t, witness = reduce_to_t(g, lam)
+    assert calls == [lam]
     assert t >= 0 and math.isfinite(t)
     assert verify_witness(g, witness).ok
+
+
+def test_singular_input_breaks_down():
+    # a singular element has no witness, so no t may come back for it
+    g = np.eye(5)
+    g[:4, :4] = [[-1.0, 0, 0, 0], [-1, 1, -1, 1], [1, -1, 0, 0], [-1, 0, 0, 0]]
+    g[4, 0] = -1.0
+    with pytest.raises(NumericalBreakdown):
+        reduce_to_t(g, 1)
+    rng = np.random.default_rng(0)
+    tried = 0
+    while tried < 40:
+        lam = 1 + tried % 2
+        g = np.eye(5)
+        g[:4, :4] = rng.integers(-1, 2, (4, 4))
+        g[2, 2] = 0.0
+        g[4, 0] = -float(lam)
+        if np.linalg.matrix_rank(g) == 5:
+            continue
+        tried += 1
+        with pytest.raises(NumericalBreakdown):
+            reduce_to_t(g, lam)
 
 
 def test_reduce_to_t_rejects_wrong_lambda():
@@ -725,11 +860,13 @@ _SCALES = [10.0**e for e in range(-100, 101, 10)]
 
 
 def test_classify_is_scale_invariant():
-    # c * M has the class of M for both classifiers and a sound witness, and
-    # its k is k(M) / c: 6 classes x n in (4, 6, 8) x 3 elements x 21 scales
+    # c * M has the class of M for both classifiers, the flagged reader and
+    # the restricted signatures, and a sound witness, and its k is k(M) / c:
+    # 6 classes x n in (4, 6, 8) x 3 elements x 21 scales
     wrong = []
     for pair in CANONICAL_PAIRS:
         for n in (4, 6, 8):
+            sigs = signature_table(n)[pair]
             for seed in range(3):
                 metric = _orbit_sample(pair[0], pair[1], n, seed)
                 form1, k1, _ = classify(metric)
@@ -738,12 +875,21 @@ def test_classify_is_scale_invariant():
                     scaled = _float_metric(c * metric.gram)
                     try:
                         form, k, witness = classify(scaled)
-                        got = (form.pair, classify_by_invariants(scaled).pair)
+                        got = (
+                            form.pair,
+                            classify_by_invariants(scaled).pair,
+                            classify_by_invariants_flagged(scaled)[0].pair,
+                        )
+                        center, derived = restricted_signatures(scaled)
                         ok = verify_witness(scaled, witness)
                     except (ValueError, RuntimeError) as exc:
                         wrong.append((pair, n, seed, c, repr(exc)))
                         continue
-                    if got != (pair, pair) or not ok:
+                    if (
+                        got != (pair, pair, pair)
+                        or (center.as_tuple(), derived.as_tuple()) != sigs
+                        or not ok
+                    ):
                         wrong.append((pair, n, seed, c, got, ok.detail))
                     elif pair in _RIGID and abs(k * c - k1) > 1e-12 * k1:
                         wrong.append((pair, n, seed, c, k * c, k1))
