@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .liealg import DimensionTooSmall
+from .liealg import require_dim
 from .metrics import CANONICAL_PAIRS, canonical_json, metric_from_json, xi_key_of
 from .numerics import APPROX, EXACT
 from .curvature import EvidenceFailure, curvature_report
@@ -238,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("curvature", "orbits") and args.n < 4:
-            raise DimensionTooSmall(f"need n >= 4, got {args.n}")
+        if args.command in ("curvature", "orbits"):
+            require_dim(args.n)
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
         code = next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

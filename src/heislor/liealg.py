@@ -23,6 +23,12 @@ class DimensionTooSmall(ValueError):
     """The construction needs n >= 4."""
 
 
+def require_dim(n: int) -> None:
+    """Raise DimensionTooSmall unless n >= 4."""
+    if n < 4:
+        raise DimensionTooSmall(f"need n >= 4, got {n}")
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
     """Structure constants of h3 + R^(n-3) in the standard basis.
@@ -42,8 +48,7 @@ class LieAlgebra:
 
 def build_algebra(n: int) -> LieAlgebra:
     """The Heisenberg algebra padded with an (n-3)-dimensional center."""
-    if n < 4:
-        raise DimensionTooSmall(f"need n >= 4, got {n}")
+    require_dim(n)
     c = np.zeros((n, n, n), dtype=np.int8)
     c[0, 1, n - 1] = 1
     c[1, 0, n - 1] = -1

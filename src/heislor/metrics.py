@@ -25,6 +25,7 @@ from ._linalg import (
     is_singular,
     max_abs,
     minkowski_gram,
+    shared_minkowski_gram,
     to_float,
 )
 from .numerics import APPROX, DEFAULT_TOL, EXACT, QSqrt3, SQRT3, sign_with_tol
@@ -94,6 +95,11 @@ def canonical_key(lam, xi) -> str:
     return key
 
 
+def _sign_counts(signs: list[int]) -> tuple[int, int, int]:
+    """(plus, minus, zero) counts of a list of signs, each -1, 0 or +1."""
+    return signs.count(1), signs.count(-1), signs.count(0)
+
+
 @dataclass(frozen=True)
 class SignatureTriple:
     """Counts (plus, minus, zero) of a restricted inner product."""
@@ -108,7 +114,7 @@ class SignatureTriple:
     @classmethod
     def of_signs(cls, signs: list[int]) -> "SignatureTriple":
         """Counts of a list of signs, each -1, 0 or +1."""
-        return cls(signs.count(1), signs.count(-1), signs.count(0))
+        return cls(*_sign_counts(signs))
 
 
 @dataclass(frozen=True)
@@ -148,27 +154,19 @@ def _check_symmetric(m: np.ndarray) -> None:
         raise AsymmetricInput("matrix is not symmetric within tolerance")
 
 
-def _eigen_signature(eigs: np.ndarray) -> tuple[SignatureTriple, float]:
-    """Sign counts of eigenvalues relative to the spectral radius, and the zero band.
+def _eigen_signature(eigs: np.ndarray) -> SignatureTriple:
+    """Sign counts of eigenvalues relative to the spectral radius.
 
     An eigenvalue within band = DEFAULT_TOL * max(1, spectral radius) of 0
     counts as zero; the 1 is the unit scale that classify reads a metric at.
     """
     band = DEFAULT_TOL * max(1.0, max_abs(eigs))
-    return SignatureTriple.of_signs([sign_with_tol(e, band) for e in eigs.tolist()]), band
+    return SignatureTriple.of_signs([sign_with_tol(e, band) for e in eigs.tolist()])
 
 
 def _require_lorentzian(sig: SignatureTriple) -> None:
     if (sig.minus, sig.zero) != (1, 0):
         raise WrongSignature(f"signature {sig.as_tuple()} unsupported; expected (n-1, 1, 0)")
-
-
-def spectral_signature(m: np.ndarray) -> tuple[SignatureTriple, np.ndarray, float]:
-    """Float signature of a symmetric matrix, with its eigenvalues and zero band."""
-    _check_symmetric(m)
-    eigs = np.linalg.eigvalsh(m)
-    sig, band = _eigen_signature(eigs)
-    return sig, eigs, band
 
 
 def signature_of(m: np.ndarray) -> SignatureTriple:
@@ -178,9 +176,9 @@ def signature_of(m: np.ndarray) -> SignatureTriple:
     tolerance.  Float backend: eigenvalue signs relative to the spectral
     radius.
     """
-    if m.dtype != object:
-        return spectral_signature(m)[0]
     _check_symmetric(m)
+    if m.dtype != object:
+        return _eigen_signature(np.linalg.eigvalsh(m))
     return SignatureTriple.of_signs([d.sign() for d in congruence_diagonal(m)])
 
 
@@ -228,22 +226,28 @@ def shear_matrix(lam, xi, n: int, exact: bool = True) -> np.ndarray:
 
 
 def canonical_gram(lam, xi, n: int, exact: bool = True) -> np.ndarray:
-    """Closed-form Gram matrix of the sheared inner product, any (lam, xi)."""
+    """Closed-form Gram matrix of the sheared inner product, any (lam, xi).
+
+    The float form broadcasts: arrays of lam and xi of shape S give a stack of
+    shape S + (n, n), and scalars give the single (n, n) gram, a batch of one.
+    """
     if exact:
         lam = QSqrt3.coerce(lam)
         xi = QSqrt3.coerce(xi)
         g = minkowski_gram(n, exact=True)
         one = QSqrt3(1)
     else:
-        lam = float(lam)
-        xi = float(xi)
-        g = minkowski_gram(n)
+        # [()] turns a 0-d array into a float64 scalar, which writes faster
+        lam = np.asarray(lam, dtype=float)[()]
+        xi = np.asarray(xi, dtype=float)[()]
+        g = np.empty(np.broadcast(lam, xi).shape + (n, n))
+        g[...] = shared_minkowski_gram(n)
         one = 1.0
-    g[0, n - 2] = g[n - 2, 0] = -xi
-    g[0, n - 1] = g[n - 1, 0] = -lam
-    g[n - 2, n - 2] = one + xi * xi
-    g[n - 2, n - 1] = g[n - 1, n - 2] = lam * xi
-    g[n - 1, n - 1] = lam * lam - one
+    g[..., 0, n - 2] = g[..., n - 2, 0] = -xi
+    g[..., 0, n - 1] = g[..., n - 1, 0] = -lam
+    g[..., n - 2, n - 2] = one + xi * xi
+    g[..., n - 2, n - 1] = g[..., n - 1, n - 2] = lam * xi
+    g[..., n - 1, n - 1] = lam * lam - one
     return g
 
 
@@ -284,7 +288,7 @@ def _factor_metric(metric: Metric) -> tuple[np.ndarray, float]:
     eigvals = eigvals[order]
     q = q[:, order]
     prescale = _unit_prescale(eigvals)
-    _require_lorentzian(_eigen_signature(eigvals * prescale * prescale)[0])
+    _require_lorentzian(_eigen_signature(eigvals * prescale * prescale))
     return q * (np.abs(eigvals) ** -0.5), prescale
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._linalg import rank_rows, unit_conjugator
 from .curvature import EvidenceFailure, closed_form_riemann, is_flat
-from .liealg import DimensionTooSmall, aut_pattern
+from .liealg import aut_pattern, require_dim
 from .metrics import (
     CANONICAL_PAIRS,
     Metric,
@@ -33,7 +33,7 @@ from .metrics import (
     xi_exact,
 )
 from .numerics import APPROX, SQRT3_F, QSqrt3
-from .reduction import FLAG_NEAR_DEGENERATE, _classify_gram, restricted_signatures
+from .reduction import FLAG_NEAR_DEGENERATE, _classify_grams, restricted_signatures
 
 #: interior parameters sampled on each degeneration curve
 CURVE_SAMPLES = 10
@@ -56,6 +56,7 @@ def dims_UW(lam: int, xi, n: int) -> tuple[int, int]:
     in R^2; the mixing space imposes (lam^2-1) a = -xi c on each of the n-4
     coordinate pairs.
     """
+    require_dim(n)
     key = canonical_key(lam, xi)
     lam_e, xi_e = QSqrt3(int(lam)), xi_exact(key)
     a = lam_e * lam_e - 1
@@ -104,6 +105,7 @@ def _stabilizer_dim_cached(lam: int, key: str, n: int) -> int:
 
 def stabilizer_dim(lam: int, xi, n: int) -> int:
     """Stabilizer dimension, closed form cross-checked by the rank oracle."""
+    require_dim(n)
     return _stabilizer_dim_cached(int(lam), canonical_key(lam, xi), n)
 
 
@@ -182,16 +184,21 @@ CURVE_FAMILIES: dict[str, CurveFamily] = {
 }
 
 
+def _require_contains(fam: CurveFamily, t: float) -> None:
+    if not fam.contains(t):
+        raise ParameterOutOfRange(
+            f"family {fam.name} needs t in "
+            f"{'[' if fam.closed_lo else '('}{fam.lo}, {fam.hi}{']' if fam.closed_hi else ')'}"
+        )
+
+
 def curve_sample(family: str, t: float, n: int) -> Metric:
     """The family's metric at parameter t (approx backend)."""
+    require_dim(n)
     fam = CURVE_FAMILIES.get(family)
     if fam is None:
         raise KeyError(f"unknown curve family {family!r}")
-    if not fam.contains(t):
-        raise ParameterOutOfRange(
-            f"family {family} needs t in "
-            f"{'[' if fam.closed_lo else '('}{fam.lo}, {fam.hi}{']' if fam.closed_hi else ')'}"
-        )
+    _require_contains(fam, t)
     lam, xi = fam.params(t)
     return Metric(gram=canonical_gram(lam, xi, n, exact=False), backend=APPROX)
 
@@ -279,37 +286,37 @@ def _signature_jump(src_sigs, dst_sigs) -> bool:
 
 @lru_cache(maxsize=None)
 def degeneration_graph(n: int) -> DegenerationGraph:
-    """Recompute the closure diagram from curves and obstructions, once per n."""
-    if n < 4:
-        raise DimensionTooSmall(f"need n >= 4, got {n}")
+    """Recompute the closure diagram from curves and obstructions, once per n.
+
+    Every family's samples and limit are classified as one stack of grams.
+    """
+    require_dim(n)
     nodes = CANONICAL_PAIRS
     codims = {pair: codimension(pair[0], pair[1], n) for pair in nodes}
 
-    edges: dict[tuple, str] = {}
-    evidence: dict[str, CurveEvidence] = {}
-    for name, fam in CURVE_FAMILIES.items():
-        samples = []
+    points = []
+    for fam in CURVE_FAMILIES.values():
         span = fam.hi - fam.lo
-        ts = [fam.lo + span * (k + 0.5) / CURVE_SAMPLES for k in range(CURVE_SAMPLES)]
         near = fam.limit + (NEAR_LIMIT_STEP if fam.limit == fam.lo else -NEAR_LIMIT_STEP)
-        # every canonical gram has |det| = 1, so each sample is read at unit scale as given
-        for t, flags in [(t, ()) for t in ts] + [(near, (FLAG_NEAR_DEGENERATE,))]:
-            form, _ = _classify_gram(curve_sample(name, t, n).gram)
-            if form.pair != fam.source:
-                raise EvidenceFailure(
-                    f"family {name}: sample t={t} classifies to {form.pair}, "
-                    f"expected {fam.source}"
-                )
-            samples.append((t, form.pair, flags))
-        limit_form, _ = _classify_gram(canonical_gram(*fam.params(fam.limit), n, exact=False))
-        if limit_form.pair != fam.target:
+        ts = [fam.lo + span * (k + 0.5) / CURVE_SAMPLES for k in range(CURVE_SAMPLES)]
+        for t in ts + [near]:
+            _require_contains(fam, t)
+        points += [(fam, t, ()) for t in ts]
+        points += [(fam, near, (FLAG_NEAR_DEGENERATE,)), (fam, fam.limit, ("limit",))]
+    lam, xi = np.array([fam.params(t) for fam, t, _ in points]).T
+    # every canonical gram has |det| = 1, so each sample is read at unit scale as given
+    read = _classify_grams(canonical_gram(lam, xi, n, exact=False))
+    samples: dict[str, list] = {name: [] for name in CURVE_FAMILIES}
+    for (fam, t, tags), (form, _) in zip(points, read):
+        limit = tags == ("limit",)
+        expected, where = (fam.target, "limit") if limit else (fam.source, f"sample t={t}")
+        if form.pair != expected:
             raise EvidenceFailure(
-                f"family {name}: limit classifies to {limit_form.pair}, "
-                f"expected {fam.target}"
+                f"family {fam.name}: {where} classifies to {form.pair}, expected {expected}"
             )
-        samples.append((fam.limit, limit_form.pair, ("limit",)))
-        edges[(fam.source, fam.target)] = f"curve:{name}"
-        evidence[name] = CurveEvidence(family=name, samples=tuple(samples))
+        samples[fam.name].append((t, form.pair, tags))
+    evidence = {name: CurveEvidence(family=name, samples=tuple(s)) for name, s in samples.items()}
+    edges = {(fam.source, fam.target): f"curve:{name}" for name, fam in CURVE_FAMILIES.items()}
 
     # transitive closure of the curve edges
     changed = True

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -30,16 +30,17 @@ from ._linalg import (
     shared_minkowski_gram,
     to_float,
 )
-from .liealg import DimensionTooSmall, hprime_pattern
+from .liealg import hprime_pattern, require_dim
 from .metrics import (
+    AsymmetricInput,
     Metric,
     SignatureTriple,
     _factor_metric,
     _require_lorentzian,
+    _sign_counts,
     _unit_gram,
     canonical_key,
     signature_of,
-    spectral_signature,
     xi_exact,
     xi_float,
     xi_key_of,
@@ -136,16 +137,12 @@ class CanonicalForm:
     def xi_key(self) -> str:
         return xi_key_of(self.xi)
 
-    @property
+    @cached_property
     def pair(self) -> tuple[int, str]:
         return (self.lam, self.xi_key)
 
     def __post_init__(self):
         canonical_key(self.lam, self.xi)
-
-
-def canonical_form(lam: int, xi, n: int) -> CanonicalForm:
-    return CanonicalForm(lam=int(lam), xi=xi_exact(xi_key_of(xi)), n=n)
 
 
 def _t_form(lam: int, t: float, n: int) -> np.ndarray:
@@ -622,50 +619,71 @@ def restricted_signatures(metric: Metric) -> tuple[SignatureTriple, SignatureTri
     return signature_of(gram[2:, 2:]), signature_of(gram[-1:, -1:])
 
 
-def _block_signature(block: np.ndarray) -> tuple[SignatureTriple, bool]:
-    """Signature of a restricted Gram block, and whether it is near degenerate.
-
-    Near degenerate: a float eigenvalue within NEAR_DEGENERATE_MARGIN of the zero
-    band, on either side.  Exact signs need no band, so an exact block never is.
-    """
-    if block.dtype == object:
-        return signature_of(block), False
-    sig, eigs, band = spectral_signature(block)
-    mags = np.abs(eigs)
-    near = (mags > band / NEAR_DEGENERATE_MARGIN) & (mags < NEAR_DEGENERATE_MARGIN * band)
-    return sig, bool(np.any(near))
-
-
 def classify_by_invariants(metric: Metric) -> CanonicalForm:
     """Classify via restricted signatures alone (no group elements).
 
     An exact metric is read by exact signs, a float one at unit scale, M / 4^e.
     """
-    n = metric.n
-    if n < 4:
-        raise DimensionTooSmall(f"need n >= 4, got {n}")
+    require_dim(metric.n)
     gram = _unit_gram(metric)
     _require_lorentzian(signature_of(gram))
-    return _classify_gram(gram)[0]
+    return _classify_grams(gram[None])[0][0]
 
 
 def classify_by_invariants_flagged(metric: Metric) -> tuple[CanonicalForm, list[str]]:
     """The table row of the metric's restricted signatures, at unit scale, and its flags."""
-    return _classify_gram(_unit_gram(metric))
+    require_dim(metric.n)
+    return _classify_grams(_unit_gram(metric)[None])[0]
 
 
-def _classify_gram(gram: np.ndarray) -> tuple[CanonicalForm, list[str]]:
-    n = gram.shape[0]
-    sig_center, near_center = _block_signature(gram[2:, 2:])
-    sig_derived, near_derived = _block_signature(gram[-1:, -1:])
-    key = (sig_center.as_tuple(), sig_derived.as_tuple())
-    pair = next((p for p, sigs in signature_table(n).items() if sigs == key), None)
-    if pair is None:
-        raise NoTableMatch(
-            f"signatures {key} match no class; input may be numerically degenerate"
-        )
-    flags = [FLAG_NEAR_DEGENERATE] if near_center or near_derived else []
-    return canonical_form(pair[0], pair[1], n), flags
+@lru_cache(maxsize=None)
+def _forms_by_signatures(n: int) -> MappingProxyType:
+    """signature_table(n) inverted, read-only: (center, derived) signatures -> class."""
+    return MappingProxyType(
+        {s: CanonicalForm(lam, xi_exact(key), n) for (lam, key), s in signature_table(n).items()}
+    )
+
+
+def _classify_grams(grams: np.ndarray) -> list[tuple[CanonicalForm, list[str]]]:
+    """The class and flags of each gram of a (B, n, n) stack; one gram is the batch gram[None].
+
+    A float stack takes one relative symmetry test and one eigvalsh on its center
+    blocks; the derived ideal's 1x1 block is its own eigenvalue.  In each block an
+    eigenvalue within band = DEFAULT_TOL * max(1, spectral radius) of 0 is zero, and
+    one within NEAR_DEGENERATE_MARGIN of the band flags the gram NearDegenerate.  An
+    exact stack keeps exact congruence signs and no flag.  Errors name the first bad gram.
+    """
+    n = grams.shape[-1]
+    if grams.dtype == object:
+        keys, near = [], [False] * len(grams)
+        for i, g in enumerate(grams):
+            try:
+                keys.append(tuple(signature_of(b).as_tuple() for b in (g[2:, 2:], g[-1:, -1:])))
+            except AsymmetricInput as exc:
+                raise AsymmetricInput(f"gram {i}: {exc}") from None
+    else:
+        center = grams[:, 2:, 2:]
+        skew = np.abs(center - center.swapaxes(1, 2)).max(axis=(1, 2))
+        bad = skew > DEFAULT_TOL * np.abs(center).max(axis=(1, 2))
+        if bad.any():
+            raise AsymmetricInput(f"gram {bad.argmax()}: matrix is not symmetric within tolerance")
+        # per row the center's eigenvalues, then the derived one; a block's band spans its columns
+        eigs = np.concatenate((np.linalg.eigvalsh(center), grams[:, -1:, -1]), axis=1)
+        mags = np.abs(eigs)
+        radii = np.maximum.reduceat(mags, (0, n - 2), axis=1)
+        band = (DEFAULT_TOL * np.maximum(1.0, radii)).repeat((n - 2, 1), axis=1)
+        signs = (np.sign(eigs) * (mags > band)).astype(int).tolist()
+        keys = [(_sign_counts(row[:-1]), _sign_counts(row[-1:])) for row in signs]
+        near = (
+            (mags > band / NEAR_DEGENERATE_MARGIN) & (mags < NEAR_DEGENERATE_MARGIN * band)
+        ).any(axis=1)
+    forms = _forms_by_signatures(n)
+    for i, key in enumerate(keys):
+        if key not in forms:
+            raise NoTableMatch(
+                f"gram {i}: signatures {key} match no class; input may be numerically degenerate"
+            )
+    return [(forms[key], [FLAG_NEAR_DEGENERATE] if flag else []) for key, flag in zip(keys, near)]
 
 
 # -- full classifier -----------------------------------------------------------
@@ -711,12 +729,11 @@ def classify(metric: Metric) -> tuple[CanonicalForm, float, Witness]:
     (retry factors have |det| = 1); an exact metric keeps its exact signs.
     """
     n = metric.n
-    if n < 4:
-        raise DimensionTooSmall(f"need n >= 4, got {n}")
+    require_dim(n)
     approx = metric.to_approx()
     base_m, prescale = _factor_metric(approx)  # validates the signature
     inv_gram = metric.gram if metric.backend == EXACT else approx.gram * (prescale * prescale)
-    inv_form, inv_flags = _classify_gram(inv_gram)
+    inv_form, inv_flags = _classify_grams(inv_gram[None])[0]
     last_error: Exception | None = None
     for attempt in range(MAX_RETRIES + 1):
         m = base_m if attempt == 0 else base_m @ _retry_factor(n, attempt)

@@ -236,6 +236,19 @@ def test_canonical_frames_pseudo_orthonormal_exact(n):
         )
 
 
+@pytest.mark.parametrize("n", (4, 7))
+def test_float_canonical_gram_broadcasts(n):
+    # a stack built at once is bit for bit the grams built one at a time
+    lam = np.array([[0.0, 1.0, 2.0], [2.0, 1.5, -0.25]])
+    xi = np.array([0.0, 1e-4, 1.7320508075688772])
+    stack = canonical_gram(lam, xi, n, exact=False)
+    assert stack.shape == (2, 3, n, n)
+    for i, j in np.ndindex(2, 3):
+        single = canonical_gram(float(lam[i, j]), float(xi[j]), n, exact=False)
+        assert single.shape == (n, n)
+        assert np.array_equal(stack[i, j], single)
+
+
 def test_factor_metric_round_trip():
     rng = np.random.default_rng(6)
     for pair in CANONICAL_PAIRS:

@@ -7,9 +7,11 @@ import pytest
 
 from heislor import orbits
 from heislor._linalg import exact_inv
-from heislor.liealg import aut_pattern
+from heislor.liealg import DimensionTooSmall, aut_pattern
 from heislor.metrics import (
+    APPROX,
     CANONICAL_PAIRS,
+    Metric,
     NotARepresentative,
     canonical_gram,
     shear_matrix,
@@ -28,7 +30,7 @@ from heislor.orbits import (
     orbit_report,
     stabilizer_dim,
 )
-from heislor.reduction import classify_by_invariants
+from heislor.reduction import classify, classify_by_invariants, classify_by_invariants_flagged
 
 SQRT3 = math.sqrt(3.0)
 
@@ -149,7 +151,7 @@ def test_curve_families_cover_expected_edges():
     }
 
 
-@pytest.mark.parametrize("n", (4, 5, 6))
+@pytest.mark.parametrize("n", range(4, 11))
 def test_degeneration_graph_structure(n):
     graph = degeneration_graph(n)
     # six direct edges plus the three transitive completions
@@ -164,6 +166,15 @@ def test_degeneration_graph_structure(n):
     # every remaining ordered pair carries an obstruction
     assert len(graph.edges) + len(graph.non_edges) == 30
     assert set(graph.non_edges.values()) <= {"dimension", "signature-jump"}
+    # the graph reads its samples as one stack; each pair is the one-gram reading
+    for name, evidence in graph.evidence.items():
+        fam = CURVE_FAMILIES[name]
+        for t, pair, tags in evidence.samples:
+            if tags == ("limit",):  # the limit lies outside the family's open interval
+                metric = Metric(gram=canonical_gram(*fam.params(t), n, exact=False), backend=APPROX)
+            else:
+                metric = curve_sample(name, t, n)
+            assert classify_by_invariants_flagged(metric)[0].pair == pair, (name, t)
 
 
 def test_degeneration_graph_specific_obstructions():
@@ -240,6 +251,49 @@ def test_orbit_report_invariant_identities(n):
         assert r.stab_dim == 1 + (n - 4) * (n - 5) // 2 + r.dim_u + r.dim_w
         assert r.codim >= 0
         assert r.closed == ((lam, key) == (1, "0"))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dims_UW(1, "0", 3),
+        lambda: stabilizer_dim(1, "0", 3),
+        lambda: codimension(1, "0", 3),
+        lambda: curve_sample("A", 0.5, 3),
+        lambda: orbit_report(1, "0", 3),
+        lambda: degeneration_graph(3),
+        lambda: is_closed(1, "0", 3),
+    ],
+    ids=[
+        "dims_UW", "stabilizer_dim", "codimension", "curve_sample", "orbit_report",
+        "degeneration_graph", "is_closed",
+    ],
+)
+def test_orbit_functions_refuse_n_below_four(call):
+    with pytest.raises(DimensionTooSmall, match="need n >= 4, got 3"):
+        call()
+
+
+def test_invariant_reads_are_stacked(monkeypatch):
+    """A cold graph reads all its curve grams with one eigvalsh on a 3-D stack,
+    and a float classify reads its one gram with one eigvalsh: no per-gram loop."""
+    shapes = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    degeneration_graph.cache_clear()
+    try:
+        degeneration_graph(5)
+    finally:
+        degeneration_graph.cache_clear()
+    assert shapes == [(72, 3, 3)]
+    shapes.clear()
+    classify(curve_sample("D", 1.5, 5))
+    assert len(shapes) == 1
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -22,13 +23,17 @@ from heislor.liealg import aut_pattern, derivation_basis, hprime_pattern
 from heislor.metrics import (
     APPROX,
     CANONICAL_PAIRS,
+    EXACT,
+    AsymmetricInput,
     Metric,
     WrongSignature,
+    _unit_gram,
     act,
     canonical_gram,
     canonical_metric,
     xi_float,
 )
+from heislor.orbits import CURVE_FAMILIES, degeneration_graph
 import heislor.reduction as reduction
 from heislor.reduction import (
     SNAP_LIMIT,
@@ -619,7 +624,9 @@ SMALL_N_GRAMS = {
 
 
 @pytest.mark.parametrize("gram", SMALL_N_GRAMS.values(), ids=SMALL_N_GRAMS)
-@pytest.mark.parametrize("classifier", [classify, classify_by_invariants])
+@pytest.mark.parametrize(
+    "classifier", [classify, classify_by_invariants, classify_by_invariants_flagged]
+)
 def test_classifiers_refuse_n_below_four(classifier, gram):
     from heislor.liealg import DimensionTooSmall
 
@@ -650,7 +657,7 @@ def test_invariant_classifier_rejects_degenerate():
     # the unvalidated table lookup reports the inconsistency instead
     from heislor.reduction import classify_by_invariants_flagged
 
-    with pytest.raises(NoTableMatch):
+    with pytest.raises(NoTableMatch, match=re.escape("signatures ((0, 1, 1), (0, 1, 0))")):
         classify_by_invariants_flagged(Metric(gram=gram, backend=APPROX))
 
 
@@ -678,6 +685,8 @@ def test_per_n_constants_are_shared_and_read_only():
     assert derivation_basis(n) is derivation_basis(n)
     with pytest.raises(TypeError):
         signature_table(n)[(0, "0")] = None
+    with pytest.raises(TypeError):
+        reduction._forms_by_signatures(n)[((0, 0, 0), (0, 0, 0))] = None
 
 
 def test_verify_witness_trivial():
@@ -1130,3 +1139,59 @@ def test_invariant_classifier_matches_two_eigvalsh_reference():
         assert (form.pair, flags) == _invariants_reference(metric)
         flagged += bool(flags)
     assert flagged  # the band is exercised, not only the clean side of it
+
+
+def _reader_stacks():
+    """Stacks of unit-scale grams, one n and one backend each: the degeneration
+    graph's curve grams, the near-wall metrics and orbit samples."""
+    for n in range(4, 11):
+        grams = [
+            canonical_gram(*CURVE_FAMILIES[name].params(t), n, exact=False)
+            for name, evidence in degeneration_graph(n).evidence.items()
+            for t, _, _ in evidence.samples
+        ]
+        assert len(grams) == 72
+        yield f"curves-n{n}", APPROX, np.stack(grams)
+    groups = {}
+    for metric in _near_wall_metrics():
+        groups.setdefault((metric.n, metric.backend), []).append(_unit_gram(metric))
+    for (n, backend), grams in groups.items():
+        yield f"near-wall-n{n}-{backend}", backend, np.stack(grams)
+    for n in range(4, 9):
+        grams = [
+            _unit_gram(_orbit_sample(lam, key, n, seed))
+            for lam, key in CANONICAL_PAIRS
+            for seed in range(5)
+        ]
+        yield f"orbit-n{n}", APPROX, np.stack(grams)
+
+
+def test_stacked_reader_matches_reference_per_gram():
+    flagged = 0
+    for name, backend, grams in _reader_stacks():
+        got = [(form.pair, flags) for form, flags in reduction._classify_grams(grams)]
+        want = [_invariants_reference(Metric(gram=gram, backend=backend)) for gram in grams]
+        assert got == want, name
+        flagged += sum(bool(flags) for _, flags in got)
+    assert flagged  # the band is exercised, not only the clean side of it
+
+
+@pytest.mark.parametrize("backend", [APPROX, EXACT])
+def test_stacked_reader_names_the_first_bad_gram(backend):
+    def stack():
+        grams = [canonical_metric(lam, key, 5, backend=backend)[0].gram for lam, key in CANONICAL_PAIRS]
+        return np.stack(grams)
+
+    degenerate = stack()
+    diag = np.diag([1, 1, 0, 1, -1]).tolist()  # a zero center eigenvalue beside a timelike one
+    for i in (2, 4):
+        degenerate[i] = exact_array(diag) if backend == EXACT else np.array(diag, dtype=float)
+    with pytest.raises(NoTableMatch, match=r"^gram 2: signatures \(\(1, 1, 1\), \(0, 1, 0\)\)"):
+        reduction._classify_grams(degenerate)
+
+    asymmetric = stack()
+    for i in (3, 5):
+        asymmetric[i, 2, 3] = asymmetric[i, 2, 3] + 1
+    with pytest.raises(AsymmetricInput, match="^gram 3: "):
+        reduction._classify_grams(asymmetric)
+
