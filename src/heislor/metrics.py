@@ -154,13 +154,15 @@ def _check_symmetric(m: np.ndarray) -> None:
         raise AsymmetricInput("matrix is not symmetric within tolerance")
 
 
-def _eigen_signature(eigs: np.ndarray) -> SignatureTriple:
-    """Sign counts of eigenvalues relative to the spectral radius.
+def _zero_band(eigs: np.ndarray) -> np.ndarray:
+    """Per row of a (..., k) stack of eigenvalues, the (..., 1) band within which one is 0:
+    DEFAULT_TOL * max(1, spectral radius), the 1 being the unit scale classify reads at."""
+    return DEFAULT_TOL * np.abs(eigs).max(axis=-1, keepdims=True, initial=1.0)
 
-    An eigenvalue within band = DEFAULT_TOL * max(1, spectral radius) of 0
-    counts as zero; the 1 is the unit scale that classify reads a metric at.
-    """
-    band = DEFAULT_TOL * max(1.0, max_abs(eigs))
+
+def _eigen_signature(eigs: np.ndarray) -> SignatureTriple:
+    """Sign counts of eigenvalues, each zero within the _zero_band of their row."""
+    band = _zero_band(eigs).item()
     return SignatureTriple.of_signs([sign_with_tol(e, band) for e in eigs.tolist()])
 
 
@@ -279,10 +281,11 @@ def _factor_metric(metric: Metric) -> tuple[np.ndarray, float]:
     whose |det|^(1/n) lies within a factor 2 of 1; a power of 2 rescales a
     float exactly.  Every canonical Gram matrix has |det| = 1, so e = 0.  The
     signature is read at M / 4^e, so c * M passes or fails with M; a zero
-    eigenvalue fails at every e and is left out of the determinant.
+    eigenvalue fails at every e and is left out of the determinant.  An exact gram
+    must be exactly symmetric.
     """
+    _check_symmetric(metric.gram)
     gram = to_float(metric.gram)
-    _check_symmetric(gram)
     eigvals, q = np.linalg.eigh(gram)
     order = np.argsort(-eigvals)  # positives first, the negative one last
     eigvals = eigvals[order]
@@ -298,14 +301,17 @@ def _unit_prescale(eigvals: np.ndarray) -> float:
     return math.ldexp(1.0, -round(log_det / (len(eigvals) * math.log(4.0))))
 
 
-def _unit_gram(metric: Metric) -> np.ndarray:
-    """The gram an invariant reader sees: an exact one as given, a float one at
-    unit scale, M / 4^e.  Unlike factor_metric it takes any signature."""
+def _unit_gram(metric: Metric) -> tuple[np.ndarray, SignatureTriple]:
+    """The gram an invariant reader sees, checked symmetric, and its signature: an
+    exact one as given, by exact signs; a float one at unit scale, M / 4^e, signed by
+    the eigenvalues that give e.  Unlike factor_metric it takes any signature."""
     if metric.backend == EXACT:
-        return metric.gram
+        return metric.gram, signature_of(metric.gram)
     gram = to_float(metric.gram)
-    prescale = _unit_prescale(np.linalg.eigvalsh(gram))
-    return gram * (prescale * prescale)
+    _check_symmetric(gram)
+    eigvals = np.linalg.eigvalsh(gram)
+    prescale = _unit_prescale(eigvals)
+    return gram * (prescale * prescale), _eigen_signature(eigvals * prescale * prescale)
 
 
 # -- JSON schema --------------------------------------------------------------

@@ -4,15 +4,16 @@ The six classes are orbits of the scaled automorphism group acting on the
 space of Lorentzian inner products.  Their codimensions come from stabilizer
 dimensions, computed both in closed form and by an exact rank computation;
 the closure relations are re-derived from explicit metric curves (positive
-evidence) and dimension/signature obstructions (negative evidence), not
-transcribed.
+evidence).  A missing relation needs an obstruction: codimension, or a jump in
+the restricted signatures, read from signature_table, which the signature
+check (criterion 2) certifies by exact congruence for n = 4..10.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -28,12 +29,11 @@ from .metrics import (
     SignatureTriple,
     canonical_gram,
     canonical_key,
-    canonical_metric,
     shear_matrix,
     xi_exact,
 )
 from .numerics import APPROX, SQRT3_F, QSqrt3
-from .reduction import FLAG_NEAR_DEGENERATE, _classify_grams, restricted_signatures
+from .reduction import FLAG_NEAR_DEGENERATE, _classify_grams, signature_table
 
 #: interior parameters sampled on each degeneration curve
 CURVE_SAMPLES = 10
@@ -144,9 +144,7 @@ class CurveFamily:
     closed_lo: bool
     closed_hi: bool
     limit: float  # equals lo or hi, always an open end
-
-    def params(self, t: float):
-        raise NotImplementedError
+    params: Callable[[float], tuple[float, float]]  # t -> (lam, xi)
 
     def contains(self, t: float) -> bool:
         above = t > self.lo or (self.closed_lo and t == self.lo)
@@ -154,33 +152,25 @@ class CurveFamily:
         return above and below
 
 
-@dataclass(frozen=True)
-class _DiagonalCurve(CurveFamily):
-    def params(self, t):
-        return (t, t)
+def _diagonal(t: float) -> tuple[float, float]:
+    return (t, t)
 
 
-@dataclass(frozen=True)
-class _FixedLamCurve(CurveFamily):
-    lam: float = 1.0
-
-    def params(self, t):
-        return (self.lam, t)
-
-
-@dataclass(frozen=True)
-class _HyperbolaCurve(CurveFamily):
-    def params(self, s):
-        return (s, math.sqrt(max(s * s - 1.0, 0.0)))
+def _hyperbola(s: float) -> tuple[float, float]:
+    return (s, math.sqrt(max(s * s - 1.0, 0.0)))
 
 
 CURVE_FAMILIES: dict[str, CurveFamily] = {
-    "A": _DiagonalCurve("A", (0, "0"), (1, "1"), 0.0, 1.0, True, False, 1.0),
-    "B": _FixedLamCurve("B", (1, "1"), (1, "0"), 0.0, 1.0, False, True, 0.0, lam=1.0),
-    "C": _FixedLamCurve("C", (2, "0"), (2, "sqrt3"), 0.0, SQRT3_F, True, False, SQRT3_F, lam=2.0),
-    "D": _HyperbolaCurve("D", (2, "sqrt3"), (1, "0"), 1.0, 2.0, False, True, 1.0),
-    "E": _DiagonalCurve("E", (2, "2"), (1, "1"), 1.0, 2.0, False, True, 1.0),
-    "F": _FixedLamCurve("F", (2, "2"), (2, "sqrt3"), SQRT3_F, 2.0, False, True, SQRT3_F, lam=2.0),
+    "A": CurveFamily("A", (0, "0"), (1, "1"), 0.0, 1.0, True, False, 1.0, _diagonal),
+    "B": CurveFamily("B", (1, "1"), (1, "0"), 0.0, 1.0, False, True, 0.0, lambda t: (1.0, t)),
+    "C": CurveFamily(
+        "C", (2, "0"), (2, "sqrt3"), 0.0, SQRT3_F, True, False, SQRT3_F, lambda t: (2.0, t)
+    ),
+    "D": CurveFamily("D", (2, "sqrt3"), (1, "0"), 1.0, 2.0, False, True, 1.0, _hyperbola),
+    "E": CurveFamily("E", (2, "2"), (1, "1"), 1.0, 2.0, False, True, 1.0, _diagonal),
+    "F": CurveFamily(
+        "F", (2, "2"), (2, "sqrt3"), SQRT3_F, 2.0, False, True, SQRT3_F, lambda t: (2.0, t)
+    ),
 }
 
 
@@ -270,12 +260,6 @@ class DegenerationGraph:
         return "\n".join(lines)
 
 
-def _signature_blocks(pair: tuple[int, str], n: int) -> tuple[tuple, tuple]:
-    metric, _ = canonical_metric(pair[0], pair[1], n)
-    center, derived = restricted_signatures(metric)
-    return center.as_tuple(), derived.as_tuple()
-
-
 def _signature_jump(src_sigs, dst_sigs) -> bool:
     """In a limit, positive and negative counts can only drop."""
     for (ps, ms, _), (pd, md, _) in zip(src_sigs, dst_sigs):
@@ -328,7 +312,7 @@ def degeneration_graph(n: int) -> DegenerationGraph:
                     edges[(a, d)] = "transitive"
                     changed = True
 
-    sigs = {pair: _signature_blocks(pair, n) for pair in nodes}
+    sigs = signature_table(n)
     non_edges: dict[tuple, str] = {}
     for src in nodes:
         for dst in nodes:
@@ -401,8 +385,7 @@ def orbit_report(lam: int, xi, n: int) -> OrbitReport:
     dim_u, dim_w = dims_UW(lam, key, n)
     stab = stabilizer_dim(lam, key, n)
     codim = codimension(lam, key, n)
-    metric, _ = canonical_metric(lam, key, n)
-    sig_center, sig_derived = restricted_signatures(metric)
+    sig_center, sig_derived = (SignatureTriple(*s) for s in signature_table(n)[(int(lam), key)])
     return OrbitReport(
         lam=int(lam),
         xi_key=key,

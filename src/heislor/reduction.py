@@ -32,13 +32,13 @@ from ._linalg import (
 )
 from .liealg import hprime_pattern, require_dim
 from .metrics import (
-    AsymmetricInput,
     Metric,
     SignatureTriple,
     _factor_metric,
     _require_lorentzian,
     _sign_counts,
     _unit_gram,
+    _zero_band,
     canonical_key,
     signature_of,
     xi_exact,
@@ -615,7 +615,7 @@ def signature_table(n: int) -> MappingProxyType:
 
 def restricted_signatures(metric: Metric) -> tuple[SignatureTriple, SignatureTriple]:
     """Signatures of the metric on the center and on the derived ideal, at unit scale."""
-    gram = _unit_gram(metric)
+    gram, _ = _unit_gram(metric)
     return signature_of(gram[2:, 2:]), signature_of(gram[-1:, -1:])
 
 
@@ -625,15 +625,15 @@ def classify_by_invariants(metric: Metric) -> CanonicalForm:
     An exact metric is read by exact signs, a float one at unit scale, M / 4^e.
     """
     require_dim(metric.n)
-    gram = _unit_gram(metric)
-    _require_lorentzian(signature_of(gram))
+    gram, signature = _unit_gram(metric)
+    _require_lorentzian(signature)
     return _classify_grams(gram[None])[0][0]
 
 
 def classify_by_invariants_flagged(metric: Metric) -> tuple[CanonicalForm, list[str]]:
     """The table row of the metric's restricted signatures, at unit scale, and its flags."""
     require_dim(metric.n)
-    return _classify_grams(_unit_gram(metric)[None])[0]
+    return _classify_grams(_unit_gram(metric)[0][None])[0]
 
 
 @lru_cache(maxsize=None)
@@ -647,36 +647,25 @@ def _forms_by_signatures(n: int) -> MappingProxyType:
 def _classify_grams(grams: np.ndarray) -> list[tuple[CanonicalForm, list[str]]]:
     """The class and flags of each gram of a (B, n, n) stack; one gram is the batch gram[None].
 
-    A float stack takes one relative symmetry test and one eigvalsh on its center
-    blocks; the derived ideal's 1x1 block is its own eigenvalue.  In each block an
-    eigenvalue within band = DEFAULT_TOL * max(1, spectral radius) of 0 is zero, and
-    one within NEAR_DEGENERATE_MARGIN of the band flags the gram NearDegenerate.  An
-    exact stack keeps exact congruence signs and no flag.  Errors name the first bad gram.
+    The grams are unit-scale and already checked symmetric by the caller.  A float
+    stack takes one eigvalsh on its center blocks; the derived ideal's 1x1 block is
+    its own eigenvalue.  In each block an eigenvalue within the metrics._zero_band
+    of 0 is zero, and one within NEAR_DEGENERATE_MARGIN of the band flags the gram
+    NearDegenerate.  An exact stack keeps exact congruence signs and no flag.  A
+    NoTableMatch names the first bad gram.
     """
     n = grams.shape[-1]
     if grams.dtype == object:
-        keys, near = [], [False] * len(grams)
-        for i, g in enumerate(grams):
-            try:
-                keys.append(tuple(signature_of(b).as_tuple() for b in (g[2:, 2:], g[-1:, -1:])))
-            except AsymmetricInput as exc:
-                raise AsymmetricInput(f"gram {i}: {exc}") from None
+        keys = [tuple(signature_of(b).as_tuple() for b in (g[2:, 2:], g[-1:, -1:])) for g in grams]
+        near = [False] * len(grams)
     else:
-        center = grams[:, 2:, 2:]
-        skew = np.abs(center - center.swapaxes(1, 2)).max(axis=(1, 2))
-        bad = skew > DEFAULT_TOL * np.abs(center).max(axis=(1, 2))
-        if bad.any():
-            raise AsymmetricInput(f"gram {bad.argmax()}: matrix is not symmetric within tolerance")
-        # per row the center's eigenvalues, then the derived one; a block's band spans its columns
-        eigs = np.concatenate((np.linalg.eigvalsh(center), grams[:, -1:, -1]), axis=1)
-        mags = np.abs(eigs)
-        radii = np.maximum.reduceat(mags, (0, n - 2), axis=1)
-        band = (DEFAULT_TOL * np.maximum(1.0, radii)).repeat((n - 2, 1), axis=1)
-        signs = (np.sign(eigs) * (mags > band)).astype(int).tolist()
-        keys = [(_sign_counts(row[:-1]), _sign_counts(row[-1:])) for row in signs]
-        near = (
-            (mags > band / NEAR_DEGENERATE_MARGIN) & (mags < NEAR_DEGENERATE_MARGIN * band)
-        ).any(axis=1)
+        signs, near = [], np.zeros(len(grams), dtype=bool)
+        for eigs in (np.linalg.eigvalsh(grams[:, 2:, 2:]), grams[:, -1:, -1]):
+            mags, band = np.abs(eigs), _zero_band(eigs)
+            signs.append((np.sign(eigs) * (mags > band)).astype(int).tolist())
+            lo, hi = band / NEAR_DEGENERATE_MARGIN, band * NEAR_DEGENERATE_MARGIN
+            near |= ((mags > lo) & (mags < hi)).any(axis=1)
+        keys = [(_sign_counts(c), _sign_counts(d)) for c, d in zip(*signs)]
     forms = _forms_by_signatures(n)
     for i, key in enumerate(keys):
         if key not in forms:
@@ -730,9 +719,8 @@ def classify(metric: Metric) -> tuple[CanonicalForm, float, Witness]:
     """
     n = metric.n
     require_dim(n)
-    approx = metric.to_approx()
-    base_m, prescale = _factor_metric(approx)  # validates the signature
-    inv_gram = metric.gram if metric.backend == EXACT else approx.gram * (prescale * prescale)
+    base_m, prescale = _factor_metric(metric)  # validates symmetry and the signature
+    inv_gram = metric.gram if metric.backend == EXACT else metric.gram * (prescale * prescale)
     inv_form, inv_flags = _classify_grams(inv_gram[None])[0]
     last_error: Exception | None = None
     for attempt in range(MAX_RETRIES + 1):

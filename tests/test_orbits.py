@@ -274,26 +274,31 @@ def test_orbit_functions_refuse_n_below_four(call):
         call()
 
 
-def test_invariant_reads_are_stacked(monkeypatch):
-    """A cold graph reads all its curve grams with one eigvalsh on a 3-D stack,
-    and a float classify reads its one gram with one eigvalsh: no per-gram loop."""
-    shapes = []
-    real = np.linalg.eigvalsh
-
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+def test_invariant_reads_are_stacked(count_calls, monkeypatch):
+    """A cold graph reads all its curve grams with one eigvalsh on a 3-D stack, and
+    a float classify reads its one gram with one eigvalsh: no per-gram loop.  The
+    invariant classifier decomposes the whole gram once, and the graph reads its
+    signature obstructions from the checked table, with no exact congruence."""
+    calls = count_calls(np.linalg, "eigvalsh")
     degeneration_graph.cache_clear()
     try:
         degeneration_graph(5)
     finally:
         degeneration_graph.cache_clear()
-    assert shapes == [(72, 3, 3)]
-    shapes.clear()
+    assert [np.shape(a) for a, *_ in calls] == [(72, 3, 3)]
+    calls.clear()
     classify(curve_sample("D", 1.5, 5))
-    assert len(shapes) == 1
+    assert len(calls) == 1
+    calls.clear()
+    classify_by_invariants(curve_sample("D", 1.5, 5))
+    assert [np.shape(a) for a, *_ in calls] == [(5, 5), (1, 3, 3)]
+
+    def refuse(*args):
+        raise AssertionError("the degeneration graph ran an exact congruence")
+
+    monkeypatch.setattr("heislor.metrics.congruence_diagonal", refuse)
+    for n in (4, 5, 6):
+        degeneration_graph.__wrapped__(n)
 
 
 @pytest.fixture

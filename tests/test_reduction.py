@@ -33,6 +33,7 @@ from heislor.metrics import (
     canonical_metric,
     xi_float,
 )
+from heislor.numerics import QSqrt3
 from heislor.orbits import CURVE_FAMILIES, degeneration_graph
 import heislor.reduction as reduction
 from heislor.reduction import (
@@ -324,14 +325,12 @@ def _zero_corner_input(n, lam):
 
 @pytest.mark.parametrize("n", (4, 5, 7))
 @pytest.mark.parametrize("lam", (1, 2))
-def test_reduce_to_t_zero_corner_subcase(n, lam, monkeypatch):
+def test_reduce_to_t_zero_corner_subcase(n, lam, count_calls):
     # the corner is rotated into a nonzero one by the sqrt(lam^2+1) fix-up
-    calls = []
-    fix = reduction._fix_zero_corner
-    monkeypatch.setattr(reduction, "_fix_zero_corner", lambda b, l: calls.append(l) or fix(b, l))
+    calls = count_calls(reduction, "_fix_zero_corner")
     g = _zero_corner_input(n, lam)
     t, witness = reduce_to_t(g, lam)
-    assert calls == [lam]
+    assert [args[1] for args in calls] == [lam]
     assert t >= 0 and math.isfinite(t)
     assert verify_witness(g, witness).ok
 
@@ -748,28 +747,15 @@ def test_in_band_lambda2_input_is_ambiguous():
 # -- chart retries and near-wall sweeps ------------------------------------------
 
 
-def _count_charts(monkeypatch):
-    """Patch the first stage of every chart; the returned list grows per chart."""
-    charts = []
-    real = reduction._reduce_last_row
-
-    def counted(*args):
-        charts.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(reduction, "_reduce_last_row", counted)
-    return charts
-
-
 def _float_metric(gram):
     return Metric(gram=gram, backend=APPROX)
 
 
 @pytest.mark.parametrize("n", (5, 8))
 @pytest.mark.parametrize("offset", (1e-3, -1e-3, 1e-5, -1e-5))
-def test_sqrt3_neighbourhood_classifies_on_first_chart(n, offset, monkeypatch):
+def test_sqrt3_neighbourhood_classifies_on_first_chart(n, offset, count_calls):
     # the distance from t to sqrt3 is the same on every chart: no redraw
-    charts = _count_charts(monkeypatch)
+    charts = count_calls(reduction, "_reduce_last_row")  # one call per chart
     metric = _float_metric(canonical_gram(2, SQRT3 + offset, n, exact=False))
     form, _, witness = classify(metric)
     assert len(charts) == 1
@@ -778,8 +764,8 @@ def test_sqrt3_neighbourhood_classifies_on_first_chart(n, offset, monkeypatch):
     assert verify_witness(metric, witness).ok
 
 
-def test_lambda1_mismatch_stops_after_one_chart(monkeypatch):
-    charts = _count_charts(monkeypatch)
+def test_lambda1_mismatch_stops_after_one_chart(count_calls):
+    charts = count_calls(reduction, "_reduce_last_row")  # one call per chart
     with pytest.raises(ClassificationMismatch):
         classify(_float_metric(canonical_gram(1, 1e-5, 5, exact=False)))
     assert len(charts) == 1
@@ -793,18 +779,18 @@ def _sheared_gram(lam, xi, n, entry):
 
 
 @pytest.mark.parametrize("gram", [_sheared_gram(1, 1.0, 5, 100.0)], ids=["large-t"])
-def test_chart_dependent_t_still_redraws(gram, monkeypatch):
+def test_chart_dependent_t_still_redraws(gram, count_calls):
     # t above T_RETRY_MAX depends on the chart; a unit-determinant shear keeps
     # the input scale at 1, so the scale normalization cannot remove it
-    charts = _count_charts(monkeypatch)
+    charts = count_calls(reduction, "_reduce_last_row")  # one call per chart
     classify(_float_metric(gram))
     assert len(charts) > 1
 
 
 @pytest.mark.parametrize("n", (4, 5, 8))
-def test_lambda2_branch_point_classifies_on_first_chart(n, monkeypatch):
+def test_lambda2_branch_point_classifies_on_first_chart(n, count_calls):
     # the closed-form root has no steep equation to solve near t = 0
-    charts = _count_charts(monkeypatch)
+    charts = count_calls(reduction, "_reduce_last_row")  # one call per chart
     for k in range(3, 10):
         metric = _float_metric(canonical_gram(2, 10.0**-k, n, exact=False))
         form, _, witness = classify(metric)
@@ -847,10 +833,10 @@ def test_near_wall_sweep_gives_true_class_and_sound_witness(lam, xi, truth, scal
 
 
 @pytest.mark.parametrize("lam, xi, truth, scale", _SCALED_LAMBDA1)
-def test_scaled_lambda1_inputs_take_one_chart(lam, xi, truth, scale, monkeypatch):
+def test_scaled_lambda1_inputs_take_one_chart(lam, xi, truth, scale, count_calls):
     # the input scale is normalized before the reduction, so it no longer
     # pushes t above T_RETRY_MAX on every chart
-    charts = _count_charts(monkeypatch)
+    charts = count_calls(reduction, "_reduce_last_row")  # one call per chart
     for n in range(4, 9):
         base = _float_metric(scale * canonical_gram(lam, xi, n, exact=False))
         for seed in range(3):
@@ -951,10 +937,10 @@ _IN_BAND = (
 
 
 @pytest.mark.parametrize("lam, xi, candidates", _IN_BAND)
-def test_in_band_wall_inputs_raise_ambiguous(lam, xi, candidates, monkeypatch):
+def test_in_band_wall_inputs_raise_ambiguous(lam, xi, candidates, count_calls):
     # t between SNAP_LIMIT and WALL_BAND from the wall: decided on the first
     # chart, never retried
-    charts = _count_charts(monkeypatch)
+    charts = count_calls(reduction, "_reduce_last_row")  # one call per chart
     for n in range(4, 9):
         base = _float_metric(canonical_gram(lam, xi, n, exact=False))
         for seed in range(3):
@@ -1154,12 +1140,12 @@ def _reader_stacks():
         yield f"curves-n{n}", APPROX, np.stack(grams)
     groups = {}
     for metric in _near_wall_metrics():
-        groups.setdefault((metric.n, metric.backend), []).append(_unit_gram(metric))
+        groups.setdefault((metric.n, metric.backend), []).append(_unit_gram(metric)[0])
     for (n, backend), grams in groups.items():
         yield f"near-wall-n{n}-{backend}", backend, np.stack(grams)
     for n in range(4, 9):
         grams = [
-            _unit_gram(_orbit_sample(lam, key, n, seed))
+            _unit_gram(_orbit_sample(lam, key, n, seed))[0]
             for lam, key in CANONICAL_PAIRS
             for seed in range(5)
         ]
@@ -1189,9 +1175,23 @@ def test_stacked_reader_names_the_first_bad_gram(backend):
     with pytest.raises(NoTableMatch, match=r"^gram 2: signatures \(\(1, 1, 1\), \(0, 1, 0\)\)"):
         reduction._classify_grams(degenerate)
 
-    asymmetric = stack()
-    for i in (3, 5):
-        asymmetric[i, 2, 3] = asymmetric[i, 2, 3] + 1
-    with pytest.raises(AsymmetricInput, match="^gram 3: "):
-        reduction._classify_grams(asymmetric)
+
+@pytest.mark.parametrize(
+    "backend, offset",
+    [(APPROX, 0.5), (EXACT, QSqrt3(Fraction(1, 2))), (EXACT, QSqrt3(Fraction(1, 10**12)))],
+    ids=["approx", "exact", "exact-tiny"],
+)
+@pytest.mark.parametrize("entry", [(0, 1), (2, 3)], ids=["outside-center", "in-center"])
+def test_readers_refuse_an_asymmetric_gram(entry, backend, offset):
+    # the (2, 0) gram at n = 5 with one entry off; outside the center both restricted
+    # blocks stay symmetric, so only the check of the whole gram sees it.  An exact
+    # gram must be exactly symmetric, also below the float tolerance.
+    gram = canonical_metric(2, "0", 5, backend=backend)[0].gram.copy()
+    gram[entry] = gram[entry] + offset
+    metric = Metric(gram=gram, backend=backend)
+    for reader in (
+        classify, classify_by_invariants, classify_by_invariants_flagged, restricted_signatures
+    ):
+        with pytest.raises(AsymmetricInput):
+            reader(metric)
 
