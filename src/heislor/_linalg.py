@@ -9,6 +9,7 @@ QSqrt3 to it.  Float routines wrap numpy.  Everything is sized for n <= 24.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -64,6 +65,14 @@ def minkowski_gram(n: int, exact: bool = False) -> np.ndarray:
         return g
     g = np.eye(n)
     g[n - 1, n - 1] = -1.0
+    return g
+
+
+@lru_cache(maxsize=None)
+def shared_eye(n: int) -> np.ndarray:
+    """The float np.eye(n), built once and read-only; a copy costs a quarter of np.eye."""
+    g = np.eye(n)
+    g.flags.writeable = False
     return g
 
 
@@ -207,21 +216,20 @@ def congruence_diagonal(a: np.ndarray) -> list[QSqrt3]:
 
 def householder(v: np.ndarray, k: int) -> np.ndarray:
     """Symmetric orthogonal H with H @ v = ||v|| e_k (so also v @ H = ||v|| e_k)."""
-    v = np.asarray(v, dtype=float)
-    n = v.shape[0]
-    norm = float(np.linalg.norm(v))
+    u = np.array(v, dtype=float)  # a contiguous copy: the vector np.linalg.norm sums
+    n = u.shape[0]
+    norm = math.sqrt(u @ u)
     if norm == 0.0:
-        return np.eye(n)
-    u = v.copy()
-    u[k] = 0.0
+        return shared_eye(n).copy()
+    vk, u[k] = u[k], 0.0
     rest = float(u @ u)
     # v[k] - ||v|| cancels when v is close to ||v|| e_k: use its equal
     # -rest / (v[k] + ||v||) there (Golub & Van Loan, Algorithm 5.1.1)
-    u[k] = v[k] - norm if v[k] <= 0.0 else -rest / (v[k] + norm)
+    u[k] = vk - norm if vk <= 0.0 else -rest / (vk + norm)
     uu = rest + float(u[k]) ** 2
     if uu < UNDERFLOW:
-        return np.eye(n)
-    return np.eye(n) - 2.0 * np.outer(u, u) / uu
+        return shared_eye(n).copy()
+    return shared_eye(n) - 2.0 * (u[:, None] * u) / uu
 
 
 def is_singular(a: np.ndarray):
@@ -234,19 +242,24 @@ def is_singular(a: np.ndarray):
 
 def right_triangularize(b: np.ndarray) -> np.ndarray:
     """Orthogonal Q with b @ Q upper triangular (RQ-style rotation)."""
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    flip = np.eye(n)[::-1]
-    q_flipped, _ = np.linalg.qr(flip @ b.T @ flip)
-    return flip @ q_flipped @ flip
+    # b^T with rows and columns reversed; + 0.0 turns -0.0 into 0.0, so Q has no signed zero
+    q_flipped, _ = np.linalg.qr(np.asarray(b, dtype=float).T[::-1, ::-1] + 0.0)
+    return q_flipped[::-1, ::-1] + 0.0
 
 
 def embed(block: np.ndarray, n: int, coords: tuple[int, ...]) -> np.ndarray:
     """Place a small block at the given coordinates of an n x n identity."""
-    out = exact_eye(n) if block.dtype == object else np.eye(n)
-    idx = np.array(coords, dtype=np.intp)
-    out[idx[:, None], idx] = block
+    out = exact_eye(n) if block.dtype == object else shared_eye(n).copy()
+    out[_block_index(tuple(coords))] = block
     return out
+
+
+@lru_cache(maxsize=None)
+def _block_index(coords: tuple[int, ...]):
+    """The index of the coords x coords block: two slices when coords is a range."""
+    if coords and coords == tuple(range(coords[0], coords[-1] + 1)):
+        return (slice(coords[0], coords[-1] + 1),) * 2
+    return np.ix_(coords, coords)
 
 
 def max_abs(a: np.ndarray) -> float:

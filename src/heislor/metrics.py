@@ -23,7 +23,6 @@ from ._linalg import (
     congruence_diagonal,
     is_exact,
     is_singular,
-    max_abs,
     minkowski_gram,
     shared_minkowski_gram,
     to_float,
@@ -150,7 +149,7 @@ def _check_symmetric(m: np.ndarray) -> None:
             for j in range(i + 1, n):
                 if m[i, j] != m[j, i]:
                     raise AsymmetricInput(f"entries ({i},{j}) and ({j},{i}) differ")
-    elif max_abs(m - m.T) > DEFAULT_TOL * max_abs(m):
+    elif m.size and np.abs(m - m.T).max() > DEFAULT_TOL * np.abs(m).max():
         raise AsymmetricInput("matrix is not symmetric within tolerance")
 
 
@@ -301,17 +300,17 @@ def _unit_prescale(eigvals: np.ndarray) -> float:
     return math.ldexp(1.0, -round(log_det / (len(eigvals) * math.log(4.0))))
 
 
-def _unit_gram(metric: Metric) -> tuple[np.ndarray, SignatureTriple]:
-    """The gram an invariant reader sees, checked symmetric, and its signature: an
-    exact one as given, by exact signs; a float one at unit scale, M / 4^e, signed by
-    the eigenvalues that give e.  Unlike factor_metric it takes any signature."""
-    if metric.backend == EXACT:
-        return metric.gram, signature_of(metric.gram)
-    gram = to_float(metric.gram)
+def _unit_gram(metric: Metric) -> tuple[np.ndarray, np.ndarray | None]:
+    """The gram an invariant reader sees, checked symmetric: an exact one as given,
+    a float one at unit scale, M / 4^e, with its eigenvalues (those that give e,
+    scaled; None for an exact gram).  Unlike factor_metric it takes any signature."""
+    gram = metric.gram if metric.backend == EXACT else to_float(metric.gram)
     _check_symmetric(gram)
+    if metric.backend == EXACT:
+        return gram, None
     eigvals = np.linalg.eigvalsh(gram)
     prescale = _unit_prescale(eigvals)
-    return gram * (prescale * prescale), _eigen_signature(eigvals * prescale * prescale)
+    return gram * (prescale * prescale), eigvals * prescale * prescale
 
 
 # -- JSON schema --------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
 
 import numpy as np
@@ -27,6 +27,7 @@ from ._linalg import (
     is_singular,
     max_abs,
     right_triangularize,
+    shared_eye,
     shared_minkowski_gram,
     to_float,
 )
@@ -34,6 +35,7 @@ from .liealg import hprime_pattern, require_dim
 from .metrics import (
     Metric,
     SignatureTriple,
+    _eigen_signature,
     _factor_metric,
     _require_lorentzian,
     _sign_counts,
@@ -147,7 +149,7 @@ class CanonicalForm:
 
 def _t_form(lam: int, t: float, n: int) -> np.ndarray:
     """I + t E_(n-1,1) - lam E_(n,1) as floats."""
-    u = np.eye(n)
+    u = shared_eye(n).copy()
     u[n - 2, 0] = t
     u[n - 1, 0] = -float(lam)
     return u
@@ -212,7 +214,6 @@ class _Builder:
         self.prescale = prescale
         self.left_app: list[np.ndarray] = []
         self.right_app: list[np.ndarray] = []
-        self.left_product = np.eye(start.shape[0])
         self.flags: list[str] = []
 
     @property
@@ -225,7 +226,6 @@ class _Builder:
         if fold != 1.0:
             h = fold * h
         self.left_app.append(h)
-        self.left_product = h @ self.left_product
 
     def apply_right(self, k: np.ndarray) -> None:
         self.right_app.append(k)
@@ -233,8 +233,7 @@ class _Builder:
 
     def snap(self, ideal: np.ndarray) -> None:
         """Replace the working matrix by its known exact shape."""
-        ideal = np.asarray(ideal, dtype=float)
-        dev = max_abs(self.current - ideal)
+        dev = np.abs(self.current - ideal).max()
         # the scale is at least 1, so it only matters once dev exceeds SNAP_TOL
         if dev > SNAP_TOL and dev > SNAP_TOL * max(1.0, max_abs(ideal), max_abs(self.current)):
             raise NumericalBreakdown(f"snap deviation {dev:.3e} exceeds tolerance")
@@ -304,15 +303,13 @@ def o11_normalize(x: float, y: float) -> tuple[float, int, np.ndarray]:
 # -- pipeline stages -----------------------------------------------------------
 
 
-def _snap_g_lambda(builder: _Builder, lam: int) -> None:
-    """Force the exact last row/column of the working matrix."""
-    n = builder.n
-    ideal = builder.current.copy()
-    ideal[n - 1, :] = 0.0
-    ideal[n - 1, 0] = -float(lam)
-    ideal[n - 1, n - 1] = 1.0
-    ideal[: n - 1, n - 1] = 0.0
-    builder.snap(ideal)
+def _g_lambda_shape(current: np.ndarray, lam: int) -> np.ndarray:
+    """current with the exact last row (-lam, 0, ..., 0, 1) and last column e_n."""
+    n = current.shape[0]
+    ideal = current.copy()
+    ideal[n - 1, :] = ideal[:, n - 1] = 0.0
+    ideal[n - 1, 0], ideal[n - 1, n - 1] = -float(lam), 1.0
+    return ideal
 
 
 def _reduce_last_row(builder: _Builder) -> int:
@@ -324,12 +321,12 @@ def _reduce_last_row(builder: _Builder) -> int:
     x, y = float(builder.current[n - 1, 0]), float(builder.current[n - 1, n - 1])
     a, lam, g2 = o11_normalize(x, y)
     builder.apply_right(embed(g2, n, (0, n - 1)))
-    h = float(a) * np.eye(n)
+    h = float(a) * shared_eye(n)
     h[n - 1, n - 1] = 1.0 / a
     h[: n - 1, n - 1] = -builder.current[: n - 1, n - 1]
     # the first left factor: the witness records it times the exact prescale
     builder.apply_left(h, builder.prescale)
-    _snap_g_lambda(builder, lam)
+    builder.snap(_g_lambda_shape(builder.current, lam))
     return lam
 
 
@@ -338,7 +335,7 @@ def _reduce_lambda0(builder: _Builder) -> None:
     n = builder.n
     q = right_triangularize(builder.current[: n - 1, : n - 1])
     builder.apply_right(embed(q, n, tuple(range(n - 1))))
-    builder.solve_onto(np.eye(n))
+    builder.solve_onto(shared_eye(n))
 
 
 def _reduce_to_t(builder: _Builder, lam: int) -> float:
@@ -355,7 +352,7 @@ def _reduce_to_t(builder: _Builder, lam: int) -> float:
     if abs(builder.current[2, 2]) <= CORNER_TOL * max(1.0, abs(builder.current[2, 0])):
         _fix_zero_corner(builder, lam)
     t_signed = float(builder.current[2, 0] / builder.current[2, 2])
-    target = np.eye(n)
+    target = shared_eye(n).copy()
     target[2, 0] = t_signed
     target[n - 1, 0] = -float(lam)
     builder.solve_onto(target)
@@ -393,46 +390,56 @@ def _fix_zero_corner(builder: _Builder, lam: int) -> None:
         ]
     )
     builder.apply_right(embed(k1, n, (0, 1, 2, n - 1)))
-    h = np.eye(n)
+    h = shared_eye(n).copy()
     h[: n - 1, n - 1] = -builder.current[: n - 1, n - 1]
     builder.apply_left(h)
-    ideal = builder.current.copy()
-    ideal[:, n - 1] = 0.0
-    ideal[n - 1, :] = 0.0
-    ideal[n - 1, 0] = -lam_f
-    ideal[n - 1, n - 1] = 1.0
+    ideal = _g_lambda_shape(builder.current, lam)
     ideal[2, 0] = y * lam_f * lam_f
     ideal[2, 1] = 0.0
     ideal[2, 2] = y * r
     builder.snap(ideal)
 
 
-def _boost_t(builder: _Builder, t: float, e_theta: float) -> float:
-    """Rescale the shear parameter t -> t * e_theta (light-cone case only)."""
+def _boost_t(builder: _Builder, t: float) -> float:
+    """Halve or double t into [1/2, 2] by light-cone boosts of e = 1/2 or 2; returns t.
+
+    Every boost takes the same right factor K and a left factor H_i that depends
+    on t_i alone, so the k steps are built as two stacks, the H_i and the t-forms
+    T_i, and snap-checked at once: H_i (T_i K) against T_(i+1), by snap's rule.
+    One boost by 2^k would skip those checks and miss the target more often.
+    """
     n = builder.n
-    c = 0.5 * (e_theta + 1.0 / e_theta)
-    s = 0.5 * (e_theta - 1.0 / e_theta)
-    builder.apply_right(embed(np.array([[c, s], [s, c]]), n, (0, n - 1)))
-    h = np.eye(n)
-    h[0, 0] = 1.0 / e_theta
-    h[0, n - 1] = -s
-    h[n - 2, n - 1] = -t * s * e_theta
-    h[n - 1, n - 1] = e_theta
-    builder.apply_left(h)
-    t_new = t * e_theta
-    builder.snap(_t_form(1, t_new, n))
-    return t_new
+    e = 0.5 if t > 2.0 else 2.0
+    ts = [t]
+    while ts[-1] > 2.0 or ts[-1] < 0.5:
+        ts.append(ts[-1] * e)
+    if len(ts) == 1:
+        return t
+    c, s = 0.5 * (e + 1.0 / e), 0.5 * (e - 1.0 / e)
+    boost = embed(np.array([[c, s], [s, c]]), n, (0, n - 1))
+    forms = np.tile(builder.current, (len(ts), 1, 1))  # the working matrix is T_0
+    forms[:, n - 2, 0] = ts
+    hs = np.tile(shared_eye(n), (len(ts) - 1, 1, 1))
+    hs[:, 0, 0], hs[:, 0, n - 1], hs[:, n - 1, n - 1] = 1.0 / e, -s, e
+    hs[:, n - 2, n - 1] = -np.array(ts[:-1]) * s * e
+    reached = hs @ (forms[:-1] @ boost)
+    dev = np.abs(reached - forms[1:]).max(axis=(1, 2))
+    size = np.maximum(np.abs(forms[1:]), np.abs(reached)).max(axis=(1, 2), initial=1.0)
+    bad = dev > SNAP_TOL * size
+    if bad.any():
+        raise NumericalBreakdown(f"snap deviation {dev[bad.argmax()]:.3e} exceeds tolerance")
+    builder.left_app.extend(hs)
+    builder.right_app.extend(np.repeat(boost[None], len(hs), axis=0))
+    builder.current = forms[-1].copy()
+    return ts[-1]
 
 
 def _reduce_lambda1(builder: _Builder, t: float) -> str:
-    """From I + t E - E' reach xi = 0 (t on the wall) or xi = 1."""
+    """From I + t E - E' reach xi = 0 (t on the wall) or xi = 1, through t in [1/2, 2]."""
     n = builder.n
     if _snap_onto_wall(builder, 1, "1", "0", t):
         return "0"
-    while t > 2.0:
-        t = _boost_t(builder, t, 0.5)
-    while t < 0.5:
-        t = _boost_t(builder, t, 2.0)
+    t = _boost_t(builder, t)
     s = (t - 1.0) / t
     c4 = (0, 1, n - 2, n - 1)
     k1 = np.array(
@@ -444,11 +451,11 @@ def _reduce_lambda1(builder: _Builder, t: float) -> str:
         ]
     )
     builder.apply_right(embed(k1, n, c4))
-    h1 = np.eye(n)
+    h1 = shared_eye(n).copy()
     h1[0, n - 1] = -s * s / 2.0
     h1[n - 2, n - 1] = -s * s * t / 2.0 - s
     builder.apply_left(h1)
-    h2 = np.eye(n)
+    h2 = shared_eye(n).copy()
     h2[0, 0] = t
     h2[0, n - 2] = -s
     h2[n - 2, n - 2] = 1.0 / t
@@ -625,8 +632,8 @@ def classify_by_invariants(metric: Metric) -> CanonicalForm:
     An exact metric is read by exact signs, a float one at unit scale, M / 4^e.
     """
     require_dim(metric.n)
-    gram, signature = _unit_gram(metric)
-    _require_lorentzian(signature)
+    gram, eigs = _unit_gram(metric)
+    _require_lorentzian(signature_of(gram) if eigs is None else _eigen_signature(eigs))
     return _classify_grams(gram[None])[0][0]
 
 
@@ -693,15 +700,12 @@ def _retry_factor(n: int, attempt: int) -> np.ndarray:
 
 def _pipeline_scale(builder: _Builder, lam: int, xi_key: str) -> float:
     """Scale k with k * M in the automorphism orbit of the representative."""
-    n = builder.n
-    flip = np.eye(n)
-    flip[n - 2, n - 2] = -1.0
-    h_total = builder.left_product.T @ flip
-    det2 = h_total[0, 0] * h_total[1, 1] - h_total[0, 1] * h_total[1, 0]
-    c = det2 / h_total[n - 1, n - 1]
     if (lam, xi_key) in SCALE_FLEXIBLE:
         # the orbit of these classes absorbs rescaling; normalize
         return 1.0
+    # the left product, formed only where it is read
+    lp = reduce(lambda product, h: h @ product, builder.left_app, shared_eye(builder.n))
+    c = (lp[0, 0] * lp[1, 1] - lp[1, 0] * lp[0, 1]) / lp[-1, -1]
     return float(c * c)
 
 
@@ -791,7 +795,7 @@ def verify_witness(subject: Metric | np.ndarray, witness: Witness) -> Verificati
         g = to_float(np.asarray(subject))
         if g.shape != witness.start.shape or max_abs(g - witness.start) > WITNESS_TOL * max_abs(g):
             problems.append("start matrix differs from the supplied element")
-    left = np.array([to_float(h) for h in witness.left]).reshape(-1, n, n)
+    left = np.array(witness.left, dtype=float).reshape(-1, n, n)
     outside = np.abs(left[:, hprime_pattern(n).outside]).max(axis=1)
     singular = is_singular(left)
     for idx, (out, sing) in enumerate(zip(outside.tolist(), singular.tolist())):
@@ -799,7 +803,7 @@ def verify_witness(subject: Metric | np.ndarray, witness: Witness) -> Verificati
             problems.append(f"left factor {idx} violates the pattern ({out:.2e})")
         if sing:
             problems.append(f"left factor {idx} is singular")
-    right = np.array([to_float(k) for k in witness.right]).reshape(-1, n, n)
+    right = np.array(witness.right, dtype=float).reshape(-1, n, n)
     devs = np.abs(right.transpose(0, 2, 1) @ ipq @ right - ipq).max(axis=(1, 2))
     sizes = np.abs(right).max(axis=(1, 2))
     for idx, (dev, size) in enumerate(zip(devs.tolist(), sizes.tolist())):
