@@ -233,11 +233,12 @@ def householder(v: np.ndarray, k: int) -> np.ndarray:
 
 
 def is_singular(a: np.ndarray):
-    """Whether a float matrix, or each of a stack, is numerically singular, at any
-    scale: |det|^(1/n) against the largest entry (Golub & Van Loan, section 2.6)."""
-    sign, logdet = np.linalg.slogdet(a)
+    """Whether a float matrix, or each of a stack, is numerically singular (a NaN makes it so), at
+    any scale: |det|^(1/n) against the largest entry (Golub & Van Loan, section 2.6)."""
+    with np.errstate(invalid="ignore"):  # a NaN entry is no error here: it reads singular
+        sign, logdet = np.linalg.slogdet(a)
     size = np.abs(a).max(axis=(-2, -1))
-    return (sign == 0) | (np.exp(logdet / a.shape[-1]) < SINGULAR_RATIO * size)
+    return (sign == 0) | ~(np.exp(logdet / a.shape[-1]) >= SINGULAR_RATIO * size)
 
 
 def right_triangularize(b: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from ._linalg import (
     shared_minkowski_gram,
     to_float,
 )
-from .numerics import APPROX, DEFAULT_TOL, EXACT, QSqrt3, SQRT3, sign_with_tol
+from .numerics import APPROX, DEFAULT_TOL, EXACT, QSqrt3, SQRT3
 
 
 class AsymmetricInput(ValueError):
@@ -62,6 +62,8 @@ CANONICAL_PAIRS: tuple[tuple[int, str], ...] = (
 
 #: a float xi this close to a canonical value names it (exact keys need no band)
 XI_MATCH_TOL = 1e-12
+#: an eigenvalue within this factor of the zero band is flagged NearDegenerate
+NEAR_DEGENERATE_MARGIN = 100.0
 
 _XI_EXACT = {"0": QSqrt3(0), "1": QSqrt3(1), "sqrt3": SQRT3, "2": QSqrt3(2)}
 
@@ -94,11 +96,6 @@ def canonical_key(lam, xi) -> str:
     return key
 
 
-def _sign_counts(signs: list[int]) -> tuple[int, int, int]:
-    """(plus, minus, zero) counts of a list of signs, each -1, 0 or +1."""
-    return signs.count(1), signs.count(-1), signs.count(0)
-
-
 @dataclass(frozen=True)
 class SignatureTriple:
     """Counts (plus, minus, zero) of a restricted inner product."""
@@ -109,11 +106,6 @@ class SignatureTriple:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.plus, self.minus, self.zero)
-
-    @classmethod
-    def of_signs(cls, signs: list[int]) -> "SignatureTriple":
-        """Counts of a list of signs, each -1, 0 or +1."""
-        return cls(*_sign_counts(signs))
 
 
 @dataclass(frozen=True)
@@ -131,6 +123,9 @@ class Metric:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == EXACT and not is_exact(g):
             raise ValueError("exact backend requires QSqrt3 entries")
+        if g.dtype != object and not np.isfinite(g).all():
+            i, j = np.argwhere(~np.isfinite(g))[0]
+            raise ValueError(f"gram[{i}][{j}] = {float(g[i, j])!r} is not a finite number")
 
     @property
     def n(self) -> int:
@@ -153,16 +148,26 @@ def _check_symmetric(m: np.ndarray) -> None:
         raise AsymmetricInput("matrix is not symmetric within tolerance")
 
 
-def _zero_band(eigs: np.ndarray) -> np.ndarray:
-    """Per row of a (..., k) stack of eigenvalues, the (..., 1) band within which one is 0:
-    DEFAULT_TOL * max(1, spectral radius), the 1 being the unit scale classify reads at."""
-    return DEFAULT_TOL * np.abs(eigs).max(axis=-1, keepdims=True, initial=1.0)
+def _band_signs(eigs: list[float]) -> tuple[tuple[int, int, int], bool]:
+    """(plus, minus, zero) counts of eigenvalues, each zero within the band DEFAULT_TOL *
+    max(1, spectral radius), the 1 being the unit scale classify reads at; and whether one
+    lies strictly within a factor NEAR_DEGENERATE_MARGIN of the band.  Plain floats: for
+    n <= 8 one numpy call costs about as much as this whole read."""
+    band = DEFAULT_TOL * max(1.0, max(map(abs, eigs), default=0.0))
+    lo, hi = band / NEAR_DEGENERATE_MARGIN, band * NEAR_DEGENERATE_MARGIN
+    plus, minus, near = 0, 0, False
+    for e in eigs:
+        if e > band:
+            plus += 1
+        elif e < -band:
+            minus += 1
+        near = near or lo < abs(e) < hi
+    return (plus, minus, len(eigs) - plus - minus), near
 
 
 def _eigen_signature(eigs: np.ndarray) -> SignatureTriple:
-    """Sign counts of eigenvalues, each zero within the _zero_band of their row."""
-    band = _zero_band(eigs).item()
-    return SignatureTriple.of_signs([sign_with_tol(e, band) for e in eigs.tolist()])
+    """Sign counts of eigenvalues, each zero within the band of _band_signs."""
+    return SignatureTriple(*_band_signs(eigs.tolist())[0])
 
 
 def _require_lorentzian(sig: SignatureTriple) -> None:
@@ -180,7 +185,8 @@ def signature_of(m: np.ndarray) -> SignatureTriple:
     _check_symmetric(m)
     if m.dtype != object:
         return _eigen_signature(np.linalg.eigvalsh(m))
-    return SignatureTriple.of_signs([d.sign() for d in congruence_diagonal(m)])
+    signs = [d.sign() for d in congruence_diagonal(m)]
+    return SignatureTriple(signs.count(1), signs.count(-1), signs.count(0))
 
 
 def act(g: np.ndarray, metric: Metric) -> Metric:
@@ -316,13 +322,9 @@ def _unit_gram(metric: Metric) -> tuple[np.ndarray, np.ndarray | None]:
 # -- JSON schema --------------------------------------------------------------
 
 
-def _exact_entry_to_str(x: QSqrt3) -> str:
-    return x.format()
-
-
 def metric_to_json(metric: Metric) -> dict:
     if metric.backend == EXACT:
-        gram = [[_exact_entry_to_str(x) for x in row] for row in metric.gram]
+        gram = [[x.format() for x in row] for row in metric.gram]
     else:
         gram = [[float(x) for x in row] for row in metric.gram]
     return {"n": metric.n, "gram": gram, "backend": metric.backend}

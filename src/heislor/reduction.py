@@ -35,12 +35,11 @@ from .liealg import hprime_pattern, require_dim
 from .metrics import (
     Metric,
     SignatureTriple,
+    _band_signs,
     _eigen_signature,
     _factor_metric,
     _require_lorentzian,
-    _sign_counts,
     _unit_gram,
-    _zero_band,
     canonical_key,
     signature_of,
     xi_exact,
@@ -68,8 +67,6 @@ SNAP_TOL = 1e-6
 PIVOT_TOL = 1e-12
 #: a (3, 3) corner below this fraction of max(1, |(3, 1) entry|) is rotated into a nonzero one
 CORNER_TOL = 1e-9
-#: an eigenvalue within this factor of the zero band is flagged NearDegenerate
-NEAR_DEGENERATE_MARGIN = 100.0
 #: largest t accepted without a retry (factor entries grow with t); classify
 #: normalizes the input scale away first, so a larger t comes from the chart
 T_RETRY_MAX = 200.0
@@ -95,7 +92,7 @@ class NotInGLambda(ValueError):
 
 
 class NegativeT(ValueError):
-    """The shear parameter t must be nonnegative."""
+    """The shear parameter t must be finite and nonnegative."""
 
 
 class NoTableMatch(ValueError):
@@ -268,7 +265,8 @@ def o11_normalize(x: float, y: float) -> tuple[float, int, np.ndarray]:
 
     The branch is decided by the sign of the invariant x^2 - y^2 relative
     to the pair's magnitude: negative -> lam=0, zero -> lam=1, positive ->
-    lam=2.  Returns (a, lam, g) with (x, y) @ g = (-lam*a, a).
+    lam=2.  Returns (a, lam, g) with (x, y) @ g = (-lam*a, a), each branch's
+    g = diag(d) @ [[c, s], [s, c]] written out; + 0.0 makes a zero s +0.0, as @ does.
     """
     scale = max(x * x, y * y)
     if scale == 0.0:
@@ -279,7 +277,7 @@ def o11_normalize(x: float, y: float) -> tuple[float, int, np.ndarray]:
         sigma = 1.0 if y > 0 else -1.0
         a = math.sqrt(y * y - x * x)
         c, s = sigma * y / a, -x / a
-        g = np.array([[1.0, 0.0], [0.0, sigma]]) @ np.array([[c, s], [s, c]])
+        g = np.array([[c, s + 0.0], [sigma * s + 0.0, sigma * c]])
         return a, 0, g
     if branch == POSITIVE:
         sigma = -1.0 if x > 0 else 1.0
@@ -287,7 +285,7 @@ def o11_normalize(x: float, y: float) -> tuple[float, int, np.ndarray]:
         xs = sigma * x
         c = -(2.0 * xs + y) / (3.0 * a)
         s = (xs + 2.0 * y) / (3.0 * a)
-        g = np.array([[sigma, 0.0], [0.0, 1.0]]) @ np.array([[c, s], [s, c]])
+        g = np.array([[sigma * c, sigma * s + 0.0], [s + 0.0, c]])
         return a, 2, g
     # light-cone branch: reflect onto (-|x|, |y|) and boost the magnitude to 1
     s1 = -1.0 if x > 0 else 1.0
@@ -295,7 +293,7 @@ def o11_normalize(x: float, y: float) -> tuple[float, int, np.ndarray]:
     e_theta = 0.5 * (abs(x) + abs(y))
     c = 0.5 * (e_theta + 1.0 / e_theta)
     s = 0.5 * (e_theta - 1.0 / e_theta)
-    g = np.array([[s1, 0.0], [0.0, s2]]) @ np.array([[c, s], [s, c]])
+    g = np.array([[s1 * c, s1 * s + 0.0], [s2 * s + 0.0, s2 * c]])
     a = float((np.array([x, y]) @ g)[1])
     return a, 1, g
 
@@ -587,8 +585,8 @@ def reduce_to_t(g: np.ndarray, lam: int) -> tuple[float, Witness]:
 
 
 def _reduce_from_t(lam: int, t: float, n: int, stage) -> tuple[str, Witness]:
-    if t < 0:
-        raise NegativeT(f"t must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise NegativeT(f"t must be finite and >= 0, got {t}")
     builder = _Builder(_t_form(lam, t, n))
     xi_key = stage(builder, t)
     return xi_key, builder.witness(representative_matrix(lam, xi_key, n))
@@ -656,23 +654,21 @@ def _classify_grams(grams: np.ndarray) -> list[tuple[CanonicalForm, list[str]]]:
 
     The grams are unit-scale and already checked symmetric by the caller.  A float
     stack takes one eigvalsh on its center blocks; the derived ideal's 1x1 block is
-    its own eigenvalue.  In each block an eigenvalue within the metrics._zero_band
-    of 0 is zero, and one within NEAR_DEGENERATE_MARGIN of the band flags the gram
-    NearDegenerate.  An exact stack keeps exact congruence signs and no flag.  A
-    NoTableMatch names the first bad gram.
+    its own eigenvalue; metrics._band_signs signs each gram's eigenvalues as Python
+    floats and flags a gram NearDegenerate.  An exact stack keeps exact congruence
+    signs and no flag.  A NoTableMatch names the first bad gram.
     """
     n = grams.shape[-1]
     if grams.dtype == object:
         keys = [tuple(signature_of(b).as_tuple() for b in (g[2:, 2:], g[-1:, -1:])) for g in grams]
         near = [False] * len(grams)
     else:
-        signs, near = [], np.zeros(len(grams), dtype=bool)
-        for eigs in (np.linalg.eigvalsh(grams[:, 2:, 2:]), grams[:, -1:, -1]):
-            mags, band = np.abs(eigs), _zero_band(eigs)
-            signs.append((np.sign(eigs) * (mags > band)).astype(int).tolist())
-            lo, hi = band / NEAR_DEGENERATE_MARGIN, band * NEAR_DEGENERATE_MARGIN
-            near |= ((mags > lo) & (mags < hi)).any(axis=1)
-        keys = [(_sign_counts(c), _sign_counts(d)) for c, d in zip(*signs)]
+        keys, near = [], []
+        centers = np.linalg.eigvalsh(grams[:, 2:, 2:]).tolist()
+        for center, derived in zip(centers, grams[:, -1, -1].tolist()):
+            (c, c_near), (d, d_near) = _band_signs(center), _band_signs([derived])
+            keys.append((c, d))
+            near.append(c_near or d_near)
     forms = _forms_by_signatures(n)
     for i, key in enumerate(keys):
         if key not in forms:
@@ -774,8 +770,8 @@ def verify_witness(subject: Metric | np.ndarray, witness: Witness) -> Verificati
 
     `subject` is either the starting group element or the classified metric
     (in which case the recorded m-factor is checked against its Gram matrix).
-    Every size test is relative and singularity is judged by conditioning, so
-    a witness of c * M checks as one of M does.
+    Every size test is relative and reads `not x <= bound`, so that a NaN fails it;
+    singularity is judged by conditioning, so a witness of c * M checks as one of M does.
     """
     n = witness.n
     problems = []
@@ -786,20 +782,21 @@ def verify_witness(subject: Metric | np.ndarray, witness: Witness) -> Verificati
         minv = np.linalg.inv(witness.m_factor)
         gram = to_float(subject.gram)
         gram_res = max_abs(minv.T @ ipq @ minv - gram)
-        if gram_res > WITNESS_TOL * max_abs(gram):
+        if not gram_res <= WITNESS_TOL * max_abs(gram):
             problems.append(f"m-factor does not reproduce the metric ({gram_res:.2e})")
         start_res = max_abs(minv.T - witness.start)
-        if start_res > WITNESS_TOL * max_abs(witness.start):
+        if not start_res <= WITNESS_TOL * max_abs(witness.start):
             problems.append("start matrix is not the transpose-inverse of m")
     else:
         g = to_float(np.asarray(subject))
-        if g.shape != witness.start.shape or max_abs(g - witness.start) > WITNESS_TOL * max_abs(g):
+        same = g.shape == witness.start.shape
+        if not (same and max_abs(g - witness.start) <= WITNESS_TOL * max_abs(g)):
             problems.append("start matrix differs from the supplied element")
     left = np.array(witness.left, dtype=float).reshape(-1, n, n)
     outside = np.abs(left[:, hprime_pattern(n).outside]).max(axis=1)
     singular = is_singular(left)
     for idx, (out, sing) in enumerate(zip(outside.tolist(), singular.tolist())):
-        if out > WITNESS_TOL:
+        if not out <= WITNESS_TOL:
             problems.append(f"left factor {idx} violates the pattern ({out:.2e})")
         if sing:
             problems.append(f"left factor {idx} is singular")
@@ -807,10 +804,10 @@ def verify_witness(subject: Metric | np.ndarray, witness: Witness) -> Verificati
     devs = np.abs(right.transpose(0, 2, 1) @ ipq @ right - ipq).max(axis=(1, 2))
     sizes = np.abs(right).max(axis=(1, 2))
     for idx, (dev, size) in enumerate(zip(devs.tolist(), sizes.tolist())):
-        if dev > WITNESS_TOL * size**2:
+        if not dev <= WITNESS_TOL * size**2:
             problems.append(f"right factor {idx} is not pseudo-orthogonal ({dev:.2e})")
     residual = max_abs(witness.product() - witness.target)
-    if residual > WITNESS_TOL:
+    if not residual <= WITNESS_TOL:
         problems.append(f"chain product misses the target by {residual:.2e}")
     return VerificationResult(not problems, residual, "; ".join(problems))
 

@@ -265,6 +265,14 @@ def test_factor_metric_rejects_definite():
         factor_metric(Metric(gram=np.eye(4), backend=APPROX))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_metric_rejects_a_non_finite_float_entry(value):
+    gram = canonical_gram(2, 2, 5, exact=False)
+    gram[1, 1] = value
+    with pytest.raises(ValueError, match=rf"^gram\[1\]\[1\] = {value!r} is not a finite number$"):
+        Metric(gram=gram, backend=APPROX)
+
+
 def test_metric_json_round_trip_exact():
     metric, _ = canonical_metric(2, "sqrt3", 4)
     blob = canonical_json(metric_to_json(metric))

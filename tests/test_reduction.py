@@ -31,6 +31,7 @@ from heislor.metrics import (
     act,
     canonical_gram,
     canonical_metric,
+    signature_of,
     xi_float,
 )
 from heislor.numerics import QSqrt3
@@ -109,6 +110,43 @@ def test_o11_random_contract():
 def test_o11_rejects_zero():
     with pytest.raises(ZeroVector):
         o11_normalize(0.0, 0.0)
+
+
+def _o11_matmul_form(x, y):
+    """o11_normalize's lam and g, g formed as the product diag(d) @ [[c, s], [s, c]]."""
+    q = x * x - y * y
+    if q < -1e-9 * max(x * x, y * y):
+        sigma = 1.0 if y > 0 else -1.0
+        a = math.sqrt(y * y - x * x)
+        lam, d, c, s = 0, (1.0, sigma), sigma * y / a, -x / a
+    elif q > 1e-9 * max(x * x, y * y):
+        sigma = -1.0 if x > 0 else 1.0
+        a = math.sqrt(q / 3.0)
+        xs = sigma * x
+        lam, d, c, s = 2, (sigma, 1.0), -(2.0 * xs + y) / (3.0 * a), (xs + 2.0 * y) / (3.0 * a)
+    else:
+        e = 0.5 * (abs(x) + abs(y))
+        lam, d = 1, (-1.0 if x > 0 else 1.0, 1.0 if y >= 0 else -1.0)
+        c, s = 0.5 * (e + 1.0 / e), 0.5 * (e - 1.0 / e)
+    return lam, np.diag(d) @ np.array([[c, s], [s, c]])
+
+
+def test_o11_blocks_match_matmul_form():
+    # signed zeros in the grid give s = -0.0 (lam = 0), and (2, 1) and (1, 1) give
+    # s = +0.0 (lam = 2 and 1): every zero entry must come out +0.0, as the product's
+    values = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1e-3, -3.0, 0.7, 1.0 + 1e-12)
+    lams, zeros = set(), 0
+    for x in values:
+        for y in values:
+            if x == 0.0 and y == 0.0:
+                continue
+            _, lam, g = o11_normalize(x, y)
+            ref_lam, ref = _o11_matmul_form(x, y)
+            assert lam == ref_lam
+            assert np.array_equal(g, ref) and np.array_equal(np.signbit(g), np.signbit(ref)), (x, y)
+            lams.add(lam)
+            zeros += int((g == 0.0).sum())
+    assert lams == {0, 1, 2} and zeros
 
 
 # -- stagewise reduction ----------------------------------------------------------
@@ -493,6 +531,36 @@ def test_reduce_lambda2_above_wall():
 def test_reduce_lambda2_rejects_negative():
     with pytest.raises(NegativeT):
         reduce_lambda2(-1.0, 4)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("stage", [reduce_lambda1, reduce_lambda2], ids=["lambda1", "lambda2"])
+def test_t_stages_reject_non_finite_t(stage, t, monkeypatch):
+    # without the entry check a NaN t snaps onto the wall, and +inf halves forever in
+    # the boost chain, so the chain is made to raise rather than run
+    def no_chain(*args):
+        raise AssertionError("a non-finite t reached the boost chain")
+
+    monkeypatch.setattr(reduction, "_boost_t", no_chain)
+    with pytest.raises(NegativeT, match="t must be finite and >= 0"):
+        stage(t, 5)
+
+
+@pytest.mark.parametrize(
+    "side, problem",
+    [("left", "left factor 0 is singular"), ("right", "right factor 0 is not pseudo-orthogonal")],
+)
+def test_verify_witness_fails_a_nan_factor_entry(side, problem):
+    def nan_corner(factor):
+        factor[0, 0] = math.nan  # an entry the pattern allows
+        return factor
+
+    metric = _orbit_sample(2, "0", 5, seed=3)
+    _, _, witness = classify(metric)
+    assert verify_witness(metric, witness).ok
+    got = verify_witness(metric, _corrupt(witness, side, 0, nan_corner))
+    assert not got.ok and math.isnan(got.residual)
+    assert problem in got.detail and "misses the target by nan" in got.detail
 
 
 # -- the closed-form lam=2 root against a bisection reference ---------------------
@@ -1158,22 +1226,33 @@ def test_verify_witness_stacks_match_reference_on_element_subjects():
     assert "start matrix differs" in verify_witness(g + 1e-3, chain).detail
 
 
-def _invariants_reference(metric, tol=1e-9):
-    """restricted_signatures plus one eigvalsh per block for the near-wall band.
+def _reference_read(gram, tol=1e-9, margin=100.0):
+    """Restricted signatures of a unit-scale float gram, and whether it is near-degenerate,
+    read vectorized in numpy, independently of the package's float reader: one eigvalsh
+    per block, each eigenvalue zero within tol * max(1, spectral radius) of its block,
+    and near-degenerate strictly within a factor `margin` of that band.
 
-    tol is the library's fixed zero band, DEFAULT_TOL.
+    tol and margin are the library's fixed DEFAULT_TOL and NEAR_DEGENERATE_MARGIN.
     """
-    def near_degenerate(block):
-        if block.dtype == object:
-            return False
+    sigs, near = [], False
+    for block in (gram[2:, 2:], gram[-1:, -1:]):
         eigs = np.linalg.eigvalsh(block)
-        band = tol * max(1.0, float(np.max(np.abs(eigs))))
-        return bool(np.any((np.abs(eigs) > 0.01 * band) & (np.abs(eigs) < 100.0 * band)))
+        mags = np.abs(eigs)
+        band = tol * mags.max(initial=1.0)
+        signs = (np.sign(eigs) * (mags > band)).astype(int).tolist()
+        sigs.append((signs.count(1), signs.count(-1), signs.count(0)))
+        near |= bool(((mags > band / margin) & (mags < band * margin)).any())
+    return tuple(sigs), near
 
-    center, derived = restricted_signatures(metric)
-    key = (center.as_tuple(), derived.as_tuple())
+
+def _invariants_reference(metric):
+    """The table row and flags of a metric: exact signs for an exact one (congruence,
+    no band), _reference_read of the unit-scale gram for a float one."""
+    if metric.backend == EXACT:
+        key, near = tuple(sig.as_tuple() for sig in restricted_signatures(metric)), False
+    else:
+        key, near = _reference_read(_unit_gram(metric)[0])
     pair = next((p for p, sigs in signature_table(metric.n).items() if sigs == key), None)
-    near = near_degenerate(metric.gram[2:, 2:]) or near_degenerate(metric.gram[-1:, -1:])
     return pair, ["NearDegenerate"] if near else []
 
 
@@ -1199,9 +1278,30 @@ def test_invariant_classifier_matches_two_eigvalsh_reference():
     assert flagged  # the band is exercised, not only the clean side of it
 
 
+_BAND = 1e-9  # DEFAULT_TOL * max(1, spectral radius) for a center whose largest |eigenvalue| is 1
+#: center eigenvalues on the edges of that band: on it, on its near-degenerate margins, and 0
+_BAND_EDGES = tuple(
+    sign * v for v in (_BAND, _BAND / 100.0, _BAND * 100.0, 0.0) for sign in (1.0, -1.0)
+)
+
+
+def _band_edge_grams(n):
+    """Diagonal unit-scale grams whose center is all ones but for one entry on a band
+    edge, first in the center or last (the derived ideal); the (1, 1) entry keeps
+    |det| at 1, so the unit scale leaves every entry as it is."""
+    grams = []
+    for edge in _BAND_EDGES:
+        for slot in (2, n - 1):
+            diag = np.ones(n)
+            diag[slot] = edge
+            diag[0] = 1.0 / abs(edge) if edge else 1.0
+            grams.append(np.diag(diag))
+    return np.stack(grams)
+
+
 def _reader_stacks():
     """Stacks of unit-scale grams, one n and one backend each: the degeneration
-    graph's curve grams, the near-wall metrics and orbit samples."""
+    graph's curve grams, the near-wall metrics, orbit samples and band-edge grams."""
     for n in range(4, 11):
         grams = [
             canonical_gram(*CURVE_FAMILIES[name].params(t), n, exact=False)
@@ -1222,6 +1322,8 @@ def _reader_stacks():
             for seed in range(5)
         ]
         yield f"orbit-n{n}", APPROX, np.stack(grams)
+    for n in (5, 8):
+        yield f"band-edges-n{n}", APPROX, _band_edge_grams(n)
 
 
 def test_stacked_reader_matches_reference_per_gram():
@@ -1234,18 +1336,64 @@ def test_stacked_reader_matches_reference_per_gram():
     assert flagged  # the band is exercised, not only the clean side of it
 
 
-@pytest.mark.parametrize("backend", [APPROX, EXACT])
-def test_stacked_reader_names_the_first_bad_gram(backend):
-    def stack():
-        grams = [canonical_metric(lam, key, 5, backend=backend)[0].gram for lam, key in CANONICAL_PAIRS]
-        return np.stack(grams)
-
-    degenerate = stack()
+def _degenerate_stack(backend):
+    """The six canonical grams at n = 5, with grams 2 and 4 matching no class."""
+    grams = [canonical_metric(lam, key, 5, backend=backend)[0].gram for lam, key in CANONICAL_PAIRS]
     diag = np.diag([1, 1, 0, 1, -1]).tolist()  # a zero center eigenvalue beside a timelike one
     for i in (2, 4):
-        degenerate[i] = exact_array(diag) if backend == EXACT else np.array(diag, dtype=float)
+        grams[i] = exact_array(diag) if backend == EXACT else np.array(diag, dtype=float)
+    return np.stack(grams)
+
+
+@pytest.mark.parametrize("backend", [APPROX, EXACT])
+def test_stacked_reader_names_the_first_bad_gram(backend):
     with pytest.raises(NoTableMatch, match=r"^gram 2: signatures \(\(1, 1, 1\), \(0, 1, 0\)\)"):
-        reduction._classify_grams(degenerate)
+        reduction._classify_grams(_degenerate_stack(backend))
+
+
+def test_band_edges_read_as_the_numpy_reference():
+    """Eigenvalues exactly on the zero band's edges: on the band is zero and flagged,
+    on a margin is not flagged, and beyond the band keeps its sign.  The stacked
+    reader, the flagged reader and signature_of each agree with the reference."""
+    for n in (5, 8):
+        grams = _band_edge_grams(n)
+        centers = np.linalg.eigvalsh(grams[:, 2:, 2:])
+        assert np.array_equal(centers, np.sort(np.diagonal(grams[:, 2:, 2:], axis1=1, axis2=2)))
+        assert all(np.linalg.eigvalsh(g[2:, 2:]).tolist() == c.tolist() for g, c in zip(grams, centers))
+        stacked = reduction._classify_grams(grams)
+        for gram, edge, (form, flags) in zip(grams, np.repeat(_BAND_EDGES, 2), stacked):
+            key, near = _reference_read(gram)
+            pair = next(p for p, sigs in signature_table(n).items() if sigs == key)
+            assert (form.pair, flags) == (pair, ["NearDegenerate"] if near else [])
+            assert classify_by_invariants_flagged(Metric(gram=gram)) == (form, flags)
+            assert tuple(signature_of(b).as_tuple() for b in (gram[2:, 2:], gram[-1:, -1:])) == key
+            assert near == (abs(edge) == _BAND)
+            assert sum(key[0][:2]) == n - 2 - (abs(edge) <= _BAND)
+
+
+def test_each_gram_reads_alone_as_in_its_stack():
+    """One path for every batch size: each gram read as a batch of one gives its
+    stacked read's class and flags, and a stack with a bad gram raises the NoTableMatch
+    of its first bad gram."""
+    def read(grams):
+        try:
+            return [(form.pair, flags) for form, flags in reduction._classify_grams(grams)]
+        except NoTableMatch as exc:
+            return str(exc)
+
+    stacks = [(name, grams) for name, _, grams in _reader_stacks()]
+    stacks += [(f"degenerate-{backend}", _degenerate_stack(backend)) for backend in (APPROX, EXACT)]
+    raised = 0
+    for name, grams in stacks:
+        alone = [read(grams[i : i + 1]) for i in range(len(grams))]
+        bad = [i for i, got in enumerate(alone) if isinstance(got, str)]
+        if bad:
+            want = alone[bad[0]].replace("gram 0:", f"gram {bad[0]}:", 1)
+            raised += 1
+        else:
+            want = [got[0] for got in alone]
+        assert read(grams) == want, name
+    assert raised == 2
 
 
 @pytest.mark.parametrize(
