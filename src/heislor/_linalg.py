@@ -4,7 +4,9 @@ Exact elimination is one sparse Gauss-Jordan kernel over Q(sqrt3) on rows
 {column: nonzero QSqrt3}; an entry is deleted the moment it cancels, so no
 zero is stored or tested again (T. A. Davis, *Direct Methods for Sparse Linear
 Systems*, 2006, ch. 3).  exact_rref/rank/nullspace/inv adapt object arrays of
-QSqrt3 to it.  Float routines wrap numpy.  Everything is sized for n <= 24.
+QSqrt3 to it.  The stabilizer and soliton systems conjugate by the frame shear,
+whose inverse is its closed form (shear_conjugator), so they need no inverse.
+Float routines wrap numpy.  Everything is sized for n <= 24.
 """
 
 from __future__ import annotations
@@ -177,12 +179,26 @@ def exact_inv(a: np.ndarray) -> np.ndarray:
     return exact_dense([[(j - n, x) for j, x in rref[i].items()] for i in range(n)], (n, n))
 
 
-def unit_conjugator(g: np.ndarray):
-    """(k, l) -> nonzero entries (a, c, x) of g^-1 E_kl g, from nonzero factors read once."""
-    ginv = exact_inv(g)
-    cols = [[(a, x) for a, x in enumerate(col) if x] for col in ginv.T]
-    rows = [[(c, y) for c, y in enumerate(row) if y] for row in g]
-    return lambda k, l: [(a, c, x * y) for a, x in cols[k] for c, y in rows[l]]
+def shear_conjugator(lam, xi, n: int):
+    """(k, l) -> nonzero entries (a, c, x) of g^-1 E_kl g, for the shear
+    g = I + xi E_(0,n-2) + lam E_(0,n-1).
+
+    N = g - I has N^2 = 0, so g^-1 = I - N is the shear by (-xi, -lam): the columns
+    of g^-1 and the rows of g are read off lam and xi, with no inverse formed.
+    Entries are listed row by row, as in the dense product; a product with a unit
+    factor is the other factor.
+    """
+    lam, xi = QSqrt3.coerce(lam), QSqrt3.coerce(xi)
+    one = QSqrt3(1)  # the unit entries, told apart by identity
+    cols = [[(k, one)] for k in range(n)]  # column k of g^-1
+    rows = [[(l, one)] for l in range(n)]  # row l of g
+    for c, x in ((n - 2, xi), (n - 1, lam)):
+        if x:
+            cols[c].insert(0, (0, -x))
+            rows[0].append((c, x))
+    return lambda k, l: [
+        (a, c, y if x is one else x if y is one else x * y) for a, x in cols[k] for c, y in rows[l]
+    ]
 
 
 def congruence_diagonal(a: np.ndarray) -> list[QSqrt3]:

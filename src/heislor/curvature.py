@@ -28,9 +28,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import _subtract, exact_eye, exact_zeros, max_abs, rref_rows, to_float, unit_conjugator
+from ._linalg import (
+    _subtract,
+    exact_eye,
+    exact_zeros,
+    max_abs,
+    rref_rows,
+    shear_conjugator,
+    to_float,
+)
 from .liealg import _derivation_vectors
-from .metrics import canonical_key, shear_matrix, xi_exact
+from .metrics import canonical_key, xi_exact
 from .numerics import DEFAULT_TOL, EXACT, SQRT3_F, QSqrt3
 
 HALF = QSqrt3(Fraction(1, 2))
@@ -386,22 +394,23 @@ def soliton_certificate(lam, xi, n: int, ric: np.ndarray | None = None, exact: b
     """Solve Ric = c*id + D over (c, derivation coefficients), or None.
 
     The derivation algebra is taken in frame coordinates, i.e. conjugated by
-    the shear matrix of (lam, xi).  The certificate is exact: each g^-1 b g
-    is summed from b[k, l] outer(ginv[:, k], g[l, :]) over nonzero products
-    into sparse equations.
+    the shear matrix g of (lam, xi), whose inverse is its closed form, the shear
+    by (-xi, -lam).  The certificate is exact: each g^-1 b g is summed from
+    b[k, l] g^-1 E_kl g over nonzero products into sparse equations.
     """
     _exact_only(exact)
     if ric is None:
         ric = closed_form_ricci(lam, xi, n)
-    conjugate = unit_conjugator(shear_matrix(lam, xi, n, exact=True))
+    conjugate = shear_conjugator(lam, xi, n)
     basis = _derivation_vectors(n)
     rhs = 1 + len(basis)
     # one sparse equation per entry (a, c); columns: identity, the basis, then ric
-    eqs = [Counter({0: QSqrt3(1)} if a == c else {}) for a in range(n) for c in range(n)]
+    eqs = [{0: QSqrt3(1)} if a == c else {} for a in range(n) for c in range(n)]
     for col, vec in enumerate(basis, 1):
         for kl, y in vec:
             for a, c, x in conjugate(*divmod(kl, n)):
-                eqs[a * n + c][col] += y * x
+                eq = eqs[a * n + c]
+                eq[col] = eq[col] + y * x if col in eq else y * x
     for eq, r in zip(eqs, ric.reshape(-1)):
         eq[rhs] = r
     rref = rref_rows(eq.items() for eq in eqs)

@@ -279,10 +279,11 @@ def factor_metric(metric: Metric) -> np.ndarray:
     return _factor_metric(metric)[0]
 
 
-def _factor_metric(metric: Metric) -> tuple[np.ndarray, float]:
-    """factor_metric's m, and 2^-e with e = round(log|det M| / (n ln 4)).
+def _factor_metric(metric: Metric) -> tuple[np.ndarray, np.ndarray, float]:
+    """factor_metric's m, (m^-1)^T, and 2^-e with e = round(log|det M| / (n ln 4)).
 
-    Both come from one eigendecomposition.  2^-e (m^-1)^T factors M / 4^e,
+    All three come from one eigendecomposition M = Q L Q^T: m = Q |L|^(-1/2), so
+    (m^-1)^T = Q |L|^(1/2) with no inverse formed.  2^-e (m^-1)^T factors M / 4^e,
     whose |det|^(1/n) lies within a factor 2 of 1; a power of 2 rescales a
     float exactly.  Every canonical Gram matrix has |det| = 1, so e = 0.  The
     signature is read at M / 4^e, so c * M passes or fails with M; a zero
@@ -297,7 +298,8 @@ def _factor_metric(metric: Metric) -> tuple[np.ndarray, float]:
     q = q[:, order]
     prescale = _unit_prescale(eigvals)
     _require_lorentzian(_eigen_signature(eigvals * prescale * prescale))
-    return q * (np.abs(eigvals) ** -0.5), prescale
+    size = np.abs(eigvals)
+    return q * size**-0.5, q * np.sqrt(size), prescale
 
 
 def _unit_prescale(eigvals: np.ndarray) -> float:

@@ -12,7 +12,6 @@ check (criterion 2) certifies by exact congruence for n = 4..10.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,8 +19,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._linalg import rank_rows, unit_conjugator
-from .curvature import EvidenceFailure, closed_form_riemann, is_flat
+from ._linalg import rank_rows, shear_conjugator
+from .curvature import EvidenceFailure, closed_form_riemann, frame_signs, is_flat
 from .liealg import aut_pattern, require_dim
 from .metrics import (
     CANONICAL_PAIRS,
@@ -29,7 +28,6 @@ from .metrics import (
     SignatureTriple,
     canonical_gram,
     canonical_key,
-    shear_matrix,
     xi_exact,
 )
 from .numerics import APPROX, SQRT3_F, QSqrt3
@@ -65,19 +63,38 @@ def dims_UW(lam: int, xi, n: int) -> tuple[int, int]:
     return dim_u, dim_w
 
 
-def _stabilizer_system(lam: int, xi, n: int) -> list[Counter]:
+@lru_cache(maxsize=None)
+def _stabilizer_layout(n: int) -> tuple[tuple[tuple[int, int], ...], dict]:
+    """The pattern positions (i, j), and per entry (a, b) the row of the upper-triangle
+    position {a, b} with the coefficient of X_ab in it: 2 eps_a on the diagonal, else eps_a."""
+    eps = frame_signs(n)
+    row_of = {rs: row for row, rs in enumerate((r, s) for r in range(n) for s in range(r, n))}
+    coeff = {
+        (a, b): (row_of[min(a, b), max(a, b)], (2 if a == b else 1) * eps[a])
+        for a in range(n)
+        for b in range(n)
+    }
+    positions = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(aut_pattern(n).mask)))
+    return positions, coeff
+
+
+def _stabilizer_system(lam: int, xi, n: int) -> list[dict]:
     """Per position E_ij, the upper triangle of eps X + (eps X)^T for X = g^-1 E_ij g
     as a sparse column {row: eps_s X_sr + eps_r X_rs}, from nonzero products only.
+
+    g is the shear of (lam, xi), and g^-1 is its closed form, the shear by (-xi, -lam)
+    (:func:`shear_conjugator`).
     """
     key = canonical_key(lam, xi)
-    conjugate = unit_conjugator(shear_matrix(QSqrt3(int(lam)), xi_exact(key), n, exact=True))
-    eps = [1] * (n - 1) + [-1]
-    row_of = {rs: row for row, rs in enumerate((r, s) for r in range(n) for s in range(r, n))}
+    conjugate = shear_conjugator(int(lam), xi_exact(key), n)
+    positions, coeff = _stabilizer_layout(n)
     system = []
-    for i, j in zip(*np.nonzero(aut_pattern(n).mask)):
-        col = Counter()
+    for i, j in positions:
+        col: dict = {}
         for a, b, x in conjugate(i, j):
-            col[row_of[min(a, b), max(a, b)]] += (2 if a == b else 1) * eps[a] * x
+            row, k = coeff[a, b]
+            v = x if k == 1 else -x if k == -1 else x * k
+            col[row] = col[row] + v if row in col else v
         system.append(col)
     return system
 

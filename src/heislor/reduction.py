@@ -231,8 +231,10 @@ class _Builder:
     def snap(self, ideal: np.ndarray) -> None:
         """Replace the working matrix by its known exact shape."""
         dev = np.abs(self.current - ideal).max()
-        # the scale is at least 1, so it only matters once dev exceeds SNAP_TOL
-        if dev > SNAP_TOL and dev > SNAP_TOL * max(1.0, max_abs(ideal), max_abs(self.current)):
+        # the scale is at least 1, so it only matters once dev exceeds SNAP_TOL; each
+        # test reads `not dev <= bound`, which a NaN deviation fails
+        scale = 1.0 if dev <= SNAP_TOL else max(1.0, max_abs(ideal), max_abs(self.current))
+        if not dev <= SNAP_TOL * scale:
             raise NumericalBreakdown(f"snap deviation {dev:.3e} exceeds tolerance")
         self.current = ideal.copy()
 
@@ -423,7 +425,7 @@ def _boost_t(builder: _Builder, t: float) -> float:
     reached = hs @ (forms[:-1] @ boost)
     dev = np.abs(reached - forms[1:]).max(axis=(1, 2))
     size = np.maximum(np.abs(forms[1:]), np.abs(reached)).max(axis=(1, 2), initial=1.0)
-    bad = dev > SNAP_TOL * size
+    bad = ~(dev <= SNAP_TOL * size)  # a NaN deviation is bad too
     if bad.any():
         raise NumericalBreakdown(f"snap deviation {dev[bad.argmax()]:.3e} exceeds tolerance")
     builder.left_app.extend(hs)
@@ -694,6 +696,16 @@ def _retry_factor(n: int, attempt: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _retry_start(n: int, attempt: int) -> np.ndarray:
+    """(R^-1)^T = J R J for R = _retry_factor(n, attempt) in O(n-1, 1), J = diag(1, ..., 1, -1):
+    the chart m R starts from (m^-1)^T J R J, with no inverse formed."""
+    j = np.diag(shared_minkowski_gram(n))
+    out = _retry_factor(n, attempt) * np.outer(j, j)
+    out.flags.writeable = False
+    return out
+
+
 def _pipeline_scale(builder: _Builder, lam: int, xi_key: str) -> float:
     """Scale k with k * M in the automorphism orbit of the representative."""
     if (lam, xi_key) in SCALE_FLEXIBLE:
@@ -719,13 +731,15 @@ def classify(metric: Metric) -> tuple[CanonicalForm, float, Witness]:
     """
     n = metric.n
     require_dim(n)
-    base_m, prescale = _factor_metric(metric)  # validates symmetry and the signature
+    base_m, base_start, prescale = _factor_metric(metric)  # validates symmetry and the signature
     inv_gram = metric.gram if metric.backend == EXACT else metric.gram * (prescale * prescale)
     inv_form, inv_flags = _classify_grams(inv_gram[None])[0]
     last_error: Exception | None = None
     for attempt in range(MAX_RETRIES + 1):
-        m = base_m if attempt == 0 else base_m @ _retry_factor(n, attempt)
-        builder = _Builder(np.linalg.inv(m).T, prescale)
+        m, start = base_m, base_start
+        if attempt:
+            m, start = m @ _retry_factor(n, attempt), start @ _retry_start(n, attempt)
+        builder = _Builder(start, prescale)
         try:
             lam = _reduce_last_row(builder)
             if lam == 0:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import heislor as hl
+from heislor import _linalg
 from heislor.curvature import (
     EvidenceFailure,
     FrameNotPseudoOrthonormal,
@@ -335,7 +336,7 @@ def test_soliton_exists_for_all_classes_exactly():
             assert derivation_identity_residual(d, frame_brackets(lam, xi, n)) == 0.0
 
 
-@pytest.mark.parametrize("n", range(4, 8))
+@pytest.mark.parametrize("n", range(4, 11))
 def test_exact_soliton_matches_dense_conjugate_solve(n):
     basis = derivation_basis(n)
     for pair in CANONICAL_PAIRS:
@@ -354,6 +355,16 @@ def test_exact_soliton_matches_dense_conjugate_solve(n):
         c, got_d = soliton_certificate(lam, xi, n, ric)
         assert c == coeffs[0]
         assert all(a == b for a, b in zip(got_d.reshape(-1), d.reshape(-1)))
+
+
+def test_soliton_certificate_forms_no_inverse(count_calls):
+    # the shear's inverse is its closed form, the shear by (-xi, -lam)
+    calls = count_calls(_linalg, "exact_inv")
+    for n in range(4, 11):
+        for pair in CANONICAL_PAIRS:
+            lam, xi = _exact_frame(pair, n)
+            assert soliton_certificate(lam, xi, n) is not None
+    assert calls == []
 
 
 def test_soliton_none_outside_span():

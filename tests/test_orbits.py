@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from heislor import orbits
-from heislor._linalg import exact_inv
+from heislor import _linalg, orbits
+from heislor._linalg import exact_inv, shear_conjugator
 from heislor.liealg import DimensionTooSmall, aut_pattern
 from heislor.metrics import (
     APPROX,
@@ -59,7 +59,21 @@ def test_stabilizer_closed_form_matches_rank_oracle(n):
         assert stabilizer_dim(pair[0], pair[1], n) == 1 + (n - 4) * (n - 5) // 2 + dim_u + dim_w
 
 
-@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("n", range(4, 11))
+def test_shear_conjugator_lists_the_dense_conjugate(n):
+    # g^-1 E_kl g = outer(column k of g^-1, row l of g), with g^-1 from the exact rref
+    for lam, key in CANONICAL_PAIRS:
+        g = shear_matrix(QSqrt3(lam), xi_exact(key), n, exact=True)
+        ginv = exact_inv(g)
+        conjugate = shear_conjugator(lam, xi_exact(key), n)
+        for k in range(n):
+            for l in range(n):
+                dense = np.outer(ginv[:, k], g[l, :])
+                nonzero = [(a, c, x) for (a, c), x in np.ndenumerate(dense) if x]
+                assert conjugate(k, l) == nonzero
+
+
+@pytest.mark.parametrize("n", range(4, 11))
 def test_stabilizer_system_equals_dense_formula(n):
     eps = [1] * (n - 1) + [-1]
     mask = aut_pattern(n).mask
@@ -76,6 +90,15 @@ def test_stabilizer_system_equals_dense_formula(n):
             u, v = ginv[:, i], g[j, :]  # g^-1 E_ij g = outer(u, v)
             for row, (r, s) in enumerate(upper):
                 assert col.get(row, 0) == eps[s] * u[s] * v[r] + eps[r] * u[r] * v[s]
+
+
+def test_stabilizer_system_forms_no_inverse(count_calls):
+    # the shear's inverse is its closed form, the shear by (-xi, -lam)
+    calls = count_calls(_linalg, "exact_inv")
+    for n in range(4, 11):
+        for lam, key in CANONICAL_PAIRS:
+            orbits._stabilizer_system(lam, key, n)
+    assert calls == []
 
 
 def test_stabilizer_oracle_catches_planted_disagreement(monkeypatch):

@@ -27,6 +27,7 @@ from heislor.metrics import (
     AsymmetricInput,
     Metric,
     WrongSignature,
+    _factor_metric,
     _unit_gram,
     act,
     canonical_gram,
@@ -490,6 +491,24 @@ def test_boost_chain_checks_every_step(monkeypatch):
     assert len(ref) == 9 and broken[reduction._boost_t] == ref
 
 
+def test_snap_refuses_a_nan_deviation():
+    # `dev > bound` is False for a NaN deviation; the snap must break down instead
+    builder = reduction._Builder(np.eye(5))
+    builder.current[1, 1] = np.nan
+    with pytest.raises(NumericalBreakdown, match="nan"):
+        builder.snap(np.eye(5))
+
+
+def test_boost_chain_refuses_a_nan_t_form():
+    # t = 40 takes five halvings; a NaN anywhere in the t-form fails their stacked check
+    n = 5
+    builder = reduction._Builder(_t_form(n, 1, 40.0))
+    builder.current[1, 1] = np.nan
+    with pytest.raises(NumericalBreakdown, match="nan"):
+        reduction._boost_t(builder, 40.0)
+    assert builder.left_app == [] and builder.right_app == []
+
+
 def test_boost_chain_adds_no_calls(count_calls):
     # 1e-4 takes 13 doublings and 0.3 one: the chain is one stacked step either way
     calls = count_calls(reduction, "embed")
@@ -803,6 +822,22 @@ def test_invariant_classifier_rejects_degenerate():
 # -- witness checking -------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", (4, 6, 8))
+def test_every_chart_starts_from_the_transpose_inverse_of_its_m(n):
+    # the first chart reads (m^-1)^T off the eigendecomposition, and a retry chart m R
+    # starts from it times R^-T = J R J; neither may stray from the LU inverse
+    rng = np.random.default_rng(n)
+    g = rng.uniform(-1, 1, (n, n)) + 2 * np.eye(n)
+    metric = act(g, Metric(gram=canonical_gram(2, 2.0, n, exact=False), backend=APPROX))
+    m, start, _ = _factor_metric(metric)
+    charts = [(m, start)] + [
+        (m @ reduction._retry_factor(n, a), start @ reduction._retry_start(n, a))
+        for a in range(1, reduction.MAX_RETRIES + 1)
+    ]
+    for m_a, start_a in charts:
+        assert max_abs(start_a - np.linalg.inv(m_a).T) <= 1e-13 * max_abs(start_a)
+
+
 def test_per_n_constants_are_shared_and_read_only():
     # built once per n and handed to every caller, so no caller may write them
     n = 6
@@ -810,6 +845,7 @@ def test_per_n_constants_are_shared_and_read_only():
         "minkowski": (shared_minkowski_gram(n), minkowski_gram(n)),
         "outside": (hprime_pattern(n).outside, ~hprime_pattern(n).mask),
         "retry": (reduction._retry_factor(n, 3), reduction._retry_factor.__wrapped__(n, 3)),
+        "retry start": (reduction._retry_start(n, 3), reduction._retry_start.__wrapped__(n, 3)),
         "aut mask": (aut_pattern(n).mask, aut_pattern.__wrapped__(n).mask),
         "hprime mask": (hprime_pattern(n).mask, hprime_pattern.__wrapped__(n).mask),
     }
