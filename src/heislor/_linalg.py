@@ -4,8 +4,9 @@ Exact elimination is one sparse Gauss-Jordan kernel over Q(sqrt3) on rows
 {column: nonzero QSqrt3}; an entry is deleted the moment it cancels, so no
 zero is stored or tested again (T. A. Davis, *Direct Methods for Sparse Linear
 Systems*, 2006, ch. 3).  exact_rref/rank/nullspace/inv adapt object arrays of
-QSqrt3 to it.  The stabilizer and soliton systems conjugate by the frame shear,
-whose inverse is its closed form (shear_conjugator), so they need no inverse.
+QSqrt3 to it; each update x - f*y is one fused QSqrt3 operation (sub_product).
+The stabilizer system conjugates by the frame shear, whose inverse is its closed
+form (shear_conjugator), so it needs no inverse.
 Float routines wrap numpy.  Everything is sized for n <= 24.
 """
 
@@ -16,9 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import QSqrt3
+from .numerics import QSqrt3, sub_product
 
-_ONE = QSqrt3(1)
+_ZERO, _ONE = QSqrt3(0), QSqrt3(1)
 
 #: |det|^(1/n) below this (unit roundoff) times the largest entry reads as singular
 SINGULAR_RATIO = 2.0**-52
@@ -90,10 +91,10 @@ def shared_minkowski_gram(n: int) -> np.ndarray:
 
 
 def _subtract(row: dict[int, QSqrt3], f: QSqrt3, tail: dict[int, QSqrt3]) -> None:
-    """row -= f * tail in place, deleting every entry that cancels to zero."""
+    """row -= f * tail in place, one fused multiply-subtract per entry, deleting every
+    entry that cancels to zero."""
     for j, y in tail.items():
-        x = row.pop(j, None)
-        x = -(f * y) if x is None else x - f * y
+        x = sub_product(row.pop(j, _ZERO), f, y)
         if x:
             row[j] = x
 

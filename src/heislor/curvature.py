@@ -7,6 +7,9 @@ Every quantity is computed in a pseudo-orthonormal frame x_1, ..., x_n with
     [x_2, x_(n-1)] = xi (lam x_1 - x_n),
     [x_2, x_n] = lam (lam x_1 - x_n).
 
+The relations are kept once, as sparse rows; frame_brackets is their dense
+form, and the generic route and the soliton certificate read the rows.
+
 Curvature is exact only, over Q(sqrt3); the approx report is the exact one
 rounded once.  Two independent code paths produce the component tables, and
 tests require them to agree exactly: hard-coded closed forms in (lam, xi), and
@@ -28,16 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import (
-    _subtract,
-    exact_eye,
-    exact_zeros,
-    max_abs,
-    rref_rows,
-    shear_conjugator,
-    to_float,
-)
-from .liealg import _derivation_vectors
+from ._linalg import _subtract, exact_zeros, max_abs, to_float
 from .metrics import canonical_key, xi_exact
 from .numerics import DEFAULT_TOL, EXACT, SQRT3_F, QSqrt3
 
@@ -65,20 +59,25 @@ def frame_signs(n: int) -> list[int]:
     return [1] * (n - 1) + [-1]
 
 
+def _bracket_terms(lam, xi, n: int) -> dict:
+    """The three bracket relations as sparse rows {(i, j): {k: C[i, j, k]}}, both orders.
+
+    Each relation is a multiple of w = lam x_1 - x_n; a coefficient that is zero
+    is left out.
+    """
+    lam, xi = QSqrt3.coerce(lam), QSqrt3.coerce(xi)
+    w = {k: x for k, x in ((0, lam), (n - 1, QSqrt3(-1))) if x}
+    terms = {}
+    for i, j, f in ((0, 1, QSqrt3(-1)), (1, n - 2, xi), (1, n - 1, lam)):
+        if f:
+            terms[i, j] = {k: f * x for k, x in w.items()}
+            terms[j, i] = {k: -x for k, x in terms[i, j].items()}
+    return terms
+
+
 def frame_brackets(lam, xi, n: int) -> np.ndarray:
     """Structure constants C[i, j] = coordinates of [x_i, x_j] in the frame."""
-    lam, xi = QSqrt3.coerce(lam), QSqrt3.coerce(xi)
-    c = exact_zeros((n, n, n))
-    # (i, j, coefficient of x_1, coefficient of x_n)
-    relations = (
-        (0, 1, -lam, QSqrt3(1)),
-        (1, n - 2, xi * lam, -xi),
-        (1, n - 1, lam * lam, -lam),
-    )
-    for i, j, first, last in relations:
-        c[i, j, 0], c[i, j, n - 1] = first, last
-        c[j, i, 0], c[j, i, n - 1] = -first, -last
-    return c
+    return _dense(_bracket_terms(lam, xi, n), (n, n, n))
 
 
 @dataclass(frozen=True)
@@ -213,9 +212,9 @@ def generic_curvature(lam, xi, n: int, exact: bool = True):
     Returns (brackets, U, nabla, {(i, j): R(x_i, x_j)}, Ric), each dense.
     """
     _exact_only(exact)
-    brackets = frame_brackets(lam, xi, n)
+    br = _bracket_terms(lam, xi, n)
+    brackets = _dense(br, (n, n, n))
     eps = frame_signs(n)
-    br = _rows(brackets)
     u = _u_terms(br, eps)
     nabla = _nabla_terms(u, br)
     ops = _riemann_terms(nabla, br, n)
@@ -379,7 +378,11 @@ def einstein_test(ric: np.ndarray):
 
 
 def derivation_identity_residual(d: np.ndarray, brackets: np.ndarray) -> float:
-    """Max deviation of D from the Leibniz rule on the frame brackets."""
+    """Max deviation of D from the Leibniz rule on the frame brackets.
+
+    Dense and independent of soliton_certificate's sparse defect on purpose: it is
+    the check that a returned derivation satisfies the rule it was built from.
+    """
     n = d.shape[0]
     worst = 0.0
     for i in range(n):
@@ -391,33 +394,50 @@ def derivation_identity_residual(d: np.ndarray, brackets: np.ndarray) -> float:
 
 
 def soliton_certificate(lam, xi, n: int, ric: np.ndarray | None = None, exact: bool = True):
-    """Solve Ric = c*id + D over (c, derivation coefficients), or None.
+    """(c, D) with Ric = c*id + D and D a derivation of the frame algebra, or None.
 
-    The derivation algebra is taken in frame coordinates, i.e. conjugated by
-    the shear matrix g of (lam, xi), whose inverse is its closed form, the shear
-    by (-xi, -lam).  The certificate is exact: each g^-1 b g is summed from
-    b[k, l] g^-1 E_kl g over nonzero products into sparse equations.
+    This makes the metric an algebraic Ricci soliton (Lauret, Math. Ann. 319, 2001).
+    The Leibniz defect L(D)_ij = D[x_i, x_j] - [D x_i, x_j] - [x_i, D x_j] is linear
+    in D, and L(id)_ij = -[x_i, x_j].  So Ric - c*id is a derivation exactly when
+    L(Ric)_ij = -c [x_i, x_j] for every pair i < j.  [x_1, x_2] has x_n-coefficient
+    1, which reads c = -L(Ric)_(12, n) off one entry; c is unique, as id is no
+    derivation.  The defect is summed exactly over the nonzero bracket terms and
+    the nonzero entries of Ric, with no linear solve.
     """
     _exact_only(exact)
     if ric is None:
         ric = closed_form_ricci(lam, xi, n)
-    conjugate = shear_conjugator(lam, xi, n)
-    basis = _derivation_vectors(n)
-    rhs = 1 + len(basis)
-    # one sparse equation per entry (a, c); columns: identity, the basis, then ric
-    eqs = [{0: QSqrt3(1)} if a == c else {} for a in range(n) for c in range(n)]
-    for col, vec in enumerate(basis, 1):
-        for kl, y in vec:
-            for a, c, x in conjugate(*divmod(kl, n)):
-                eq = eqs[a * n + c]
-                eq[col] = eq[col] + y * x if col in eq else y * x
-    for eq, r in zip(eqs, ric.reshape(-1)):
-        eq[rhs] = r
-    rref = rref_rows(eq.items() for eq in eqs)
-    if rhs in rref:
-        return None  # right-hand side outside the span
-    c_val = rref[0].get(rhs, QSqrt3(0))  # the identity column is always a pivot
-    return c_val, ric - c_val * exact_eye(n)
+    br = _bracket_terms(lam, xi, n)
+    rows: dict[int, dict[int, QSqrt3]] = {}  # rows[a][i] = Ric[a, i]
+    cols: dict[int, dict[int, QSqrt3]] = {}  # cols[k][a] = Ric[a, k], so Ric x_k
+    for a, row in enumerate(ric.tolist()):
+        for i, x in enumerate(row):
+            if x:
+                rows.setdefault(a, {})[i] = x
+                cols.setdefault(i, {})[a] = x
+    empty: dict = {}
+    defect: dict[tuple[int, int], dict[int, QSqrt3]] = {}
+    for (a, b), bracket in br.items():
+        if a < b:  # Ric [x_a, x_b] = sum_k C[a, b, k] Ric x_k
+            out = defect.setdefault((a, b), {})
+            for k, v in bracket.items():
+                _subtract(out, -v, cols.get(k, empty))
+        for i, f in rows.get(a, empty).items():  # [Ric x_i, x_b] takes Ric[a, i] [x_a, x_b]
+            if i < b:
+                _subtract(defect.setdefault((i, b), {}), f, bracket)
+        for j, f in rows.get(b, empty).items():  # [x_a, Ric x_j] takes Ric[b, j] [x_a, x_b]
+            if a < j:
+                _subtract(defect.setdefault((a, j), {}), f, bracket)
+    c = -defect[0, 1].get(n - 1, QSqrt3(0))
+    for (a, b), bracket in br.items():
+        if a < b:
+            _subtract(defect[a, b], -c, bracket)  # the defect plus c [x_a, x_b]
+    if any(defect.values()):
+        return None
+    d = ric.copy()
+    for i in range(n):
+        d[i, i] = d[i, i] - c
+    return c, d
 
 
 def _charpoly(a: np.ndarray) -> list[QSqrt3]:

@@ -138,13 +138,20 @@ class QSqrt3:
     # -- ring/field structure ---------------------------------------------
 
     def __add__(self, other):
-        if type(other) is int:
+        if type(other) is QSqrt3:
+            o = other
+        elif type(other) is int:
             # gcd(p + o*d, q, d) = gcd(p, q, d) = 1: no normalization needed
             return _make(self._p + other * self._d, self._q, self._d)
-        o = _operand(other)
-        if o is None:
-            return NotImplemented
+        else:
+            o = _operand(other)
+            if o is None:
+                return NotImplemented
         d, od = self._d, o._d
+        if d == od:
+            if d == 1:
+                return _make(self._p + o._p, self._q + o._q, 1)
+            return _normalized(self._p + o._p, self._q + o._q, d)
         return _normalized(self._p * od + o._p * d, self._q * od + o._q * d, d * od)
 
     __radd__ = __add__
@@ -153,25 +160,40 @@ class QSqrt3:
         return _make(-self._p, -self._q, self._d)
 
     def __sub__(self, other):
-        if type(other) is int:
+        if type(other) is QSqrt3:
+            o = other
+        elif type(other) is int:
             return _make(self._p - other * self._d, self._q, self._d)
-        o = _operand(other)
-        if o is None:
-            return NotImplemented
+        else:
+            o = _operand(other)
+            if o is None:
+                return NotImplemented
         d, od = self._d, o._d
+        if d == od:
+            if d == 1:
+                return _make(self._p - o._p, self._q - o._q, 1)
+            return _normalized(self._p - o._p, self._q - o._q, d)
         return _normalized(self._p * od - o._p * d, self._q * od - o._q * d, d * od)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if type(other) is int:
+        if type(other) is QSqrt3:
+            o = other
+        elif type(other) is int:
+            if self._d == 1:
+                return _make(self._p * other, self._q * other, 1)
             return _normalized(self._p * other, self._q * other, self._d)
-        o = _operand(other)
-        if o is None:
-            return NotImplemented
+        else:
+            o = _operand(other)
+            if o is None:
+                return NotImplemented
         p, q, op, oq = self._p, self._q, o._p, o._q
-        return _normalized(p * op + 3 * q * oq, p * oq + q * op, self._d * o._d)
+        d = self._d * o._d
+        if d == 1:
+            return _make(p * op + 3 * q * oq, p * oq + q * op, 1)
+        return _normalized(p * op + 3 * q * oq, p * oq + q * op, d)
 
     __rmul__ = __mul__
 
@@ -320,6 +342,28 @@ def _normalized(p: int, q: int, d: int) -> QSqrt3:
     if g != 1:
         p, q, d = p // g, q // g, d // g
     return _make(p, q, d)
+
+
+def sub_product(x: QSqrt3, f: "QSqrt3 | RationalLike", y: QSqrt3) -> QSqrt3:
+    """x - f*y as one operation with one normalization; any operand may be rational.
+
+    The product's numerator is kept over f's and y's denominators unreduced, so an
+    update on integer or equal-denominator entries normalizes at most once.
+    """
+    if type(f) is not QSqrt3:
+        f = QSqrt3.coerce(f)
+    if type(y) is not QSqrt3:
+        y = QSqrt3.coerce(y)
+    if type(x) is not QSqrt3:
+        x = QSqrt3.coerce(x)
+    fp, fq, yp, yq = f._p, f._q, y._p, y._q
+    mp, mq, md = fp * yp + 3 * fq * yq, fp * yq + fq * yp, f._d * y._d
+    d = x._d
+    if d == md:
+        if d == 1:
+            return _make(x._p - mp, x._q - mq, 1)
+        return _normalized(x._p - mp, x._q - mq, d)
+    return _normalized(x._p * md - mp * d, x._q * md - mq * d, d * md)
 
 
 def _operand(x) -> QSqrt3 | None:

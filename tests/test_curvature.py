@@ -31,7 +31,7 @@ from heislor.curvature import (
     u_map,
 )
 from heislor._linalg import exact_eye, exact_inv, exact_rref, exact_zeros, to_float
-from heislor.liealg import derivation_basis
+from heislor.liealg import bracket_vec, build_algebra, derivation_basis
 from heislor.metrics import CANONICAL_PAIRS, NotARepresentative, shear_matrix, xi_exact
 from heislor.numerics import QSqrt3
 
@@ -336,35 +336,90 @@ def test_soliton_exists_for_all_classes_exactly():
             assert derivation_identity_residual(d, frame_brackets(lam, xi, n)) == 0.0
 
 
+def _dense_conjugate_solve(lam, xi, n, ric):
+    """The elimination reference: solve Ric = c*id + sum_k a_k g^-1 b_k g over the
+    derivation basis b_k by a dense rref, as (c, D) or None."""
+    basis = derivation_basis(n)
+    g = shear_matrix(lam, xi, n, exact=True)
+    conj = [exact_inv(g) @ b @ g for b in basis]
+    system = np.stack([exact_eye(n).reshape(-1)] + [m.reshape(-1) for m in conj], axis=1)
+    rref, pivots = exact_rref(np.concatenate([system, ric.reshape(-1, 1)], axis=1))
+    if pivots[-1] == system.shape[1]:
+        return None  # the right-hand side is outside the span
+    # id and the conjugated basis are independent: one solution, every column a pivot
+    assert pivots == list(range(system.shape[1]))
+    coeffs = rref[: system.shape[1], -1]
+    d = exact_zeros((n, n))
+    for coeff, m in zip(coeffs[1:], conj):
+        d = d + coeff * m
+    return coeffs[0], d
+
+
+def _assert_same_certificate(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[0] == want[0]
+        assert all(a == b for a, b in zip(got[1].reshape(-1), want[1].reshape(-1)))
+
+
 @pytest.mark.parametrize("n", range(4, 11))
 def test_exact_soliton_matches_dense_conjugate_solve(n):
-    basis = derivation_basis(n)
     for pair in CANONICAL_PAIRS:
         lam, xi = _exact_frame(pair, n)
         ric = closed_form_ricci(lam, xi, n)
-        g = shear_matrix(lam, xi, n, exact=True)
-        conj = [exact_inv(g) @ b @ g for b in basis]
-        system = np.stack([exact_eye(n).reshape(-1)] + [m.reshape(-1) for m in conj], axis=1)
-        rref, pivots = exact_rref(np.concatenate([system, ric.reshape(-1, 1)], axis=1))
-        # id and the conjugated basis are independent: one solution, every column a pivot
-        assert pivots == list(range(system.shape[1]))
-        coeffs = rref[: system.shape[1], -1]
-        d = exact_zeros((n, n))
-        for coeff, m in zip(coeffs[1:], conj):
-            d = d + coeff * m
-        c, got_d = soliton_certificate(lam, xi, n, ric)
-        assert c == coeffs[0]
-        assert all(a == b for a, b in zip(got_d.reshape(-1), d.reshape(-1)))
+        want = _dense_conjugate_solve(lam, xi, n, ric)
+        assert want is not None
+        _assert_same_certificate(soliton_certificate(lam, xi, n, ric), want)
+
+
+_nonzero_fractions = _small_fractions.filter(bool)
+_irrational = st.builds(QSqrt3, _small_fractions, _nonzero_fractions)
+
+
+# off the representatives Ric is mostly a soliton's too; a perturbed entry moves
+# Ric off the span of id and Der or along it, and both routes must agree either way
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(
+    _irrational,
+    _irrational,
+    st.integers(4, 7),
+    st.one_of(st.none(), st.tuples(st.integers(0, 99), st.integers(0, 99), _irrational)),
+)
+@example(QSqrt3(1, 1), QSqrt3(Fraction(1, 2), -1), 4, (0, 3, QSqrt3(0, 1)))
+@example(QSqrt3(Fraction(-3, 7), 2), QSqrt3(1, Fraction(1, 3)), 6, (2, 0, QSqrt3(2, -1)))
+@example(QSqrt3(2, Fraction(-1, 2)), QSqrt3(0, 1), 7, (6, 6, QSqrt3(0, Fraction(5, 3))))
+def test_soliton_certificate_matches_elimination_off_the_representatives(lam, xi, n, bump):
+    ric = closed_form_ricci(lam, xi, n)
+    if bump is not None:
+        i, j, delta = bump
+        ric[i % n, j % n] = ric[i % n, j % n] + delta
+    _assert_same_certificate(
+        soliton_certificate(lam, xi, n, ric), _dense_conjugate_solve(lam, xi, n, ric)
+    )
+
+
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(_field, _field, st.integers(4, 7))
+def test_frame_brackets_are_the_sheared_algebra(lam, xi, n):
+    # x_i = g e_i for the shear g, so [x_i, x_j] has frame coordinates g^-1 [g e_i, g e_j]
+    alg = build_algebra(n)
+    g = shear_matrix(lam, xi, n, exact=True)
+    g_inv = exact_inv(g)
+    brackets = frame_brackets(lam, xi, n)
+    for i in range(n):
+        for j in range(n):
+            want = g_inv @ bracket_vec(alg, g[:, i], g[:, j])
+            assert _equal(brackets[i, j], want)
 
 
 def test_soliton_certificate_forms_no_inverse(count_calls):
-    # the shear's inverse is its closed form, the shear by (-xi, -lam)
-    calls = count_calls(_linalg, "exact_inv")
+    # the certificate reads the Leibniz defect of Ric: no inverse and no elimination
+    calls = [count_calls(_linalg, name) for name in ("exact_inv", "rref_rows", "_echelon")]
     for n in range(4, 11):
         for pair in CANONICAL_PAIRS:
             lam, xi = _exact_frame(pair, n)
             assert soliton_certificate(lam, xi, n) is not None
-    assert calls == []
+    assert calls == [[], [], []]
 
 
 def test_soliton_none_outside_span():

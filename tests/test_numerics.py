@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heislor._linalg import (
+    _subtract,
     embed,
     exact_array,
     exact_eye,
@@ -24,6 +25,7 @@ from heislor.numerics import (
     SqrtOfNegative,
     SqrtUnsupportedExact,
     sign_with_tol,
+    sub_product,
 )
 
 rationals = st.fractions(
@@ -183,6 +185,65 @@ def test_qsqrt3_matches_fraction_pair_reference(x, y, op):
             op(x, y)
         return
     _assert_matches(op(x, y), _REF_OPS[op](_ref(x), _ref(y)))
+
+
+def _over(d):
+    """Field elements whose normal form has denominator exactly d."""
+    num = st.integers(-10**6, 10**6)
+    coprime = num.filter(lambda p: math.gcd(p, d) == 1)
+    return st.builds(lambda p, q: QSqrt3(Fraction(p, d), Fraction(q, d)), coprime, num)
+
+
+denominators = st.integers(2, 10**4)
+# integer-valued triples (denominator 1) with a sqrt3 part
+integral = st.builds(QSqrt3, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool))
+# the equal-denominator and integer fast paths of add, sub and mul
+fast_pairs = st.one_of(
+    denominators.flatmap(lambda d: st.tuples(_over(d), _over(d))),
+    st.tuples(integral, integral),
+    st.tuples(integral, st.integers(-10**6, 10**6)),
+)
+
+
+@given(fast_pairs, st.sampled_from(sorted(_REF_OPS, key=lambda op: op.__name__)))
+def test_qsqrt3_fast_paths_match_fraction_pair_reference(pair, op):
+    x, y = pair
+    for a, b in ((x, y), (QSqrt3.coerce(y), x)):
+        if op is operator.truediv and _ref(b) == (0, 0):
+            continue
+        _assert_matches(op(a, b), _REF_OPS[op](_ref(a), _ref(b)))
+
+
+# (x, f, y) for x - f*y: generic, x over the product's denominator, all integral
+fused_triples = st.one_of(
+    st.tuples(operands, operands, st.one_of(fields, negative_norm)),
+    denominators.flatmap(
+        lambda d: st.tuples(_over(d), st.one_of(st.integers(-10**6, 10**6), integral), _over(d))
+    ),
+    st.tuples(integral, st.one_of(st.integers(-10**6, 10**6), integral), integral),
+)
+
+
+def _ref_sub_product(x, f, y):
+    return _REF_OPS[operator.sub](_ref(x), _REF_OPS[operator.mul](_ref(f), _ref(y)))
+
+
+@given(fused_triples, st.booleans())
+def test_fused_multiply_subtract_matches_fraction_pair_reference(triple, cancel):
+    x, f, y = triple
+    if cancel:  # x = f*y exactly: the update cancels to the normal zero
+        x = QSqrt3.coerce(f) * y
+    want = _ref_sub_product(x, f, y)
+    _assert_matches(sub_product(x, f, y), want)
+    # the sparse kernel's update: a cancelled entry is deleted, an absent one reads zero
+    row = {0: QSqrt3.coerce(x), 2: QSqrt3(7)}
+    _subtract(row, f, {0: y, 1: y})
+    for j, want_j in ((0, want), (1, _ref_sub_product(0, f, y))):
+        if want_j == (0, 0):
+            assert j not in row
+        else:
+            _assert_matches(row[j], want_j)
+    assert row[2] == QSqrt3(7)
 
 
 @given(st.one_of(fields, negative_norm))
