@@ -17,7 +17,8 @@ a generic route driven purely by structure constants (Koszul formula; Milnor,
 Adv. Math. 21, 1976).  The generic route loops over nonzero terms only: it
 keeps brackets, connection and curvature columns as sparse rows
 {(i, j): {k: QSqrt3}}, drops an entry that cancels, and builds dense tables
-once at the end.
+once at the end.  The Ricci spectrum is read exactly off the characteristic
+polynomial of the corner block, split over Q(sqrt3) with no float eigenvalue.
 
 The middle frame directions x_3, ..., x_(n-2) are inert; every table is
 supported on the corner coordinates (1, 2, n-1, n).
@@ -33,11 +34,9 @@ import numpy as np
 
 from ._linalg import _subtract, exact_zeros, max_abs, to_float
 from .metrics import canonical_key, xi_exact
-from .numerics import DEFAULT_TOL, EXACT, SQRT3_F, QSqrt3
+from .numerics import DEFAULT_TOL, EXACT, QSqrt3, sub_product
 
 HALF = QSqrt3(Fraction(1, 2))
-#: a float eigenvalue this close to a small element of Q(sqrt3) lifts onto it
-LIFT_TOL = 1e-9
 
 
 class FrameNotPseudoOrthonormal(ValueError):
@@ -448,59 +447,119 @@ def _charpoly(a: np.ndarray) -> list[QSqrt3]:
     zero entry is formed.
     """
     rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    negated = [{j: -x for j, x in row.items()} for row in rows]
     coeffs = [QSqrt3(1)]
     m = rows
     for k in range(1, len(rows) + 1):
         if k > 1:
+            c = coeffs[-1]
             shifted = [dict(row) for row in m]
-            for i, row in enumerate(shifted):
-                _subtract(row, -coeffs[-1], {i: QSqrt3(1)})  # row += c e_i
+            if c:
+                for i, row in enumerate(shifted):  # row += c e_i
+                    x = row.pop(i, 0) + c
+                    if x:
+                        row[i] = x
             m = []
-            for row in rows:
+            for row in negated:
                 product: dict[int, QSqrt3] = {}
                 for l, f in row.items():
-                    _subtract(product, -f, shifted[l])
+                    _subtract(product, f, shifted[l])
                 m.append(product)
         trace = sum((row[i] for i, row in enumerate(m) if i in row), QSqrt3(0))
-        coeffs.append(QSqrt3(Fraction(-1, k)) * trace)
+        coeffs.append(trace / -k)
     return coeffs
 
 
-def _poly_from_roots(roots: list[QSqrt3]) -> list[QSqrt3]:
-    """Coefficients of prod (x - r), highest degree first."""
-    poly = [QSqrt3(1)]
-    for r in roots:
-        poly = [a - b * r for a, b in zip(poly + [0], [0] + poly)]
-    return poly
+def _divmod(p: list[QSqrt3], d: list[QSqrt3]) -> tuple[list[QSqrt3], list[QSqrt3]]:
+    """Quotient and remainder of p by a monic d, coefficients highest degree first.
+
+    The remainder keeps all len(d) - 1 coefficients, leading zeros included.
+    """
+    rem = list(p)
+    k = len(d) - 1
+    top = len(p) - k
+    for i in range(top):
+        c = rem[i]
+        if c:
+            for j in range(1, k + 1):
+                rem[i + j] = sub_product(rem[i + j], c, d[j])
+    return rem[:top], rem[top:]
 
 
-def _snap_exact(value: float) -> QSqrt3 | None:
-    """Lift a float to a small rational or a rational multiple of sqrt3."""
-    for scale, make in ((1.0, QSqrt3), (SQRT3_F, lambda f: QSqrt3(0, f))):
-        frac = Fraction(value / scale).limit_denominator(64)
-        if abs(float(frac) * scale - value) < LIFT_TOL:
-            return make(frac)
-    return None
+def _monic(p: list[QSqrt3]) -> list[QSqrt3]:
+    """p without its leading zeros, divided by its leading coefficient."""
+    while p and not p[0]:
+        p = p[1:]
+    if not p or p[0] == 1:
+        return p
+    inv = QSqrt3(1) / p[0]
+    return [x * inv for x in p]
+
+
+def _squarefree(p: list[QSqrt3]) -> list[QSqrt3]:
+    """p / gcd(p, p') for a monic p, by Euclid's algorithm over Q(sqrt3)."""
+    deg = len(p) - 1
+    a, b = p, _monic([c * (deg - i) for i, c in enumerate(p[:-1])])
+    while b:
+        a, b = b, _monic(_divmod(a, b)[1])
+    return _divmod(p, a)[0]
+
+
+def _split(p: list[QSqrt3]) -> list[QSqrt3] | None:
+    """The roots of a monic p over Q(sqrt3) with multiplicity, or None.
+
+    Zero roots are the trailing zero coefficients.  The rest are the roots of
+    the square-free part s, solved when s has degree at most 2, each divided out
+    of p as often as it goes.  The roots are returned only when those divisions
+    leave the quotient 1, which certifies p = prod (x - r) exactly.
+    """
+    k = len(p)
+    while k > 1 and not p[k - 1]:
+        k -= 1
+    q, roots = p[:k], [QSqrt3(0)] * (len(p) - k)
+    if k == 1:
+        return roots
+    s = _squarefree(q)
+    if len(s) == 2:
+        candidates = [-s[1]]
+    elif len(s) == 3:
+        try:
+            root = (s[1] * s[1] - 4 * s[2]).sqrt()
+        except ArithmeticError:  # negative, or not a square in Q(sqrt3)
+            return None
+        candidates = [(root - s[1]) / 2, (-root - s[1]) / 2]
+    else:
+        return None
+    for r in candidates:
+        while len(q) > 1:
+            quot, rem = _divmod(q, [QSqrt3(1), -r])
+            if rem[0]:
+                break
+            q = quot
+            roots.append(r)
+    return roots if q == [1] else None
 
 
 def ricci_spectrum(lam, xi, n: int, ric: np.ndarray | None = None, exact: bool = True):
-    """Eigenvalues of the Ricci operator on the corner block.
+    """Eigenvalues of the Ricci operator on the corner block, exact and descending.
 
-    The float eigenvalues are lifted into Q(sqrt3) and certified by comparing
-    characteristic polynomials; EvidenceFailure when that fails.
+    The roots are read off the block's characteristic polynomial in Q(sqrt3)
+    alone (_split), with no float eigenvalue; EvidenceFailure, naming the exact
+    coefficients, when the polynomial does not split over Q(sqrt3).
     """
     _exact_only(exact)
     if ric is None:
         ric = closed_form_ricci(lam, xi, n)
     idx = [0, 1, n - 2, n - 1]
-    block = ric[np.ix_(idx, idx)]
-    roots = sorted(np.linalg.eigvals(to_float(block)).real.tolist(), reverse=True)
-    lifted = [_snap_exact(r) for r in roots]
-    if all(x is not None for x in lifted) and _poly_from_roots(lifted) == _charpoly(block):
-        return lifted
-    raise EvidenceFailure(
-        f"Ricci spectrum at lam={lam}, xi={xi}, n={n} does not lift into Q(sqrt3): {roots}"
-    )
+    p = _charpoly(ric[np.ix_(idx, idx)])
+    roots = _split(p)
+    if roots is None:
+        coeffs = ", ".join(c.format() for c in p)
+        raise EvidenceFailure(
+            f"Ricci spectrum at lam={lam}, xi={xi}, n={n}: the characteristic "
+            f"polynomial [{coeffs}] does not split over Q(sqrt3)"
+        )
+    return sorted(roots, reverse=True)
 
 
 @dataclass

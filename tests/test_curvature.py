@@ -462,14 +462,123 @@ def test_ricci_spectra_exact_values():
             assert got == want
 
 
-def test_ricci_spectrum_refuses_a_failed_lift():
-    # off the representatives the corner block has eigenvalues +-8.467..., which
-    # are not in Q(sqrt3); the exact spectrum fails instead of returning floats
+def _poly_from_roots(roots):
+    """Coefficients of prod (x - r), highest degree first."""
+    poly = [QSqrt3(1)]
+    for r in roots:
+        poly = [a - b * r for a, b in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+def _corner(ric, n):
+    idx = [0, 1, n - 2, n - 1]
+    return ric[np.ix_(idx, idx)]
+
+
+def _mu(x):
+    return [x, x, QSqrt3(0), -x]
+
+
+# off the representatives the corner spectrum is {mu, mu, 0, -mu} with mu in Q(sqrt3);
+# a lift of float eigenvalues onto small fractions refused all four of these
+OFF_REPRESENTATIVE_SPECTRA = {
+    (QSqrt3(Fraction(1, 3)), QSqrt3(0)): _mu(QSqrt3(Fraction(32, 81))),
+    (QSqrt3(1, 1), QSqrt3(0)): _mu(QSqrt3(Fraction(21, 2), 6)),
+    (QSqrt3(Fraction(-3, 7)), QSqrt3(1, 2)): _mu(QSqrt3(Fraction(13540, 2401), Fraction(80, 49))),
+    (QSqrt3(Fraction(13, 10)), QSqrt3(Fraction(2, 5))): _mu(QSqrt3(Fraction(3657, 20000))),
+}
+
+
+def test_ricci_spectrum_off_the_representatives():
+    for (lam, xi), want in OFF_REPRESENTATIVE_SPECTRA.items():
+        got = ricci_spectrum(lam, xi, 5)
+        assert got == want
+        assert got == sorted(got, reverse=True)
+
+
+def _sqrt2_ricci(n):
+    """A Ricci matrix whose corner block has eigenvalues +-sqrt2, 0, 0."""
+    ric = exact_zeros((n, n))
+    ric[0, 1], ric[1, 0] = QSqrt3(2), QSqrt3(1)
+    return ric
+
+
+def test_ricci_spectrum_refuses_a_charpoly_that_does_not_split():
     from heislor.cli import EXIT_CHECK_FAILED, EXIT_CODES
 
-    with pytest.raises(EvidenceFailure, match="does not lift"):
-        ricci_spectrum(QSqrt3(Fraction(-3, 7)), QSqrt3(1, 2), 5)
+    with pytest.raises(EvidenceFailure, match=r"\[1, 0, -2, 0, 0\] does not split over Q\(sqrt3\)"):
+        ricci_spectrum(QSqrt3(2), QSqrt3(2), 5, _sqrt2_ricci(5))
+    # complex roots do not split either
+    ric = _sqrt2_ricci(5)
+    ric[1, 0] = QSqrt3(-1)
+    with pytest.raises(EvidenceFailure, match=r"\[1, 0, 2, 0, 0\] does not split"):
+        ricci_spectrum(QSqrt3(2), QSqrt3(2), 5, ric)
     assert EXIT_CODES[EvidenceFailure] == EXIT_CHECK_FAILED
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(_irrational, _irrational, st.sampled_from((4, 5, 7)))
+def test_ricci_spectrum_is_the_split_charpoly(lam, xi, n):
+    block = _corner(closed_form_ricci(lam, xi, n), n)
+    got = ricci_spectrum(lam, xi, n)
+    assert got == sorted(got, reverse=True)
+    assert _poly_from_roots(got) == _charpoly(block)
+    floats = sorted(np.linalg.eigvals(to_float(block)), key=lambda z: -z.real)
+    scale = max(1.0, max(abs(z) for z in floats))
+    assert max(abs(complex(float(r)) - z) for r, z in zip(got, floats)) <= 1e-6 * scale
+    mu = max(got, key=got.count)  # the double root
+    assert got == sorted(_mu(mu), reverse=True) or mu == 0
+
+
+def _to_sympy(sympy, c):
+    return sympy.Rational(c.a.numerator, c.a.denominator) + sympy.Rational(
+        c.b.numerator, c.b.denominator) * sympy.sqrt(3)
+
+
+def _sympy_roots(sympy, poly):
+    """The roots of poly over Q(sqrt3) by sympy's factorization, descending, or None."""
+    x = sympy.Symbol("x")
+    expr = sum(_to_sympy(sympy, c) * x ** (len(poly) - 1 - i) for i, c in enumerate(poly))
+    _, factors = sympy.factor_list(expr, x, extension=sympy.sqrt(3))
+    roots = []
+    for f, m in factors:
+        f = sympy.Poly(f, x)
+        if f.degree() != 1:
+            return None
+        roots += [sympy.expand(sympy.radsimp(-f.nth(0) / f.nth(1)))] * m
+    return sorted(roots, key=float, reverse=True)
+
+
+def test_ricci_spectrum_matches_sympy_factorization():
+    sympy = pytest.importorskip("sympy")
+    cases = [(lam, xi, None) for lam, xi in OFF_REPRESENTATIVE_SPECTRA]
+    cases += [(QSqrt3(pair[0]), xi_exact(pair[1]), None) for pair in CANONICAL_PAIRS]
+    cases += [
+        (QSqrt3(1, 1), QSqrt3(Fraction(1, 2), -1), None),
+        (QSqrt3(Fraction(-3, 7), 2), QSqrt3(1, Fraction(1, 3)), None),
+        (QSqrt3(2, Fraction(-1, 2)), QSqrt3(0, 1), None),
+        (QSqrt3(0, Fraction(5, 3)), QSqrt3(Fraction(-2, 9), Fraction(7, 4)), None),
+        (QSqrt3(2), QSqrt3(2), _sqrt2_ricci(5)),
+    ]
+    for lam, xi, ric in cases:
+        ric = closed_form_ricci(lam, xi, 5) if ric is None else ric
+        want = _sympy_roots(sympy, _charpoly(_corner(ric, 5)))
+        if want is None:
+            with pytest.raises(EvidenceFailure):
+                ricci_spectrum(lam, xi, 5, ric)
+            continue
+        assert [_to_sympy(sympy, r) for r in ricci_spectrum(lam, xi, 5, ric)] == want
+
+
+def test_spectrum_takes_no_float_eigenvalue(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    for n in range(4, 11):
+        for pair in CANONICAL_PAIRS:
+            ricci_spectrum(*_exact_frame(pair, n), n)
+            curvature_report(pair[0], pair[1], n)
 
 
 def _dense_charpoly(a):
