@@ -3,11 +3,14 @@
 Exact elimination is one sparse Gauss-Jordan kernel over Q(sqrt3) on rows
 {column: nonzero QSqrt3}; an entry is deleted the moment it cancels, so no
 zero is stored or tested again (T. A. Davis, *Direct Methods for Sparse Linear
-Systems*, 2006, ch. 3).  exact_rref/rank/nullspace/inv adapt object arrays of
-QSqrt3 to it; each update x - f*y is one fused QSqrt3 operation (sub_product).
-The stabilizer system conjugates by the frame shear, whose inverse is its closed
-form (shear_conjugator), so it needs no inverse.
-Float routines wrap numpy.  Everything is sized for n <= 24.
+Systems*, 2006, ch. 3).  Callers pass sparse rows to rank_rows, rref_rows and
+nullspace_rows; exact_rank and exact_inv adapt object arrays of QSqrt3 to them.
+Each update x - f*y is one fused QSqrt3 operation (sub_product).  The stabilizer
+system conjugates by the frame shear, whose inverse is its closed form
+(shear_conjugator), so it needs no inverse.
+Float routines wrap numpy.  At the n <= 8 of a reduction a numpy call's fixed cost
+outweighs its arithmetic, so they make as few calls and copies as they can.
+Everything is sized for n <= 24.
 """
 
 from __future__ import annotations
@@ -155,20 +158,8 @@ def exact_dense(rows, shape) -> np.ndarray:
     return out
 
 
-def exact_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over Q(sqrt3); returns (rref, pivot columns)."""
-    rref = rref_rows(enumerate(row) for row in a)
-    return exact_dense([[(c, _ONE), *t.items()] for c, t in rref.items()], a.shape), list(rref)
-
-
 def exact_rank(a: np.ndarray) -> int:
     return rank_rows(enumerate(row) for row in a)
-
-
-def exact_nullspace(a: np.ndarray) -> list[np.ndarray]:
-    """Basis of the right nullspace, one vector per free column."""
-    basis = nullspace_rows((enumerate(row) for row in a), a.shape[1])
-    return list(exact_dense([v.items() for v in basis], (len(basis), a.shape[1])))
 
 
 def exact_inv(a: np.ndarray) -> np.ndarray:
@@ -233,17 +224,19 @@ def congruence_diagonal(a: np.ndarray) -> list[QSqrt3]:
 
 def householder(v: np.ndarray, k: int) -> np.ndarray:
     """Symmetric orthogonal H with H @ v = ||v|| e_k (so also v @ H = ||v|| e_k)."""
-    u = np.array(v, dtype=float)  # a contiguous copy: the vector np.linalg.norm sums
+    u = np.array(v, dtype=float)  # a copy, since u[k] is overwritten
     n = u.shape[0]
     norm = math.sqrt(u @ u)
     if norm == 0.0:
         return shared_eye(n).copy()
-    vk, u[k] = u[k], 0.0
+    vk = float(u[k])
+    u[k] = 0.0
     rest = float(u @ u)
     # v[k] - ||v|| cancels when v is close to ||v|| e_k: use its equal
     # -rest / (v[k] + ||v||) there (Golub & Van Loan, Algorithm 5.1.1)
-    u[k] = vk - norm if vk <= 0.0 else -rest / (vk + norm)
-    uu = rest + float(u[k]) ** 2
+    uk = vk - norm if vk <= 0.0 else -rest / (vk + norm)
+    u[k] = uk
+    uu = rest + uk**2
     if uu < UNDERFLOW:
         return shared_eye(n).copy()
     return shared_eye(n) - 2.0 * (u[:, None] * u) / uu
@@ -268,16 +261,18 @@ def right_triangularize(b: np.ndarray) -> np.ndarray:
 def embed(block: np.ndarray, n: int, coords: tuple[int, ...]) -> np.ndarray:
     """Place a small block at the given coordinates of an n x n identity."""
     out = exact_eye(n) if block.dtype == object else shared_eye(n).copy()
-    out[_block_index(tuple(coords))] = block
+    out.reshape(-1)[_flat_block_index(n, tuple(coords))] = block.reshape(-1)
     return out
 
 
 @lru_cache(maxsize=None)
-def _block_index(coords: tuple[int, ...]):
-    """The index of the coords x coords block: two slices when coords is a range."""
-    if coords and coords == tuple(range(coords[0], coords[-1] + 1)):
-        return (slice(coords[0], coords[-1] + 1),) * 2
-    return np.ix_(coords, coords)
+def _flat_block_index(n: int, coords: tuple[int, ...]) -> np.ndarray:
+    """Positions of the coords x coords block in a flattened n x n matrix, row by row;
+    one flat write costs less than a slice pair and half an np.ix_ write."""
+    c = np.array(coords, dtype=np.intp)
+    index = (n * c[:, None] + c).reshape(-1)
+    index.flags.writeable = False
+    return index
 
 
 def max_abs(a: np.ndarray) -> float:

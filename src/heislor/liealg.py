@@ -125,11 +125,6 @@ class BlockPattern:
         out.flags.writeable = False
         return out
 
-    def project(self, m: np.ndarray) -> np.ndarray:
-        out = m.copy()
-        out[self.outside] = QSqrt3(0) if out.dtype == object else 0.0
-        return out
-
 
 @lru_cache(maxsize=None)
 def aut_pattern(n: int) -> BlockPattern:

@@ -66,6 +66,7 @@ XI_MATCH_TOL = 1e-12
 NEAR_DEGENERATE_MARGIN = 100.0
 
 _XI_EXACT = {"0": QSqrt3(0), "1": QSqrt3(1), "sqrt3": SQRT3, "2": QSqrt3(2)}
+_XI_FLOAT = {key: float(value) for key, value in _XI_EXACT.items()}
 
 
 def xi_exact(key: str) -> QSqrt3:
@@ -73,7 +74,7 @@ def xi_exact(key: str) -> QSqrt3:
 
 
 def xi_float(key: str) -> float:
-    return float(_XI_EXACT[key])
+    return _XI_FLOAT[key]
 
 
 def xi_key_of(value) -> str:
@@ -144,8 +145,11 @@ def _check_symmetric(m: np.ndarray) -> None:
             for j in range(i + 1, n):
                 if m[i, j] != m[j, i]:
                     raise AsymmetricInput(f"entries ({i},{j}) and ({j},{i}) differ")
-    elif m.size and np.abs(m - m.T).max() > DEFAULT_TOL * np.abs(m).max():
-        raise AsymmetricInput("matrix is not symmetric within tolerance")
+    else:
+        # an exactly symmetric gram, the usual one, skips the two reductions
+        d = m - m.T
+        if d.any() and np.abs(d).max() > DEFAULT_TOL * np.abs(m).max():
+            raise AsymmetricInput("matrix is not symmetric within tolerance")
 
 
 def _band_signs(eigs: list[float]) -> tuple[tuple[int, int, int], bool]:
@@ -165,14 +169,10 @@ def _band_signs(eigs: list[float]) -> tuple[tuple[int, int, int], bool]:
     return (plus, minus, len(eigs) - plus - minus), near
 
 
-def _eigen_signature(eigs: np.ndarray) -> SignatureTriple:
-    """Sign counts of eigenvalues, each zero within the band of _band_signs."""
-    return SignatureTriple(*_band_signs(eigs.tolist())[0])
-
-
-def _require_lorentzian(sig: SignatureTriple) -> None:
-    if (sig.minus, sig.zero) != (1, 0):
-        raise WrongSignature(f"signature {sig.as_tuple()} unsupported; expected (n-1, 1, 0)")
+def _require_lorentzian(counts: tuple[int, int, int]) -> None:
+    """Raise WrongSignature unless the (plus, minus, zero) counts are (n-1, 1, 0)."""
+    if counts[1:] != (1, 0):
+        raise WrongSignature(f"signature {counts} unsupported; expected (n-1, 1, 0)")
 
 
 def signature_of(m: np.ndarray) -> SignatureTriple:
@@ -184,7 +184,7 @@ def signature_of(m: np.ndarray) -> SignatureTriple:
     """
     _check_symmetric(m)
     if m.dtype != object:
-        return _eigen_signature(np.linalg.eigvalsh(m))
+        return SignatureTriple(*_band_signs(np.linalg.eigvalsh(m).tolist())[0])
     signs = [d.sign() for d in congruence_diagonal(m)]
     return SignatureTriple(signs.count(1), signs.count(-1), signs.count(0))
 
@@ -291,24 +291,23 @@ def _factor_metric(metric: Metric) -> tuple[np.ndarray, np.ndarray, float]:
     must be exactly symmetric.
     """
     _check_symmetric(metric.gram)
-    gram = to_float(metric.gram)
-    eigvals, q = np.linalg.eigh(gram)
-    order = np.argsort(-eigvals)  # positives first, the negative one last
-    eigvals = eigvals[order]
-    q = q[:, order]
-    prescale = _unit_prescale(eigvals)
-    _require_lorentzian(_eigen_signature(eigvals * prescale * prescale))
+    eigvals, q = np.linalg.eigh(to_float(metric.gram))
+    # eigh sorts ascending, so reversed views put the positives first, the negative one last
+    eigvals, q = eigvals[::-1], q[:, ::-1]
+    values = eigvals.tolist()
+    prescale = _unit_prescale(values)
+    _require_lorentzian(_band_signs([v * prescale * prescale for v in values])[0])
     size = np.abs(eigvals)
     return q * size**-0.5, q * np.sqrt(size), prescale
 
 
-def _unit_prescale(eigvals: np.ndarray) -> float:
+def _unit_prescale(eigvals: list[float]) -> float:
     """2^-e, e = round(log|det| / (n ln 4)) over the nonzero eigenvalues of a gram."""
-    log_det = sum(math.log(abs(v)) for v in eigvals.tolist() if v)
+    log_det = sum(math.log(abs(v)) for v in eigvals if v)
     return math.ldexp(1.0, -round(log_det / (len(eigvals) * math.log(4.0))))
 
 
-def _unit_gram(metric: Metric) -> tuple[np.ndarray, np.ndarray | None]:
+def _unit_gram(metric: Metric) -> tuple[np.ndarray, list[float] | None]:
     """The gram an invariant reader sees, checked symmetric: an exact one as given,
     a float one at unit scale, M / 4^e, with its eigenvalues (those that give e,
     scaled; None for an exact gram).  Unlike factor_metric it takes any signature."""
@@ -316,9 +315,9 @@ def _unit_gram(metric: Metric) -> tuple[np.ndarray, np.ndarray | None]:
     _check_symmetric(gram)
     if metric.backend == EXACT:
         return gram, None
-    eigvals = np.linalg.eigvalsh(gram)
+    eigvals = np.linalg.eigvalsh(gram).tolist()
     prescale = _unit_prescale(eigvals)
-    return gram * (prescale * prescale), eigvals * prescale * prescale
+    return gram * (prescale * prescale), [v * prescale * prescale for v in eigvals]
 
 
 # -- JSON schema --------------------------------------------------------------

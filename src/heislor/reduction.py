@@ -36,7 +36,6 @@ from .metrics import (
     Metric,
     SignatureTriple,
     _band_signs,
-    _eigen_signature,
     _factor_metric,
     _require_lorentzian,
     _unit_gram,
@@ -203,11 +202,13 @@ class _Builder:
 
     The working matrix starts as prescale * start, exact for a power of 2;
     the first left factor carries prescale, so the chain starts from `start`.
+    No step writes into the working matrix, `start` or a snap's ideal: each step
+    replaces the working matrix by a new array, so none of them is copied again.
     """
 
     def __init__(self, start: np.ndarray, prescale: float = 1.0):
         self.start = np.array(start, dtype=float)
-        self.current = prescale * self.start if prescale != 1.0 else self.start.copy()
+        self.current = self.start if prescale == 1.0 else prescale * self.start
         self.prescale = prescale
         self.left_app: list[np.ndarray] = []
         self.right_app: list[np.ndarray] = []
@@ -236,15 +237,16 @@ class _Builder:
         scale = 1.0 if dev <= SNAP_TOL else max(1.0, max_abs(ideal), max_abs(self.current))
         if not dev <= SNAP_TOL * scale:
             raise NumericalBreakdown(f"snap deviation {dev:.3e} exceeds tolerance")
-        self.current = ideal.copy()
+        self.current = ideal
 
     def solve_onto(self, target: np.ndarray) -> None:
         """Apply the left factor target @ current^-1, projected on the pattern;
         the snap checks that what the projection dropped was rounding residue."""
         try:
-            h = hprime_pattern(self.n).project(target @ np.linalg.inv(self.current))
+            h = target @ np.linalg.inv(self.current)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown("the working matrix is singular") from exc
+        h[hprime_pattern(self.n).outside] = 0.0
         self.apply_left(h)
         self.snap(target)
 
@@ -252,7 +254,7 @@ class _Builder:
         return Witness(
             left=list(reversed(self.left_app)),
             right=list(self.right_app),
-            start=self.start.copy(),
+            start=self.start,
             target=np.asarray(target, dtype=float),
             m_factor=m_factor,
             flags=list(self.flags),
@@ -356,14 +358,15 @@ def _reduce_to_t(builder: _Builder, lam: int) -> float:
     target[2, 0] = t_signed
     target[n - 1, 0] = -float(lam)
     builder.solve_onto(target)
-    # conjugate the shear entry into the (n-1, 1) slot with a positive sign
+    # conjugate the shear entry into the (n-1, 1) slot with a positive sign by the
+    # signed swap of coordinates 3 and n-1, a symmetric signed permutation and so exact
     if abs(t_signed) > 0.0:
-        v = np.zeros(n - 3)
-        v[0] = t_signed
-        h = householder(v, -1)
-        coords = tuple(range(2, n - 1))
-        builder.apply_left(embed(h, n, coords))
-        builder.apply_right(embed(h.T, n, coords))
+        swap = shared_eye(n).copy()
+        swap[2, 2] = swap[n - 2, n - 2] = 0.0
+        # at n = 4 coordinates 3 and n-1 coincide, and the swap is the sign alone
+        swap[2, n - 2] = swap[n - 2, 2] = math.copysign(1.0, t_signed)
+        builder.apply_left(swap)
+        builder.apply_right(swap)
     t = abs(t_signed)
     builder.snap(_t_form(lam, t, n))
     return t
@@ -430,7 +433,7 @@ def _boost_t(builder: _Builder, t: float) -> float:
         raise NumericalBreakdown(f"snap deviation {dev[bad.argmax()]:.3e} exceeds tolerance")
     builder.left_app.extend(hs)
     builder.right_app.extend(np.repeat(boost[None], len(hs), axis=0))
-    builder.current = forms[-1].copy()
+    builder.current = forms[-1]
     return ts[-1]
 
 
@@ -633,7 +636,7 @@ def classify_by_invariants(metric: Metric) -> CanonicalForm:
     """
     require_dim(metric.n)
     gram, eigs = _unit_gram(metric)
-    _require_lorentzian(signature_of(gram) if eigs is None else _eigen_signature(eigs))
+    _require_lorentzian(signature_of(gram).as_tuple() if eigs is None else _band_signs(eigs)[0])
     return _classify_grams(gram[None])[0][0]
 
 

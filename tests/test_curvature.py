@@ -30,10 +30,12 @@ from heislor.curvature import (
     soliton_certificate,
     u_map,
 )
-from heislor._linalg import exact_eye, exact_inv, exact_rref, exact_zeros, to_float
+from heislor._linalg import exact_eye, exact_inv, exact_zeros, to_float
 from heislor.liealg import bracket_vec, build_algebra, derivation_basis
 from heislor.metrics import CANONICAL_PAIRS, NotARepresentative, shear_matrix, xi_exact
 from heislor.numerics import QSqrt3
+
+from exact_helpers import exact_rref
 
 HALF = QSqrt3(Fraction(1, 2))
 

@@ -12,8 +12,10 @@ from heislor.liealg import (
     derivation_space_dim,
     hprime_pattern,
 )
-from heislor._linalg import exact_array, exact_nullspace, exact_rank, to_float
+from heislor._linalg import exact_array, exact_rank, to_float
 from heislor.numerics import QSqrt3
+
+from exact_helpers import exact_nullspace
 
 
 def test_build_algebra_examples():

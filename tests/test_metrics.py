@@ -1,6 +1,7 @@
 """Gram matrices, signatures, the group action and canonical representatives."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from heislor.metrics import (
     Metric,
     NotARepresentative,
     WrongSignature,
+    _factor_metric,
     act,
     canonical_gram,
     canonical_json,
@@ -258,6 +260,48 @@ def test_factor_metric_round_trip():
         m = factor_metric(metric)
         minv = np.linalg.inv(m)
         assert np.max(np.abs(minv.T @ minkowski_gram(5) @ minv - metric.gram)) < 1e-9
+
+
+def _factor_metric_argsort_reference(metric):
+    """_factor_metric's (m, (m^-1)^T, 2^-e) with the eigenpairs put in the order
+    argsort(-eigvals), positives first, by fancy-index copies."""
+    eigvals, q = np.linalg.eigh(to_float(metric.gram))
+    order = np.argsort(-eigvals)
+    eigvals, q = eigvals[order], q[:, order]
+    log_det = sum(math.log(abs(v)) for v in eigvals.tolist() if v)
+    prescale = math.ldexp(1.0, -round(log_det / (len(eigvals) * math.log(4.0))))
+    size = np.abs(eigvals)
+    return q * size**-0.5, q * np.sqrt(size), prescale
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_factor_metric_matches_argsort_reference_off_ties(n):
+    # orbit samples at several scales have no two equal eigenvalues, so the reversed
+    # eigh order is the argsort order and the factors agree bit for bit
+    rng = np.random.default_rng(60 + n)
+    for pair in CANONICAL_PAIRS:
+        base = canonical_gram(pair[0], xi_float(pair[1]), n, exact=False)
+        g = rng.uniform(-1, 1, (n, n)) + 2 * np.eye(n)
+        for scale in (1.0, 1e-3, 7e5):
+            metric = act(g, Metric(gram=scale * base, backend=APPROX))
+            eigvals = np.linalg.eigvalsh(metric.gram)
+            assert np.all(np.diff(eigvals) > 0)
+            got, want = _factor_metric(metric), _factor_metric_argsort_reference(metric)
+            assert got[2] == want[2]
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_factor_metric_on_tied_eigenvalues_puts_the_timelike_direction_last(n):
+    # canonical grams repeat eigenvalues (minkowski is 1, ..., 1, -1), where the order of
+    # equal ones may differ from the reference's; m must still factor M with the
+    # timelike column last: m^T M m = diag(1, ..., 1, -1)
+    for pair in CANONICAL_PAIRS:
+        metric = Metric(gram=canonical_gram(pair[0], xi_float(pair[1]), n, exact=False))
+        m, start, prescale = _factor_metric(metric)
+        assert prescale == 1.0
+        assert np.max(np.abs(m.T @ metric.gram @ m - minkowski_gram(n))) < 1e-12
+        assert np.max(np.abs(np.linalg.inv(m).T - start)) < 1e-12
 
 
 def test_factor_metric_rejects_definite():

@@ -13,9 +13,7 @@ from heislor._linalg import (
     embed,
     exact_array,
     exact_eye,
-    exact_nullspace,
     exact_rank,
-    exact_rref,
     exact_zeros,
     rref_rows,
     to_float,
@@ -27,6 +25,8 @@ from heislor.numerics import (
     sign_with_tol,
     sub_product,
 )
+
+from exact_helpers import exact_nullspace, exact_rref
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20

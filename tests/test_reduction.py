@@ -339,6 +339,30 @@ def test_reduce_to_t_matches_peel_reference(n, lam, t_true):
     assert verify_witness(g, witness).ok and verify_witness(g, ref).ok
 
 
+#: t-forms whose swap factor, built as a Householder reflection, came out one ulp off
+#: (at n = 4, t = -2.3495076279764824 recorded [[-1.0000000000000004]] in the swap block)
+_ROUNDED_SWAPS = {4: -2.3495076279764824, 5: 1.6745324044390673, 6: -0.7575887578016549,
+                  8: -0.7452549879795987}
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_reduce_to_t_swap_is_an_exact_signed_permutation(n):
+    # the stage's last factor pair moves the shear entry from (3, 1) to (n-1, 1): the
+    # signed swap of coordinates 3 and n-1, on both sides, entries exactly 0 and +-1
+    rng = np.random.default_rng(40 + n)
+    for t in [*rng.uniform(-3.0, 3.0, 40), _ROUNDED_SWAPS.get(n, 1.0)]:
+        g = _t_form(n, 1, t)
+        t_out, witness = reduce_to_t(g, 1)
+        swap = witness.left[0]
+        sign = swap[2, n - 2]
+        want = np.eye(n)
+        want[2, 2] = want[n - 2, n - 2] = 0.0
+        want[2, n - 2] = want[n - 2, 2] = sign
+        assert sign in (-1.0, 1.0) and np.array_equal(swap, want), t
+        assert np.array_equal(witness.right[-1], want)
+        assert t_out == abs(t) and verify_witness(g, witness).ok
+
+
 def test_stages_end_in_one_left_solve():
     rng = np.random.default_rng(8)
     g = np.eye(5)
@@ -1229,12 +1253,29 @@ _CORRUPTIONS = {
 }
 
 
+def _long_lambda1_chain(n, t=2.0**-17):
+    """The lam=1 stage's witness from the t-form at t, m and the metric read off its exact
+    start, so that it checks as a classified metric does.  t = 2^-17 takes 16 boosts, more
+    than classify reaches before the invariant band; every boosted t is a power of 2, so
+    the chain is exact, where near t = 1e-5 it misses its target by up to 2e-7."""
+    _, witness = reduce_lambda1(t, n)
+    witness.m_factor = np.linalg.inv(witness.start).T
+    gram = witness.start @ shared_minkowski_gram(n) @ witness.start.T
+    return Metric(gram=gram, backend=APPROX), witness
+
+
 @pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
-@pytest.mark.parametrize("pair, n", [((2, "0"), 5), ((1, "1"), 8), ((0, "0"), 4)])
+@pytest.mark.parametrize(
+    "pair, n", [((2, "0"), 5), ((1, "1"), 8), ((0, "0"), 4), ("l1-chain", 6)]
+)
 def test_verify_witness_matches_per_factor_reference(pair, n, corruption):
     corrupt, expected = _CORRUPTIONS[corruption]
-    metric = _orbit_sample(pair[0], pair[1], n, seed=n)
-    _, _, witness = classify(metric)
+    if pair == "l1-chain":
+        metric, witness = _long_lambda1_chain(n)
+        assert len(witness.right) >= 16  # the boosts and the final rotation
+    else:
+        metric = _orbit_sample(pair[0], pair[1], n, seed=n)
+        _, _, witness = classify(metric)
     witness = corrupt(witness)
     got = verify_witness(metric, witness)
     ref = _verify_witness_reference(metric, witness)
@@ -1451,3 +1492,21 @@ def test_readers_refuse_an_asymmetric_gram(entry, backend, offset):
         with pytest.raises(AsymmetricInput):
             reader(metric)
 
+
+@pytest.mark.parametrize("pair", CANONICAL_PAIRS)
+def test_float_gram_asymmetric_within_the_tolerance_still_classifies(pair):
+    # a float gram is symmetric within DEFAULT_TOL relative; one entry off by 1e-12 of the
+    # largest must read as the symmetric gram does, off by 1e-7 it is refused
+    metric = _orbit_sample(pair[0], pair[1], 6, seed=11)
+    for offset, readable in ((1e-12, True), (1e-7, False)):
+        gram = metric.gram.copy()
+        gram[0, 3] += offset * np.abs(gram).max()
+        skewed = Metric(gram=gram, backend=APPROX)
+        if not readable:
+            with pytest.raises(AsymmetricInput):
+                classify(skewed)
+            continue
+        form, _, witness = classify(skewed)
+        assert form.pair == pair and verify_witness(skewed, witness).ok
+        assert classify_by_invariants(skewed).pair == pair
+        assert restricted_signatures(skewed) == restricted_signatures(metric)
