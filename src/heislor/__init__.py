@@ -17,11 +17,7 @@ from .numerics import (
 )
 from .liealg import (
     BlockPattern,
-    LieAlgebra,
     aut_pattern,
-    bracket_vec,
-    build_algebra,
-    derivation_basis,
     derivation_space_dim,
     hprime_pattern,
 )
@@ -35,8 +31,6 @@ from .metrics import (
     canonical_metric,
     factor_metric,
     metric_from_json,
-    metric_to_json,
-    restrict,
     shear_matrix,
     signature_of,
 )
@@ -45,7 +39,6 @@ from .reduction import (
     Witness,
     classify,
     classify_by_invariants,
-    o11_normalize,
     reduce_lambda0,
     reduce_lambda1,
     reduce_lambda2,
@@ -64,19 +57,14 @@ from .curvature import (
     frame_brackets,
     generic_curvature,
     is_flat,
-    levi_civita,
-    ricci,
     ricci_spectrum,
-    riemann,
     soliton_certificate,
-    u_map,
 )
 from .orbits import (
     CURVE_FAMILIES,
     DegenerationGraph,
     OrbitReport,
     codimension,
-    curve_sample,
     degeneration_graph,
     dims_UW,
     is_closed,

@@ -7,8 +7,9 @@ Every quantity is computed in a pseudo-orthonormal frame x_1, ..., x_n with
     [x_2, x_(n-1)] = xi (lam x_1 - x_n),
     [x_2, x_n] = lam (lam x_1 - x_n).
 
-The relations are kept once, as sparse rows; frame_brackets is their dense
-form, and the generic route and the soliton certificate read the rows.
+The relations are kept once, as sparse rows, in liealg._bracket_terms;
+frame_brackets is their dense form, and the generic route and the soliton
+certificate read the rows.
 
 Curvature is exact only, over Q(sqrt3); the approx report is the exact one
 rounded once.  Two independent code paths produce the component tables, and
@@ -32,15 +33,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import _subtract, exact_zeros, max_abs, to_float
+from ._linalg import _subtract, exact_zeros, max_abs
+from .liealg import _bracket_terms
 from .metrics import canonical_key, xi_exact
-from .numerics import DEFAULT_TOL, EXACT, QSqrt3, sub_product
+from .numerics import EXACT, QSqrt3, sub_product
 
 HALF = QSqrt3(Fraction(1, 2))
-
-
-class FrameNotPseudoOrthonormal(ValueError):
-    """The U-map needs a frame with <x_i, x_j> = eps_i delta_ij."""
 
 
 class EvidenceFailure(RuntimeError):
@@ -58,22 +56,6 @@ def frame_signs(n: int) -> list[int]:
     return [1] * (n - 1) + [-1]
 
 
-def _bracket_terms(lam, xi, n: int) -> dict:
-    """The three bracket relations as sparse rows {(i, j): {k: C[i, j, k]}}, both orders.
-
-    Each relation is a multiple of w = lam x_1 - x_n; a coefficient that is zero
-    is left out.
-    """
-    lam, xi = QSqrt3.coerce(lam), QSqrt3.coerce(xi)
-    w = {k: x for k, x in ((0, lam), (n - 1, QSqrt3(-1))) if x}
-    terms = {}
-    for i, j, f in ((0, 1, QSqrt3(-1)), (1, n - 2, xi), (1, n - 1, lam)):
-        if f:
-            terms[i, j] = {k: f * x for k, x in w.items()}
-            terms[j, i] = {k: -x for k, x in terms[i, j].items()}
-    return terms
-
-
 def frame_brackets(lam, xi, n: int) -> np.ndarray:
     """Structure constants C[i, j] = coordinates of [x_i, x_j] in the frame."""
     return _dense(_bracket_terms(lam, xi, n), (n, n, n))
@@ -87,14 +69,6 @@ class BilinearTable:
 
 
 # -- the generic route on sparse rows --------------------------------------------
-
-
-def _rows(table: np.ndarray) -> dict:
-    """The nonzero entries of a table as sparse rows {index[:-1]: {index[-1]: value}}."""
-    out: dict = {}
-    for *key, k in zip(*(idx.tolist() for idx in np.nonzero(table))):
-        out.setdefault(tuple(key), {})[k] = table[(*key, k)]
-    return out
 
 
 def _dense(rows: dict, shape: tuple[int, ...]) -> np.ndarray:
@@ -168,41 +142,6 @@ def _operators(ops: dict, n: int) -> dict[tuple[int, int], np.ndarray]:
     """Dense R(x_i, x_j) for every i < j from the columns {(i, j, k): R(x_i, x_j) x_k}."""
     full = _dense(ops, (n, n, n, n))  # full[i, j, k] is column k, hence the transpose
     return {(i, j): full[i, j].T for i in range(n) for j in range(i + 1, n)}
-
-
-def u_map(
-    brackets: np.ndarray, eps: list[int], frame_gram: np.ndarray | None = None
-) -> BilinearTable:
-    """Solve 2<U(x_i, x_j), x_k> = <[x_k, x_i], x_j> + <x_i, [x_k, x_j]>.
-
-    The components are read off using the frame signs eps_i, which assumes a
-    pseudo-orthonormal frame; pass frame_gram to have that assumption checked.
-    """
-    if frame_gram is not None:
-        expected = np.diag(np.asarray(eps, dtype=float))
-        if np.max(np.abs(to_float(frame_gram) - expected)) > DEFAULT_TOL:
-            raise FrameNotPseudoOrthonormal("frame gram is not diag(eps)")
-    return BilinearTable(values=_dense(_u_terms(_rows(brackets), eps), brackets.shape))
-
-
-def levi_civita(u: BilinearTable, brackets: np.ndarray) -> BilinearTable:
-    """nabla_(x_i) x_j = (1/2)[x_i, x_j] + U(x_i, x_j)."""
-    nabla = _nabla_terms(_rows(u.values), _rows(brackets))
-    return BilinearTable(values=_dense(nabla, brackets.shape))
-
-
-def riemann(
-    nabla_table: BilinearTable, brackets: np.ndarray
-) -> dict[tuple[int, int], np.ndarray]:
-    """Curvature operators R(x_i, x_j) = [nabla_i, nabla_j] - nabla_[x_i, x_j]."""
-    n = brackets.shape[0]
-    return _operators(_riemann_terms(_rows(nabla_table.values), _rows(brackets), n), n)
-
-
-def ricci(ops: dict, eps: list[int]) -> np.ndarray:
-    """Ricci operator: Ric(x_j) = sum_i eps_i R(x_j, x_i) x_i."""
-    columns = {ij + k: col for ij, op in ops.items() for k, col in _rows(op.T).items()}
-    return _dense(_ricci_terms(columns, eps), (len(eps),) * 2).T
 
 
 def generic_curvature(lam, xi, n: int, exact: bool = True):

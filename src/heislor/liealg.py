@@ -1,10 +1,12 @@
-"""The Lie algebra h3 + R^(n-3): brackets, derivations, automorphism pattern.
+"""The Lie algebra h3 + R^(n-3): bracket relations, derivations, automorphism pattern.
 
 The algebra is spanned by e_1, ..., e_n with the single relation
-[e_1, e_2] = e_n (n >= 4).  The derivation algebra is computed generically
-from the structure constants by exact linear solves; the closed-form block
-pattern of R x Aut is kept alongside as a cross-check and as the sampling
-space for random automorphisms.
+[e_1, e_2] = e_n (n >= 4).  Its bracket relations are kept here once, as the
+sparse rows of the sheared frame at (lam, xi) (_bracket_terms); the frame at
+lam = xi = 0 is the standard basis.  The curvature module reads these rows,
+and the derivation algebra is solved from the rows at lam = xi = 0 by exact
+linear elimination.  The closed-form block pattern of R x Aut is kept
+alongside as a cross-check and as the sampling space for random automorphisms.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._linalg import exact_dense, exact_zeros, nullspace_rows, rank_rows
+from ._linalg import nullspace_rows, rank_rows
 from .numerics import QSqrt3
 
 
@@ -29,40 +31,28 @@ def require_dim(n: int) -> None:
         raise DimensionTooSmall(f"need n >= 4, got {n}")
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
-    """Structure constants of h3 + R^(n-3) in the standard basis.
+def _bracket_terms(lam, xi, n: int) -> dict:
+    """The bracket relations as sparse rows {(i, j): {k: C[i, j, k]}}, both orders.
 
-    c[i, j, k] is the e_k coefficient of [e_i, e_j]; the only nonzero
-    entries are c[0, 1, n-1] = 1 = -c[1, 0, n-1].
+    C[i, j] holds the frame coordinates of [x_i, x_j] in the frame
+    x_1, ..., x_n at (lam, xi):
+
+        [x_1, x_2] = -(lam x_1 - x_n),
+        [x_2, x_(n-1)] = xi (lam x_1 - x_n),
+        [x_2, x_n] = lam (lam x_1 - x_n).
+
+    Each relation is a multiple of w = lam x_1 - x_n; a coefficient that is zero
+    is left out.  At lam = xi = 0 the frame is the standard basis and the one
+    relation left is [e_1, e_2] = e_n.
     """
-
-    n: int
-    structure: np.ndarray = field(repr=False, compare=False)
-
-    @cached_property
-    def nonzero_terms(self) -> tuple[tuple[int, int, int, int], ...]:
-        c = self.structure
-        return tuple((i, j, k, int(c[i, j, k])) for i, j, k in np.argwhere(c).tolist())
-
-
-def build_algebra(n: int) -> LieAlgebra:
-    """The Heisenberg algebra padded with an (n-3)-dimensional center."""
-    require_dim(n)
-    c = np.zeros((n, n, n), dtype=np.int8)
-    c[0, 1, n - 1] = 1
-    c[1, 0, n - 1] = -1
-    return LieAlgebra(n=n, structure=c)
-
-
-def bracket_vec(alg: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] for coordinate vectors over either backend."""
-    if x.dtype == object or y.dtype == object:
-        out = exact_zeros(alg.n)
-        for i, j, k, v in alg.nonzero_terms:
-            out[k] = out[k] + v * x[i] * y[j]
-        return out
-    return np.einsum("ijk,i,j->k", alg.structure, x, y)
+    lam, xi = QSqrt3.coerce(lam), QSqrt3.coerce(xi)
+    w = {k: x for k, x in ((0, lam), (n - 1, QSqrt3(-1))) if x}
+    terms = {}
+    for i, j, f in ((0, 1, QSqrt3(-1)), (1, n - 2, xi), (1, n - 1, lam)):
+        if f:
+            terms[i, j] = {k: f * x for k, x in w.items()}
+            terms[j, i] = {k: -x for k, x in terms[i, j].items()}
+    return terms
 
 
 @lru_cache(maxsize=None)
@@ -71,28 +61,21 @@ def _derivation_vectors(n: int) -> tuple[tuple, ...]:
 
     Unknowns are the n^2 entries of D; each pair e_i, e_j with i < j gives the
     n equations D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j] = 0, whose coefficients
-    come from the nonzero structure constants c[a, b, l] = v alone.
+    come from the nonzero entries c[a, b, l] = v of the table at lam = xi = 0 alone.
     """
+    require_dim(n)
     rows: defaultdict[tuple[int, int, int], Counter] = defaultdict(Counter)
-    for a, b, l, v in build_algebra(n).nonzero_terms:
-        if a < b:  # D applied to the bracket value v e_l
-            for k in range(n):
-                rows[a, b, k][k * n + l] += v
-        for i in range(b):  # [D e_i, e_b] picks D[a, i]
-            rows[i, b, l][a * n + i] -= v
-        for j in range(a + 1, n):  # [e_a, D e_j] picks D[b, j]
-            rows[a, j, l][b * n + j] -= v
-    system = (((c, QSqrt3(v)) for c, v in row.items()) for row in rows.values())
+    for (a, b), bracket in _bracket_terms(0, 0, n).items():
+        for l, v in bracket.items():
+            if a < b:  # D applied to the bracket value v e_l
+                for k in range(n):
+                    rows[a, b, k][k * n + l] += v
+            for i in range(b):  # [D e_i, e_b] picks D[a, i]
+                rows[i, b, l][a * n + i] -= v
+            for j in range(a + 1, n):  # [e_a, D e_j] picks D[b, j]
+                rows[a, j, l][b * n + j] -= v
+    system = (row.items() for row in rows.values())
     return tuple(tuple(vec.items()) for vec in nullspace_rows(system, n * n))
-
-
-@lru_cache(maxsize=None)
-def derivation_basis(n: int) -> tuple[np.ndarray, ...]:
-    """Basis of Der(g) as read-only n x n matrices, solved exactly."""
-    vectors = _derivation_vectors(n)
-    basis = exact_dense(vectors, (len(vectors), n * n)).reshape(-1, n, n)
-    basis.flags.writeable = False
-    return tuple(basis)
 
 
 def derivation_space_dim(n: int) -> int:

@@ -19,7 +19,6 @@ from ._linalg import (
     exact_array,
     exact_eye,
     exact_inv,
-    exact_rank,
     congruence_diagonal,
     is_exact,
     is_singular,
@@ -36,10 +35,6 @@ class AsymmetricInput(ValueError):
 
 class SingularMatrix(ValueError):
     """The change-of-basis matrix must be invertible."""
-
-
-class DependentBasis(ValueError):
-    """Restriction basis vectors must be linearly independent."""
 
 
 class WrongSignature(ValueError):
@@ -92,7 +87,8 @@ def xi_key_of(value) -> str:
 def canonical_key(lam, xi) -> str:
     """xi's key when (lam, xi) is one of the six canonical pairs."""
     key = xi_key_of(xi)
-    if (int(lam), key) not in CANONICAL_PAIRS:
+    # a whole lam only: int() alone would read 2.5 as 2
+    if lam != int(lam) or (int(lam), key) not in CANONICAL_PAIRS:
         raise NotARepresentative(f"({lam}, {key}) is not a canonical pair")
     return key
 
@@ -200,17 +196,6 @@ def act(g: np.ndarray, metric: Metric) -> Metric:
     return Metric(gram=ginv.T @ metric.gram @ ginv, backend=metric.backend)
 
 
-def restrict(metric: Metric, b: np.ndarray) -> np.ndarray:
-    """Gram matrix B^T gram B of the restriction to span(columns of B)."""
-    d = b.shape[1]
-    if b.dtype == object:
-        if exact_rank(b.T) != d:
-            raise DependentBasis("restriction basis is dependent")
-    elif d and np.linalg.matrix_rank(b) != d:
-        raise DependentBasis("restriction basis is dependent")
-    return b.T @ metric.gram @ b
-
-
 @dataclass(frozen=True)
 class Frame:
     """A pseudo-orthonormal basis for k * <,>: cols^T (k gram) cols = I_(n-1,1)."""
@@ -263,7 +248,7 @@ def canonical_metric(lam, xi, n: int, backend: str = EXACT) -> tuple[Metric, Fra
     key = canonical_key(lam, xi)
     exact = backend == EXACT
     xi_val = xi_exact(key) if exact else xi_float(key)
-    lam_val = QSqrt3(lam) if exact else float(lam)
+    lam_val = QSqrt3(int(lam)) if exact else float(lam)
     gram = canonical_gram(lam_val, xi_val, n, exact=exact)
     cols = shear_matrix(lam_val, xi_val, n, exact=exact)
     scale = QSqrt3(1) if exact else 1.0
@@ -321,14 +306,6 @@ def _unit_gram(metric: Metric) -> tuple[np.ndarray, list[float] | None]:
 
 
 # -- JSON schema --------------------------------------------------------------
-
-
-def metric_to_json(metric: Metric) -> dict:
-    if metric.backend == EXACT:
-        gram = [[x.format() for x in row] for row in metric.gram]
-    else:
-        gram = [[float(x) for x in row] for row in metric.gram]
-    return {"n": metric.n, "gram": gram, "backend": metric.backend}
 
 
 def _json_entry(x, backend: str, where: str):

@@ -12,6 +12,7 @@ against one relative zero band, DEFAULT_TOL, at unit scale (reduction.classify).
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from fractions import Fraction
 from typing import Union
@@ -64,6 +65,8 @@ class QSqrt3:
         if type(a) is int and type(b) is int:
             self._p, self._q, self._d = a, b, 1
             return
+        if _inexact(a) or _inexact(b):
+            raise TypeError(f"QSqrt3({a!r}, {b!r}): a float component is not exact")
         a, b = Fraction(a), Fraction(b)
         # over the lcm of two reduced denominators the triple is already normal
         d = math.lcm(a.denominator, b.denominator)
@@ -364,6 +367,11 @@ def sub_product(x: QSqrt3, f: "QSqrt3 | RationalLike", y: QSqrt3) -> QSqrt3:
             return _make(x._p - mp, x._q - mq, 1)
         return _normalized(x._p - mp, x._q - mq, d)
     return _normalized(x._p * md - mp * d, x._q * md - mq * d, d * md)
+
+
+def _inexact(x) -> bool:
+    """True for a real number that is not rational by type: a float, numpy's included."""
+    return isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational)
 
 
 def _operand(x) -> QSqrt3 | None:

@@ -24,13 +24,12 @@ from .curvature import EvidenceFailure, closed_form_riemann, frame_signs, is_fla
 from .liealg import aut_pattern, require_dim
 from .metrics import (
     CANONICAL_PAIRS,
-    Metric,
     SignatureTriple,
     canonical_gram,
     canonical_key,
     xi_exact,
 )
-from .numerics import APPROX, SQRT3_F, QSqrt3
+from .numerics import SQRT3_F, QSqrt3
 from .reduction import FLAG_NEAR_DEGENERATE, _classify_grams, signature_table
 
 #: interior parameters sampled on each degeneration curve
@@ -197,17 +196,6 @@ def _require_contains(fam: CurveFamily, t: float) -> None:
             f"family {fam.name} needs t in "
             f"{'[' if fam.closed_lo else '('}{fam.lo}, {fam.hi}{']' if fam.closed_hi else ')'}"
         )
-
-
-def curve_sample(family: str, t: float, n: int) -> Metric:
-    """The family's metric at parameter t (approx backend)."""
-    require_dim(n)
-    fam = CURVE_FAMILIES.get(family)
-    if fam is None:
-        raise KeyError(f"unknown curve family {family!r}")
-    _require_contains(fam, t)
-    lam, xi = fam.params(t)
-    return Metric(gram=canonical_gram(lam, xi, n, exact=False), backend=APPROX)
 
 
 @dataclass(frozen=True)

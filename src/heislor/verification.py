@@ -50,8 +50,9 @@ SPOT_CHECK_TOL = 1e-10
 #: rounding slack below the lam=2 root's domain s >= 5/3
 ROOT_DOMAIN_SLACK = 1e-12
 
-#: codimensions of the six orbits as a function of n
+
 def codimension_table(n: int) -> dict[tuple[int, str], int]:
+    """Codimensions of the six orbits as a function of n."""
     return {
         (0, "0"): 0,
         (1, "0"): n - 2,

@@ -20,10 +20,11 @@ from heislor.metrics import (
     act,
     canonical_gram,
     canonical_metric,
-    metric_to_json,
 )
 from heislor.orbits import EvidenceFailure, OracleMismatch
 from heislor.reduction import restricted_signatures
+
+from references import metric_to_json
 
 
 def _write_metric(tmp_path, metric, name="metric.json"):

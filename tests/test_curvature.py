@@ -11,7 +11,6 @@ import heislor as hl
 from heislor import _linalg
 from heislor.curvature import (
     EvidenceFailure,
-    FrameNotPseudoOrthonormal,
     _charpoly,
     closed_form_nabla,
     closed_form_ricci,
@@ -24,18 +23,14 @@ from heislor.curvature import (
     frame_signs,
     generic_curvature,
     is_flat,
-    levi_civita,
     ricci_spectrum,
-    riemann,
     soliton_certificate,
-    u_map,
 )
 from heislor._linalg import exact_eye, exact_inv, exact_zeros, to_float
-from heislor.liealg import bracket_vec, build_algebra, derivation_basis
 from heislor.metrics import CANONICAL_PAIRS, NotARepresentative, shear_matrix, xi_exact
 from heislor.numerics import QSqrt3
 
-from exact_helpers import exact_rref
+from references import derivation_basis, exact_rref
 
 HALF = QSqrt3(Fraction(1, 2))
 
@@ -70,7 +65,7 @@ def test_u_map_defining_identity_random():
     n = 5
     brackets = frame_brackets(lam, xi, n)
     eps = frame_signs(n)
-    u = u_map(brackets, eps).values
+    u = generic_curvature(lam, xi, n)[1].values
     eye = np.eye(n, dtype=int)
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -93,14 +88,14 @@ def test_u_component_examples():
 
 def test_u_middle_directions_inert():
     # central orthogonal directions contribute nothing for n >= 6
-    u = u_map(frame_brackets(QSqrt3(2), QSqrt3(2), 6), frame_signs(6)).values
+    u = generic_curvature(QSqrt3(2), QSqrt3(2), 6)[1].values
     for j in range(6):
         assert all(x.is_zero() for x in u[2, j])
         assert all(x.is_zero() for x in u[3, j])
 
 
 def test_u_symmetry():
-    values = u_map(frame_brackets(QSqrt3(2), xi_exact("sqrt3"), 5), frame_signs(5)).values
+    values = generic_curvature(QSqrt3(2), xi_exact("sqrt3"), 5)[1].values
     assert (values == values.transpose(1, 0, 2)).all()
 
 
@@ -121,7 +116,7 @@ def test_torsion_free():
     for pair in CANONICAL_PAIRS:
         lam, xi = _exact_frame(pair, 5)
         brackets = frame_brackets(lam, xi, 5)
-        nabla = levi_civita(u_map(brackets, frame_signs(5)), brackets).values
+        nabla = generic_curvature(lam, xi, 5)[2].values
         for i in range(5):
             for j in range(5):
                 diff = nabla[i, j] - nabla[j, i] - brackets[i, j]
@@ -133,8 +128,7 @@ def test_metric_compatibility():
     lam, xi = QSqrt3(2), xi_exact("sqrt3")
     n = 5
     eps = frame_signs(n)
-    brackets = frame_brackets(lam, xi, n)
-    nabla = levi_civita(u_map(brackets, eps), brackets).values
+    nabla = generic_curvature(lam, xi, n)[2].values
     eye = np.eye(n, dtype=int)
     for i in range(n):
         for j in range(n):
@@ -146,8 +140,7 @@ def test_metric_compatibility():
 def test_first_bianchi():
     lam, xi = QSqrt3(1), QSqrt3(1)
     n = 4
-    brackets = frame_brackets(lam, xi, n)
-    ops = riemann(levi_civita(u_map(brackets, frame_signs(n)), brackets), brackets)
+    ops = generic_curvature(lam, xi, n)[3]
     rng = np.random.default_rng(1)
     for _ in range(15):
         i, j, k = rng.integers(0, n, 3)
@@ -404,13 +397,14 @@ def test_soliton_certificate_matches_elimination_off_the_representatives(lam, xi
 @given(_field, _field, st.integers(4, 7))
 def test_frame_brackets_are_the_sheared_algebra(lam, xi, n):
     # x_i = g e_i for the shear g, so [x_i, x_j] has frame coordinates g^-1 [g e_i, g e_j]
-    alg = build_algebra(n)
+    c = np.zeros((n, n, n), dtype=int)  # the standard basis: [e_1, e_2] = e_n
+    c[0, 1, n - 1], c[1, 0, n - 1] = 1, -1
     g = shear_matrix(lam, xi, n, exact=True)
     g_inv = exact_inv(g)
     brackets = frame_brackets(lam, xi, n)
     for i in range(n):
         for j in range(n):
-            want = g_inv @ bracket_vec(alg, g[:, i], g[:, j])
+            want = g_inv @ np.einsum("ijk,i,j->k", c, g[:, i], g[:, j])
             assert _equal(brackets[i, j], want)
 
 
@@ -679,11 +673,3 @@ def test_approx_report_is_the_exact_report_rounded_once(pair, n):
     assert (approx.flat, approx.backend) == (exact.flat, "approx")
     assert (approx.einstein is None) == (exact.einstein is None)
 
-
-def test_u_map_validates_frame_gram():
-    brackets = frame_brackets(QSqrt3(1), QSqrt3(0), 4)
-    eps = frame_signs(4)
-    good = np.diag([1.0, 1, 1, -1])
-    u_map(brackets, eps, frame_gram=good)  # accepted
-    with pytest.raises(FrameNotPseudoOrthonormal):
-        u_map(brackets, eps, frame_gram=np.eye(4))

@@ -1,79 +1,116 @@
-"""Lie algebra structure: brackets, derivations, block pattern."""
+"""Lie algebra structure: the bracket table, derivations, block pattern."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from heislor.curvature import frame_brackets
 from heislor.liealg import (
-    DimensionTooSmall,
+    _bracket_terms,
     aut_pattern,
-    bracket_vec,
-    build_algebra,
-    derivation_basis,
     derivation_space_dim,
     hprime_pattern,
 )
-from heislor._linalg import exact_array, exact_rank, to_float
+from heislor._linalg import exact_array, exact_rank, exact_zeros, to_float
 from heislor.numerics import QSqrt3
 
-from exact_helpers import exact_nullspace
+from references import derivation_basis, exact_nullspace
 
 
-def test_build_algebra_examples():
+def _bracket(terms, x, y):
+    """[x, y] from the sparse table, summed over its nonzero terms."""
+    out = exact_zeros(len(x))
+    for (i, j), row in terms.items():
+        for k, c in row.items():
+            out[k] = out[k] + c * x[i] * y[j]
+    return out
+
+
+def _is_zero(v):
+    return all(x == 0 for x in v)
+
+
+def _random_scalar(rng):
+    def frac():
+        return Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5)))
+
+    return QSqrt3(frac(), frac())
+
+
+def _random_vectors(rng, count, n):
+    return [exact_array([_random_scalar(rng) for _ in range(n)]) for _ in range(count)]
+
+
+def _random_tables(seed, sizes, count):
+    """(lam, xi, n, table) for random exact (lam, xi) in Q(sqrt3), and the
+    standard basis (0, 0) first at each n."""
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        pairs = [(QSqrt3(0), QSqrt3(0))]
+        pairs += [(_random_scalar(rng), _random_scalar(rng)) for _ in range(count)]
+        for lam, xi in pairs:
+            yield lam, xi, n, _bracket_terms(lam, xi, n)
+
+
+def test_bracket_table_examples():
     for n in (4, 5):
-        alg = build_algebra(n)
-        e1 = np.eye(n)[0]
-        e2 = np.eye(n)[1]
-        out = bracket_vec(alg, e1, e2)
-        expected = np.zeros(n)
-        expected[n - 1] = 1.0
-        assert np.array_equal(out, expected)
-        # computed once per algebra; bracket_vec's exact path reads it on every call
-        assert alg.nonzero_terms is alg.nonzero_terms
-        assert alg.nonzero_terms == ((0, 1, n - 1, 1), (1, 0, n - 1, -1))
-    with pytest.raises(DimensionTooSmall):
-        build_algebra(3)
+        e = exact_array(np.eye(n, dtype=int))
+        assert frame_brackets(0, 0, n)[0, 1].tolist() == e[n - 1].tolist()
+        assert _bracket(_bracket_terms(0, 0, n), e[0], e[1]).tolist() == e[n - 1].tolist()
+        assert _bracket_terms(0, 0, n) == {(0, 1): {n - 1: 1}, (1, 0): {n - 1: -1}}
 
 
 def test_bracket_antisymmetry_and_bilinearity():
-    alg = build_algebra(5)
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        x, y = rng.uniform(-2, 2, (2, 5))
-        assert np.allclose(bracket_vec(alg, x, x), 0.0)
-        assert np.allclose(bracket_vec(alg, x, y), -bracket_vec(alg, y, x))
-        a, b = rng.uniform(-2, 2, 2)
-        z = rng.uniform(-2, 2, 5)
-        lhs = bracket_vec(alg, a * x + b * z, y)
-        rhs = a * bracket_vec(alg, x, y) + b * bracket_vec(alg, z, y)
-        assert np.allclose(lhs, rhs)
+    for lam, xi, n, terms in _random_tables(10, (4, 5, 7), 3):
+        dense = frame_brackets(lam, xi, n)
+        for _ in range(5):
+            x, y, z = _random_vectors(rng, 3, n)
+            assert _is_zero(_bracket(terms, x, x))
+            assert _is_zero(_bracket(terms, x, y) + _bracket(terms, y, x))
+            a, b = _random_scalar(rng), _random_scalar(rng)
+            lhs = _bracket(terms, a * x + b * z, y)
+            rhs = a * _bracket(terms, x, y) + b * _bracket(terms, z, y)
+            assert _is_zero(lhs - rhs)
+            # the dense table is the same bilinear map
+            assert _is_zero(np.einsum("ijk,i,j->k", dense, x, y) - _bracket(terms, x, y))
 
 
 def test_bracket_central_shift():
     # e3 is central, so [e1 + e3, e2] = [e1, e2] = e_n
-    alg = build_algebra(4)
-    e = np.eye(4)
-    out = bracket_vec(alg, e[0] + e[2], e[1])
-    assert np.array_equal(out, e[3])
+    e = exact_array(np.eye(4, dtype=int))
+    out = _bracket(_bracket_terms(0, 0, 4), e[0] + e[2], e[1])
+    assert out.tolist() == e[3].tolist()
+    # off the standard basis the middle directions x_3, ..., x_(n-2) stay central
+    rng = np.random.default_rng(3)
+    for lam, xi, n, terms in _random_tables(11, (5, 6, 7), 3):
+        e = exact_array(np.eye(n, dtype=int))
+        for _ in range(3):
+            (y,) = _random_vectors(rng, 1, n)
+            for m in range(2, n - 2):
+                assert _is_zero(_bracket(terms, e[m], y))
 
 
 def test_jacobi_identity():
-    alg = build_algebra(6)
     rng = np.random.default_rng(1)
-    for _ in range(30):
-        x, y, z = rng.uniform(-1, 1, (3, 6))
-        total = (
-            bracket_vec(alg, bracket_vec(alg, x, y), z)
-            + bracket_vec(alg, bracket_vec(alg, y, z), x)
-            + bracket_vec(alg, bracket_vec(alg, z, x), y)
-        )
-        assert np.allclose(total, 0.0)
+    for lam, xi, n, terms in _random_tables(12, (4, 6), 3):
+        for _ in range(8):
+            x, y, z = _random_vectors(rng, 3, n)
+            total = (
+                _bracket(terms, _bracket(terms, x, y), z)
+                + _bracket(terms, _bracket(terms, y, z), x)
+                + _bracket(terms, _bracket(terms, z, x), y)
+            )
+            assert _is_zero(total)
 
 
 def test_two_step_nilpotency():
-    alg = build_algebra(5)
     rng = np.random.default_rng(2)
-    x, y, z = rng.uniform(-1, 1, (3, 5))
-    assert np.allclose(bracket_vec(alg, bracket_vec(alg, x, y), z), 0.0)
+    for lam, xi, n, terms in _random_tables(13, (4, 5, 7), 3):
+        x, y, z = _random_vectors(rng, 3, n)
+        assert not _is_zero(_bracket(terms, x, y))  # not abelian
+        assert _is_zero(_bracket(terms, _bracket(terms, x, y), z))
 
 
 @pytest.mark.parametrize("n,expected", [(4, 11), (5, 17)])
@@ -88,7 +125,8 @@ def test_derivation_space_dimension_formula(n):
 
 def _leibniz_system_reference(n):
     """The Leibniz rows built densely, one n x n coefficient array per (i < j, k)."""
-    c = build_algebra(n).structure.astype(int)
+    c = np.zeros((n, n, n), dtype=int)  # [e_1, e_2] = e_n, independent of the package
+    c[0, 1, n - 1], c[1, 0, n - 1] = 1, -1
     rows = []
     for i in range(n):
         for j in range(i + 1, n):

@@ -12,7 +12,6 @@ from heislor.metrics import (
     CANONICAL_PAIRS,
     EXACT,
     AsymmetricInput,
-    DependentBasis,
     Metric,
     NotARepresentative,
     WrongSignature,
@@ -23,14 +22,15 @@ from heislor.metrics import (
     canonical_metric,
     factor_metric,
     metric_from_json,
-    metric_to_json,
-    restrict,
     shear_matrix,
     signature_of,
     xi_exact,
     xi_float,
 )
 from heislor.numerics import QSqrt3
+from heislor.reduction import restricted_signatures
+
+from references import metric_to_json
 
 
 def test_signature_identity_block():
@@ -103,11 +103,17 @@ def test_signature_rejects_asymmetric():
         signature_of(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _restrict(metric, b):
+    """Gram matrix B^T gram B of the metric restricted to the span of B's columns."""
+    return b.T @ metric.gram @ b
+
+
 def test_derived_restriction_of_flat_class_is_null():
     metric, _ = canonical_metric(1, "0", 5)
     basis = exact_array([[0], [0], [0], [0], [1]])
-    block = restrict(metric, basis)
+    block = _restrict(metric, basis)
     assert signature_of(block).as_tuple() == (0, 0, 1)
+    assert restricted_signatures(metric)[1].as_tuple() == (0, 0, 1)
 
 
 def test_act_identity_and_isotropy():
@@ -177,7 +183,7 @@ def test_restrict_center_direction_formula():
         coeffs[n - 2] = lam * xi
         coeffs[n - 1] = -(xi * xi + 1)
         y = frame.columns @ coeffs  # frame vector in standard coordinates
-        block = restrict(metric, y.reshape(n, 1))
+        block = _restrict(metric, y.reshape(n, 1))
         expected = (xi * xi + 1) * (lam * lam - xi * xi - 1)
         assert block[0, 0] == expected
 
@@ -187,22 +193,31 @@ def test_restrict_derived_ideal_formula():
     e_n = exact_array([[0]] * 5 + [[1]])
     for lam_i, key in CANONICAL_PAIRS:
         metric, _ = canonical_metric(lam_i, key, 6)
-        block = restrict(metric, e_n)
+        block = _restrict(metric, e_n)
         assert block[0, 0] == QSqrt3(lam_i * lam_i - 1)
+        assert restricted_signatures(metric)[1] == signature_of(block)
 
 
 def test_restrict_full_space_is_gram():
     metric, _ = canonical_metric(2, "2", 4, backend=APPROX)
-    assert np.allclose(restrict(metric, np.eye(4)), metric.gram)
+    assert np.allclose(_restrict(metric, np.eye(4)), metric.gram)
+    # restricted_signatures reads the center and the derived ideal as the
+    # restrictions to their coordinate bases
+    center, derived = np.eye(4)[:, 2:], np.eye(4)[:, 3:]
+    want = (signature_of(_restrict(metric, center)), signature_of(_restrict(metric, derived)))
+    assert restricted_signatures(metric) == want
 
 
-def test_restrict_rejects_dependent_basis():
-    metric, _ = canonical_metric(0, "0", 4, backend=APPROX)
-    b = np.zeros((4, 2))
-    b[:, 0] = [1, 0, 0, 0]
-    b[:, 1] = [2, 0, 0, 0]
-    with pytest.raises(DependentBasis):
-        restrict(metric, b)
+def test_lambda_is_read_as_a_whole_number():
+    # a whole float lam names its pair; any other lam is no representative
+    exact, _ = canonical_metric(2.0, "sqrt3", 5)
+    assert canonical_json(metric_to_json(exact)) == canonical_json(
+        metric_to_json(canonical_metric(2, "sqrt3", 5)[0]))
+    for lam, key in ((2.5, "2"), (1.9, "0"), (0.5, "0")):
+        with pytest.raises(NotARepresentative):
+            canonical_metric(lam, key, 5)
+        with pytest.raises(NotARepresentative):
+            canonical_metric(lam, key, 5, backend=APPROX)
 
 
 def test_canonical_metric_identity_pair():

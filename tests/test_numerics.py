@@ -26,7 +26,7 @@ from heislor.numerics import (
     sub_product,
 )
 
-from exact_helpers import exact_nullspace, exact_rref
+from references import exact_nullspace, exact_rref
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -52,6 +52,23 @@ def test_division_rationalizes():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         QSqrt3(1) / QSqrt3(0)
+
+
+@pytest.mark.parametrize(
+    "value", [0.1, 2.0, np.float64(0.5), np.float32(0.5), np.longdouble(3)],
+    ids=["float", "whole-float", "float64", "float32", "longdouble"],
+)
+def test_float_components_are_refused(value):
+    # the constructor agrees with coerce and mixed arithmetic: no float enters silently
+    for args in ((value,), (value, 1), (1, value), (Fraction(1, 2), value)):
+        with pytest.raises(TypeError):
+            QSqrt3(*args)
+    with pytest.raises(TypeError):
+        QSqrt3.coerce(value)
+    with pytest.raises(TypeError):
+        QSqrt3(1) + value
+    # exact components still construct, numpy integers included
+    assert QSqrt3(np.int64(3), Fraction(1, 2)) == QSqrt3(3, Fraction(1, 2))
 
 
 @given(scalars, scalars)

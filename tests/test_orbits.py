@@ -7,7 +7,7 @@ import pytest
 
 from heislor import _linalg, orbits
 from heislor._linalg import exact_inv, shear_conjugator
-from heislor.liealg import DimensionTooSmall, aut_pattern
+from heislor.liealg import DimensionTooSmall, aut_pattern, derivation_space_dim
 from heislor.metrics import (
     APPROX,
     CANONICAL_PAIRS,
@@ -23,7 +23,6 @@ from heislor.orbits import (
     OracleMismatch,
     ParameterOutOfRange,
     codimension,
-    curve_sample,
     degeneration_graph,
     dims_UW,
     is_closed,
@@ -31,6 +30,8 @@ from heislor.orbits import (
     stabilizer_dim,
 )
 from heislor.reduction import classify, classify_by_invariants, classify_by_invariants_flagged
+
+from references import curve_sample
 
 SQRT3 = math.sqrt(3.0)
 
@@ -282,14 +283,14 @@ def test_orbit_report_invariant_identities(n):
         lambda: dims_UW(1, "0", 3),
         lambda: stabilizer_dim(1, "0", 3),
         lambda: codimension(1, "0", 3),
-        lambda: curve_sample("A", 0.5, 3),
         lambda: orbit_report(1, "0", 3),
         lambda: degeneration_graph(3),
         lambda: is_closed(1, "0", 3),
+        lambda: derivation_space_dim(3),
     ],
     ids=[
-        "dims_UW", "stabilizer_dim", "codimension", "curve_sample", "orbit_report",
-        "degeneration_graph", "is_closed",
+        "dims_UW", "stabilizer_dim", "codimension", "orbit_report",
+        "degeneration_graph", "is_closed", "derivation_space_dim",
     ],
 )
 def test_orbit_functions_refuse_n_below_four(call):

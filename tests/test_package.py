@@ -119,3 +119,32 @@ def test_private_names_and_constants_are_read():
         and ident not in read
     ]
     assert not unread
+
+
+#: public names that may go unread in src/ and perfbench/: classify_by_invariants is
+#: the documented independent classifier, kept to cross-check classify's pipeline
+INDEPENDENT_ROUTES = {"classify_by_invariants"}
+
+
+def test_public_functions_and_classes_are_read_outside_the_tests():
+    """Every public module-level function and class of the package is read in a
+    package module other than __init__.py or in a benchmark script, so no public
+    helper lives on for the tests alone."""
+    package = Path(heislor.__file__).resolve().parent
+    readers = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    read = set()
+    for path in [*readers, *PERFBENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read | INDEPENDENT_ROUTES
+    ]
+    assert not unread

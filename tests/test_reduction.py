@@ -19,7 +19,7 @@ from heislor._linalg import (
     shared_minkowski_gram,
     to_float,
 )
-from heislor.liealg import aut_pattern, derivation_basis, hprime_pattern
+from heislor.liealg import aut_pattern, hprime_pattern
 from heislor.metrics import (
     APPROX,
     CANONICAL_PAIRS,
@@ -873,15 +873,11 @@ def test_per_n_constants_are_shared_and_read_only():
         "aut mask": (aut_pattern(n).mask, aut_pattern.__wrapped__(n).mask),
         "hprime mask": (hprime_pattern(n).mask, hprime_pattern.__wrapped__(n).mask),
     }
-    basis, fresh_basis = derivation_basis(n), derivation_basis.__wrapped__(n)
-    assert len(basis) == len(fresh_basis) == n * n - 3 * n + 6
-    arrays.update((f"derivation {k}", pair) for k, pair in enumerate(zip(basis, fresh_basis)))
     for name, (shared, fresh) in arrays.items():
         assert np.array_equal(shared, fresh), name
         with pytest.raises(ValueError):
             shared[0, 0] = shared[0, 0]
     assert shared_minkowski_gram(n) is shared_minkowski_gram(n)
-    assert derivation_basis(n) is derivation_basis(n)
     with pytest.raises(TypeError):
         signature_table(n)[(0, "0")] = None
     with pytest.raises(TypeError):
