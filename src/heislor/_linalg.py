@@ -9,16 +9,18 @@ Each update x - f*y is one fused QSqrt3 operation (sub_product).  The stabilizer
 system conjugates by the frame shear, whose inverse is its closed form
 (shear_conjugator), so it needs no inverse.
 Float routines wrap numpy.  At the n <= 8 of a reduction a numpy call's fixed cost
-outweighs its arithmetic, so they make as few calls and copies as they can.
+outweighs its arithmetic, so they make as few calls and copies as they can, and
+every float LAPACK call of the package is one of the kernels below.
 Everything is sized for n <= 24.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .numerics import QSqrt3, sub_product
 
@@ -219,6 +221,41 @@ def congruence_diagonal(a: np.ndarray) -> list[QSqrt3]:
     return diag + [QSqrt3(0)] * (a.shape[0] - len(diag))
 
 
+# -- float LAPACK kernels ----------------------------------------------------
+# Each is numpy.linalg's own float64 gufunc call, under its wrapper's errstate where it
+# has one, so the bits, the LinAlgError and its message are numpy.linalg's; the
+# wrapper's checks, casts and result wrapping cost more than LAPACK at n <= 8.  Bound
+# at import, so a numpy without these gufuncs fails there.
+
+#: numpy.linalg's message for an eigensolver that did not converge
+EIG_FAILURE = "Eigenvalues did not converge"
+
+
+def _errstate(failure: str) -> np.errstate:
+    """numpy.linalg's errstate around a gufunc: an invalid result raises LinAlgError(failure)."""
+
+    def fail(err, flag):
+        raise LinAlgError(failure)
+
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+inv = _errstate("Singular matrix")(partial(_umath_linalg.inv, signature="d->d"))
+eigh = _errstate(EIG_FAILURE)(partial(_umath_linalg.eigh_lo, signature="d->dd"))
+eigvalsh = _errstate(EIG_FAILURE)(partial(_umath_linalg.eigvalsh_lo, signature="d->d"))
+slogdet = partial(_umath_linalg.slogdet, signature="d->dd")
+det = partial(_umath_linalg.det, signature="d->d")
+_qr_r_raw = partial(_umath_linalg.qr_r_raw, signature="d->d")
+_qr_reduced = partial(_umath_linalg.qr_reduced, signature="dd->d")
+
+
+@_errstate("Incorrect argument found while performing QR factorization")
+def qr_q(a: np.ndarray) -> np.ndarray:
+    """The Q of numpy.linalg.qr(a), with no R formed."""
+    a = np.array(a, dtype=float)  # a copy: the Householder factorization overwrites it
+    return _qr_reduced(a, _qr_r_raw(a))
+
+
 # -- float helpers -----------------------------------------------------------
 
 
@@ -246,7 +283,7 @@ def is_singular(a: np.ndarray):
     """Whether a float matrix, or each of a stack, is numerically singular (a NaN makes it so), at
     any scale: |det|^(1/n) against the largest entry (Golub & Van Loan, section 2.6)."""
     with np.errstate(invalid="ignore"):  # a NaN entry is no error here: it reads singular
-        sign, logdet = np.linalg.slogdet(a)
+        sign, logdet = slogdet(a)
     size = np.abs(a).max(axis=(-2, -1))
     return (sign == 0) | ~(np.exp(logdet / a.shape[-1]) >= SINGULAR_RATIO * size)
 
@@ -254,7 +291,7 @@ def is_singular(a: np.ndarray):
 def right_triangularize(b: np.ndarray) -> np.ndarray:
     """Orthogonal Q with b @ Q upper triangular (RQ-style rotation)."""
     # b^T with rows and columns reversed; + 0.0 turns -0.0 into 0.0, so Q has no signed zero
-    q_flipped, _ = np.linalg.qr(np.asarray(b, dtype=float).T[::-1, ::-1] + 0.0)
+    q_flipped = qr_q(np.asarray(b, dtype=float).T[::-1, ::-1] + 0.0)
     return q_flipped[::-1, ::-1] + 0.0
 
 

@@ -20,6 +20,9 @@ from ._linalg import (
     exact_eye,
     exact_inv,
     congruence_diagonal,
+    eigh,
+    eigvalsh,
+    inv,
     is_exact,
     is_singular,
     minkowski_gram,
@@ -87,10 +90,17 @@ def xi_key_of(value) -> str:
 def canonical_key(lam, xi) -> str:
     """xi's key when (lam, xi) is one of the six canonical pairs."""
     key = xi_key_of(xi)
-    # a whole lam only: int() alone would read 2.5 as 2
-    if lam != int(lam) or (int(lam), key) not in CANONICAL_PAIRS:
+    if (_whole(lam), key) not in CANONICAL_PAIRS:
         raise NotARepresentative(f"({lam}, {key}) is not a canonical pair")
     return key
+
+
+def _whole(lam) -> int | None:
+    """lam as an int when it is a whole number, a QSqrt3 one included, else None;
+    int() alone would read 2.5 as 2."""
+    if isinstance(lam, QSqrt3):
+        return int(lam.a) if not lam.b and lam.a.denominator == 1 else None
+    return int(lam) if lam == int(lam) else None
 
 
 @dataclass(frozen=True)
@@ -180,7 +190,7 @@ def signature_of(m: np.ndarray) -> SignatureTriple:
     """
     _check_symmetric(m)
     if m.dtype != object:
-        return SignatureTriple(*_band_signs(np.linalg.eigvalsh(m).tolist())[0])
+        return SignatureTriple(*_band_signs(eigvalsh(m).tolist())[0])
     signs = [d.sign() for d in congruence_diagonal(m)]
     return SignatureTriple(signs.count(1), signs.count(-1), signs.count(0))
 
@@ -192,7 +202,7 @@ def act(g: np.ndarray, metric: Metric) -> Metric:
     else:
         if is_singular(g):
             raise SingularMatrix("change of basis is singular")
-        ginv = np.linalg.inv(g)
+        ginv = inv(g)
     return Metric(gram=ginv.T @ metric.gram @ ginv, backend=metric.backend)
 
 
@@ -245,10 +255,10 @@ def canonical_gram(lam, xi, n: int, exact: bool = True) -> np.ndarray:
 
 def canonical_metric(lam, xi, n: int, backend: str = EXACT) -> tuple[Metric, Frame]:
     """One of the six canonical metrics together with its orthonormal frame."""
-    key = canonical_key(lam, xi)
+    key, lam = canonical_key(lam, xi), _whole(lam)
     exact = backend == EXACT
     xi_val = xi_exact(key) if exact else xi_float(key)
-    lam_val = QSqrt3(int(lam)) if exact else float(lam)
+    lam_val = QSqrt3(lam) if exact else float(lam)
     gram = canonical_gram(lam_val, xi_val, n, exact=exact)
     cols = shear_matrix(lam_val, xi_val, n, exact=exact)
     scale = QSqrt3(1) if exact else 1.0
@@ -276,7 +286,7 @@ def _factor_metric(metric: Metric) -> tuple[np.ndarray, np.ndarray, float]:
     must be exactly symmetric.
     """
     _check_symmetric(metric.gram)
-    eigvals, q = np.linalg.eigh(to_float(metric.gram))
+    eigvals, q = eigh(to_float(metric.gram))
     # eigh sorts ascending, so reversed views put the positives first, the negative one last
     eigvals, q = eigvals[::-1], q[:, ::-1]
     values = eigvals.tolist()
@@ -300,7 +310,7 @@ def _unit_gram(metric: Metric) -> tuple[np.ndarray, list[float] | None]:
     _check_symmetric(gram)
     if metric.backend == EXACT:
         return gram, None
-    eigvals = np.linalg.eigvalsh(gram).tolist()
+    eigvals = eigvalsh(gram).tolist()
     prescale = _unit_prescale(eigvals)
     return gram * (prescale * prescale), [v * prescale * prescale for v in eigvals]
 

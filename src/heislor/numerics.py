@@ -382,6 +382,8 @@ def _operand(x) -> QSqrt3 | None:
         return _make(int(x), 0, 1)
     if isinstance(x, Fraction):
         return _make(x.numerator, 0, x.denominator)
+    if isinstance(x, numbers.Integral):  # numpy's integers
+        return _make(int(x), 0, 1)
     return None
 
 

@@ -22,10 +22,13 @@ from types import MappingProxyType
 import numpy as np
 
 from ._linalg import (
+    eigvalsh,
     embed,
     householder,
+    inv,
     is_singular,
     max_abs,
+    qr_q,
     right_triangularize,
     shared_eye,
     shared_minkowski_gram,
@@ -243,7 +246,7 @@ class _Builder:
         """Apply the left factor target @ current^-1, projected on the pattern;
         the snap checks that what the projection dropped was rounding residue."""
         try:
-            h = target @ np.linalg.inv(self.current)
+            h = target @ inv(self.current)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown("the working matrix is singular") from exc
         h[hprime_pattern(self.n).outside] = 0.0
@@ -669,7 +672,7 @@ def _classify_grams(grams: np.ndarray) -> list[tuple[CanonicalForm, list[str]]]:
         near = [False] * len(grams)
     else:
         keys, near = [], []
-        centers = np.linalg.eigvalsh(grams[:, 2:, 2:]).tolist()
+        centers = eigvalsh(grams[:, 2:, 2:]).tolist()
         for center, derived in zip(centers, grams[:, -1, -1].tolist()):
             (c, c_near), (d, d_near) = _band_signs(center), _band_signs([derived])
             keys.append((c, d))
@@ -690,7 +693,7 @@ def _classify_grams(grams: np.ndarray) -> list[tuple[CanonicalForm, list[str]]]:
 def _retry_factor(n: int, attempt: int) -> np.ndarray:
     """Deterministic O(n-1, 1) elements used to redraw an ill-conditioned chart."""
     rng = np.random.default_rng(7700 + 131 * attempt + n)
-    q, _ = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
+    q = qr_q(rng.standard_normal((n - 1, n - 1)))
     rot = embed(q, n, tuple(range(n - 1)))
     theta = 0.35 + 0.17 * attempt
     c, s = math.cosh(theta), math.sinh(theta)
@@ -796,7 +799,7 @@ def verify_witness(subject: Metric | np.ndarray, witness: Witness) -> Verificati
     if isinstance(subject, Metric):
         if witness.m_factor is None:
             return VerificationResult(False, math.inf, "witness has no m-factor")
-        minv = np.linalg.inv(witness.m_factor)
+        minv = inv(witness.m_factor)
         gram = to_float(subject.gram)
         gram_res = max_abs(minv.T @ ipq @ minv - gram)
         if not gram_res <= WITNESS_TOL * max_abs(gram):

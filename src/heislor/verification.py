@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import exact_zeros
+from ._linalg import det, exact_zeros
 from .curvature import (
     closed_form_nabla,
     closed_form_ricci,
@@ -116,7 +116,7 @@ def random_group_element(n: int, rng: np.random.Generator) -> np.ndarray:
         phi = np.where(mask, rng.uniform(-1.0, 1.0, (n, n)), 0.0)
         det2 = abs(phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0])
         mid = phi[2 : n - 1, 2 : n - 1]
-        det_mid = abs(np.linalg.det(mid)) if mid.size else 1.0
+        det_mid = abs(det(mid)) if mid.size else 1.0
         if det2 > 0.05 and det_mid > 0.05 and abs(phi[n - 1, n - 1]) > 0.2:
             scale = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
             return scale * phi

@@ -1,0 +1,76 @@
+"""The float LAPACK kernels of _linalg against the public numpy.linalg functions."""
+
+import numpy as np
+import pytest
+
+from heislor._linalg import det, eigh, eigvalsh, inv, qr_q, right_triangularize, slogdet
+from heislor.reduction import NumericalBreakdown, _Builder
+
+
+def _outcome(f, a):
+    """What f(a) gives, as comparable data: the dtype, shape and bytes of each result
+    array, or the type and message of what it raised (a warning raises here)."""
+    try:
+        out = f(a)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    parts = out if isinstance(out, tuple) else (out,)
+    return [(np.asarray(x).dtype, np.shape(x), np.asarray(x).tobytes()) for x in parts]
+
+
+def _inputs(n: int, rng: np.random.Generator) -> tuple[list, list]:
+    """Seeded float64 general and symmetric inputs of size n, each as a matrix, a stack
+    and the non-contiguous views the reduction hands over."""
+    a = rng.standard_normal((n, n))
+    stack = rng.standard_normal((3, n + 2, n + 2))
+    grams = stack + stack.transpose(0, 2, 1)
+    _, q = np.linalg.eigh(grams[0])
+    general = [a, a.T, a[::-1], stack, stack[:, 2:, 2:], q[:, ::-1], a.astype(np.int64)]
+    symmetric = [a + a.T, grams, grams[:, 2:, 2:], grams[0, ::-1, ::-1], q * q.T]
+    return general, symmetric
+
+
+def _qr_route(b: np.ndarray) -> np.ndarray:
+    """right_triangularize through numpy.linalg.qr, the reference."""
+    q_flipped, _ = np.linalg.qr(np.asarray(b, dtype=float).T[::-1, ::-1] + 0.0)
+    return q_flipped[::-1, ::-1] + 0.0
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_kernels_match_numpy_linalg_bit_for_bit(n):
+    general, symmetric = _inputs(n, np.random.default_rng(2300 + n))
+    for a in general:
+        before = a.copy()
+        for mine, theirs in ((inv, np.linalg.inv), (det, np.linalg.det),
+                             (slogdet, np.linalg.slogdet), (qr_q, lambda x: np.linalg.qr(x)[0])):
+            assert _outcome(mine, a) == _outcome(theirs, a)
+        assert np.array_equal(a, before)  # qr_q factors a copy
+    for a in symmetric:
+        assert _outcome(eigvalsh, a) == _outcome(np.linalg.eigvalsh, a)
+        assert _outcome(eigh, a) == _outcome(np.linalg.eigh, a)
+    for b in general[:3] + [general[4][0], general[5], np.triu(general[0]) * -1.0]:
+        assert _outcome(right_triangularize, b) == _outcome(_qr_route, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_kernels_fail_as_numpy_linalg_does(bad):
+    """A NaN, an infinity or a zero pivot gives numpy.linalg's LinAlgError, warning or
+    result, kernel by kernel."""
+    a = np.eye(4)
+    a[1, 1] = bad
+    full = np.full((4, 4), bad)
+    for x in (a, full, np.stack([np.eye(4), a])):
+        for mine, theirs in ((inv, np.linalg.inv), (det, np.linalg.det),
+                             (slogdet, np.linalg.slogdet), (eigh, np.linalg.eigh),
+                             (eigvalsh, np.linalg.eigvalsh), (qr_q, lambda x: np.linalg.qr(x)[0])):
+            assert _outcome(mine, x) == _outcome(theirs, x)
+
+
+def test_singular_inverse_raises_linalgerror_and_breaks_the_solve():
+    singular = np.array([[1.0, 2.0, 0, 0], [2.0, 4.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        inv(singular)
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        np.linalg.inv(singular)
+    with pytest.raises(NumericalBreakdown, match="the working matrix is singular"):
+        _Builder(singular).solve_onto(np.eye(4))

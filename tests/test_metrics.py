@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from heislor.metrics import (
     act,
     canonical_gram,
     canonical_json,
+    canonical_key,
     canonical_metric,
     factor_metric,
     metric_from_json,
@@ -218,6 +220,19 @@ def test_lambda_is_read_as_a_whole_number():
             canonical_metric(lam, key, 5)
         with pytest.raises(NotARepresentative):
             canonical_metric(lam, key, 5, backend=APPROX)
+
+
+def test_exact_lambda_is_read_as_its_whole_rational():
+    # a QSqrt3 lam that is a whole rational names its pair, on both backends
+    for backend in (EXACT, APPROX):
+        metric, frame = canonical_metric(QSqrt3(1), "0", 5, backend)
+        reference, reference_frame = canonical_metric(1, "0", 5, backend)
+        assert canonical_json(metric_to_json(metric)) == canonical_json(metric_to_json(reference))
+        assert np.array_equal(frame.columns, reference_frame.columns)
+    assert canonical_key(QSqrt3(2), "sqrt3") == "sqrt3"
+    for lam in (QSqrt3(1, 1), QSqrt3(Fraction(1, 2)), QSqrt3(0, 1), QSqrt3(3)):
+        with pytest.raises(NotARepresentative):
+            canonical_metric(lam, "0", 5)
 
 
 def test_canonical_metric_identity_pair():

@@ -18,6 +18,7 @@ from heislor._linalg import (
     rref_rows,
     to_float,
 )
+from heislor.curvature import frame_brackets
 from heislor.numerics import (
     QSqrt3,
     SqrtOfNegative,
@@ -69,6 +70,15 @@ def test_float_components_are_refused(value):
         QSqrt3(1) + value
     # exact components still construct, numpy integers included
     assert QSqrt3(np.int64(3), Fraction(1, 2)) == QSqrt3(3, Fraction(1, 2))
+
+
+def test_numpy_integers_coerce():
+    # coerce, like the constructor, takes a numpy integer as the int it holds
+    assert QSqrt3.coerce(np.int64(3)) == 3
+    assert QSqrt3(1) + np.int32(2) == 3
+    assert np.array_equal(frame_brackets(np.int64(1), 0, 5), frame_brackets(1, 0, 5))
+    with pytest.raises(TypeError):
+        QSqrt3.coerce(np.float64(3))
 
 
 @given(scalars, scalars)

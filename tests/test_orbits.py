@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heislor import _linalg, orbits
+from heislor import _linalg, metrics, orbits, reduction
 from heislor._linalg import exact_inv, shear_conjugator
 from heislor.liealg import DimensionTooSmall, aut_pattern, derivation_space_dim
 from heislor.metrics import (
@@ -303,7 +303,9 @@ def test_invariant_reads_are_stacked(count_calls, monkeypatch):
     a float classify reads its one gram with one eigvalsh: no per-gram loop.  The
     invariant classifier decomposes the whole gram once, and the graph reads its
     signature obstructions from the checked table, with no exact congruence."""
-    calls = count_calls(np.linalg, "eigvalsh")
+    calls = count_calls(_linalg, "eigvalsh")
+    for module in (metrics, reduction):  # they bound the _linalg kernel at import
+        monkeypatch.setattr(module, "eigvalsh", _linalg.eigvalsh)
     degeneration_graph.cache_clear()
     try:
         degeneration_graph(5)

@@ -148,3 +148,41 @@ def test_public_functions_and_classes_are_read_outside_the_tests():
         and node.name not in read | INDEPENDENT_ROUTES
     ]
     assert not unread
+
+
+#: the numpy.linalg functions whose LAPACK gufuncs _linalg's kernels call directly
+LAPACK_WRAPPERS = {"inv", "eigh", "eigvalsh", "qr", "slogdet", "det"}
+
+
+def _lapack_uses(tree: ast.Module) -> list[str]:
+    """numpy.linalg LAPACK wrappers and _umath_linalg as a module reads or imports them."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            chain = _attribute_chain(node) or []
+            wrapper = chain[-2:-1] == ["linalg"] and chain[-1] in LAPACK_WRAPPERS
+            if wrapper or "_umath_linalg" in chain:
+                uses.append(".".join(chain))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            uses += [
+                f"{module}.{alias.name}"
+                for alias in node.names
+                if "_umath_linalg" in f"{module}.{alias.name}"
+                or module.startswith("numpy.linalg") and alias.name in LAPACK_WRAPPERS
+            ]
+        elif isinstance(node, ast.Import):
+            uses += [alias.name for alias in node.names if "_umath_linalg" in alias.name]
+    return uses
+
+
+def test_lapack_calls_go_through_the_linalg_kernels():
+    """Only _linalg reads numpy's private _umath_linalg, and no other module calls a
+    numpy.linalg LAPACK wrapper: every float LAPACK call is one of its kernels."""
+    package = Path(heislor.__file__).resolve().parent
+    uses = {
+        path.name: _lapack_uses(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert "numpy.linalg._umath_linalg" in uses.pop("_linalg.py")
+    assert not {name: found for name, found in uses.items() if found}
