@@ -17,9 +17,11 @@ Everything is sized for n <= 24.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 
 import numpy as np
+from numpy._core._multiarray_umath import _make_extobj
+from numpy._core._ufunc_config import _extobj_contextvar
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .numerics import QSqrt3, sub_product
@@ -224,20 +226,40 @@ def congruence_diagonal(a: np.ndarray) -> list[QSqrt3]:
 # -- float LAPACK kernels ----------------------------------------------------
 # Each is numpy.linalg's own float64 gufunc call, under its wrapper's errstate where it
 # has one, so the bits, the LinAlgError and its message are numpy.linalg's; the
-# wrapper's checks, casts and result wrapping cost more than LAPACK at n <= 8.  Bound
-# at import, so a numpy without these gufuncs fails there.
+# wrapper's checks, casts and result wrapping cost more than LAPACK at n <= 8.  Each
+# errstate is built once and set per call as np.errstate sets it, on a per-thread
+# contextvar.  Bound at import, so a numpy without these names fails there.
 
 #: numpy.linalg's message for an eigensolver that did not converge
 EIG_FAILURE = "Eigenvalues did not converge"
 
 
-def _errstate(failure: str) -> np.errstate:
+def _with_errstate(**flags):
+    """Decorator: run f under the numpy error state `flags`, built once.  Name all four
+    flags: _make_extobj copies an unnamed one from the state it is built in."""
+    state = _make_extobj(**flags)
+
+    def decorate(f):
+        @wraps(f)
+        def under(*args):
+            token = _extobj_contextvar.set(state)
+            try:
+                return f(*args)
+            finally:
+                _extobj_contextvar.reset(token)
+
+        return under
+
+    return decorate
+
+
+def _errstate(failure: str):
     """numpy.linalg's errstate around a gufunc: an invalid result raises LinAlgError(failure)."""
 
     def fail(err, flag):
         raise LinAlgError(failure)
 
-    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+    return _with_errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
 inv = _errstate("Singular matrix")(partial(_umath_linalg.inv, signature="d->d"))
@@ -247,8 +269,12 @@ slogdet = partial(_umath_linalg.slogdet, signature="d->dd")
 det = partial(_umath_linalg.det, signature="d->d")
 _qr_r_raw = partial(_umath_linalg.qr_r_raw, signature="d->d")
 _qr_reduced = partial(_umath_linalg.qr_reduced, signature="dd->d")
+# is_singular's slogdet: a NaN entry is no error, it reads singular; the rest are numpy's defaults
+_nan_slogdet = _with_errstate(invalid="ignore", over="warn", divide="warn", under="ignore")(slogdet)
 
 
+# LAPACK reports only an illegal argument from the QR routines, which no float64 matrix
+# reaches, so no test can trigger this state; it is numpy.linalg.qr's all the same
 @_errstate("Incorrect argument found while performing QR factorization")
 def qr_q(a: np.ndarray) -> np.ndarray:
     """The Q of numpy.linalg.qr(a), with no R formed."""
@@ -282,8 +308,7 @@ def householder(v: np.ndarray, k: int) -> np.ndarray:
 def is_singular(a: np.ndarray):
     """Whether a float matrix, or each of a stack, is numerically singular (a NaN makes it so), at
     any scale: |det|^(1/n) against the largest entry (Golub & Van Loan, section 2.6)."""
-    with np.errstate(invalid="ignore"):  # a NaN entry is no error here: it reads singular
-        sign, logdet = slogdet(a)
+    sign, logdet = _nan_slogdet(a)
     size = np.abs(a).max(axis=(-2, -1))
     return (sign == 0) | ~(np.exp(logdet / a.shape[-1]) >= SINGULAR_RATIO * size)
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._linalg import _subtract, exact_zeros, max_abs
 from .liealg import _bracket_terms
-from .metrics import canonical_key, xi_exact
+from .metrics import _whole, canonical_key, xi_exact
 from .numerics import EXACT, QSqrt3, sub_product
 
 HALF = QSqrt3(Fraction(1, 2))
@@ -562,12 +562,12 @@ def curvature_report(lam, xi, n: int, backend: str = EXACT) -> CurvatureReport:
     The tables are the closed forms, built exactly.  The float report is the
     exact one with every value rounded once, so an exact zero stays +0.0.
     """
-    key = canonical_key(lam, xi)
-    xi_val, lam_val = xi_exact(key), QSqrt3(int(lam))
+    key, lam = canonical_key(lam, xi), _whole(lam)
+    xi_val, lam_val = xi_exact(key), QSqrt3(lam)
     ops = closed_form_riemann(lam_val, xi_val, n)
     ric = closed_form_ricci(lam_val, xi_val, n)
     report = CurvatureReport(
-        lam=int(lam),
+        lam=lam,
         xi_key=key,
         n=n,
         backend=EXACT,

@@ -25,6 +25,7 @@ from .liealg import aut_pattern, require_dim
 from .metrics import (
     CANONICAL_PAIRS,
     SignatureTriple,
+    _whole,
     canonical_gram,
     canonical_key,
     xi_exact,
@@ -54,8 +55,8 @@ def dims_UW(lam: int, xi, n: int) -> tuple[int, int]:
     coordinate pairs.
     """
     require_dim(n)
-    key = canonical_key(lam, xi)
-    lam_e, xi_e = QSqrt3(int(lam)), xi_exact(key)
+    key, lam = canonical_key(lam, xi), _whole(lam)
+    lam_e, xi_e = QSqrt3(lam), xi_exact(key)
     a = lam_e * lam_e - 1
     dim_u = 2 - rank_rows([[(0, a - xi_e * xi_e), (1, lam_e * xi_e)], [(1, a)]])
     dim_w = (n - 4) * (2 - rank_rows([[(0, a), (1, xi_e)]]))
@@ -84,8 +85,8 @@ def _stabilizer_system(lam: int, xi, n: int) -> list[dict]:
     g is the shear of (lam, xi), and g^-1 is its closed form, the shear by (-xi, -lam)
     (:func:`shear_conjugator`).
     """
-    key = canonical_key(lam, xi)
-    conjugate = shear_conjugator(int(lam), xi_exact(key), n)
+    key, lam = canonical_key(lam, xi), _whole(lam)
+    conjugate = shear_conjugator(lam, xi_exact(key), n)
     positions, coeff = _stabilizer_layout(n)
     system = []
     for i, j in positions:
@@ -122,7 +123,7 @@ def _stabilizer_dim_cached(lam: int, key: str, n: int) -> int:
 def stabilizer_dim(lam: int, xi, n: int) -> int:
     """Stabilizer dimension, closed form cross-checked by the rank oracle."""
     require_dim(n)
-    return _stabilizer_dim_cached(int(lam), canonical_key(lam, xi), n)
+    return _stabilizer_dim_cached(_whole(lam), canonical_key(lam, xi), n)
 
 
 def moduli_dim(n: int) -> int:
@@ -345,9 +346,9 @@ def degeneration_graph(n: int) -> DegenerationGraph:
 
 def is_closed(lam: int, xi, n: int = 4) -> bool:
     """True when the orbit has no outgoing degeneration; cross-checked as flat."""
-    key = canonical_key(lam, xi)
-    closed = not degeneration_graph(n).outgoing((int(lam), key))
-    flat = is_flat(closed_form_riemann(QSqrt3(int(lam)), xi_exact(key), n))
+    key, lam = canonical_key(lam, xi), _whole(lam)
+    closed = not degeneration_graph(n).outgoing((lam, key))
+    flat = is_flat(closed_form_riemann(QSqrt3(lam), xi_exact(key), n))
     if closed != flat:
         raise EvidenceFailure(
             f"closed-orbit and flatness disagree at ({lam}, {key}): {closed} vs {flat}"
@@ -386,13 +387,13 @@ class OrbitReport:
 
 
 def orbit_report(lam: int, xi, n: int) -> OrbitReport:
-    key = canonical_key(lam, xi)
+    key, lam = canonical_key(lam, xi), _whole(lam)
     dim_u, dim_w = dims_UW(lam, key, n)
     stab = stabilizer_dim(lam, key, n)
     codim = codimension(lam, key, n)
-    sig_center, sig_derived = (SignatureTriple(*s) for s in signature_table(n)[(int(lam), key)])
+    sig_center, sig_derived = (SignatureTriple(*s) for s in signature_table(n)[(lam, key)])
     return OrbitReport(
-        lam=int(lam),
+        lam=lam,
         xi_key=key,
         n=n,
         dim_u=dim_u,

@@ -793,40 +793,44 @@ def verify_witness(subject: Metric | np.ndarray, witness: Witness) -> Verificati
     Every size test is relative and reads `not x <= bound`, so that a NaN fails it;
     singularity is judged by conditioning, so a witness of c * M checks as one of M does.
     """
+    if isinstance(subject, Metric) and witness.m_factor is None:
+        return VerificationResult(False, math.inf, "witness has no m-factor")
     n = witness.n
     problems = []
     ipq = shared_minkowski_gram(n)
+    chain = witness.product() - witness.target
+    # one pass reads each start test's miss and size, and the chain's miss
     if isinstance(subject, Metric):
-        if witness.m_factor is None:
-            return VerificationResult(False, math.inf, "witness has no m-factor")
         minv = inv(witness.m_factor)
         gram = to_float(subject.gram)
-        gram_res = max_abs(minv.T @ ipq @ minv - gram)
-        if not gram_res <= WITNESS_TOL * max_abs(gram):
+        reads = [minv.T @ ipq @ minv - gram, minv.T - witness.start, gram, witness.start, chain]
+        gram_res, start_res, *sizes, residual = np.abs(reads).max(axis=(1, 2)).tolist()
+        if not gram_res <= WITNESS_TOL * sizes[0]:
             problems.append(f"m-factor does not reproduce the metric ({gram_res:.2e})")
-        start_res = max_abs(minv.T - witness.start)
-        if not start_res <= WITNESS_TOL * max_abs(witness.start):
+        if not start_res <= WITNESS_TOL * sizes[1]:
             problems.append("start matrix is not the transpose-inverse of m")
     else:
         g = to_float(np.asarray(subject))
         same = g.shape == witness.start.shape
-        if not (same and max_abs(g - witness.start) <= WITNESS_TOL * max_abs(g)):
+        reads = [g - witness.start, g, chain] if same else [chain]
+        *start, residual = np.abs(reads).max(axis=(1, 2)).tolist()
+        if not (same and start[0] <= WITNESS_TOL * start[1]):
             problems.append("start matrix differs from the supplied element")
-    left = np.array(witness.left, dtype=float).reshape(-1, n, n)
-    outside = np.abs(left[:, hprime_pattern(n).outside]).max(axis=1)
-    singular = is_singular(left)
+    # every factor in one stack, the left ones first
+    factors = np.array([*witness.left, *witness.right], dtype=float).reshape(-1, n, n)
+    mags, cut = np.abs(factors), len(witness.left)
+    outside = mags[:cut, hprime_pattern(n).outside].max(axis=1)
+    singular = is_singular(factors[:cut])
     for idx, (out, sing) in enumerate(zip(outside.tolist(), singular.tolist())):
         if not out <= WITNESS_TOL:
             problems.append(f"left factor {idx} violates the pattern ({out:.2e})")
         if sing:
             problems.append(f"left factor {idx} is singular")
-    right = np.array(witness.right, dtype=float).reshape(-1, n, n)
+    right = factors[cut:]
     devs = np.abs(right.transpose(0, 2, 1) @ ipq @ right - ipq).max(axis=(1, 2))
-    sizes = np.abs(right).max(axis=(1, 2))
-    for idx, (dev, size) in enumerate(zip(devs.tolist(), sizes.tolist())):
+    for idx, (dev, size) in enumerate(zip(devs.tolist(), mags[cut:].max(axis=(1, 2)).tolist())):
         if not dev <= WITNESS_TOL * size**2:
             problems.append(f"right factor {idx} is not pseudo-orthogonal ({dev:.2e})")
-    residual = max_abs(witness.product() - witness.target)
     if not residual <= WITNESS_TOL:
         problems.append(f"chain product misses the target by {residual:.2e}")
     return VerificationResult(not problems, residual, "; ".join(problems))

@@ -4,15 +4,28 @@ The package passes sparse rows to `_linalg.rref_rows` and `nullspace_rows`; the
 dense adapters here read and write object arrays of QSqrt3, the shape the tests'
 references use.  Der(g) as dense matrices, the metric JSON writer and the
 degeneration-curve sampler build the inputs and references of the tests.
+`verify_witness_by_side` is the reference the one-pass `verify_witness` must match.
 """
+
+import math
 
 import numpy as np
 
 from heislor import orbits
-from heislor._linalg import exact_dense, nullspace_rows, rref_rows
-from heislor.liealg import _derivation_vectors, require_dim
+from heislor._linalg import (
+    exact_dense,
+    inv,
+    is_singular,
+    max_abs,
+    nullspace_rows,
+    rref_rows,
+    shared_minkowski_gram,
+    to_float,
+)
+from heislor.liealg import _derivation_vectors, hprime_pattern, require_dim
 from heislor.metrics import APPROX, EXACT, Metric, canonical_gram
 from heislor.numerics import QSqrt3
+from heislor.reduction import WITNESS_TOL, VerificationResult, Witness
 
 
 def exact_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -52,3 +65,47 @@ def curve_sample(family: str, t: float, n: int) -> Metric:
     orbits._require_contains(fam, t)
     lam, xi = fam.params(t)
     return Metric(gram=canonical_gram(lam, xi, n, exact=False), backend=APPROX)
+
+
+def verify_witness_by_side(subject: Metric | np.ndarray, witness: Witness) -> VerificationResult:
+    """verify_witness with each test read on its own: every miss and size is its own
+    reduction, the left and right factors are two stacks, and the chain is re-multiplied
+    last.  The same tests, tolerances and problems in the same order, so the package's
+    one-pass read must give the same ok, the same residual bits and the same detail."""
+    n = witness.n
+    problems = []
+    ipq = shared_minkowski_gram(n)
+    if isinstance(subject, Metric):
+        if witness.m_factor is None:
+            return VerificationResult(False, math.inf, "witness has no m-factor")
+        minv = inv(witness.m_factor)
+        gram = to_float(subject.gram)
+        gram_res = max_abs(minv.T @ ipq @ minv - gram)
+        if not gram_res <= WITNESS_TOL * max_abs(gram):
+            problems.append(f"m-factor does not reproduce the metric ({gram_res:.2e})")
+        start_res = max_abs(minv.T - witness.start)
+        if not start_res <= WITNESS_TOL * max_abs(witness.start):
+            problems.append("start matrix is not the transpose-inverse of m")
+    else:
+        g = to_float(np.asarray(subject))
+        same = g.shape == witness.start.shape
+        if not (same and max_abs(g - witness.start) <= WITNESS_TOL * max_abs(g)):
+            problems.append("start matrix differs from the supplied element")
+    left = np.array(witness.left, dtype=float).reshape(-1, n, n)
+    outside = np.abs(left[:, hprime_pattern(n).outside]).max(axis=1)
+    singular = is_singular(left)
+    for idx, (out, sing) in enumerate(zip(outside.tolist(), singular.tolist())):
+        if not out <= WITNESS_TOL:
+            problems.append(f"left factor {idx} violates the pattern ({out:.2e})")
+        if sing:
+            problems.append(f"left factor {idx} is singular")
+    right = np.array(witness.right, dtype=float).reshape(-1, n, n)
+    devs = np.abs(right.transpose(0, 2, 1) @ ipq @ right - ipq).max(axis=(1, 2))
+    sizes = np.abs(right).max(axis=(1, 2))
+    for idx, (dev, size) in enumerate(zip(devs.tolist(), sizes.tolist())):
+        if not dev <= WITNESS_TOL * size**2:
+            problems.append(f"right factor {idx} is not pseudo-orthogonal ({dev:.2e})")
+    residual = max_abs(witness.product() - witness.target)
+    if not residual <= WITNESS_TOL:
+        problems.append(f"chain product misses the target by {residual:.2e}")
+    return VerificationResult(not problems, residual, "; ".join(problems))

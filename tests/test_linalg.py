@@ -1,9 +1,21 @@
 """The float LAPACK kernels of _linalg against the public numpy.linalg functions."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from heislor._linalg import det, eigh, eigvalsh, inv, qr_q, right_triangularize, slogdet
+from heislor._linalg import (
+    det,
+    eigh,
+    eigvalsh,
+    inv,
+    is_singular,
+    qr_q,
+    right_triangularize,
+    slogdet,
+)
 from heislor.reduction import NumericalBreakdown, _Builder
 
 
@@ -74,3 +86,47 @@ def test_singular_inverse_raises_linalgerror_and_breaks_the_solve():
         np.linalg.inv(singular)
     with pytest.raises(NumericalBreakdown, match="the working matrix is singular"):
         _Builder(singular).solve_onto(np.eye(4))
+
+
+@pytest.mark.parametrize("caller", [{}, {"divide": "raise"}, {"all": "ignore", "invalid": "raise"}])
+def test_kernels_leave_the_callers_error_state(caller):
+    """Each kernel's error state holds for its call alone: whether it returns or raises,
+    the caller's state is back after it, a non-default one included."""
+    singular, nan = np.ones((4, 4)), np.full((4, 4), np.nan)
+    with np.errstate(**caller):
+        before = np.geterr()
+        raised = set()
+        for kernel in (inv, eigh, eigvalsh, qr_q, is_singular):
+            for a in (np.eye(4), singular, nan):
+                outcome = _outcome(kernel, a)
+                if outcome[0] is np.linalg.LinAlgError:
+                    raised.add(outcome)
+                assert np.geterr() == before
+        if before["divide"] == "raise":
+            with pytest.raises(FloatingPointError):
+                np.ones(1) / 0.0
+    assert raised == {
+        (np.linalg.LinAlgError, "Singular matrix"),
+        (np.linalg.LinAlgError, "Eigenvalues did not converge"),
+    }
+
+
+def test_singular_inverse_raises_from_two_threads_at_once():
+    """The error state lives in a per-thread contextvar, so two threads that enter the
+    kernel together each get numpy.linalg's LinAlgError, and each keeps its own state."""
+    singular = np.ones((5, 5))
+
+    def attempt(i):
+        with np.errstate(divide="raise" if i % 2 else "ignore"):
+            outcomes = [_outcome(inv, singular), _outcome(inv, np.eye(5))[0][1]]
+            return outcomes, np.geterr()["divide"]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            results = list(pool.map(attempt, range(48), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    failure = (np.linalg.LinAlgError, "Singular matrix")
+    assert results == [([failure, (5, 5)], "raise" if i % 2 else "ignore") for i in range(48)]

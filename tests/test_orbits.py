@@ -7,6 +7,7 @@ import pytest
 
 from heislor import _linalg, metrics, orbits, reduction
 from heislor._linalg import exact_inv, shear_conjugator
+from heislor.curvature import curvature_report
 from heislor.liealg import DimensionTooSmall, aut_pattern, derivation_space_dim
 from heislor.metrics import (
     APPROX,
@@ -258,6 +259,25 @@ def test_orbit_report_contents():
 def test_orbit_report_rejects_non_representative():
     with pytest.raises(NotARepresentative):
         orbit_report(0, "2", 4)
+
+
+def test_exact_lambda_reads_as_its_whole_rational_in_the_orbit_and_curvature_tables():
+    # a QSqrt3 lam that is a whole rational gives what its int gives; any other is refused
+    tables = (
+        dims_UW,
+        orbits._stabilizer_system,
+        stabilizer_dim,
+        codimension,
+        is_closed,
+        orbit_report,
+        lambda lam, xi, n: curvature_report(lam, xi, n).to_json(),
+    )
+    for (lam, key), n in ((pair, n) for pair in CANONICAL_PAIRS for n in (4, 5)):
+        for table in tables:
+            assert table(QSqrt3(lam), key, n) == table(lam, key, n)
+    for table in tables:
+        with pytest.raises(NotARepresentative):
+            table(QSqrt3(1, 1), "0", 5)
 
 
 def test_graph_dot_output():

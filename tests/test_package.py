@@ -154,35 +154,47 @@ def test_public_functions_and_classes_are_read_outside_the_tests():
 LAPACK_WRAPPERS = {"inv", "eigh", "eigvalsh", "qr", "slogdet", "det"}
 
 
+def _private_numpy(name: str) -> bool:
+    """Whether a dotted name reads numpy's private _umath_linalg or numpy._core."""
+    parts = name.split(".")
+    return "_umath_linalg" in parts or parts[:2] in (["numpy", "_core"], ["np", "_core"])
+
+
 def _lapack_uses(tree: ast.Module) -> list[str]:
-    """numpy.linalg LAPACK wrappers and _umath_linalg as a module reads or imports them."""
+    """numpy.linalg LAPACK wrappers, _umath_linalg and numpy._core as a module reads or
+    imports them."""
     uses = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             chain = _attribute_chain(node) or []
             wrapper = chain[-2:-1] == ["linalg"] and chain[-1] in LAPACK_WRAPPERS
-            if wrapper or "_umath_linalg" in chain:
+            if wrapper or _private_numpy(".".join(chain)):
                 uses.append(".".join(chain))
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             uses += [
                 f"{module}.{alias.name}"
                 for alias in node.names
-                if "_umath_linalg" in f"{module}.{alias.name}"
+                if _private_numpy(f"{module}.{alias.name}")
                 or module.startswith("numpy.linalg") and alias.name in LAPACK_WRAPPERS
             ]
         elif isinstance(node, ast.Import):
-            uses += [alias.name for alias in node.names if "_umath_linalg" in alias.name]
+            uses += [alias.name for alias in node.names if _private_numpy(alias.name)]
     return uses
 
 
 def test_lapack_calls_go_through_the_linalg_kernels():
-    """Only _linalg reads numpy's private _umath_linalg, and no other module calls a
-    numpy.linalg LAPACK wrapper: every float LAPACK call is one of its kernels."""
+    """Only _linalg reads numpy's private _umath_linalg and numpy._core, and no other
+    module calls a numpy.linalg LAPACK wrapper: every float LAPACK call is one of its
+    kernels, each under an error state _linalg builds."""
     package = Path(heislor.__file__).resolve().parent
     uses = {
         path.name: _lapack_uses(ast.parse(path.read_text(encoding="utf-8")))
         for path in sorted(package.glob("*.py"))
     }
-    assert "numpy.linalg._umath_linalg" in uses.pop("_linalg.py")
+    assert {
+        "numpy.linalg._umath_linalg",
+        "numpy._core._multiarray_umath._make_extobj",
+        "numpy._core._ufunc_config._extobj_contextvar",
+    } <= set(uses.pop("_linalg.py"))
     assert not {name: found for name, found in uses.items() if found}

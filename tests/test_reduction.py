@@ -66,6 +66,9 @@ from heislor.reduction import (
     signature_table,
     verify_witness,
 )
+from heislor.verification import random_orbit_metric
+
+from references import verify_witness_by_side
 
 SQRT3 = math.sqrt(3.0)
 
@@ -1297,6 +1300,65 @@ def test_verify_witness_stacks_match_reference_on_element_subjects():
         assert (got.ok, got.residual, got.detail) == (ref.ok, ref.residual, ref.detail)
     assert verify_witness(empty.start, empty).ok
     assert "start matrix differs" in verify_witness(g + 1e-3, chain).detail
+
+
+def _with_nan(i, j):
+    """A corruption that writes a NaN at (i, j) of a factor."""
+
+    def write(factor):
+        factor[i, j] = math.nan
+        return factor
+
+    return write
+
+
+def _bits(result):
+    """A verification result as data that tells every residual bit apart, a NaN included."""
+    return result.ok, type(result.residual), np.float64(result.residual).tobytes(), result.detail
+
+
+_ONE_PASS_CORRUPTIONS = {
+    **_CORRUPTIONS,
+    "m": (
+        lambda w: setattr(w, "m_factor", w.m_factor + 1e-3) or w,
+        "m-factor does not reproduce the metric",
+    ),
+    # (n, 1) lies outside the transposed pattern, so this left factor fails both its tests
+    "nan-left": (
+        lambda w: _corrupt(w, "left", 0, _with_nan(-1, 0)),
+        "left factor 0 violates the pattern (nan); left factor 0 is singular; ",
+    ),
+    "nan-right": (
+        lambda w: _corrupt(w, "right", 0, _with_nan(0, 0)),
+        "right factor 0 is not pseudo-orthogonal (nan); chain product misses the target by nan",
+    ),
+    "nan-both": (
+        lambda w: _corrupt(_corrupt(w, "left", 1, _with_nan(0, 0)), "right", 1, _with_nan(0, 0)),
+        "left factor 1 is singular; right factor 1 is not pseudo-orthogonal (nan); chain",
+    ),
+    "no-factors": (
+        lambda w: setattr(w, "left", []) or setattr(w, "right", []) or w,
+        "chain product misses the target",
+    ),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_ONE_PASS_CORRUPTIONS))
+def test_verify_witness_matches_the_by_side_reference(corruption):
+    """The one-pass verify_witness gives the by-side reference's ok, residual bits and
+    detail, on orbit samples of the six classes at n = 4..8, with the metric, the start
+    and an element of the wrong shape as subject."""
+    corrupt, expected = _ONE_PASS_CORRUPTIONS[corruption]
+    rng = np.random.default_rng(2400)
+    for pair in CANONICAL_PAIRS:
+        for n in range(4, 9):
+            metric = random_orbit_metric(pair, n, rng)
+            witness = corrupt(classify(metric)[2])
+            for subject in (metric, witness.start, np.eye(n + 1)):
+                got = verify_witness(subject, witness)
+                assert _bits(got) == _bits(verify_witness_by_side(subject, witness))
+            assert expected in verify_witness(metric, witness).detail
+            assert "start matrix differs" in verify_witness(np.eye(n + 1), witness).detail
 
 
 def _reference_read(gram, tol=1e-9, margin=100.0):
