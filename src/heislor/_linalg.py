@@ -10,7 +10,10 @@ system conjugates by the frame shear, whose inverse is its closed form
 (shear_conjugator), so it needs no inverse.
 Float routines wrap numpy.  At the n <= 8 of a reduction a numpy call's fixed cost
 outweighs its arithmetic, so they make as few calls and copies as they can, and
-every float LAPACK call of the package is one of the kernels below.
+every float LAPACK call of the package is one of the kernels below.  The float
+reduction's 2-D products and householder's u.dot(u) are BLAS through ndarray.dot, with
+np.matmul's bits and floating-point checks but no ufunc dispatch (6x6: 0.45-0.62 us, not
+1.3-1.8); np.maximum.reduce is ndarray.max without its Python wrapper.
 Everything is sized for n <= 24.
 """
 
@@ -276,10 +279,14 @@ _nan_slogdet = _with_errstate(invalid="ignore", over="warn", divide="warn", unde
 # LAPACK reports only an illegal argument from the QR routines, which no float64 matrix
 # reaches, so no test can trigger this state; it is numpy.linalg.qr's all the same
 @_errstate("Incorrect argument found while performing QR factorization")
+def _qr_q_in_place(a: np.ndarray) -> np.ndarray:
+    """qr_q of a float64 array that the Householder factorization may overwrite."""
+    return _qr_reduced(a, _qr_r_raw(a))
+
+
 def qr_q(a: np.ndarray) -> np.ndarray:
     """The Q of numpy.linalg.qr(a), with no R formed."""
-    a = np.array(a, dtype=float)  # a copy: the Householder factorization overwrites it
-    return _qr_reduced(a, _qr_r_raw(a))
+    return _qr_q_in_place(np.array(a, dtype=float))  # a copy, which the factorization overwrites
 
 
 # -- float helpers -----------------------------------------------------------
@@ -289,12 +296,12 @@ def householder(v: np.ndarray, k: int) -> np.ndarray:
     """Symmetric orthogonal H with H @ v = ||v|| e_k (so also v @ H = ||v|| e_k)."""
     u = np.array(v, dtype=float)  # a copy, since u[k] is overwritten
     n = u.shape[0]
-    norm = math.sqrt(u @ u)
+    norm = math.sqrt(u.dot(u))
     if norm == 0.0:
         return shared_eye(n).copy()
     vk = float(u[k])
     u[k] = 0.0
-    rest = float(u @ u)
+    rest = float(u.dot(u))
     # v[k] - ||v|| cancels when v is close to ||v|| e_k: use its equal
     # -rest / (v[k] + ||v||) there (Golub & Van Loan, Algorithm 5.1.1)
     uk = vk - norm if vk <= 0.0 else -rest / (vk + norm)
@@ -308,15 +315,19 @@ def householder(v: np.ndarray, k: int) -> np.ndarray:
 def is_singular(a: np.ndarray):
     """Whether a float matrix, or each of a stack, is numerically singular (a NaN makes it so), at
     any scale: |det|^(1/n) against the largest entry (Golub & Van Loan, section 2.6)."""
+    return is_singular_sized(a, np.maximum.reduce(np.abs(a), axis=(-2, -1)))
+
+
+def is_singular_sized(a: np.ndarray, size):
+    """is_singular(a), given the largest entry magnitude of a, or of each of the stack."""
     sign, logdet = _nan_slogdet(a)
-    size = np.abs(a).max(axis=(-2, -1))
     return (sign == 0) | ~(np.exp(logdet / a.shape[-1]) >= SINGULAR_RATIO * size)
 
 
 def right_triangularize(b: np.ndarray) -> np.ndarray:
     """Orthogonal Q with b @ Q upper triangular (RQ-style rotation)."""
     # b^T with rows and columns reversed; + 0.0 turns -0.0 into 0.0, so Q has no signed zero
-    q_flipped = qr_q(np.asarray(b, dtype=float).T[::-1, ::-1] + 0.0)
+    q_flipped = _qr_q_in_place(np.asarray(b, dtype=float).T[::-1, ::-1] + 0.0)
     return q_flipped[::-1, ::-1] + 0.0
 
 
@@ -340,4 +351,4 @@ def _flat_block_index(n: int, coords: tuple[int, ...]) -> np.ndarray:
 def max_abs(a: np.ndarray) -> float:
     """Largest entry magnitude, 0.0 for an empty array."""
     a = to_float(a)
-    return float(np.abs(a).max()) if a.size else 0.0
+    return float(np.maximum.reduce(np.abs(a), axis=None)) if a.size else 0.0

@@ -27,6 +27,7 @@ from ._linalg import (
     householder,
     inv,
     is_singular,
+    is_singular_sized,
     max_abs,
     qr_q,
     right_triangularize,
@@ -182,12 +183,12 @@ class Witness:
         return self.start.shape[0]
 
     def product(self) -> np.ndarray:
-        out = self.start.copy()
+        out = self.start
         for factor in reversed(self.left):
-            out = factor @ out
+            out = factor.dot(out)
         for factor in self.right:
-            out = out @ factor
-        return out
+            out = out.dot(factor)
+        return self.start.copy() if out is self.start else out
 
 
 @dataclass(frozen=True)
@@ -223,18 +224,18 @@ class _Builder:
 
     def apply_left(self, h: np.ndarray, fold: float = 1.0) -> None:
         """Apply h to the working matrix; the chain records fold * h."""
-        self.current = h @ self.current
+        self.current = h.dot(self.current)
         if fold != 1.0:
             h = fold * h
         self.left_app.append(h)
 
     def apply_right(self, k: np.ndarray) -> None:
         self.right_app.append(k)
-        self.current = self.current @ k
+        self.current = self.current.dot(k)
 
     def snap(self, ideal: np.ndarray) -> None:
         """Replace the working matrix by its known exact shape."""
-        dev = np.abs(self.current - ideal).max()
+        dev = np.maximum.reduce(np.abs(self.current - ideal), axis=None)
         # the scale is at least 1, so it only matters once dev exceeds SNAP_TOL; each
         # test reads `not dev <= bound`, which a NaN deviation fails
         scale = 1.0 if dev <= SNAP_TOL else max(1.0, max_abs(ideal), max_abs(self.current))
@@ -246,7 +247,7 @@ class _Builder:
         """Apply the left factor target @ current^-1, projected on the pattern;
         the snap checks that what the projection dropped was rounding residue."""
         try:
-            h = target @ inv(self.current)
+            h = target.dot(inv(self.current))
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown("the working matrix is singular") from exc
         h[hprime_pattern(self.n).outside] = 0.0
@@ -301,7 +302,7 @@ def o11_normalize(x: float, y: float) -> tuple[float, int, np.ndarray]:
     c = 0.5 * (e_theta + 1.0 / e_theta)
     s = 0.5 * (e_theta - 1.0 / e_theta)
     g = np.array([[s1 * c, s1 * s + 0.0], [s2 * s + 0.0, s2 * c]])
-    a = float((np.array([x, y]) @ g)[1])
+    a = float(np.matmul(np.array([x, y]), g)[1])
     return a, 1, g
 
 
@@ -428,9 +429,11 @@ def _boost_t(builder: _Builder, t: float) -> float:
     hs = np.tile(shared_eye(n), (len(ts) - 1, 1, 1))
     hs[:, 0, 0], hs[:, 0, n - 1], hs[:, n - 1, n - 1] = 1.0 / e, -s, e
     hs[:, n - 2, n - 1] = -np.array(ts[:-1]) * s * e
-    reached = hs @ (forms[:-1] @ boost)
-    dev = np.abs(reached - forms[1:]).max(axis=(1, 2))
-    size = np.maximum(np.abs(forms[1:]), np.abs(reached)).max(axis=(1, 2), initial=1.0)
+    reached = np.matmul(hs, np.matmul(forms[:-1], boost))
+    dev = np.maximum.reduce(np.abs(reached - forms[1:]), axis=(1, 2))
+    size = np.maximum.reduce(
+        np.maximum(np.abs(forms[1:]), np.abs(reached)), axis=(1, 2), initial=1.0
+    )
     bad = ~(dev <= SNAP_TOL * size)  # a NaN deviation is bad too
     if bad.any():
         raise NumericalBreakdown(f"snap deviation {dev[bad.argmax()]:.3e} exceeds tolerance")
@@ -697,7 +700,7 @@ def _retry_factor(n: int, attempt: int) -> np.ndarray:
     rot = embed(q, n, tuple(range(n - 1)))
     theta = 0.35 + 0.17 * attempt
     c, s = math.cosh(theta), math.sinh(theta)
-    out = rot @ embed(np.array([[c, s], [s, c]]), n, (0, n - 1))
+    out = rot.dot(embed(np.array([[c, s], [s, c]]), n, (0, n - 1)))
     out.flags.writeable = False
     return out
 
@@ -718,7 +721,7 @@ def _pipeline_scale(builder: _Builder, lam: int, xi_key: str) -> float:
         # the orbit of these classes absorbs rescaling; normalize
         return 1.0
     # the left product, formed only where it is read
-    lp = reduce(lambda product, h: h @ product, builder.left_app, shared_eye(builder.n))
+    lp = reduce(lambda product, h: h.dot(product), builder.left_app, shared_eye(builder.n))
     c = (lp[0, 0] * lp[1, 1] - lp[1, 0] * lp[0, 1]) / lp[-1, -1]
     return float(c * c)
 
@@ -744,7 +747,7 @@ def classify(metric: Metric) -> tuple[CanonicalForm, float, Witness]:
     for attempt in range(MAX_RETRIES + 1):
         m, start = base_m, base_start
         if attempt:
-            m, start = m @ _retry_factor(n, attempt), start @ _retry_start(n, attempt)
+            m, start = m.dot(_retry_factor(n, attempt)), start.dot(_retry_start(n, attempt))
         builder = _Builder(start, prescale)
         try:
             lam = _reduce_last_row(builder)
@@ -785,6 +788,32 @@ def classify(metric: Metric) -> tuple[CanonicalForm, float, Witness]:
 # -- witness verification ------------------------------------------------------
 
 
+def _size_problems(subject: Metric | np.ndarray, witness: Witness, factors) -> list[str]:
+    """Each matrix of the witness, and a subject metric, that is not n x n for the start's
+    n rows, named with both sizes; a chain of such matrices cannot be multiplied out.
+    `factors` is np.array of the left and right factors, None if their shapes differ."""
+    n = witness.n
+    named = [("start", witness.start), ("target", witness.target)]
+    if isinstance(subject, Metric):
+        named += [("m-factor", witness.m_factor), ("metric", subject.gram)]
+    if factors is None or (factors.size and factors.shape[1:] != (n, n)):
+        for side in ("left", "right"):
+            named += [(f"{side} factor {i}", h) for i, h in enumerate(getattr(witness, side))]
+    return [
+        f"{name} is {'x'.join(map(str, a.shape))}, the witness {n}x{n}"
+        for name, a in named
+        if a.shape != (n, n)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _outside_index(n: int) -> np.ndarray:
+    """Flat positions of hprime_pattern(n).outside, read-only: a take costs half a mask read."""
+    index = np.flatnonzero(hprime_pattern(n).outside)
+    index.flags.writeable = False
+    return index
+
+
 def verify_witness(subject: Metric | np.ndarray, witness: Witness) -> VerificationResult:
     """Re-multiply a witness chain and check every membership claim at WITNESS_TOL.
 
@@ -792,9 +821,17 @@ def verify_witness(subject: Metric | np.ndarray, witness: Witness) -> Verificati
     (in which case the recorded m-factor is checked against its Gram matrix).
     Every size test is relative and reads `not x <= bound`, so that a NaN fails it;
     singularity is judged by conditioning, so a witness of c * M checks as one of M does.
+    A matrix of the wrong size fails the check before anything is multiplied.
     """
     if isinstance(subject, Metric) and witness.m_factor is None:
         return VerificationResult(False, math.inf, "witness has no m-factor")
+    try:
+        factors = np.array([*witness.left, *witness.right], dtype=float)
+    except ValueError:  # factors of different shapes
+        factors = None
+    sizes_wrong = _size_problems(subject, witness, factors)
+    if sizes_wrong:
+        return VerificationResult(False, math.inf, "; ".join(sizes_wrong))
     n = witness.n
     problems = []
     ipq = shared_minkowski_gram(n)
@@ -803,8 +840,9 @@ def verify_witness(subject: Metric | np.ndarray, witness: Witness) -> Verificati
     if isinstance(subject, Metric):
         minv = inv(witness.m_factor)
         gram = to_float(subject.gram)
-        reads = [minv.T @ ipq @ minv - gram, minv.T - witness.start, gram, witness.start, chain]
-        gram_res, start_res, *sizes, residual = np.abs(reads).max(axis=(1, 2)).tolist()
+        gram_miss = minv.T.dot(ipq).dot(minv) - gram
+        reads = np.abs([gram_miss, minv.T - witness.start, gram, witness.start, chain])
+        gram_res, start_res, *sizes, residual = np.maximum.reduce(reads, axis=(1, 2)).tolist()
         if not gram_res <= WITNESS_TOL * sizes[0]:
             problems.append(f"m-factor does not reproduce the metric ({gram_res:.2e})")
         if not start_res <= WITNESS_TOL * sizes[1]:
@@ -813,22 +851,24 @@ def verify_witness(subject: Metric | np.ndarray, witness: Witness) -> Verificati
         g = to_float(np.asarray(subject))
         same = g.shape == witness.start.shape
         reads = [g - witness.start, g, chain] if same else [chain]
-        *start, residual = np.abs(reads).max(axis=(1, 2)).tolist()
+        *start, residual = np.maximum.reduce(np.abs(reads), axis=(1, 2)).tolist()
         if not (same and start[0] <= WITNESS_TOL * start[1]):
             problems.append("start matrix differs from the supplied element")
-    # every factor in one stack, the left ones first
-    factors = np.array([*witness.left, *witness.right], dtype=float).reshape(-1, n, n)
-    mags, cut = np.abs(factors), len(witness.left)
-    outside = mags[:cut, hprime_pattern(n).outside].max(axis=1)
-    singular = is_singular(factors[:cut])
+    # every factor in one stack, the left ones first, and one magnitude pass over it
+    factors = factors.reshape(-1, n, n)
+    mags, cut = np.abs(factors).reshape(-1, n * n), len(witness.left)
+    factor_sizes = np.maximum.reduce(mags, axis=1)
+    outside = np.maximum.reduce(mags[:cut].take(_outside_index(n), axis=1), axis=1)
+    singular = is_singular_sized(factors[:cut], factor_sizes[:cut])
     for idx, (out, sing) in enumerate(zip(outside.tolist(), singular.tolist())):
         if not out <= WITNESS_TOL:
             problems.append(f"left factor {idx} violates the pattern ({out:.2e})")
         if sing:
             problems.append(f"left factor {idx} is singular")
     right = factors[cut:]
-    devs = np.abs(right.transpose(0, 2, 1) @ ipq @ right - ipq).max(axis=(1, 2))
-    for idx, (dev, size) in enumerate(zip(devs.tolist(), mags[cut:].max(axis=(1, 2)).tolist())):
+    devs = np.abs(np.matmul(np.matmul(right.transpose(0, 2, 1), ipq), right) - ipq)
+    devs = np.maximum.reduce(devs, axis=(1, 2))
+    for idx, (dev, size) in enumerate(zip(devs.tolist(), factor_sizes[cut:].tolist())):
         if not dev <= WITNESS_TOL * size**2:
             problems.append(f"right factor {idx} is not pseudo-orthogonal ({dev:.2e})")
     if not residual <= WITNESS_TOL:

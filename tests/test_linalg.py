@@ -14,6 +14,7 @@ from heislor._linalg import (
     is_singular,
     qr_q,
     right_triangularize,
+    shared_eye,
     slogdet,
 )
 from heislor.reduction import NumericalBreakdown, _Builder
@@ -130,3 +131,39 @@ def test_singular_inverse_raises_from_two_threads_at_once():
         sys.setswitchinterval(interval)
     failure = (np.linalg.LinAlgError, "Singular matrix")
     assert results == [([failure, (5, 5)], "raise" if i % 2 else "ignore") for i in range(48)]
+
+
+def _product_operands(n: int, rng: np.random.Generator) -> list:
+    """The 2-D operand layouts of the float op's products: C-order arrays, .T views, the
+    read-only shared_eye, views into a stacked array, and arrays with NaN and inf entries."""
+    a, b = rng.standard_normal((2, n, n))
+    stack = rng.standard_normal((3, n, n))
+    nan, inf = a.copy(), b.copy()
+    nan[0, n - 1], inf[n - 1, 0] = np.nan, np.inf
+    return [a, b, a.T, b.T, shared_eye(n), stack[1], stack[2].T, stack[0, ::-1], nan, inf.T]
+
+
+def _product(f, x, y):
+    """f(x, y) under an error state that raises, as (bytes of the result, or the type and
+    message of what was raised with the routine's name taken out)."""
+    with np.errstate(all="raise"):
+        try:
+            return np.asarray(f(x, y)).tobytes()
+        except FloatingPointError as exc:
+            return type(exc), str(exc).replace("matmul", "").replace("dot", "")
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_dot_and_matmul_give_the_same_bits(n):
+    """ndarray.dot and np.matmul are the same BLAS product on every 2-D operand layout the
+    op forms, and on the 1-D u.dot(u) of householder: the same bits, NaN and inf included,
+    and the same floating-point error where one is raised.  The reduction multiplies through
+    ndarray.dot; a numpy or BLAS that splits the two routes would move its witness bits."""
+    operands = _product_operands(n, np.random.default_rng(2500 + n))
+    for x in operands:
+        for y in operands:
+            assert _product(np.ndarray.dot, x, y) == _product(np.matmul, x, y)
+        y = operands[0].dot(x)  # a fresh product as operand
+        assert _product(np.ndarray.dot, y, x) == _product(np.matmul, y, x)
+    for u in (operands[0][0], operands[2][1], operands[8][0], operands[8][:, 0]):
+        assert _product(np.ndarray.dot, u, u) == _product(np.matmul, u, u)

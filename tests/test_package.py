@@ -198,3 +198,30 @@ def test_lapack_calls_go_through_the_linalg_kernels():
         "numpy._core._ufunc_config._extobj_contextvar",
     } <= set(uses.pop("_linalg.py"))
     assert not {name: found for name, found in uses.items() if found}
+
+
+#: the reduction's stacked and vector products, where ndarray.dot would contract other axes
+MATMUL_SITES = {"o11_normalize", "_boost_t", "verify_witness"}
+
+
+def test_reduction_multiplies_through_dot_and_matmul():
+    """reduction.py has no @ operator: its 2-D products call ndarray.dot, which skips the
+    matmul ufunc's dispatch for the same BLAS product (tests/test_linalg.py checks the
+    bits), and each of its stacked and vector products calls np.matmul by name."""
+    tree = ast.parse((Path(heislor.__file__).resolve().parent / "reduction.py").read_text())
+    operators = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    assert not operators
+    callers = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and _attribute_chain(node.func) == ["np", "matmul"]
+    }
+    assert callers == MATMUL_SITES

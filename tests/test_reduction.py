@@ -1361,6 +1361,42 @@ def test_verify_witness_matches_the_by_side_reference(corruption):
             assert "start matrix differs" in verify_witness(np.eye(n + 1), witness).detail
 
 
+
+def test_verify_witness_fails_a_size_mismatch_naming_both_sizes():
+    """A metric, factor, start, target or m-factor that is not n x n for the witness's n
+    fails the check with both sizes named, where numpy's broadcast ValueError escaped."""
+    rng = np.random.default_rng(2500)
+    metric4, metric5 = (random_orbit_metric((2, "0"), n, rng) for n in (4, 5))
+    witness = classify(metric5)[2]
+    assert verify_witness(metric5, witness).ok
+    got = verify_witness(metric4, witness)
+    assert (got.ok, got.residual) == (False, math.inf)
+    assert got.detail == "metric is 4x4, the witness 5x5"
+    # a 4x4 left factor in the 5x5 chain
+    short = classify(metric5)[2]
+    short.left[1] = np.eye(4)
+    for subject in (metric5, short.start):
+        got = verify_witness(subject, short)
+        assert (got.ok, got.residual) == (False, math.inf)
+        assert got.detail == "left factor 1 is 4x4, the witness 5x5"
+    # every factor 4x4, so they stack: the stack's shape tells them apart from the start
+    for side in ("left", "right"):
+        whole = classify(metric5)[2]
+        assert getattr(whole, side)
+        setattr(whole, side, [np.eye(4)] * len(getattr(whole, side)))
+        assert verify_witness(metric5, whole).detail == "; ".join(
+            f"{side} factor {i} is 4x4, the witness 5x5" for i in range(len(getattr(whole, side)))
+        )
+    for name in ("target", "m_factor"):
+        bad = classify(metric5)[2]
+        setattr(bad, name, np.eye(5)[:, :4])
+        label = name.replace("_", "-")
+        assert verify_witness(metric5, bad).detail == f"{label} is 5x4, the witness 5x5"
+    bad = classify(metric5)[2]
+    bad.start = bad.start[:, :4]
+    assert verify_witness(bad.start, bad).detail == "start is 5x4, the witness 5x5"
+
+
 def _reference_read(gram, tol=1e-9, margin=100.0):
     """Restricted signatures of a unit-scale float gram, and whether it is near-degenerate,
     read vectorized in numpy, independently of the package's float reader: one eigvalsh
