@@ -23,9 +23,7 @@ from .liealg import (
 )
 from .metrics import (
     CANONICAL_PAIRS,
-    Frame,
     Metric,
-    SignatureTriple,
     act,
     canonical_gram,
     canonical_metric,
@@ -48,7 +46,6 @@ from .reduction import (
     verify_witness,
 )
 from .curvature import (
-    BilinearTable,
     CurvatureReport,
     closed_form_ricci,
     closed_form_riemann,

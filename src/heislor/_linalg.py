@@ -60,10 +60,6 @@ def exact_eye(n: int) -> np.ndarray:
     return arr
 
 
-def is_exact(a: np.ndarray) -> bool:
-    return a.dtype == object
-
-
 def to_float(a: np.ndarray) -> np.ndarray:
     if a.dtype == object:
         return np.array([[float(x) for x in row] for row in a], dtype=float)
@@ -332,8 +328,8 @@ def right_triangularize(b: np.ndarray) -> np.ndarray:
 
 
 def embed(block: np.ndarray, n: int, coords: tuple[int, ...]) -> np.ndarray:
-    """Place a small block at the given coordinates of an n x n identity."""
-    out = exact_eye(n) if block.dtype == object else shared_eye(n).copy()
+    """Place a small float block at the given coordinates of an n x n identity."""
+    out = shared_eye(n).copy()
     out.reshape(-1)[_flat_block_index(n, tuple(coords))] = block.reshape(-1)
     return out
 

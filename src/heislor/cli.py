@@ -125,8 +125,8 @@ def cmd_curvature(args) -> int:
         )
     else:
         print(f"canonical class (lambda, xi) = ({report.lam}, {report.xi_key}), n = {args.n}")
-        print(f"  signature on center      : {orbit.sig_center.as_tuple()}")
-        print(f"  signature on derived     : {orbit.sig_derived.as_tuple()}")
+        print(f"  signature on center      : {orbit.sig_center}")
+        print(f"  signature on derived     : {orbit.sig_derived}")
         print(f"  flat                     : {report.flat}")
         print(f"  Einstein                 : {report.einstein}")
         if report.soliton:
@@ -159,7 +159,7 @@ def cmd_orbits(args) -> int:
             name = f"({r.lam},{r.xi_key})"
             print(
                 f"  {name:<12} {r.codim:<6} {r.stab_dim:<5} "
-                f"{str(r.sig_center.as_tuple()):<16} {str(r.sig_derived.as_tuple()):<13} {r.closed}"
+                f"{str(r.sig_center):<16} {str(r.sig_derived):<13} {r.closed}"
             )
         print("  degenerations:")
         for (src, dst), tag in sorted(graph.edges.items()):

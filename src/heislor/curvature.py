@@ -18,8 +18,10 @@ a generic route driven purely by structure constants (Koszul formula; Milnor,
 Adv. Math. 21, 1976).  The generic route loops over nonzero terms only: it
 keeps brackets, connection and curvature columns as sparse rows
 {(i, j): {k: QSqrt3}}, drops an entry that cancels, and builds dense tables
-once at the end.  The Ricci spectrum is read exactly off the characteristic
-polynomial of the corner block, split over Q(sqrt3) with no float eigenvalue.
+once at the end.  Every table is a plain object array; U and nabla are indexed
+[i, j, k], the x_k coordinate of U(x_i, x_j) and of nabla_(x_i) x_j.  The Ricci
+spectrum is read exactly off the characteristic polynomial of the corner block,
+split over Q(sqrt3) with no float eigenvalue.
 
 The middle frame directions x_3, ..., x_(n-2) are inert; every table is
 supported on the corner coordinates (1, 2, n-1, n).
@@ -28,7 +30,7 @@ supported on the corner coordinates (1, 2, n-1, n).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -59,13 +61,6 @@ def frame_signs(n: int) -> list[int]:
 def frame_brackets(lam, xi, n: int) -> np.ndarray:
     """Structure constants C[i, j] = coordinates of [x_i, x_j] in the frame."""
     return _dense(_bracket_terms(lam, xi, n), (n, n, n))
-
-
-@dataclass(frozen=True)
-class BilinearTable:
-    """Values of a bilinear map on frame pairs: values[i, j] is a vector."""
-
-    values: np.ndarray = field(repr=False)
 
 
 # -- the generic route on sparse rows --------------------------------------------
@@ -147,7 +142,8 @@ def _operators(ops: dict, n: int) -> dict[tuple[int, int], np.ndarray]:
 def generic_curvature(lam, xi, n: int, exact: bool = True):
     """Full pipeline from structure constants alone; the oracle code path.
 
-    Returns (brackets, U, nabla, {(i, j): R(x_i, x_j)}, Ric), each dense.
+    Returns (brackets, U, nabla, {(i, j): R(x_i, x_j)}, Ric), each dense; U[i, j] and
+    nabla[i, j] are the frame coordinates of U(x_i, x_j) and nabla_(x_i) x_j.
     """
     _exact_only(exact)
     br = _bracket_terms(lam, xi, n)
@@ -158,8 +154,8 @@ def generic_curvature(lam, xi, n: int, exact: bool = True):
     ops = _riemann_terms(nabla, br, n)
     return (
         brackets,
-        BilinearTable(values=_dense(u, brackets.shape)),
-        BilinearTable(values=_dense(nabla, brackets.shape)),
+        _dense(u, brackets.shape),
+        _dense(nabla, brackets.shape),
         _operators(ops, n),
         _dense(_ricci_terms(ops, eps), (n, n)).T,
     )
@@ -173,8 +169,8 @@ def _scalars(lam, xi) -> tuple[QSqrt3, QSqrt3, QSqrt3, QSqrt3]:
     return QSqrt3.coerce(lam), QSqrt3.coerce(xi), QSqrt3(1), HALF
 
 
-def closed_form_u(lam, xi, n: int) -> BilinearTable:
-    """Hard-coded symmetric U components on the corner coordinates."""
+def closed_form_u(lam, xi, n: int) -> np.ndarray:
+    """Hard-coded symmetric U components on the corner coordinates, as u[i, j, k]."""
     u = exact_zeros((n, n, n))
     lam, xi, one, half = _scalars(lam, xi)
     a, b, c, d = 0, 1, n - 2, n - 1
@@ -191,11 +187,11 @@ def closed_form_u(lam, xi, n: int) -> BilinearTable:
     put(b, d, [(a, -half), (c, -half * xi), (d, half * lam)])
     put(c, d, [(b, half * xi)])
     put(d, d, [(b, lam)])
-    return BilinearTable(values=u)
+    return u
 
 
-def closed_form_nabla(lam, xi, n: int) -> BilinearTable:
-    """Hard-coded connection components on the corner coordinates."""
+def closed_form_nabla(lam, xi, n: int) -> np.ndarray:
+    """Hard-coded connection components on the corner coordinates, as nabla[i, j, k]."""
     nb = exact_zeros((n, n, n))
     lam, xi, one, half = _scalars(lam, xi)
     a, b, c, d = 0, 1, n - 2, n - 1
@@ -219,7 +215,7 @@ def closed_form_nabla(lam, xi, n: int) -> BilinearTable:
     put(d, b, [(a, -half * (lam2 + one)), (c, -half * xi), (d, lam)])
     put(d, c, [(b, half * xi)])
     put(d, d, [(b, lam)])
-    return BilinearTable(values=nb)
+    return nb
 
 
 def closed_form_riemann(lam, xi, n: int) -> dict[tuple[int, int], np.ndarray]:
@@ -509,8 +505,8 @@ class CurvatureReport:
     xi_key: str
     n: int
     backend: str
-    u: BilinearTable
-    nabla: BilinearTable
+    u: np.ndarray
+    nabla: np.ndarray
     riemann_ops: dict
     ric: np.ndarray
     flat: bool
@@ -545,8 +541,8 @@ class CurvatureReport:
             "xi": self.xi_key if self.xi_key == "sqrt3" else int(self.xi_key),
             "n": self.n,
             "backend": self.backend,
-            "U": table_entries("U", self.u.values),
-            "nabla": table_entries("nabla", self.nabla.values),
+            "U": table_entries("U", self.u),
+            "nabla": table_entries("nabla", self.nabla),
             "R": r_entries,
             "ric": [vec(row) for row in self.ric],
             "flat": self.flat,
@@ -586,8 +582,8 @@ def curvature_report(lam, xi, n: int, backend: str = EXACT) -> CurvatureReport:
     return replace(
         report,
         backend=backend,
-        u=BilinearTable(report.u.values.astype(float)),
-        nabla=BilinearTable(report.nabla.values.astype(float)),
+        u=report.u.astype(float),
+        nabla=report.nabla.astype(float),
         riemann_ops={ij: op.astype(float) for ij, op in ops.items()},
         ric=ric.astype(float),
         einstein=None if report.einstein is None else float(report.einstein),

@@ -3,8 +3,9 @@
 A metric is the symmetric matrix gram with gram[i, j] = <e_i, e_j>; the
 group GL(n) acts by g.<x, y> = <g^-1 x, g^-1 y>, i.e. gram -> g^-T gram g^-1.
 Canonical representatives carry the two shear parameters (lam, xi) in the
-first row; their pseudo-orthonormal frames are the columns of the shear
-matrix itself.
+first row; canonical_metric returns each with its shear matrix g, whose columns
+form a pseudo-orthonormal frame: g^T gram g = diag(1, ..., 1, -1).  Signatures
+are plain (plus, minus, zero) tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from ._linalg import (
     eigh,
     eigvalsh,
     inv,
-    is_exact,
     is_singular,
     minkowski_gram,
     shared_minkowski_gram,
@@ -104,18 +104,6 @@ def _whole(lam) -> int | None:
 
 
 @dataclass(frozen=True)
-class SignatureTriple:
-    """Counts (plus, minus, zero) of a restricted inner product."""
-
-    plus: int
-    minus: int
-    zero: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.plus, self.minus, self.zero)
-
-
-@dataclass(frozen=True)
 class Metric:
     """A symmetric Gram matrix over one of the two scalar backends."""
 
@@ -128,7 +116,7 @@ class Metric:
             raise ValueError("gram must be a square matrix")
         if self.backend not in (EXACT, APPROX):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == EXACT and not is_exact(g):
+        if self.backend == EXACT and g.dtype != object:
             raise ValueError("exact backend requires QSqrt3 entries")
         if g.dtype != object and not np.isfinite(g).all():
             i, j = np.argwhere(~np.isfinite(g))[0]
@@ -181,8 +169,8 @@ def _require_lorentzian(counts: tuple[int, int, int]) -> None:
         raise WrongSignature(f"signature {counts} unsupported; expected (n-1, 1, 0)")
 
 
-def signature_of(m: np.ndarray) -> SignatureTriple:
-    """Eigenvalue sign counts of a symmetric matrix.
+def signature_of(m: np.ndarray) -> tuple[int, int, int]:
+    """Eigenvalue sign counts (plus, minus, zero) of a symmetric matrix.
 
     Exact backend: symmetric congruence elimination, no square roots, no
     tolerance.  Float backend: eigenvalue signs relative to the spectral
@@ -190,9 +178,9 @@ def signature_of(m: np.ndarray) -> SignatureTriple:
     """
     _check_symmetric(m)
     if m.dtype != object:
-        return SignatureTriple(*_band_signs(eigvalsh(m).tolist())[0])
+        return _band_signs(eigvalsh(m).tolist())[0]
     signs = [d.sign() for d in congruence_diagonal(m)]
-    return SignatureTriple(signs.count(1), signs.count(-1), signs.count(0))
+    return signs.count(1), signs.count(-1), signs.count(0)
 
 
 def act(g: np.ndarray, metric: Metric) -> Metric:
@@ -204,14 +192,6 @@ def act(g: np.ndarray, metric: Metric) -> Metric:
             raise SingularMatrix("change of basis is singular")
         ginv = inv(g)
     return Metric(gram=ginv.T @ metric.gram @ ginv, backend=metric.backend)
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A pseudo-orthonormal basis for k * <,>: cols^T (k gram) cols = I_(n-1,1)."""
-
-    columns: np.ndarray = field(repr=False)
-    scale: float | QSqrt3 = 1
 
 
 def shear_matrix(lam, xi, n: int, exact: bool = True) -> np.ndarray:
@@ -253,16 +233,16 @@ def canonical_gram(lam, xi, n: int, exact: bool = True) -> np.ndarray:
     return g
 
 
-def canonical_metric(lam, xi, n: int, backend: str = EXACT) -> tuple[Metric, Frame]:
-    """One of the six canonical metrics together with its orthonormal frame."""
+def canonical_metric(lam, xi, n: int, backend: str = EXACT) -> tuple[Metric, np.ndarray]:
+    """One of the six canonical metrics and its shear g, whose columns are a
+    pseudo-orthonormal frame: g^T gram g = diag(1, ..., 1, -1)."""
     key, lam = canonical_key(lam, xi), _whole(lam)
     exact = backend == EXACT
     xi_val = xi_exact(key) if exact else xi_float(key)
     lam_val = QSqrt3(lam) if exact else float(lam)
     gram = canonical_gram(lam_val, xi_val, n, exact=exact)
-    cols = shear_matrix(lam_val, xi_val, n, exact=exact)
-    scale = QSqrt3(1) if exact else 1.0
-    return Metric(gram=gram, backend=EXACT if exact else APPROX), Frame(cols, scale)
+    shear = shear_matrix(lam_val, xi_val, n, exact=exact)
+    return Metric(gram=gram, backend=EXACT if exact else APPROX), shear
 
 
 def factor_metric(metric: Metric) -> np.ndarray:

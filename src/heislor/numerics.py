@@ -224,25 +224,7 @@ class QSqrt3:
             return NotImplemented
         return o / self
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return QSqrt3(1) / self ** (-exponent)
-        out = QSqrt3(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     # -- order structure ---------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self._p == 0 and self._q == 0
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1} (of p + q sqrt3, as d > 0)."""

@@ -4,7 +4,8 @@ The six classes are orbits of the scaled automorphism group acting on the
 space of Lorentzian inner products.  Their codimensions come from stabilizer
 dimensions, computed both in closed form and by an exact rank computation;
 the closure relations are re-derived from explicit metric curves (positive
-evidence).  A missing relation needs an obstruction: codimension, or a jump in
+evidence), whose samples are checked against their expected classes, not
+stored.  A missing relation needs an obstruction: codimension, or a jump in
 the restricted signatures, read from signature_table, which the signature
 check (criterion 2) certifies by exact congruence for n = 4..10.
 """
@@ -24,23 +25,20 @@ from .curvature import EvidenceFailure, closed_form_riemann, frame_signs, is_fla
 from .liealg import aut_pattern, require_dim
 from .metrics import (
     CANONICAL_PAIRS,
-    SignatureTriple,
     _whole,
     canonical_gram,
     canonical_key,
     xi_exact,
 )
 from .numerics import SQRT3_F, QSqrt3
-from .reduction import FLAG_NEAR_DEGENERATE, _classify_grams, signature_table
+from .reduction import _classify_grams, signature_table
 
 #: interior parameters sampled on each degeneration curve
 CURVE_SAMPLES = 10
-#: distance of each curve's flagged sample from its limit: close, yet well outside the zero band
+#: distance of each curve's near-limit sample from its limit.  Family B's (lam = 1,
+#: xi = 1e-4) has the center eigenvalue -xi^2 = -1e-8, outside the 1e-9 zero band but
+#: within its NearDegenerate margin, so the reader flags it; the other five are not flagged
 NEAR_LIMIT_STEP = 1e-4
-
-
-class ParameterOutOfRange(ValueError):
-    """Curve parameter outside the family's declared interval."""
 
 
 class OracleMismatch(RuntimeError):
@@ -149,8 +147,8 @@ def codimension(lam: int, xi, n: int) -> int:
 class CurveFamily:
     """A one-parameter family of metrics linking two classes.
 
-    Interior parameters stay in the source class; the limit parameter (the
-    open end of the interval) lands on the target representative.
+    Parameters strictly inside (lo, hi) stay in the source class; the limit
+    parameter, one end of the interval, lands on the target representative.
     """
 
     name: str
@@ -158,15 +156,8 @@ class CurveFamily:
     target: tuple[int, str]
     lo: float
     hi: float
-    closed_lo: bool
-    closed_hi: bool
-    limit: float  # equals lo or hi, always an open end
+    limit: float  # equals lo or hi
     params: Callable[[float], tuple[float, float]]  # t -> (lam, xi)
-
-    def contains(self, t: float) -> bool:
-        above = t > self.lo or (self.closed_lo and t == self.lo)
-        below = t < self.hi or (self.closed_hi and t == self.hi)
-        return above and below
 
 
 def _diagonal(t: float) -> tuple[float, float]:
@@ -178,36 +169,32 @@ def _hyperbola(s: float) -> tuple[float, float]:
 
 
 CURVE_FAMILIES: dict[str, CurveFamily] = {
-    "A": CurveFamily("A", (0, "0"), (1, "1"), 0.0, 1.0, True, False, 1.0, _diagonal),
-    "B": CurveFamily("B", (1, "1"), (1, "0"), 0.0, 1.0, False, True, 0.0, lambda t: (1.0, t)),
-    "C": CurveFamily(
-        "C", (2, "0"), (2, "sqrt3"), 0.0, SQRT3_F, True, False, SQRT3_F, lambda t: (2.0, t)
-    ),
-    "D": CurveFamily("D", (2, "sqrt3"), (1, "0"), 1.0, 2.0, False, True, 1.0, _hyperbola),
-    "E": CurveFamily("E", (2, "2"), (1, "1"), 1.0, 2.0, False, True, 1.0, _diagonal),
-    "F": CurveFamily(
-        "F", (2, "2"), (2, "sqrt3"), SQRT3_F, 2.0, False, True, SQRT3_F, lambda t: (2.0, t)
-    ),
+    "A": CurveFamily("A", (0, "0"), (1, "1"), 0.0, 1.0, 1.0, _diagonal),
+    "B": CurveFamily("B", (1, "1"), (1, "0"), 0.0, 1.0, 0.0, lambda t: (1.0, t)),
+    "C": CurveFamily("C", (2, "0"), (2, "sqrt3"), 0.0, SQRT3_F, SQRT3_F, lambda t: (2.0, t)),
+    "D": CurveFamily("D", (2, "sqrt3"), (1, "0"), 1.0, 2.0, 1.0, _hyperbola),
+    "E": CurveFamily("E", (2, "2"), (1, "1"), 1.0, 2.0, 1.0, _diagonal),
+    "F": CurveFamily("F", (2, "2"), (2, "sqrt3"), SQRT3_F, 2.0, SQRT3_F, lambda t: (2.0, t)),
 }
 
 
-def _require_contains(fam: CurveFamily, t: float) -> None:
-    if not fam.contains(t):
-        raise ParameterOutOfRange(
-            f"family {fam.name} needs t in "
-            f"{'[' if fam.closed_lo else '('}{fam.lo}, {fam.hi}{']' if fam.closed_hi else ')'}"
-        )
-
-
-@dataclass(frozen=True)
-class CurveEvidence:
-    family: str
-    samples: tuple[tuple[float, tuple[int, str], tuple[str, ...]], ...]
+def _curve_points() -> list[tuple[CurveFamily, float, tuple[int, str]]]:
+    """(family, t, expected class) for every point the graph classifies: per family,
+    CURVE_SAMPLES interval midpoints and one sample NEAR_LIMIT_STEP from the limit,
+    all in the source class, then the limit itself, in the target class."""
+    points = []
+    for fam in CURVE_FAMILIES.values():
+        span = fam.hi - fam.lo
+        near = fam.limit + (NEAR_LIMIT_STEP if fam.limit == fam.lo else -NEAR_LIMIT_STEP)
+        ts = [fam.lo + span * (k + 0.5) / CURVE_SAMPLES for k in range(CURVE_SAMPLES)]
+        points += [(fam, t, fam.source) for t in ts + [near]]
+        points.append((fam, fam.limit, fam.target))
+    return points
 
 
 @dataclass(frozen=True)
 class DegenerationGraph:
-    """Directed closure relations among the six orbits with evidence, read-only.
+    """Directed closure relations among the six orbits, read-only.
 
     edges maps (source, target) to an evidence tag ("curve:X" or
     "transitive"); non_edges maps every other ordered pair to its
@@ -218,7 +205,6 @@ class DegenerationGraph:
     nodes: tuple[tuple[int, str], ...]
     edges: Mapping[tuple, str]
     non_edges: Mapping[tuple, str]
-    evidence: Mapping[str, CurveEvidence]
     codimensions: Mapping[tuple, int]
 
     def outgoing(self, node: tuple[int, str]) -> list[tuple[int, str]]:
@@ -278,34 +264,23 @@ def _signature_jump(src_sigs, dst_sigs) -> bool:
 def degeneration_graph(n: int) -> DegenerationGraph:
     """Recompute the closure diagram from curves and obstructions, once per n.
 
-    Every family's samples and limit are classified as one stack of grams.
+    Every family's samples and limit are classified as one stack of grams and
+    checked against their expected classes; only the verdicts are kept.
     """
     require_dim(n)
     nodes = CANONICAL_PAIRS
     codims = {pair: codimension(pair[0], pair[1], n) for pair in nodes}
 
-    points = []
-    for fam in CURVE_FAMILIES.values():
-        span = fam.hi - fam.lo
-        near = fam.limit + (NEAR_LIMIT_STEP if fam.limit == fam.lo else -NEAR_LIMIT_STEP)
-        ts = [fam.lo + span * (k + 0.5) / CURVE_SAMPLES for k in range(CURVE_SAMPLES)]
-        for t in ts + [near]:
-            _require_contains(fam, t)
-        points += [(fam, t, ()) for t in ts]
-        points += [(fam, near, (FLAG_NEAR_DEGENERATE,)), (fam, fam.limit, ("limit",))]
+    points = _curve_points()
     lam, xi = np.array([fam.params(t) for fam, t, _ in points]).T
     # every canonical gram has |det| = 1, so each sample is read at unit scale as given
     read = _classify_grams(canonical_gram(lam, xi, n, exact=False))
-    samples: dict[str, list] = {name: [] for name in CURVE_FAMILIES}
-    for (fam, t, tags), (form, _) in zip(points, read):
-        limit = tags == ("limit",)
-        expected, where = (fam.target, "limit") if limit else (fam.source, f"sample t={t}")
+    for (fam, t, expected), (form, _) in zip(points, read):
         if form.pair != expected:
+            where = "limit" if t == fam.limit else f"sample t={t}"
             raise EvidenceFailure(
                 f"family {fam.name}: {where} classifies to {form.pair}, expected {expected}"
             )
-        samples[fam.name].append((t, form.pair, tags))
-    evidence = {name: CurveEvidence(family=name, samples=tuple(s)) for name, s in samples.items()}
     edges = {(fam.source, fam.target): f"curve:{name}" for name, fam in CURVE_FAMILIES.items()}
 
     # transitive closure of the curve edges
@@ -336,7 +311,6 @@ def degeneration_graph(n: int) -> DegenerationGraph:
         nodes=nodes,
         edges=MappingProxyType(edges),
         non_edges=MappingProxyType(non_edges),
-        evidence=MappingProxyType(evidence),
         codimensions=MappingProxyType(codims),
     )
     if not graph.is_acyclic():
@@ -367,8 +341,8 @@ class OrbitReport:
     dim_w: int
     stab_dim: int
     codim: int
-    sig_center: SignatureTriple
-    sig_derived: SignatureTriple
+    sig_center: tuple[int, int, int]  # (plus, minus, zero)
+    sig_derived: tuple[int, int, int]
     closed: bool
 
     def to_json(self) -> dict:
@@ -380,8 +354,8 @@ class OrbitReport:
             "dimW": self.dim_w,
             "stabilizer_dim": self.stab_dim,
             "codimension": self.codim,
-            "signature_center": self.sig_center.as_tuple(),
-            "signature_derived": self.sig_derived.as_tuple(),
+            "signature_center": self.sig_center,
+            "signature_derived": self.sig_derived,
             "closed": self.closed,
         }
 
@@ -391,7 +365,7 @@ def orbit_report(lam: int, xi, n: int) -> OrbitReport:
     dim_u, dim_w = dims_UW(lam, key, n)
     stab = stabilizer_dim(lam, key, n)
     codim = codimension(lam, key, n)
-    sig_center, sig_derived = (SignatureTriple(*s) for s in signature_table(n)[(lam, key)])
+    sig_center, sig_derived = signature_table(n)[(lam, key)]
     return OrbitReport(
         lam=lam,
         xi_key=key,

@@ -38,7 +38,6 @@ from ._linalg import (
 from .liealg import hprime_pattern, require_dim
 from .metrics import (
     Metric,
-    SignatureTriple,
     _band_signs,
     _factor_metric,
     _require_lorentzian,
@@ -629,7 +628,7 @@ def signature_table(n: int) -> MappingProxyType:
     })
 
 
-def restricted_signatures(metric: Metric) -> tuple[SignatureTriple, SignatureTriple]:
+def restricted_signatures(metric: Metric) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Signatures of the metric on the center and on the derived ideal, at unit scale."""
     gram, _ = _unit_gram(metric)
     return signature_of(gram[2:, 2:]), signature_of(gram[-1:, -1:])
@@ -642,7 +641,7 @@ def classify_by_invariants(metric: Metric) -> CanonicalForm:
     """
     require_dim(metric.n)
     gram, eigs = _unit_gram(metric)
-    _require_lorentzian(signature_of(gram).as_tuple() if eigs is None else _band_signs(eigs)[0])
+    _require_lorentzian(signature_of(gram) if eigs is None else _band_signs(eigs)[0])
     return _classify_grams(gram[None])[0][0]
 
 
@@ -671,7 +670,7 @@ def _classify_grams(grams: np.ndarray) -> list[tuple[CanonicalForm, list[str]]]:
     """
     n = grams.shape[-1]
     if grams.dtype == object:
-        keys = [tuple(signature_of(b).as_tuple() for b in (g[2:, 2:], g[-1:, -1:])) for g in grams]
+        keys = [(signature_of(g[2:, 2:]), signature_of(g[-1:, -1:])) for g in grams]
         near = [False] * len(grams)
     else:
         keys, near = [], []

@@ -192,10 +192,9 @@ def check_signature_table(n_values=tuple(range(4, 11))) -> CheckResult:
             for pair in CANONICAL_PAIRS:
                 metric, _ = canonical_metric(pair[0], pair[1], n)
                 center, derived = restricted_signatures(metric)
-                if (center.as_tuple(), derived.as_tuple()) != expected[pair]:
+                if (center, derived) != expected[pair]:
                     raise AssertionError(
-                        f"signatures at {pair}, n={n}: "
-                        f"{(center.as_tuple(), derived.as_tuple())} != {expected[pair]}"
+                        f"signatures at {pair}, n={n}: {(center, derived)} != {expected[pair]}"
                     )
         return f"all six rows exact for n in {list(n_values)}"
 
@@ -218,8 +217,8 @@ def check_curvature_oracle(n_values=tuple(range(4, 11))) -> CheckResult:
                 ops_c = closed_form_riemann(lam, xi, n)
                 zero = exact_zeros((n, n))  # pairs touching the inert middle directions
                 tables = [
-                    ("U", u_g.values, closed_form_u(lam, xi, n).values),
-                    ("nabla", nabla_g.values, closed_form_nabla(lam, xi, n).values),
+                    ("U", u_g, closed_form_u(lam, xi, n)),
+                    ("nabla", nabla_g, closed_form_nabla(lam, xi, n)),
                     ("ric", ric_g, closed_form_ricci(lam, xi, n)),
                     *((f"R{key}", op, ops_c.get(key, zero)) for key, op in ops_g.items()),
                 ]

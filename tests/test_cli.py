@@ -285,10 +285,10 @@ def test_classify_signatures_equal_restricted_signatures(name, tmp_path, capsys)
     assert main(["classify", "--input", path]) == EXIT_OK
     printed = json.loads(capsys.readouterr().out)["signatures"]
     center, derived = restricted_signatures(metric)
-    assert printed == {"center": list(center.as_tuple()), "derived": list(derived.as_tuple())}
+    assert printed == {"center": list(center), "derived": list(derived)}
     assert main(["classify", "--input", path, "--format", "text"]) == EXIT_OK
     assert (
-        f"signature on center: {center.as_tuple()}  on derived ideal: {derived.as_tuple()}"
+        f"signature on center: {center}  on derived ideal: {derived}"
         in capsys.readouterr().out
     )
 

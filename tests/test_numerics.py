@@ -12,7 +12,6 @@ from heislor._linalg import (
     _subtract,
     embed,
     exact_array,
-    exact_eye,
     exact_rank,
     exact_zeros,
     rref_rows,
@@ -83,7 +82,7 @@ def test_numpy_integers_coerce():
 
 @given(scalars, scalars)
 def test_mul_div_round_trip(x, y):
-    if not y.is_zero():
+    if y:
         assert (x * y) / y == x
 
 
@@ -100,7 +99,7 @@ def test_sign_consistency_with_float(x):
     value = float(x)
     if abs(value) > 1e-9:
         assert sign == (1 if value > 0 else -1)
-    if x.is_zero():
+    if not x:
         assert sign == 0
 
 
@@ -316,10 +315,10 @@ def _assert_reduced_echelon(rref, pivots):
     assert pivots == sorted(set(pivots))
     for r, c in enumerate(pivots):
         assert rref[r, c] == 1
-        assert all(rref[r, j].is_zero() for j in range(c))
-        assert all(rref[i, c].is_zero() for i in range(rows) if i != r)
+        assert all(not rref[r, j] for j in range(c))
+        assert all(not rref[i, c] for i in range(rows) if i != r)
     for r in range(len(pivots), rows):
-        assert all(x.is_zero() for x in rref[r])
+        assert all(not x for x in rref[r])
 
 
 def test_exact_rref_sparse_matrices():
@@ -334,7 +333,7 @@ def test_exact_rref_sparse_matrices():
         basis = exact_nullspace(a)
         assert len(basis) == cols - rank
         for v in basis:
-            assert all(x.is_zero() for x in a @ v)
+            assert all(not x for x in a @ v)
 
 
 def _cancelling_exact_matrix(rng, rows, cols, rank):
@@ -389,7 +388,7 @@ def test_sparse_kernel_matches_sympy_rref():
 
 
 def _embed_reference(block, n, coords):
-    out = exact_eye(n) if block.dtype == object else np.eye(n)
+    out = np.eye(n)
     for bi, i in enumerate(coords):
         for bj, j in enumerate(coords):
             out[i, j] = block[bi, bj]
@@ -400,13 +399,7 @@ def _embed_reference(block, n, coords):
 def test_embed_matches_double_loop_reference(n):
     rng = np.random.default_rng(n)
     for coords in (tuple(range(1, n - 1)), (0, 1, n - 2, n - 1)):
-        k = len(coords)
-        floats = rng.standard_normal((k, k))
-        exact = exact_array(
-            [[QSqrt3(Fraction(int(v), 7), i - j) for j, v in enumerate(row)]
-             for i, row in enumerate(rng.integers(-9, 9, (k, k)))]
-        )
-        for block in (floats, exact):
-            got, ref = embed(block, n, coords), _embed_reference(block, n, coords)
-            assert got.dtype == ref.dtype and got.shape == (n, n)
-            assert (got == ref).all()
+        block = rng.standard_normal((len(coords), len(coords)))
+        got, ref = embed(block, n, coords), _embed_reference(block, n, coords)
+        assert got.dtype == ref.dtype and got.shape == (n, n)
+        assert (got == ref).all()

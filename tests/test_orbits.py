@@ -1,7 +1,5 @@
 """Stabilizer dimensions, codimensions, curves and the degeneration graph."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,9 +8,7 @@ from heislor._linalg import exact_inv, shear_conjugator
 from heislor.curvature import curvature_report
 from heislor.liealg import DimensionTooSmall, aut_pattern, derivation_space_dim
 from heislor.metrics import (
-    APPROX,
     CANONICAL_PAIRS,
-    Metric,
     NotARepresentative,
     canonical_gram,
     shear_matrix,
@@ -22,7 +18,6 @@ from heislor.numerics import QSqrt3
 from heislor.orbits import (
     CURVE_FAMILIES,
     OracleMismatch,
-    ParameterOutOfRange,
     codimension,
     degeneration_graph,
     dims_UW,
@@ -33,8 +28,6 @@ from heislor.orbits import (
 from heislor.reduction import classify, classify_by_invariants, classify_by_invariants_flagged
 
 from references import curve_sample
-
-SQRT3 = math.sqrt(3.0)
 
 
 @pytest.mark.parametrize("n", (4, 6, 9))
@@ -154,14 +147,22 @@ def test_curve_sample_endpoint_is_target_metric():
 
 
 def test_curve_sample_rejects_out_of_range():
-    with pytest.raises(ParameterOutOfRange):
-        curve_sample("A", 1.0, 4)  # the limit itself is outside [0, 1)
-    with pytest.raises(ParameterOutOfRange):
-        curve_sample("B", 0.0, 4)
-    with pytest.raises(ParameterOutOfRange):
-        curve_sample("F", SQRT3, 4)
     with pytest.raises(KeyError):
         curve_sample("Z", 0.5, 4)
+
+
+def test_curve_points_lie_inside_their_intervals():
+    """Every source-class point the graph classifies lies strictly inside its family's
+    (lo, hi), and every target point is the family's limit, one end of that interval."""
+    points = orbits._curve_points()
+    assert len(points) == len(CURVE_FAMILIES) * (orbits.CURVE_SAMPLES + 2)
+    for name, fam in CURVE_FAMILIES.items():
+        assert fam.limit in (fam.lo, fam.hi), name
+        mine = [(t, expected) for f, t, expected in points if f is fam]
+        inside = [t for t, expected in mine if expected == fam.source]
+        assert len(inside) == orbits.CURVE_SAMPLES + 1, name
+        assert all(fam.lo < t < fam.hi for t in inside), name
+        assert [p for p in mine if p[1] != fam.source] == [(fam.limit, fam.target)], name
 
 
 def test_curve_families_cover_expected_edges():
@@ -191,15 +192,10 @@ def test_degeneration_graph_structure(n):
     # every remaining ordered pair carries an obstruction
     assert len(graph.edges) + len(graph.non_edges) == 30
     assert set(graph.non_edges.values()) <= {"dimension", "signature-jump"}
-    # the graph reads its samples as one stack; each pair is the one-gram reading
-    for name, evidence in graph.evidence.items():
-        fam = CURVE_FAMILIES[name]
-        for t, pair, tags in evidence.samples:
-            if tags == ("limit",):  # the limit lies outside the family's open interval
-                metric = Metric(gram=canonical_gram(*fam.params(t), n, exact=False), backend=APPROX)
-            else:
-                metric = curve_sample(name, t, n)
-            assert classify_by_invariants_flagged(metric)[0].pair == pair, (name, t)
+    # the graph reads its points as one stack; each expected class is the one-gram reading
+    for fam, t, expected in orbits._curve_points():
+        metric = curve_sample(fam.name, t, n)
+        assert classify_by_invariants_flagged(metric)[0].pair == expected, (fam.name, t)
 
 
 def test_degeneration_graph_specific_obstructions():
@@ -215,13 +211,6 @@ def test_degeneration_edges_increase_codimension():
     graph = degeneration_graph(6)
     for src, dst in graph.edges:
         assert graph.codimensions[src] < graph.codimensions[dst]
-
-
-def test_near_limit_samples_are_flagged():
-    graph = degeneration_graph(4)
-    for evidence in graph.evidence.values():
-        flagged = [s for s in evidence.samples if "NearDegenerate" in s[2]]
-        assert len(flagged) == 1
 
 
 def test_is_closed_unique_flat_orbit():
@@ -249,8 +238,8 @@ def test_orbit_report_contents():
     report = orbit_report(2, "sqrt3", 6)
     assert report.codim == 1
     assert report.stab_dim == 1 + 1 + (1 + 2)  # 1 + (n-4)(n-5)/2 + dimU + dimW
-    assert report.sig_center.as_tuple() == (3, 0, 1)
-    assert report.sig_derived.as_tuple() == (1, 0, 0)
+    assert report.sig_center == (3, 0, 1)
+    assert report.sig_derived == (1, 0, 0)
     assert not report.closed
     blob = report.to_json()
     assert blob["xi"] == "sqrt3" and blob["codimension"] == 1

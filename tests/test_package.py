@@ -126,10 +126,19 @@ def test_private_names_and_constants_are_read():
 INDEPENDENT_ROUTES = {"classify_by_invariants"}
 
 
+def _public_definitions(tree: ast.Module):
+    """Every public module-level function and class, and every public method of a
+    module-level class; dunders are private by their leading underscore."""
+    for node in tree.body:
+        yield node
+        if isinstance(node, ast.ClassDef):
+            yield from node.body
+
+
 def test_public_functions_and_classes_are_read_outside_the_tests():
-    """Every public module-level function and class of the package is read in a
-    package module other than __init__.py or in a benchmark script, so no public
-    helper lives on for the tests alone."""
+    """Every public module-level function and class of the package, and every public
+    method of its classes, is read in a package module other than __init__.py or in a
+    benchmark script, so no public helper lives on for the tests alone."""
     package = Path(heislor.__file__).resolve().parent
     readers = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     read = set()
@@ -142,7 +151,7 @@ def test_public_functions_and_classes_are_read_outside_the_tests():
     unread = [
         f"{path.name}:{node.lineno} {node.name}"
         for path in sorted(package.glob("*.py"))
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in _public_definitions(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
         and node.name not in read | INDEPENDENT_ROUTES

@@ -36,7 +36,7 @@ from heislor.metrics import (
     xi_float,
 )
 from heislor.numerics import QSqrt3
-from heislor.orbits import CURVE_FAMILIES, degeneration_graph
+from heislor.orbits import _curve_points
 import heislor.reduction as reduction
 from heislor.reduction import (
     SNAP_LIMIT,
@@ -830,7 +830,7 @@ def test_invariant_classifier_table_rows():
     for pair, sigs in expectations.items():
         metric, _ = canonical_metric(pair[0], pair[1], 5)
         center, derived = restricted_signatures(metric)
-        assert (center.as_tuple(), derived.as_tuple()) == sigs
+        assert (center, derived) == sigs
         assert classify_by_invariants(metric).pair == pair
 
 
@@ -1081,7 +1081,7 @@ def test_classify_is_scale_invariant():
                         continue
                     if (
                         got != (pair, pair, pair)
-                        or (center.as_tuple(), derived.as_tuple()) != sigs
+                        or (center, derived) != sigs
                         or not ok
                     ):
                         wrong.append((pair, n, seed, c, got, ok.detail))
@@ -1420,7 +1420,7 @@ def _invariants_reference(metric):
     """The table row and flags of a metric: exact signs for an exact one (congruence,
     no band), _reference_read of the unit-scale gram for a float one."""
     if metric.backend == EXACT:
-        key, near = tuple(sig.as_tuple() for sig in restricted_signatures(metric)), False
+        key, near = restricted_signatures(metric), False
     else:
         key, near = _reference_read(_unit_gram(metric)[0])
     pair = next((p for p, sigs in signature_table(metric.n).items() if sigs == key), None)
@@ -1474,11 +1474,7 @@ def _reader_stacks():
     """Stacks of unit-scale grams, one n and one backend each: the degeneration
     graph's curve grams, the near-wall metrics, orbit samples and band-edge grams."""
     for n in range(4, 11):
-        grams = [
-            canonical_gram(*CURVE_FAMILIES[name].params(t), n, exact=False)
-            for name, evidence in degeneration_graph(n).evidence.items()
-            for t, _, _ in evidence.samples
-        ]
+        grams = [canonical_gram(*fam.params(t), n, exact=False) for fam, t, _ in _curve_points()]
         assert len(grams) == 72
         yield f"curves-n{n}", APPROX, np.stack(grams)
     groups = {}
@@ -1537,7 +1533,7 @@ def test_band_edges_read_as_the_numpy_reference():
             pair = next(p for p, sigs in signature_table(n).items() if sigs == key)
             assert (form.pair, flags) == (pair, ["NearDegenerate"] if near else [])
             assert classify_by_invariants_flagged(Metric(gram=gram)) == (form, flags)
-            assert tuple(signature_of(b).as_tuple() for b in (gram[2:, 2:], gram[-1:, -1:])) == key
+            assert tuple(signature_of(b) for b in (gram[2:, 2:], gram[-1:, -1:])) == key
             assert near == (abs(edge) == _BAND)
             assert sum(key[0][:2]) == n - 2 - (abs(edge) <= _BAND)
 
