@@ -19,7 +19,6 @@ from .liealg import (
     BlockPattern,
     aut_pattern,
     derivation_space_dim,
-    hprime_pattern,
 )
 from .metrics import (
     CANONICAL_PAIRS,

@@ -272,11 +272,9 @@ _qr_reduced = partial(_umath_linalg.qr_reduced, signature="dd->d")
 _nan_slogdet = _with_errstate(invalid="ignore", over="warn", divide="warn", under="ignore")(slogdet)
 
 
-# LAPACK reports only an illegal argument from the QR routines, which no float64 matrix
-# reaches, so no test can trigger this state; it is numpy.linalg.qr's all the same
-@_errstate("Incorrect argument found while performing QR factorization")
 def _qr_q_in_place(a: np.ndarray) -> np.ndarray:
-    """qr_q of a float64 array that the Householder factorization may overwrite."""
+    """qr_q of a float64 array that the Householder factorization may overwrite.  The QR
+    gufuncs raise no floating-point error on any input, so no errstate wraps them."""
     return _qr_reduced(a, _qr_r_raw(a))
 
 

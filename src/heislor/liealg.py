@@ -6,14 +6,15 @@ sparse rows of the sheared frame at (lam, xi) (_bracket_terms); the frame at
 lam = xi = 0 is the standard basis.  The curvature module reads these rows,
 and the derivation algebra is solved from the rows at lam = xi = 0 by exact
 linear elimination.  The closed-form block pattern of R x Aut is kept
-alongside as a cross-check and as the sampling space for random automorphisms.
+alongside as a cross-check and as the sampling space for random automorphisms;
+the reduction's left factors lie in its transpose, aut_pattern(n).mask.T.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,23 +91,12 @@ class BlockPattern:
 
     Block sizes (2, n-3, 1): the top 2x2 block acts on the bracket
     generators, the middle block mixes central directions into everything
-    below, and only the last row may hit e_n.
+    below, and only the last row may hit e_n.  The mask is read-only and
+    shared through aut_pattern's cache.
     """
 
     n: int
     mask: np.ndarray = field(repr=False, compare=False)
-
-    def transposed(self) -> "BlockPattern":
-        mask = self.mask.T.copy()  # C order keeps boolean indexing by `outside` fast
-        mask.flags.writeable = False
-        return BlockPattern(n=self.n, mask=mask)
-
-    @cached_property
-    def outside(self) -> np.ndarray:
-        """Read-only mask of the entries the pattern forces to zero."""
-        out = ~self.mask
-        out.flags.writeable = False
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -116,12 +106,5 @@ def aut_pattern(n: int) -> BlockPattern:
     mask[0:2, 0:2] = True
     mask[2 : n - 1, 0 : n - 1] = True
     mask[n - 1, :] = True
-    mask.flags.writeable = False  # shared through the cache, like hprime_pattern's
+    mask.flags.writeable = False
     return BlockPattern(n=n, mask=mask)
-
-
-@lru_cache(maxsize=None)
-def hprime_pattern(n: int) -> BlockPattern:
-    """Transposed pattern, the group acting on the left in the reduction."""
-    return aut_pattern(n).transposed()
-

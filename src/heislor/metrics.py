@@ -105,7 +105,7 @@ def _whole(lam) -> int | None:
 
 @dataclass(frozen=True)
 class Metric:
-    """A symmetric Gram matrix over one of the two scalar backends."""
+    """A symmetric Gram matrix: QSqrt3 entries (exact backend) or float64 (approx, converted)."""
 
     gram: np.ndarray = field(repr=False)
     backend: str = APPROX
@@ -118,6 +118,9 @@ class Metric:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == EXACT and g.dtype != object:
             raise ValueError("exact backend requires QSqrt3 entries")
+        if self.backend == APPROX:
+            g = to_float(g)
+            object.__setattr__(self, "gram", g)  # frozen: the one write, at construction
         if g.dtype != object and not np.isfinite(g).all():
             i, j = np.argwhere(~np.isfinite(g))[0]
             raise ValueError(f"gram[{i}][{j}] = {float(g[i, j])!r} is not a finite number")
@@ -127,9 +130,7 @@ class Metric:
         return self.gram.shape[0]
 
     def to_approx(self) -> "Metric":
-        if self.backend == APPROX:
-            return self
-        return Metric(gram=to_float(self.gram), backend=APPROX)
+        return Metric(gram=self.gram, backend=APPROX)
 
 
 def _check_symmetric(m: np.ndarray) -> None:
@@ -286,7 +287,7 @@ def _unit_gram(metric: Metric) -> tuple[np.ndarray, list[float] | None]:
     """The gram an invariant reader sees, checked symmetric: an exact one as given,
     a float one at unit scale, M / 4^e, with its eigenvalues (those that give e,
     scaled; None for an exact gram).  Unlike factor_metric it takes any signature."""
-    gram = metric.gram if metric.backend == EXACT else to_float(metric.gram)
+    gram = metric.gram
     _check_symmetric(gram)
     if metric.backend == EXACT:
         return gram, None

@@ -35,7 +35,7 @@ from ._linalg import (
     shared_minkowski_gram,
     to_float,
 )
-from .liealg import hprime_pattern, require_dim
+from .liealg import aut_pattern, require_dim
 from .metrics import (
     Metric,
     _band_signs,
@@ -85,12 +85,8 @@ class ZeroVector(ValueError):
     """The hyperbolic normal form needs a nonzero pair."""
 
 
-class NotInG0(ValueError):
-    """Expected a matrix with trivial last row and column."""
-
-
 class NotInGLambda(ValueError):
-    """Expected last row (-lam, 0, ..., 0, 1) and last column e_n."""
+    """Expected last row (-lam, 0, ..., 0, 1) and last column e_n; lam = 0 is G_0."""
 
 
 class NegativeT(ValueError):
@@ -249,7 +245,7 @@ class _Builder:
             h = target.dot(inv(self.current))
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown("the working matrix is singular") from exc
-        h[hprime_pattern(self.n).outside] = 0.0
+        h.reshape(-1)[_outside_index(self.n)] = 0.0  # h is a fresh C-order array
         self.apply_left(h)
         self.snap(target)
 
@@ -559,9 +555,7 @@ def _check_g_lambda(g: np.ndarray, lam: int) -> None:
         and max_abs(g[: n - 1, n - 1]) <= band
         and abs(g[n - 1, 0] + lam) <= band
     ):
-        raise (NotInG0 if lam == 0 else NotInGLambda)(
-            "matrix is not in the normalized last-row form"
-        )
+        raise NotInGLambda("matrix is not in the normalized last-row form")
 
 
 def reduce_last_row(g: np.ndarray) -> tuple[np.ndarray, int, Witness]:
@@ -630,8 +624,7 @@ def signature_table(n: int) -> MappingProxyType:
 
 def restricted_signatures(metric: Metric) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Signatures of the metric on the center and on the derived ideal, at unit scale."""
-    gram, _ = _unit_gram(metric)
-    return signature_of(gram[2:, 2:]), signature_of(gram[-1:, -1:])
+    return _read_signatures(_unit_gram(metric)[0][None])[0][0]
 
 
 def classify_by_invariants(metric: Metric) -> CanonicalForm:
@@ -659,27 +652,31 @@ def _forms_by_signatures(n: int) -> MappingProxyType:
     )
 
 
-def _classify_grams(grams: np.ndarray) -> list[tuple[CanonicalForm, list[str]]]:
-    """The class and flags of each gram of a (B, n, n) stack; one gram is the batch gram[None].
+def _read_signatures(grams: np.ndarray) -> tuple[list[tuple], list[bool]]:
+    """The (center, derived) signatures of each gram of a (B, n, n) stack, one gram
+    being the batch gram[None], and whether each is near-degenerate.
 
     The grams are unit-scale and already checked symmetric by the caller.  A float
     stack takes one eigvalsh on its center blocks; the derived ideal's 1x1 block is
     its own eigenvalue; metrics._band_signs signs each gram's eigenvalues as Python
-    floats and flags a gram NearDegenerate.  An exact stack keeps exact congruence
-    signs and no flag.  A NoTableMatch names the first bad gram.
+    floats.  An exact stack keeps exact congruence signs and is never near-degenerate.
     """
-    n = grams.shape[-1]
     if grams.dtype == object:
         keys = [(signature_of(g[2:, 2:]), signature_of(g[-1:, -1:])) for g in grams]
-        near = [False] * len(grams)
-    else:
-        keys, near = [], []
-        centers = eigvalsh(grams[:, 2:, 2:]).tolist()
-        for center, derived in zip(centers, grams[:, -1, -1].tolist()):
-            (c, c_near), (d, d_near) = _band_signs(center), _band_signs([derived])
-            keys.append((c, d))
-            near.append(c_near or d_near)
-    forms = _forms_by_signatures(n)
+        return keys, [False] * len(grams)
+    keys, near = [], []
+    centers = eigvalsh(grams[:, 2:, 2:]).tolist()
+    for center, derived in zip(centers, grams[:, -1, -1].tolist()):
+        (c, c_near), (d, d_near) = _band_signs(center), _band_signs([derived])
+        keys.append((c, d))
+        near.append(c_near or d_near)
+    return keys, near
+
+
+def _classify_grams(grams: np.ndarray) -> list[tuple[CanonicalForm, list[str]]]:
+    """Each gram's class and flags (NearDegenerate); NoTableMatch names the first bad gram."""
+    keys, near = _read_signatures(grams)
+    forms = _forms_by_signatures(grams.shape[-1])
     for i, key in enumerate(keys):
         if key not in forms:
             raise NoTableMatch(
@@ -692,26 +689,19 @@ def _classify_grams(grams: np.ndarray) -> list[tuple[CanonicalForm, list[str]]]:
 
 
 @lru_cache(maxsize=None)
-def _retry_factor(n: int, attempt: int) -> np.ndarray:
-    """Deterministic O(n-1, 1) elements used to redraw an ill-conditioned chart."""
+def _chart(n: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (R, J R J) for a deterministic R in O(n-1, 1), J = diag(1, ..., 1, -1):
+    J R J = (R^-1)^T, so the redrawn chart m R starts from (m^-1)^T J R J, no inverse formed."""
     rng = np.random.default_rng(7700 + 131 * attempt + n)
     q = qr_q(rng.standard_normal((n - 1, n - 1)))
     rot = embed(q, n, tuple(range(n - 1)))
     theta = 0.35 + 0.17 * attempt
     c, s = math.cosh(theta), math.sinh(theta)
-    out = rot.dot(embed(np.array([[c, s], [s, c]]), n, (0, n - 1)))
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def _retry_start(n: int, attempt: int) -> np.ndarray:
-    """(R^-1)^T = J R J for R = _retry_factor(n, attempt) in O(n-1, 1), J = diag(1, ..., 1, -1):
-    the chart m R starts from (m^-1)^T J R J, with no inverse formed."""
+    r = rot.dot(embed(np.array([[c, s], [s, c]]), n, (0, n - 1)))
     j = np.diag(shared_minkowski_gram(n))
-    out = _retry_factor(n, attempt) * np.outer(j, j)
-    out.flags.writeable = False
-    return out
+    jrj = r * np.outer(j, j)
+    r.flags.writeable = jrj.flags.writeable = False
+    return r, jrj
 
 
 def _pipeline_scale(builder: _Builder, lam: int, xi_key: str) -> float:
@@ -746,7 +736,8 @@ def classify(metric: Metric) -> tuple[CanonicalForm, float, Witness]:
     for attempt in range(MAX_RETRIES + 1):
         m, start = base_m, base_start
         if attempt:
-            m, start = m.dot(_retry_factor(n, attempt)), start.dot(_retry_start(n, attempt))
+            r, jrj = _chart(n, attempt)
+            m, start = m.dot(r), start.dot(jrj)
         builder = _Builder(start, prescale)
         try:
             lam = _reduce_last_row(builder)
@@ -779,22 +770,19 @@ def classify(metric: Metric) -> tuple[CanonicalForm, float, Witness]:
         witness.flags.extend(f for f in inv_flags if f not in witness.flags)
         k = _pipeline_scale(builder, lam, xi_key)
         return inv_form, k, witness
-    raise last_error if last_error is not None else NumericalBreakdown(
-        "classification failed on every attempt"
-    )
+    raise last_error  # set by every failed attempt: the t redraw stops at MAX_RETRIES
 
 
 # -- witness verification ------------------------------------------------------
 
 
-def _size_problems(subject: Metric | np.ndarray, witness: Witness, factors) -> list[str]:
-    """Each matrix of the witness, and a subject metric, that is not n x n for the start's
-    n rows, named with both sizes; a chain of such matrices cannot be multiplied out.
+def _size_problems(metric: Metric, witness: Witness, factors) -> list[str]:
+    """Each matrix of the witness, and the metric, that is not n x n for the start's n
+    rows, named with both sizes; a chain of such matrices cannot be multiplied out.
     `factors` is np.array of the left and right factors, None if their shapes differ."""
     n = witness.n
     named = [("start", witness.start), ("target", witness.target)]
-    if isinstance(subject, Metric):
-        named += [("m-factor", witness.m_factor), ("metric", subject.gram)]
+    named += [("m-factor", witness.m_factor), ("metric", metric.gram)]
     if factors is None or (factors.size and factors.shape[1:] != (n, n)):
         for side in ("left", "right"):
             named += [(f"{side} factor {i}", h) for i, h in enumerate(getattr(witness, side))]
@@ -807,52 +795,47 @@ def _size_problems(subject: Metric | np.ndarray, witness: Witness, factors) -> l
 
 @lru_cache(maxsize=None)
 def _outside_index(n: int) -> np.ndarray:
-    """Flat positions of hprime_pattern(n).outside, read-only: a take costs half a mask read."""
-    index = np.flatnonzero(hprime_pattern(n).outside)
+    """Read-only flat positions of the zeros of a left factor's pattern, aut_pattern(n).mask.T."""
+    index = np.flatnonzero(~aut_pattern(n).mask.T)
     index.flags.writeable = False
     return index
 
 
-def verify_witness(subject: Metric | np.ndarray, witness: Witness) -> VerificationResult:
-    """Re-multiply a witness chain and check every membership claim at WITNESS_TOL.
+def verify_witness(metric: Metric, witness: Witness) -> VerificationResult:
+    """Re-multiply the witness of a classified metric and check every membership claim
+    at WITNESS_TOL, the recorded m-factor against the metric's Gram matrix included.
 
-    `subject` is either the starting group element or the classified metric
-    (in which case the recorded m-factor is checked against its Gram matrix).
     Every size test is relative and reads `not x <= bound`, so that a NaN fails it;
     singularity is judged by conditioning, so a witness of c * M checks as one of M does.
-    A matrix of the wrong size fails the check before anything is multiplied.
+    A matrix of the wrong size, or a singular m-factor, fails the check before anything
+    is multiplied.
     """
-    if isinstance(subject, Metric) and witness.m_factor is None:
+    if witness.m_factor is None:
         return VerificationResult(False, math.inf, "witness has no m-factor")
     try:
         factors = np.array([*witness.left, *witness.right], dtype=float)
     except ValueError:  # factors of different shapes
         factors = None
-    sizes_wrong = _size_problems(subject, witness, factors)
+    sizes_wrong = _size_problems(metric, witness, factors)
     if sizes_wrong:
         return VerificationResult(False, math.inf, "; ".join(sizes_wrong))
+    try:
+        minv = inv(witness.m_factor)
+    except np.linalg.LinAlgError:
+        return VerificationResult(False, math.inf, "m-factor is singular")
     n = witness.n
     problems = []
     ipq = shared_minkowski_gram(n)
     chain = witness.product() - witness.target
     # one pass reads each start test's miss and size, and the chain's miss
-    if isinstance(subject, Metric):
-        minv = inv(witness.m_factor)
-        gram = to_float(subject.gram)
-        gram_miss = minv.T.dot(ipq).dot(minv) - gram
-        reads = np.abs([gram_miss, minv.T - witness.start, gram, witness.start, chain])
-        gram_res, start_res, *sizes, residual = np.maximum.reduce(reads, axis=(1, 2)).tolist()
-        if not gram_res <= WITNESS_TOL * sizes[0]:
-            problems.append(f"m-factor does not reproduce the metric ({gram_res:.2e})")
-        if not start_res <= WITNESS_TOL * sizes[1]:
-            problems.append("start matrix is not the transpose-inverse of m")
-    else:
-        g = to_float(np.asarray(subject))
-        same = g.shape == witness.start.shape
-        reads = [g - witness.start, g, chain] if same else [chain]
-        *start, residual = np.maximum.reduce(np.abs(reads), axis=(1, 2)).tolist()
-        if not (same and start[0] <= WITNESS_TOL * start[1]):
-            problems.append("start matrix differs from the supplied element")
+    gram = to_float(metric.gram)
+    gram_miss = minv.T.dot(ipq).dot(minv) - gram
+    reads = np.abs([gram_miss, minv.T - witness.start, gram, witness.start, chain])
+    gram_res, start_res, *sizes, residual = np.maximum.reduce(reads, axis=(1, 2)).tolist()
+    if not gram_res <= WITNESS_TOL * sizes[0]:
+        problems.append(f"m-factor does not reproduce the metric ({gram_res:.2e})")
+    if not start_res <= WITNESS_TOL * sizes[1]:
+        problems.append("start matrix is not the transpose-inverse of m")
     # every factor in one stack, the left ones first, and one magnitude pass over it
     factors = factors.reshape(-1, n, n)
     mags, cut = np.abs(factors).reshape(-1, n * n), len(witness.left)

@@ -4,7 +4,9 @@ The package passes sparse rows to `_linalg.rref_rows` and `nullspace_rows`; the
 dense adapters here read and write object arrays of QSqrt3, the shape the tests'
 references use.  Der(g) as dense matrices, the metric JSON writer and the
 degeneration-curve sampler build the inputs and references of the tests.
-`verify_witness_by_side` is the reference the one-pass `verify_witness` must match.
+`verify_witness_by_side` is the reference the one-pass `verify_witness` must match
+on a classified metric, and the checker of the stage witnesses, whose subject is the
+starting group element.
 """
 
 import math
@@ -22,7 +24,7 @@ from heislor._linalg import (
     shared_minkowski_gram,
     to_float,
 )
-from heislor.liealg import _derivation_vectors, hprime_pattern, require_dim
+from heislor.liealg import _derivation_vectors, aut_pattern, require_dim
 from heislor.metrics import APPROX, EXACT, Metric, canonical_gram
 from heislor.numerics import QSqrt3
 from heislor.reduction import WITNESS_TOL, VerificationResult, Witness
@@ -70,14 +72,18 @@ def verify_witness_by_side(subject: Metric | np.ndarray, witness: Witness) -> Ve
     """verify_witness with each test read on its own: every miss and size is its own
     reduction, the left and right factors are two stacks, and the chain is re-multiplied
     last.  The same tests, tolerances and problems in the same order, so the package's
-    one-pass read must give the same ok, the same residual bits and the same detail."""
+    one-pass read must give the same ok, the same residual bits and the same detail on
+    a metric subject.  An element subject is the start the chain must begin from."""
     n = witness.n
     problems = []
     ipq = shared_minkowski_gram(n)
     if isinstance(subject, Metric):
         if witness.m_factor is None:
             return VerificationResult(False, math.inf, "witness has no m-factor")
-        minv = inv(witness.m_factor)
+        try:
+            minv = inv(witness.m_factor)
+        except np.linalg.LinAlgError:
+            return VerificationResult(False, math.inf, "m-factor is singular")
         gram = to_float(subject.gram)
         gram_res = max_abs(minv.T @ ipq @ minv - gram)
         if not gram_res <= WITNESS_TOL * max_abs(gram):
@@ -91,7 +97,7 @@ def verify_witness_by_side(subject: Metric | np.ndarray, witness: Witness) -> Ve
         if not (same and max_abs(g - witness.start) <= WITNESS_TOL * max_abs(g)):
             problems.append("start matrix differs from the supplied element")
     left = np.array(witness.left, dtype=float).reshape(-1, n, n)
-    outside = np.abs(left[:, hprime_pattern(n).outside]).max(axis=1)
+    outside = np.abs(left[:, ~aut_pattern(n).mask.T]).max(axis=1)
     singular = is_singular(left)
     for idx, (out, sing) in enumerate(zip(outside.tolist(), singular.tolist())):
         if not out <= WITNESS_TOL:

@@ -10,7 +10,6 @@ from heislor.liealg import (
     _bracket_terms,
     aut_pattern,
     derivation_space_dim,
-    hprime_pattern,
 )
 from heislor._linalg import exact_array, exact_rank, exact_zeros, to_float
 from heislor.numerics import QSqrt3
@@ -182,4 +181,3 @@ def test_pattern_masks():
     m = aut_pattern(5).mask
     assert not m[0, 2] and not m[0, 4] and not m[2, 4]
     assert m[4, 0] and m[2, 1] and m[0, 1]
-    assert np.array_equal(hprime_pattern(5).mask, m.T)
