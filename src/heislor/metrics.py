@@ -97,10 +97,10 @@ def canonical_key(lam, xi) -> str:
 
 def _whole(lam) -> int | None:
     """lam as an int when it is a whole number, a QSqrt3 one included, else None;
-    int() alone would read 2.5 as 2."""
+    int() alone would read 2.5 as 2, and raise on an infinite or NaN lam."""
     if isinstance(lam, QSqrt3):
         return int(lam.a) if not lam.b and lam.a.denominator == 1 else None
-    return int(lam) if lam == int(lam) else None
+    return int(lam) if abs(lam) < math.inf and lam == int(lam) else None
 
 
 @dataclass(frozen=True)

@@ -65,9 +65,7 @@ SNAP_LIMIT = WITNESS_TOL / 4
 NEAR_WALL_FLAG = 1e-9
 #: relative deviation from the exact shape that a snap may absorb
 SNAP_TOL = 1e-6
-#: a (3, 1) entry this small relative to the matrix leaves no corner to rotate in
-PIVOT_TOL = 1e-12
-#: a (3, 3) corner below this fraction of max(1, |(3, 1) entry|) is rotated into a nonzero one
+#: a (3, 3) corner below this fraction of max(1, |(3, 1) entry|) breaks the chart down
 CORNER_TOL = 1e-9
 #: largest t accepted without a retry (factor entries grow with t); classify
 #: normalizes the input scale away first, so a larger t comes from the chart
@@ -304,15 +302,6 @@ def o11_normalize(x: float, y: float) -> tuple[float, int, np.ndarray]:
 # -- pipeline stages -----------------------------------------------------------
 
 
-def _g_lambda_shape(current: np.ndarray, lam: int) -> np.ndarray:
-    """current with the exact last row (-lam, 0, ..., 0, 1) and last column e_n."""
-    n = current.shape[0]
-    ideal = current.copy()
-    ideal[n - 1, :] = ideal[:, n - 1] = 0.0
-    ideal[n - 1, 0], ideal[n - 1, n - 1] = -float(lam), 1.0
-    return ideal
-
-
 def _reduce_last_row(builder: _Builder) -> int:
     """Rotate and boost the last row to (-lam, 0, ..., 0, 1), clear last column."""
     n = builder.n
@@ -327,7 +316,11 @@ def _reduce_last_row(builder: _Builder) -> int:
     h[: n - 1, n - 1] = -builder.current[: n - 1, n - 1]
     # the first left factor: the witness records it times the exact prescale
     builder.apply_left(h, builder.prescale)
-    builder.snap(_g_lambda_shape(builder.current, lam))
+    # snap onto the exact last row (-lam, 0, ..., 0, 1) and last column e_n
+    ideal = builder.current.copy()
+    ideal[n - 1, :] = ideal[:, n - 1] = 0.0
+    ideal[n - 1, 0], ideal[n - 1, n - 1] = -float(lam), 1.0
+    builder.snap(ideal)
     return lam
 
 
@@ -342,7 +335,8 @@ def _reduce_lambda0(builder: _Builder) -> None:
 def _reduce_to_t(builder: _Builder, lam: int) -> float:
     """Reach I + t E_(n-1,1) - lam E_(n,1), t >= 0: a Householder factor and a
     middle rotation leave the (3, 3) corner x and (3, 1) entry y that fix
-    t = |y / x|, and one left solve lands on it."""
+    t = |y / x|, and one left solve lands on it.  A corner below CORNER_TOL fixes no
+    t: the chart breaks down, and classify redraws it."""
     n = builder.n
     if n >= 5:
         # zero the first column below its third entry
@@ -351,7 +345,7 @@ def _reduce_to_t(builder: _Builder, lam: int) -> float:
     q = right_triangularize(builder.current[1 : n - 1, 1 : n - 1])
     builder.apply_right(embed(q, n, tuple(range(1, n - 1))))
     if abs(builder.current[2, 2]) <= CORNER_TOL * max(1.0, abs(builder.current[2, 0])):
-        _fix_zero_corner(builder, lam)
+        raise NumericalBreakdown("vanishing (3, 3) corner")
     t_signed = float(builder.current[2, 0] / builder.current[2, 2])
     target = shared_eye(n).copy()
     target[2, 0] = t_signed
@@ -369,37 +363,6 @@ def _reduce_to_t(builder: _Builder, lam: int) -> float:
     t = abs(t_signed)
     builder.snap(_t_form(lam, t, n))
     return t
-
-
-def _fix_zero_corner(builder: _Builder, lam: int) -> None:
-    """Swap a vanishing (3, 3) corner entry into a nonzero one.
-
-    Uses the explicit O(3,1) element with sqrt(lam^2+1) entries acting on
-    coordinates (1, 2, 3, n), followed by a last-column cleanup.
-    """
-    n = builder.n
-    y = float(builder.current[2, 0])
-    if abs(y) < PIVOT_TOL * max(1.0, max_abs(builder.current)):
-        raise NumericalBreakdown("degenerate corner: both x and y vanish")
-    r = math.sqrt(lam * lam + 1.0)
-    lam_f = float(lam)
-    k1 = np.array(
-        [
-            [0.0, 0.0, r, lam_f],
-            [0.0, 1.0, 0.0, 0.0],
-            [-r, 0.0, lam_f * lam_f, lam_f * r],
-            [-lam_f, 0.0, lam_f * r, lam_f * lam_f + 1.0],
-        ]
-    )
-    builder.apply_right(embed(k1, n, (0, 1, 2, n - 1)))
-    h = shared_eye(n).copy()
-    h[: n - 1, n - 1] = -builder.current[: n - 1, n - 1]
-    builder.apply_left(h)
-    ideal = _g_lambda_shape(builder.current, lam)
-    ideal[2, 0] = y * lam_f * lam_f
-    ideal[2, 1] = 0.0
-    ideal[2, 2] = y * r
-    builder.snap(ideal)
 
 
 def _boost_t(builder: _Builder, t: float) -> float:

@@ -49,6 +49,10 @@ IVT_RESIDUAL = 1e-12
 SPOT_CHECK_TOL = 1e-10
 #: rounding slack below the lam=2 root's domain s >= 5/3
 ROOT_DOMAIN_SLACK = 1e-12
+#: n of the exact curvature checks: the oracle at every table n, the costlier two at 4 and 6
+_ORACLE_NS, _CURVATURE_NS = tuple(range(4, 11)), (4, 6)
+#: the seeded sample of t on each branch of the lam=2 root check
+_IVT_SAMPLES, _IVT_SEED = 100, 7
 
 
 def codimension_table(n: int) -> dict[tuple[int, str], int]:
@@ -207,9 +211,9 @@ def _tables_equal_exact(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def check_curvature_oracle(n_values=tuple(range(4, 11))) -> CheckResult:
+def check_curvature_oracle() -> CheckResult:
     def run():
-        for n in n_values:
+        for n in _ORACLE_NS:
             for pair in CANONICAL_PAIRS:
                 lam = QSqrt3(pair[0])
                 xi = xi_exact(pair[1])
@@ -225,14 +229,14 @@ def check_curvature_oracle(n_values=tuple(range(4, 11))) -> CheckResult:
                 for name, got, want in tables:
                     if not _tables_equal_exact(got, want):
                         raise AssertionError(f"{name} mismatch at {pair}, n={n}")
-        return f"generic pipeline equals closed forms exactly, n in {list(n_values)}"
+        return f"generic pipeline equals closed forms exactly, n in {list(_ORACLE_NS)}"
 
     return _timed("curvature-tables-oracle", run)
 
 
-def check_flat_einstein_soliton(n_values=(4, 6)) -> CheckResult:
+def check_flat_einstein_soliton() -> CheckResult:
     def run():
-        for n in n_values:
+        for n in _CURVATURE_NS:
             for pair in CANONICAL_PAIRS:
                 report = curvature_report(pair[0], pair[1], n, backend=EXACT)
                 should_be_flat = pair == (1, "0")
@@ -247,14 +251,15 @@ def check_flat_einstein_soliton(n_values=(4, 6)) -> CheckResult:
                 brackets = frame_brackets(QSqrt3(pair[0]), xi_exact(pair[1]), n)
                 if derivation_identity_residual(d, brackets) != 0.0:
                     raise AssertionError(f"soliton D not a derivation at {pair}, n={n}")
-        return f"flat iff (1,0); Einstein iff flat; exact soliton for all six, n in {list(n_values)}"
+        ns = list(_CURVATURE_NS)
+        return f"flat iff (1,0); Einstein iff flat; exact soliton for all six, n in {ns}"
 
     return _timed("flat-einstein-soliton", run)
 
 
-def check_ricci_spectra(n_values=(4, 6)) -> CheckResult:
+def check_ricci_spectra() -> CheckResult:
     def run():
-        for n in n_values:
+        for n in _CURVATURE_NS:
             for pair, expected in RICCI_SPECTRA.items():
                 spectrum = ricci_spectrum(pair[0], xi_exact(pair[1]), n)
                 got = sorted(spectrum, reverse=True)
@@ -311,14 +316,14 @@ def check_degeneration_graph(n_values=(4, 5, 6)) -> CheckResult:
     return _timed("degeneration-graph", run)
 
 
-def check_ivt_roots(samples: int = 100, seed: int = 7) -> CheckResult:
+def check_ivt_roots() -> CheckResult:
     """Certify the closed-form lam=2 root that classify runs against its equation."""
 
     def run():
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_IVT_SEED)
         worst = 0.0
         for xi_key, lo, hi in (("0", 0.0, SQRT3_F), ("2", SQRT3_F, 20.0)):
-            for t in rng.uniform(lo, hi, samples):
+            for t in rng.uniform(lo, hi, _IVT_SAMPLES):
                 key, s, _ = lambda2_closed_form(t)
                 if key != xi_key:
                     raise AssertionError(f"t={t} solved on the xi={key} branch")
@@ -352,8 +357,8 @@ def run_all(
         crit1,
         check_signature_table(table_ns),
         check_curvature_oracle(),
-        check_flat_einstein_soliton((4, 6)),
-        check_ricci_spectra((4, 6)),
+        check_flat_einstein_soliton(),
+        check_ricci_spectra(),
         check_codimension_table(table_ns),
         check_degeneration_graph(tuple(n for n in (4, 5, 6) if n_min <= n <= max(n_max, 6))),
         check_ivt_roots(),

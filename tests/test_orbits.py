@@ -1,5 +1,7 @@
 """Stabilizer dimensions, codimensions, curves and the degeneration graph."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,28 @@ def test_exact_lambda_reads_as_its_whole_rational_in_the_orbit_and_curvature_tab
     for table in tables:
         with pytest.raises(NotARepresentative):
             table(QSqrt3(1, 1), "0", 5)
+
+
+_NON_FINITE = (math.inf, -math.inf, math.nan, np.float64(math.inf), np.float64(math.nan))
+
+
+@pytest.mark.parametrize("lam", _NON_FINITE, ids=["inf", "-inf", "nan", "np-inf", "np-nan"])
+def test_non_finite_lambda_is_no_representative(lam):
+    # int() raises on an infinite or NaN lam, so it must be refused before it is read
+    tables = (
+        lambda lam, xi, n: metrics.canonical_metric(lam, xi, n),
+        lambda lam, xi, n: metrics.canonical_metric(lam, xi, n, metrics.APPROX),
+        lambda lam, xi, n: metrics.canonical_key(lam, xi),
+        curvature_report,
+        codimension,
+        stabilizer_dim,
+        dims_UW,
+        orbit_report,
+        is_closed,
+    )
+    for table in tables:
+        with pytest.raises(NotARepresentative):
+            table(lam, "0", 5)
 
 
 def test_graph_dot_output():

@@ -263,13 +263,18 @@ def test_reduce_to_t_round_trip(n, lam, t_true):
     assert verify_witness_by_side(g, witness).ok
 
 
+#: a peel pivot this small relative to the working matrix breaks the reference down
+_PEEL_PIVOT_TOL = 1e-12
+
+
 def _reduce_to_t_peel_reference(g, lam):
     """Reduction to the t-form by back substitution written out step by step.
 
     After the Householder factor and the middle rotation it peels columns
     n-1 .. 4 to the identity with one factor each, clears the third column and
     cancels the top 2x2 block, snapping onto the known shape after every step.
-    The library takes one left solve instead; this is its reference.
+    The library takes one left solve instead; this is its reference, and like
+    the library it breaks down on a vanishing (3, 3) corner.
     """
     builder = reduction._Builder(g)
     n = builder.n
@@ -287,7 +292,7 @@ def _reduce_to_t_peel_reference(g, lam):
     builder.snap(ideal)
     for j in range(n - 2, 2, -1):
         pivot = float(builder.current[j, j])
-        if abs(pivot) < reduction.PIVOT_TOL * max(1.0, max_abs(builder.current)):
+        if abs(pivot) < _PEEL_PIVOT_TOL * max(1.0, max_abs(builder.current)):
             raise NumericalBreakdown(f"vanishing peel pivot at column {j}")
         h = np.eye(n)
         h[j, j] = 1.0 / pivot
@@ -299,7 +304,7 @@ def _reduce_to_t_peel_reference(g, lam):
         ideal[j, j] = 1.0
         builder.snap(ideal)
     if abs(builder.current[2, 2]) <= reduction.CORNER_TOL * max(1.0, max_abs(builder.current[2])):
-        reduction._fix_zero_corner(builder, lam)
+        raise NumericalBreakdown("vanishing (3, 3) corner")
     x = float(builder.current[2, 2])
     y = float(builder.current[2, 0])
     h4 = np.eye(n)
@@ -390,14 +395,13 @@ def _zero_corner_input(n, lam):
 
 @pytest.mark.parametrize("n", (4, 5, 7))
 @pytest.mark.parametrize("lam", (1, 2))
-def test_reduce_to_t_zero_corner_subcase(n, lam, count_calls):
-    # the corner is rotated into a nonzero one by the sqrt(lam^2+1) fix-up
-    calls = count_calls(reduction, "_fix_zero_corner")
+def test_reduce_to_t_zero_corner_subcase(n, lam):
+    # a vanishing corner fixes no t: the stage breaks down, and so does the reference
     g = _zero_corner_input(n, lam)
-    t, witness = reduce_to_t(g, lam)
-    assert [args[1] for args in calls] == [lam]
-    assert t >= 0 and math.isfinite(t)
-    assert verify_witness_by_side(g, witness).ok
+    with pytest.raises(NumericalBreakdown, match="vanishing"):
+        reduce_to_t(g, lam)
+    with pytest.raises(NumericalBreakdown, match="vanishing"):
+        _reduce_to_t_peel_reference(g, lam)
 
 
 def test_singular_input_breaks_down():
@@ -985,7 +989,8 @@ def _breaking_charts(monkeypatch, broken):
 
 
 def test_classify_redraws_the_chart_after_a_breakdown(monkeypatch):
-    # no suite or benchmark input breaks down inside classify, so the first chart is made to
+    # an orbit sample's first chart holds, so it is made to break down here; the
+    # vanishing-corner inputs below break down on their own
     metric = _orbit_sample(2, "2", 6, seed=11)
     m, _, _ = _factor_metric(metric)
     charts = _breaking_charts(monkeypatch, 1)
@@ -1004,20 +1009,73 @@ def test_classify_raises_the_last_breakdown_when_every_chart_breaks(monkeypatch)
     assert len(charts) == last
 
 
-def _sheared_gram(lam, xi, n, entry):
-    """The canonical Gram matrix pushed forward by I + entry E_31 (|det| = 1)."""
+def _sheared_gram(lam, xi, n, entry, at=(2, 0)):
+    """The canonical Gram matrix pushed forward by I + entry E_at, E_31 by default
+    (|det| = 1)."""
     g = np.eye(n)
-    g[2, 0] = entry
+    g[at] = entry
     return act(g, _float_metric(canonical_gram(lam, xi, n, exact=False))).gram
 
 
-@pytest.mark.parametrize("gram", [_sheared_gram(1, 1.0, 5, 100.0)], ids=["large-t"])
+#: (1, 1) at n = 4 pushed by I + 100 E_13: its first chart's witness misses by 2.7e-2
+_UNSOUND_FIRST_CHART = _sheared_gram(1, 1.0, 4, 100.0, at=(0, 2))
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [_sheared_gram(1, 1.0, 5, 100.0), _UNSOUND_FIRST_CHART],
+    ids=["large-t", "large-t-unsound-first-chart"],
+)
 def test_chart_dependent_t_still_redraws(gram, count_calls):
     # t above T_RETRY_MAX depends on the chart; a unit-determinant shear keeps
     # the input scale at 1, so the scale normalization cannot remove it
     charts = count_calls(reduction, "_reduce_last_row")  # one call per chart
-    classify(_float_metric(gram))
+    metric = _float_metric(gram)
+    _, _, witness = classify(metric)
     assert len(charts) > 1
+    assert verify_witness(metric, witness).ok
+
+
+def test_large_t_redraw_is_what_makes_the_witness_sound(monkeypatch):
+    # without the redraw the first chart's witness is returned, flagged, and fails
+    monkeypatch.setattr(reduction, "MAX_RETRIES", 0)
+    metric = _float_metric(_UNSOUND_FIRST_CHART)
+    form, _, witness = classify(metric)
+    assert form.pair == (1, "1") and witness.flags == ["RetriesExhausted"]
+    assert not verify_witness(metric, witness).ok
+
+
+def _corner_inputs():
+    """Inputs whose first chart leaves a vanishing (3, 3) corner, each with its class:
+    diag(1, ..., -1, ..., 1) with the -1 at position 3 .. n-1, n = 4..12, and the
+    canonical (0, 0) Gram matrix pushed by I + c E_(i,n), i = 3 .. n-1, n = 4..10."""
+    for n in range(4, 13):
+        for pos in range(2, n - 1):
+            d = np.ones(n)
+            d[pos] = -1.0
+            yield f"diag n={n} -1 at {pos + 1}", _float_metric(np.diag(d)), (2, "2")
+    for n in range(4, 11):
+        for c, pair in ((1.0, (1, "1")), (-1.0, (1, "1")), (2.0, (2, "2"))):
+            for i in range(2, n - 1):
+                gram = _sheared_gram(0, 0.0, n, c, at=(i, n - 1))
+                yield f"(0, 0) n={n} c={c} E_{i + 1}{n}", _float_metric(gram), pair
+
+
+def test_a_vanishing_corner_redraws_the_chart(monkeypatch, count_calls):
+    inputs = list(_corner_inputs())
+    assert len(inputs) == 129
+    charts = count_calls(reduction, "_reduce_last_row")  # one call per chart
+    for label, metric, pair in inputs:
+        before = len(charts)
+        form, _, witness = classify(metric)
+        assert form.pair == pair, label
+        assert verify_witness(metric, witness).ok, label
+        assert len(charts) - before == 2, label
+    # the first chart breaks down on the corner itself
+    monkeypatch.setattr(reduction, "MAX_RETRIES", 0)
+    for label, metric, _ in inputs:
+        with pytest.raises(NumericalBreakdown, match="vanishing"):
+            classify(metric)
 
 
 @pytest.mark.parametrize("n", (4, 5, 8))

@@ -3,7 +3,7 @@
     PYTHONPATH=src python3 tools/digest.py
 
 Run from the root of a source checkout.  Two checkouts whose outputs are bit for
-bit the same print the same four lines:
+bit the same print the same five lines:
 
 - classify:   classify + verify_witness on the first 1320 inputs of the
   orbit-sweep and near-wall streams of perfbench/gen.py, seeds 1-3: the class,
@@ -15,7 +15,13 @@ bit the same print the same four lines:
 - cli:        282 in-process CLI runs (curvature at n = 4..10 for the six
   classes in three formats and both backends, orbits at n = 4..10 in four
   formats, and two refused inputs): exit code, stdout and stderr;
-- tables:     the values of perfbench/tables.py's run_pass().
+- tables:     the values of perfbench/tables.py's run_pass();
+- structured: the classify group's fields over 3996 structured inputs, which
+  reach the chart redraws on a vanishing corner and on a large t that the
+  benchmark streams never reach: the 72 grams diag(1, ..., -1, ..., 1) at n = 4..12, the 84
+  canonical metrics at n = 4..10 on both backends, and each float canonical
+  metric at n = 4..8 pushed forward by I + c E_ij for every i != j and
+  c in (1, -1, 2, 100).
 
 The bits depend on the numpy and BLAS build, so compare digests made with the
 same build.  perfbench/ is imported, never written.
@@ -29,7 +35,7 @@ import io
 import json
 import struct
 import sys
-from itertools import islice
+from itertools import islice, permutations
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +46,14 @@ import gen  # noqa: E402
 import tables  # noqa: E402
 
 from heislor import cli  # noqa: E402
-from heislor.metrics import APPROX, CANONICAL_PAIRS, Metric  # noqa: E402
+from heislor.metrics import (  # noqa: E402
+    APPROX,
+    CANONICAL_PAIRS,
+    EXACT,
+    Metric,
+    act,
+    canonical_metric,
+)
 from heislor.reduction import (  # noqa: E402
     classify,
     classify_by_invariants,
@@ -53,6 +66,8 @@ WORKLOADS = ("orbit-sweep", "near-wall")
 SEEDS = (1, 2, 3)
 #: inputs per workload and seed: four cycles of near-wall's 330 strata
 INPUTS = 1320
+#: the entries c of the structured inputs' pushes I + c E_ij
+SHEARS = (1.0, -1.0, 2.0, 100.0)
 
 
 class Digest:
@@ -87,6 +102,26 @@ def _metrics():
         for seed in SEEDS:
             for case in islice(gen.stream(workload, seed), INPUTS):
                 yield Metric(gram=case.gram, backend=APPROX)
+
+
+def _structured_metrics():
+    for n in range(4, 13):
+        for pos in range(n):
+            diagonal = np.ones(n)
+            diagonal[pos] = -1.0
+            yield Metric(gram=np.diag(diagonal), backend=APPROX)
+    for n in range(4, 11):
+        for lam, key in CANONICAL_PAIRS:
+            for backend in (EXACT, APPROX):
+                yield canonical_metric(lam, key, n, backend)[0]
+    for n in range(4, 9):
+        for lam, key in CANONICAL_PAIRS:
+            base, _ = canonical_metric(lam, key, n, APPROX)
+            for c in SHEARS:
+                for at in permutations(range(n), 2):
+                    push = np.eye(n)
+                    push[at] = c
+                    yield act(push, base)
 
 
 def _feed_classification(d: Digest, metric: Metric) -> None:
@@ -139,7 +174,7 @@ def _feed_cli(d: Digest, argv: list[str]) -> None:
 
 
 def digests() -> dict[str, str]:
-    groups = {name: Digest() for name in ("classify", "invariants", "cli", "tables")}
+    groups = {name: Digest() for name in ("classify", "invariants", "cli", "tables", "structured")}
     for metric in _metrics():
         _feed_classification(groups["classify"], metric)
         _feed_invariants(groups["invariants"], metric)
@@ -147,6 +182,8 @@ def digests() -> dict[str, str]:
         _feed_cli(groups["cli"], argv)
     _, _, values = tables.run_pass()
     groups["tables"].feed(json.dumps(values, sort_keys=True))
+    for metric in _structured_metrics():
+        _feed_classification(groups["structured"], metric)
     return {name: d.hash.hexdigest() for name, d in groups.items()}
 
 
