@@ -36,8 +36,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._linalg import _subtract, exact_zeros, max_abs
-from .liealg import _bracket_terms
-from .metrics import _whole, canonical_key, xi_exact
+from .liealg import _bracket_terms, require_dim
+from .metrics import _whole, canonical_key, xi_exact, xi_json
 from .numerics import EXACT, QSqrt3, sub_product
 
 HALF = QSqrt3(Fraction(1, 2))
@@ -164,16 +164,17 @@ def generic_curvature(lam, xi, n: int, exact: bool = True):
 # -- closed-form component tables ---------------------------------------------
 
 
-def _scalars(lam, xi) -> tuple[QSqrt3, QSqrt3, QSqrt3, QSqrt3]:
-    """(lam, xi, 1, 1/2) in Q(sqrt3), the closed forms' scalars."""
-    return QSqrt3.coerce(lam), QSqrt3.coerce(xi), QSqrt3(1), HALF
+def _corners_and_scalars(lam, xi, n: int) -> tuple:
+    """The closed forms' corner coordinates 0, 1, n-2, n-1, distinct from n = 4 on,
+    and their scalars (lam, xi, 1, 1/2) in Q(sqrt3)."""
+    require_dim(n)
+    return 0, 1, n - 2, n - 1, QSqrt3.coerce(lam), QSqrt3.coerce(xi), QSqrt3(1), HALF
 
 
 def closed_form_u(lam, xi, n: int) -> np.ndarray:
     """Hard-coded symmetric U components on the corner coordinates, as u[i, j, k]."""
     u = exact_zeros((n, n, n))
-    lam, xi, one, half = _scalars(lam, xi)
-    a, b, c, d = 0, 1, n - 2, n - 1
+    a, b, c, d, lam, xi, one, half = _corners_and_scalars(lam, xi, n)
 
     def put(i, j, entries):
         for k, v in entries:
@@ -193,8 +194,7 @@ def closed_form_u(lam, xi, n: int) -> np.ndarray:
 def closed_form_nabla(lam, xi, n: int) -> np.ndarray:
     """Hard-coded connection components on the corner coordinates, as nabla[i, j, k]."""
     nb = exact_zeros((n, n, n))
-    lam, xi, one, half = _scalars(lam, xi)
-    a, b, c, d = 0, 1, n - 2, n - 1
+    a, b, c, d, lam, xi, one, half = _corners_and_scalars(lam, xi, n)
     lam2 = lam * lam
 
     def put(i, j, entries):
@@ -220,8 +220,7 @@ def closed_form_nabla(lam, xi, n: int) -> np.ndarray:
 
 def closed_form_riemann(lam, xi, n: int) -> dict[tuple[int, int], np.ndarray]:
     """Hard-coded curvature operators on the corner coordinates."""
-    a, b, c, d = 0, 1, n - 2, n - 1
-    lam, xi, one, half = _scalars(lam, xi)
+    a, b, c, d, lam, xi, one, half = _corners_and_scalars(lam, xi, n)
     quarter = half * half
     lam2, xi2 = lam * lam, xi * xi
     m = lam2 - one
@@ -278,8 +277,7 @@ def closed_form_riemann(lam, xi, n: int) -> dict[tuple[int, int], np.ndarray]:
 def closed_form_ricci(lam, xi, n: int, exact: bool = True) -> np.ndarray:
     """Hard-coded Ricci operator matrix on the corner coordinates."""
     _exact_only(exact)
-    a, b, c, d = 0, 1, n - 2, n - 1
-    lam, xi, one, half = _scalars(lam, xi)
+    a, b, c, d, lam, xi, one, half = _corners_and_scalars(lam, xi, n)
     lam2, xi2 = lam * lam, xi * xi
     m = lam2 - one
     ric = exact_zeros((n, n))
@@ -483,6 +481,7 @@ def ricci_spectrum(lam, xi, n: int, ric: np.ndarray | None = None, exact: bool =
     coefficients, when the polynomial does not split over Q(sqrt3).
     """
     _exact_only(exact)
+    require_dim(n)
     if ric is None:
         ric = closed_form_ricci(lam, xi, n)
     idx = [0, 1, n - 2, n - 1]
@@ -538,7 +537,7 @@ class CurvatureReport:
             soliton = {"c": num(c), "D": [vec(row) for row in d]}
         return {
             "lambda": self.lam,
-            "xi": self.xi_key if self.xi_key == "sqrt3" else int(self.xi_key),
+            "xi": xi_json(self.xi_key),
             "n": self.n,
             "backend": self.backend,
             "U": table_entries("U", self.u),

@@ -46,6 +46,7 @@ def _bracket_terms(lam, xi, n: int) -> dict:
     is left out.  At lam = xi = 0 the frame is the standard basis and the one
     relation left is [e_1, e_2] = e_n.
     """
+    require_dim(n)
     lam, xi = QSqrt3.coerce(lam), QSqrt3.coerce(xi)
     w = {k: x for k, x in ((0, lam), (n - 1, QSqrt3(-1))) if x}
     terms = {}
@@ -64,7 +65,6 @@ def _derivation_vectors(n: int) -> tuple[tuple, ...]:
     n equations D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j] = 0, whose coefficients
     come from the nonzero entries c[a, b, l] = v of the table at lam = xi = 0 alone.
     """
-    require_dim(n)
     rows: defaultdict[tuple[int, int, int], Counter] = defaultdict(Counter)
     for (a, b), bracket in _bracket_terms(0, 0, n).items():
         for l, v in bracket.items():

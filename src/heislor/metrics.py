@@ -29,6 +29,7 @@ from ._linalg import (
     shared_minkowski_gram,
     to_float,
 )
+from .liealg import require_dim
 from .numerics import APPROX, DEFAULT_TOL, EXACT, QSqrt3, SQRT3
 
 
@@ -85,6 +86,11 @@ def xi_key_of(value) -> str:
         if isinstance(value, (int, float)) and abs(float(exact) - float(value)) < XI_MATCH_TOL:
             return key
     raise NotARepresentative(f"xi value {value!r} is not one of 0, 1, sqrt3, 2")
+
+
+def xi_json(key: str) -> int | str:
+    """xi as a JSON value: "sqrt3", or the integer 0, 1 or 2."""
+    return key if key == "sqrt3" else int(key)
 
 
 def canonical_key(lam, xi) -> str:
@@ -186,17 +192,18 @@ def signature_of(m: np.ndarray) -> tuple[int, int, int]:
 
 def act(g: np.ndarray, metric: Metric) -> Metric:
     """Push the inner product forward: gram -> g^-T gram g^-1."""
-    if g.dtype == object:
-        ginv = exact_inv(g)
-    else:
-        if is_singular(g):
-            raise SingularMatrix("change of basis is singular")
-        ginv = inv(g)
+    if g.dtype != object and is_singular(g):
+        raise SingularMatrix("change of basis is singular")
+    try:
+        ginv = exact_inv(g) if g.dtype == object else inv(g)
+    except ZeroDivisionError as exc:  # exact_inv of a singular g
+        raise SingularMatrix("change of basis is singular") from exc
     return Metric(gram=ginv.T @ metric.gram @ ginv, backend=metric.backend)
 
 
 def shear_matrix(lam, xi, n: int, exact: bool = True) -> np.ndarray:
     """Identity plus the (1, n-1) and (1, n) shear entries xi and lam."""
+    require_dim(n)
     if exact:
         g = exact_eye(n)
         g[0, n - 2] = QSqrt3.coerce(xi)
@@ -214,6 +221,7 @@ def canonical_gram(lam, xi, n: int, exact: bool = True) -> np.ndarray:
     The float form broadcasts: arrays of lam and xi of shape S give a stack of
     shape S + (n, n), and scalars give the single (n, n) gram, a batch of one.
     """
+    require_dim(n)
     if exact:
         lam = QSqrt3.coerce(lam)
         xi = QSqrt3.coerce(xi)

@@ -29,6 +29,7 @@ from .metrics import (
     canonical_gram,
     canonical_key,
     xi_exact,
+    xi_json,
 )
 from .numerics import SQRT3_F, QSqrt3
 from .reduction import _classify_grams, signature_table
@@ -348,7 +349,7 @@ class OrbitReport:
     def to_json(self) -> dict:
         return {
             "lambda": self.lam,
-            "xi": self.xi_key if self.xi_key == "sqrt3" else int(self.xi_key),
+            "xi": xi_json(self.xi_key),
             "n": self.n,
             "dimU": self.dim_u,
             "dimW": self.dim_w,

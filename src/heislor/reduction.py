@@ -46,6 +46,7 @@ from .metrics import (
     signature_of,
     xi_exact,
     xi_float,
+    xi_json,
     xi_key_of,
 )
 from .numerics import DEFAULT_TOL, EXACT, NEGATIVE, POSITIVE, SQRT3_F, QSqrt3, sign_with_tol
@@ -366,39 +367,24 @@ def _reduce_to_t(builder: _Builder, lam: int) -> float:
 
 
 def _boost_t(builder: _Builder, t: float) -> float:
-    """Halve or double t into [1/2, 2] by light-cone boosts of e = 1/2 or 2; returns t.
-
-    Every boost takes the same right factor K and a left factor H_i that depends
-    on t_i alone, so the k steps are built as two stacks, the H_i and the t-forms
-    T_i, and snap-checked at once: H_i (T_i K) against T_(i+1), by snap's rule.
-    One boost by 2^k would skip those checks and miss the target more often.
-    """
+    """Halve or double t into [1/2, 2] by light-cone boosts of e = 1/2 or 2, each one
+    applied and snapped on its own (one boost by 2^k would miss more often); returns t."""
+    if 0.5 <= t <= 2.0:
+        return t
     n = builder.n
     e = 0.5 if t > 2.0 else 2.0
-    ts = [t]
-    while ts[-1] > 2.0 or ts[-1] < 0.5:
-        ts.append(ts[-1] * e)
-    if len(ts) == 1:
-        return t
     c, s = 0.5 * (e + 1.0 / e), 0.5 * (e - 1.0 / e)
     boost = embed(np.array([[c, s], [s, c]]), n, (0, n - 1))
-    forms = np.tile(builder.current, (len(ts), 1, 1))  # the working matrix is T_0
-    forms[:, n - 2, 0] = ts
-    hs = np.tile(shared_eye(n), (len(ts) - 1, 1, 1))
-    hs[:, 0, 0], hs[:, 0, n - 1], hs[:, n - 1, n - 1] = 1.0 / e, -s, e
-    hs[:, n - 2, n - 1] = -np.array(ts[:-1]) * s * e
-    reached = np.matmul(hs, np.matmul(forms[:-1], boost))
-    dev = np.maximum.reduce(np.abs(reached - forms[1:]), axis=(1, 2))
-    size = np.maximum.reduce(
-        np.maximum(np.abs(forms[1:]), np.abs(reached)), axis=(1, 2), initial=1.0
-    )
-    bad = ~(dev <= SNAP_TOL * size)  # a NaN deviation is bad too
-    if bad.any():
-        raise NumericalBreakdown(f"snap deviation {dev[bad.argmax()]:.3e} exceeds tolerance")
-    builder.left_app.extend(hs)
-    builder.right_app.extend(np.repeat(boost[None], len(hs), axis=0))
-    builder.current = forms[-1]
-    return ts[-1]
+    boost.flags.writeable = False  # the chain records this one array at every step
+    while t > 2.0 or t < 0.5:
+        builder.apply_right(boost)
+        h = shared_eye(n).copy()
+        h[0, 0], h[0, n - 1], h[n - 1, n - 1] = 1.0 / e, -s, e
+        h[n - 2, n - 1] = -t * s * e
+        builder.apply_left(h)
+        t *= e
+        builder.snap(_t_form(1, t, n))
+    return t
 
 
 def _reduce_lambda1(builder: _Builder, t: float) -> str:
@@ -511,6 +497,7 @@ def _reduce_lambda2(builder: _Builder, t: float) -> str:
 
 def _check_g_lambda(g: np.ndarray, lam: int) -> None:
     n = g.shape[0]
+    require_dim(n)
     band = DEFAULT_TOL * max(1.0, max_abs(g))
     if not (
         abs(g[n - 1, n - 1] - 1.0) <= band
@@ -524,6 +511,7 @@ def _check_g_lambda(g: np.ndarray, lam: int) -> None:
 def reduce_last_row(g: np.ndarray) -> tuple[np.ndarray, int, Witness]:
     """Send an invertible matrix into the class with normalized last row."""
     g = to_float(np.asarray(g))
+    require_dim(g.shape[0])
     if is_singular(g):
         raise np.linalg.LinAlgError("singular input")
     builder = _Builder(g)
@@ -552,6 +540,7 @@ def reduce_to_t(g: np.ndarray, lam: int) -> tuple[float, Witness]:
 
 
 def _reduce_from_t(lam: int, t: float, n: int, stage) -> tuple[str, Witness]:
+    require_dim(n)
     if not 0.0 <= t < math.inf:
         raise NegativeT(f"t must be finite and >= 0, got {t}")
     builder = _Builder(_t_form(lam, t, n))
@@ -587,6 +576,7 @@ def signature_table(n: int) -> MappingProxyType:
 
 def restricted_signatures(metric: Metric) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Signatures of the metric on the center and on the derived ideal, at unit scale."""
+    require_dim(metric.n)
     return _read_signatures(_unit_gram(metric)[0][None])[0][0]
 
 
@@ -836,11 +826,10 @@ def witness_to_json(witness: Witness) -> dict:
 
 
 def classification_to_json(form: CanonicalForm, k: float, witness: Witness) -> dict:
-    xi = form.xi_key
     return {
         "n": form.n,
         "lambda": form.lam,
-        "xi": xi if xi == "sqrt3" else int(xi),
+        "xi": xi_json(form.xi_key),
         "k": k,
         "witness": witness_to_json(witness),
         "flags": list(witness.flags),

@@ -15,6 +15,7 @@ from heislor.metrics import (
     AsymmetricInput,
     Metric,
     NotARepresentative,
+    SingularMatrix,
     WrongSignature,
     _factor_metric,
     act,
@@ -127,6 +128,15 @@ def test_act_identity_and_isotropy():
     k[0, 0] = k[3, 3] = np.cosh(theta)
     k[0, 3] = k[3, 0] = np.sinh(theta)
     assert np.allclose(act(k, metric).gram, metric.gram, atol=1e-12)
+
+
+@pytest.mark.parametrize("backend", [APPROX, EXACT])
+def test_act_refuses_a_singular_change_of_basis(backend):
+    metric, _ = canonical_metric(0, 0, 4, backend)
+    g = np.diag([1, 0, 1, 1])
+    g = exact_array(g) if backend == EXACT else g.astype(float)
+    with pytest.raises(SingularMatrix, match="change of basis is singular"):
+        act(g, metric)
 
 
 def test_act_matches_direct_multiplication_oracle():

@@ -7,12 +7,22 @@ import pytest
 
 from heislor import _linalg, metrics, orbits, reduction
 from heislor._linalg import exact_inv, shear_conjugator
-from heislor.curvature import curvature_report
+from heislor.curvature import (
+    closed_form_ricci,
+    closed_form_riemann,
+    curvature_report,
+    frame_brackets,
+    generic_curvature,
+    ricci_spectrum,
+    soliton_certificate,
+)
 from heislor.liealg import DimensionTooSmall, aut_pattern, derivation_space_dim
 from heislor.metrics import (
     CANONICAL_PAIRS,
+    Metric,
     NotARepresentative,
     canonical_gram,
+    canonical_metric,
     shear_matrix,
     xi_exact,
 )
@@ -27,7 +37,17 @@ from heislor.orbits import (
     orbit_report,
     stabilizer_dim,
 )
-from heislor.reduction import classify, classify_by_invariants, classify_by_invariants_flagged
+from heislor.reduction import (
+    classify,
+    classify_by_invariants,
+    classify_by_invariants_flagged,
+    reduce_lambda0,
+    reduce_lambda1,
+    reduce_lambda2,
+    reduce_last_row,
+    reduce_to_t,
+    restricted_signatures,
+)
 
 from references import curve_sample
 
@@ -310,22 +330,35 @@ def test_orbit_report_invariant_identities(n):
         assert r.closed == ((lam, key) == (1, "0"))
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: dims_UW(1, "0", 3),
-        lambda: stabilizer_dim(1, "0", 3),
-        lambda: codimension(1, "0", 3),
-        lambda: orbit_report(1, "0", 3),
-        lambda: degeneration_graph(3),
-        lambda: is_closed(1, "0", 3),
-        lambda: derivation_space_dim(3),
-    ],
-    ids=[
-        "dims_UW", "stabilizer_dim", "codimension", "orbit_report",
-        "degeneration_graph", "is_closed", "derivation_space_dim",
-    ],
-)
+#: every exported function that takes n, or an n x n gram or stage input, at n = 3
+_AT_N3 = {
+    "dims_UW": lambda: dims_UW(1, "0", 3),
+    "stabilizer_dim": lambda: stabilizer_dim(1, "0", 3),
+    "codimension": lambda: codimension(1, "0", 3),
+    "orbit_report": lambda: orbit_report(1, "0", 3),
+    "degeneration_graph": lambda: degeneration_graph(3),
+    "is_closed": lambda: is_closed(1, "0", 3),
+    "derivation_space_dim": lambda: derivation_space_dim(3),
+    "canonical_gram": lambda: canonical_gram(2, 2, 3),
+    "shear_matrix": lambda: shear_matrix(2, 2, 3),
+    "canonical_metric": lambda: canonical_metric(2, 2, 3),
+    "frame_brackets": lambda: frame_brackets(2, 2, 3),
+    "generic_curvature": lambda: generic_curvature(2, 2, 3),
+    "closed_form_ricci": lambda: closed_form_ricci(2, 2, 3),
+    "closed_form_riemann": lambda: closed_form_riemann(2, 2, 3),
+    "soliton_certificate": lambda: soliton_certificate(2, 2, 3),
+    "ricci_spectrum": lambda: ricci_spectrum(2, 2, 3),
+    "curvature_report": lambda: curvature_report(2, 2, 3),
+    "restricted_signatures": lambda: restricted_signatures(Metric(np.diag([1.0, 1.0, -1.0]))),
+    "reduce_last_row": lambda: reduce_last_row(np.eye(3)),
+    "reduce_lambda0": lambda: reduce_lambda0(np.eye(3)),
+    "reduce_to_t": lambda: reduce_to_t(np.eye(3) - np.eye(3, k=-2), 1),
+    "reduce_lambda1": lambda: reduce_lambda1(0.3, 3),
+    "reduce_lambda2": lambda: reduce_lambda2(0.3, 3),
+}
+
+
+@pytest.mark.parametrize("call", _AT_N3.values(), ids=_AT_N3.keys())
 def test_orbit_functions_refuse_n_below_four(call):
     with pytest.raises(DimensionTooSmall, match="need n >= 4, got 3"):
         call()

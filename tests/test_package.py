@@ -210,7 +210,7 @@ def test_lapack_calls_go_through_the_linalg_kernels():
 
 
 #: the reduction's stacked and vector products, where ndarray.dot would contract other axes
-MATMUL_SITES = {"o11_normalize", "_boost_t", "verify_witness"}
+MATMUL_SITES = {"o11_normalize", "verify_witness"}
 
 
 def test_reduction_multiplies_through_dot_and_matmul():

@@ -461,64 +461,43 @@ def test_reduce_lambda1_rejects_negative():
         reduce_lambda1(-0.5, 4)
 
 
-def _boost_step_reference(builder, t, e_theta):
-    """One light-cone boost t -> t * e_theta, snapped onto the next t-form."""
-    n = builder.n
-    c = 0.5 * (e_theta + 1.0 / e_theta)
-    s = 0.5 * (e_theta - 1.0 / e_theta)
-    builder.apply_right(embed(np.array([[c, s], [s, c]]), n, (0, n - 1)))
-    h = np.eye(n)
-    h[0, 0] = 1.0 / e_theta
-    h[0, n - 1] = -s
-    h[n - 2, n - 1] = -t * s * e_theta
-    h[n - 1, n - 1] = e_theta
-    builder.apply_left(h)
-    t_new = t * e_theta
-    builder.snap(_t_form(n, 1, t_new))
-    return t_new
-
-
-def _boost_chain_reference(builder, t):
-    """The lam=1 boost chain one step at a time, each step applied and snapped on
-    its own.  The library builds the steps as one stack; this is its reference."""
-    while t > 2.0:
-        t = _boost_step_reference(builder, t, 0.5)
-    while t < 0.5:
-        t = _boost_step_reference(builder, t, 2.0)
-    return t
-
-
 #: shear parameters of the boost chain: long doubling and halving runs, one step, none
 _BOOST_TS = (1e-5, 3e-4, 0.01, 0.3, 0.5, 2.0, 2.5, 37.0, 199.0)
 
 
 @pytest.mark.parametrize("n", (4, 5, 7))
 @pytest.mark.parametrize("t", _BOOST_TS)
-def test_boost_chain_matches_stepwise_reference(t, n):
-    chain, ref = reduction._Builder(_t_form(n, 1, t)), reduction._Builder(_t_form(n, 1, t))
-    assert reduction._boost_t(chain, t) == _boost_chain_reference(ref, t)
-    for mine, theirs in ((chain.left_app, ref.left_app), (chain.right_app, ref.right_app)):
-        assert len(mine) == len(theirs)
-        assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
-    assert np.array_equal(chain.current, ref.current)
+def test_boost_chain_closed_form(t, n):
+    # k boosts by e = 2 or 1/2 bring t into [1/2, 2], each with the right factor
+    # embed([[5/4, 3/4 sgn], [3/4 sgn, 5/4]]) and a left factor in the pattern
+    sign = 1 if t < 0.5 else -1
+    k = max(0, math.ceil(math.log2(0.5 / t)), math.ceil(math.log2(t / 2.0)))
+    builder = reduction._Builder(_t_form(n, 1, t))
+    assert reduction._boost_t(builder, t) == math.ldexp(t, sign * k)
+    assert len(builder.left_app) == len(builder.right_app) == k
+    boost = np.eye(n)
+    boost[np.ix_((0, n - 1), (0, n - 1))] = [[1.25, 0.75 * sign], [0.75 * sign, 1.25]]
+    assert all(np.array_equal(factor, boost) for factor in builder.right_app)
+    outside = ~aut_pattern(n).mask.T
+    assert all(not h[outside].any() for h in builder.left_app)
+    _, witness = reduce_lambda1(t, n)
+    assert verify_witness_by_side(witness.start, witness).ok
 
 
 def test_boost_chain_checks_every_step(monkeypatch):
-    # with no snap tolerance any rounding in a step breaks down, in both routes alike;
-    # doubling is exact, and so is halving a t of few mantissa bits, so the grid
-    # gains three halving runs that round
+    # with no snap tolerance any rounding in a step breaks down: doubling is exact,
+    # and so is halving a t of few mantissa bits, so only the three halving runs
+    # added to the grid round, at every n
     monkeypatch.setattr(reduction, "SNAP_TOL", 0.0)
-    broken = {}
-    for route in (reduction._boost_t, _boost_chain_reference):
-        broken[route] = set()
-        for n in (4, 5, 7):
-            for t in _BOOST_TS + (3.14159, 7.7, 1234.5678):
-                try:
-                    route(reduction._Builder(_t_form(n, 1, t)), t)
-                except NumericalBreakdown as exc:
-                    broken[route].add((n, t, str(exc)))
-    ref = broken[_boost_chain_reference]
-    assert len(ref) == 9 and broken[reduction._boost_t] == ref
+    broken = set()
+    for n in (4, 5, 7):
+        for t in _BOOST_TS + (3.14159, 7.7, 1234.5678):
+            try:
+                reduction._boost_t(reduction._Builder(_t_form(n, 1, t)), t)
+            except NumericalBreakdown as exc:
+                assert re.fullmatch(r"snap deviation \S+ exceeds tolerance", str(exc))
+                broken.add((n, t))
+    assert broken == {(n, t) for n in (4, 5, 7) for t in (3.14159, 7.7, 1234.5678)}
 
 
 def test_snap_refuses_a_nan_deviation():
@@ -530,17 +509,16 @@ def test_snap_refuses_a_nan_deviation():
 
 
 def test_boost_chain_refuses_a_nan_t_form():
-    # t = 40 takes five halvings; a NaN anywhere in the t-form fails their stacked check
+    # t = 40 takes five halvings; a NaN anywhere in the t-form fails the first step's snap
     n = 5
     builder = reduction._Builder(_t_form(n, 1, 40.0))
     builder.current[1, 1] = np.nan
     with pytest.raises(NumericalBreakdown, match="nan"):
         reduction._boost_t(builder, 40.0)
-    assert builder.left_app == [] and builder.right_app == []
 
 
 def test_boost_chain_adds_no_calls(count_calls):
-    # 1e-4 takes 13 doublings and 0.3 one: the chain is one stacked step either way
+    # 1e-4 takes 13 doublings and 0.3 one: the chain builds its boost once either way
     calls = count_calls(reduction, "embed")
     for n in (4, 6):
         calls.clear()

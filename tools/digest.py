@@ -3,7 +3,7 @@
     PYTHONPATH=src python3 tools/digest.py
 
 Run from the root of a source checkout.  Two checkouts whose outputs are bit for
-bit the same print the same five lines:
+bit the same print the same six lines:
 
 - classify:   classify + verify_witness on the first 1320 inputs of the
   orbit-sweep and near-wall streams of perfbench/gen.py, seeds 1-3: the class,
@@ -21,7 +21,11 @@ bit the same print the same five lines:
   benchmark streams never reach: the 72 grams diag(1, ..., -1, ..., 1) at n = 4..12, the 84
   canonical metrics at n = 4..10 on both backends, and each float canonical
   metric at n = 4..8 pushed forward by I + c E_ij for every i != j and
-  c in (1, -1, 2, 100).
+  c in (1, -1, 2, 100);
+- stages:     reduce_lambda1 and reduce_lambda2 at n = 4..8 from the exact
+  t-form, on 60 geometric t from 1.1e-6 to 1e-3 and on 14 t from 2^-17 to 1e4,
+  which reach light-cone chains of up to 19 boosts: the key, every factor,
+  start and target, or the exception.
 
 The bits depend on the numpy and BLAS build, so compare digests made with the
 same build.  perfbench/ is imported, never written.
@@ -58,6 +62,8 @@ from heislor.reduction import (  # noqa: E402
     classify,
     classify_by_invariants,
     classify_by_invariants_flagged,
+    reduce_lambda1,
+    reduce_lambda2,
     restricted_signatures,
     verify_witness,
 )
@@ -68,6 +74,13 @@ SEEDS = (1, 2, 3)
 INPUTS = 1320
 #: the entries c of the structured inputs' pushes I + c E_ij
 SHEARS = (1.0, -1.0, 2.0, 100.0)
+#: the stages group's t: near the lam=1 wall, then long halving and doubling runs,
+#: one step and none
+STAGE_TS = (
+    *np.geomspace(1.1e-6, 1e-3, 60).tolist(),
+    1e-5, 3e-4, 0.01, 0.3, 0.5, 2.0, 2.5, 37.0, 199.0,
+    3.14159, 7.7, 1234.5678, 1e4, 2.0**-17,
+)
 
 
 class Digest:
@@ -136,6 +149,14 @@ def _feed_classification(d: Digest, metric: Metric) -> None:
         d.feed(check.ok, float(check.residual), check.detail)
 
 
+def _feed_stage(d: Digest, stage, t: float, n: int) -> None:
+    result = d.feed_call(stage, t, n)
+    if result is not None:
+        key, witness = result
+        d.feed(key, len(witness.left), len(witness.right))
+        d.feed(*witness.left, *witness.right, witness.start, witness.target)
+
+
 def _feed_invariants(d: Digest, metric: Metric) -> None:
     form = d.feed_call(classify_by_invariants, metric)
     if form is not None:
@@ -174,7 +195,8 @@ def _feed_cli(d: Digest, argv: list[str]) -> None:
 
 
 def digests() -> dict[str, str]:
-    groups = {name: Digest() for name in ("classify", "invariants", "cli", "tables", "structured")}
+    names = ("classify", "invariants", "cli", "tables", "structured", "stages")
+    groups = {name: Digest() for name in names}
     for metric in _metrics():
         _feed_classification(groups["classify"], metric)
         _feed_invariants(groups["invariants"], metric)
@@ -184,6 +206,10 @@ def digests() -> dict[str, str]:
     groups["tables"].feed(json.dumps(values, sort_keys=True))
     for metric in _structured_metrics():
         _feed_classification(groups["structured"], metric)
+    for n in range(4, 9):
+        for t in STAGE_TS:
+            for stage in (reduce_lambda1, reduce_lambda2):
+                _feed_stage(groups["stages"], stage, t, n)
     return {name: d.hash.hexdigest() for name, d in groups.items()}
 
 
