@@ -17,7 +17,7 @@ import json
 import sys
 
 from .liealg import require_dim
-from .metrics import CANONICAL_PAIRS, canonical_json, metric_from_json, xi_key_of
+from .metrics import CANONICAL_PAIRS, metric_from_json, xi_key_of
 from .numerics import APPROX, EXACT
 from .curvature import EvidenceFailure, curvature_report
 from .orbits import OracleMismatch, degeneration_graph, orbit_report
@@ -49,6 +49,11 @@ EXIT_CODES = {
     ClassificationMismatch: EXIT_BAD_INPUT,
     NumericalBreakdown: EXIT_BAD_INPUT,
 }
+
+
+def canonical_json(obj) -> str:
+    """Deterministic serialization used for byte-for-byte round trips."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _load_metric(path: str, backend: str | None):

@@ -10,8 +10,8 @@ are plain (plus, minus, zero) tuples.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -286,9 +286,15 @@ def _factor_metric(metric: Metric) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _unit_prescale(eigvals: list[float]) -> float:
-    """2^-e, e = round(log|det| / (n ln 4)) over the nonzero eigenvalues of a gram."""
+    """2^-e, e = round(log|det| / (n ln 4)) over the nonzero eigenvalues of a gram.
+    ValueError if 4^-e overflows or every nonzero eigenvalue is subnormal (the gram has
+    lost its digits), which needs log|det| < log(smallest normal), the cheaper test."""
     log_det = sum(math.log(abs(v)) for v in eigvals if v)
-    return math.ldexp(1.0, -round(log_det / (len(eigvals) * math.log(4.0))))
+    prescale = math.ldexp(1.0, -round(log_det / (len(eigvals) * math.log(4.0))))
+    tiny = log_det < math.log(sys.float_info.min) and max(map(abs, eigvals)) < sys.float_info.min
+    if tiny or prescale * prescale == math.inf:
+        raise ValueError("the metric's scale is outside the float range")
+    return prescale
 
 
 def _unit_gram(metric: Metric) -> tuple[np.ndarray, list[float] | None]:
@@ -309,6 +315,8 @@ def _unit_gram(metric: Metric) -> tuple[np.ndarray, list[float] | None]:
 
 def _json_entry(x, backend: str, where: str):
     """One gram entry read from JSON; ValueError naming the entry if unusable."""
+    if isinstance(x, bool):  # float() and str() would read true as 1
+        raise ValueError(f"{where} = {x!r} is not a number")
     try:
         if backend == EXACT:
             value = x if isinstance(x, QSqrt3) else QSqrt3.parse(str(x))
@@ -348,9 +356,3 @@ def metric_from_json(data: dict) -> Metric:
     metric = Metric(gram=gram, backend=backend)
     _check_symmetric(gram)
     return metric
-
-
-def canonical_json(obj) -> str:
-    """Deterministic serialization used for byte-for-byte round trips."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-

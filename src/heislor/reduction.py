@@ -658,14 +658,19 @@ def _chart(n: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pipeline_scale(builder: _Builder, lam: int, xi_key: str) -> float:
-    """Scale k with k * M in the automorphism orbit of the representative."""
+    """Scale k with k * M in the automorphism orbit of the representative;
+    ValueError when k overflows."""
     if (lam, xi_key) in SCALE_FLEXIBLE:
         # the orbit of these classes absorbs rescaling; normalize
         return 1.0
     # the left product, formed only where it is read
     lp = reduce(lambda product, h: h.dot(product), builder.left_app, shared_eye(builder.n))
-    c = (lp[0, 0] * lp[1, 1] - lp[1, 0] * lp[0, 1]) / lp[-1, -1]
-    return float(c * c)
+    (a, b), (c, d) = lp[:2, :2].tolist()  # Python floats overflow to inf with no warning
+    root = (a * d - c * b) / float(lp[-1, -1])
+    k = root * root
+    if not math.isfinite(k):
+        raise ValueError("the metric's scale is outside the float range")
+    return k
 
 
 def classify(metric: Metric) -> tuple[CanonicalForm, float, Witness]:

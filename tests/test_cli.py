@@ -20,6 +20,7 @@ from heislor.metrics import (
     act,
     canonical_gram,
     canonical_metric,
+    xi_float,
 )
 from heislor.orbits import EvidenceFailure, OracleMismatch
 from heislor.reduction import restricted_signatures
@@ -229,7 +230,7 @@ def test_classification_json_round_trip(tmp_path, capsys):
     metric, _ = canonical_metric(2, "2", 4, backend="approx")
     assert main(["classify", "--input", _write_metric(tmp_path, metric)]) == EXIT_OK
     blob = capsys.readouterr().out
-    from heislor.metrics import canonical_json
+    from heislor.cli import canonical_json
 
     assert canonical_json(json.loads(blob)) == blob.strip()
 
@@ -246,7 +247,7 @@ def test_classify_reads_stdin(monkeypatch, capsys):
 
 
 def test_curvature_json_round_trip(capsys):
-    from heislor.metrics import canonical_json
+    from heislor.cli import canonical_json
 
     assert main(["curvature", "--lambda", "0", "--xi", "0", "--n", "5", "--format", "json"]) == EXIT_OK
     blob = capsys.readouterr().out
@@ -254,7 +255,7 @@ def test_curvature_json_round_trip(capsys):
 
 
 def test_orbits_json_round_trip(capsys):
-    from heislor.metrics import canonical_json
+    from heislor.cli import canonical_json
 
     assert main(["orbits", "--n", "4", "--format", "json"]) == EXIT_OK
     blob = capsys.readouterr().out
@@ -329,6 +330,10 @@ def _approx(n=4, gram=_MINKOWSKI_4):
     return json.dumps({"n": n, "backend": "approx", "gram": gram})
 
 
+def _boolean_entry(backend):
+    return json.dumps({"n": 4, "backend": backend, "gram": [[True, 0, 0, 0], *_MINKOWSKI_4[1:]]})
+
+
 #: --input contents that must end in exit 2, and a word the error must name;
 #: None stands for a missing file, "" for a directory
 BAD_INPUTS = {
@@ -341,6 +346,8 @@ BAD_INPUTS = {
     "nan-entry": (_approx().replace("1, 0, 0, 0]", "NaN, 0, 0, 0]", 1), "gram[0][0]"),
     "infinite-entry": (_approx().replace("1, 0, 0, 0]", "1e400, 0, 0, 0]", 1), "gram[0][0]"),
     "entry-not-a-number": (_approx(gram=[[{}, 0, 0, 0], *_MINKOWSKI_4[1:]]), "gram[0][0]"),
+    "approx-boolean": (_boolean_entry("approx"), "gram[0][0] = True is not a number"),
+    "exact-boolean": (_boolean_entry("exact"), "gram[0][0] = True is not a number"),
     "n-not-integer": (_approx(n=4.7), "n = 4.7"),
     "n1": (_approx(n=1, gram=[[-1]]), "n >= 4"),
     "n2": (_approx(n=2, gram=[[1, 0], [0, -1]]), "n >= 4"),
@@ -360,6 +367,22 @@ def test_classify_bad_input_exits_bad_input(text, named, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and named in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("s", [3e-308, 1e-308, 5e-309, 1e-309, 1e-312, 1e-318, 5e-324])
+def test_classify_tiny_scale_exits_with_the_class_or_bad_input(s, tmp_path, capsys):
+    for lam, key in CANONICAL_PAIRS:
+        for n in (4, 6, 8):
+            gram = s * canonical_gram(lam, xi_float(key), n, exact=False)
+            code = main(["classify", "--input", _write_gram(tmp_path, gram)])
+            captured = capsys.readouterr()
+            if code == EXIT_OK:
+                payload = json.loads(captured.out)
+                assert (payload["lambda"], str(payload["xi"])) == (lam, key)
+                assert payload["witness_ok"] is True
+            else:
+                assert code == EXIT_BAD_INPUT
+                assert captured.err == "error: the metric's scale is outside the float range\n"
 
 
 def test_missing_input_exit_status_of_the_process(tmp_path):

@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from heislor._linalg import congruence_diagonal, exact_array, minkowski_gram, to_float
+from heislor.cli import canonical_json
 from heislor.metrics import (
     APPROX,
     CANONICAL_PAIRS,
@@ -20,7 +22,6 @@ from heislor.metrics import (
     _factor_metric,
     act,
     canonical_gram,
-    canonical_json,
     canonical_key,
     canonical_metric,
     factor_metric,
@@ -368,6 +369,16 @@ def test_metric_json_round_trip_approx():
     blob = canonical_json(metric_to_json(metric))
     again = metric_from_json(json.loads(blob))
     assert canonical_json(metric_to_json(again)) == blob
+
+
+@pytest.mark.parametrize("backend", [EXACT, APPROX])
+@pytest.mark.parametrize("i, j, value", [(0, 0, True), (0, 1, False)])
+def test_metric_json_refuses_booleans(backend, i, j, value):
+    # float() reads true as 1.0 and str() gives "True": both backends refuse alike
+    payload = metric_to_json(canonical_metric(0, "0", 4, backend=backend)[0])
+    payload["gram"][i][j] = value
+    with pytest.raises(ValueError, match=re.escape(f"gram[{i}][{j}] = {value} is not a number")):
+        metric_from_json(payload)
 
 
 def test_metric_json_shape_validation():

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -16,6 +19,59 @@ def test_all_exports_names_not_submodules():
     exported = {name: getattr(heislor, name) for name in heislor.__all__}
     assert not [name for name, value in exported.items() if isinstance(value, ModuleType)]
     assert {"classify", "codimension", "QSqrt3", "curvature_report"} <= set(exported)
+
+
+#: scripts a fresh interpreter runs to check what `import heislor` loads, and
+#: that each curvature and orbit name loads its module when first read
+IMPORT_BOUNDARY = {
+    "classification-layer-only": """
+import sys
+import heislor
+loaded = {"heislor.curvature", "heislor.orbits", "heislor.verification", "heislor.cli", "json"}
+assert not loaded & set(sys.modules), loaded & set(sys.modules)
+""",
+    "orbit-name": """
+import heislor
+assert heislor.codimension is heislor.orbits.codimension
+assert "codimension" in vars(heislor)
+""",
+    "curvature-name": """
+import heislor
+assert heislor.ricci_spectrum is heislor.curvature.ricci_spectrum
+""",
+    "from-import": """
+from heislor import curvature_report
+import heislor.curvature
+assert curvature_report is heislor.curvature.curvature_report
+""",
+    "submodule": """
+import types
+import heislor
+assert isinstance(heislor.orbits, types.ModuleType) and heislor.orbits.__name__ == "heislor.orbits"
+""",
+    "dir": """
+import heislor
+assert set(heislor.__all__) <= set(dir(heislor))
+""",
+    "unknown-name": """
+import heislor
+try:
+    heislor.x
+except AttributeError as exc:
+    assert str(exc) == "module 'heislor' has no attribute 'x'", exc
+else:
+    raise AssertionError("heislor.x resolved")
+""",
+}
+
+
+@pytest.mark.parametrize("script", IMPORT_BOUNDARY.values(), ids=IMPORT_BOUNDARY)
+def test_import_boundary(script):
+    env = dict(os.environ, PYTHONPATH=str(Path(heislor.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def _attribute_chain(node: ast.Attribute) -> list[str] | None:

@@ -1175,6 +1175,47 @@ def test_scaled_canonical_gram_classifies_soundly(n, c):
     assert verify_witness(metric, witness).ok
 
 
+#: gram scales at the floor of the float range: 3e-308 is a normal float, the rest subnormal
+_TINY_SCALES = (3e-308, 1e-308, 5e-309, 1e-309, 1e-312, 1e-318, 5e-324)
+
+
+def _or_out_of_range(read):
+    """read(), or None when it refuses the metric's scale."""
+    try:
+        return read()
+    except ValueError as exc:
+        assert str(exc) == "the metric's scale is outside the float range", exc
+        return None
+
+
+@pytest.mark.parametrize("s", _TINY_SCALES)
+def test_tiny_scale_gives_the_class_or_scale_out_of_range(s):
+    # an overflowing 4^-e or k would warn (an error under pytest), and a subnormal gram
+    # has lost the digits its class is read from: each reader answers right or refuses
+    classified = 0
+    for pair in CANONICAL_PAIRS:
+        for n in (4, 6, 8):
+            metric = _float_metric(s * canonical_gram(pair[0], xi_float(pair[1]), n, exact=False))
+            result = _or_out_of_range(lambda: classify(metric))
+            if result is not None:
+                classified += 1
+                assert result[0].pair == pair and verify_witness(metric, result[2]).ok
+            assert _or_out_of_range(lambda: classify_by_invariants(metric).pair) in (pair, None)
+            sigs = signature_table(n)[pair]
+            assert _or_out_of_range(lambda: restricted_signatures(metric)) in (sigs, None)
+    if s == _TINY_SCALES[0]:
+        assert classified == len(CANONICAL_PAIRS) * 3
+
+
+@pytest.mark.parametrize("pair", _RIGID)
+def test_overflowing_scale_k_is_refused(pair):
+    # 4^-e is finite here, so the invariant reader answers, but k ~ 1e308 is not
+    metric = _float_metric(1e-308 * _orbit_sample(pair[0], pair[1], 4, 0).gram)
+    assert classify_by_invariants(metric).pair == pair
+    with pytest.raises(ValueError, match="scale is outside the float range"):
+        classify(metric)
+
+
 def _rational_pattern_element(n, seed):
     """Exact I plus entries k/6, |k| <= 3, on the automorphism pattern."""
     ks = np.random.default_rng(seed).integers(-3, 4, (n, n)) * aut_pattern(n).mask
