@@ -5,7 +5,9 @@ orbits (orbit table and degeneration graph, also as DOT via --format dot)
 and verify (the named check suite).  Exit codes: 0 success, 1 verification
 failure, 2 invalid input (including AmbiguousNearWall, a metric too close to
 a classification wall to decide).  Commands raise; main maps each typed
-error to its exit code in one table, EXIT_CODES.  classify takes no tolerance:
+error (heislor.errors) to its exit code in one table, EXIT_CODES.  Each report
+command imports its own layer when it runs, so classify loads only the
+classification layer.  classify takes no tolerance:
 it reads every metric at unit scale, so c * M gets the class of M, and each
 threshold is a fixed constant of the library.
 """
@@ -16,24 +18,18 @@ import argparse
 import json
 import sys
 
+from .errors import ClassificationMismatch, EvidenceFailure, NumericalBreakdown, OracleMismatch
 from .liealg import require_dim
 from .metrics import CANONICAL_PAIRS, metric_from_json, xi_key_of
 from .numerics import APPROX, EXACT
-from .curvature import EvidenceFailure, curvature_report
-from .orbits import OracleMismatch, degeneration_graph, orbit_report
-from .reduction import (
-    ClassificationMismatch,
-    NumericalBreakdown,
-    classification_to_json,
-    classify,
-    signature_table,
-    verify_witness,
-)
-from .verification import run_all
+from .reduction import classification_to_json, classify, signature_table, verify_witness
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
+
+#: largest n the curvature and orbits reports take; their cost grows steeply with n
+MAX_REPORT_N = 100
 
 #: exit code of each typed error, in order: the first type that matches wins.
 #: BrokenPipeError comes first because it is an OSError: the reader went
@@ -57,11 +53,14 @@ def canonical_json(obj) -> str:
 
 
 def _load_metric(path: str, backend: str | None):
-    if path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    try:
+        if path == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+    except RecursionError:
+        raise ValueError("the JSON document is nested too deeply") from None
     metric = metric_from_json(data)
     if backend and backend != metric.backend:
         if backend == APPROX:
@@ -115,6 +114,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_curvature(args) -> int:
+    from .curvature import curvature_report
+    from .orbits import orbit_report
+
     report = curvature_report(args.lam, args.xi, args.n, backend=args.backend)
     orbit = orbit_report(args.lam, args.xi, args.n)
     if args.format == "json":
@@ -145,6 +147,8 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_orbits(args) -> int:
+    from .orbits import degeneration_graph, orbit_report
+
     graph = degeneration_graph(args.n)
     reports = [orbit_report(lam, key, args.n) for lam, key in CANONICAL_PAIRS]
     if args.format == "dot":
@@ -173,6 +177,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verification import run_all
+
     if args.n_min < 4 or args.n_max > 12 or args.n_min > args.n_max:
         raise ValueError("need 4 <= n-min <= n-max <= 12")
     if args.samples < 1:
@@ -245,6 +251,8 @@ def main(argv=None) -> int:
     try:
         if args.command in ("curvature", "orbits"):
             require_dim(args.n)
+            if args.n > MAX_REPORT_N:
+                raise ValueError(f"need n <= {MAX_REPORT_N}, got {args.n}")
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
         code = next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

@@ -36,15 +36,12 @@ from fractions import Fraction
 import numpy as np
 
 from ._linalg import _subtract, exact_zeros, max_abs
+from .errors import EvidenceFailure
 from .liealg import _bracket_terms, require_dim
 from .metrics import _whole, canonical_key, xi_exact, xi_json
 from .numerics import EXACT, QSqrt3, sub_product
 
 HALF = QSqrt3(Fraction(1, 2))
-
-
-class EvidenceFailure(RuntimeError):
-    """A recomputation that certifies a table failed."""
 
 
 def _exact_only(exact: bool) -> None:

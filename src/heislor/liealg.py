@@ -19,11 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._linalg import nullspace_rows, rank_rows
+from .errors import DimensionTooSmall
 from .numerics import QSqrt3
-
-
-class DimensionTooSmall(ValueError):
-    """The construction needs n >= 4."""
 
 
 def require_dim(n: int) -> None:

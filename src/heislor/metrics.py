@@ -29,24 +29,9 @@ from ._linalg import (
     shared_minkowski_gram,
     to_float,
 )
+from .errors import AsymmetricInput, NotARepresentative, SingularMatrix, WrongSignature
 from .liealg import require_dim
 from .numerics import APPROX, DEFAULT_TOL, EXACT, QSqrt3, SQRT3
-
-
-class AsymmetricInput(ValueError):
-    """A Gram matrix must be symmetric."""
-
-
-class SingularMatrix(ValueError):
-    """The change-of-basis matrix must be invertible."""
-
-
-class WrongSignature(ValueError):
-    """Expected Lorentzian signature (n-1, 1)."""
-
-
-class NotARepresentative(ValueError):
-    """(lam, xi) is not one of the six canonical parameter pairs."""
 
 
 #: the six canonical parameter pairs, xi encoded as a key string

@@ -21,7 +21,8 @@ from types import MappingProxyType
 import numpy as np
 
 from ._linalg import rank_rows, shear_conjugator
-from .curvature import EvidenceFailure, closed_form_riemann, frame_signs, is_flat
+from .curvature import closed_form_riemann, frame_signs, is_flat
+from .errors import EvidenceFailure, OracleMismatch
 from .liealg import aut_pattern, require_dim
 from .metrics import (
     CANONICAL_PAIRS,
@@ -40,10 +41,6 @@ CURVE_SAMPLES = 10
 #: xi = 1e-4) has the center eigenvalue -xi^2 = -1e-8, outside the 1e-9 zero band but
 #: within its NearDegenerate margin, so the reader flags it; the other five are not flagged
 NEAR_LIMIT_STEP = 1e-4
-
-
-class OracleMismatch(RuntimeError):
-    """Closed-form stabilizer dimension disagrees with the rank oracle."""
 
 
 def dims_UW(lam: int, xi, n: int) -> tuple[int, int]:

@@ -35,6 +35,15 @@ from ._linalg import (
     shared_minkowski_gram,
     to_float,
 )
+from .errors import (
+    AmbiguousNearWall,
+    ClassificationMismatch,
+    NegativeT,
+    NoTableMatch,
+    NotInGLambda,
+    NumericalBreakdown,
+    ZeroVector,
+)
 from .liealg import aut_pattern, require_dim
 from .metrics import (
     Metric,
@@ -69,7 +78,8 @@ SNAP_TOL = 1e-6
 #: a (3, 3) corner below this fraction of max(1, |(3, 1) entry|) breaks the chart down
 CORNER_TOL = 1e-9
 #: largest t accepted without a retry (factor entries grow with t); classify
-#: normalizes the input scale away first, so a larger t comes from the chart
+#: normalizes the input scale away first, so a larger t comes from the chart or
+#: from a metric near the lam wall, where every chart can exceed it (ROADMAP (h))
 T_RETRY_MAX = 200.0
 MAX_RETRIES = 8
 
@@ -78,47 +88,6 @@ FLAG_RETRIES_EXHAUSTED = "RetriesExhausted"
 
 #: classes whose orbit absorbs rescaling, so the scale is normalized to 1
 SCALE_FLEXIBLE = {(1, "0"), (1, "1"), (2, "sqrt3")}
-
-
-class ZeroVector(ValueError):
-    """The hyperbolic normal form needs a nonzero pair."""
-
-
-class NotInGLambda(ValueError):
-    """Expected last row (-lam, 0, ..., 0, 1) and last column e_n; lam = 0 is G_0."""
-
-
-class NegativeT(ValueError):
-    """The shear parameter t must be finite and nonnegative."""
-
-
-class NoTableMatch(ValueError):
-    """Restricted signatures match no row of the classification table."""
-
-
-class AmbiguousNearWall(ValueError):
-    """t lies in the wall band but too far from the wall to snap onto it.
-
-    `candidates` holds the class off the wall and the wall class; `statistic`
-    is the signed distance of t from the wall.
-    """
-
-    def __init__(self, candidates: tuple[tuple[int, str], tuple[int, str]], statistic: float):
-        self.candidates = candidates
-        self.statistic = statistic
-        (lam, key), (_, wall) = candidates
-        super().__init__(
-            f"ambiguous near the wall xi = {wall}: t is {statistic:+.2e} from it, "
-            f"so the class is ({lam}, {key}) or ({lam}, {wall})"
-        )
-
-
-class ClassificationMismatch(RuntimeError):
-    """Witness pipeline and invariant classifier disagree."""
-
-
-class NumericalBreakdown(RuntimeError):
-    """A pivot or snap check failed; the caller may retry with a new factor."""
 
 
 @dataclass(frozen=True)
@@ -704,7 +673,7 @@ def classify(metric: Metric) -> tuple[CanonicalForm, float, Witness]:
                 xi_key = "0"
             else:
                 t = _reduce_to_t(builder, lam)
-                if t > T_RETRY_MAX:  # the scale is gone: only the chart makes t this large
+                if t > T_RETRY_MAX:  # the chart or the lam wall: a redraw helps only the first
                     if attempt < MAX_RETRIES:
                         continue
                     builder.flags.append(FLAG_RETRIES_EXHAUSTED)

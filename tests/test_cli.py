@@ -1,17 +1,24 @@
 """Command-line interface: exit codes, formats, round trips."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import heislor
-from heislor.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, main
+from heislor.cli import (
+    EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_CODES, EXIT_OK, MAX_REPORT_N, main,
+)
 from heislor.liealg import aut_pattern
 from heislor.metrics import (
     APPROX,
@@ -20,12 +27,13 @@ from heislor.metrics import (
     act,
     canonical_gram,
     canonical_metric,
+    metric_from_json,
     xi_float,
 )
-from heislor.orbits import EvidenceFailure, OracleMismatch
-from heislor.reduction import restricted_signatures
+from heislor.errors import EvidenceFailure, OracleMismatch
+from heislor.reduction import Witness, restricted_signatures
 
-from references import metric_to_json
+from references import metric_to_json, verify_witness_by_side
 
 
 def _write_metric(tmp_path, metric, name="metric.json"):
@@ -311,7 +319,7 @@ def _raise(exc):
     ids=["curvature", "orbits-report", "orbits-graph"],
 )
 def test_self_check_failures_exit_check_failed(argv, patched, error, monkeypatch, capsys):
-    monkeypatch.setattr(f"heislor.cli.{patched}", _raise(error("recomputation disagrees")))
+    monkeypatch.setattr(f"heislor.orbits.{patched}", _raise(error("recomputation disagrees")))
     assert main(argv) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
     assert captured.err == "error: recomputation disagrees\n" and captured.out == ""
@@ -411,13 +419,114 @@ def test_small_n_report_is_bad_input(argv, capsys):
 
 
 def test_broken_pipe_exits_ok_quietly(monkeypatch, capsys):
-    monkeypatch.setattr("heislor.cli.degeneration_graph", _raise(BrokenPipeError()))
+    monkeypatch.setattr("heislor.orbits.degeneration_graph", _raise(BrokenPipeError()))
     assert main(["orbits", "--n", "4"]) == EXIT_OK
     assert capsys.readouterr() == ("", "")
 
 
 def test_untyped_error_keeps_its_traceback(monkeypatch):
     # only the typed errors of the exit-code table are mapped; a bug propagates
-    monkeypatch.setattr("heislor.cli.degeneration_graph", _raise(ZeroDivisionError("bug")))
+    monkeypatch.setattr("heislor.orbits.degeneration_graph", _raise(ZeroDivisionError("bug")))
     with pytest.raises(ZeroDivisionError, match="bug"):
         main(["orbits", "--n", "4"])
+
+
+def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
+    # json.load gives up with RecursionError; only the loader turns it into bad input
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 2000 + "]" * 2000)
+    assert main(["classify", "--input", str(path)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == "error: the JSON document is nested too deeply\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["curvature", "--lambda", "1", "--xi", "0"], ["orbits"]],
+                         ids=["curvature", "orbits"])
+@pytest.mark.parametrize("n", [MAX_REPORT_N + 1, 10**20])
+def test_large_n_report_is_bad_input(argv, n, monkeypatch, capsys):
+    # the bound is checked before any report work starts
+    for target in ("heislor.curvature.curvature_report", "heislor.orbits.orbit_report",
+                   "heislor.orbits.degeneration_graph"):
+        monkeypatch.setattr(target, _raise(AssertionError("report work started")))
+    assert main([*argv, "--n", str(n)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: need n <= {MAX_REPORT_N}, got {n}\n" and captured.out == ""
+    with pytest.raises(AssertionError, match="report work started"):
+        main([*argv, "--n", str(MAX_REPORT_N)])
+
+
+def test_every_typed_error_has_an_exit_code():
+    from heislor import errors
+
+    for kind in vars(errors).values():
+        if isinstance(kind, type) and issubclass(kind, Exception):
+            code = next((c for k, c in EXIT_CODES.items() if issubclass(kind, k)), None)
+            assert code in (EXIT_CHECK_FAILED, EXIT_BAD_INPUT), kind
+
+
+#: JSON values a gram entry or n may hold besides a finite number
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def _symmetric_documents(draw):
+    """A symmetric float gram, n = 4..8, either a^T J a (Lorentzian) or any symmetric
+    matrix, scaled by 10^e for e in -300..300."""
+    n = draw(st.integers(4, 8))
+    a = np.array(draw(st.lists(st.floats(-1, 1), min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        gram = a.T @ np.diag([1.0] * (n - 1) + [-1.0]) @ a
+    else:
+        gram = a + a.T
+    gram = gram * 10.0 ** draw(st.integers(-300, 300))
+    return {"n": n, "backend": "approx", "gram": gram.tolist()}
+
+
+@st.composite
+def _junk_documents(draw):
+    """n from 0 to 9, gram entries that may be NaN, inf, strings, booleans or null,
+    and keys that may be missing."""
+    size = draw(st.integers(0, 9))
+    entry = st.one_of(st.floats(-1e3, 1e3), st.integers(-3, 3), _JUNK)
+    doc = {
+        "n": draw(st.one_of(st.just(size), _JUNK)),
+        "backend": draw(st.sampled_from(["approx", "exact", "float", None])),
+        "gram": draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                              min_size=size, max_size=size)),
+    }
+    missing = draw(st.sets(st.sampled_from(sorted(doc))))
+    return {key: value for key, value in doc.items() if key not in missing}
+
+
+def _printed_witness(w: dict) -> Witness:
+    def arr(x):
+        return np.array(x, dtype=float)
+
+    return Witness(
+        left=[arr(h) for h in w["left"]], right=[arr(k) for k in w["right"]],
+        start=arr(w["start"]), target=arr(w["target"]),
+        m_factor=None if w["m"] is None else arr(w["m"]), flags=w["flags"],
+    )
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.one_of(_symmetric_documents(), _junk_documents()))
+def test_classify_any_json_document_exits_with_a_code(doc):
+    """Every document ends in exit 0, 1 or 2 with no warning: exit 2 prints only an
+    error line, and exit 0 comes exactly with a witness the by-side reference accepts."""
+    text = json.dumps(doc)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["classify", "--input", "-"])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_BAD_INPUT)
+    if code == EXIT_BAD_INPUT:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        payload = json.loads(out.getvalue())
+        check = verify_witness_by_side(metric_from_json(doc), _printed_witness(payload["witness"]))
+        assert check.ok == (code == EXIT_OK)

@@ -1,6 +1,7 @@
 """The package namespace."""
 
 import ast
+import builtins
 import importlib
 import os
 import subprocess
@@ -28,6 +29,12 @@ IMPORT_BOUNDARY = {
 import sys
 import heislor
 loaded = {"heislor.curvature", "heislor.orbits", "heislor.verification", "heislor.cli", "json"}
+assert not loaded & set(sys.modules), loaded & set(sys.modules)
+""",
+    "cli-classification-layer-only": """
+import sys
+import heislor.cli
+loaded = {"heislor.curvature", "heislor.orbits", "heislor.verification"}
 assert not loaded & set(sys.modules), loaded & set(sys.modules)
 """,
     "orbit-name": """
@@ -72,6 +79,56 @@ def test_import_boundary(script):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+#: the modules that raise each typed error, which keep it importable by its old path
+ERROR_HOMES = {
+    "liealg": ["DimensionTooSmall"],
+    "metrics": ["AsymmetricInput", "SingularMatrix", "WrongSignature", "NotARepresentative"],
+    "reduction": [
+        "ZeroVector", "NotInGLambda", "NegativeT", "NoTableMatch", "AmbiguousNearWall",
+        "ClassificationMismatch", "NumericalBreakdown",
+    ],
+    "curvature": ["EvidenceFailure"],
+    "orbits": ["OracleMismatch"],
+}
+#: exception classes that may live outside errors.py: QSqrt3.sqrt's, caught by its one caller
+LOCAL_ERRORS = {("numerics.py", "SqrtOfNegative"), ("numerics.py", "SqrtUnsupportedExact")}
+
+
+def test_old_error_paths_give_the_class_in_errors():
+    from heislor import errors
+
+    defined = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    }
+    assert defined == {name for names in ERROR_HOMES.values() for name in names}
+    for module, names in ERROR_HOMES.items():
+        home = importlib.import_module(f"heislor.{module}")
+        assert [name for name in names if getattr(home, name) is not getattr(errors, name)] == []
+
+
+def test_exception_classes_are_defined_in_errors():
+    """errors.py imports nothing and defines every exception class of the package,
+    apart from LOCAL_ERRORS; a class counts as one when a base is a builtin exception
+    or a class of errors.py."""
+    package = Path(heislor.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    errors_tree = trees.pop("errors.py")
+    assert not [n for n in ast.walk(errors_tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    kinds = {n.name for n in ast.walk(errors_tree) if isinstance(n, ast.ClassDef)} | {
+        name for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    elsewhere = {
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", getattr(base, "attr", None)) in kinds for base in node.bases)
+    }
+    assert elsewhere == LOCAL_ERRORS
 
 
 def _attribute_chain(node: ast.Attribute) -> list[str] | None:
