@@ -13,14 +13,13 @@ the reduction's left factors lie in its transpose, aut_pattern(n).mask.T.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from ._linalg import nullspace_rows, rank_rows
 from .errors import DimensionTooSmall
-from .numerics import QSqrt3
+from .numerics import QSqrt3, _Frozen
 
 
 def require_dim(n: int) -> None:
@@ -82,18 +81,20 @@ def derivation_space_dim(n: int) -> int:
     return rank_rows([*_derivation_vectors(n), identity])
 
 
-@dataclass(frozen=True)
-class BlockPattern:
+class BlockPattern(_Frozen):
     """Allowed-entry mask for the scaled automorphism group of h3 + R^(n-3).
 
     Block sizes (2, n-3, 1): the top 2x2 block acts on the bracket
     generators, the middle block mixes central directions into everything
     below, and only the last row may hit e_n.  The mask is read-only and
-    shared through aut_pattern's cache.
+    shared through aut_pattern's cache.  Equal, hashed and shown by n alone.
     """
 
-    n: int
-    mask: np.ndarray = field(repr=False, compare=False)
+    __slots__ = ("n", "mask")
+    _FIELDS = ("n",)
+
+    def __init__(self, n: int, mask: np.ndarray) -> None:
+        self._fill(n, mask)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from ._linalg import (
 )
 from .errors import AsymmetricInput, NotARepresentative, SingularMatrix, WrongSignature
 from .liealg import require_dim
-from .numerics import APPROX, DEFAULT_TOL, EXACT, QSqrt3, SQRT3
+from .numerics import APPROX, DEFAULT_TOL, EXACT, QSqrt3, SQRT3, _Frozen
 
 
 #: the six canonical parameter pairs, xi encoded as a key string
@@ -94,27 +93,29 @@ def _whole(lam) -> int | None:
     return int(lam) if abs(lam) < math.inf and lam == int(lam) else None
 
 
-@dataclass(frozen=True)
-class Metric:
-    """A symmetric Gram matrix: QSqrt3 entries (exact backend) or float64 (approx, converted)."""
+class Metric(_Frozen):
+    """A symmetric Gram matrix: QSqrt3 entries (exact backend) or float64 (approx, converted).
 
-    gram: np.ndarray = field(repr=False)
-    backend: str = APPROX
+    Read-only, and equal and hashed by identity: two grams compare entry by entry."""
 
-    def __post_init__(self):
-        g = self.gram
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    __slots__ = ("gram", "backend")
+    _FIELDS = ("backend",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, gram: np.ndarray, backend: str = APPROX) -> None:
+        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise ValueError("gram must be a square matrix")
-        if self.backend not in (EXACT, APPROX):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == EXACT and g.dtype != object:
+        if backend not in (EXACT, APPROX):
+            raise ValueError(f"unknown backend {backend!r}")
+        if backend == EXACT and gram.dtype != object:
             raise ValueError("exact backend requires QSqrt3 entries")
-        if self.backend == APPROX:
-            g = to_float(g)
-            object.__setattr__(self, "gram", g)  # frozen: the one write, at construction
-        if g.dtype != object and not np.isfinite(g).all():
-            i, j = np.argwhere(~np.isfinite(g))[0]
-            raise ValueError(f"gram[{i}][{j}] = {float(g[i, j])!r} is not a finite number")
+        if backend == APPROX:
+            gram = to_float(gram)
+        if gram.dtype != object and not np.isfinite(gram).all():
+            i, j = np.argwhere(~np.isfinite(gram))[0]
+            raise ValueError(f"gram[{i}][{j}] = {float(gram[i, j])!r} is not a finite number")
+        self._fill(gram, backend)
 
     @property
     def n(self) -> int:

@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXACT = "exact"
 APPROX = "approx"
@@ -26,7 +28,44 @@ DEFAULT_TOL = 1e-9
 #: sqrt3 rounded to the nearest float
 SQRT3_F = math.sqrt(3.0)
 
-RationalLike = Union[int, Fraction]
+
+class _Frozen:
+    """Base of the read-only value classes, here as this module imports nothing from the
+    package.  __init__ fills the slots through _fill, and a later write raises
+    AttributeError.  Equality, hash and repr read the fields named in _FIELDS and compare
+    only instances of one class, as a frozen dataclass's do."""
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):
+        """Fill a copy's or an unpickled instance's slots."""
+        self._fill(*(state[1][name] for name in self.__slots__))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
 
 
 class SqrtOfNegative(ArithmeticError):
@@ -37,6 +76,12 @@ class SqrtUnsupportedExact(ArithmeticError):
     """Square root of an exact scalar that is not a perfect square in Q(sqrt3)."""
 
 
+def _fraction(*args) -> Fraction:
+    """Fraction(*args); `fractions`, and the `decimal` module it loads, load on first use."""
+    from fractions import Fraction
+    return Fraction(*args)
+
+
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None."""
     if q < 0:
@@ -44,7 +89,7 @@ def _fraction_sqrt(q: Fraction) -> Fraction | None:
     num = math.isqrt(q.numerator)
     den = math.isqrt(q.denominator)
     if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
+        return _fraction(num, den)
     return None
 
 
@@ -61,13 +106,13 @@ class QSqrt3:
 
     __slots__ = ("_p", "_q", "_d")
 
-    def __init__(self, a: RationalLike = 0, b: RationalLike = 0) -> None:
+    def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0) -> None:
         if type(a) is int and type(b) is int:
             self._p, self._q, self._d = a, b, 1
             return
         if _inexact(a) or _inexact(b):
             raise TypeError(f"QSqrt3({a!r}, {b!r}): a float component is not exact")
-        a, b = Fraction(a), Fraction(b)
+        a, b = _fraction(a), _fraction(b)
         # over the lcm of two reduced denominators the triple is already normal
         d = math.lcm(a.denominator, b.denominator)
         self._p = int(a.numerator) * (d // a.denominator)
@@ -77,7 +122,7 @@ class QSqrt3:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def coerce(cls, x: "QSqrt3 | RationalLike") -> "QSqrt3":
+    def coerce(cls, x: QSqrt3 | int | Fraction) -> QSqrt3:
         o = _operand(x)
         if o is None:
             raise TypeError(f"cannot coerce {type(x).__name__} to QSqrt3")
@@ -89,8 +134,7 @@ class QSqrt3:
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty exact scalar")
-        a = Fraction(0)
-        b = Fraction(0)
+        a = b = _fraction(0)
         for term in re.findall(r"[+-]?[^+-]+", s):
             if "sqrt3" in term:
                 coef = term[: term.index("sqrt3")].rstrip("*")
@@ -99,20 +143,20 @@ class QSqrt3:
                 elif coef == "-":
                     b -= 1
                 else:
-                    b += Fraction(coef)
+                    b += _fraction(coef)
             else:
-                a += Fraction(term)
+                a += _fraction(term)
         return cls(a, b)
 
     @property
     def a(self) -> Fraction:
         """Rational part."""
-        return Fraction(self._p, self._d)
+        return _fraction(self._p, self._d)
 
     @property
     def b(self) -> Fraction:
         """Coefficient of sqrt3."""
-        return Fraction(self._q, self._d)
+        return _fraction(self._q, self._d)
 
     # -- presentation ------------------------------------------------------
 
@@ -248,7 +292,7 @@ class QSqrt3:
 
     def __hash__(self) -> int:
         if self._q == 0:
-            return hash(self._p) if self._d == 1 else hash(Fraction(self._p, self._d))
+            return hash(self._p) if self._d == 1 else hash(self.a)  # a Fraction's hash
         return hash((self._p, self._q, self._d))
 
     def __lt__(self, other) -> bool:
@@ -329,7 +373,7 @@ def _normalized(p: int, q: int, d: int) -> QSqrt3:
     return _make(p, q, d)
 
 
-def sub_product(x: QSqrt3, f: "QSqrt3 | RationalLike", y: QSqrt3) -> QSqrt3:
+def sub_product(x: QSqrt3, f: QSqrt3 | int | Fraction, y: QSqrt3) -> QSqrt3:
     """x - f*y as one operation with one normalization; any operand may be rational.
 
     The product's numerator is kept over f's and y's denominators unreduced, so an
@@ -362,10 +406,8 @@ def _operand(x) -> QSqrt3 | None:
         return x
     if isinstance(x, int):
         return _make(int(x), 0, 1)
-    if isinstance(x, Fraction):
-        return _make(x.numerator, 0, x.denominator)
-    if isinstance(x, numbers.Integral):  # numpy's integers
-        return _make(int(x), 0, 1)
+    if isinstance(x, numbers.Rational):  # a Fraction, in lowest terms, or numpy's integers
+        return _make(int(x.numerator), 0, int(x.denominator))
     return None
 
 

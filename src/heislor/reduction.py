@@ -15,8 +15,7 @@ restrictions to the center and the derived ideal; the two must agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from types import MappingProxyType
 
 import numpy as np
@@ -58,7 +57,9 @@ from .metrics import (
     xi_json,
     xi_key_of,
 )
-from .numerics import DEFAULT_TOL, EXACT, NEGATIVE, POSITIVE, SQRT3_F, QSqrt3, sign_with_tol
+from .numerics import (
+    DEFAULT_TOL, EXACT, NEGATIVE, POSITIVE, SQRT3_F, QSqrt3, _Frozen, sign_with_tol,
+)
 
 #: sqrt3 - SQRT3_F, the digits of sqrt3 a float drops
 SQRT3_LO = 1.0035084221806903e-16
@@ -90,24 +91,18 @@ FLAG_RETRIES_EXHAUSTED = "RetriesExhausted"
 SCALE_FLEXIBLE = {(1, "0"), (1, "1"), (2, "sqrt3")}
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """One of the six equivalence classes, xi kept exact."""
+class CanonicalForm(_Frozen):
+    """One of the six equivalence classes, xi kept exact; equal and hashed by (lam, xi, n)."""
 
-    lam: int
-    xi: QSqrt3
-    n: int
+    __slots__ = ("lam", "xi", "n", "pair")
+    _FIELDS = ("lam", "xi", "n")
+
+    def __init__(self, lam: int, xi: QSqrt3, n: int) -> None:
+        self._fill(lam, xi, n, (lam, canonical_key(lam, xi)))
 
     @property
     def xi_key(self) -> str:
-        return xi_key_of(self.xi)
-
-    @cached_property
-    def pair(self) -> tuple[int, str]:
-        return (self.lam, self.xi_key)
-
-    def __post_init__(self):
-        canonical_key(self.lam, self.xi)
+        return self.pair[1]
 
 
 def _t_form(lam: int, t: float, n: int) -> np.ndarray:
@@ -123,7 +118,6 @@ def representative_matrix(lam: int, xi_key: str, n: int) -> np.ndarray:
     return _t_form(lam, xi_float(xi_key), n)
 
 
-@dataclass
 class Witness:
     """A verifiable reduction chain.
 
@@ -132,14 +126,15 @@ class Witness:
     with every left factor in the transposed automorphism pattern and every
     right factor in O(n-1, 1).  When produced by :func:`classify`, `m_factor`
     satisfies act(m_factor, <,>_0) = input metric and start = (m_factor^-1)^T.
+    Equal and hashed by identity, as its factors are arrays.
     """
 
-    left: list[np.ndarray]
-    right: list[np.ndarray]
-    start: np.ndarray
-    target: np.ndarray
-    m_factor: np.ndarray | None = None
-    flags: list[str] = field(default_factory=list)
+    def __init__(
+        self, left: list[np.ndarray], right: list[np.ndarray], start: np.ndarray,
+        target: np.ndarray, m_factor: np.ndarray | None = None, flags: list[str] | None = None,
+    ) -> None:
+        self.left, self.right, self.start, self.target = left, right, start, target
+        self.m_factor, self.flags = m_factor, [] if flags is None else flags
 
     @property
     def n(self) -> int:
@@ -154,11 +149,13 @@ class Witness:
         return self.start.copy() if out is self.start else out
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    ok: bool
-    residual: float
-    detail: str = ""
+class VerificationResult(_Frozen):
+    """verify_witness's verdict, its residual and what failed; equal and hashed by value."""
+
+    __slots__ = _FIELDS = ("ok", "residual", "detail")
+
+    def __init__(self, ok: bool, residual: float, detail: str = "") -> None:
+        self._fill(ok, residual, detail)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -403,29 +400,8 @@ def _snap_onto_wall(builder: _Builder, lam: int, key: str, wall: str, t: float) 
     return True
 
 
-def _phi(s):
-    """sqrt(3 s^2 - 8 s + 5), clamped to 0 at the branch point s = 5/3."""
-    v = 3 * s * s - 8 * s + 5
-    return np.sqrt(v) if v > 0 else type(s)(0)
-
-
-def lambda2_equation(xi_key: str, t):
-    """The root equation in s that carries the t-form of lam=2 to xi = 0 or 2.
-
-    xi = 0 (t < sqrt3): 3 phi(s) = t (3s - 4); xi = 2 (t > sqrt3):
-    (3 + 2t) phi(s) = (t + 2)(3s - 4).  Evaluated in extended precision, as
-    the independent check of :func:`lambda2_closed_form`.
-    """
-    t = np.longdouble(t)
-    if xi_key == "0":
-        return lambda s: 3 * _phi(s) - t * (3 * s - 4)
-    if xi_key == "2":
-        return lambda s: (3 + 2 * t) * _phi(s) - (t + 2) * (3 * s - 4)
-    raise ValueError(f"no lam=2 root equation for xi = {xi_key!r}")
-
-
 def lambda2_closed_form(t: float) -> tuple[str, float, float]:
-    """The class xi and the root (s, phi) of lambda2_equation for t off sqrt3.
+    """The class xi and the root (s, phi) of verification.lambda2_equation for t off sqrt3.
 
     With u = 3s - 4, phi^2 = (u^2 - 1)/3, so squaring either root equation
     leaves a quadratic in u with one root u >= 1.  phi is read from t*u, not

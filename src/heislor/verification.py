@@ -39,7 +39,6 @@ from .orbits import codimension, degeneration_graph, is_closed
 from .reduction import (
     classify,
     lambda2_closed_form,
-    lambda2_equation,
     restricted_signatures,
     signature_table,
     verify_witness,
@@ -314,6 +313,27 @@ def check_degeneration_graph(n_values=(4, 5, 6)) -> CheckResult:
         return f"six direct edges, obstructed non-edges, unique flat sink, n in {list(n_values)}"
 
     return _timed("degeneration-graph", run)
+
+
+def _phi(s):
+    """sqrt(3 s^2 - 8 s + 5), clamped to 0 at the branch point s = 5/3."""
+    v = 3 * s * s - 8 * s + 5
+    return np.sqrt(v) if v > 0 else type(s)(0)
+
+
+def lambda2_equation(xi_key: str, t):
+    """The root equation in s that carries the t-form of lam=2 to xi = 0 or 2.
+
+    xi = 0 (t < sqrt3): 3 phi(s) = t (3s - 4); xi = 2 (t > sqrt3):
+    (3 + 2t) phi(s) = (t + 2)(3s - 4).  Evaluated in extended precision, as
+    the independent check of :func:`reduction.lambda2_closed_form`.
+    """
+    t = np.longdouble(t)
+    if xi_key == "0":
+        return lambda s: 3 * _phi(s) - t * (3 * s - 4)
+    if xi_key == "2":
+        return lambda s: (3 + 2 * t) * _phi(s) - (t + 2) * (3 * s - 4)
+    raise ValueError(f"no lam=2 root equation for xi = {xi_key!r}")
 
 
 def check_ivt_roots() -> CheckResult:

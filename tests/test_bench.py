@@ -1,0 +1,62 @@
+"""tools/bench.py's pairing rule on fixed numbers, and how it keys its records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "tools" / "bench.py"
+
+
+def _bench():
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_counts_pairs_and_weighs_the_gap_against_the_parent_iqr():
+    bench = _bench()
+    parent = [0.086, 0.085, 0.087, 0.086, 0.088, 0.085, 0.086, 0.087, 0.086, 0.084]
+    change = [0.080, 0.081, 0.080, 0.086, 0.081, 0.080, 0.082, 0.080, 0.081, 0.080]
+    assert bench.quartiles(parent) == pytest.approx({"median": 0.086, "q1": 0.08525, "q3": 0.08675})
+    row = bench.compare(parent, change, "lower", 0.25)
+    # pair 4 is a tie, which counts for neither side
+    assert (row["pairs"], row["wins"], row["gain"], row["within_bound"]) == (10, 9, True, True)
+    assert row["median_gap"] == pytest.approx(0.0055)
+    assert row["parent_iqr"] == pytest.approx(0.0015)
+    assert row["relative_gap"] == pytest.approx(0.0055 / 0.086)
+    # the same runs read as a higher-is-better metric: lost every decided pair, and
+    # 6.4 % worse is inside a bound of 0.25 but outside one of 0.05
+    flipped = bench.compare(parent, change, "higher", 0.25)
+    assert (flipped["wins"], flipped["gain"], flipped["within_bound"]) == (0, False, True)
+    assert not bench.compare(parent, change, "higher", 0.05)["within_bound"]
+    # eight wins of ten is short of nine tenths, whatever the gap
+    assert not bench.compare(parent, change[:8] + [0.09, 0.09], "lower", 0.25)["gain"]
+    # nine wins, but a gap inside the parent's spread
+    assert not bench.compare(parent, [p - 1e-4 for p in parent[:9]] + [0.09], "lower", 0.25)["gain"]
+    with pytest.raises(ValueError):
+        bench.compare(parent, change[:9], "lower", 0.25)
+
+
+def test_write_entries_replaces_only_an_entry_of_the_same_trees_and_settings(tmp_path):
+    bench = _bench()
+    path = tmp_path / "BENCH_w.json"
+
+    def entry(commit, src, seed, pairs=10):
+        settings = {"pairs": pairs, "seconds": 20, "seed": seed}
+        return {"commit": commit, "src_tree": src, "perfbench_tree": "p0", "settings": settings}
+
+    bench.write_entries(path, [entry("parent", "s0", 1), entry("staged", "s1", 1)])
+    # other seeds or pair counts on the same commits are added beside the record
+    bench.write_entries(path, [entry("parent", "s0", 2), entry("staged", "s1", 1, pairs=1)])
+    assert len(json.loads(path.read_text())) == 4
+    # the landed commit of the staged tree takes over its entry, in the same settings only
+    bench.write_entries(path, [entry("landed", "s1", 1)])
+    rows = json.loads(path.read_text())
+    assert [(e["commit"], e["settings"]["seed"], e["settings"]["pairs"]) for e in rows] == [
+        ("parent", 1, 10), ("parent", 2, 10), ("staged", 1, 1), ("landed", 1, 10)]
+    # a new perfbench/ measures something else, so it is added too
+    bench.write_entries(path, [{**entry("landed", "s1", 1), "perfbench_tree": "p1"}])
+    assert len(json.loads(path.read_text())) == 5

@@ -2,13 +2,16 @@
 
 import ast
 import builtins
+import copy
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
 import pytest
 
 import heislor
@@ -36,6 +39,50 @@ import sys
 import heislor.cli
 loaded = {"heislor.curvature", "heislor.orbits", "heislor.verification"}
 assert not loaded & set(sys.modules), loaded & set(sys.modules)
+""",
+    "no-dataclasses-or-fractions": """
+import sys
+import heislor
+loaded = {"dataclasses", "fractions", "decimal"}
+assert not loaded & set(sys.modules), loaded & set(sys.modules)
+""",
+    "cli-no-dataclasses-or-fractions": """
+import sys
+import heislor.cli
+loaded = {"dataclasses", "fractions", "decimal"}
+assert not loaded & set(sys.modules), loaded & set(sys.modules)
+""",
+    "classify-no-dataclasses-or-fractions": """
+import contextlib, io, json, os, sys, tempfile
+import numpy as np
+import heislor.cli
+from heislor import act, aut_pattern, canonical_metric
+rng = np.random.default_rng(0)
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    path = os.path.join(tmp, "metric.json")
+    for lam, key in [(0, "0"), (1, "0"), (1, "1"), (2, "0"), (2, "sqrt3"), (2, "2")]:
+        a = np.eye(6) + 0.3 * rng.standard_normal((6, 6)) * aut_pattern(6).mask
+        gram = act(a, canonical_metric(lam, key, 6, backend="approx")[0]).gram
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"n": 6, "backend": "approx", "gram": gram.tolist()}, fh)
+        for fmt in ("json", "csv", "text"):
+            assert heislor.cli.main(["classify", "--input", path, "--format", fmt]) == 0
+loaded = {"dataclasses", "fractions", "decimal"}
+assert not loaded & set(sys.modules), loaded & set(sys.modules)
+""",
+    "qsqrt3-loads-fractions-on-use": """
+import sys
+import numpy as np
+from heislor import QSqrt3
+assert "fractions" not in sys.modules
+x = QSqrt3.parse("1/2-3/4*sqrt3")
+assert x.format() == "1/2-3/4*sqrt3" and QSqrt3.parse(x.format()) == x
+from fractions import Fraction
+assert type(x.a) is Fraction and type(x.b) is Fraction
+assert hash(QSqrt3.parse("1/2")) == hash(Fraction(1, 2))
+assert QSqrt3.coerce(np.int64(3)) == 3
+triple = lambda y: (y._p, y._q, y._d)
+assert triple(QSqrt3(Fraction(1, 3), np.int32(2))) == triple(QSqrt3(Fraction(1, 3), 2))
 """,
     "orbit-name": """
 import heislor
@@ -79,6 +126,75 @@ def test_import_boundary(script):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _value_classes():
+    """(instance, its repr, its fields) of each read-only value class."""
+    from heislor.reduction import VerificationResult
+
+    return [
+        (
+            heislor.CanonicalForm(lam=1, xi=heislor.QSqrt3(1, 0), n=5),
+            "CanonicalForm(lam=1, xi=QSqrt3(1, 0), n=5)",
+            ("lam", "xi", "n", "pair"),
+        ),
+        (
+            VerificationResult(True, 0.0),
+            "VerificationResult(ok=True, residual=0.0, detail='')",
+            ("ok", "residual", "detail"),
+        ),
+        (heislor.aut_pattern(4), "BlockPattern(n=4)", ("n", "mask")),
+        (heislor.Metric(np.eye(4)), "Metric(backend='approx')", ("gram", "backend")),
+    ]
+
+
+def test_value_classes_compare_by_value_and_keep_their_repr():
+    """CanonicalForm, VerificationResult and BlockPattern compare and hash by their
+    fields (BlockPattern by n alone) and only within their class."""
+    from heislor.reduction import VerificationResult
+
+    QSqrt3 = heislor.QSqrt3
+    form = heislor.CanonicalForm(1, QSqrt3(1), 5)
+    assert form == heislor.CanonicalForm(lam=1, xi=QSqrt3(1, 0), n=5)
+    assert form != heislor.CanonicalForm(1, QSqrt3(1), 6) and form != (1, QSqrt3(1), 5)
+    assert hash(form) == hash((1, QSqrt3(1), 5)) and form.pair == (1, "1") and form.xi_key == "1"
+    result = VerificationResult(False, 0.5, "pattern")
+    assert result == VerificationResult(ok=False, residual=0.5, detail="pattern")
+    assert result != VerificationResult(False, 0.5)
+    assert hash(result) == hash((False, 0.5, "pattern"))
+    pattern = heislor.aut_pattern(4)
+    assert pattern == heislor.BlockPattern(4, np.zeros((4, 4), dtype=bool))
+    assert pattern != heislor.aut_pattern(5)
+    assert hash(pattern) == hash((4,))
+    assert [repr(value) for value, _, _ in _value_classes()] == [
+        text for _, text, _ in _value_classes()
+    ]
+
+
+def test_metric_and_witness_compare_by_identity():
+    """A Metric or Witness equals itself alone and hashes; comparing two grams or two
+    chains entry by entry would raise on an array's truth value."""
+    gram = np.diag([1.0, 1.0, 1.0, -1.0])
+    metric = heislor.Metric(gram)
+    assert metric == metric and hash(metric) == hash(metric)
+    assert metric != heislor.Metric(gram.copy()) and metric != heislor.Metric(gram)
+    assert metric != metric.to_approx()
+    canonical, _ = heislor.canonical_metric(2, "sqrt3", 5)
+    first, second = heislor.classify(canonical)[2], heislor.classify(canonical)[2]
+    assert first == first and first != second and len({first, second}) == 2
+
+
+@pytest.mark.parametrize("value, fields", [
+    pytest.param(value, fields, id=type(value).__name__) for value, _, fields in _value_classes()
+])
+def test_frozen_value_classes_refuse_writes_and_copy(value, fields):
+    """Each read-only class refuses a write or a delete, and copy and pickle rebuild it."""
+    for write in (lambda: setattr(value, fields[0], None), lambda: delattr(value, fields[0])):
+        with pytest.raises(AttributeError, match=f"field '{fields[0]}'"):
+            write()
+    for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and repr(twin) == repr(value)
+        assert [repr(getattr(twin, f)) for f in fields] == [repr(getattr(value, f)) for f in fields]
 
 
 #: the modules that raise each typed error, which keep it importable by its old path

@@ -53,7 +53,6 @@ from heislor.reduction import (
     classify_by_invariants,
     classify_by_invariants_flagged,
     lambda2_closed_form,
-    lambda2_equation,
     o11_normalize,
     reduce_lambda0,
     reduce_lambda1,
@@ -65,7 +64,7 @@ from heislor.reduction import (
     signature_table,
     verify_witness,
 )
-from heislor.verification import random_orbit_metric
+from heislor.verification import lambda2_equation, random_orbit_metric
 
 from references import verify_witness_by_side
 

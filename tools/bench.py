@@ -1,0 +1,230 @@
+"""Paired benchmark of two commits: BENCH_<workload>.json at the repo root.
+
+    python3 tools/bench.py --commits PARENT CHANGE --pairs 10 --seed 1
+
+Run from a git checkout.  Each commit is unpacked with `git archive | tar -x`
+into a temporary directory, so both sides run their own perfbench/ and src/ and
+the working tree is never read.  For every pair and every workload named in
+BENCHMARK.json, `perfbench/run.py --workload W --seed S --seconds T` runs once on
+each commit, the parent first in even pairs and the change first in odd ones.  T is
+BENCHMARK.json's `run_seconds`, so every recorded run is as long as the benchmark's.
+Every child runs with PYTHONDONTWRITEBYTECODE=1, so each import compiles the
+package, as in a checkout that has never been run.
+
+Each BENCH_<workload>.json holds one entry per commit and settings: the median
+and quartiles of every end-to-end metric, `failed` and the per-label failure
+reasons of the run record in .perfbench_out/, the host line, and the six lines of
+that tree's tools/digest.py.  The change's entry also holds its comparison with
+the parent by the pairing rule: a gain is claimed only when the change wins at
+least nine tenths of the pairs, ties counting for neither, and the medians differ
+by more than the parent's interquartile range.
+
+An entry is keyed by what it measured, the trees `src/` and `perfbench/` and the
+pairs, seed and run length, not by the commit sha.  A run with other settings is
+added beside the old entries; a run of the same trees and settings replaces the
+old entry, so a change measured from its staged tree before it was committed and
+measured again at the commit that lands it keeps one entry, under the landed sha.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+#: share of the pairs the change must win before a gain is claimed
+WIN_SHARE = 0.9
+CHILD_TIMEOUT_S = 1800
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    """Median and quartiles; the inclusive method keeps them inside the sample."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """The change against the parent on one metric, runs matched by pair.
+
+    `wins` counts the pairs the change reads better in; `gain` holds when it won
+    at least WIN_SHARE of them and its median is better by more than the parent's
+    interquartile range; `within_bound` when its median is not worse than the
+    parent's by more than the relative bound.
+    """
+    if len(parent) != len(change) or not parent:
+        raise ValueError("one parent run and one change run per pair")
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    base, new = quartiles(parent), quartiles(change)
+    gap = sign * (base["median"] - new["median"])
+    iqr = base["q3"] - base["q1"]
+    return {
+        "pairs": len(parent),
+        "wins": wins,
+        "median_gap": gap,
+        "relative_gap": gap / base["median"] if base["median"] else 0.0,
+        "parent_iqr": iqr,
+        "gain": wins >= WIN_SHARE * len(parent) and gap > iqr,
+        "within_bound": -gap <= bound * abs(base["median"]),
+    }
+
+
+def _git(*args: str) -> str:
+    done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def unpack(sha: str, into: Path) -> None:
+    into.mkdir(parents=True)
+    archive = subprocess.Popen(["git", "archive", sha], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise RuntimeError(f"git archive {sha} failed")
+
+
+def _child_env(tree: Path) -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+
+
+def digest_lines(tree: Path) -> list[str]:
+    """That tree's tools/digest.py output, or an empty list where it has none."""
+    if not (tree / "tools" / "digest.py").is_file():
+        return []
+    done = subprocess.run(
+        [sys.executable, "tools/digest.py"], cwd=tree, env=_child_env(tree),
+        capture_output=True, text=True, timeout=CHILD_TIMEOUT_S, check=True,
+    )
+    return done.stdout.splitlines()
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run: its printed metrics and the record it leaves behind."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=tree, env=_child_env(tree), capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
+    )
+    if not done.stdout.strip():
+        raise RuntimeError(f"{workload} on {tree.name} printed nothing: {done.stderr[-2000:]}")
+    summary = json.loads(done.stdout.strip().splitlines()[-1])
+    record_path = tree / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json"
+    record = json.loads(record_path.read_text(encoding="utf-8"))
+    return {
+        "exit": done.returncode,
+        "metrics": {name: row["value"] for name, row in summary["metrics"].items()},
+        "attempted": summary["attempted"],
+        "failed": summary["failed"],
+        "failure_reasons": record.get("failure_reasons", {}),
+        "mismatches": record.get("mismatches", []),
+        "host": record["host"],
+    }
+
+
+def entry(sha: str, runs: list[dict], digest: list[str], settings: dict) -> dict:
+    first = runs[0]
+    return {
+        "commit": sha,
+        "subject": _git("log", "-1", "--format=%s", sha),
+        "src_tree": _git("rev-parse", f"{sha}:src"),
+        "perfbench_tree": _git("rev-parse", f"{sha}:perfbench"),
+        "settings": settings,
+        "host": first["host"],
+        "runs": len(runs),
+        "exit_codes": sorted({run["exit"] for run in runs}),
+        "metrics": {
+            name: {**quartiles([run["metrics"][name] for run in runs]),
+                   "runs": [run["metrics"][name] for run in runs]}
+            for name in first["metrics"]
+        },
+        "attempted": first["attempted"],
+        "failed": first["failed"],
+        "failure_reasons": first["failure_reasons"],
+        "mismatches": first["mismatches"],
+        # the work is fixed by seed and seconds, so every run should fail alike
+        "failures_repeat": all(
+            (r["attempted"], r["failed"], r["failure_reasons"])
+            == (first["attempted"], first["failed"], first["failure_reasons"])
+            for r in runs
+        ),
+        "digest": digest,
+    }
+
+
+def measured(e: dict) -> tuple:
+    """What an entry measured: its src/ and perfbench/ trees and its settings."""
+    return (e["src_tree"], e["perfbench_tree"], tuple(sorted(e["settings"].items())))
+
+
+def write_entries(path: Path, entries: list[dict]) -> None:
+    """Add each entry to the file, replacing an older entry that measured the same."""
+    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    new = {measured(e) for e in entries}
+    kept = [e for e in old if measured(e) not in new]
+    path.write_text(json.dumps(kept + entries, indent=1) + "\n", encoding="utf-8")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Paired benchmark of a parent and a change.")
+    parser.add_argument("--commits", nargs=2, required=True, metavar=("PARENT", "CHANGE"))
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in spec["workloads"]]
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    shas = [_git("rev-parse", "--verify", f"{c}^{{commit}}") for c in args.commits]
+    seconds = spec["run_seconds"]
+    settings = {"pairs": args.pairs, "seconds": seconds, "seed": args.seed}
+
+    with tempfile.TemporaryDirectory(prefix="heislor-bench-") as tmp:
+        trees = [Path(tmp) / f"{side}-{sha[:12]}" for side, sha in zip(("a", "b"), shas)]
+        for sha, tree in zip(shas, trees):
+            unpack(sha, tree)
+        digests = [digest_lines(tree) for tree in trees]
+        runs = {w: ([], []) for w in workloads}
+        for k in range(args.pairs):
+            order = (0, 1) if k % 2 == 0 else (1, 0)
+            for workload in workloads:
+                for side in order:
+                    runs[workload][side].append(
+                        run_once(trees[side], workload, args.seed, seconds))
+                print(f"pair {k + 1}/{args.pairs} {workload} done", file=sys.stderr, flush=True)
+
+        for workload in workloads:
+            parent, change = (
+                entry(sha, side_runs, digest, settings)
+                for sha, side_runs, digest in zip(shas, runs[workload], digests)
+            )
+            change["compared_with"] = shas[0]
+            change["comparison"] = {
+                name: compare(parent["metrics"][name]["runs"], change["metrics"][name]["runs"],
+                              metrics[name]["better"], metrics[name]["bound"])
+                for name in metrics
+            }
+            write_entries(ROOT / f"BENCH_{workload}.json", [parent, change])
+            print(f"{workload}: {shas[0][:10]} -> {shas[1][:10]}, failed "
+                  f"{parent['failed']} -> {change['failed']}, digests "
+                  f"{'equal' if parent['digest'] == change['digest'] else 'DIFFER'}")
+            for name, row in change["comparison"].items():
+                a, b = parent["metrics"][name], change["metrics"][name]
+                print(f"  {name:12s} {a['median']:.6g} [{a['q1']:.6g}, {a['q3']:.6g}] -> "
+                      f"{b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]  won "
+                      f"{row['wins']}/{row['pairs']}, gap {row['relative_gap']:+.2%} vs parent "
+                      f"IQR {row['parent_iqr']:.3g}: {'GAIN' if row['gain'] else 'no gain'}, "
+                      f"{'within bound' if row['within_bound'] else 'OUTSIDE BOUND'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
