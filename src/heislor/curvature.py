@@ -38,7 +38,7 @@ import numpy as np
 from ._linalg import _subtract, exact_zeros, max_abs
 from .errors import EvidenceFailure
 from .liealg import _bracket_terms, require_dim
-from .metrics import _whole, canonical_key, xi_exact, xi_json
+from .metrics import canonical_pair, xi_exact, xi_json
 from .numerics import EXACT, QSqrt3, sub_product
 
 HALF = QSqrt3(Fraction(1, 2))
@@ -554,7 +554,7 @@ def curvature_report(lam, xi, n: int, backend: str = EXACT) -> CurvatureReport:
     The tables are the closed forms, built exactly.  The float report is the
     exact one with every value rounded once, so an exact zero stays +0.0.
     """
-    key, lam = canonical_key(lam, xi), _whole(lam)
+    lam, key = canonical_pair(lam, xi)
     xi_val, lam_val = xi_exact(key), QSqrt3(lam)
     ops = closed_form_riemann(lam_val, xi_val, n)
     ric = closed_form_ricci(lam_val, xi_val, n)

@@ -77,26 +77,23 @@ def xi_json(key: str) -> int | str:
     return key if key == "sqrt3" else int(key)
 
 
-def canonical_key(lam, xi) -> str:
-    """xi's key when (lam, xi) is one of the six canonical pairs."""
+def canonical_pair(lam, xi) -> tuple[int, str]:
+    """(lam as an int, xi's key) when (lam, xi) is one of the six canonical pairs, lam a
+    whole number; int() alone would read 2.5 as 2, and raise on an infinite or NaN lam."""
     key = xi_key_of(xi)
-    if (_whole(lam), key) not in CANONICAL_PAIRS:
-        raise NotARepresentative(f"({lam}, {key}) is not a canonical pair")
-    return key
-
-
-def _whole(lam) -> int | None:
-    """lam as an int when it is a whole number, a QSqrt3 one included, else None;
-    int() alone would read 2.5 as 2, and raise on an infinite or NaN lam."""
     if isinstance(lam, QSqrt3):
-        return int(lam.a) if not lam.b and lam.a.denominator == 1 else None
-    return int(lam) if abs(lam) < math.inf and lam == int(lam) else None
+        whole = int(lam.a) if not lam.b and lam.a.denominator == 1 else None
+    else:
+        whole = int(lam) if abs(lam) < math.inf and lam == int(lam) else None
+    if (whole, key) not in CANONICAL_PAIRS:
+        raise NotARepresentative(f"({lam}, {key}) is not a canonical pair")
+    return whole, key
 
 
 class Metric(_Frozen):
-    """A symmetric Gram matrix: QSqrt3 entries (exact backend) or float64 (approx, converted).
-
-    Read-only, and equal and hashed by identity: two grams compare entry by entry."""
+    """A symmetric Gram matrix, n >= 4, of QSqrt3 (exact backend) or float64 (approx) entries,
+    validated once, when made, into a read-only copy; a copy or an unpickled one is made anew.
+    Equal and hashed by identity: two grams compare entry by entry."""
 
     __slots__ = ("gram", "backend")
     _FIELDS = ("backend",)
@@ -104,18 +101,19 @@ class Metric(_Frozen):
     __hash__ = object.__hash__
 
     def __init__(self, gram: np.ndarray, backend: str = APPROX) -> None:
-        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-            raise ValueError("gram must be a square matrix")
+        gram = np.asarray(gram)
         if backend not in (EXACT, APPROX):
             raise ValueError(f"unknown backend {backend!r}")
         if backend == EXACT and gram.dtype != object:
             raise ValueError("exact backend requires QSqrt3 entries")
-        if backend == APPROX:
-            gram = to_float(gram)
-        if gram.dtype != object and not np.isfinite(gram).all():
-            i, j = np.argwhere(~np.isfinite(gram))[0]
-            raise ValueError(f"gram[{i}][{j}] = {float(gram[i, j])!r} is not a finite number")
+        gram = np.array(gram, dtype=float) if backend == APPROX else gram.copy()
+        _check_symmetric(gram)
+        require_dim(gram.shape[0])
+        gram.flags.writeable = False
         self._fill(gram, backend)
+
+    def __reduce__(self):
+        return Metric, (self.gram, self.backend)
 
     @property
     def n(self) -> int:
@@ -126,6 +124,13 @@ class Metric(_Frozen):
 
 
 def _check_symmetric(m: np.ndarray) -> None:
+    """ValueError unless m is a square 2-D array of finite entries, naming the first bad
+    one; AsymmetricInput unless it is symmetric, exactly for QSqrt3 entries."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("gram must be a square matrix")
+    if m.dtype != object and not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise ValueError(f"gram[{i}][{j}] = {float(m[i, j])!r} is not a finite number")
     if m.dtype == object:
         n = m.shape[0]
         for i in range(n):
@@ -167,7 +172,7 @@ def signature_of(m: np.ndarray) -> tuple[int, int, int]:
 
     Exact backend: symmetric congruence elimination, no square roots, no
     tolerance.  Float backend: eigenvalue signs relative to the spectral
-    radius.
+    radius.  ValueError for an m that is not square or not finite.
     """
     _check_symmetric(m)
     if m.dtype != object:
@@ -177,7 +182,11 @@ def signature_of(m: np.ndarray) -> tuple[int, int, int]:
 
 
 def act(g: np.ndarray, metric: Metric) -> Metric:
-    """Push the inner product forward: gram -> g^-T gram g^-1."""
+    """Push the inner product forward: gram -> g^-T gram g^-1, g of the metric's size and kind."""
+    kind = EXACT if g.dtype == object else APPROX
+    if g.shape != metric.gram.shape or kind != metric.backend:
+        size = "x".join(map(str, g.shape))
+        raise ValueError(f"g is {size} {kind}, the metric {metric.n}x{metric.n} {metric.backend}")
     if g.dtype != object and is_singular(g):
         raise SingularMatrix("change of basis is singular")
     try:
@@ -231,7 +240,7 @@ def canonical_gram(lam, xi, n: int, exact: bool = True) -> np.ndarray:
 def canonical_metric(lam, xi, n: int, backend: str = EXACT) -> tuple[Metric, np.ndarray]:
     """One of the six canonical metrics and its shear g, whose columns are a
     pseudo-orthonormal frame: g^T gram g = diag(1, ..., 1, -1)."""
-    key, lam = canonical_key(lam, xi), _whole(lam)
+    lam, key = canonical_pair(lam, xi)
     exact = backend == EXACT
     xi_val = xi_exact(key) if exact else xi_float(key)
     lam_val = QSqrt3(lam) if exact else float(lam)
@@ -257,10 +266,9 @@ def _factor_metric(metric: Metric) -> tuple[np.ndarray, np.ndarray, float]:
     whose |det|^(1/n) lies within a factor 2 of 1; a power of 2 rescales a
     float exactly.  Every canonical Gram matrix has |det| = 1, so e = 0.  The
     signature is read at M / 4^e, so c * M passes or fails with M; a zero
-    eigenvalue fails at every e and is left out of the determinant.  An exact gram
-    must be exactly symmetric.
+    eigenvalue fails at every e and is left out of the determinant.  The gram was
+    checked symmetric when the Metric was made.
     """
-    _check_symmetric(metric.gram)
     eigvals, q = eigh(to_float(metric.gram))
     # eigh sorts ascending, so reversed views put the positives first, the negative one last
     eigvals, q = eigvals[::-1], q[:, ::-1]
@@ -284,11 +292,10 @@ def _unit_prescale(eigvals: list[float]) -> float:
 
 
 def _unit_gram(metric: Metric) -> tuple[np.ndarray, list[float] | None]:
-    """The gram an invariant reader sees, checked symmetric: an exact one as given,
-    a float one at unit scale, M / 4^e, with its eigenvalues (those that give e,
-    scaled; None for an exact gram).  Unlike factor_metric it takes any signature."""
+    """The gram an invariant reader sees, symmetric as every Metric's is: an exact one
+    as given, a float one at unit scale, M / 4^e, with its eigenvalues (those that give
+    e, scaled; None for an exact gram).  Unlike factor_metric it takes any signature."""
     gram = metric.gram
-    _check_symmetric(gram)
     if metric.backend == EXACT:
         return gram, None
     eigvals = eigvalsh(gram).tolist()
@@ -339,6 +346,4 @@ def metric_from_json(data: dict) -> Metric:
         for i, row in enumerate(rows)
     ]
     gram = exact_array(parsed) if backend == EXACT else np.array(parsed, dtype=float)
-    metric = Metric(gram=gram, backend=backend)
-    _check_symmetric(gram)
-    return metric
+    return Metric(gram=gram, backend=backend)

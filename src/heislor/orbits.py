@@ -26,9 +26,8 @@ from .errors import EvidenceFailure, OracleMismatch
 from .liealg import aut_pattern, require_dim
 from .metrics import (
     CANONICAL_PAIRS,
-    _whole,
     canonical_gram,
-    canonical_key,
+    canonical_pair,
     xi_exact,
     xi_json,
 )
@@ -51,7 +50,7 @@ def dims_UW(lam: int, xi, n: int) -> tuple[int, int]:
     coordinate pairs.
     """
     require_dim(n)
-    key, lam = canonical_key(lam, xi), _whole(lam)
+    lam, key = canonical_pair(lam, xi)
     lam_e, xi_e = QSqrt3(lam), xi_exact(key)
     a = lam_e * lam_e - 1
     dim_u = 2 - rank_rows([[(0, a - xi_e * xi_e), (1, lam_e * xi_e)], [(1, a)]])
@@ -81,7 +80,7 @@ def _stabilizer_system(lam: int, xi, n: int) -> list[dict]:
     g is the shear of (lam, xi), and g^-1 is its closed form, the shear by (-xi, -lam)
     (:func:`shear_conjugator`).
     """
-    key, lam = canonical_key(lam, xi), _whole(lam)
+    lam, key = canonical_pair(lam, xi)
     conjugate = shear_conjugator(lam, xi_exact(key), n)
     positions, coeff = _stabilizer_layout(n)
     system = []
@@ -119,7 +118,7 @@ def _stabilizer_dim_cached(lam: int, key: str, n: int) -> int:
 def stabilizer_dim(lam: int, xi, n: int) -> int:
     """Stabilizer dimension, closed form cross-checked by the rank oracle."""
     require_dim(n)
-    return _stabilizer_dim_cached(_whole(lam), canonical_key(lam, xi), n)
+    return _stabilizer_dim_cached(*canonical_pair(lam, xi), n)
 
 
 def moduli_dim(n: int) -> int:
@@ -318,7 +317,7 @@ def degeneration_graph(n: int) -> DegenerationGraph:
 
 def is_closed(lam: int, xi, n: int = 4) -> bool:
     """True when the orbit has no outgoing degeneration; cross-checked as flat."""
-    key, lam = canonical_key(lam, xi), _whole(lam)
+    lam, key = canonical_pair(lam, xi)
     closed = not degeneration_graph(n).outgoing((lam, key))
     flat = is_flat(closed_form_riemann(QSqrt3(lam), xi_exact(key), n))
     if closed != flat:
@@ -359,7 +358,7 @@ class OrbitReport:
 
 
 def orbit_report(lam: int, xi, n: int) -> OrbitReport:
-    key, lam = canonical_key(lam, xi), _whole(lam)
+    lam, key = canonical_pair(lam, xi)
     dim_u, dim_w = dims_UW(lam, key, n)
     stab = stabilizer_dim(lam, key, n)
     codim = codimension(lam, key, n)

@@ -50,7 +50,7 @@ from .metrics import (
     _factor_metric,
     _require_lorentzian,
     _unit_gram,
-    canonical_key,
+    canonical_pair,
     signature_of,
     xi_exact,
     xi_float,
@@ -98,7 +98,7 @@ class CanonicalForm(_Frozen):
     _FIELDS = ("lam", "xi", "n")
 
     def __init__(self, lam: int, xi: QSqrt3, n: int) -> None:
-        self._fill(lam, xi, n, (lam, canonical_key(lam, xi)))
+        self._fill(lam, xi, n, canonical_pair(lam, xi))
 
     @property
     def xi_key(self) -> str:
@@ -521,7 +521,6 @@ def signature_table(n: int) -> MappingProxyType:
 
 def restricted_signatures(metric: Metric) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Signatures of the metric on the center and on the derived ideal, at unit scale."""
-    require_dim(metric.n)
     return _read_signatures(_unit_gram(metric)[0][None])[0][0]
 
 
@@ -530,7 +529,6 @@ def classify_by_invariants(metric: Metric) -> CanonicalForm:
 
     An exact metric is read by exact signs, a float one at unit scale, M / 4^e.
     """
-    require_dim(metric.n)
     gram, eigs = _unit_gram(metric)
     _require_lorentzian(signature_of(gram) if eigs is None else _band_signs(eigs)[0])
     return _classify_grams(gram[None])[0][0]
@@ -538,7 +536,6 @@ def classify_by_invariants(metric: Metric) -> CanonicalForm:
 
 def classify_by_invariants_flagged(metric: Metric) -> tuple[CanonicalForm, list[str]]:
     """The table row of the metric's restricted signatures, at unit scale, and its flags."""
-    require_dim(metric.n)
     return _classify_grams(_unit_gram(metric)[0][None])[0]
 
 
@@ -624,15 +621,14 @@ def classify(metric: Metric) -> tuple[CanonicalForm, float, Witness]:
     Returns the class, the scale k making k*M pseudo-orthonormalizable on
     the canonical frame, and the witness chain.  The result is cross-checked
     against the restricted-signature classifier.  Raises AmbiguousNearWall
-    when t falls between SNAP_LIMIT and WALL_BAND of a wall, and
-    DimensionTooSmall for n < 4.
+    when t falls between SNAP_LIMIT and WALL_BAND of a wall; DimensionTooSmall
+    for n < 4 is raised when the Metric is made.
 
     The scale of M is not part of its class, so both classifiers read M / 4^e
     (retry factors have |det| = 1); an exact metric keeps its exact signs.
     """
     n = metric.n
-    require_dim(n)
-    base_m, base_start, prescale = _factor_metric(metric)  # validates symmetry and the signature
+    base_m, base_start, prescale = _factor_metric(metric)  # validates the signature
     inv_gram = metric.gram if metric.backend == EXACT else metric.gram * (prescale * prescale)
     inv_form, inv_flags = _classify_grams(inv_gram[None])[0]
     last_error: Exception | None = None

@@ -1,15 +1,18 @@
 """Gram matrices, signatures, the group action and canonical representatives."""
 
+import copy
 import json
 import math
+import pickle
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from heislor._linalg import congruence_diagonal, exact_array, minkowski_gram, to_float
+from heislor._linalg import congruence_diagonal, exact_array, exact_eye, minkowski_gram, to_float
 from heislor.cli import canonical_json
+from heislor.errors import DimensionTooSmall
 from heislor.metrics import (
     APPROX,
     CANONICAL_PAIRS,
@@ -22,8 +25,8 @@ from heislor.metrics import (
     _factor_metric,
     act,
     canonical_gram,
-    canonical_key,
     canonical_metric,
+    canonical_pair,
     factor_metric,
     metric_from_json,
     shear_matrix,
@@ -107,6 +110,18 @@ def test_signature_rejects_asymmetric():
         signature_of(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("m, message", [
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), r"gram\[0\]\[0\] = nan is not a finite number"),
+    (np.array([[1.0, 0.0], [0.0, -np.inf]]), r"gram\[1\]\[1\] = -inf is not a finite number"),
+    (np.zeros(3), r"gram must be a square matrix"),
+    (np.zeros((2, 3)), r"gram must be a square matrix"),
+], ids=["nan", "-inf", "1-d", "2x3"])
+def test_signature_refuses_a_matrix_it_cannot_read(m, message):
+    # a NaN compares false with every band, so it would count as a zero eigenvalue
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        signature_of(m)
+
+
 def _restrict(metric, b):
     """Gram matrix B^T gram B of the metric restricted to the span of B's columns."""
     return b.T @ metric.gram @ b
@@ -138,6 +153,22 @@ def test_act_refuses_a_singular_change_of_basis(backend):
     g = exact_array(g) if backend == EXACT else g.astype(float)
     with pytest.raises(SingularMatrix, match="change of basis is singular"):
         act(g, metric)
+
+
+@pytest.mark.parametrize("g_backend, metric_backend", [(APPROX, EXACT), (EXACT, APPROX)])
+def test_act_refuses_a_change_of_basis_of_the_other_backend(g_backend, metric_backend):
+    metric, _ = canonical_metric(2, "0", 5, metric_backend)
+    g = exact_eye(5) if g_backend == EXACT else np.eye(5)
+    want = f"^g is 5x5 {g_backend}, the metric 5x5 {metric_backend}$"
+    with pytest.raises(ValueError, match=want):
+        act(g, metric)
+
+
+@pytest.mark.parametrize("backend", [APPROX, EXACT])
+def test_act_refuses_a_change_of_basis_of_another_size(backend):
+    metric, _ = canonical_metric(2, "0", 5, backend)
+    with pytest.raises(ValueError, match=f"^g is 4x4 {backend}, the metric 5x5 {backend}$"):
+        act(minkowski_gram(4, exact=backend == EXACT), metric)
 
 
 def test_act_matches_direct_multiplication_oracle():
@@ -237,10 +268,22 @@ def test_exact_lambda_is_read_as_its_whole_rational():
         reference, reference_shear = canonical_metric(1, "0", 5, backend)
         assert canonical_json(metric_to_json(metric)) == canonical_json(metric_to_json(reference))
         assert np.array_equal(shear, reference_shear)
-    assert canonical_key(QSqrt3(2), "sqrt3") == "sqrt3"
+    pair = canonical_pair(QSqrt3(2), "sqrt3")
+    assert pair == (2, "sqrt3") and type(pair[0]) is int
     for lam in (QSqrt3(1, 1), QSqrt3(Fraction(1, 2)), QSqrt3(0, 1), QSqrt3(3)):
         with pytest.raises(NotARepresentative):
             canonical_metric(lam, "0", 5)
+
+
+@pytest.mark.parametrize("lam, xi, message", [
+    (2, 3, "xi value 3 is not one of 0, 1, sqrt3, 2"),
+    (2.5, "2", "(2.5, 2) is not a canonical pair"),
+    (2, "1", "(2, 1) is not a canonical pair"),
+    (QSqrt3(1, 1), "0", "(1+sqrt3, 0) is not a canonical pair"),
+], ids=["bad-xi", "lam-not-whole", "not-canonical", "exact-lam"])
+def test_canonical_pair_names_what_it_refuses(lam, xi, message):
+    with pytest.raises(NotARepresentative, match=f"^{re.escape(message)}$"):
+        canonical_pair(lam, xi)
 
 
 def test_canonical_metric_identity_pair():
@@ -353,6 +396,46 @@ def test_metric_rejects_a_non_finite_float_entry(value):
     gram[1, 1] = value
     with pytest.raises(ValueError, match=rf"^gram\[1\]\[1\] = {value!r} is not a finite number$"):
         Metric(gram=gram, backend=APPROX)
+
+
+@pytest.mark.parametrize("backend", [APPROX, EXACT])
+def test_metric_keeps_a_read_only_copy_of_its_gram(backend):
+    # the caller's array stays theirs to write; the metric's, and its copies', refuse writes
+    gram = canonical_gram(2, 2, 5, exact=backend == EXACT)
+    metric = Metric(gram=gram, backend=backend)
+    gram[0, 0] = gram[0, 0] + 1
+    want = canonical_gram(2, 2, 5, exact=backend == EXACT)
+    for twin in (metric, copy.copy(metric), pickle.loads(pickle.dumps(metric))):
+        assert twin.backend == backend and not twin.gram.flags.writeable
+        assert np.array_equal(twin.gram, want)
+        with pytest.raises(ValueError, match="read-only"):
+            twin.gram[0, 1] = twin.gram[1, 0]
+
+
+@pytest.mark.parametrize("backend", [APPROX, EXACT])
+def test_metric_reads_a_nested_list_as_an_array(backend):
+    metric, _ = canonical_metric(2, "sqrt3", 5, backend)
+    again = Metric(gram=metric.gram.tolist(), backend=backend)
+    assert again.gram.dtype == metric.gram.dtype and np.array_equal(again.gram, metric.gram)
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [[1.0, 1.0, 1.0, -1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 1.0, np.zeros((4, 4, 4))],
+    ids=["1-d", "2x3", "scalar", "3-d"],
+)
+def test_metric_refuses_a_gram_that_is_not_square(gram):
+    with pytest.raises(ValueError, match="^gram must be a square matrix$"):
+        Metric(gram=gram)
+
+
+def test_metric_refuses_n_below_four():
+    for n in (0, 3):
+        with pytest.raises(DimensionTooSmall, match=f"^need n >= 4, got {n}$"):
+            Metric(gram=minkowski_gram(n) if n else np.zeros((0, 0)))
+    # symmetry is checked first, so an asymmetric 3x3 gram reports its asymmetry
+    with pytest.raises(AsymmetricInput):
+        Metric(gram=np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]))
 
 
 def test_metric_json_round_trip_exact():

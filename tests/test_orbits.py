@@ -300,7 +300,7 @@ def test_non_finite_lambda_is_no_representative(lam):
     tables = (
         lambda lam, xi, n: metrics.canonical_metric(lam, xi, n),
         lambda lam, xi, n: metrics.canonical_metric(lam, xi, n, metrics.APPROX),
-        lambda lam, xi, n: metrics.canonical_key(lam, xi),
+        lambda lam, xi, n: metrics.canonical_pair(lam, xi),
         curvature_report,
         codimension,
         stabilizer_dim,

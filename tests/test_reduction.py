@@ -37,6 +37,7 @@ from heislor.metrics import (
 )
 from heislor.numerics import QSqrt3
 from heislor.orbits import _curve_points
+import heislor.metrics as metrics
 import heislor.reduction as reduction
 from heislor.reduction import (
     SNAP_LIMIT,
@@ -1670,31 +1671,50 @@ def test_each_gram_reads_alone_as_in_its_stack():
 def test_readers_refuse_an_asymmetric_gram(entry, backend, offset):
     # the (2, 0) gram at n = 5 with one entry off; outside the center both restricted
     # blocks stay symmetric, so only the check of the whole gram sees it.  An exact
-    # gram must be exactly symmetric, also below the float tolerance.
-    gram = canonical_metric(2, "0", 5, backend=backend)[0].gram.copy()
+    # gram must be exactly symmetric, also below the float tolerance.  The Metric
+    # refuses it when it is made, and a made Metric's gram refuses a write, so no
+    # reader can be handed an asymmetric gram.
+    valid = canonical_metric(2, "0", 5, backend=backend)[0]
+    gram = valid.gram.copy()
     gram[entry] = gram[entry] + offset
-    metric = Metric(gram=gram, backend=backend)
-    for reader in (
-        classify, classify_by_invariants, classify_by_invariants_flagged, restricted_signatures
-    ):
-        with pytest.raises(AsymmetricInput):
-            reader(metric)
+    with pytest.raises(AsymmetricInput):
+        Metric(gram=gram, backend=backend)
+    with pytest.raises(ValueError, match="read-only"):
+        valid.gram[entry] = gram[entry]
+    assert valid.gram[entry] == valid.gram[entry[::-1]]
 
 
 @pytest.mark.parametrize("pair", CANONICAL_PAIRS)
 def test_float_gram_asymmetric_within_the_tolerance_still_classifies(pair):
     # a float gram is symmetric within DEFAULT_TOL relative; one entry off by 1e-12 of the
-    # largest must read as the symmetric gram does, off by 1e-7 it is refused
+    # largest must read as the symmetric gram does, off by 1e-7 it is refused when the
+    # Metric is made
     metric = _orbit_sample(pair[0], pair[1], 6, seed=11)
     for offset, readable in ((1e-12, True), (1e-7, False)):
         gram = metric.gram.copy()
         gram[0, 3] += offset * np.abs(gram).max()
-        skewed = Metric(gram=gram, backend=APPROX)
         if not readable:
             with pytest.raises(AsymmetricInput):
-                classify(skewed)
+                Metric(gram=gram, backend=APPROX)
             continue
+        skewed = Metric(gram=gram, backend=APPROX)
         form, _, witness = classify(skewed)
         assert form.pair == pair and verify_witness(skewed, witness).ok
         assert classify_by_invariants(skewed).pair == pair
         assert restricted_signatures(skewed) == restricted_signatures(metric)
+
+
+def test_a_metric_is_checked_symmetric_once_when_it_is_made(count_calls):
+    """The symmetry check runs once per Metric built, on the gram it keeps, and not
+    again in the float readers, which take a Metric's gram as checked."""
+    calls = count_calls(metrics, "_check_symmetric")
+    for (lam, key), n in ((pair, n) for pair in CANONICAL_PAIRS for n in (4, 6)):
+        metric = _orbit_sample(lam, key, n, seed=3)  # canonical_metric's Metric, then act's
+        assert len(calls) == 2 and calls[-1][0] is metric.gram
+        form, _, witness = classify(metric)
+        assert form.pair == (lam, key) and verify_witness(metric, witness).ok
+        assert classify_by_invariants(metric).pair == (lam, key)
+        assert classify_by_invariants_flagged(metric)[0].pair == (lam, key)
+        assert restricted_signatures(metric) == signature_table(n)[lam, key]
+        assert len(calls) == 2
+        calls.clear()
