@@ -9,11 +9,12 @@ Each update x - f*y is one fused QSqrt3 operation (sub_product).  The stabilizer
 system conjugates by the frame shear, whose inverse is its closed form
 (shear_conjugator), so it needs no inverse.
 Float routines wrap numpy.  At the n <= 8 of a reduction a numpy call's fixed cost
-outweighs its arithmetic, so they make as few calls and copies as they can, and
-every float LAPACK call of the package is one of the kernels below.  The float
-reduction's 2-D products and householder's u.dot(u) are BLAS through ndarray.dot, with
-np.matmul's bits and floating-point checks but no ufunc dispatch (6x6: 0.45-0.62 us, not
-1.3-1.8); np.maximum.reduce is ndarray.max without its Python wrapper.
+outweighs its arithmetic, so they make few calls and copies: householder and
+right_triangularize build the reduction's factors at full size, is_singular decides a
+stack on Python floats, and every float LAPACK call of the package is one of the kernels
+below.  2-D products and householder's norms are BLAS through ndarray.dot: np.matmul's
+bits and floating-point checks, no ufunc dispatch.  np.maximum.reduce is ndarray.max
+without its Python wrapper.
 Everything is sized for n <= 24.
 """
 
@@ -286,49 +287,57 @@ def qr_q(a: np.ndarray) -> np.ndarray:
 # -- float helpers -----------------------------------------------------------
 
 
-def householder(v: np.ndarray, k: int) -> np.ndarray:
-    """Symmetric orthogonal H with H @ v = ||v|| e_k (so also v @ H = ||v|| e_k)."""
-    u = np.array(v, dtype=float)  # a copy, since u[k] is overwritten
-    n = u.shape[0]
-    norm = math.sqrt(u.dot(u))
+def householder(v: np.ndarray, k: int, n: int, lo: int) -> np.ndarray:
+    """The n x n identity with, on rows and columns lo .. lo + len(v) - 1, the symmetric
+    orthogonal H with H @ v = ||v|| e_k (so also v @ H = ||v|| e_k)."""
+    u = np.zeros(n)
+    sub = u[lo : lo + len(v)]  # a view: the norms are read on v's entries alone
+    sub[...] = v
+    norm = math.sqrt(sub.dot(sub))
     if norm == 0.0:
         return shared_eye(n).copy()
-    vk = float(u[k])
-    u[k] = 0.0
-    rest = float(u.dot(u))
+    vk = float(sub[k])
+    sub[k] = 0.0
+    rest = float(sub.dot(sub))
     # v[k] - ||v|| cancels when v is close to ||v|| e_k: use its equal
     # -rest / (v[k] + ||v||) there (Golub & Van Loan, Algorithm 5.1.1)
     uk = vk - norm if vk <= 0.0 else -rest / (vk + norm)
-    u[k] = uk
+    sub[k] = uk
     uu = rest + uk**2
     if uu < UNDERFLOW:
         return shared_eye(n).copy()
-    return shared_eye(n) - 2.0 * (u[:, None] * u) / uu
+    if uu < math.inf:  # u is finite, so its outer product is +-0 off the block
+        return shared_eye(n) - 2.0 * (u[:, None] * u) / uu
+    out = shared_eye(n).copy()  # an inf or NaN in v: 0 * inf must not reach off the block
+    out[lo : lo + len(v), lo : lo + len(v)] -= 2.0 * (sub[:, None] * sub) / uu
+    return out
 
 
-def is_singular(a: np.ndarray):
-    """Whether a float matrix, or each of a stack, is numerically singular (a NaN makes it so), at
-    any scale: |det|^(1/n) against the largest entry (Golub & Van Loan, section 2.6)."""
-    return is_singular_sized(a, np.maximum.reduce(np.abs(a), axis=(-2, -1)))
-
-
-def is_singular_sized(a: np.ndarray, size):
-    """is_singular(a), given the largest entry magnitude of a, or of each of the stack."""
+def is_singular(a: np.ndarray, sizes: list[float] | None = None) -> list[bool]:
+    """Whether each float matrix of a stack is numerically singular (a NaN makes it so), at
+    any scale: |det|^(1/n) against the largest entry, `sizes` if the caller has it (Golub &
+    Van Loan, section 2.6).  One slogdet and one exp for the stack, then Python floats."""
     sign, logdet = _nan_slogdet(a)
-    return (sign == 0) | ~(np.exp(logdet / a.shape[-1]) >= SINGULAR_RATIO * size)
+    if sizes is None:
+        sizes = np.maximum.reduce(np.abs(a), axis=(1, 2)).tolist()
+    roots = zip(sign.tolist(), np.exp(logdet / a.shape[-1]).tolist(), sizes)
+    return [s == 0.0 or not r >= SINGULAR_RATIO * m for s, r, m in roots]
 
 
-def right_triangularize(b: np.ndarray) -> np.ndarray:
-    """Orthogonal Q with b @ Q upper triangular (RQ-style rotation)."""
+def right_triangularize(b: np.ndarray, n: int, lo: int) -> np.ndarray:
+    """The n x n identity with, on rows and columns lo .. lo + len(b) - 1, the orthogonal
+    Q with b @ Q upper triangular (RQ-style rotation), for a float or integer array b."""
     # b^T with rows and columns reversed; + 0.0 turns -0.0 into 0.0, so Q has no signed zero
-    q_flipped = _qr_q_in_place(np.asarray(b, dtype=float).T[::-1, ::-1] + 0.0)
-    return q_flipped[::-1, ::-1] + 0.0
+    q_flipped = _qr_q_in_place(b.T[::-1, ::-1] + 0.0)
+    out = shared_eye(n).copy()
+    out[lo : lo + len(b), lo : lo + len(b)] = q_flipped[::-1, ::-1] + 0.0
+    return out
 
 
 def embed(block: np.ndarray, n: int, coords: tuple[int, ...]) -> np.ndarray:
     """Place a small float block at the given coordinates of an n x n identity."""
     out = shared_eye(n).copy()
-    out.reshape(-1)[_flat_block_index(n, tuple(coords))] = block.reshape(-1)
+    out.put(_flat_block_index(n, tuple(coords)), block)
     return out
 
 

@@ -175,6 +175,11 @@ def signature_of(m: np.ndarray) -> tuple[int, int, int]:
     radius.  ValueError for an m that is not square or not finite.
     """
     _check_symmetric(m)
+    return _signs(m)
+
+
+def _signs(m: np.ndarray) -> tuple[int, int, int]:
+    """signature_of(m) without its checks, for a block of a gram its Metric checked."""
     if m.dtype != object:
         return _band_signs(eigvalsh(m).tolist())[0]
     signs = [d.sign() for d in congruence_diagonal(m)]
@@ -187,7 +192,7 @@ def act(g: np.ndarray, metric: Metric) -> Metric:
     if g.shape != metric.gram.shape or kind != metric.backend:
         size = "x".join(map(str, g.shape))
         raise ValueError(f"g is {size} {kind}, the metric {metric.n}x{metric.n} {metric.backend}")
-    if g.dtype != object and is_singular(g):
+    if g.dtype != object and is_singular(g[None])[0]:
         raise SingularMatrix("change of basis is singular")
     try:
         ginv = exact_inv(g) if g.dtype == object else inv(g)

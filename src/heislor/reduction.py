@@ -26,7 +26,6 @@ from ._linalg import (
     householder,
     inv,
     is_singular,
-    is_singular_sized,
     max_abs,
     qr_q,
     right_triangularize,
@@ -49,9 +48,9 @@ from .metrics import (
     _band_signs,
     _factor_metric,
     _require_lorentzian,
+    _signs,
     _unit_gram,
     canonical_pair,
-    signature_of,
     xi_exact,
     xi_float,
     xi_json,
@@ -113,9 +112,12 @@ def _t_form(lam: int, t: float, n: int) -> np.ndarray:
     return u
 
 
+@lru_cache(maxsize=None)
 def representative_matrix(lam: int, xi_key: str, n: int) -> np.ndarray:
-    """The reduction target, the t-form with t = xi."""
-    return _t_form(lam, xi_float(xi_key), n)
+    """The reduction target, the t-form with t = xi, built once and read-only."""
+    target = _t_form(lam, xi_float(xi_key), n)
+    target.flags.writeable = False
+    return target
 
 
 class Witness:
@@ -125,8 +127,9 @@ class Witness:
         left[0] @ ... @ left[-1] @ start @ right[0] @ ... @ right[-1] = target
     with every left factor in the transposed automorphism pattern and every
     right factor in O(n-1, 1).  When produced by :func:`classify`, `m_factor`
-    satisfies act(m_factor, <,>_0) = input metric and start = (m_factor^-1)^T.
-    Equal and hashed by identity, as its factors are arrays.
+    satisfies act(m_factor, <,>_0) = input metric and start = (m_factor^-1)^T,
+    and target is representative_matrix's read-only array, shared by every witness
+    of the class and size.  Equal and hashed by identity, as its factors are arrays.
     """
 
     def __init__(
@@ -219,7 +222,7 @@ class _Builder:
             left=list(reversed(self.left_app)),
             right=list(self.right_app),
             start=self.start,
-            target=np.asarray(target, dtype=float),
+            target=target,
             m_factor=m_factor,
             flags=list(self.flags),
         )
@@ -272,9 +275,7 @@ def o11_normalize(x: float, y: float) -> tuple[float, int, np.ndarray]:
 def _reduce_last_row(builder: _Builder) -> int:
     """Rotate and boost the last row to (-lam, 0, ..., 0, 1), clear last column."""
     n = builder.n
-    row = builder.current[n - 1]
-    alpha = householder(row[: n - 1], 0)
-    builder.apply_right(embed(alpha, n, tuple(range(n - 1))))
+    builder.apply_right(householder(builder.current[n - 1, : n - 1], 0, n, 0))
     x, y = float(builder.current[n - 1, 0]), float(builder.current[n - 1, n - 1])
     a, lam, g2 = o11_normalize(x, y)
     builder.apply_right(embed(g2, n, (0, n - 1)))
@@ -294,8 +295,7 @@ def _reduce_last_row(builder: _Builder) -> int:
 def _reduce_lambda0(builder: _Builder) -> None:
     """Triangularize the (n-1)-block, then solve onto the identity."""
     n = builder.n
-    q = right_triangularize(builder.current[: n - 1, : n - 1])
-    builder.apply_right(embed(q, n, tuple(range(n - 1))))
+    builder.apply_right(right_triangularize(builder.current[: n - 1, : n - 1], n, 0))
     builder.solve_onto(shared_eye(n))
 
 
@@ -305,12 +305,9 @@ def _reduce_to_t(builder: _Builder, lam: int) -> float:
     t = |y / x|, and one left solve lands on it.  A corner below CORNER_TOL fixes no
     t: the chart breaks down, and classify redraws it."""
     n = builder.n
-    if n >= 5:
-        # zero the first column below its third entry
-        h = householder(builder.current[2 : n - 1, 0], 0)
-        builder.apply_left(embed(h, n, tuple(range(2, n - 1))))
-    q = right_triangularize(builder.current[1 : n - 1, 1 : n - 1])
-    builder.apply_right(embed(q, n, tuple(range(1, n - 1))))
+    if n >= 5:  # zero the first column below its third entry
+        builder.apply_left(householder(builder.current[2 : n - 1, 0], 0, n, 2))
+    builder.apply_right(right_triangularize(builder.current[1 : n - 1, 1 : n - 1], n, 1))
     if abs(builder.current[2, 2]) <= CORNER_TOL * max(1.0, abs(builder.current[2, 0])):
         raise NumericalBreakdown("vanishing (3, 3) corner")
     t_signed = float(builder.current[2, 0] / builder.current[2, 2])
@@ -457,7 +454,7 @@ def reduce_last_row(g: np.ndarray) -> tuple[np.ndarray, int, Witness]:
     """Send an invertible matrix into the class with normalized last row."""
     g = to_float(np.asarray(g))
     require_dim(g.shape[0])
-    if is_singular(g):
+    if is_singular(g[None])[0]:
         raise np.linalg.LinAlgError("singular input")
     builder = _Builder(g)
     lam = _reduce_last_row(builder)
@@ -530,7 +527,7 @@ def classify_by_invariants(metric: Metric) -> CanonicalForm:
     An exact metric is read by exact signs, a float one at unit scale, M / 4^e.
     """
     gram, eigs = _unit_gram(metric)
-    _require_lorentzian(signature_of(gram) if eigs is None else _band_signs(eigs)[0])
+    _require_lorentzian(_signs(gram) if eigs is None else _band_signs(eigs)[0])
     return _classify_grams(gram[None])[0][0]
 
 
@@ -557,7 +554,7 @@ def _read_signatures(grams: np.ndarray) -> tuple[list[tuple], list[bool]]:
     floats.  An exact stack keeps exact congruence signs and is never near-degenerate.
     """
     if grams.dtype == object:
-        keys = [(signature_of(g[2:, 2:]), signature_of(g[-1:, -1:])) for g in grams]
+        keys = [(_signs(g[2:, 2:]), _signs(g[-1:, -1:])) for g in grams]
         return keys, [False] * len(grams)
     keys, near = [], []
     centers = eigvalsh(grams[:, 2:, 2:]).tolist()
@@ -738,10 +735,10 @@ def verify_witness(metric: Metric, witness: Witness) -> VerificationResult:
     # every factor in one stack, the left ones first, and one magnitude pass over it
     factors = factors.reshape(-1, n, n)
     mags, cut = np.abs(factors).reshape(-1, n * n), len(witness.left)
-    factor_sizes = np.maximum.reduce(mags, axis=1)
+    factor_sizes = np.maximum.reduce(mags, axis=1).tolist()
     outside = np.maximum.reduce(mags[:cut].take(_outside_index(n), axis=1), axis=1)
-    singular = is_singular_sized(factors[:cut], factor_sizes[:cut])
-    for idx, (out, sing) in enumerate(zip(outside.tolist(), singular.tolist())):
+    singular = is_singular(factors[:cut], factor_sizes[:cut])
+    for idx, (out, sing) in enumerate(zip(outside.tolist(), singular)):
         if not out <= WITNESS_TOL:
             problems.append(f"left factor {idx} violates the pattern ({out:.2e})")
         if sing:
@@ -749,7 +746,7 @@ def verify_witness(metric: Metric, witness: Witness) -> VerificationResult:
     right = factors[cut:]
     devs = np.abs(np.matmul(np.matmul(right.transpose(0, 2, 1), ipq), right) - ipq)
     devs = np.maximum.reduce(devs, axis=(1, 2))
-    for idx, (dev, size) in enumerate(zip(devs.tolist(), factor_sizes[cut:].tolist())):
+    for idx, (dev, size) in enumerate(zip(devs.tolist(), factor_sizes[cut:])):
         if not dev <= WITNESS_TOL * size**2:
             problems.append(f"right factor {idx} is not pseudo-orthogonal ({dev:.2e})")
     if not residual <= WITNESS_TOL:

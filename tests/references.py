@@ -6,7 +6,9 @@ references use.  Der(g) as dense matrices, the metric JSON writer and the
 degeneration-curve sampler build the inputs and references of the tests.
 `verify_witness_by_side` is the reference the one-pass `verify_witness` must match
 on a classified metric, and the checker of the stage witnesses, whose subject is the
-starting group element.
+starting group element.  `householder_block` and `triangularizing_block` build a
+reduction factor at the size of its block; placed in an identity by `embed`, each is the
+reference of the full-size builder in `_linalg`.
 """
 
 import math
@@ -15,12 +17,15 @@ import numpy as np
 
 from heislor import orbits
 from heislor._linalg import (
+    UNDERFLOW,
     exact_dense,
     inv,
     is_singular,
     max_abs,
     nullspace_rows,
+    qr_q,
     rref_rows,
+    shared_eye,
     shared_minkowski_gram,
     to_float,
 )
@@ -99,7 +104,7 @@ def verify_witness_by_side(subject: Metric | np.ndarray, witness: Witness) -> Ve
     left = np.array(witness.left, dtype=float).reshape(-1, n, n)
     outside = np.abs(left[:, ~aut_pattern(n).mask.T]).max(axis=1)
     singular = is_singular(left)
-    for idx, (out, sing) in enumerate(zip(outside.tolist(), singular.tolist())):
+    for idx, (out, sing) in enumerate(zip(outside.tolist(), singular)):
         if not out <= WITNESS_TOL:
             problems.append(f"left factor {idx} violates the pattern ({out:.2e})")
         if sing:
@@ -114,3 +119,25 @@ def verify_witness_by_side(subject: Metric | np.ndarray, witness: Witness) -> Ve
     if not residual <= WITNESS_TOL:
         problems.append(f"chain product misses the target by {residual:.2e}")
     return VerificationResult(not problems, residual, "; ".join(problems))
+
+
+def householder_block(v: np.ndarray, k: int) -> np.ndarray:
+    """Symmetric orthogonal H of v's size with H @ v = ||v|| e_k, written out on v alone."""
+    u = np.array(v, dtype=float)
+    norm = math.sqrt(u.dot(u))
+    if norm == 0.0:
+        return shared_eye(len(u)).copy()
+    vk = float(u[k])
+    u[k] = 0.0
+    rest = float(u.dot(u))
+    uk = vk - norm if vk <= 0.0 else -rest / (vk + norm)  # no cancellation for v[k] > 0
+    u[k] = uk
+    uu = rest + uk**2
+    if uu < UNDERFLOW:
+        return shared_eye(len(u)).copy()
+    return shared_eye(len(u)) - 2.0 * (u[:, None] * u) / uu
+
+
+def triangularizing_block(b: np.ndarray) -> np.ndarray:
+    """Orthogonal Q of b's size with b @ Q upper triangular, and no signed zero."""
+    return qr_q(np.asarray(b, dtype=float).T[::-1, ::-1] + 0.0)[::-1, ::-1] + 0.0

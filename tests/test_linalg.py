@@ -1,15 +1,19 @@
 """The float LAPACK kernels of _linalg against the public numpy.linalg functions."""
 
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from heislor._linalg import (
+    UNDERFLOW,
     det,
     eigh,
     eigvalsh,
+    embed,
+    householder,
     inv,
     is_singular,
     qr_q,
@@ -18,6 +22,8 @@ from heislor._linalg import (
     slogdet,
 )
 from heislor.reduction import NumericalBreakdown, _Builder
+
+from references import householder_block, triangularizing_block
 
 
 def _outcome(f, a):
@@ -62,7 +68,8 @@ def test_kernels_match_numpy_linalg_bit_for_bit(n):
         assert _outcome(eigvalsh, a) == _outcome(np.linalg.eigvalsh, a)
         assert _outcome(eigh, a) == _outcome(np.linalg.eigh, a)
     for b in general[:3] + [general[4][0], general[5], np.triu(general[0]) * -1.0]:
-        assert _outcome(right_triangularize, b) == _outcome(_qr_route, b)
+        whole = lambda b: right_triangularize(b, len(b), 0)  # the block is the whole factor
+        assert _outcome(whole, b) == _outcome(_qr_route, b)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
@@ -97,7 +104,7 @@ def test_kernels_leave_the_callers_error_state(caller):
     with np.errstate(**caller):
         before = np.geterr()
         raised = set()
-        for kernel in (inv, eigh, eigvalsh, qr_q, is_singular):
+        for kernel in (inv, eigh, eigvalsh, qr_q, lambda a: is_singular(a[None])):
             for a in (np.eye(4), singular, nan):
                 outcome = _outcome(kernel, a)
                 if outcome[0] is np.linalg.LinAlgError:
@@ -167,3 +174,59 @@ def test_dot_and_matmul_give_the_same_bits(n):
         assert _product(np.ndarray.dot, y, x) == _product(np.matmul, y, x)
     for u in (operands[0][0], operands[2][1], operands[8][0], operands[8][:, 0]):
         assert _product(np.ndarray.dot, u, u) == _product(np.matmul, u, u)
+
+
+def _reflector_inputs(m: int, k: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Vectors of length m for a reflector onto e_k: a random one, zero, one whose squared
+    norm is below UNDERFLOW, +-e_k, one near +e_k (the cancellation branch), and one with a
+    NaN and one with an infinite entry."""
+    e = np.zeros(m)
+    e[k] = 1.0
+    nan, inf = rng.standard_normal((2, m))
+    nan[-1], inf[0] = np.nan, np.inf
+    tiny = 1e-160 * rng.standard_normal(m)
+    assert 0.0 < tiny.dot(tiny) < UNDERFLOW
+    near = 3.0 * e + 1e-9 * rng.standard_normal(m)
+    return [rng.standard_normal(m), np.zeros(m), tiny, 3.0 * e, -2.0 * e, near, nan, inf]
+
+
+def _rotation_inputs(m: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """m x m blocks: a random one, a strided view, zero, an upper triangle with signed zeros
+    and one with a NaN entry."""
+    a, b = rng.standard_normal((2, m + 1, m + 1))
+    nan = a[:m, :m].copy()
+    nan[0, -1] = np.nan
+    return [a[:m, :m], b[1:, 1:].T, np.zeros((m, m)), np.triu(a[1:, 1:]) * -1.0, nan]
+
+
+def _built(f, *args):
+    """f(*args) as its bytes and the warnings it raised, and as its bytes with every
+    floating-point error ignored."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(*args)
+    with np.errstate(all="ignore"):
+        quiet = f(*args)
+    return out.dtype, out.shape, out.tobytes(), [str(w.message) for w in caught], quiet.tobytes()
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_full_size_builders_match_the_embedded_blocks(n):
+    """householder and right_triangularize build the n x n factor directly; at every block
+    the reduction uses, on a zero, an underflowing, an axis-aligned, a NaN and an infinite
+    input too, it is byte for byte the block-size factor placed in an identity by embed."""
+    rng = np.random.default_rng(2600 + n)
+    # the last row's reflector, the t stage's (n >= 5) and the peel reference's onto e_-1
+    reflectors = [(0, n - 1, 0), (2, n - 3, -1)] + [(2, n - 3, 0)] * (n >= 5)
+    for lo, m, k in reflectors:
+        coords = tuple(range(lo, lo + m))
+        for v in _reflector_inputs(m, k, rng):
+            got = _built(householder, v, k, n, lo)
+            want = _built(lambda v, k: embed(householder_block(v, k), n, coords), v, k)
+            assert got == want, (lo, m, k, v)
+    for lo, m in ((0, n - 1), (1, n - 2)):  # the lam = 0 stage's rotation and the t stage's
+        coords = tuple(range(lo, lo + m))
+        for b in _rotation_inputs(m, rng):
+            got = _built(right_triangularize, b, n, lo)
+            want = _built(lambda b: embed(triangularizing_block(b), n, coords), b)
+            assert got == want, (lo, m, b)

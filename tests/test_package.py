@@ -351,8 +351,10 @@ def test_private_names_and_constants_are_read():
 
 
 #: public names that may go unread in src/ and perfbench/: classify_by_invariants is
-#: the documented independent classifier, kept to cross-check classify's pipeline
-INDEPENDENT_ROUTES = {"classify_by_invariants"}
+#: the documented independent classifier, kept to cross-check classify's pipeline, and
+#: signature_of the checked signature of any symmetric matrix, where the package reads
+#: the blocks of a gram its Metric checked through the unchecked metrics._signs
+INDEPENDENT_ROUTES = {"classify_by_invariants", "signature_of"}
 
 
 def _public_definitions(tree: ast.Module):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from heislor._linalg import (
+    SINGULAR_RATIO,
     embed,
     exact_array,
     exact_rank,
@@ -37,6 +38,7 @@ from heislor.metrics import (
 )
 from heislor.numerics import QSqrt3
 from heislor.orbits import _curve_points
+import heislor._linalg as linalg
 import heislor.metrics as metrics
 import heislor.reduction as reduction
 from heislor.reduction import (
@@ -279,13 +281,11 @@ def _reduce_to_t_peel_reference(g, lam):
     builder = reduction._Builder(g)
     n = builder.n
     if n >= 5:
-        h = householder(builder.current[2 : n - 1, 0], 0)
-        builder.apply_left(embed(h, n, tuple(range(2, n - 1))))
+        builder.apply_left(householder(builder.current[2 : n - 1, 0], 0, n, 2))
         ideal = builder.current.copy()
         ideal[3 : n - 1, 0] = 0.0
         builder.snap(ideal)
-    q = right_triangularize(builder.current[1 : n - 1, 1 : n - 1])
-    builder.apply_right(embed(q, n, tuple(range(1, n - 1))))
+    builder.apply_right(right_triangularize(builder.current[1 : n - 1, 1 : n - 1], n, 1))
     ideal = builder.current.copy()
     for i in range(2, n - 1):
         ideal[i, 1:i] = 0.0
@@ -327,10 +327,9 @@ def _reduce_to_t_peel_reference(g, lam):
     if abs(t_signed) > 0.0:
         v = np.zeros(n - 3)
         v[0] = t_signed
-        h = householder(v, -1)
-        coords = tuple(range(2, n - 1))
-        builder.apply_left(embed(h, n, coords))
-        builder.apply_right(embed(h.T, n, coords))
+        h = householder(v, -1, n, 2)
+        builder.apply_left(h)
+        builder.apply_right(h.T)
     t = abs(t_signed)
     builder.snap(_t_form(n, lam, t))
     return t, builder.witness(builder.current)
@@ -1415,8 +1414,31 @@ def _bits(result):
     return result.ok, type(result.residual), np.float64(result.residual).tobytes(), result.detail
 
 
+def _at_singular_ratio(margin):
+    """A corruption that scales the row of a left factor with the smallest largest entry,
+    so that |det|^(1/n) reads margin * SINGULAR_RATIO * (largest entry): the zeros of the
+    pattern stay zero, and another row keeps the largest entry."""
+
+    def scale(h):
+        n, rows = len(h), np.abs(h).max(axis=1)
+        root = math.exp(np.linalg.slogdet(h)[1] / n)
+        h[int(np.argmin(rows))] *= (margin * SINGULAR_RATIO * rows.max() / root) ** n
+        return h
+
+    return scale
+
+
 _ONE_PASS_CORRUPTIONS = {
     **_CORRUPTIONS,
+    # |det|^(1/n) a relative 1e-6 below and above the singularity threshold
+    "singular-threshold-below": (
+        lambda w: _corrupt(w, "left", 0, _at_singular_ratio(1.0 - 1e-6)),
+        "left factor 0 is singular; chain product misses the target",
+    ),
+    "singular-threshold-above": (
+        lambda w: _corrupt(w, "left", 0, _at_singular_ratio(1.0 + 1e-6)),
+        "chain product misses the target",
+    ),
     "m": (
         lambda w: setattr(w, "m_factor", w.m_factor + 1e-3) or w,
         "m-factor does not reproduce the metric",
@@ -1460,6 +1482,83 @@ def test_verify_witness_matches_the_by_side_reference(corruption):
             assert _bits(got) == _bits(verify_witness_by_side(metric, witness))
             assert expected in got.detail
 
+
+
+def test_singular_verdict_turns_at_the_threshold():
+    """A left factor at |det|^(1/n) = SINGULAR_RATIO * (largest entry) * (1 -+ 1e-6) reads
+    singular below the threshold and not above it, in every class at n = 4..8."""
+    rng = np.random.default_rng(2400)
+    for pair in CANONICAL_PAIRS:
+        for n in range(4, 9):
+            witness = classify(random_orbit_metric(pair, n, rng))[2]
+            for margin, singular in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+                h = _at_singular_ratio(margin)(witness.left[0].copy())
+                assert linalg.is_singular(h[None]) == [singular]
+                assert linalg.is_singular(np.stack([witness.left[-1], h])) == [False, singular]
+
+
+def test_classify_shares_one_read_only_target():
+    """Every witness of a class and size carries the one read-only representative: a write
+    to it raises, and 100 classifications leave its bytes as built."""
+    rng = np.random.default_rng(2700)
+    targets = {}
+    for i in range(100):
+        pair, n = CANONICAL_PAIRS[i % 6], 4 + i % 5
+        target = classify(random_orbit_metric(pair, n, rng))[2].target
+        assert target is representative_matrix(*pair, n) and not target.flags.writeable
+        targets[pair, n] = target
+    for (pair, n), target in targets.items():
+        with pytest.raises(ValueError, match="read-only"):
+            target[0, 0] = 2.0
+        assert target.tobytes() == reduction._t_form(pair[0], xi_float(pair[1]), n).tobytes()
+
+
+#: the float LAPACK kernels by the modules that call them
+_LAPACK = {linalg: ("inv", "eigh", "eigvalsh", "det", "slogdet", "_nan_slogdet", "_qr_r_raw",
+                    "_qr_reduced"), reduction: ("inv", "eigvalsh", "qr_q")}
+
+
+def test_classify_builds_reflectors_and_rotations_at_full_size(count_calls):
+    """One classify of each class at n = 6 calls embed for the O(1, 1) block and the lam
+    stages' blocks alone: its reflectors and rotations are built at full size.  Its
+    verify_witness makes two LAPACK calls, the m-factor's inverse and one stacked slogdet."""
+    n = 6
+    o11, stage = (0, n - 1), (0, 1, n - 2, n - 1)
+    embeds = count_calls(reduction, "embed")
+    lapack = {(m.__name__, k): count_calls(m, k) for m, names in _LAPACK.items() for k in names}
+    rng = np.random.default_rng(2800)
+    for pair in CANONICAL_PAIRS:
+        metric = random_orbit_metric(pair, n, rng)
+        embeds.clear()
+        form, _, witness = classify(metric)
+        assert form.pair == pair
+        coords = [tuple(args[2]) for args in embeds]
+        assert coords[0] == o11 and set(coords) <= {o11, stage}, (pair, coords)
+        for calls in lapack.values():
+            calls.clear()
+        assert verify_witness(metric, witness).ok
+        made = {key: len(calls) for key, calls in lapack.items() if calls}
+        assert made == {("heislor.reduction", "inv"): 1, ("heislor._linalg", "_nan_slogdet"): 1}
+
+
+def test_exact_invariant_readers_check_the_gram_once(count_calls):
+    """An exact gram is checked when its Metric is made; classify and the invariant readers
+    then read its blocks unchecked, where signature_of keeps refusing bad input."""
+    made = [canonical_metric(*pair, n, backend=EXACT)[0] for pair in CANONICAL_PAIRS
+            for n in (4, 6)]
+    checks = count_calls(metrics, "_check_symmetric")
+    for metric in made:
+        pair = classify(metric)[0].pair
+        assert classify_by_invariants(metric).pair == pair
+        assert classify_by_invariants_flagged(metric)[0].pair == pair
+        assert restricted_signatures(metric) == signature_table(metric.n)[pair]
+    assert checks == []
+    with pytest.raises(ValueError, match="not a finite number"):
+        signature_of(np.array([[1.0, 0.0], [0.0, np.nan]]))
+    for asymmetric in (np.array([[0.0, 1.0], [0.0, 0.0]]), exact_array([[0, 1], [0, 0]])):
+        with pytest.raises(AsymmetricInput):
+            signature_of(asymmetric)
+    assert len(checks) == 3
 
 
 def test_verify_witness_fails_a_size_mismatch_naming_both_sizes():
