@@ -4,7 +4,7 @@ Classification into six canonical classes with verifiable reduction
 witnesses, full curvature computation with Ricci soliton certificates, and
 orbit geometry including the degeneration graph.
 
-`import heislor` loads only the classification layer: numerics, _linalg,
+`import heislor` loads only the classification layer: numerics, _linalg, errors,
 liealg, metrics and reduction.  The curvature and orbit names, and those two
 modules, are imported the first time one of them is read off the package.
 """

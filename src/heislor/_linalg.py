@@ -5,16 +5,14 @@ Exact elimination is one sparse Gauss-Jordan kernel over Q(sqrt3) on rows
 zero is stored or tested again (T. A. Davis, *Direct Methods for Sparse Linear
 Systems*, 2006, ch. 3).  Callers pass sparse rows to rank_rows, rref_rows and
 nullspace_rows; exact_rank and exact_inv adapt object arrays of QSqrt3 to them.
-Each update x - f*y is one fused QSqrt3 operation (sub_product).  The stabilizer
-system conjugates by the frame shear, whose inverse is its closed form
-(shear_conjugator), so it needs no inverse.
 Float routines wrap numpy.  At the n <= 8 of a reduction a numpy call's fixed cost
-outweighs its arithmetic, so they make few calls and copies: householder and
-right_triangularize build the reduction's factors at full size, is_singular decides a
-stack on Python floats, and every float LAPACK call of the package is one of the kernels
-below.  2-D products and householder's norms are BLAS through ndarray.dot: np.matmul's
-bits and floating-point checks, no ufunc dispatch.  np.maximum.reduce is ndarray.max
-without its Python wrapper.
+outweighs its arithmetic, so they make few calls and copies.  Every float LAPACK call of the
+package is one of the kernels below, six or seven per float classify + verify_witness: eigh
+(the factorization), eigvalsh (the center block), qr_q (the lam=0 or t-form stage), one inv
+per left solve (two on the lam=2 branch off its wall), and verify_witness's inv of the
+m-factor and stacked slogdet.  2-D products and householder's norms are BLAS through
+ndarray.dot: np.matmul's bits and floating-point checks, no ufunc dispatch.
+np.maximum.reduce is ndarray.max without its Python wrapper.
 Everything is sized for n <= 24.
 """
 
@@ -224,11 +222,11 @@ def congruence_diagonal(a: np.ndarray) -> list[QSqrt3]:
 
 
 # -- float LAPACK kernels ----------------------------------------------------
-# Each is numpy.linalg's own float64 gufunc call, under its wrapper's errstate where it
-# has one, so the bits, the LinAlgError and its message are numpy.linalg's; the
-# wrapper's checks, casts and result wrapping cost more than LAPACK at n <= 8.  Each
-# errstate is built once and set per call as np.errstate sets it, on a per-thread
-# contextvar.  Bound at import, so a numpy without these names fails there.
+# Each is numpy.linalg's own float64 gufunc call, under its wrapper's errstate where it has
+# one, so the bits, the LinAlgError and its message are numpy.linalg's; the wrapper's
+# checks, casts and result wrapping cost more than LAPACK at n <= 8.  Each errstate is built
+# once and set per call as np.errstate sets it, on a per-thread contextvar.  Bound at
+# import, so a numpy without these names (numpy 1.x splits the QR gufunc in two) fails there.
 
 #: numpy.linalg's message for an eigensolver that did not converge
 EIG_FAILURE = "Eigenvalues did not converge"

@@ -7,9 +7,7 @@ failure, 2 invalid input (including AmbiguousNearWall, a metric too close to
 a classification wall to decide).  Commands raise; main maps each typed
 error (heislor.errors) to its exit code in one table, EXIT_CODES.  Each report
 command imports its own layer when it runs, so classify loads only the
-classification layer.  classify takes no tolerance:
-it reads every metric at unit scale, so c * M gets the class of M, and each
-threshold is a fixed constant of the library.
+classification layer.  No command takes a tolerance (see reduction.classify).
 """
 
 from __future__ import annotations
@@ -30,6 +28,8 @@ EXIT_BAD_INPUT = 2
 
 #: largest n the curvature and orbits reports take; their cost grows steeply with n
 MAX_REPORT_N = 100
+#: largest n of heislor verify, whose randomized classification grows with n
+MAX_VERIFY_N = 12
 
 #: exit code of each typed error, in order: the first type that matches wins.
 #: BrokenPipeError comes first because it is an OSError: the reader went
@@ -179,8 +179,8 @@ def cmd_orbits(args) -> int:
 def cmd_verify(args) -> int:
     from .verification import run_all
 
-    if args.n_min < 4 or args.n_max > 12 or args.n_min > args.n_max:
-        raise ValueError("need 4 <= n-min <= n-max <= 12")
+    if args.n_min < 4 or args.n_max > MAX_VERIFY_N or args.n_min > args.n_max:
+        raise ValueError(f"need 4 <= n-min <= n-max <= {MAX_VERIFY_N}")
     if args.samples < 1:
         raise ValueError(f"need --samples >= 1, got {args.samples}")
     results = run_all(args.n_min, args.n_max, samples=args.samples, seed=args.seed)

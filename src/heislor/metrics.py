@@ -106,7 +106,7 @@ class Metric(_Frozen):
             raise ValueError(f"unknown backend {backend!r}")
         if backend == EXACT and gram.dtype != object:
             raise ValueError("exact backend requires QSqrt3 entries")
-        gram = np.array(gram, dtype=float) if backend == APPROX else gram.copy()
+        gram = np.array(_float_gram(gram)) if backend == APPROX else gram.copy()
         _check_symmetric(gram)
         require_dim(gram.shape[0])
         gram.flags.writeable = False
@@ -274,7 +274,7 @@ def _factor_metric(metric: Metric) -> tuple[np.ndarray, np.ndarray, float]:
     eigenvalue fails at every e and is left out of the determinant.  The gram was
     checked symmetric when the Metric was made.
     """
-    eigvals, q = eigh(to_float(metric.gram))
+    eigvals, q = eigh(_float_gram(metric.gram))
     # eigh sorts ascending, so reversed views put the positives first, the negative one last
     eigvals, q = eigvals[::-1], q[:, ::-1]
     values = eigvals.tolist()
@@ -284,10 +284,22 @@ def _factor_metric(metric: Metric) -> tuple[np.ndarray, np.ndarray, float]:
     return q * size**-0.5, q * np.sqrt(size), prescale
 
 
+def _float_gram(gram: np.ndarray) -> np.ndarray:
+    """to_float(gram); ValueError when an exact gram's float copy overflows or rounds to 0."""
+    try:
+        out = to_float(gram)
+    except OverflowError:  # an exact entry beyond the float range
+        out = np.array(math.inf)
+    if gram.dtype == object and not (np.isfinite(out).all() and (out.any() or not gram.any())):
+        raise ValueError("the metric's scale is outside the float range")
+    return out
+
+
 def _unit_prescale(eigvals: list[float]) -> float:
     """2^-e, e = round(log|det| / (n ln 4)) over the nonzero eigenvalues of a gram.
-    ValueError if 4^-e overflows or every nonzero eigenvalue is subnormal (the gram has
-    lost its digits), which needs log|det| < log(smallest normal), the cheaper test."""
+    ValueError if 4^-e overflows or every nonzero eigenvalue is subnormal (the gram has lost
+    its digits), which needs log|det| < log(smallest normal), the cheaper test; so the
+    canonical grams classify at 3e-308 and are refused from 1e-308 down."""
     log_det = sum(math.log(abs(v)) for v in eigvals if v)
     prescale = math.ldexp(1.0, -round(log_det / (len(eigvals) * math.log(4.0))))
     tiny = log_det < math.log(sys.float_info.min) and max(map(abs, eigvals)) < sys.float_info.min
@@ -316,16 +328,14 @@ def _json_entry(x, backend: str, where: str):
     if isinstance(x, bool):  # float() and str() would read true as 1
         raise ValueError(f"{where} = {x!r} is not a number")
     try:
-        if backend == EXACT:
-            value = x if isinstance(x, QSqrt3) else QSqrt3.parse(str(x))
-        else:
-            value = float(x)
-        finite = math.isfinite(float(value))
+        if backend == EXACT:  # every Q(sqrt3) value is finite
+            return x if isinstance(x, QSqrt3) else QSqrt3.parse(str(x))
+        value = float(x)
     except ZeroDivisionError:
         raise ValueError(f"{where} = {x!r} has a zero denominator") from None
     except (OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{where} = {x!r} is not a valid {backend} entry: {exc}") from None
-    if not finite:
+    if not math.isfinite(value):
         raise ValueError(f"{where} = {x!r} is not a finite number")
     return value
 

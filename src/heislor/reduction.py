@@ -330,8 +330,9 @@ def _reduce_to_t(builder: _Builder, lam: int) -> float:
 
 
 def _boost_t(builder: _Builder, t: float) -> float:
-    """Halve or double t into [1/2, 2] by light-cone boosts of e = 1/2 or 2, each one
-    applied and snapped on its own (one boost by 2^k would miss more often); returns t."""
+    """Halve or double t into [1/2, 2] by light-cone boosts of e = 1/2 or 2: each is the one
+    right factor and a left factor of its own t, applied and snapped on its own (one boost
+    by 2^k skips those snaps, rounds differently and misses more often); returns t."""
     if 0.5 <= t <= 2.0:
         return t
     n = builder.n
@@ -351,7 +352,8 @@ def _boost_t(builder: _Builder, t: float) -> float:
 
 
 def _reduce_lambda1(builder: _Builder, t: float) -> str:
-    """From I + t E - E' reach xi = 0 (t on the wall) or xi = 1, through t in [1/2, 2]."""
+    """From I + t E - E' reach xi = 0 (t on the wall) or xi = 1: boosts bring t into
+    [1/2, 2], and one null rotation then lands on t = 1."""
     n = builder.n
     if _snap_onto_wall(builder, 1, "1", "0", t):
         return "0"
@@ -621,8 +623,9 @@ def classify(metric: Metric) -> tuple[CanonicalForm, float, Witness]:
     when t falls between SNAP_LIMIT and WALL_BAND of a wall; DimensionTooSmall
     for n < 4 is raised when the Metric is made.
 
-    The scale of M is not part of its class, so both classifiers read M / 4^e
-    (retry factors have |det| = 1); an exact metric keeps its exact signs.
+    The scale of M is not part of its class, so both classifiers read M / 4^e (retry factors
+    have |det| = 1); an exact metric keeps its exact signs.  Read unscaled, the light-cone t
+    would grow with the scale, past T_RETRY_MAX on every chart from 10^3 (1, 1) on.
     """
     n = metric.n
     base_m, base_start, prescale = _factor_metric(metric)  # validates the signature
@@ -747,7 +750,7 @@ def verify_witness(metric: Metric, witness: Witness) -> VerificationResult:
     devs = np.abs(np.matmul(np.matmul(right.transpose(0, 2, 1), ipq), right) - ipq)
     devs = np.maximum.reduce(devs, axis=(1, 2))
     for idx, (dev, size) in enumerate(zip(devs.tolist(), factor_sizes[cut:])):
-        if not dev <= WITNESS_TOL * size**2:
+        if not dev <= WITNESS_TOL * (size * size) < math.inf:
             problems.append(f"right factor {idx} is not pseudo-orthogonal ({dev:.2e})")
     if not residual <= WITNESS_TOL:
         problems.append(f"chain product misses the target by {residual:.2e}")

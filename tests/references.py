@@ -113,7 +113,7 @@ def verify_witness_by_side(subject: Metric | np.ndarray, witness: Witness) -> Ve
     devs = np.abs(right.transpose(0, 2, 1) @ ipq @ right - ipq).max(axis=(1, 2))
     sizes = np.abs(right).max(axis=(1, 2))
     for idx, (dev, size) in enumerate(zip(devs.tolist(), sizes.tolist())):
-        if not dev <= WITNESS_TOL * size**2:
+        if not dev <= WITNESS_TOL * (size * size) < math.inf:
             problems.append(f"right factor {idx} is not pseudo-orthogonal ({dev:.2e})")
     residual = max_abs(witness.product() - witness.target)
     if not residual <= WITNESS_TOL:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -31,6 +32,7 @@ from heislor.metrics import (
     xi_float,
 )
 from heislor.errors import EvidenceFailure, OracleMismatch
+from heislor.numerics import QSqrt3
 from heislor.reduction import Witness, restricted_signatures
 
 from references import metric_to_json, verify_witness_by_side
@@ -350,7 +352,7 @@ BAD_INPUTS = {
     "gram-not-rows": (_approx(gram=5), "gram"),
     "gram-ragged": (_approx(gram=[[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, -1]]), "gram"),
     "zero-denominator": (_exact_with("1/0"), "gram[0][0]"),
-    "exact-beyond-float": (_exact_with("1e400"), "gram[0][0]"),
+    "exact-beyond-float": (_exact_with("1e400"), "the metric's scale is outside the float range"),
     "nan-entry": (_approx().replace("1, 0, 0, 0]", "NaN, 0, 0, 0]", 1), "gram[0][0]"),
     "infinite-entry": (_approx().replace("1, 0, 0, 0]", "1e400, 0, 0, 0]", 1), "gram[0][0]"),
     "entry-not-a-number": (_approx(gram=[[{}, 0, 0, 0], *_MINKOWSKI_4[1:]]), "gram[0][0]"),
@@ -391,6 +393,22 @@ def test_classify_tiny_scale_exits_with_the_class_or_bad_input(s, tmp_path, caps
             else:
                 assert code == EXIT_BAD_INPUT
                 assert captured.err == "error: the metric's scale is outside the float range\n"
+
+
+@pytest.mark.parametrize("backend", [[], ["--backend", "approx"]], ids=["exact", "approx"])
+@pytest.mark.parametrize("e", [-400, -310, -300, 300, 310, 400])
+def test_classify_exact_file_at_extreme_scale_exits_with_the_class_or_bad_input(
+    e, backend, tmp_path, capsys
+):
+    metric, _ = canonical_metric(2, "2", 5)
+    scaled = Metric(metric.gram * QSqrt3(Fraction(10) ** e), backend="exact")
+    code = main(["classify", "--input", _write_metric(tmp_path, scaled), *backend])
+    captured = capsys.readouterr()
+    if abs(e) <= 300:
+        assert code == EXIT_OK and json.loads(captured.out)["xi"] == 2
+    else:
+        assert code == EXIT_BAD_INPUT and captured.out == ""
+        assert captured.err == "error: the metric's scale is outside the float range\n"
 
 
 def test_missing_input_exit_status_of_the_process(tmp_path):

@@ -589,6 +589,22 @@ def test_verify_witness_fails_a_nan_factor_entry(side, problem):
     assert problem in got.detail and "misses the target by nan" in got.detail
 
 
+@pytest.mark.parametrize("entry", [1e155, 1e200, 1e308, -1e200, math.inf])
+def test_verify_witness_fails_a_right_factor_whose_bound_overflows(entry):
+    # the pseudo-orthogonality bound WITNESS_TOL * size^2 is inf from |entry| ~ 1.3e154 on;
+    # an infinite bound passes nothing, and the check returns a verdict rather than raising
+    def huge_corner(factor):
+        factor[0, 0] = entry
+        return factor
+
+    metric, _ = canonical_metric(2, "0", 5, backend=APPROX)
+    witness = _corrupt(classify(metric)[2], "right", 0, huge_corner)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, ref = verify_witness(metric, witness), verify_witness_by_side(metric, witness)
+    assert not got.ok and "right factor 0 is not pseudo-orthogonal" in got.detail
+    assert _bits(got) == _bits(ref)
+
+
 # -- the closed-form lam=2 root against a bisection reference ---------------------
 
 
@@ -1204,6 +1220,28 @@ def test_tiny_scale_gives_the_class_or_scale_out_of_range(s):
             assert _or_out_of_range(lambda: restricted_signatures(metric)) in (sigs, None)
     if s == _TINY_SCALES[0]:
         assert classified == len(CANONICAL_PAIRS) * 3
+
+
+#: powers of ten on the exact canonical grams: inside the float range, and beyond it
+_EXACT_EXPONENTS_IN, _EXACT_EXPONENTS_OUT = (-300, -200, 200, 300, 305), (-400, -310, 310, 400)
+
+
+@pytest.mark.parametrize("e", _EXACT_EXPONENTS_IN + _EXACT_EXPONENTS_OUT)
+def test_exact_metric_at_extreme_scale_gives_the_class_or_scale_out_of_range(e):
+    # the exact invariant reader is scale-free; classify and the float copy need the
+    # float range, and beyond it raise the typed error a float gram gets
+    scale = QSqrt3(Fraction(10) ** e)
+    for pair in CANONICAL_PAIRS:
+        for n in (4, 6, 8):
+            metric = Metric(canonical_metric(pair[0], pair[1], n)[0].gram * scale, backend=EXACT)
+            assert classify_by_invariants(metric).pair == pair
+            if e in _EXACT_EXPONENTS_IN:
+                form, _, witness = classify(metric)
+                assert form.pair == pair and verify_witness(metric, witness).ok
+                continue
+            for read in (lambda: classify(metric), lambda: classify(metric.to_approx())):
+                with pytest.raises(ValueError, match="^the metric's scale is outside the float"):
+                    read()
 
 
 @pytest.mark.parametrize("pair", _RIGID)
