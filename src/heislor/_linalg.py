@@ -4,7 +4,7 @@ Exact elimination is one sparse Gauss-Jordan kernel over Q(sqrt3) on rows
 {column: nonzero QSqrt3}; an entry is deleted the moment it cancels, so no
 zero is stored or tested again (T. A. Davis, *Direct Methods for Sparse Linear
 Systems*, 2006, ch. 3).  Callers pass sparse rows to rank_rows, rref_rows and
-nullspace_rows; exact_rank and exact_inv adapt object arrays of QSqrt3 to them.
+nullspace_rows; exact_rank, exact_inv and exact_dense adapt object arrays of QSqrt3 to them.
 Float routines wrap numpy.  At the n <= 8 of a reduction a numpy call's fixed cost
 outweighs its arithmetic, so they make few calls and copies.  Every float LAPACK call of the
 package is one of the kernels below, six or seven per float classify + verify_witness: eigh
@@ -60,8 +60,7 @@ def exact_eye(n: int) -> np.ndarray:
 
 
 def to_float(a: np.ndarray) -> np.ndarray:
-    if a.dtype == object:
-        return np.array([[float(x) for x in row] for row in a], dtype=float)
+    """a as float64, of any rank; an exact entry beyond the float range raises OverflowError."""
     return np.asarray(a, dtype=float)
 
 
@@ -151,12 +150,12 @@ def nullspace_rows(rows, cols: int) -> list[dict[int, QSqrt3]]:
     return [{fc: _ONE, **{pc: -t[fc] for pc, t in rref.items() if fc in t}} for fc in free]
 
 
-def exact_dense(rows, shape) -> np.ndarray:
-    """Object array of the given shape whose leading rows are the sparse rows."""
+def exact_dense(rows: dict, shape: tuple[int, ...]) -> np.ndarray:
+    """Object array of the given shape from sparse rows {leading indices: {last index: x}}."""
     out = exact_zeros(shape)
-    for r, items in enumerate(rows):
-        for j, x in items:
-            out[r, j] = x
+    for key, row in rows.items():
+        for k, x in row.items():
+            out[(*key, k)] = x
     return out
 
 
@@ -170,7 +169,7 @@ def exact_inv(a: np.ndarray) -> np.ndarray:
     rref = rref_rows([*enumerate(row), (n + i, _ONE)] for i, row in enumerate(a))
     if list(rref) != list(range(n)):
         raise ZeroDivisionError("singular exact matrix")
-    return exact_dense([[(j - n, x) for j, x in rref[i].items()] for i in range(n)], (n, n))
+    return exact_dense({(i,): {j - n: x for j, x in rref[i].items()} for i in range(n)}, (n, n))
 
 
 def shear_conjugator(lam, xi, n: int):

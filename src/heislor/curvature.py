@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import _subtract, exact_zeros, max_abs
+from ._linalg import _subtract, exact_dense, exact_zeros, max_abs, to_float
 from .errors import EvidenceFailure
 from .liealg import _bracket_terms, require_dim
 from .metrics import canonical_pair, xi_exact, xi_json
@@ -57,18 +57,10 @@ def frame_signs(n: int) -> list[int]:
 
 def frame_brackets(lam, xi, n: int) -> np.ndarray:
     """Structure constants C[i, j] = coordinates of [x_i, x_j] in the frame."""
-    return _dense(_bracket_terms(lam, xi, n), (n, n, n))
+    return exact_dense(_bracket_terms(lam, xi, n), (n, n, n))
 
 
 # -- the generic route on sparse rows --------------------------------------------
-
-
-def _dense(rows: dict, shape: tuple[int, ...]) -> np.ndarray:
-    out = exact_zeros(shape)
-    for key, row in rows.items():
-        for k, x in row.items():
-            out[(*key, k)] = x
-    return out
 
 
 def _u_terms(br: dict, eps: list[int]) -> dict:
@@ -132,7 +124,7 @@ def _ricci_terms(ops: dict, eps: list[int]) -> dict:
 
 def _operators(ops: dict, n: int) -> dict[tuple[int, int], np.ndarray]:
     """Dense R(x_i, x_j) for every i < j from the columns {(i, j, k): R(x_i, x_j) x_k}."""
-    full = _dense(ops, (n, n, n, n))  # full[i, j, k] is column k, hence the transpose
+    full = exact_dense(ops, (n, n, n, n))  # full[i, j, k] is column k, hence the transpose
     return {(i, j): full[i, j].T for i in range(n) for j in range(i + 1, n)}
 
 
@@ -144,17 +136,17 @@ def generic_curvature(lam, xi, n: int, exact: bool = True):
     """
     _exact_only(exact)
     br = _bracket_terms(lam, xi, n)
-    brackets = _dense(br, (n, n, n))
+    brackets = exact_dense(br, (n, n, n))
     eps = frame_signs(n)
     u = _u_terms(br, eps)
     nabla = _nabla_terms(u, br)
     ops = _riemann_terms(nabla, br, n)
     return (
         brackets,
-        _dense(u, brackets.shape),
-        _dense(nabla, brackets.shape),
+        exact_dense(u, brackets.shape),
+        exact_dense(nabla, brackets.shape),
         _operators(ops, n),
-        _dense(_ricci_terms(ops, eps), (n, n)).T,
+        exact_dense(_ricci_terms(ops, eps), (n, n)).T,
     )
 
 
@@ -578,11 +570,11 @@ def curvature_report(lam, xi, n: int, backend: str = EXACT) -> CurvatureReport:
     return replace(
         report,
         backend=backend,
-        u=report.u.astype(float),
-        nabla=report.nabla.astype(float),
-        riemann_ops={ij: op.astype(float) for ij, op in ops.items()},
-        ric=ric.astype(float),
+        u=to_float(report.u),
+        nabla=to_float(report.nabla),
+        riemann_ops={ij: to_float(op) for ij, op in ops.items()},
+        ric=to_float(ric),
         einstein=None if report.einstein is None else float(report.einstein),
-        soliton=None if c_d is None else (float(c_d[0]), c_d[1].astype(float)),
+        soliton=None if c_d is None else (float(c_d[0]), to_float(c_d[1])),
         spectrum=[float(x) for x in report.spectrum],
     )

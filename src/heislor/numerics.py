@@ -130,12 +130,12 @@ class QSqrt3:
 
     @classmethod
     def parse(cls, text: str) -> "QSqrt3":
-        """Parse strings like '1/2', '-2+sqrt3' or '1/2-3/4*sqrt3'."""
+        """Parse strings like '1/2', '-2+sqrt3', '1/2-3/4*sqrt3' or '2.5e-3+sqrt3'."""
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty exact scalar")
         a = b = _fraction(0)
-        for term in re.findall(r"[+-]?[^+-]+", s):
+        for term in re.findall(r"[+-]?(?:[^+-]|(?<=[eE])[+-])+", s):
             if "sqrt3" in term:
                 coef = term[: term.index("sqrt3")].rstrip("*")
                 if coef in ("", "+"):

@@ -47,6 +47,7 @@ from .metrics import (
     Metric,
     _band_signs,
     _factor_metric,
+    _float_gram,
     _require_lorentzian,
     _signs,
     _unit_gram,
@@ -454,7 +455,7 @@ def _check_g_lambda(g: np.ndarray, lam: int) -> None:
 
 def reduce_last_row(g: np.ndarray) -> tuple[np.ndarray, int, Witness]:
     """Send an invertible matrix into the class with normalized last row."""
-    g = to_float(np.asarray(g))
+    g = to_float(g)
     require_dim(g.shape[0])
     if is_singular(g[None])[0]:
         raise np.linalg.LinAlgError("singular input")
@@ -465,7 +466,7 @@ def reduce_last_row(g: np.ndarray) -> tuple[np.ndarray, int, Witness]:
 
 def reduce_lambda0(g: np.ndarray) -> Witness:
     """Reduce an element with trivial last row/column to the identity."""
-    g = to_float(np.asarray(g))
+    g = to_float(g)
     _check_g_lambda(g, 0)
     builder = _Builder(g)
     _reduce_lambda0(builder)
@@ -476,7 +477,7 @@ def reduce_to_t(g: np.ndarray, lam: int) -> tuple[float, Witness]:
     """Reduce a normalized-last-row element to the single-shear form."""
     if lam not in (1, 2):
         raise NotInGLambda(f"lam must be 1 or 2, got {lam}")
-    g = to_float(np.asarray(g))
+    g = to_float(g)
     _check_g_lambda(g, lam)
     builder = _Builder(g)
     t = _reduce_to_t(builder, lam)
@@ -706,8 +707,8 @@ def verify_witness(metric: Metric, witness: Witness) -> VerificationResult:
 
     Every size test is relative and reads `not x <= bound`, so that a NaN fails it;
     singularity is judged by conditioning, so a witness of c * M checks as one of M does.
-    A matrix of the wrong size, or a singular m-factor, fails the check before anything
-    is multiplied.
+    A matrix of the wrong size, a singular m-factor, or an exact gram whose float copy
+    overflows or rounds to zero fails the check before anything is multiplied.
     """
     if witness.m_factor is None:
         return VerificationResult(False, math.inf, "witness has no m-factor")
@@ -726,8 +727,11 @@ def verify_witness(metric: Metric, witness: Witness) -> VerificationResult:
     problems = []
     ipq = shared_minkowski_gram(n)
     chain = witness.product() - witness.target
+    try:
+        gram = _float_gram(metric.gram)
+    except ValueError as exc:  # an exact gram beyond the float range
+        return VerificationResult(False, math.inf, str(exc))
     # one pass reads each start test's miss and size, and the chain's miss
-    gram = to_float(metric.gram)
     gram_miss = minv.T.dot(ipq).dot(minv) - gram
     reads = np.abs([gram_miss, minv.T - witness.start, gram, witness.start, chain])
     gram_res, start_res, *sizes, residual = np.maximum.reduce(reads, axis=(1, 2)).tolist()

@@ -204,12 +204,6 @@ def check_signature_table(n_values=tuple(range(4, 11))) -> CheckResult:
     return _timed("signature-table", run)
 
 
-def _tables_equal_exact(a: np.ndarray, b: np.ndarray) -> bool:
-    return all(
-        x == y for x, y in zip(a.reshape(-1).tolist(), b.reshape(-1).tolist())
-    )
-
-
 def check_curvature_oracle() -> CheckResult:
     def run():
         for n in _ORACLE_NS:
@@ -226,7 +220,7 @@ def check_curvature_oracle() -> CheckResult:
                     *((f"R{key}", op, ops_c.get(key, zero)) for key, op in ops_g.items()),
                 ]
                 for name, got, want in tables:
-                    if not _tables_equal_exact(got, want):
+                    if not np.array_equal(got, want):
                         raise AssertionError(f"{name} mismatch at {pair}, n={n}")
         return f"generic pipeline equals closed forms exactly, n in {list(_ORACLE_NS)}"
 

@@ -1,14 +1,14 @@
 """Reference helpers that the tests alone use.
 
 The package passes sparse rows to `_linalg.rref_rows` and `nullspace_rows`; the
-dense adapters here read and write object arrays of QSqrt3, the shape the tests'
-references use.  Der(g) as dense matrices, the metric JSON writer and the
-degeneration-curve sampler build the inputs and references of the tests.
-`verify_witness_by_side` is the reference the one-pass `verify_witness` must match
-on a classified metric, and the checker of the stage witnesses, whose subject is the
-starting group element.  `householder_block` and `triangularizing_block` build a
-reduction factor at the size of its block; placed in an identity by `embed`, each is the
-reference of the full-size builder in `_linalg`.
+dense adapters here take and return object arrays of QSqrt3, the shape the tests'
+references use, and write each sparse result out through `_linalg.exact_dense`.  Der(g)
+as dense matrices, the metric JSON writer and the degeneration-curve sampler build the
+inputs and references of the tests.  `verify_witness_by_side` is the one reference the
+one-pass `verify_witness` must match on a classified metric, and the checker of the
+stage witnesses, whose subject is the starting group element.  `householder_block` and
+`triangularizing_block` build a reduction factor at the size of its block; placed in an
+identity by `embed`, each is the reference of the full-size builder in `_linalg`.
 """
 
 import math
@@ -30,7 +30,7 @@ from heislor._linalg import (
     to_float,
 )
 from heislor.liealg import _derivation_vectors, aut_pattern, require_dim
-from heislor.metrics import APPROX, EXACT, Metric, canonical_gram
+from heislor.metrics import APPROX, EXACT, Metric, _float_gram, canonical_gram
 from heislor.numerics import QSqrt3
 from heislor.reduction import WITNESS_TOL, VerificationResult, Witness
 
@@ -38,20 +38,22 @@ from heislor.reduction import WITNESS_TOL, VerificationResult, Witness
 def exact_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over Q(sqrt3); returns (rref, pivot columns)."""
     rref = rref_rows(enumerate(row) for row in a)
-    rows = [[(c, QSqrt3(1)), *t.items()] for c, t in rref.items()]
+    rows = {(r,): {c: QSqrt3(1), **t} for r, (c, t) in enumerate(rref.items())}
     return exact_dense(rows, a.shape), list(rref)
 
 
 def exact_nullspace(a: np.ndarray) -> list[np.ndarray]:
     """Basis of the right nullspace, one vector per free column."""
     basis = nullspace_rows((enumerate(row) for row in a), a.shape[1])
-    return list(exact_dense([v.items() for v in basis], (len(basis), a.shape[1])))
+    rows = {(r,): v for r, v in enumerate(basis)}
+    return list(exact_dense(rows, (len(basis), a.shape[1])))
 
 
 def derivation_basis(n: int) -> tuple[np.ndarray, ...]:
     """Basis of Der(g) as n x n object matrices, from the package's sparse vectors."""
     vectors = _derivation_vectors(n)
-    return tuple(exact_dense(vectors, (len(vectors), n * n)).reshape(-1, n, n))
+    rows = {(r,): dict(v) for r, v in enumerate(vectors)}
+    return tuple(exact_dense(rows, (len(vectors), n * n)).reshape(-1, n, n))
 
 
 def metric_to_json(metric: Metric) -> dict:
@@ -89,7 +91,10 @@ def verify_witness_by_side(subject: Metric | np.ndarray, witness: Witness) -> Ve
             minv = inv(witness.m_factor)
         except np.linalg.LinAlgError:
             return VerificationResult(False, math.inf, "m-factor is singular")
-        gram = to_float(subject.gram)
+        try:
+            gram = _float_gram(subject.gram)
+        except ValueError as exc:
+            return VerificationResult(False, math.inf, str(exc))
         gram_res = max_abs(minv.T @ ipq @ minv - gram)
         if not gram_res <= WITNESS_TOL * max_abs(gram):
             problems.append(f"m-factor does not reproduce the metric ({gram_res:.2e})")
@@ -97,7 +102,7 @@ def verify_witness_by_side(subject: Metric | np.ndarray, witness: Witness) -> Ve
         if not start_res <= WITNESS_TOL * max_abs(witness.start):
             problems.append("start matrix is not the transpose-inverse of m")
     else:
-        g = to_float(np.asarray(subject))
+        g = to_float(subject)
         same = g.shape == witness.start.shape
         if not (same and max_abs(g - witness.start) <= WITNESS_TOL * max_abs(g)):
             problems.append("start matrix differs from the supplied element")

@@ -12,6 +12,7 @@ from heislor._linalg import (
     _subtract,
     embed,
     exact_array,
+    exact_dense,
     exact_rank,
     exact_zeros,
     rref_rows,
@@ -113,6 +114,13 @@ def test_parse_variants():
     assert QSqrt3.parse("-1/2+3/4*sqrt3") == QSqrt3(Fraction(-1, 2), Fraction(3, 4))
     assert QSqrt3.parse("2") == QSqrt3(2)
     assert QSqrt3.parse("1-sqrt3") == QSqrt3(1, -1)
+    # an exponent keeps its sign inside its term
+    assert QSqrt3.parse("1e-330") == QSqrt3(Fraction(1, 10**330))
+    assert QSqrt3.parse("1E-5") == QSqrt3(Fraction(1, 10**5))
+    assert QSqrt3.parse("2.5e-3") == QSqrt3(Fraction(1, 400))
+    assert QSqrt3.parse("1e+3") == QSqrt3(1000)
+    assert QSqrt3.parse("-2.5e-3+sqrt3") == QSqrt3(Fraction(-1, 400), 1)
+    assert QSqrt3.parse("1e400") == QSqrt3(10**400)
 
 
 def test_exact_sqrt():
@@ -334,6 +342,27 @@ def test_exact_rref_sparse_matrices():
         assert len(basis) == cols - rank
         for v in basis:
             assert all(not x for x in a @ v)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (3, 4, 5), (2, 3, 4, 5)])
+def test_exact_dense_and_to_float_take_any_rank(shape):
+    """exact_dense writes sparse rows keyed by one, two or three leading indices, and
+    to_float casts each entry as float(x) does, bit for bit, refusing one beyond the range."""
+    rng = np.random.default_rng(len(shape))
+    want, rows = exact_zeros(shape), {}
+    for index in np.ndindex(shape):
+        if rng.random() < 0.4:
+            x = QSqrt3(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))),
+                       Fraction(int(rng.integers(-3, 4)), 7))
+            want[index] = rows.setdefault(index[:-1], {})[index[-1]] = x
+    got = exact_dense(rows, shape)
+    assert got.dtype == object and np.array_equal(got, want)
+    floats = to_float(got)
+    per_entry = np.array([float(x) for x in got.reshape(-1)]).reshape(shape)
+    assert floats.dtype == np.float64 and floats.tobytes() == per_entry.tobytes()
+    got[(0,) * len(shape)] = QSqrt3(10**400)
+    with pytest.raises(OverflowError):
+        to_float(got)
 
 
 def _cancelling_exact_matrix(rng, rows, cols, rank):

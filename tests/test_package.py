@@ -440,6 +440,32 @@ def test_lapack_calls_go_through_the_linalg_kernels():
     assert not {name: found for name, found in uses.items() if found}
 
 
+def _float_casts(tree: ast.Module) -> list[str]:
+    """Each .astype(float) call, and each to_float call on a .gram attribute, as source."""
+    casts = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            args = [*node.args, *(keyword.value for keyword in node.keywords)]
+            astype = name == "astype" and any(getattr(a, "id", None) == "float" for a in args)
+            gram = name == "to_float" and any(getattr(a, "attr", None) == "gram" for a in args)
+            if astype or gram:
+                casts.append(ast.unparse(node))
+    return casts
+
+
+def test_exact_arrays_cast_through_to_float_and_grams_through_float_gram():
+    """src/ casts an exact array to float through _linalg.to_float alone, never with
+    .astype(float), and a Metric's gram through metrics._float_gram alone, which refuses
+    one outside the float range: no call hands a .gram to to_float."""
+    package = Path(heislor.__file__).resolve().parent
+    found = {
+        path.name: _float_casts(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert not {name: casts for name, casts in found.items() if casts}
+
+
 #: the reduction's stacked and vector products, where ndarray.dot would contract other axes
 MATMUL_SITES = {"o11_normalize", "verify_witness"}
 

@@ -3,6 +3,7 @@
 import decimal
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -50,7 +51,6 @@ from heislor.reduction import (
     NoTableMatch,
     NotInGLambda,
     NumericalBreakdown,
-    VerificationResult,
     ZeroVector,
     classify,
     classify_by_invariants,
@@ -1229,11 +1229,14 @@ _EXACT_EXPONENTS_IN, _EXACT_EXPONENTS_OUT = (-300, -200, 200, 300, 305), (-400, 
 @pytest.mark.parametrize("e", _EXACT_EXPONENTS_IN + _EXACT_EXPONENTS_OUT)
 def test_exact_metric_at_extreme_scale_gives_the_class_or_scale_out_of_range(e):
     # the exact invariant reader is scale-free; classify and the float copy need the
-    # float range, and beyond it raise the typed error a float gram gets
+    # float range, and beyond it raise the typed error a float gram gets.  Both witness
+    # checkers answer, and never raise: they name the scale when the float copy overflows
+    # or rounds to zero, and at 1e-310 the subnormal copy misses what m reproduces
     scale = QSqrt3(Fraction(10) ** e)
     for pair in CANONICAL_PAIRS:
         for n in (4, 6, 8):
-            metric = Metric(canonical_metric(pair[0], pair[1], n)[0].gram * scale, backend=EXACT)
+            unscaled = canonical_metric(pair[0], pair[1], n)[0]
+            metric = Metric(unscaled.gram * scale, backend=EXACT)
             assert classify_by_invariants(metric).pair == pair
             if e in _EXACT_EXPONENTS_IN:
                 form, _, witness = classify(metric)
@@ -1242,6 +1245,14 @@ def test_exact_metric_at_extreme_scale_gives_the_class_or_scale_out_of_range(e):
             for read in (lambda: classify(metric), lambda: classify(metric.to_approx())):
                 with pytest.raises(ValueError, match="^the metric's scale is outside the float"):
                     read()
+            witness = classify(unscaled)[2]
+            got = verify_witness(metric, witness)
+            assert not got.ok and _bits(got) == _bits(verify_witness_by_side(metric, witness))
+            if e == -310:
+                assert 0.0 < max_abs(metric.gram) < sys.float_info.min
+                assert re.fullmatch(r"m-factor does not reproduce the metric \(\S+\)", got.detail)
+            else:
+                assert got.detail == "the metric's scale is outside the float range"
 
 
 @pytest.mark.parametrize("pair", _RIGID)
@@ -1323,47 +1334,7 @@ def test_exact_wall_samples_are_never_ambiguous(pair):
             assert verify_witness(metric, witness).ok, (n, seed)
 
 
-# -- stacked checks against per-factor references ---------------------------------
-
-
-def _verify_witness_reference(metric, witness, tol=1e-8):
-    """The per-factor loop that verify_witness stacks; kept as its reference.
-
-    Each size test is relative to what it compares, and a factor is singular
-    when |det|^(1/n) falls below float64's unit roundoff times its largest entry.
-    """
-    n = witness.n
-    problems = []
-    if witness.m_factor is None:
-        return VerificationResult(False, math.inf, "witness has no m-factor")
-    m = witness.m_factor
-    gram = to_float(metric.gram)
-    minv = np.linalg.inv(m)
-    gram_res = float(np.max(np.abs(minv.T @ minkowski_gram(n) @ minv - gram)))
-    if gram_res > tol * float(np.max(np.abs(gram))):
-        problems.append(f"m-factor does not reproduce the metric ({gram_res:.2e})")
-    start_res = float(np.max(np.abs(np.linalg.inv(m).T - witness.start)))
-    if start_res > tol * max_abs(witness.start):
-        problems.append("start matrix is not the transpose-inverse of m")
-    mask = aut_pattern(n).mask.T
-    ipq = minkowski_gram(n)
-    for idx, h in enumerate(witness.left):
-        outside = float(np.max(np.abs(to_float(h)[~mask]))) if n else 0.0
-        if outside > tol:
-            problems.append(f"left factor {idx} violates the pattern ({outside:.2e})")
-        hf = to_float(h)
-        det = abs(np.linalg.det(hf))
-        if det == 0.0 or det ** (1.0 / n) < 2.0**-52 * float(np.max(np.abs(hf))):
-            problems.append(f"left factor {idx} is singular")
-    for idx, kmat in enumerate(witness.right):
-        kf = to_float(kmat)
-        dev = float(np.max(np.abs(kf.T @ ipq @ kf - ipq)))
-        if dev > tol * float(np.max(np.abs(kf))) ** 2:
-            problems.append(f"right factor {idx} is not pseudo-orthogonal ({dev:.2e})")
-    residual = float(np.max(np.abs(witness.product() - witness.target)))
-    if residual > tol:
-        problems.append(f"chain product misses the target by {residual:.2e}")
-    return VerificationResult(not problems, residual, "; ".join(problems))
+# -- the one-pass witness check against its by-side reference ------------------------
 
 
 def _pattern_element(n, seed):
@@ -1416,25 +1387,6 @@ def _long_lambda1_chain(n, t=2.0**-17):
     witness.m_factor = np.linalg.inv(witness.start).T
     gram = witness.start @ shared_minkowski_gram(n) @ witness.start.T
     return Metric(gram=gram, backend=APPROX), witness
-
-
-@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
-@pytest.mark.parametrize(
-    "pair, n", [((2, "0"), 5), ((1, "1"), 8), ((0, "0"), 4), ("l1-chain", 6)]
-)
-def test_verify_witness_matches_per_factor_reference(pair, n, corruption):
-    corrupt, expected = _CORRUPTIONS[corruption]
-    if pair == "l1-chain":
-        metric, witness = _long_lambda1_chain(n)
-        assert len(witness.right) >= 16  # the boosts and the final rotation
-    else:
-        metric = _orbit_sample(pair[0], pair[1], n, seed=n)
-        _, _, witness = classify(metric)
-    witness = corrupt(witness)
-    got = verify_witness(metric, witness)
-    ref = _verify_witness_reference(metric, witness)
-    assert (got.ok, got.residual, got.detail) == (ref.ok, ref.residual, ref.detail)
-    assert got.ok == (expected == "") and expected in got.detail
 
 
 def _with_nan(i, j):
@@ -1506,19 +1458,31 @@ _ONE_PASS_CORRUPTIONS = {
 }
 
 
+def _witnessed_metrics():
+    """Orbit samples of the six classes at n = 4..8 and three _orbit_sample metrics with
+    their witnesses, then the lam=1 chain of _long_lambda1_chain(6), longer than any
+    classify builds."""
+    rng = np.random.default_rng(2400)
+    samples = [random_orbit_metric(pair, n, rng) for pair in CANONICAL_PAIRS for n in range(4, 9)]
+    seeded = (((2, "0"), 5), ((1, "1"), 8), ((0, "0"), 4))
+    samples += [_orbit_sample(*pair, n, seed=n) for pair, n in seeded]
+    for metric in samples:
+        yield metric, classify(metric)[2]
+    metric, witness = _long_lambda1_chain(6)
+    assert len(witness.right) >= 16  # the boosts and the final rotation
+    yield metric, witness
+
+
 @pytest.mark.parametrize("corruption", sorted(_ONE_PASS_CORRUPTIONS))
 def test_verify_witness_matches_the_by_side_reference(corruption):
     """The one-pass verify_witness gives the by-side reference's ok, residual bits and
-    detail, on orbit samples of the six classes at n = 4..8."""
+    detail, on orbit samples of the six classes at n = 4..8 and on a long lam=1 chain."""
     corrupt, expected = _ONE_PASS_CORRUPTIONS[corruption]
-    rng = np.random.default_rng(2400)
-    for pair in CANONICAL_PAIRS:
-        for n in range(4, 9):
-            metric = random_orbit_metric(pair, n, rng)
-            witness = corrupt(classify(metric)[2])
-            got = verify_witness(metric, witness)
-            assert _bits(got) == _bits(verify_witness_by_side(metric, witness))
-            assert expected in got.detail
+    for metric, witness in _witnessed_metrics():
+        witness = corrupt(witness)
+        got = verify_witness(metric, witness)
+        assert _bits(got) == _bits(verify_witness_by_side(metric, witness))
+        assert got.ok == (expected == "") and expected in got.detail
 
 
 
