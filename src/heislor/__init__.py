@@ -12,7 +12,7 @@ modules, are imported the first time one of them is read off the package.
 import importlib as _importlib
 from types import ModuleType as _ModuleType
 
-from .numerics import APPROX, DEFAULT_TOL, EXACT, QSqrt3, SQRT3, sign_with_tol
+from .numerics import APPROX, DEFAULT_TOL, EXACT, QSqrt3, SQRT3
 from .liealg import BlockPattern, aut_pattern, derivation_space_dim
 from .metrics import (
     CANONICAL_PAIRS, Metric, act, canonical_gram, canonical_metric, factor_metric,

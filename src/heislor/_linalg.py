@@ -3,8 +3,8 @@
 Exact elimination is one sparse Gauss-Jordan kernel over Q(sqrt3) on rows
 {column: nonzero QSqrt3}; an entry is deleted the moment it cancels, so no
 zero is stored or tested again (T. A. Davis, *Direct Methods for Sparse Linear
-Systems*, 2006, ch. 3).  Callers pass sparse rows to rank_rows, rref_rows and
-nullspace_rows; exact_rank, exact_inv and exact_dense adapt object arrays of QSqrt3 to them.
+Systems*, 2006, ch. 3).  Callers pass sparse rows to rank_rows and rref_rows;
+exact_rank, exact_inv and exact_dense adapt object arrays of QSqrt3 to them.
 Float routines wrap numpy.  At the n <= 8 of a reduction a numpy call's fixed cost
 outweighs its arithmetic, so they make few calls and copies.  Every float LAPACK call of the
 package is one of the kernels below, six or seven per float classify + verify_witness: eigh
@@ -143,13 +143,6 @@ def rref_rows(rows) -> dict[int, dict[int, QSqrt3]]:
     return {c: pivots[c] for c in order}
 
 
-def nullspace_rows(rows, cols: int) -> list[dict[int, QSqrt3]]:
-    """Right nullspace basis, one sparse vector per free column."""
-    rref = rref_rows(rows)
-    free = (fc for fc in range(cols) if fc not in rref)
-    return [{fc: _ONE, **{pc: -t[fc] for pc, t in rref.items() if fc in t}} for fc in free]
-
-
 def exact_dense(rows: dict, shape: tuple[int, ...]) -> np.ndarray:
     """Object array of the given shape from sparse rows {leading indices: {last index: x}}."""
     out = exact_zeros(shape)
@@ -233,7 +226,7 @@ EIG_FAILURE = "Eigenvalues did not converge"
 
 def _with_errstate(**flags):
     """Decorator: run f under the numpy error state `flags`, built once.  Name all four
-    flags: _make_extobj copies an unnamed one from the state it is built in."""
+    flags, or `all`: _make_extobj copies an unnamed one from the state it is built in."""
     state = _make_extobj(**flags)
 
     def decorate(f):
@@ -266,8 +259,8 @@ slogdet = partial(_umath_linalg.slogdet, signature="d->dd")
 det = partial(_umath_linalg.det, signature="d->d")
 _qr_r_raw = partial(_umath_linalg.qr_r_raw, signature="d->d")
 _qr_reduced = partial(_umath_linalg.qr_reduced, signature="dd->d")
-# is_singular's slogdet: a NaN entry is no error, it reads singular; the rest are numpy's defaults
-_nan_slogdet = _with_errstate(invalid="ignore", over="warn", divide="warn", under="ignore")(slogdet)
+# is_singular's slogdet warns of nothing: a NaN or inf entry gives a NaN, which reads singular
+_nan_slogdet = _with_errstate(all="ignore")(slogdet)
 
 
 def _qr_q_in_place(a: np.ndarray) -> np.ndarray:
@@ -291,8 +284,6 @@ def householder(v: np.ndarray, k: int, n: int, lo: int) -> np.ndarray:
     sub = u[lo : lo + len(v)]  # a view: the norms are read on v's entries alone
     sub[...] = v
     norm = math.sqrt(sub.dot(sub))
-    if norm == 0.0:
-        return shared_eye(n).copy()
     vk = float(sub[k])
     sub[k] = 0.0
     rest = float(sub.dot(sub))
@@ -301,7 +292,7 @@ def householder(v: np.ndarray, k: int, n: int, lo: int) -> np.ndarray:
     uk = vk - norm if vk <= 0.0 else -rest / (vk + norm)
     sub[k] = uk
     uu = rest + uk**2
-    if uu < UNDERFLOW:
+    if uu < UNDERFLOW:  # a zero v too
         return shared_eye(n).copy()
     if uu < math.inf:  # u is finite, so its outer product is +-0 off the block
         return shared_eye(n) - 2.0 * (u[:, None] * u) / uu

@@ -4,8 +4,8 @@ The algebra is spanned by e_1, ..., e_n with the single relation
 [e_1, e_2] = e_n (n >= 4).  Its bracket relations are kept here once, as the
 sparse rows of the sheared frame at (lam, xi) (_bracket_terms); the frame at
 lam = xi = 0 is the standard basis.  The curvature module reads these rows,
-and the derivation algebra is solved from the rows at lam = xi = 0 by exact
-linear elimination.  The closed-form block pattern of R x Aut is kept
+and the derivation algebra is counted by the exact rank of the Leibniz
+identity's rows at lam = xi = 0.  The closed-form block pattern of R x Aut is kept
 alongside as a cross-check and as the sampling space for random automorphisms;
 the reduction's left factors lie in its transpose, aut_pattern(n).mask.T.
 """
@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import nullspace_rows, rank_rows
+from ._linalg import rank_rows
 from .errors import DimensionTooSmall
 from .numerics import QSqrt3, _Frozen
 
@@ -53,13 +53,14 @@ def _bracket_terms(lam, xi, n: int) -> dict:
     return terms
 
 
-@lru_cache(maxsize=None)
-def _derivation_vectors(n: int) -> tuple[tuple, ...]:
-    """Der(g) as sparse vectors of (n*r + c, D[r, c]) pairs, from the Leibniz identity.
+def derivation_space_dim(n: int) -> int:
+    """dim(R*id + Der(g)), from the Leibniz identity: n^2 less the rank of its rows, plus
+    one when the identity violates a row.
 
-    Unknowns are the n^2 entries of D; each pair e_i, e_j with i < j gives the
-    n equations D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j] = 0, whose coefficients
-    come from the nonzero entries c[a, b, l] = v of the table at lam = xi = 0 alone.
+    Unknowns are the n^2 entries of D, column n*r + c for D[r, c]; each pair e_i, e_j with
+    i < j gives the n equations D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j] = 0, whose
+    coefficients come from the nonzero entries c[a, b, l] = v of the table at
+    lam = xi = 0 alone.  The identity solves a row when the row's diagonal entries sum to zero.
     """
     rows: defaultdict[tuple[int, int, int], Counter] = defaultdict(Counter)
     for (a, b), bracket in _bracket_terms(0, 0, n).items():
@@ -71,14 +72,8 @@ def _derivation_vectors(n: int) -> tuple[tuple, ...]:
                 rows[i, b, l][a * n + i] -= v
             for j in range(a + 1, n):  # [e_a, D e_j] picks D[b, j]
                 rows[a, j, l][b * n + j] -= v
-    system = (row.items() for row in rows.values())
-    return tuple(tuple(vec.items()) for vec in nullspace_rows(system, n * n))
-
-
-def derivation_space_dim(n: int) -> int:
-    """dim(R*id + Der(g)); identity is never a derivation here."""
-    identity = [(i * n + i, QSqrt3(1)) for i in range(n)]
-    return rank_rows([*_derivation_vectors(n), identity])
+    identity_violates = any(sum(row[i * n + i] for i in range(n)) for row in rows.values())
+    return n * n - rank_rows(row.items() for row in rows.values()) + identity_violates
 
 
 class BlockPattern(_Frozen):

@@ -207,20 +207,10 @@ class QSqrt3:
         return _make(-self._p, -self._q, self._d)
 
     def __sub__(self, other):
-        if type(other) is QSqrt3:
-            o = other
-        elif type(other) is int:
-            return _make(self._p - other * self._d, self._q, self._d)
-        else:
-            o = _operand(other)
-            if o is None:
-                return NotImplemented
-        d, od = self._d, o._d
-        if d == od:
-            if d == 1:
-                return _make(self._p - o._p, self._q - o._q, 1)
-            return _normalized(self._p - o._p, self._q - o._q, d)
-        return _normalized(self._p * od - o._p * d, self._q * od - o._q * d, d * od)
+        o = other if type(other) is int else _operand(other)  # an int keeps __add__'s fast path
+        if o is None:
+            return NotImplemented
+        return self + (-o)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -412,14 +402,3 @@ def _operand(x) -> QSqrt3 | None:
 
 
 SQRT3 = QSqrt3(0, 1)
-
-NEGATIVE, ZEROCLASS, POSITIVE = -1, 0, 1
-
-
-def sign_with_tol(x: float, tol: float = DEFAULT_TOL) -> int:
-    """Total sign classification of a float: |x| <= tol counts as zero."""
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    if abs(x) <= tol:
-        return ZEROCLASS
-    return POSITIVE if x > 0 else NEGATIVE

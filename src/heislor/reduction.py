@@ -21,6 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from ._linalg import (
+    _with_errstate,
     eigvalsh,
     embed,
     householder,
@@ -55,11 +56,8 @@ from .metrics import (
     xi_exact,
     xi_float,
     xi_json,
-    xi_key_of,
 )
-from .numerics import (
-    DEFAULT_TOL, EXACT, NEGATIVE, POSITIVE, SQRT3_F, QSqrt3, _Frozen, sign_with_tol,
-)
+from .numerics import DEFAULT_TOL, EXACT, SQRT3_F, QSqrt3, _Frozen
 
 #: sqrt3 - SQRT3_F, the digits of sqrt3 a float drops
 SQRT3_LO = 1.0035084221806903e-16
@@ -235,23 +233,27 @@ class _Builder:
 def o11_normalize(x: float, y: float) -> tuple[float, int, np.ndarray]:
     """Normalize (x, y) to (-lam*a, a) with a > 0 by an O(1, 1) element.
 
-    The branch is decided by the sign of the invariant x^2 - y^2 relative
-    to the pair's magnitude: negative -> lam=0, zero -> lam=1, positive ->
-    lam=2.  Returns (a, lam, g) with (x, y) @ g = (-lam*a, a), each branch's
-    g = diag(d) @ [[c, s], [s, c]] written out; + 0.0 makes a zero s +0.0, as @ does.
+    The branch is decided by the invariant q = x^2 - y^2 relative to the pair's
+    magnitude: |q| <= DEFAULT_TOL * max(x^2, y^2) -> lam=1, else by the sign of q,
+    positive -> lam=2 and otherwise lam=0.  Returns (a, lam, g) with (x, y) @ g =
+    (-lam*a, a), each branch's g = diag(d) @ [[c, s], [s, c]] written out; + 0.0 makes a
+    zero s +0.0, as @ does.
     """
     scale = max(x * x, y * y)
     if scale == 0.0:
         raise ZeroVector("(x, y) must be nonzero")
     q = x * x - y * y
-    branch = sign_with_tol(q, DEFAULT_TOL * scale)
-    if branch == NEGATIVE:
-        sigma = 1.0 if y > 0 else -1.0
-        a = math.sqrt(y * y - x * x)
-        c, s = sigma * y / a, -x / a
-        g = np.array([[c, s + 0.0], [sigma * s + 0.0, sigma * c]])
-        return a, 0, g
-    if branch == POSITIVE:
+    if abs(q) <= DEFAULT_TOL * scale:
+        # light-cone branch: reflect onto (-|x|, |y|) and boost the magnitude to 1
+        s1 = -1.0 if x > 0 else 1.0
+        s2 = 1.0 if y >= 0 else -1.0
+        e_theta = 0.5 * (abs(x) + abs(y))
+        c = 0.5 * (e_theta + 1.0 / e_theta)
+        s = 0.5 * (e_theta - 1.0 / e_theta)
+        g = np.array([[s1 * c, s1 * s + 0.0], [s2 * s + 0.0, s2 * c]])
+        a = float(np.matmul(np.array([x, y]), g)[1])
+        return a, 1, g
+    if q > 0:
         sigma = -1.0 if x > 0 else 1.0
         a = math.sqrt(q / 3.0)
         xs = sigma * x
@@ -259,15 +261,11 @@ def o11_normalize(x: float, y: float) -> tuple[float, int, np.ndarray]:
         s = (xs + 2.0 * y) / (3.0 * a)
         g = np.array([[sigma * c, sigma * s + 0.0], [s + 0.0, c]])
         return a, 2, g
-    # light-cone branch: reflect onto (-|x|, |y|) and boost the magnitude to 1
-    s1 = -1.0 if x > 0 else 1.0
-    s2 = 1.0 if y >= 0 else -1.0
-    e_theta = 0.5 * (abs(x) + abs(y))
-    c = 0.5 * (e_theta + 1.0 / e_theta)
-    s = 0.5 * (e_theta - 1.0 / e_theta)
-    g = np.array([[s1 * c, s1 * s + 0.0], [s2 * s + 0.0, s2 * c]])
-    a = float(np.matmul(np.array([x, y]), g)[1])
-    return a, 1, g
+    sigma = 1.0 if y > 0 else -1.0
+    a = math.sqrt(y * y - x * x)
+    c, s = sigma * y / a, -x / a
+    g = np.array([[c, s + 0.0], [sigma * s + 0.0, sigma * c]])
+    return a, 0, g
 
 
 # -- pipeline stages -----------------------------------------------------------
@@ -705,11 +703,20 @@ def verify_witness(metric: Metric, witness: Witness) -> VerificationResult:
     """Re-multiply the witness of a classified metric and check every membership claim
     at WITNESS_TOL, the recorded m-factor against the metric's Gram matrix included.
 
-    Every size test is relative and reads `not x <= bound`, so that a NaN fails it;
-    singularity is judged by conditioning, so a witness of c * M checks as one of M does.
+    Every size test is relative and reads `not x <= bound`, so that a NaN fails it and an
+    overflow to inf or NaN needs no warning: the products run with floating-point errors
+    ignored.  Singularity is judged by conditioning, so a witness of c * M checks as one of
+    M does.
     A matrix of the wrong size, a singular m-factor, or an exact gram whose float copy
     overflows or rounds to zero fails the check before anything is multiplied.
     """
+    return _verify_witness(metric, witness)
+
+
+# _with_errstate's wrapper passes positional arguments alone, so the public name keeps
+# keyword calls
+@_with_errstate(all="ignore")
+def _verify_witness(metric: Metric, witness: Witness) -> VerificationResult:
     if witness.m_factor is None:
         return VerificationResult(False, math.inf, "witness has no m-factor")
     try:

@@ -35,7 +35,7 @@ from .metrics import (
     xi_exact,
 )
 from .numerics import APPROX, EXACT, SQRT3_F, QSqrt3
-from .orbits import codimension, degeneration_graph, is_closed
+from .orbits import acting_group_dim, codimension, degeneration_graph, is_closed
 from .reduction import (
     classify,
     lambda2_closed_form,
@@ -274,9 +274,9 @@ def check_codimension_table(n_values=tuple(range(4, 11))) -> CheckResult:
                 got = codimension(pair[0], pair[1], n)  # asserts the rank oracle inside
                 if got != expected[pair]:
                     raise AssertionError(f"codim at {pair}, n={n}: {got} != {expected[pair]}")
-            dim = derivation_space_dim(n)
-            if dim != n * n - 3 * n + 7:
-                raise AssertionError(f"derivation space dim at n={n}: {dim}")
+            dim, group_dim = derivation_space_dim(n), acting_group_dim(n)
+            if dim != group_dim:
+                raise AssertionError(f"derivation space dim at n={n}: {dim} != {group_dim}")
         return f"codimension table, stabilizer oracle and derivation dim for n in {list(n_values)}"
 
     return _timed("codimension-table", run)

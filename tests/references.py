@@ -1,12 +1,12 @@
 """Reference helpers that the tests alone use.
 
-The package passes sparse rows to `_linalg.rref_rows` and `nullspace_rows`; the
-dense adapters here take and return object arrays of QSqrt3, the shape the tests'
-references use, and write each sparse result out through `_linalg.exact_dense`.  Der(g)
-as dense matrices, the metric JSON writer and the degeneration-curve sampler build the
-inputs and references of the tests.  `verify_witness_by_side` is the one reference the
-one-pass `verify_witness` must match on a classified metric, and the checker of the
-stage witnesses, whose subject is the starting group element.  `householder_block` and
+The package passes sparse rows to `_linalg.rref_rows`; the dense adapters here take and
+return object arrays of QSqrt3, the shape the tests' references use, and write each sparse
+result out through `_linalg.exact_dense`.  The Leibniz system built densely, Der(g) as
+dense matrices from its nullspace, the metric JSON writer and the degeneration-curve
+sampler build the inputs and references of the tests.  `verify_witness_by_side` is the one
+reference the one-pass `verify_witness` must match on a classified metric, and the checker
+of the stage witnesses, whose subject is the starting group element.  `householder_block` and
 `triangularizing_block` build a reduction factor at the size of its block; placed in an
 identity by `embed`, each is the reference of the full-size builder in `_linalg`.
 """
@@ -22,14 +22,13 @@ from heislor._linalg import (
     inv,
     is_singular,
     max_abs,
-    nullspace_rows,
     qr_q,
     rref_rows,
     shared_eye,
     shared_minkowski_gram,
     to_float,
 )
-from heislor.liealg import _derivation_vectors, aut_pattern, require_dim
+from heislor.liealg import aut_pattern, require_dim
 from heislor.metrics import APPROX, EXACT, Metric, _float_gram, canonical_gram
 from heislor.numerics import QSqrt3
 from heislor.reduction import WITNESS_TOL, VerificationResult, Witness
@@ -43,17 +42,38 @@ def exact_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def exact_nullspace(a: np.ndarray) -> list[np.ndarray]:
-    """Basis of the right nullspace, one vector per free column."""
-    basis = nullspace_rows((enumerate(row) for row in a), a.shape[1])
-    rows = {(r,): v for r, v in enumerate(basis)}
-    return list(exact_dense(rows, (len(basis), a.shape[1])))
+    """Basis of the right nullspace, one vector per free column, read off the rref."""
+    rref = rref_rows(enumerate(row) for row in a)
+    free = [fc for fc in range(a.shape[1]) if fc not in rref]
+    rows = {(r,): {fc: QSqrt3(1), **{pc: -t[fc] for pc, t in rref.items() if fc in t}}
+            for r, fc in enumerate(free)}
+    return list(exact_dense(rows, (len(free), a.shape[1])))
+
+
+def leibniz_system(n: int) -> np.ndarray:
+    """The Leibniz rows built densely, one n x n coefficient array per (i < j, k)."""
+    c = np.zeros((n, n, n), dtype=int)  # [e_1, e_2] = e_n, independent of the package
+    c[0, 1, n - 1], c[1, 0, n - 1] = 1, -1
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                coeff = np.zeros((n, n), dtype=int)
+                # D applied to the bracket value
+                for l in range(n):
+                    coeff[k, l] += c[i, j, l]
+                # minus bracket with D on each slot
+                for l in range(n):
+                    coeff[l, i] -= c[l, j, k]
+                    coeff[l, j] -= c[i, l, k]
+                if np.any(coeff):
+                    rows.append([QSqrt3(int(v)) for v in coeff.reshape(-1)])
+    return np.array(rows, dtype=object)
 
 
 def derivation_basis(n: int) -> tuple[np.ndarray, ...]:
-    """Basis of Der(g) as n x n object matrices, from the package's sparse vectors."""
-    vectors = _derivation_vectors(n)
-    rows = {(r,): dict(v) for r, v in enumerate(vectors)}
-    return tuple(exact_dense(rows, (len(vectors), n * n)).reshape(-1, n, n))
+    """Basis of Der(g) as n x n object matrices: the nullspace of the dense Leibniz system."""
+    return tuple(v.reshape(n, n) for v in exact_nullspace(leibniz_system(n)))
 
 
 def metric_to_json(metric: Metric) -> dict:

@@ -23,7 +23,6 @@ from heislor.numerics import (
     QSqrt3,
     SqrtOfNegative,
     SqrtUnsupportedExact,
-    sign_with_tol,
     sub_product,
 )
 
@@ -138,18 +137,6 @@ def test_ordering_is_total():
     assert QSqrt3(0, 1) > QSqrt3(Fraction(17, 10))  # sqrt3 > 1.7
     assert QSqrt3(0, 1) < QSqrt3(Fraction(174, 100))
     assert QSqrt3(5, -3) < QSqrt3(0)  # 5 - 3 sqrt3 < 0
-
-
-def test_sign_with_tol_examples():
-    assert sign_with_tol(0.0) == 0
-    assert sign_with_tol(1e-12, tol=1e-9) == 0
-    assert sign_with_tol(-0.5) == -1
-
-
-def test_sign_with_tol_monotone():
-    values = [-1.0, -1e-10, 0.0, 1e-10, 2e-9, 0.5]
-    classes = [sign_with_tol(v, tol=1e-9) for v in values]
-    assert classes == sorted(classes)
 
 
 # -- differential test against a Fraction-pair reference -----------------------

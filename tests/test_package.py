@@ -350,6 +350,29 @@ def test_private_names_and_constants_are_read():
     assert not unread
 
 
+def test_src_imports_are_read():
+    """Every name a package module other than __init__.py imports is read in that module,
+    so no import outlives its last use; `from __future__ import annotations` is a
+    compiler directive, not a name."""
+    package = Path(heislor.__file__).resolve().parent
+    unread = []
+    for path in sorted(p for p in package.glob("*.py") if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unread.append(f"{path.name}:{node.lineno} {bound}")
+    assert not unread
+
+
 #: public names that may go unread in src/ and perfbench/: classify_by_invariants is
 #: the documented independent classifier, kept to cross-check classify's pipeline, and
 #: signature_of the checked signature of any symmetric matrix, where the package reads
@@ -467,7 +490,7 @@ def test_exact_arrays_cast_through_to_float_and_grams_through_float_gram():
 
 
 #: the reduction's stacked and vector products, where ndarray.dot would contract other axes
-MATMUL_SITES = {"o11_normalize", "verify_witness"}
+MATMUL_SITES = {"o11_normalize", "_verify_witness"}
 
 
 def test_reduction_multiplies_through_dot_and_matmul():

@@ -4,6 +4,7 @@ import decimal
 import math
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -37,8 +38,9 @@ from heislor.metrics import (
     signature_of,
     xi_float,
 )
-from heislor.numerics import QSqrt3
+from heislor.numerics import DEFAULT_TOL, QSqrt3
 from heislor.orbits import _curve_points
+from heislor import cli
 import heislor._linalg as linalg
 import heislor.metrics as metrics
 import heislor.reduction as reduction
@@ -51,6 +53,7 @@ from heislor.reduction import (
     NoTableMatch,
     NotInGLambda,
     NumericalBreakdown,
+    Witness,
     ZeroVector,
     classify,
     classify_by_invariants,
@@ -152,6 +155,26 @@ def test_o11_blocks_match_matmul_form():
             lams.add(lam)
             zeros += int((g == 0.0).sum())
     assert lams == {0, 1, 2} and zeros
+
+
+# x^2 - y^2 is exactly DEFAULT_TOL * x^2 at this pair, and the floats next to y put it
+# two units of 2^-52 above and below the band
+_BAND_PAIR = (1.021572142899192, 1.0215721423884059)
+
+
+def test_o11_branch_turns_at_the_band():
+    """|x^2 - y^2| <= DEFAULT_TOL * max(x^2, y^2), the band's edge included, is the light
+    cone; one step outside it is lam = 2 for a positive x^2 - y^2 and lam = 0 for a
+    negative one, in every sign quadrant and with the reference's g."""
+    x, y = _BAND_PAIR
+    assert x * x - y * y == DEFAULT_TOL * (x * x)
+    inside, outside = math.nextafter(y, 2.0), math.nextafter(y, 0.0)
+    cases = {(x, y): 1, (y, x): 1, (x, inside): 1, (inside, x): 1, (x, outside): 2, (outside, x): 0}
+    for (u, v), lam in cases.items():
+        for su, sv in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+            _, got_lam, g = o11_normalize(su * u, sv * v)
+            ref_lam, ref = _o11_matmul_form(su * u, sv * v)
+            assert got_lam == ref_lam == lam and np.array_equal(g, ref), (su * u, sv * v)
 
 
 # -- stagewise reduction ----------------------------------------------------------
@@ -583,7 +606,7 @@ def test_verify_witness_fails_a_nan_factor_entry(side, problem):
 
     metric = _orbit_sample(2, "0", 5, seed=3)
     _, _, witness = classify(metric)
-    assert verify_witness(metric, witness).ok
+    assert verify_witness(metric=metric, witness=witness).ok
     got = verify_witness(metric, _corrupt(witness, side, 0, nan_corner))
     assert not got.ok and math.isnan(got.residual)
     assert problem in got.detail and "misses the target by nan" in got.detail
@@ -1334,6 +1357,38 @@ def test_exact_wall_samples_are_never_ambiguous(pair):
             assert verify_witness(metric, witness).ok, (n, seed)
 
 
+#: verify_witness's rejections out of the 20 grams of each (n, d) cell of the lam wall,
+#: as measured when the grid was added: a rise is a regression
+_LAMBDA_WALL_REJECTIONS = {
+    4: {1e-3: 0, -1e-3: 0, 1e-4: 1, -1e-4: 0, 1e-5: 9, -1e-5: 2},
+    6: {1e-3: 0, -1e-3: 0, 1e-4: 2, -1e-4: 0, 1e-5: 7, -1e-5: 2},
+    8: {1e-3: 0, -1e-3: 0, 1e-4: 3, -1e-4: 0, 1e-5: 1, -1e-5: 1},
+}
+
+
+def test_lambda_wall_gives_the_sign_of_d_or_a_typed_error():
+    """e_n spans the derived ideal, so the sign of d = <e_n, e_n> is the lam invariant:
+    lam = 2 for d > 0 and 0 for d < 0.  On grams a^T J a (standard normal a) with entry
+    (n, n) set to a small d, classify returns that lam or raises an error the CLI maps to
+    an exit code, and verify_witness rejects no more witnesses per cell than measured."""
+    rng = np.random.default_rng(1400)
+    for n, cells in _LAMBDA_WALL_REJECTIONS.items():
+        for d, most in cells.items():
+            rejected = 0
+            for _ in range(20):
+                a = rng.standard_normal((n, n))
+                gram = a.T @ minkowski_gram(n) @ a
+                gram[n - 1, n - 1] = d
+                metric = Metric(gram=gram, backend=APPROX)
+                try:
+                    form, _, witness = classify(metric)
+                except tuple(cli.EXIT_CODES):
+                    continue
+                assert form.lam == (2 if d > 0 else 0), (n, d)
+                rejected += not verify_witness(metric, witness).ok
+            assert rejected <= most, (n, d, rejected)
+
+
 # -- the one-pass witness check against its by-side reference ------------------------
 
 
@@ -1484,6 +1539,52 @@ def test_verify_witness_matches_the_by_side_reference(corruption):
         assert _bits(got) == _bits(verify_witness_by_side(metric, witness))
         assert got.ok == (expected == "") and expected in got.detail
 
+
+
+#: entries too large for the pseudo-orthogonality bound or a product, not finite, zero or
+#: subnormal, as test_verify_witness_answers_a_mutated_entry_without_a_warning writes them
+_EXTREME_ENTRIES = (1e155, -1e155, 1e200, 1e308, math.inf, -math.inf, math.nan, 0.0, 1e-320)
+
+
+def _with_entry(index, value):
+    """A mutation that writes value at index of a copy of the matrix it is given."""
+
+    def write(a):
+        a = a.copy()
+        a[index] = value
+        return a
+
+    return write
+
+
+def test_verify_witness_answers_a_mutated_entry_without_a_warning():
+    """One entry of a left factor, a right factor, the start or the m-factor set to an
+    extreme value gets a verdict with every warning an error, on the witnesses of 30
+    orbit samples, and it is the by-side reference's, run with floating-point errors
+    ignored, bit for bit."""
+    rng = np.random.default_rng(3800)
+    cases = []
+    for i in range(30):
+        metric = random_orbit_metric(CANONICAL_PAIRS[i % 6], 4 + i % 5, rng)
+        cases.append((metric, classify(metric)[2]))
+    for metric, witness in cases:
+        n = witness.n
+        for part in ("left", "right", "start", "m_factor"):
+            for value in _EXTREME_ENTRIES:
+                index = tuple(int(k) for k in rng.integers(0, n, 2))
+                mutated = Witness(list(witness.left), list(witness.right), witness.start,
+                                  witness.target, witness.m_factor)
+                if part in ("left", "right"):
+                    k = int(rng.integers(len(getattr(witness, part))))
+                    _corrupt(mutated, part, k, _with_entry(index, value))
+                else:
+                    setattr(mutated, part, _with_entry(index, value)(getattr(witness, part)))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = verify_witness(metric, mutated)
+                with np.errstate(all="ignore"):
+                    want = verify_witness_by_side(metric, mutated)
+                assert _bits(got) == _bits(want), (part, value, index)
 
 
 def test_singular_verdict_turns_at_the_threshold():
