@@ -52,11 +52,7 @@ def exact_zeros(shape) -> np.ndarray:
 
 
 def exact_eye(n: int) -> np.ndarray:
-    arr = exact_zeros((n, n))
-    one = QSqrt3(1)
-    for i in range(n):
-        arr[i, i] = one
-    return arr
+    return exact_dense({(i,): {i: _ONE} for i in range(n)}, (n, n))
 
 
 def to_float(a: np.ndarray) -> np.ndarray:
@@ -66,12 +62,8 @@ def to_float(a: np.ndarray) -> np.ndarray:
 
 def minkowski_gram(n: int, exact: bool = False) -> np.ndarray:
     """diag(1, ..., 1, -1), the canonical Lorentzian inner product."""
-    if exact:
-        g = exact_eye(n)
-        g[n - 1, n - 1] = QSqrt3(-1)
-        return g
-    g = np.eye(n)
-    g[n - 1, n - 1] = -1.0
+    g = exact_eye(n) if exact else np.eye(n)
+    g[n - 1, n - 1] = -g[n - 1, n - 1]
     return g
 
 
@@ -147,8 +139,9 @@ def exact_dense(rows: dict, shape: tuple[int, ...]) -> np.ndarray:
     """Object array of the given shape from sparse rows {leading indices: {last index: x}}."""
     out = exact_zeros(shape)
     for key, row in rows.items():
+        line = out[key]  # a view: an int index writes faster than a built tuple
         for k, x in row.items():
-            out[(*key, k)] = x
+            line[k] = x
     return out
 
 

@@ -15,13 +15,14 @@ Curvature is exact only, over Q(sqrt3); the approx report is the exact one
 rounded once.  Two independent code paths produce the component tables, and
 tests require them to agree exactly: hard-coded closed forms in (lam, xi), and
 a generic route driven purely by structure constants (Koszul formula; Milnor,
-Adv. Math. 21, 1976).  The generic route loops over nonzero terms only: it
-keeps brackets, connection and curvature columns as sparse rows
-{(i, j): {k: QSqrt3}}, drops an entry that cancels, and builds dense tables
-once at the end.  Every table is a plain object array; U and nabla are indexed
-[i, j, k], the x_k coordinate of U(x_i, x_j) and of nabla_(x_i) x_j.  The Ricci
-spectrum is read exactly off the characteristic polynomial of the corner block,
-split over Q(sqrt3) with no float eigenvalue.
+Adv. Math. 21, 1976).  Both routes write every table as sparse rows
+{(i, j): {k: QSqrt3}} and densify them once with _linalg.exact_dense: the
+closed forms as literals, a curvature operator by its columns, and the generic
+route by looping over nonzero terms only, dropping an entry that cancels.
+Every table is a plain object array; U and nabla are indexed [i, j, k], the x_k
+coordinate of U(x_i, x_j) and of nabla_(x_i) x_j.  The Ricci spectrum is read
+exactly off the characteristic polynomial of the corner block, split over
+Q(sqrt3) with no float eigenvalue.
 
 The middle frame directions x_3, ..., x_(n-2) are inert; every table is
 supported on the corner coordinates (1, 2, n-1, n).
@@ -35,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import _subtract, exact_dense, exact_zeros, max_abs, to_float
+from ._linalg import _subtract, exact_dense, max_abs, to_float
 from .errors import EvidenceFailure
 from .liealg import _bracket_terms, require_dim
 from .metrics import canonical_pair, xi_exact, xi_json
@@ -162,49 +163,40 @@ def _corners_and_scalars(lam, xi, n: int) -> tuple:
 
 def closed_form_u(lam, xi, n: int) -> np.ndarray:
     """Hard-coded symmetric U components on the corner coordinates, as u[i, j, k]."""
-    u = exact_zeros((n, n, n))
     a, b, c, d, lam, xi, one, half = _corners_and_scalars(lam, xi, n)
-
-    def put(i, j, entries):
-        for k, v in entries:
-            u[i, j, k] = v
-            u[j, i, k] = v
-
-    put(a, a, [(b, lam)])
-    put(a, b, [(a, -half * lam), (c, -half * lam * xi), (d, half * lam * lam)])
-    put(a, c, [(b, half * lam * xi)])
-    put(a, d, [(b, half * (lam * lam + one))])
-    put(b, d, [(a, -half), (c, -half * xi), (d, half * lam)])
-    put(c, d, [(b, half * xi)])
-    put(d, d, [(b, lam)])
-    return u
+    rows = {
+        (a, a): {b: lam},
+        (a, b): {a: -half * lam, c: -half * lam * xi, d: half * lam * lam},
+        (a, c): {b: half * lam * xi},
+        (a, d): {b: half * (lam * lam + one)},
+        (b, d): {a: -half, c: -half * xi, d: half * lam},
+        (c, d): {b: half * xi},
+        (d, d): {b: lam},
+    }
+    rows.update({(j, i): row for (i, j), row in rows.items()})  # U is symmetric
+    return exact_dense(rows, (n, n, n))
 
 
 def closed_form_nabla(lam, xi, n: int) -> np.ndarray:
     """Hard-coded connection components on the corner coordinates, as nabla[i, j, k]."""
-    nb = exact_zeros((n, n, n))
     a, b, c, d, lam, xi, one, half = _corners_and_scalars(lam, xi, n)
     lam2 = lam * lam
-
-    def put(i, j, entries):
-        for k, v in entries:
-            nb[i, j, k] = v
-
-    put(a, a, [(b, lam)])
-    put(a, b, [(a, -lam), (c, -half * lam * xi), (d, half * (lam2 + one))])
-    put(a, c, [(b, half * lam * xi)])
-    put(a, d, [(b, half * (lam2 + one))])
-    put(b, a, [(c, -half * lam * xi), (d, half * (lam2 - one))])
-    put(b, c, [(a, half * lam * xi), (d, -half * xi)])
-    put(b, d, [(a, half * (lam2 - one)), (c, -half * xi)])
-    put(c, a, [(b, half * lam * xi)])
-    put(c, b, [(a, -half * lam * xi), (d, half * xi)])
-    put(c, d, [(b, half * xi)])
-    put(d, a, [(b, half * (lam2 + one))])
-    put(d, b, [(a, -half * (lam2 + one)), (c, -half * xi), (d, lam)])
-    put(d, c, [(b, half * xi)])
-    put(d, d, [(b, lam)])
-    return nb
+    return exact_dense({
+        (a, a): {b: lam},
+        (a, b): {a: -lam, c: -half * lam * xi, d: half * (lam2 + one)},
+        (a, c): {b: half * lam * xi},
+        (a, d): {b: half * (lam2 + one)},
+        (b, a): {c: -half * lam * xi, d: half * (lam2 - one)},
+        (b, c): {a: half * lam * xi, d: -half * xi},
+        (b, d): {a: half * (lam2 - one), c: -half * xi},
+        (c, a): {b: half * lam * xi},
+        (c, b): {a: -half * lam * xi, d: half * xi},
+        (c, d): {b: half * xi},
+        (d, a): {b: half * (lam2 + one)},
+        (d, b): {a: -half * (lam2 + one), c: -half * xi, d: lam},
+        (d, c): {b: half * xi},
+        (d, d): {b: lam},
+    }, (n, n, n))
 
 
 def closed_form_riemann(lam, xi, n: int) -> dict[tuple[int, int], np.ndarray]:
@@ -218,49 +210,35 @@ def closed_form_riemann(lam, xi, n: int) -> dict[tuple[int, int], np.ndarray]:
     s = 4 * lam2 * lam - lam * (xi2 + 4 * one)
     t = 3 * lam2 * lam2 - 2 * lam2 - xi2 - one
 
-    ops: dict[tuple[int, int], np.ndarray] = {}
-
-    def op(i, j, columns):
-        table = exact_zeros((n, n))
-        for k, entries in columns.items():
-            for l, v in entries:
-                table[l, k] = quarter * v
-        ops[(i, j)] = table
-
-    op(a, b, {
-        a: [(b, p)],
-        b: [(a, -p), (c, -q), (d, s)],
-        c: [(b, q)],
-        d: [(b, s)],
-    })
-    op(a, c, {
-        a: [(c, -lam2 * xi2), (d, lam * xi * m)],
-        c: [(a, lam2 * xi2), (d, -lam * xi2)],
-        d: [(a, lam * xi * m), (c, -lam * xi2)],
-    })
-    op(a, d, {
-        a: [(c, -lam * xi * m), (d, m * m)],
-        c: [(a, lam * xi * m), (d, -xi * m)],
-        d: [(a, m * m), (c, -xi * m)],
-    })
-    op(b, c, {
-        a: [(b, -q)],
-        b: [(a, q), (c, q * xi), (d, -q * lam)],
-        c: [(b, -q * xi)],
-        d: [(b, -q * lam)],
-    })
-    op(b, d, {
-        a: [(b, -s)],
-        b: [(a, s), (c, q * lam), (d, -t)],
-        c: [(b, -q * lam)],
-        d: [(b, -t)],
-    })
-    op(c, d, {
-        a: [(c, lam * xi2), (d, -xi * m)],
-        c: [(a, -lam * xi2), (d, xi2)],
-        d: [(a, -xi * m), (c, xi2)],
-    })
-    return ops
+    # the columns R(x_i, x_j) x_k, times 4, in the generic route's shape {(i, j, k): {l: 4 R_lk}}
+    columns = {
+        (a, b, a): {b: p},
+        (a, b, b): {a: -p, c: -q, d: s},
+        (a, b, c): {b: q},
+        (a, b, d): {b: s},
+        (a, c, a): {c: -lam2 * xi2, d: lam * xi * m},
+        (a, c, c): {a: lam2 * xi2, d: -lam * xi2},
+        (a, c, d): {a: lam * xi * m, c: -lam * xi2},
+        (a, d, a): {c: -lam * xi * m, d: m * m},
+        (a, d, c): {a: lam * xi * m, d: -xi * m},
+        (a, d, d): {a: m * m, c: -xi * m},
+        (b, c, a): {b: -q},
+        (b, c, b): {a: q, c: q * xi, d: -q * lam},
+        (b, c, c): {b: -q * xi},
+        (b, c, d): {b: -q * lam},
+        (b, d, a): {b: -s},
+        (b, d, b): {a: s, c: q * lam, d: -t},
+        (b, d, c): {b: -q * lam},
+        (b, d, d): {b: -t},
+        (c, d, a): {c: lam * xi2, d: -xi * m},
+        (c, d, c): {a: -lam * xi2, d: xi2},
+        (c, d, d): {a: -xi * m, c: xi2},
+    }
+    for col in columns.values():
+        for l, v in col.items():
+            col[l] = quarter * v
+    full = exact_dense(columns, (n, n, n, n))  # full[i, j] holds column k as row k
+    return {(i, j): full[i, j].T for i, j, _ in columns}
 
 
 def closed_form_ricci(lam, xi, n: int, exact: bool = True) -> np.ndarray:
@@ -269,18 +247,18 @@ def closed_form_ricci(lam, xi, n: int, exact: bool = True) -> np.ndarray:
     a, b, c, d, lam, xi, one, half = _corners_and_scalars(lam, xi, n)
     lam2, xi2 = lam * lam, xi * xi
     m = lam2 - one
-    ric = exact_zeros((n, n))
-    ric[a, a] = -half * (lam2 * lam2 - lam2 * xi2 - one)
-    ric[c, a] = -half * xi * m
-    ric[d, a] = half * (2 * lam2 * lam - lam * (xi2 + 2 * one))
-    ric[b, b] = half * (lam2 * lam2 - lam2 * (xi2 + 2 * one) + xi2 + one)
-    ric[a, c] = -half * xi * m
-    ric[c, c] = -half * xi2 * m
-    ric[d, c] = half * lam * xi * m
-    ric[a, d] = -half * (2 * lam2 * lam - lam * (xi2 + 2 * one))
-    ric[c, d] = -half * lam * xi * m
-    ric[d, d] = half * (lam2 * lam2 - xi2 - one)
-    return ric
+    return exact_dense({
+        (a,): {a: -half * (lam2 * lam2 - lam2 * xi2 - one),
+               c: -half * xi * m,
+               d: -half * (2 * lam2 * lam - lam * (xi2 + 2 * one))},
+        (b,): {b: half * (lam2 * lam2 - lam2 * (xi2 + 2 * one) + xi2 + one)},
+        (c,): {a: -half * xi * m,
+               c: -half * xi2 * m,
+               d: -half * lam * xi * m},
+        (d,): {a: half * (2 * lam2 * lam - lam * (xi2 + 2 * one)),
+               c: half * lam * xi * m,
+               d: half * (lam2 * lam2 - xi2 - one)},
+    }, (n, n))
 
 
 # -- curvature properties --------------------------------------------------------

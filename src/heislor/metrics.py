@@ -204,14 +204,9 @@ def act(g: np.ndarray, metric: Metric) -> Metric:
 def shear_matrix(lam, xi, n: int, exact: bool = True) -> np.ndarray:
     """Identity plus the (1, n-1) and (1, n) shear entries xi and lam."""
     require_dim(n)
-    if exact:
-        g = exact_eye(n)
-        g[0, n - 2] = QSqrt3.coerce(xi)
-        g[0, n - 1] = QSqrt3.coerce(lam)
-    else:
-        g = np.eye(n)
-        g[0, n - 2] = float(xi)
-        g[0, n - 1] = float(lam)
+    g, entry = (exact_eye(n), QSqrt3.coerce) if exact else (np.eye(n), float)
+    g[0, n - 2] = entry(xi)
+    g[0, n - 1] = entry(lam)
     return g
 
 

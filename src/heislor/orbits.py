@@ -280,15 +280,12 @@ def degeneration_graph(n: int) -> DegenerationGraph:
             )
     edges = {(fam.source, fam.target): f"curve:{name}" for name, fam in CURVE_FAMILIES.items()}
 
-    # transitive closure of the curve edges
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), _tag in list(edges.items()):
-            for (c, d) in list(edges):
-                if c == b and (a, d) not in edges and a != d:
-                    edges[(a, d)] = "transitive"
-                    changed = True
+    # transitive closure of the curve edges: one Warshall pass, the middle node outermost
+    for mid in nodes:
+        for a in nodes:
+            for d in nodes:
+                if (a, mid) in edges and (mid, d) in edges and a != d:
+                    edges.setdefault((a, d), "transitive")
 
     sigs = signature_table(n)
     non_edges: dict[tuple, str] = {}

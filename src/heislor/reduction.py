@@ -237,32 +237,38 @@ def o11_normalize(x: float, y: float) -> tuple[float, int, np.ndarray]:
     magnitude: |q| <= DEFAULT_TOL * max(x^2, y^2) -> lam=1, else by the sign of q,
     positive -> lam=2 and otherwise lam=0.  Returns (a, lam, g) with (x, y) @ g =
     (-lam*a, a), each branch's g = diag(d) @ [[c, s], [s, c]] written out; + 0.0 makes a
-    zero s +0.0, as @ does.
+    zero s +0.0, as @ does.  The branch and a are read on (u, v) = (x, y) / 2^k, whose
+    larger entry lies in [1/2, 1): no square overflows, and a power of 2 scales exactly.
     """
-    scale = max(x * x, y * y)
-    if scale == 0.0:
+    m, k = math.frexp(max(abs(x), abs(y)))
+    if m == 0.0:
         raise ZeroVector("(x, y) must be nonzero")
-    q = x * x - y * y
+    u, v = math.ldexp(x, -k), math.ldexp(y, -k)
+    scale = max(u * u, v * v)
+    q = u * u - v * v
     if abs(q) <= DEFAULT_TOL * scale:
         # light-cone branch: reflect onto (-|x|, |y|) and boost the magnitude to 1
         s1 = -1.0 if x > 0 else 1.0
         s2 = 1.0 if y >= 0 else -1.0
-        e_theta = 0.5 * (abs(x) + abs(y))
+        e_theta = math.ldexp(0.5 * (abs(u) + abs(v)), k)  # 0.5 (|x| + |y|), not rounded to 0
         c = 0.5 * (e_theta + 1.0 / e_theta)
         s = 0.5 * (e_theta - 1.0 / e_theta)
         g = np.array([[s1 * c, s1 * s + 0.0], [s2 * s + 0.0, s2 * c]])
-        a = float(np.matmul(np.array([x, y]), g)[1])
-        return a, 1, g
+        a = float(np.matmul(np.array([u, v]), g)[1])
+        try:
+            return math.ldexp(a, k), 1, g
+        except OverflowError:  # a is about e_theta (|y| - |x|) / 2, past the float range
+            return math.copysign(math.inf, a), 1, g
     if q > 0:
         sigma = -1.0 if x > 0 else 1.0
         a = math.sqrt(q / 3.0)
-        xs = sigma * x
-        c = -(2.0 * xs + y) / (3.0 * a)
-        s = (xs + 2.0 * y) / (3.0 * a)
+        us = sigma * u
+        c = -(2.0 * us + v) / (3.0 * a)
+        s = (us + 2.0 * v) / (3.0 * a)
         g = np.array([[sigma * c, sigma * s + 0.0], [s + 0.0, c]])
-        return a, 2, g
+        return math.ldexp(a, k), 2, g
     sigma = 1.0 if y > 0 else -1.0
-    a = math.sqrt(y * y - x * x)
+    a = math.ldexp(math.sqrt(v * v - u * u), k)
     c, s = sigma * y / a, -x / a
     g = np.array([[c, s + 0.0], [sigma * s + 0.0, sigma * c]])
     return a, 0, g
@@ -443,7 +449,8 @@ def _check_g_lambda(g: np.ndarray, lam: int) -> None:
     require_dim(n)
     band = DEFAULT_TOL * max(1.0, max_abs(g))
     if not (
-        abs(g[n - 1, n - 1] - 1.0) <= band
+        np.isfinite(g).all()  # an inf widens the band, and a NaN off the last row is not read
+        and abs(g[n - 1, n - 1] - 1.0) <= band
         and max_abs(g[n - 1, 1 : n - 1]) <= band
         and max_abs(g[: n - 1, n - 1]) <= band
         and abs(g[n - 1, 0] + lam) <= band

@@ -6,12 +6,15 @@ result out through `_linalg.exact_dense`.  The Leibniz system built densely, Der
 dense matrices from its nullspace, the metric JSON writer and the degeneration-curve
 sampler build the inputs and references of the tests.  `verify_witness_by_side` is the one
 reference the one-pass `verify_witness` must match on a classified metric, and the checker
-of the stage witnesses, whose subject is the starting group element.  `householder_block` and
-`triangularizing_block` build a reduction factor at the size of its block; placed in an
-identity by `embed`, each is the reference of the full-size builder in `_linalg`.
+of the stage witnesses, whose subject is the starting group element.  `exact_chain_residual`
+multiplies a witness's chain with no rounding, the exact side the float chain check is
+compared with.  `householder_block` and `triangularizing_block` build a reduction factor at
+the size of its block; placed in an identity by `embed`, each is the reference of the
+full-size builder in `_linalg`.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -166,3 +169,28 @@ def householder_block(v: np.ndarray, k: int) -> np.ndarray:
 def triangularizing_block(b: np.ndarray) -> np.ndarray:
     """Orthogonal Q of b's size with b @ Q upper triangular, and no signed zero."""
     return qr_q(np.asarray(b, dtype=float).T[::-1, ::-1] + 0.0)[::-1, ::-1] + 0.0
+
+
+def _dyadic(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(M, e) with the float array a equal to the integer array M times 2^e, exactly."""
+    ratios = [x.as_integer_ratio() for x in np.asarray(a, dtype=float).reshape(-1).tolist()]
+    shift = max(d.bit_length() for _, d in ratios) - 1  # every d is a power of 2
+    ints = [p << (shift - d.bit_length() + 1) for p, d in ratios]
+    return np.array(ints, dtype=object).reshape(np.shape(a)), -shift
+
+
+def exact_chain_residual(witness: Witness) -> Fraction:
+    """max |left[0] ... left[-1] start right[0] ... right[-1] - target| with the witness's
+    float entries multiplied exactly, as Fractions: each factor is an integer array times
+    a power of 2, so the chain is one integer product and the residual one Fraction."""
+    out, e = _dyadic(witness.start)
+    for factor in reversed(witness.left):
+        m, k = _dyadic(factor)
+        out, e = m.dot(out), e + k
+    for factor in witness.right:
+        m, k = _dyadic(factor)
+        out, e = out.dot(m), e + k
+    target, k = _dyadic(witness.target)
+    low = min(e, k)
+    diff = out * (1 << (e - low)) - target * (1 << (k - low))
+    return Fraction(max(abs(x) for x in diff.reshape(-1).tolist()), 1 << -low)

@@ -12,6 +12,10 @@ from heislor import _linalg
 from heislor.curvature import (
     EvidenceFailure,
     _charpoly,
+    _nabla_terms,
+    _ricci_terms,
+    _riemann_terms,
+    _u_terms,
     closed_form_nabla,
     closed_form_ricci,
     closed_form_riemann,
@@ -27,6 +31,7 @@ from heislor.curvature import (
     soliton_certificate,
 )
 from heislor._linalg import exact_eye, exact_inv, exact_zeros, to_float
+from heislor.liealg import _bracket_terms
 from heislor.metrics import CANONICAL_PAIRS, NotARepresentative, shear_matrix, xi_exact
 from heislor.numerics import QSqrt3
 
@@ -259,6 +264,37 @@ _field = st.builds(QSqrt3, _small_fractions, _small_fractions)
 @example(QSqrt3(Fraction(13, 10)), QSqrt3(Fraction(2, 5)), 7)
 def test_generic_equals_closed_forms_off_the_representatives(lam, xi, n):
     _assert_generic_equals_closed_forms(lam, xi, n)
+
+
+#: the three off-representative (lam, xi) of the examples above
+_OFF_REPRESENTATIVES = (
+    (QSqrt3(Fraction(-3, 7)), QSqrt3(1, 2)),
+    (QSqrt3(Fraction(5, 3), Fraction(1, 2)), QSqrt3(Fraction(2, 5))),
+    (QSqrt3(Fraction(13, 10)), QSqrt3(Fraction(2, 5))),
+)
+
+
+@pytest.mark.parametrize("n", (5, 6, 7, 8))
+def test_curvature_tables_live_on_the_corner(n):
+    """Every index of the generic route's sparse terms, key and entry alike, and every
+    nonzero entry of the four closed forms is a corner coordinate 0, 1, n-2 or n-1."""
+    corner = {0, 1, n - 2, n - 1}
+    pairs = [_exact_frame(pair, n) for pair in CANONICAL_PAIRS] + list(_OFF_REPRESENTATIVES)
+    for lam, xi in pairs:
+        br = _bracket_terms(lam, xi, n)
+        eps = frame_signs(n)
+        u = _u_terms(br, eps)
+        nabla = _nabla_terms(u, br)
+        ops = _riemann_terms(nabla, br, n)
+        for terms in (u, nabla, ops, _ricci_terms(ops, eps)):
+            for key, row in terms.items():
+                assert set(key) | set(row) <= corner, (lam, xi, key, row)
+        ops_c = closed_form_riemann(lam, xi, n)
+        assert set(np.ravel(list(ops_c))) <= corner
+        closed = (closed_form_u, closed_form_nabla, closed_form_ricci)
+        for table in [f(lam, xi, n) for f in closed] + list(ops_c.values()):
+            support = {index for at, x in np.ndenumerate(table) if x for index in at}
+            assert support <= corner, (lam, xi)
 
 
 @pytest.mark.parametrize("n", (4, 6))

@@ -47,6 +47,7 @@ import heislor.reduction as reduction
 from heislor.reduction import (
     SNAP_LIMIT,
     WALL_BAND,
+    WITNESS_TOL,
     AmbiguousNearWall,
     ClassificationMismatch,
     NegativeT,
@@ -72,7 +73,7 @@ from heislor.reduction import (
 )
 from heislor.verification import lambda2_equation, random_orbit_metric
 
-from references import verify_witness_by_side
+from references import exact_chain_residual, verify_witness_by_side
 
 SQRT3 = math.sqrt(3.0)
 
@@ -177,6 +178,28 @@ def test_o11_branch_turns_at_the_band():
             assert got_lam == ref_lam == lam and np.array_equal(g, ref), (su * u, sv * v)
 
 
+def test_o11_answers_pairs_whose_squares_leave_the_float_range():
+    """(1, 1e160) is timelike, though x^2 - y^2 overflows, and (1e-170, 3e-170) is nonzero,
+    though both squares underflow: each is read at the scale of its larger entry, with no
+    RuntimeWarning, and gives lam = 0 with (x, y) @ g = (0, a)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y, a_true in ((1.0, 1e160, 1e160), (1e-170, 3e-170, math.sqrt(8.0) * 1e-170)):
+            a, lam, g = o11_normalize(x, y)
+            assert lam == 0 and a == pytest.approx(a_true, rel=1e-15), (x, y)
+            assert np.allclose(np.array([x / a, y / a]) @ g, [0.0, 1.0], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("e", (-600, -300, 300, 600))
+def test_o11_scales_with_a_power_of_two(e):
+    """Off the light cone the branch is read at one scale and g is a ratio, so scaling
+    (x, y) by 2^e scales a by 2^e exactly and leaves lam and g as they are."""
+    for x, y in ((1.0, 3.0), (3.0, 1.0), (-0.7, 2.0), (2.0, -1.0), (1e-3, -1.0)):
+        a, lam, g = o11_normalize(x, y)
+        a_e, lam_e, g_e = o11_normalize(math.ldexp(x, e), math.ldexp(y, e))
+        assert lam == lam_e != 1 and a_e == math.ldexp(a, e) and np.array_equal(g, g_e), (x, y)
+
+
 # -- stagewise reduction ----------------------------------------------------------
 
 
@@ -240,6 +263,18 @@ def test_reduce_lambda0_rejects_bad_input():
     g[3, 0] = -1.0
     with pytest.raises(NotInGLambda):
         reduce_lambda0(g)
+
+
+@pytest.mark.parametrize("bad", (math.inf, math.nan))
+@pytest.mark.parametrize("lam", (0, 1, 2))
+def test_stages_refuse_a_non_finite_entry(lam, bad):
+    """An inf or NaN entry off the last row and column is refused up front, though an inf
+    widens the tolerance band and a NaN there is never compared."""
+    g = np.eye(5)
+    g[4, 0] = -float(lam)
+    g[1, 2] = bad
+    with pytest.raises(NotInGLambda):
+        reduce_lambda0(g) if lam == 0 else reduce_to_t(g, lam)
 
 
 def _t_form(n, lam, t):
@@ -1387,6 +1422,47 @@ def test_lambda_wall_gives_the_sign_of_d_or_a_typed_error():
                 assert form.lam == (2 if d > 0 else 0), (n, d)
                 rejected += not verify_witness(metric, witness).ok
             assert rejected <= most, (n, d, rejected)
+
+
+#: per (n, d) cell of the Lorentzian lam-wall grid, the witnesses where verify_witness and
+#: the exact chain residual disagree, as measured when the grid was added: (verify_witness
+#: passes and the exact chain misses, verify_witness fails and the exact chain holds)
+_LORENTZIAN_WALL_DISAGREEMENTS = {
+    4: {1e-3: (0, 0), -1e-3: (0, 0), 1e-4: (0, 2), -1e-4: (0, 0), 1e-5: (0, 14), -1e-5: (0, 6)},
+    6: {1e-3: (0, 0), -1e-3: (0, 0), 1e-4: (0, 13), -1e-4: (0, 0), 1e-5: (0, 19), -1e-5: (0, 13)},
+    8: {1e-3: (0, 0), -1e-3: (0, 0), 1e-4: (0, 16), -1e-4: (0, 1), 1e-5: (0, 16), -1e-5: (0, 17)},
+}
+
+
+def test_lambda_wall_on_lorentzian_grams_against_the_exact_chain():
+    """The lam-wall cells again, each filled with 20 Lorentzian grams: a^T J a with entry
+    (n, n) set to d is drawn from one generator until the cell holds 20 of signature
+    (n-1, 1, 0).  Each classify returns lam = 2 for d > 0 and 0 for d < 0 or raises an
+    error the CLI maps to an exit code, and verify_witness disagrees with the exact chain
+    residual within WITNESS_TOL on no more witnesses per cell, either way, than measured."""
+    rng = np.random.default_rng(1400)
+    for n, cells in _LORENTZIAN_WALL_DISAGREEMENTS.items():
+        for d, (most_float_only, most_exact_only) in cells.items():
+            grams = float_only = exact_only = 0
+            while grams < 20:
+                a = rng.standard_normal((n, n))
+                gram = a.T @ minkowski_gram(n) @ a
+                gram[n - 1, n - 1] = d
+                if signature_of(gram) != (n - 1, 1, 0):
+                    continue
+                grams += 1
+                metric = Metric(gram=gram, backend=APPROX)
+                try:
+                    form, _, witness = classify(metric)
+                except tuple(cli.EXIT_CODES):
+                    continue
+                assert form.lam == (2 if d > 0 else 0), (n, d)
+                ok = verify_witness(metric, witness).ok
+                exact_ok = exact_chain_residual(witness) <= WITNESS_TOL
+                float_only += ok and not exact_ok
+                exact_only += exact_ok and not ok
+            assert float_only <= most_float_only, (n, d, float_only)
+            assert exact_only <= most_exact_only, (n, d, exact_only)
 
 
 # -- the one-pass witness check against its by-side reference ------------------------
