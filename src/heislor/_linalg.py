@@ -158,28 +158,6 @@ def exact_inv(a: np.ndarray) -> np.ndarray:
     return exact_dense({(i,): {j - n: x for j, x in rref[i].items()} for i in range(n)}, (n, n))
 
 
-def shear_conjugator(lam, xi, n: int):
-    """(k, l) -> nonzero entries (a, c, x) of g^-1 E_kl g, for the shear
-    g = I + xi E_(0,n-2) + lam E_(0,n-1).
-
-    N = g - I has N^2 = 0, so g^-1 = I - N is the shear by (-xi, -lam): the columns
-    of g^-1 and the rows of g are read off lam and xi, with no inverse formed.
-    Entries are listed row by row, as in the dense product; a product with a unit
-    factor is the other factor.
-    """
-    lam, xi = QSqrt3.coerce(lam), QSqrt3.coerce(xi)
-    one = QSqrt3(1)  # the unit entries, told apart by identity
-    cols = [[(k, one)] for k in range(n)]  # column k of g^-1
-    rows = [[(l, one)] for l in range(n)]  # row l of g
-    for c, x in ((n - 2, xi), (n - 1, lam)):
-        if x:
-            cols[c].insert(0, (0, -x))
-            rows[0].append((c, x))
-    return lambda k, l: [
-        (a, c, y if x is one else x if y is one else x * y) for a, x in cols[k] for c, y in rows[l]
-    ]
-
-
 def congruence_diagonal(a: np.ndarray) -> list[QSqrt3]:
     """Diagonal of S^T A S for some invertible S, by symmetric elimination.
 

@@ -234,11 +234,13 @@ def closed_form_riemann(lam, xi, n: int) -> dict[tuple[int, int], np.ndarray]:
         (c, d, c): {a: -lam * xi2, d: xi2},
         (c, d, d): {a: -xi * m, c: xi2},
     }
-    for col in columns.values():
+    ops: dict = {}
+    for (i, j, k), col in columns.items():
         for l, v in col.items():
             col[l] = quarter * v
-    full = exact_dense(columns, (n, n, n, n))  # full[i, j] holds column k as row k
-    return {(i, j): full[i, j].T for i, j, _ in columns}
+        ops.setdefault((i, j), {})[(k,)] = col
+    # ops[i, j] holds column k as row k, hence the transpose
+    return {ij: exact_dense(rows, (n, n)).T for ij, rows in ops.items()}
 
 
 def closed_form_ricci(lam, xi, n: int, exact: bool = True) -> np.ndarray:

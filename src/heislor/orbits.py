@@ -2,7 +2,8 @@
 
 The six classes are orbits of the scaled automorphism group acting on the
 space of Lorentzian inner products.  Their codimensions come from stabilizer
-dimensions, computed both in closed form and by an exact rank computation;
+dimensions, computed both in closed form, from the (lam, xi) algebra, and as the
+exact rank of M^T G + G M = 0 over the pattern matrices M, G the canonical gram;
 the closure relations are re-derived from explicit metric curves (positive
 evidence), whose samples are checked against their expected classes, not
 stored.  A missing relation needs an obstruction: codimension, or a jump in
@@ -20,8 +21,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._linalg import rank_rows, shear_conjugator
-from .curvature import closed_form_riemann, frame_signs, is_flat
+from ._linalg import rank_rows
+from .curvature import closed_form_riemann, is_flat
 from .errors import EvidenceFailure, OracleMismatch
 from .liealg import aut_pattern, require_dim
 from .metrics import (
@@ -59,45 +60,40 @@ def dims_UW(lam: int, xi, n: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _stabilizer_layout(n: int) -> tuple[tuple[tuple[int, int], ...], dict]:
-    """The pattern positions (i, j), and per entry (a, b) the row of the upper-triangle
-    position {a, b} with the coefficient of X_ab in it: 2 eps_a on the diagonal, else eps_a."""
-    eps = frame_signs(n)
-    row_of = {rs: row for row, rs in enumerate((r, s) for r in range(n) for s in range(r, n))}
-    coeff = {
-        (a, b): (row_of[min(a, b), max(a, b)], (2 if a == b else 1) * eps[a])
-        for a in range(n)
-        for b in range(n)
-    }
+def _stabilizer_layout(n: int) -> tuple[tuple[tuple[int, int], ...], list[list[int]]]:
+    """The pattern positions (i, j), and row_of[a][b] = row_of[b][a], the row of the
+    upper-triangle position {a, b} in a column of the stabilizer system."""
+    row_of = [[0] * n for _ in range(n)]
+    for row, (r, s) in enumerate((r, s) for r in range(n) for s in range(r, n)):
+        row_of[r][s] = row_of[s][r] = row
     positions = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(aut_pattern(n).mask)))
-    return positions, coeff
+    return positions, row_of
 
 
 def _stabilizer_system(lam: int, xi, n: int) -> list[dict]:
-    """Per position E_ij, the upper triangle of eps X + (eps X)^T for X = g^-1 E_ij g
-    as a sparse column {row: eps_s X_sr + eps_r X_rs}, from nonzero products only.
-
-    g is the shear of (lam, xi), and g^-1 is its closed form, the shear by (-xi, -lam)
-    (:func:`shear_conjugator`).
+    """Per position E_ij, the upper triangle of E_ij^T G + G E_ij as a sparse column
+    {row: value}, G the canonical gram: G[i, k] in the row of {j, k}, and 2 G[i, j] in
+    the row of {j, j}, from G's nonzero entries only.
     """
     lam, key = canonical_pair(lam, xi)
-    conjugate = shear_conjugator(lam, xi_exact(key), n)
-    positions, coeff = _stabilizer_layout(n)
+    gram = canonical_gram(lam, xi_exact(key), n).tolist()
+    nonzero = [[(k, x) for k, x in enumerate(line) if x] for line in gram]
+    positions, row_of = _stabilizer_layout(n)
     system = []
     for i, j in positions:
-        col: dict = {}
-        for a, b, x in conjugate(i, j):
-            row, k = coeff[a, b]
-            v = x if k == 1 else -x if k == -1 else x * k
-            col[row] = col[row] + v if row in col else v
-        system.append(col)
+        rows = row_of[j]
+        system.append({rows[k]: x + x if k == j else x for k, x in nonzero[i]})
     return system
 
 
 def _stabilizer_rank_oracle(lam: int, xi, n: int) -> int:
-    """dim of {pattern matrices M : g^-1 M g is skew wrt the Lorentz form}.
+    """dim of {pattern matrices M : M^T G + G M = 0}, the stabilizer of the gram G.
 
     The number of positions less the rank of the :func:`_stabilizer_system` columns.
+    With G = g^-T J g^-1 for the shear g and J = diag(1, ..., 1, -1), and X = g^-1 M g,
+    g^T (M^T G + G M) g = X^T J + J X.  Congruence by g is invertible on symmetric
+    matrices, so M solves the gram's condition exactly when X is skew with respect to
+    the Lorentz form, and both systems have the same rank.
     """
     system = _stabilizer_system(lam, xi, n)
     return len(system) - rank_rows(col.items() for col in system)
@@ -312,7 +308,7 @@ def degeneration_graph(n: int) -> DegenerationGraph:
     return graph
 
 
-def is_closed(lam: int, xi, n: int = 4) -> bool:
+def is_closed(lam: int, xi, n: int) -> bool:
     """True when the orbit has no outgoing degeneration; cross-checked as flat."""
     lam, key = canonical_pair(lam, xi)
     closed = not degeneration_graph(n).outgoing((lam, key))

@@ -1,4 +1,4 @@
-"""tools/bench.py's pairing rule on fixed numbers, and how it keys its records."""
+"""tools/bench.py's pairing rule on fixed numbers, how it keys its records, and what it counts."""
 
 import importlib.util
 import json
@@ -60,3 +60,14 @@ def test_write_entries_replaces_only_an_entry_of_the_same_trees_and_settings(tmp
     # a new perfbench/ measures something else, so it is added too
     bench.write_entries(path, [{**entry("landed", "s1", 1), "perfbench_tree": "p1"}])
     assert len(json.loads(path.read_text())) == 5
+
+
+def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
+    bench = _bench()
+    package = tmp_path / "src" / "heislor"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline, which wc -l does not count
+    (package / "notes.txt").write_text("not a module\n")
+    (package / "sub" / "c.py").write_text("in a subpackage\n")
+    assert bench.src_lines(tmp_path) == 3

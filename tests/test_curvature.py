@@ -181,6 +181,14 @@ def test_riemann_component_example_light_cone():
     assert all(not x for x in ops[(1, 4)][:, 4])
 
 
+def test_closed_form_operators_hold_n_squared_cells():
+    # each operator owns its n x n table, not a view into one n^4 array
+    n = 12
+    for pair in CANONICAL_PAIRS:
+        for op in closed_form_riemann(*_exact_frame(pair, n), n).values():
+            assert op.base.size == n * n
+
+
 def test_riemann_antisymmetry():
     ops = closed_form_riemann(QSqrt3(2), QSqrt3(2), 4)
     got = _riemann_apply(ops, 1, 0, 0)
@@ -274,19 +282,28 @@ _OFF_REPRESENTATIVES = (
 )
 
 
+_PAIRS_AND_OFF_REPRESENTATIVES = [_exact_frame(pair, 4) for pair in CANONICAL_PAIRS] + list(
+    _OFF_REPRESENTATIVES
+)
+
+
+def _sparse_terms(lam, xi, n):
+    """The generic route's sparse brackets, U, nabla, R columns and Ric columns."""
+    br = _bracket_terms(lam, xi, n)
+    eps = frame_signs(n)
+    u = _u_terms(br, eps)
+    nabla = _nabla_terms(u, br)
+    ops = _riemann_terms(nabla, br, n)
+    return br, u, nabla, ops, _ricci_terms(ops, eps)
+
+
 @pytest.mark.parametrize("n", (5, 6, 7, 8))
 def test_curvature_tables_live_on_the_corner(n):
     """Every index of the generic route's sparse terms, key and entry alike, and every
     nonzero entry of the four closed forms is a corner coordinate 0, 1, n-2 or n-1."""
     corner = {0, 1, n - 2, n - 1}
-    pairs = [_exact_frame(pair, n) for pair in CANONICAL_PAIRS] + list(_OFF_REPRESENTATIVES)
-    for lam, xi in pairs:
-        br = _bracket_terms(lam, xi, n)
-        eps = frame_signs(n)
-        u = _u_terms(br, eps)
-        nabla = _nabla_terms(u, br)
-        ops = _riemann_terms(nabla, br, n)
-        for terms in (u, nabla, ops, _ricci_terms(ops, eps)):
+    for lam, xi in _PAIRS_AND_OFF_REPRESENTATIVES:
+        for terms in _sparse_terms(lam, xi, n)[1:]:
             for key, row in terms.items():
                 assert set(key) | set(row) <= corner, (lam, xi, key, row)
         ops_c = closed_form_riemann(lam, xi, n)
@@ -295,6 +312,21 @@ def test_curvature_tables_live_on_the_corner(n):
         for table in [f(lam, xi, n) for f in closed] + list(ops_c.values()):
             support = {index for at, x in np.ndenumerate(table) if x for index in at}
             assert support <= corner, (lam, xi)
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_curvature_tables_do_not_depend_on_n(n):
+    """Relabelled from the corner (0, 1, n-2, n-1) to (0, 1, 2, 3), the generic route's
+    sparse terms at n are those at n = 4, so an identity of the n = 4 tables holds at
+    every n.  A middle index has no label and fails the relabelling."""
+    to4 = {0: 0, 1: 1, n - 2: 2, n - 1: 3}
+    for lam, xi in _PAIRS_AND_OFF_REPRESENTATIVES:
+        for at4, at_n in zip(_sparse_terms(lam, xi, 4), _sparse_terms(lam, xi, n)):
+            relabelled = {
+                tuple(to4[i] for i in key): {to4[k]: x for k, x in row.items()}
+                for key, row in at_n.items()
+            }
+            assert relabelled == at4, (lam, xi)
 
 
 @pytest.mark.parametrize("n", (4, 6))

@@ -33,8 +33,9 @@ from heislor.metrics import (
     signature_of,
     xi_exact,
     xi_float,
+    xi_key_of,
 )
-from heislor.numerics import QSqrt3
+from heislor.numerics import SQRT3_F, QSqrt3
 from heislor.reduction import restricted_signatures
 
 from references import metric_to_json
@@ -284,6 +285,16 @@ def test_exact_lambda_is_read_as_its_whole_rational():
 def test_canonical_pair_names_what_it_refuses(lam, xi, message):
     with pytest.raises(NotARepresentative, match=f"^{re.escape(message)}$"):
         canonical_pair(lam, xi)
+
+
+def test_float_xi_matches_a_key_within_1e_12():
+    # the match band, pinned by value: 5e-13 off a representative reads as it, 2e-12 off
+    # reads as no representative
+    for offset in (-5e-13, 5e-13):
+        assert xi_key_of(SQRT3_F + offset) == "sqrt3"
+    for value in (SQRT3_F + 2e-12, 2 + 2e-12):
+        with pytest.raises(NotARepresentative):
+            xi_key_of(value)
 
 
 def test_canonical_metric_identity_pair():

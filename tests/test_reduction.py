@@ -985,6 +985,17 @@ def test_near_wall_classification_is_flagged():
         assert verify_witness(metric, witness).ok
 
 
+def test_a_snap_is_flagged_beyond_1e_9_from_its_wall():
+    # the flag's edge, pinned by value: t at 5e-10 from the wall snaps unflagged, and at
+    # 2e-9, still inside the snap limit, snaps flagged
+    for dist, flags in ((5e-10, []), (2e-9, ["NearDegenerate"])):
+        for t in (SQRT3 - dist, SQRT3 + dist):
+            xi_key, witness = reduce_lambda2(t, 5)
+            assert (xi_key, witness.flags) == ("sqrt3", flags), t
+        xi_key, witness = reduce_lambda1(dist, 5)
+        assert (xi_key, witness.flags) == ("0", flags), dist
+
+
 def test_in_band_lambda2_input_is_ambiguous():
     # xi = sqrt3 - 1e-8 puts t about 2.5e-8 below the wall: a snap would
     # leave that residual, above 1e-8, and t cannot tell (2, 0) from (2, sqrt3)

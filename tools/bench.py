@@ -13,11 +13,12 @@ package, as in a checkout that has never been run.
 
 Each BENCH_<workload>.json holds one entry per commit and settings: the median
 and quartiles of every end-to-end metric, `failed` and the per-label failure
-reasons of the run record in .perfbench_out/, the host line, and the six lines of
-that tree's tools/digest.py.  The change's entry also holds its comparison with
-the parent by the pairing rule: a gain is claimed only when the change wins at
-least nine tenths of the pairs, ties counting for neither, and the medians differ
-by more than the parent's interquartile range.
+reasons of the run record in .perfbench_out/, the host line, the six lines of
+that tree's tools/digest.py, and `src_lines`, the line count of its
+src/heislor/*.py.  The change's entry also holds its comparison with the parent
+by the pairing rule: a gain is claimed only when the change wins at least nine
+tenths of the pairs, ties counting for neither, and the medians differ by more
+than the parent's interquartile range.
 
 An entry is keyed by what it measured, the trees `src/` and `perfbench/` and the
 pairs, seed and run length, not by the commit sha.  A run with other settings is
@@ -106,6 +107,11 @@ def digest_lines(tree: Path) -> list[str]:
     return done.stdout.splitlines()
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of that tree's src/heislor/*.py, as `cat src/heislor/*.py | wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "heislor").glob("*.py"))
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run: its printed metrics and the record it leaves behind."""
     done = subprocess.run(
@@ -129,7 +135,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def entry(sha: str, runs: list[dict], digest: list[str], settings: dict) -> dict:
+def entry(sha: str, runs: list[dict], digest: list[str], lines: int, settings: dict) -> dict:
     first = runs[0]
     return {
         "commit": sha,
@@ -156,6 +162,7 @@ def entry(sha: str, runs: list[dict], digest: list[str], settings: dict) -> dict
             for r in runs
         ),
         "digest": digest,
+        "src_lines": lines,
     }
 
 
@@ -192,6 +199,7 @@ def main(argv=None) -> int:
         for sha, tree in zip(shas, trees):
             unpack(sha, tree)
         digests = [digest_lines(tree) for tree in trees]
+        lines = [src_lines(tree) for tree in trees]
         runs = {w: ([], []) for w in workloads}
         for k in range(args.pairs):
             order = (0, 1) if k % 2 == 0 else (1, 0)
@@ -203,8 +211,8 @@ def main(argv=None) -> int:
 
         for workload in workloads:
             parent, change = (
-                entry(sha, side_runs, digest, settings)
-                for sha, side_runs, digest in zip(shas, runs[workload], digests)
+                entry(sha, side_runs, digest, count, settings)
+                for sha, side_runs, digest, count in zip(shas, runs[workload], digests, lines)
             )
             change["compared_with"] = shas[0]
             change["comparison"] = {
