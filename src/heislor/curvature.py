@@ -24,6 +24,14 @@ coordinate of U(x_i, x_j) and of nabla_(x_i) x_j.  The Ricci spectrum is read
 exactly off the characteristic polynomial of the corner block, split over
 Q(sqrt3) with no float eigenvalue.
 
+The closed-form Ricci operator and its corner spectrum are memoized once per
+(lam, xi, n), with lam and xi coerced to QSqrt3, for the life of the process:
+the operator as a read-only array, which closed_form_ricci copies, and the
+characteristic polynomial with its roots as tuples, which ricci_spectrum turns
+into a fresh list.  curvature_report, soliton_certificate and ricci_spectrum
+read the same entries.  A Ricci matrix a caller passes in is read as given and
+never meets the memo.
+
 The middle frame directions x_3, ..., x_(n-2) are inert; every table is
 supported on the corner coordinates (1, 2, n-1, n).
 """
@@ -33,6 +41,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -40,7 +50,7 @@ from ._linalg import _subtract, exact_dense, max_abs, to_float
 from .errors import EvidenceFailure
 from .liealg import _bracket_terms, require_dim
 from .metrics import canonical_pair, xi_exact, xi_json
-from .numerics import EXACT, QSqrt3, sub_product
+from .numerics import APPROX, EXACT, QSqrt3, sub_product
 
 HALF = QSqrt3(Fraction(1, 2))
 
@@ -93,13 +103,22 @@ def _riemann_terms(nabla: dict, br: dict, n: int) -> dict:
     With nabla_i v = sum_l v_l nabla_i x_l, each column is a sum over the
     nonzero entries of nabla_j x_k, nabla_i x_k and [x_i, x_j] only.  Returns
     the nonzero columns as {(i, j, k): column} for i < j.
+
+    The loops run over the support S, the indices that occur in a key of nabla
+    or br, and skipping the rest is exact.  A term of the first sum needs
+    nabla_j x_k and nabla_i x_l nonzero, so j, k and i lie in S; the second
+    needs nabla_i x_k and nabla_j x_l, so again i, k and j; the third needs
+    [x_i, x_j] and nabla_(x_l) x_k, so i, j and k.  A column with an index
+    outside S is an empty sum.  S is sorted, so the columns keep the order of
+    the full loop over range(n).
     """
     empty: dict = {}
     ops = {}
-    for i in range(n):
-        for j in range(i + 1, n):
+    support = sorted({i for key in (*nabla, *br) for i in key})
+    for at, i in enumerate(support):
+        for j in support[at + 1:]:
             bracket = br.get((i, j), empty)
-            for k in range(n):
+            for k in support:
                 col: dict[int, QSqrt3] = {}
                 for l, f in nabla.get((j, k), empty).items():
                     _subtract(col, -f, nabla.get((i, l), empty))
@@ -244,12 +263,24 @@ def closed_form_riemann(lam, xi, n: int) -> dict[tuple[int, int], np.ndarray]:
 
 
 def closed_form_ricci(lam, xi, n: int, exact: bool = True) -> np.ndarray:
-    """Hard-coded Ricci operator matrix on the corner coordinates."""
+    """Hard-coded Ricci operator matrix on the corner coordinates, a writable copy."""
     _exact_only(exact)
+    return _memo_ricci(*_memo_key(lam, xi, n)).copy()
+
+
+def _memo_key(lam, xi, n) -> tuple[QSqrt3, QSqrt3, int]:
+    """(lam, xi, n) as the memos key them, so that 2 and QSqrt3(2) share an entry
+    and a float never matches one."""
+    return QSqrt3.coerce(lam), QSqrt3.coerce(xi), index(n)
+
+
+@lru_cache(maxsize=None)
+def _memo_ricci(lam: QSqrt3, xi: QSqrt3, n: int) -> np.ndarray:
+    """The closed-form Ricci operator, built once per (lam, xi, n) and read-only."""
     a, b, c, d, lam, xi, one, half = _corners_and_scalars(lam, xi, n)
     lam2, xi2 = lam * lam, xi * xi
     m = lam2 - one
-    return exact_dense({
+    ric = exact_dense({
         (a,): {a: -half * (lam2 * lam2 - lam2 * xi2 - one),
                c: -half * xi * m,
                d: -half * (2 * lam2 * lam - lam * (xi2 + 2 * one))},
@@ -261,6 +292,8 @@ def closed_form_ricci(lam, xi, n: int, exact: bool = True) -> np.ndarray:
                c: half * lam * xi * m,
                d: half * (lam2 * lam2 - xi2 - one)},
     }, (n, n))
+    ric.flags.writeable = False
+    return ric
 
 
 # -- curvature properties --------------------------------------------------------
@@ -307,7 +340,7 @@ def soliton_certificate(lam, xi, n: int, ric: np.ndarray | None = None, exact: b
     """
     _exact_only(exact)
     if ric is None:
-        ric = closed_form_ricci(lam, xi, n)
+        ric = _memo_ricci(*_memo_key(lam, xi, n))
     br = _bracket_terms(lam, xi, n)
     rows: dict[int, dict[int, QSqrt3]] = {}  # rows[a][i] = Ric[a, i]
     cols: dict[int, dict[int, QSqrt3]] = {}  # cols[k][a] = Ric[a, k], so Ric x_k
@@ -442,6 +475,20 @@ def _split(p: list[QSqrt3]) -> list[QSqrt3] | None:
     return roots if q == [1] else None
 
 
+def _corner_spectrum(ric: np.ndarray, n: int) -> tuple[tuple, tuple | None]:
+    """The corner block's characteristic polynomial, and its roots descending or None."""
+    idx = [0, 1, n - 2, n - 1]
+    p = _charpoly(ric[np.ix_(idx, idx)])
+    roots = _split(p)
+    return tuple(p), None if roots is None else tuple(sorted(roots, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _memo_spectrum(lam: QSqrt3, xi: QSqrt3, n: int) -> tuple[tuple, tuple | None]:
+    """_corner_spectrum of the closed-form Ricci operator, once per (lam, xi, n)."""
+    return _corner_spectrum(_memo_ricci(lam, xi, n), n)
+
+
 def ricci_spectrum(lam, xi, n: int, ric: np.ndarray | None = None, exact: bool = True):
     """Eigenvalues of the Ricci operator on the corner block, exact and descending.
 
@@ -452,17 +499,16 @@ def ricci_spectrum(lam, xi, n: int, ric: np.ndarray | None = None, exact: bool =
     _exact_only(exact)
     require_dim(n)
     if ric is None:
-        ric = closed_form_ricci(lam, xi, n)
-    idx = [0, 1, n - 2, n - 1]
-    p = _charpoly(ric[np.ix_(idx, idx)])
-    roots = _split(p)
+        p, roots = _memo_spectrum(*_memo_key(lam, xi, n))
+    else:
+        p, roots = _corner_spectrum(ric, n)
     if roots is None:
         coeffs = ", ".join(c.format() for c in p)
         raise EvidenceFailure(
             f"Ricci spectrum at lam={lam}, xi={xi}, n={n}: the characteristic "
             f"polynomial [{coeffs}] does not split over Q(sqrt3)"
         )
-    return sorted(roots, reverse=True)
+    return list(roots)
 
 
 @dataclass
@@ -526,6 +572,8 @@ def curvature_report(lam, xi, n: int, backend: str = EXACT) -> CurvatureReport:
     The tables are the closed forms, built exactly.  The float report is the
     exact one with every value rounded once, so an exact zero stays +0.0.
     """
+    if backend not in (EXACT, APPROX):
+        raise ValueError(f"unknown backend {backend!r}")
     lam, key = canonical_pair(lam, xi)
     xi_val, lam_val = xi_exact(key), QSqrt3(lam)
     ops = closed_form_riemann(lam_val, xi_val, n)
@@ -541,8 +589,8 @@ def curvature_report(lam, xi, n: int, backend: str = EXACT) -> CurvatureReport:
         ric=ric,
         flat=is_flat(ops),
         einstein=einstein_test(ric),
-        soliton=soliton_certificate(lam_val, xi_val, n, ric),
-        spectrum=ricci_spectrum(lam_val, xi_val, n, ric),
+        soliton=soliton_certificate(lam_val, xi_val, n),
+        spectrum=ricci_spectrum(lam_val, xi_val, n),
     )
     if backend == EXACT:
         return report

@@ -10,7 +10,8 @@ of the stage witnesses, whose subject is the starting group element.  `exact_cha
 multiplies a witness's chain with no rounding, the exact side the float chain check is
 compared with.  `householder_block` and `triangularizing_block` build a reduction factor at
 the size of its block; placed in an identity by `embed`, each is the reference of the
-full-size builder in `_linalg`.
+full-size builder in `_linalg`.  `riemann_terms_full` is the generic curvature route's
+column loop over every index triple, the reference of the loop over the support.
 """
 
 import math
@@ -21,6 +22,7 @@ import numpy as np
 from heislor import orbits
 from heislor._linalg import (
     UNDERFLOW,
+    _subtract,
     exact_dense,
     inv,
     is_singular,
@@ -194,3 +196,23 @@ def exact_chain_residual(witness: Witness) -> Fraction:
     low = min(e, k)
     diff = out * (1 << (e - low)) - target * (1 << (k - low))
     return Fraction(max(abs(x) for x in diff.reshape(-1).tolist()), 1 << -low)
+
+
+def riemann_terms_full(nabla: dict, br: dict, n: int) -> dict:
+    """`curvature._riemann_terms` with i < j and k running over all of range(n)."""
+    empty: dict = {}
+    ops = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            bracket = br.get((i, j), empty)
+            for k in range(n):
+                col: dict = {}
+                for l, f in nabla.get((j, k), empty).items():
+                    _subtract(col, -f, nabla.get((i, l), empty))
+                for l, f in nabla.get((i, k), empty).items():
+                    _subtract(col, f, nabla.get((j, l), empty))
+                for l, f in bracket.items():
+                    _subtract(col, f, nabla.get((l, k), empty))
+                if col:
+                    ops[i, j, k] = col
+    return ops

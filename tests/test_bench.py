@@ -71,3 +71,14 @@ def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
     (package / "notes.txt").write_text("not a module\n")
     (package / "sub" / "c.py").write_text("in a subpackage\n")
     assert bench.src_lines(tmp_path) == 3
+
+
+def test_tier1_counts_read_pytests_closing_line():
+    bench = _bench()
+    assert bench.tier1_counts("....\n773 passed in 26.71s\n") == {
+        "tier1_passed": 773, "tier1_failed": 0}
+    closing = "FAILED tests/t.py::x\n2 failed, 770 passed, 1 skipped, 3 warnings, 1 error in 31.0s"
+    assert bench.tier1_counts(closing) == {"tier1_passed": 770, "tier1_failed": 3}
+    # a run that printed nothing, or no counts, records zeros
+    assert bench.tier1_counts("") == {"tier1_passed": 0, "tier1_failed": 0}
+    assert bench.tier1_counts("no tests ran in 0.01s") == {"tier1_passed": 0, "tier1_failed": 0}

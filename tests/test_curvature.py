@@ -12,6 +12,7 @@ from heislor import _linalg
 from heislor.curvature import (
     EvidenceFailure,
     _charpoly,
+    _memo_ricci,
     _nabla_terms,
     _ricci_terms,
     _riemann_terms,
@@ -35,7 +36,7 @@ from heislor.liealg import _bracket_terms
 from heislor.metrics import CANONICAL_PAIRS, NotARepresentative, shear_matrix, xi_exact
 from heislor.numerics import QSqrt3
 
-from references import derivation_basis, exact_rref
+from references import derivation_basis, exact_rref, riemann_terms_full
 
 HALF = QSqrt3(Fraction(1, 2))
 
@@ -329,6 +330,18 @@ def test_curvature_tables_do_not_depend_on_n(n):
             assert relabelled == at4, (lam, xi)
 
 
+@pytest.mark.parametrize("n", range(4, 11))
+def test_riemann_terms_loop_over_the_support_only(n):
+    """The loop over the indices in a key of nabla or br gives the columns of the loop
+    over every triple, key for key and in the same order."""
+    pairs = [_exact_frame(pair, n) for pair in CANONICAL_PAIRS] + list(OFF_REPRESENTATIVE_SPECTRA)
+    for lam, xi in pairs:
+        br = _bracket_terms(lam, xi, n)
+        nabla = _nabla_terms(_u_terms(br, frame_signs(n)), br)
+        got, want = _riemann_terms(nabla, br, n), riemann_terms_full(nabla, br, n)
+        assert list(got.items()) == list(want.items()), (lam, xi)
+
+
 @pytest.mark.parametrize("n", (4, 6))
 def test_generic_ricci_in_the_benchmark_contract(n):
     # the exact call and comparison the exact-tables benchmark makes; a change
@@ -397,6 +410,23 @@ def test_soliton_exists_for_all_classes_exactly():
                 recon[i, i] = recon[i, i] + c
             assert all(a == b for a, b in zip(recon.reshape(-1), ric.reshape(-1)))
             assert derivation_identity_residual(d, frame_brackets(lam, xi, n)) == 0.0
+
+
+def test_soliton_middle_block_is_minus_c():
+    """Off the corner Ric vanishes, so D = Ric - cI is -cI there.  At n = 5 the middle
+    direction x_3 has D[2, 2] = -c and nothing else in its row and column, and D keeps
+    the Leibniz rule on every pair (x_3, x_j)."""
+    n = 5
+    for pair in CANONICAL_PAIRS:
+        lam, xi = _exact_frame(pair, n)
+        c, d = soliton_certificate(lam, xi, n)
+        assert d[2, 2] == -c, pair
+        assert all(not d[2, j] and not d[j, 2] for j in range(n) if j != 2), pair
+        brackets = frame_brackets(lam, xi, n)
+        for j in range(n):
+            # D[x_3, x_j] - [D x_3, x_j] - [x_3, D x_j]
+            defect = d @ brackets[2, j] - d[:, 2] @ brackets[:, j] - d[:, j] @ brackets[2]
+            assert not any(defect), (pair, j)
 
 
 def _dense_conjugate_solve(lam, xi, n, ric):
@@ -580,6 +610,47 @@ def test_ricci_spectrum_refuses_a_charpoly_that_does_not_split():
     assert EXIT_CODES[EvidenceFailure] == EXIT_CHECK_FAILED
 
 
+def test_a_given_ricci_matrix_never_reads_the_memo():
+    lam, xi = QSqrt3(2), QSqrt3(2)
+    ricci_spectrum(lam, xi, 5)  # fills the memo for (2, 2, 5)
+    assert soliton_certificate(lam, xi, 5) is not None
+    with pytest.raises(EvidenceFailure, match="does not split"):
+        ricci_spectrum(lam, xi, 5, _sqrt2_ricci(5))
+    assert soliton_certificate(lam, xi, 5, _sqrt2_ricci(5)) is None
+
+
+def test_ricci_memo_hands_out_fresh_copies():
+    lam, xi = QSqrt3(2), QSqrt3(2)
+    before = _memo_ricci.cache_info()
+    first, second = closed_form_ricci(2, 2, 9), closed_form_ricci(lam, xi, 9)
+    after = _memo_ricci.cache_info()
+    # 2 and QSqrt3(2) share one entry, and a float n, equal to 9, reads none
+    assert after.currsize - before.currsize <= 1 and after.hits > before.hits
+    with pytest.raises(TypeError):
+        closed_form_ricci(lam, xi, 9.0)
+    assert first is not second and _equal(first, second)
+    assert first.flags.writeable and second.flags.writeable
+    assert not _memo_ricci(lam, xi, 9).flags.writeable  # so a reader of the memo cannot write
+    want = second.copy()
+    first[0, 0] = first[1, 1] = QSqrt3(99)
+    assert _equal(closed_form_ricci(lam, xi, 9), want)
+    report = curvature_report(2, "2", 9)
+    assert _equal(report.ric, want)
+    report.ric[0, 0] = QSqrt3(99)
+    assert _equal(curvature_report(2, "2", 9).ric, want)
+    assert _equal(closed_form_ricci(lam, xi, 9), want)
+
+    first, second = ricci_spectrum(2, 2, 9), ricci_spectrum(lam, xi, 9)
+    assert first == second and first is not second
+    want = list(second)
+    first[0] = QSqrt3(99)
+    first.append(QSqrt3(99))
+    assert ricci_spectrum(lam, xi, 9) == want
+    assert report.spectrum == want and report.spectrum is not second
+    report.spectrum.clear()
+    assert curvature_report(2, "2", 9).spectrum == want
+
+
 @settings(deadline=None, derandomize=True, max_examples=30)
 @given(_irrational, _irrational, st.sampled_from((4, 5, 7)))
 def test_ricci_spectrum_is_the_split_charpoly(lam, xi, n):
@@ -689,6 +760,11 @@ def test_sparse_charpoly_matches_dense_reference(source):
         want = np.real_if_close(np.poly(to_float(a)))
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(np.array([float(c) for c in got]) - want)) <= 1e-9 * scale
+
+
+def test_curvature_report_refuses_an_unknown_backend():
+    with pytest.raises(ValueError, match="unknown backend 'nope'"):
+        curvature_report(2, "sqrt3", 4, backend="nope")
 
 
 def test_curvature_report_round_trip():

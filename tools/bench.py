@@ -14,11 +14,13 @@ package, as in a checkout that has never been run.
 Each BENCH_<workload>.json holds one entry per commit and settings: the median
 and quartiles of every end-to-end metric, `failed` and the per-label failure
 reasons of the run record in .perfbench_out/, the host line, the six lines of
-that tree's tools/digest.py, and `src_lines`, the line count of its
-src/heislor/*.py.  The change's entry also holds its comparison with the parent
-by the pairing rule: a gain is claimed only when the change wins at least nine
-tenths of the pairs, ties counting for neither, and the medians differ by more
-than the parent's interquartile range.
+that tree's tools/digest.py, `src_lines`, the line count of its
+src/heislor/*.py, and one tier-1 run of its tests before the pairs: `tier1_s`,
+its wall seconds, and `tier1_passed` and `tier1_failed`, the counts of pytest's
+closing line (errors count as failed).  The change's entry also holds its
+comparison with the parent by the pairing rule: a gain is claimed only when the
+change wins at least nine tenths of the pairs, ties counting for neither, and
+the medians differ by more than the parent's interquartile range.
 
 An entry is keyed by what it measured, the trees `src/` and `perfbench/` and the
 pairs, seed and run length, not by the commit sha.  A run with other settings is
@@ -32,16 +34,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 #: share of the pairs the change must win before a gain is claimed
 WIN_SHARE = 0.9
 CHILD_TIMEOUT_S = 1800
+#: the tier-1 command, run in the unpacked tree; it writes no .pytest_cache there
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -112,6 +118,33 @@ def src_lines(tree: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "heislor").glob("*.py"))
 
 
+def tier1_counts(output: str) -> dict[str, int]:
+    """Passed and failed tests from pytest's closing line; errors count as failed."""
+    lines = output.strip().splitlines()
+    counts = {"passed": 0, "failed": 0}
+    for number, word in re.findall(r"(\d+) (\w+)", lines[-1] if lines else ""):
+        key = "failed" if word in ("error", "errors") else word
+        if key in counts:
+            counts[key] += int(number)
+    return {"tier1_passed": counts["passed"], "tier1_failed": counts["failed"]}
+
+
+def tree_facts(tree: Path) -> dict:
+    """What an entry records of its tree alone: digests, source lines and one tier-1 run."""
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, *TIER1], cwd=tree, env=_child_env(tree),
+        capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
+    )
+    seconds = time.perf_counter() - t0
+    return {
+        "digest": digest_lines(tree),
+        "src_lines": src_lines(tree),
+        "tier1_s": seconds,
+        **tier1_counts(done.stdout),
+    }
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run: its printed metrics and the record it leaves behind."""
     done = subprocess.run(
@@ -135,7 +168,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def entry(sha: str, runs: list[dict], digest: list[str], lines: int, settings: dict) -> dict:
+def entry(sha: str, runs: list[dict], facts: dict, settings: dict) -> dict:
     first = runs[0]
     return {
         "commit": sha,
@@ -161,8 +194,7 @@ def entry(sha: str, runs: list[dict], digest: list[str], lines: int, settings: d
             == (first["attempted"], first["failed"], first["failure_reasons"])
             for r in runs
         ),
-        "digest": digest,
-        "src_lines": lines,
+        **facts,
     }
 
 
@@ -198,8 +230,7 @@ def main(argv=None) -> int:
         trees = [Path(tmp) / f"{side}-{sha[:12]}" for side, sha in zip(("a", "b"), shas)]
         for sha, tree in zip(shas, trees):
             unpack(sha, tree)
-        digests = [digest_lines(tree) for tree in trees]
-        lines = [src_lines(tree) for tree in trees]
+        facts = [tree_facts(tree) for tree in trees]
         runs = {w: ([], []) for w in workloads}
         for k in range(args.pairs):
             order = (0, 1) if k % 2 == 0 else (1, 0)
@@ -211,8 +242,8 @@ def main(argv=None) -> int:
 
         for workload in workloads:
             parent, change = (
-                entry(sha, side_runs, digest, count, settings)
-                for sha, side_runs, digest, count in zip(shas, runs[workload], digests, lines)
+                entry(sha, side_runs, tree, settings)
+                for sha, side_runs, tree in zip(shas, runs[workload], facts)
             )
             change["compared_with"] = shas[0]
             change["comparison"] = {
@@ -223,7 +254,9 @@ def main(argv=None) -> int:
             write_entries(ROOT / f"BENCH_{workload}.json", [parent, change])
             print(f"{workload}: {shas[0][:10]} -> {shas[1][:10]}, failed "
                   f"{parent['failed']} -> {change['failed']}, digests "
-                  f"{'equal' if parent['digest'] == change['digest'] else 'DIFFER'}")
+                  f"{'equal' if parent['digest'] == change['digest'] else 'DIFFER'}, tier-1 "
+                  f"{parent['tier1_passed']} -> {change['tier1_passed']} passed, "
+                  f"{parent['tier1_failed']} -> {change['tier1_failed']} failed")
             for name, row in change["comparison"].items():
                 a, b = parent["metrics"][name], change["metrics"][name]
                 print(f"  {name:12s} {a['median']:.6g} [{a['q1']:.6g}, {a['q3']:.6g}] -> "
