@@ -24,13 +24,14 @@ coordinate of U(x_i, x_j) and of nabla_(x_i) x_j.  The Ricci spectrum is read
 exactly off the characteristic polynomial of the corner block, split over
 Q(sqrt3) with no float eigenvalue.
 
-The closed-form Ricci operator and its corner spectrum are memoized once per
-(lam, xi, n), with lam and xi coerced to QSqrt3, for the life of the process:
-the operator as a read-only array, which closed_form_ricci copies, and the
-characteristic polynomial with its roots as tuples, which ricci_spectrum turns
-into a fresh list.  curvature_report, soliton_certificate and ricci_spectrum
-read the same entries.  A Ricci matrix a caller passes in is read as given and
-never meets the memo.
+The closed-form Ricci operator is memoized once per (lam, xi, n), and its corner
+spectrum once per (lam, xi), with lam and xi coerced to QSqrt3, for the life of
+the process: the operator as a read-only array, which closed_form_ricci copies,
+and the characteristic polynomial with its roots as tuples, which ricci_spectrum
+turns into a fresh list.  The closed form's corner block is the same 4 x 4 matrix
+at every n, so the n = 4 block stands for all.  curvature_report,
+soliton_certificate and ricci_spectrum read the same entries.  A Ricci matrix a
+caller passes in is read as given and never meets the memo.
 
 The middle frame directions x_3, ..., x_(n-2) are inert; every table is
 supported on the corner coordinates (1, 2, n-1, n).
@@ -484,9 +485,14 @@ def _corner_spectrum(ric: np.ndarray, n: int) -> tuple[tuple, tuple | None]:
 
 
 @lru_cache(maxsize=None)
-def _memo_spectrum(lam: QSqrt3, xi: QSqrt3, n: int) -> tuple[tuple, tuple | None]:
-    """_corner_spectrum of the closed-form Ricci operator, once per (lam, xi, n)."""
-    return _corner_spectrum(_memo_ricci(lam, xi, n), n)
+def _memo_spectrum(lam: QSqrt3, xi: QSqrt3) -> tuple[tuple, tuple | None]:
+    """_corner_spectrum of the closed-form Ricci operator, once per (lam, xi).
+
+    The closed form writes each entry of its corner (0, 1, n-2, n-1) from lam and xi
+    alone, so the corner block is the same 4 x 4 matrix at every n: the whole n = 4
+    operator.
+    """
+    return _corner_spectrum(_memo_ricci(lam, xi, 4), 4)
 
 
 def ricci_spectrum(lam, xi, n: int, ric: np.ndarray | None = None, exact: bool = True):
@@ -499,7 +505,7 @@ def ricci_spectrum(lam, xi, n: int, ric: np.ndarray | None = None, exact: bool =
     _exact_only(exact)
     require_dim(n)
     if ric is None:
-        p, roots = _memo_spectrum(*_memo_key(lam, xi, n))
+        p, roots = _memo_spectrum(*_memo_key(lam, xi, n)[:2])
     else:
         p, roots = _corner_spectrum(ric, n)
     if roots is None:

@@ -11,6 +11,10 @@ class DimensionTooSmall(ValueError):
     """The construction needs n >= 4."""
 
 
+class DimensionNotInteger(TypeError, ValueError):
+    """n must be an integer, a numpy one too; a TypeError also, as range(5.0) raises."""
+
+
 class AsymmetricInput(ValueError):
     """A Gram matrix must be symmetric."""
 

@@ -14,16 +14,22 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
 from ._linalg import rank_rows
-from .errors import DimensionTooSmall
+from .errors import DimensionNotInteger, DimensionTooSmall
 from .numerics import QSqrt3, _Frozen
 
 
 def require_dim(n: int) -> None:
-    """Raise DimensionTooSmall unless n >= 4."""
+    """Raise DimensionNotInteger unless n is an integer (operator.index takes a numpy
+    one, not 5.0), and DimensionTooSmall unless n >= 4."""
+    try:
+        index(n)
+    except TypeError:
+        raise DimensionNotInteger(f"n must be an integer, got {n!r}") from None
     if n < 4:
         raise DimensionTooSmall(f"need n >= 4, got {n}")
 

@@ -210,18 +210,32 @@ def shear_matrix(lam, xi, n: int, exact: bool = True) -> np.ndarray:
     return g
 
 
+def _gram_rows(lam, xi, n: int, one) -> dict[tuple[int], dict[int, object]]:
+    """The closed form of the sheared gram, as its rows 0, n-2 and n-1 {(i,): {j: G[i, j]}}.
+
+    Every other row i is e_i, as in minkowski_gram(n), so every off-diagonal entry
+    lies on the rows and columns {0, n-2, n-1}.  `one` is 1 in the scalars of lam and
+    xi, which may be float arrays of one shape; an entry may be zero.
+    """
+    shear_xi, shear_lam, mixed = -xi, -lam, lam * xi
+    return {
+        (0,): {0: one, n - 2: shear_xi, n - 1: shear_lam},
+        (n - 2,): {0: shear_xi, n - 2: one + xi * xi, n - 1: mixed},
+        (n - 1,): {0: shear_lam, n - 2: mixed, n - 1: lam * lam - one},
+    }
+
+
 def canonical_gram(lam, xi, n: int, exact: bool = True) -> np.ndarray:
-    """Closed-form Gram matrix of the sheared inner product, any (lam, xi).
+    """Closed-form Gram matrix of the sheared inner product, any (lam, xi): _gram_rows
+    written over minkowski_gram(n).
 
     The float form broadcasts: arrays of lam and xi of shape S give a stack of
     shape S + (n, n), and scalars give the single (n, n) gram, a batch of one.
     """
     require_dim(n)
     if exact:
-        lam = QSqrt3.coerce(lam)
-        xi = QSqrt3.coerce(xi)
+        lam, xi, one = QSqrt3.coerce(lam), QSqrt3.coerce(xi), QSqrt3(1)
         g = minkowski_gram(n, exact=True)
-        one = QSqrt3(1)
     else:
         # [()] turns a 0-d array into a float64 scalar, which writes faster
         lam = np.asarray(lam, dtype=float)[()]
@@ -229,11 +243,9 @@ def canonical_gram(lam, xi, n: int, exact: bool = True) -> np.ndarray:
         g = np.empty(np.broadcast(lam, xi).shape + (n, n))
         g[...] = shared_minkowski_gram(n)
         one = 1.0
-    g[..., 0, n - 2] = g[..., n - 2, 0] = -xi
-    g[..., 0, n - 1] = g[..., n - 1, 0] = -lam
-    g[..., n - 2, n - 2] = one + xi * xi
-    g[..., n - 2, n - 1] = g[..., n - 1, n - 2] = lam * xi
-    g[..., n - 1, n - 1] = lam * lam - one
+    for (i,), row in _gram_rows(lam, xi, n, one).items():
+        for j, x in row.items():
+            g[..., i, j] = x
     return g
 
 

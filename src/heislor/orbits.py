@@ -3,8 +3,11 @@
 The six classes are orbits of the scaled automorphism group acting on the
 space of Lorentzian inner products.  Their codimensions come from stabilizer
 dimensions, computed both in closed form, from the (lam, xi) algebra, and as the
-exact rank of M^T G + G M = 0 over the pattern matrices M, G the canonical gram;
-the closure relations are re-derived from explicit metric curves (positive
+exact rank of M^T G + G M = 0 over the pattern matrices M, G the canonical gram.
+The rank oracle reads G's three sparse corner rows, metrics._gram_rows, with no
+dense gram: every other row is e_i, so the (n-2)(n-3) positions off the corner
+have one-entry columns, which rank_rows counts without elimination.  The
+closure relations are re-derived from explicit metric curves (positive
 evidence), whose samples are checked against their expected classes, not
 stored.  A missing relation needs an obstruction: codimension, or a jump in
 the restricted signatures, read from signature_table, which the signature
@@ -27,6 +30,7 @@ from .errors import EvidenceFailure, OracleMismatch
 from .liealg import aut_pattern, require_dim
 from .metrics import (
     CANONICAL_PAIRS,
+    _gram_rows,
     canonical_gram,
     canonical_pair,
     xi_exact,
@@ -73,16 +77,22 @@ def _stabilizer_layout(n: int) -> tuple[tuple[tuple[int, int], ...], list[list[i
 def _stabilizer_system(lam: int, xi, n: int) -> list[dict]:
     """Per position E_ij, the upper triangle of E_ij^T G + G E_ij as a sparse column
     {row: value}, G the canonical gram: G[i, k] in the row of {j, k}, and 2 G[i, j] in
-    the row of {j, j}, from G's nonzero entries only.
+    the row of {j, j}.  G's rows are read sparse, from metrics._gram_rows: row i is e_i
+    unless i is 0, n-2 or n-1, so a position with any other i has a one-entry column.
     """
     lam, key = canonical_pair(lam, xi)
-    gram = canonical_gram(lam, xi_exact(key), n).tolist()
-    nonzero = [[(k, x) for k, x in enumerate(line) if x] for line in gram]
+    one = QSqrt3(1)
+    two = one + one
+    corner = _gram_rows(QSqrt3(lam), xi_exact(key), n, one)
     positions, row_of = _stabilizer_layout(n)
     system = []
     for i, j in positions:
         rows = row_of[j]
-        system.append({rows[k]: x + x if k == j else x for k, x in nonzero[i]})
+        line = corner.get((i,))
+        if line is None:  # G[i] = e_i
+            system.append({rows[i]: two if i == j else one})
+        else:
+            system.append({rows[k]: x + x if k == j else x for k, x in line.items() if x})
     return system
 
 
@@ -253,7 +263,7 @@ def _signature_jump(src_sigs, dst_sigs) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a float n must not read a numpy integer's entry
 def degeneration_graph(n: int) -> DegenerationGraph:
     """Recompute the closure diagram from curves and obstructions, once per n.
 

@@ -511,9 +511,10 @@ def reduce_lambda2(t: float, n: int) -> tuple[str, Witness]:
 # -- invariant classifier ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a float n must not read a numpy integer's entry
 def signature_table(n: int) -> MappingProxyType:
     """Restricted signatures (center, derived ideal) of the six classes, read-only."""
+    require_dim(n)
     return MappingProxyType({
         (0, "0"): ((n - 3, 1, 0), (0, 1, 0)),
         (1, "0"): ((n - 3, 0, 1), (0, 0, 1)),

@@ -82,3 +82,42 @@ def test_tier1_counts_read_pytests_closing_line():
     # a run that printed nothing, or no counts, records zeros
     assert bench.tier1_counts("") == {"tier1_passed": 0, "tier1_failed": 0}
     assert bench.tier1_counts("no tests ran in 0.01s") == {"tier1_passed": 0, "tier1_failed": 0}
+
+
+def test_failure_seeds_parse_a_range_and_record_each_seeds_failures_per_label():
+    bench = _bench()
+    assert bench.seed_range("1-10") == list(range(1, 11))
+    assert bench.seed_range("3") == [3]
+    for bad in ("10-1", "-3", "1-", "a-b", "1-2-3", ""):
+        with pytest.raises(bench.argparse.ArgumentTypeError, match="seed range"):
+            bench.seed_range(bad)
+    # parsed as the command line does, before any tree is unpacked or run
+    with pytest.raises(SystemExit):
+        bench.main(["--commits", "HEAD", "HEAD", "--failure-seeds", "10-1"])
+
+    def run(reasons):
+        return {"attempted": 5280, "failed": sum(reasons.values()), "failure_reasons": reasons}
+
+    parent = bench.seed_failures({
+        1: run({"l1+1e-05: ClassificationMismatch": 80, "l1+0.0001: ClassificationMismatch": 20,
+                "l1+0.0001: chain misses the representative": 2}),
+        2: run({}),
+    })
+    assert parent == {
+        "1": {"attempted": 5280, "failed": 102, "by_label": {"l1+0.0001": 22, "l1+1e-05": 80},
+              "failure_reasons": {"l1+1e-05: ClassificationMismatch": 80,
+                                  "l1+0.0001: ClassificationMismatch": 20,
+                                  "l1+0.0001: chain misses the representative": 2}},
+        "2": {"attempted": 5280, "failed": 0, "by_label": {}, "failure_reasons": {}},
+    }
+    json.dumps(parent)  # the record is written as JSON
+    change = bench.seed_failures({
+        1: run({"l1+1e-05: ClassificationMismatch": 79, "l1+0.0001: ClassificationMismatch": 23}),
+        2: run({"l2-1e-07: ValueError": 1}),
+    })
+    # fewer failures of a label, or the same, are no regression; a label new to a seed is
+    assert bench.more_failures(parent, change) == [
+        {"seed": 1, "label": "l1+0.0001", "parent": 22, "change": 23},
+        {"seed": 2, "label": "l2-1e-07", "parent": 0, "change": 1},
+    ]
+    assert bench.more_failures(parent, parent) == []

@@ -12,7 +12,9 @@ from heislor import _linalg
 from heislor.curvature import (
     EvidenceFailure,
     _charpoly,
+    _corner_spectrum,
     _memo_ricci,
+    _memo_spectrum,
     _nabla_terms,
     _ricci_terms,
     _riemann_terms,
@@ -617,6 +619,20 @@ def test_a_given_ricci_matrix_never_reads_the_memo():
     with pytest.raises(EvidenceFailure, match="does not split"):
         ricci_spectrum(lam, xi, 5, _sqrt2_ricci(5))
     assert soliton_certificate(lam, xi, 5, _sqrt2_ricci(5)) is None
+
+
+def test_spectrum_memo_holds_one_entry_per_class():
+    """The closed-form corner block is the same 4 x 4 matrix at every n, so the spectra of
+    n = 4..10 share one entry per class, and each equals the spectrum computed at n."""
+    _memo_spectrum.cache_clear()
+    exact_pairs = [(QSqrt3(lam), xi_exact(key)) for lam, key in CANONICAL_PAIRS]
+    for n in range(4, 11):
+        for lam, xi in exact_pairs:
+            ricci_spectrum(lam, xi, n)
+    assert _memo_spectrum.cache_info().currsize == len(CANONICAL_PAIRS)
+    for n in range(4, 11):
+        for lam, xi in exact_pairs:
+            assert _memo_spectrum(lam, xi) == _corner_spectrum(closed_form_ricci(lam, xi, n), n)
 
 
 def test_ricci_memo_hands_out_fresh_copies():

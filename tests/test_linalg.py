@@ -1,11 +1,14 @@
-"""The float LAPACK kernels of _linalg against the public numpy.linalg functions."""
+"""The float LAPACK kernels of _linalg against the public numpy.linalg functions, and
+the exact rank's one-entry rule against full elimination and sympy."""
 
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heislor._linalg import (
     UNDERFLOW,
@@ -17,10 +20,13 @@ from heislor._linalg import (
     inv,
     is_singular,
     qr_q,
+    rank_rows,
+    rref_rows,
     right_triangularize,
     shared_eye,
     slogdet,
 )
+from heislor.numerics import SQRT3, QSqrt3
 from heislor.reduction import NumericalBreakdown, _Builder
 
 from references import householder_block, triangularizing_block
@@ -230,3 +236,74 @@ def test_full_size_builders_match_the_embedded_blocks(n):
             got = _built(right_triangularize, b, n, lo)
             want = _built(lambda b: embed(triangularizing_block(b), n, coords), b)
             assert got == want, (lo, m, b)
+
+
+# -- the exact rank's one-entry rule ---------------------------------------------
+
+_COLUMNS = 7
+_NONZERO = [QSqrt3(1), QSqrt3(-2), QSqrt3(Fraction(1, 2)), SQRT3, -SQRT3, SQRT3 + 1,
+            QSqrt3(Fraction(-3, 2), Fraction(1, 2))]
+_nonzero = st.sampled_from(_NONZERO)
+_scalars = st.sampled_from([QSqrt3(0), *_NONZERO])  # zero at times: an explicit zero entry
+_column = st.integers(0, _COLUMNS - 1)
+
+
+@st.composite
+def _sparse_systems(draw) -> list[list[tuple[int, QSqrt3]]]:
+    """Sparse rows [(column, value), ...], shuffled, with every case the one-entry rule
+    meets: a one-entry column repeated, explicit zeros (in a row that has one nonzero
+    entry, and in a row of zeros), one-entry columns inside longer rows, and a row left
+    with one entry once those columns are dropped."""
+    singles = draw(st.lists(st.tuples(_column, _nonzero), min_size=1, max_size=4))
+    c = singles[0][0]
+    d = (c + draw(st.integers(1, _COLUMNS - 1))) % _COLUMNS
+    longer = draw(st.lists(st.dictionaries(_column, _scalars, min_size=2, max_size=5), max_size=6))
+    rows = [[single] for single in singles] + [list(row.items()) for row in longer]
+    rows += [
+        [(c, draw(_nonzero))],
+        [(d, QSqrt3(0)), (draw(_column), draw(_nonzero))],
+        [(draw(_column), QSqrt3(0))],
+        [(c, draw(_nonzero)), (d, draw(_nonzero))],
+    ]
+    return draw(st.permutations(rows))
+
+
+def test_rank_rows_counts_one_entry_rows_as_elimination_does():
+    rows = [
+        [(2, QSqrt3(1))],
+        [(2, QSqrt3(-3))],  # the same column again
+        [(0, QSqrt3(0)), (5, SQRT3)],  # one entry, beside an explicit zero
+        [(2, QSqrt3(1)), (4, QSqrt3(2))],  # (4, 2) once column 2 is dropped
+        [(4, QSqrt3(1)), (5, QSqrt3(7)), (2, QSqrt3(1))],  # (4, 1), a multiple of it
+        [(1, QSqrt3(1)), (3, SQRT3)],
+        [(1, QSqrt3(2)), (3, SQRT3 + SQRT3), (5, QSqrt3(1))],  # twice the row above, and e_5
+        [(0, QSqrt3(0))],
+    ]
+    # columns 2 and 5, then (4, 2) and the (1, 3) row
+    assert rank_rows(iter(rows)) == 4 == len(rref_rows(rows))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(_sparse_systems())
+def test_rank_rows_matches_full_elimination(rows):
+    # rref_rows eliminates every row, one-entry rows too
+    assert rank_rows(iter(rows)) == len(rref_rows(rows))
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(_sparse_systems())
+def test_rank_rows_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    field = sympy.QQ.algebraic_field(sympy.sqrt(3))
+
+    def entry(x: QSqrt3):
+        return field.from_sympy(sympy.Rational(x.a.numerator, x.a.denominator)
+                                + sympy.Rational(x.b.numerator, x.b.denominator) * sympy.sqrt(3))
+
+    dense = [[field.zero] * _COLUMNS for _ in rows]
+    for line, row in zip(dense, rows):
+        for c, x in row:
+            line[c] = entry(x)
+    assert rank_rows(iter(rows)) == DomainMatrix(dense, (len(rows), _COLUMNS), field).rank()

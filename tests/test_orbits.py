@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heislor import _linalg, metrics, orbits, reduction
-from heislor._linalg import exact_inv, exact_zeros, minkowski_gram
+from heislor._linalg import exact_inv, exact_zeros, minkowski_gram, rank_rows, rref_rows
 from heislor.curvature import (
     closed_form_ricci,
     closed_form_riemann,
@@ -16,6 +16,7 @@ from heislor.curvature import (
     ricci_spectrum,
     soliton_certificate,
 )
+from heislor.errors import DimensionNotInteger
 from heislor.liealg import DimensionTooSmall, aut_pattern, derivation_space_dim
 from heislor.metrics import (
     CANONICAL_PAIRS,
@@ -47,6 +48,7 @@ from heislor.reduction import (
     reduce_last_row,
     reduce_to_t,
     restricted_signatures,
+    signature_table,
 )
 
 from references import curve_sample
@@ -95,6 +97,35 @@ def test_stabilizer_system_equals_dense_formula(n):
             dense = e.T @ gram + gram @ e
             for row, (r, s) in enumerate(upper):
                 assert col.get(row, 0) == dense[r, s]
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_stabilizer_columns_off_the_corner_have_one_entry(n):
+    """The stabilizer step of the n-independence argument.  The gram's sparse rows put
+    every off-diagonal entry on the rows and columns {0, n-2, n-1}, so the column of a
+    position (i, j) with i off that corner is 2 E_jj or E_ij + E_ji: one entry."""
+    corner = {0, n - 2, n - 1}
+    positions, _ = orbits._stabilizer_layout(n)
+    for lam, key in CANONICAL_PAIRS:
+        rows = metrics._gram_rows(QSqrt3(lam), xi_exact(key), n, QSqrt3(1))
+        assert set(rows) == {(i,) for i in corner}
+        off_diagonal = {(i, j) for (i,), row in rows.items() for j, x in row.items() if x and i != j}
+        assert {j for _, j in off_diagonal} <= corner
+        # the dense gram is those rows over the Minkowski base, with nothing else off the diagonal
+        gram = canonical_gram(lam, xi_exact(key), n)
+        assert {(i, j) for (i, j), x in np.ndenumerate(gram) if x and i != j} == off_diagonal
+        system = orbits._stabilizer_system(lam, key, n)
+        off_corner = [col for (i, _), col in zip(positions, system) if i not in corner]
+        assert len(off_corner) == (n - 2) * (n - 3)  # 56 of the 77 positions at n = 10
+        assert all(len(col) == 1 for col in off_corner)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_stabilizer_rank_equals_full_elimination(n):
+    # rref_rows eliminates every column, so it does not use rank_rows' one-entry rule
+    for lam, key in CANONICAL_PAIRS:
+        system = orbits._stabilizer_system(lam, key, n)
+        assert rank_rows(col.items() for col in system) == len(rref_rows(col.items() for col in system))
 
 
 def test_stabilizer_system_forms_no_inverse(count_calls):
@@ -338,6 +369,7 @@ _AT_N3 = {
     "ricci_spectrum": lambda: ricci_spectrum(2, 2, 3),
     "curvature_report": lambda: curvature_report(2, 2, 3),
     "restricted_signatures": lambda: restricted_signatures(Metric(np.diag([1.0, 1.0, -1.0]))),
+    "signature_table": lambda: signature_table(3),
     "reduce_last_row": lambda: reduce_last_row(np.eye(3)),
     "reduce_lambda0": lambda: reduce_lambda0(np.eye(3)),
     "reduce_to_t": lambda: reduce_to_t(np.eye(3) - np.eye(3, k=-2), 1),
@@ -350,6 +382,32 @@ _AT_N3 = {
 def test_orbit_functions_refuse_n_below_four(call):
     with pytest.raises(DimensionTooSmall, match="need n >= 4, got 3"):
         call()
+
+
+#: entry points that take n, each as a comparable value; a float n once reached numpy, or
+#: gave signature_table's counts as floats
+_AT_N = {
+    "curvature_report": lambda n: curvature_report(2, "0", n).to_json(),
+    "codimension": lambda n: codimension(2, "0", n),
+    "generic_curvature": lambda n: generic_curvature(2, 0, n)[-1].tolist(),
+    "degeneration_graph": lambda n: degeneration_graph(n).to_json(),
+    "derivation_space_dim": derivation_space_dim,
+    "signature_table": lambda n: dict(signature_table(n)),
+}
+
+
+@pytest.mark.parametrize("call", _AT_N.values(), ids=_AT_N.keys())
+def test_entry_points_refuse_a_float_n_and_take_a_numpy_integer(call):
+    from heislor.cli import EXIT_BAD_INPUT, EXIT_CODES
+
+    want = call(5)
+    for n in (np.int64(5), np.int32(5)):  # an untyped cache would hand their entries to 5.0
+        assert call(n) == want
+    with pytest.raises(DimensionNotInteger, match=r"^n must be an integer, got 5\.0$") as caught:
+        call(5.0)
+    assert isinstance(caught.value, TypeError)
+    assert next(code for kind, code in EXIT_CODES.items() if isinstance(caught.value, kind)) == (
+        EXIT_BAD_INPUT)
 
 
 def test_invariant_reads_are_stacked(count_calls, monkeypatch):

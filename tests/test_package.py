@@ -199,7 +199,7 @@ def test_frozen_value_classes_refuse_writes_and_copy(value, fields):
 
 #: the modules that raise each typed error, which keep it importable by its old path
 ERROR_HOMES = {
-    "liealg": ["DimensionTooSmall"],
+    "liealg": ["DimensionTooSmall", "DimensionNotInteger"],
     "metrics": ["AsymmetricInput", "SingularMatrix", "WrongSignature", "NotARepresentative"],
     "reduction": [
         "ZeroVector", "NotInGLambda", "NegativeT", "NoTableMatch", "AmbiguousNearWall",

@@ -22,6 +22,14 @@ comparison with the parent by the pairing rule: a gain is claimed only when the
 change wins at least nine tenths of the pairs, ties counting for neither, and
 the medians differ by more than the parent's interquartile range.
 
+    python3 tools/bench.py --commits PARENT CHANGE --failure-seeds 1-10
+
+With --failure-seeds there are no timing pairs: each commit runs the near-wall
+workload once per seed of the range, and its entry in BENCH_near-wall.json holds,
+per seed, the attempted and failed counts, the failures per input label and the
+per-label reasons.  The change's entry also lists each seed and label that fails
+more often than in the parent, `more_failures`, the gate of the correctness items.
+
 An entry is keyed by what it measured, the trees `src/` and `perfbench/` and the
 pairs, seed and run length, not by the commit sha.  A run with other settings is
 added beside the old entries; a run of the same trees and settings replaces the
@@ -46,6 +54,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: share of the pairs the change must win before a gain is claimed
 WIN_SHARE = 0.9
 CHILD_TIMEOUT_S = 1800
+#: the workload whose per-label failures --failure-seeds records
+FAILURE_WORKLOAD = "near-wall"
 #: the tier-1 command, run in the unpacked tree; it writes no .pytest_cache there
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 
@@ -168,13 +178,59 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def entry(sha: str, runs: list[dict], facts: dict, settings: dict) -> dict:
-    first = runs[0]
+def seed_range(text: str) -> list[int]:
+    """The seeds of "A-B", A to B inclusive, or of a single "A"."""
+    first, dash, last = text.partition("-")
+    try:
+        seeds = range(int(first), int(last if dash else first) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a seed range such as 1-10") from None
+    if not seeds or seeds[0] < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a seed range such as 1-10")
+    return list(seeds)
+
+
+def seed_failures(runs: dict[int, dict]) -> dict[str, dict]:
+    """Per seed, as a JSON key, a run's attempted and failed counts, its failures per input
+    label and its reasons, which run.py keys "label: reason"."""
+    record = {}
+    for seed, run in runs.items():
+        by_label: dict[str, int] = {}
+        for reason, count in run["failure_reasons"].items():
+            label = reason.split(": ", 1)[0]
+            by_label[label] = by_label.get(label, 0) + count
+        record[str(seed)] = {"attempted": run["attempted"], "failed": run["failed"],
+                             "by_label": dict(sorted(by_label.items())),
+                             "failure_reasons": run["failure_reasons"]}
+    return record
+
+
+def more_failures(parent: dict[str, dict], change: dict[str, dict]) -> list[dict]:
+    """Each seed and label of two seed_failures records that fails more often in the change."""
+    worse = []
+    for seed, row in change.items():
+        before = parent[seed]["by_label"]
+        for label, count in row["by_label"].items():
+            if count > before.get(label, 0):
+                worse.append({"seed": int(seed), "label": label,
+                              "parent": before.get(label, 0), "change": count})
+    return worse
+
+
+def tree_id(sha: str) -> dict:
+    """The commit an entry measured, and its src/ and perfbench/ trees."""
     return {
         "commit": sha,
         "subject": _git("log", "-1", "--format=%s", sha),
         "src_tree": _git("rev-parse", f"{sha}:src"),
         "perfbench_tree": _git("rev-parse", f"{sha}:perfbench"),
+    }
+
+
+def entry(sha: str, runs: list[dict], facts: dict, settings: dict) -> dict:
+    first = runs[0]
+    return {
+        **tree_id(sha),
         "settings": settings,
         "host": first["host"],
         "runs": len(runs),
@@ -211,11 +267,38 @@ def write_entries(path: Path, entries: list[dict]) -> None:
     path.write_text(json.dumps(kept + entries, indent=1) + "\n", encoding="utf-8")
 
 
+def failure_baseline(shas: list[str], trees: list[Path], seeds: list[int], seconds: float) -> None:
+    """Run FAILURE_WORKLOAD once per seed on each tree and record the seeds' failures."""
+    settings = {"failure_seeds": f"{seeds[0]}-{seeds[-1]}", "seconds": seconds}
+    entries = []
+    for sha, tree in zip(shas, trees):
+        facts = tree_facts(tree)
+        runs = {}
+        for seed in seeds:
+            runs[seed] = run_once(tree, FAILURE_WORKLOAD, seed, seconds)
+            print(f"{tree.name} seed {seed} done", file=sys.stderr, flush=True)
+        host = runs[seeds[0]]["host"]
+        entries.append({**tree_id(sha), "settings": settings, "host": host,
+                        "seeds": seed_failures(runs), **facts})
+    parent, change = entries
+    change["compared_with"] = shas[0]
+    change["more_failures"] = more_failures(parent["seeds"], change["seeds"])
+    write_entries(ROOT / f"BENCH_{FAILURE_WORKLOAD}.json", entries)
+    for seed in map(str, seeds):
+        a, b = parent["seeds"][seed], change["seeds"][seed]
+        print(f"{FAILURE_WORKLOAD} seed {seed}: failed {a['failed']} of {a['attempted']} -> "
+              f"{b['failed']} of {b['attempted']}")
+    for row in change["more_failures"]:
+        print(f"  MORE FAILURES seed {row['seed']} {row['label']}: {row['parent']} -> {row['change']}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Paired benchmark of a parent and a change.")
     parser.add_argument("--commits", nargs=2, required=True, metavar=("PARENT", "CHANGE"))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--failure-seeds", type=seed_range, metavar="A-B",
+                        help=f"no timing pairs: record {FAILURE_WORKLOAD} failures per seed")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -230,6 +313,9 @@ def main(argv=None) -> int:
         trees = [Path(tmp) / f"{side}-{sha[:12]}" for side, sha in zip(("a", "b"), shas)]
         for sha, tree in zip(shas, trees):
             unpack(sha, tree)
+        if args.failure_seeds:
+            failure_baseline(shas, trees, args.failure_seeds, seconds)
+            return 0
         facts = [tree_facts(tree) for tree in trees]
         runs = {w: ([], []) for w in workloads}
         for k in range(args.pairs):
