@@ -32,7 +32,7 @@ from .numerics import QSqrt3, sub_product
 
 _ZERO, _ONE = QSqrt3(0), QSqrt3(1)
 
-#: |det|^(1/n) below this (unit roundoff) times the largest entry reads as singular
+#: |det|^(1/n) below this (machine epsilon) times the largest entry reads as singular
 SINGULAR_RATIO = 2.0**-52
 #: a Householder vector with squared norm below this has underflowed
 UNDERFLOW = 1e-300
@@ -98,14 +98,13 @@ def _subtract(row: dict[int, QSqrt3], f: QSqrt3, tail: dict[int, QSqrt3]) -> Non
 
 
 def _echelon(rows) -> dict[int, dict[int, QSqrt3]]:
-    """Forward elimination of rows given as iterables of (column, value) pairs.
+    """Forward elimination of sparse rows {column: nonzero value}, which it consumes.
 
     Returns {pivot column c: tail}, the row e_c + tail with tail right of c.  A
     row is reduced from its leftmost entry, where a pivot row fills in rightwards.
     """
     pivots: dict[int, dict[int, QSqrt3]] = {}
-    for items in rows:
-        row = {c: x for c, x in items if x}
+    for row in rows:
         while row:
             c = min(row)
             f = row.pop(c)
@@ -127,17 +126,18 @@ def rank_rows(rows) -> int:
     """
     rows = [{c: x for c, x in items if x} for items in rows]
     singles = {c for row in rows if len(row) == 1 for c in row}
-    rest = ([(c, x) for c, x in row.items() if c not in singles] for row in rows if len(row) > 1)
+    rest = ({c: x for c, x in row.items() if c not in singles} for row in rows if len(row) > 1)
     return len(singles) + len(_echelon(rest))
 
 
 def rref_rows(rows) -> dict[int, dict[int, QSqrt3]]:
-    """Reduced row echelon form as {pivot column: tail}, in pivot order.
+    """Reduced row echelon form as {pivot column: tail}, in pivot order, of rows given as
+    iterables of (column, value) pairs, zeros allowed.
 
     Back substitution runs from the last pivot, whose tail is already free of
     later pivot columns, so no subtraction brings one back.
     """
-    pivots = _echelon(rows)
+    pivots = _echelon({c: x for c, x in items if x} for items in rows)
     order = sorted(pivots)
     for k in reversed(order):
         for c in order[: order.index(k)]:
@@ -214,10 +214,10 @@ def _with_errstate(**flags):
 
     def decorate(f):
         @wraps(f)
-        def under(*args):
+        def under(*args, **kwargs):
             token = _extobj_contextvar.set(state)
             try:
-                return f(*args)
+                return f(*args, **kwargs)
             finally:
                 _extobj_contextvar.reset(token)
 

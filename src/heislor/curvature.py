@@ -24,17 +24,11 @@ coordinate of U(x_i, x_j) and of nabla_(x_i) x_j.  The Ricci spectrum is read
 exactly off the characteristic polynomial of the corner block, split over
 Q(sqrt3) with no float eigenvalue.
 
-The closed-form Ricci operator is memoized once per (lam, xi, n), and its corner
-spectrum once per (lam, xi), with lam and xi coerced to QSqrt3, for the life of
-the process: the operator as a read-only array, which closed_form_ricci copies,
-and the characteristic polynomial with its roots as tuples, which ricci_spectrum
-turns into a fresh list.  The closed form's corner block is the same 4 x 4 matrix
-at every n, so the n = 4 block stands for all.  curvature_report,
-soliton_certificate and ricci_spectrum read the same entries.  A Ricci matrix a
-caller passes in is read as given and never meets the memo.
-
-The middle frame directions x_3, ..., x_(n-2) are inert; every table is
-supported on the corner coordinates (1, 2, n-1, n).
+The closed forms are written once per (lam, xi), as sparse rows on the corner
+x_1, x_2, x_(n-1), x_n that the middle directions x_3, ..., x_(n-2) never reach,
+and each call places them at (0, 1, n-2, n-1) in a fresh array.  The corner
+spectrum of Ric is memoized per (lam, xi) too; a Ricci matrix a caller passes in
+is read as given and never meets either memo.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from operator import index
 
 import numpy as np
 
@@ -174,127 +167,108 @@ def generic_curvature(lam, xi, n: int, exact: bool = True):
 # -- closed-form component tables ---------------------------------------------
 
 
-def _corners_and_scalars(lam, xi, n: int) -> tuple:
-    """The closed forms' corner coordinates 0, 1, n-2, n-1, distinct from n = 4 on,
-    and their scalars (lam, xi, 1, 1/2) in Q(sqrt3)."""
+@lru_cache(maxsize=None)
+def _closed_forms(lam: QSqrt3, xi: QSqrt3) -> tuple[dict, dict, dict, dict]:
+    """The hard-coded U, nabla, R and Ric of the class, as sparse rows on the corner
+    indices 0..3 of x_1, x_2, x_(n-1), x_n: U and nabla as {(i, j): {k: x}}, R as
+    {(i, j): {(k,): R(x_i, x_j) x_k}} for i < j, and Ric as its rows {(i,): {j: x}}.
+
+    Callers coerce lam and xi to QSqrt3 first, so that 2 and QSqrt3(2) share an entry
+    and a float is refused before it can match one."""
+    one, half = QSqrt3(1), HALF
+    lam2, xi2 = lam * lam, xi * xi
+    m = lam2 - one
+    lx, hx, hp, hm = half * lam * xi, half * xi, half * (lam2 + one), half * m
+    u = {
+        (0, 0): {1: lam},
+        (0, 1): {0: -half * lam, 2: -lx, 3: half * lam2},
+        (0, 2): {1: lx},
+        (0, 3): {1: hp},
+        (1, 3): {0: -half, 2: -hx, 3: half * lam},
+        (2, 3): {1: hx},
+        (3, 3): {1: lam},
+    }
+    u.update({(j, i): row for (i, j), row in u.items()})  # U is symmetric
+    nabla = {
+        (0, 0): {1: lam},
+        (0, 1): {0: -lam, 2: -lx, 3: hp},
+        (0, 2): {1: lx},
+        (0, 3): {1: hp},
+        (1, 0): {2: -lx, 3: hm},
+        (1, 2): {0: lx, 3: -hx},
+        (1, 3): {0: hm, 2: -hx},
+        (2, 0): {1: lx},
+        (2, 1): {0: -lx, 3: hx},
+        (2, 3): {1: hx},
+        (3, 0): {1: hp},
+        (3, 1): {0: -hp, 2: -hx, 3: lam},
+        (3, 2): {1: hx},
+        (3, 3): {1: lam},
+    }
+    # the columns R(x_i, x_j) x_k, written with hx = xi / 2 and hm = (lam^2 - 1) / 2
+    quarter = half * half
+    x2, xm, lxm = hx * hx, hx * hm, lam * hx * hm
+    p = quarter * (lam2 * lam2 - lam2 * (xi2 - 2 * one) - 3 * one)
+    q = 3 * xm
+    s = lam * (m - x2)
+    t = quarter * (3 * lam2 * lam2 - 2 * lam2 - xi2 - one)
+    riemann = {
+        (0, 1): {(0,): {1: p}, (1,): {0: -p, 2: -q, 3: s}, (2,): {1: q}, (3,): {1: s}},
+        (0, 2): {(0,): {2: -lam2 * x2, 3: lxm}, (2,): {0: lam2 * x2, 3: -lam * x2},
+                 (3,): {0: lxm, 2: -lam * x2}},
+        (0, 3): {(0,): {2: -lxm, 3: hm * hm}, (2,): {0: lxm, 3: -xm}, (3,): {0: hm * hm, 2: -xm}},
+        (1, 2): {(0,): {1: -q}, (1,): {0: q, 2: q * xi, 3: -q * lam}, (2,): {1: -q * xi},
+                 (3,): {1: -q * lam}},
+        (1, 3): {(0,): {1: -s}, (1,): {0: s, 2: q * lam, 3: -t}, (2,): {1: -q * lam},
+                 (3,): {1: -t}},
+        (2, 3): {(0,): {2: lam * x2, 3: -xm}, (2,): {0: -lam * x2, 3: x2}, (3,): {0: -xm, 2: x2}},
+    }
+    r = lam * (m - half * xi2)
+    ric = {
+        (0,): {0: -half * (lam2 * lam2 - lam2 * xi2 - one), 2: -xi * hm, 3: -r},
+        (1,): {1: half * (lam2 * lam2 - lam2 * (xi2 + 2 * one) + xi2 + one)},
+        (2,): {0: -xi * hm, 2: -xi2 * hm, 3: -lam * xi * hm},
+        (3,): {0: r, 2: lam * xi * hm, 3: half * (lam2 * lam2 - xi2 - one)},
+    }
+    return u, nabla, riemann, ric
+
+
+def _corner(n: int) -> list[int]:
+    """The frame indices 0, 1, n-2, n-1 of x_1, x_2, x_(n-1), x_n, distinct from n = 4 on."""
     require_dim(n)
-    return 0, 1, n - 2, n - 1, QSqrt3.coerce(lam), QSqrt3.coerce(xi), QSqrt3(1), HALF
+    return [0, 1, n - 2, n - 1]
+
+
+def _on_corner(rows: dict, n: int) -> np.ndarray:
+    """Sparse rows on the corner indices 0..3, placed at _corner(n) and densified afresh."""
+    at = _corner(n)
+    placed = {tuple(at[i] for i in key): {at[k]: x for k, x in row.items()}
+              for key, row in rows.items()}
+    return exact_dense(placed, (n,) * (len(next(iter(rows))) + 1))
 
 
 def closed_form_u(lam, xi, n: int) -> np.ndarray:
     """Hard-coded symmetric U components on the corner coordinates, as u[i, j, k]."""
-    a, b, c, d, lam, xi, one, half = _corners_and_scalars(lam, xi, n)
-    rows = {
-        (a, a): {b: lam},
-        (a, b): {a: -half * lam, c: -half * lam * xi, d: half * lam * lam},
-        (a, c): {b: half * lam * xi},
-        (a, d): {b: half * (lam * lam + one)},
-        (b, d): {a: -half, c: -half * xi, d: half * lam},
-        (c, d): {b: half * xi},
-        (d, d): {b: lam},
-    }
-    rows.update({(j, i): row for (i, j), row in rows.items()})  # U is symmetric
-    return exact_dense(rows, (n, n, n))
+    return _on_corner(_closed_forms(QSqrt3.coerce(lam), QSqrt3.coerce(xi))[0], n)
 
 
 def closed_form_nabla(lam, xi, n: int) -> np.ndarray:
     """Hard-coded connection components on the corner coordinates, as nabla[i, j, k]."""
-    a, b, c, d, lam, xi, one, half = _corners_and_scalars(lam, xi, n)
-    lam2 = lam * lam
-    return exact_dense({
-        (a, a): {b: lam},
-        (a, b): {a: -lam, c: -half * lam * xi, d: half * (lam2 + one)},
-        (a, c): {b: half * lam * xi},
-        (a, d): {b: half * (lam2 + one)},
-        (b, a): {c: -half * lam * xi, d: half * (lam2 - one)},
-        (b, c): {a: half * lam * xi, d: -half * xi},
-        (b, d): {a: half * (lam2 - one), c: -half * xi},
-        (c, a): {b: half * lam * xi},
-        (c, b): {a: -half * lam * xi, d: half * xi},
-        (c, d): {b: half * xi},
-        (d, a): {b: half * (lam2 + one)},
-        (d, b): {a: -half * (lam2 + one), c: -half * xi, d: lam},
-        (d, c): {b: half * xi},
-        (d, d): {b: lam},
-    }, (n, n, n))
+    return _on_corner(_closed_forms(QSqrt3.coerce(lam), QSqrt3.coerce(xi))[1], n)
 
 
 def closed_form_riemann(lam, xi, n: int) -> dict[tuple[int, int], np.ndarray]:
     """Hard-coded curvature operators on the corner coordinates."""
-    a, b, c, d, lam, xi, one, half = _corners_and_scalars(lam, xi, n)
-    quarter = half * half
-    lam2, xi2 = lam * lam, xi * xi
-    m = lam2 - one
-    p = lam2 * lam2 - lam2 * (xi2 - 2 * one) - 3 * one
-    q = 3 * xi * m
-    s = 4 * lam2 * lam - lam * (xi2 + 4 * one)
-    t = 3 * lam2 * lam2 - 2 * lam2 - xi2 - one
-
-    # the columns R(x_i, x_j) x_k, times 4, in the generic route's shape {(i, j, k): {l: 4 R_lk}}
-    columns = {
-        (a, b, a): {b: p},
-        (a, b, b): {a: -p, c: -q, d: s},
-        (a, b, c): {b: q},
-        (a, b, d): {b: s},
-        (a, c, a): {c: -lam2 * xi2, d: lam * xi * m},
-        (a, c, c): {a: lam2 * xi2, d: -lam * xi2},
-        (a, c, d): {a: lam * xi * m, c: -lam * xi2},
-        (a, d, a): {c: -lam * xi * m, d: m * m},
-        (a, d, c): {a: lam * xi * m, d: -xi * m},
-        (a, d, d): {a: m * m, c: -xi * m},
-        (b, c, a): {b: -q},
-        (b, c, b): {a: q, c: q * xi, d: -q * lam},
-        (b, c, c): {b: -q * xi},
-        (b, c, d): {b: -q * lam},
-        (b, d, a): {b: -s},
-        (b, d, b): {a: s, c: q * lam, d: -t},
-        (b, d, c): {b: -q * lam},
-        (b, d, d): {b: -t},
-        (c, d, a): {c: lam * xi2, d: -xi * m},
-        (c, d, c): {a: -lam * xi2, d: xi2},
-        (c, d, d): {a: -xi * m, c: xi2},
-    }
-    ops: dict = {}
-    for (i, j, k), col in columns.items():
-        for l, v in col.items():
-            col[l] = quarter * v
-        ops.setdefault((i, j), {})[(k,)] = col
-    # ops[i, j] holds column k as row k, hence the transpose
-    return {ij: exact_dense(rows, (n, n)).T for ij, rows in ops.items()}
+    at = _corner(n)
+    ops = _closed_forms(QSqrt3.coerce(lam), QSqrt3.coerce(xi))[2]
+    # cols[(k,)] is column k of the operator, hence the transpose
+    return {(at[i], at[j]): _on_corner(cols, n).T for (i, j), cols in ops.items()}
 
 
 def closed_form_ricci(lam, xi, n: int, exact: bool = True) -> np.ndarray:
-    """Hard-coded Ricci operator matrix on the corner coordinates, a writable copy."""
+    """Hard-coded Ricci operator matrix on the corner coordinates."""
     _exact_only(exact)
-    return _memo_ricci(*_memo_key(lam, xi, n)).copy()
-
-
-def _memo_key(lam, xi, n) -> tuple[QSqrt3, QSqrt3, int]:
-    """(lam, xi, n) as the memos key them, so that 2 and QSqrt3(2) share an entry
-    and a float never matches one."""
-    return QSqrt3.coerce(lam), QSqrt3.coerce(xi), index(n)
-
-
-@lru_cache(maxsize=None)
-def _memo_ricci(lam: QSqrt3, xi: QSqrt3, n: int) -> np.ndarray:
-    """The closed-form Ricci operator, built once per (lam, xi, n) and read-only."""
-    a, b, c, d, lam, xi, one, half = _corners_and_scalars(lam, xi, n)
-    lam2, xi2 = lam * lam, xi * xi
-    m = lam2 - one
-    ric = exact_dense({
-        (a,): {a: -half * (lam2 * lam2 - lam2 * xi2 - one),
-               c: -half * xi * m,
-               d: -half * (2 * lam2 * lam - lam * (xi2 + 2 * one))},
-        (b,): {b: half * (lam2 * lam2 - lam2 * (xi2 + 2 * one) + xi2 + one)},
-        (c,): {a: -half * xi * m,
-               c: -half * xi2 * m,
-               d: -half * lam * xi * m},
-        (d,): {a: half * (2 * lam2 * lam - lam * (xi2 + 2 * one)),
-               c: half * lam * xi * m,
-               d: half * (lam2 * lam2 - xi2 - one)},
-    }, (n, n))
-    ric.flags.writeable = False
-    return ric
+    return _on_corner(_closed_forms(QSqrt3.coerce(lam), QSqrt3.coerce(xi))[3], n)
 
 
 # -- curvature properties --------------------------------------------------------
@@ -341,7 +315,7 @@ def soliton_certificate(lam, xi, n: int, ric: np.ndarray | None = None, exact: b
     """
     _exact_only(exact)
     if ric is None:
-        ric = _memo_ricci(*_memo_key(lam, xi, n))
+        ric = closed_form_ricci(lam, xi, n)
     br = _bracket_terms(lam, xi, n)
     rows: dict[int, dict[int, QSqrt3]] = {}  # rows[a][i] = Ric[a, i]
     cols: dict[int, dict[int, QSqrt3]] = {}  # cols[k][a] = Ric[a, k], so Ric x_k
@@ -478,7 +452,7 @@ def _split(p: list[QSqrt3]) -> list[QSqrt3] | None:
 
 def _corner_spectrum(ric: np.ndarray, n: int) -> tuple[tuple, tuple | None]:
     """The corner block's characteristic polynomial, and its roots descending or None."""
-    idx = [0, 1, n - 2, n - 1]
+    idx = _corner(n)
     p = _charpoly(ric[np.ix_(idx, idx)])
     roots = _split(p)
     return tuple(p), None if roots is None else tuple(sorted(roots, reverse=True))
@@ -486,13 +460,8 @@ def _corner_spectrum(ric: np.ndarray, n: int) -> tuple[tuple, tuple | None]:
 
 @lru_cache(maxsize=None)
 def _memo_spectrum(lam: QSqrt3, xi: QSqrt3) -> tuple[tuple, tuple | None]:
-    """_corner_spectrum of the closed-form Ricci operator, once per (lam, xi).
-
-    The closed form writes each entry of its corner (0, 1, n-2, n-1) from lam and xi
-    alone, so the corner block is the same 4 x 4 matrix at every n: the whole n = 4
-    operator.
-    """
-    return _corner_spectrum(_memo_ricci(lam, xi, 4), 4)
+    """_corner_spectrum of the class memo's Ricci corner, once per (lam, xi)."""
+    return _corner_spectrum(_on_corner(_closed_forms(lam, xi)[3], 4), 4)
 
 
 def ricci_spectrum(lam, xi, n: int, ric: np.ndarray | None = None, exact: bool = True):
@@ -505,7 +474,7 @@ def ricci_spectrum(lam, xi, n: int, ric: np.ndarray | None = None, exact: bool =
     _exact_only(exact)
     require_dim(n)
     if ric is None:
-        p, roots = _memo_spectrum(*_memo_key(lam, xi, n)[:2])
+        p, roots = _memo_spectrum(QSqrt3.coerce(lam), QSqrt3.coerce(xi))
     else:
         p, roots = _corner_spectrum(ric, n)
     if roots is None:
@@ -535,7 +504,7 @@ class CurvatureReport:
     spectrum: list
 
     def to_json(self) -> dict:
-        idx = [0, 1, self.n - 2, self.n - 1]
+        idx = _corner(self.n)
 
         def num(x):
             return x.format() if isinstance(x, QSqrt3) else float(x)

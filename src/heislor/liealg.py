@@ -98,9 +98,10 @@ class BlockPattern(_Frozen):
         self._fill(n, mask)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def aut_pattern(n: int) -> BlockPattern:
     """Mask of R x Aut(g): zero upper-right 2 x (n-2) block, zero (n-3) x 1 block."""
+    require_dim(n)
     mask = np.zeros((n, n), dtype=bool)
     mask[0:2, 0:2] = True
     mask[2 : n - 1, 0 : n - 1] = True

@@ -129,11 +129,13 @@ def stabilizer_dim(lam: int, xi, n: int) -> int:
 
 def moduli_dim(n: int) -> int:
     """Dimension of the space of inner products of a fixed signature."""
+    require_dim(n)
     return n * (n + 1) // 2
 
 
 def acting_group_dim(n: int) -> int:
     """Dimension of the scaled automorphism group (the full block pattern)."""
+    require_dim(n)
     return n * n - 3 * n + 7
 
 

@@ -70,12 +70,8 @@ WALL_BAND = 1e-6
 #: largest distance |t - wall| a snap onto the wall absorbs: the chain then
 #: misses its target by that distance, which must stay within WITNESS_TOL
 SNAP_LIMIT = WITNESS_TOL / 4
-#: a snap onto a wall from further than this is flagged NearDegenerate
-NEAR_WALL_FLAG = 1e-9
 #: relative deviation from the exact shape that a snap may absorb
 SNAP_TOL = 1e-6
-#: a (3, 3) corner below this fraction of max(1, |(3, 1) entry|) breaks the chart down
-CORNER_TOL = 1e-9
 #: largest t accepted without a retry (factor entries grow with t); classify
 #: normalizes the input scale away first, so a larger t comes from the chart or
 #: from a metric near the lam wall, where every chart can exceed it (ROADMAP (h))
@@ -307,13 +303,13 @@ def _reduce_lambda0(builder: _Builder) -> None:
 def _reduce_to_t(builder: _Builder, lam: int) -> float:
     """Reach I + t E_(n-1,1) - lam E_(n,1), t >= 0: a Householder factor and a
     middle rotation leave the (3, 3) corner x and (3, 1) entry y that fix
-    t = |y / x|, and one left solve lands on it.  A corner below CORNER_TOL fixes no
-    t: the chart breaks down, and classify redraws it."""
+    t = |y / x|, and one left solve lands on it.  A corner inside the zero band
+    DEFAULT_TOL * max(1, |y|) fixes no t: the chart breaks down, and classify redraws it."""
     n = builder.n
     if n >= 5:  # zero the first column below its third entry
         builder.apply_left(householder(builder.current[2 : n - 1, 0], 0, n, 2))
     builder.apply_right(right_triangularize(builder.current[1 : n - 1, 1 : n - 1], n, 1))
-    if abs(builder.current[2, 2]) <= CORNER_TOL * max(1.0, abs(builder.current[2, 0])):
+    if abs(builder.current[2, 2]) <= DEFAULT_TOL * max(1.0, abs(builder.current[2, 0])):
         raise NumericalBreakdown("vanishing (3, 3) corner")
     t_signed = float(builder.current[2, 0] / builder.current[2, 2])
     target = shared_eye(n).copy()
@@ -392,13 +388,14 @@ def _snap_onto_wall(builder: _Builder, lam: int, key: str, wall: str, t: float) 
 
     Returns False outside WALL_BAND and raises AmbiguousNearWall between the
     two: the band is decided from t alone, once, on the chart that reached it.
+    A snap from outside the zero band DEFAULT_TOL is flagged NearDegenerate.
     """
     dist = t - xi_float(wall)
     if abs(dist) > WALL_BAND:
         return False
     if abs(dist) > SNAP_LIMIT:
         raise AmbiguousNearWall(((lam, key), (lam, wall)), dist)
-    if abs(dist) > NEAR_WALL_FLAG:
+    if abs(dist) > DEFAULT_TOL:
         builder.flags.append(FLAG_NEAR_DEGENERATE)
     builder.snap(representative_matrix(lam, wall, builder.n))
     return True
@@ -707,6 +704,7 @@ def _outside_index(n: int) -> np.ndarray:
     return index
 
 
+@_with_errstate(all="ignore")
 def verify_witness(metric: Metric, witness: Witness) -> VerificationResult:
     """Re-multiply the witness of a classified metric and check every membership claim
     at WITNESS_TOL, the recorded m-factor against the metric's Gram matrix included.
@@ -718,13 +716,6 @@ def verify_witness(metric: Metric, witness: Witness) -> VerificationResult:
     A matrix of the wrong size, a singular m-factor, or an exact gram whose float copy
     overflows or rounds to zero fails the check before anything is multiplied.
     """
-    return _verify_witness(metric, witness)
-
-
-# _with_errstate's wrapper passes positional arguments alone, so the public name keeps
-# keyword calls
-@_with_errstate(all="ignore")
-def _verify_witness(metric: Metric, witness: Witness) -> VerificationResult:
     if witness.m_factor is None:
         return VerificationResult(False, math.inf, "witness has no m-factor")
     try:

@@ -13,7 +13,7 @@ from heislor.curvature import (
     EvidenceFailure,
     _charpoly,
     _corner_spectrum,
-    _memo_ricci,
+    _closed_forms,
     _memo_spectrum,
     _nabla_terms,
     _ricci_terms,
@@ -34,6 +34,7 @@ from heislor.curvature import (
     soliton_certificate,
 )
 from heislor._linalg import exact_eye, exact_inv, exact_zeros, to_float
+from heislor.errors import DimensionNotInteger
 from heislor.liealg import _bracket_terms
 from heislor.metrics import CANONICAL_PAIRS, NotARepresentative, shear_matrix, xi_exact
 from heislor.numerics import QSqrt3
@@ -635,26 +636,49 @@ def test_spectrum_memo_holds_one_entry_per_class():
             assert _memo_spectrum(lam, xi) == _corner_spectrum(closed_form_ricci(lam, xi, n), n)
 
 
+def _closed_tables(lam, xi, n):
+    """The four closed forms at n as one list of arrays, R's operators last."""
+    ops = closed_form_riemann(lam, xi, n)
+    return [closed_form_u(lam, xi, n), closed_form_nabla(lam, xi, n),
+            closed_form_ricci(lam, xi, n), *ops.values()]
+
+
+def _report_tables(report):
+    return [report.u, report.nabla, report.ric, *report.riemann_ops.values()]
+
+
 def test_ricci_memo_hands_out_fresh_copies():
+    """One memo entry per class holds the closed forms of every n, and every call builds
+    fresh writable arrays from it."""
+    _closed_forms.cache_clear()
+    for n in range(4, 11):
+        for lam, key in CANONICAL_PAIRS:
+            _closed_tables(QSqrt3(lam), xi_exact(key), n)
+    assert _closed_forms.cache_info().currsize == len(CANONICAL_PAIRS)
     lam, xi = QSqrt3(2), QSqrt3(2)
-    before = _memo_ricci.cache_info()
-    first, second = closed_form_ricci(2, 2, 9), closed_form_ricci(lam, xi, 9)
-    after = _memo_ricci.cache_info()
-    # 2 and QSqrt3(2) share one entry, and a float n, equal to 9, reads none
-    assert after.currsize - before.currsize <= 1 and after.hits > before.hits
-    with pytest.raises(TypeError):
-        closed_form_ricci(lam, xi, 9.0)
-    assert first is not second and _equal(first, second)
-    assert first.flags.writeable and second.flags.writeable
-    assert not _memo_ricci(lam, xi, 9).flags.writeable  # so a reader of the memo cannot write
-    want = second.copy()
-    first[0, 0] = first[1, 1] = QSqrt3(99)
-    assert _equal(closed_form_ricci(lam, xi, 9), want)
+    _closed_tables(2, 2, 9)  # 2 and QSqrt3(2) share one entry
+    assert _closed_forms.cache_info().currsize == len(CANONICAL_PAIRS)
+    for build in (closed_form_u, closed_form_nabla, closed_form_riemann, closed_form_ricci):
+        with pytest.raises(DimensionNotInteger):
+            build(lam, xi, 9.0)
+        for args in ((2.0, xi, 9), (lam, 2.0, 9)):  # a float lam or xi reads no entry either
+            with pytest.raises(TypeError):
+                build(*args)
+
+    want = [a.copy() for a in _closed_tables(lam, xi, 9)]
+    first, second = _closed_tables(lam, xi, 9), _closed_tables(lam, xi, 9)
+    for a, b, w in zip(first, second, want, strict=True):
+        assert a is not b and _equal(a, w) and _equal(b, w)
+        assert a.flags.writeable and b.flags.writeable
+        a[...] = QSqrt3(99)
+    assert all(_equal(a, w) for a, w in zip(_closed_tables(lam, xi, 9), want, strict=True))
     report = curvature_report(2, "2", 9)
-    assert _equal(report.ric, want)
-    report.ric[0, 0] = QSqrt3(99)
-    assert _equal(curvature_report(2, "2", 9).ric, want)
-    assert _equal(closed_form_ricci(lam, xi, 9), want)
+    assert all(_equal(a, w) for a, w in zip(_report_tables(report), want, strict=True))
+    for a in _report_tables(report):
+        a[...] = QSqrt3(99)
+    fresh = curvature_report(2, "2", 9)
+    assert all(_equal(a, w) for a, w in zip(_report_tables(fresh), want, strict=True))
+    assert all(_equal(a, w) for a, w in zip(_closed_tables(lam, xi, 9), want, strict=True))
 
     first, second = ricci_spectrum(2, 2, 9), ricci_spectrum(lam, xi, 9)
     assert first == second and first is not second
@@ -662,8 +686,8 @@ def test_ricci_memo_hands_out_fresh_copies():
     first[0] = QSqrt3(99)
     first.append(QSqrt3(99))
     assert ricci_spectrum(lam, xi, 9) == want
-    assert report.spectrum == want and report.spectrum is not second
-    report.spectrum.clear()
+    assert fresh.spectrum == want and fresh.spectrum is not second
+    fresh.spectrum.clear()
     assert curvature_report(2, "2", 9).spectrum == want
 
 

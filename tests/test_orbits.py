@@ -31,10 +31,12 @@ from heislor.numerics import QSqrt3
 from heislor.orbits import (
     CURVE_FAMILIES,
     OracleMismatch,
+    acting_group_dim,
     codimension,
     degeneration_graph,
     dims_UW,
     is_closed,
+    moduli_dim,
     orbit_report,
     stabilizer_dim,
 )
@@ -370,6 +372,9 @@ _AT_N3 = {
     "curvature_report": lambda: curvature_report(2, 2, 3),
     "restricted_signatures": lambda: restricted_signatures(Metric(np.diag([1.0, 1.0, -1.0]))),
     "signature_table": lambda: signature_table(3),
+    "aut_pattern": lambda: aut_pattern(3),
+    "moduli_dim": lambda: moduli_dim(3),
+    "acting_group_dim": lambda: acting_group_dim(3),
     "reduce_last_row": lambda: reduce_last_row(np.eye(3)),
     "reduce_lambda0": lambda: reduce_lambda0(np.eye(3)),
     "reduce_to_t": lambda: reduce_to_t(np.eye(3) - np.eye(3, k=-2), 1),
@@ -385,7 +390,7 @@ def test_orbit_functions_refuse_n_below_four(call):
 
 
 #: entry points that take n, each as a comparable value; a float n once reached numpy, or
-#: gave signature_table's counts as floats
+#: gave signature_table's counts, moduli_dim and acting_group_dim as floats
 _AT_N = {
     "curvature_report": lambda n: curvature_report(2, "0", n).to_json(),
     "codimension": lambda n: codimension(2, "0", n),
@@ -393,6 +398,9 @@ _AT_N = {
     "degeneration_graph": lambda n: degeneration_graph(n).to_json(),
     "derivation_space_dim": derivation_space_dim,
     "signature_table": lambda n: dict(signature_table(n)),
+    "aut_pattern": lambda n: aut_pattern(n).mask.tolist(),
+    "moduli_dim": moduli_dim,
+    "acting_group_dim": acting_group_dim,
 }
 
 

@@ -361,7 +361,7 @@ def _reduce_to_t_peel_reference(g, lam):
         ideal[j, :] = 0.0
         ideal[j, j] = 1.0
         builder.snap(ideal)
-    if abs(builder.current[2, 2]) <= reduction.CORNER_TOL * max(1.0, max_abs(builder.current[2])):
+    if abs(builder.current[2, 2]) <= DEFAULT_TOL * max(1.0, max_abs(builder.current[2])):
         raise NumericalBreakdown("vanishing (3, 3) corner")
     x = float(builder.current[2, 2])
     y = float(builder.current[2, 0])
