@@ -21,11 +21,9 @@ Everything is sized for n <= 24.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, partial
 
 import numpy as np
-from numpy._core._multiarray_umath import _make_extobj
-from numpy._core._ufunc_config import _extobj_contextvar
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .numerics import QSqrt3, sub_product
@@ -197,42 +195,23 @@ def congruence_diagonal(a: np.ndarray) -> list[QSqrt3]:
 
 
 # -- float LAPACK kernels ----------------------------------------------------
-# Each is numpy.linalg's own float64 gufunc call, under its wrapper's errstate where it has
-# one, so the bits, the LinAlgError and its message are numpy.linalg's; the wrapper's
-# checks, casts and result wrapping cost more than LAPACK at n <= 8.  Each errstate is built
-# once and set per call as np.errstate sets it, on a per-thread contextvar.  Bound at
-# import, so a numpy without these names (numpy 1.x splits the QR gufunc in two) fails there.
+# Each is numpy.linalg's own float64 gufunc call, under its wrapper's np.errstate where it
+# has one, so the bits, the LinAlgError and its message are numpy.linalg's; the wrapper's
+# checks, casts and result wrapping cost more than LAPACK at n <= 8.  numpy.linalg's private
+# _umath_linalg, which holds the gufuncs, is the one private numpy name the package reads.
+# Bound at import, so a numpy without these gufuncs (numpy 1.x splits QR in two) fails there.
 
 #: numpy.linalg's message for an eigensolver that did not converge
 EIG_FAILURE = "Eigenvalues did not converge"
 
 
-def _with_errstate(**flags):
-    """Decorator: run f under the numpy error state `flags`, built once.  Name all four
-    flags, or `all`: _make_extobj copies an unnamed one from the state it is built in."""
-    state = _make_extobj(**flags)
-
-    def decorate(f):
-        @wraps(f)
-        def under(*args, **kwargs):
-            token = _extobj_contextvar.set(state)
-            try:
-                return f(*args, **kwargs)
-            finally:
-                _extobj_contextvar.reset(token)
-
-        return under
-
-    return decorate
-
-
-def _errstate(failure: str):
+def _errstate(failure: str) -> np.errstate:
     """numpy.linalg's errstate around a gufunc: an invalid result raises LinAlgError(failure)."""
 
     def fail(err, flag):
         raise LinAlgError(failure)
 
-    return _with_errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
 inv = _errstate("Singular matrix")(partial(_umath_linalg.inv, signature="d->d"))
@@ -243,7 +222,7 @@ det = partial(_umath_linalg.det, signature="d->d")
 _qr_r_raw = partial(_umath_linalg.qr_r_raw, signature="d->d")
 _qr_reduced = partial(_umath_linalg.qr_reduced, signature="dd->d")
 # is_singular's slogdet warns of nothing: a NaN or inf entry gives a NaN, which reads singular
-_nan_slogdet = _with_errstate(all="ignore")(slogdet)
+_nan_slogdet = np.errstate(all="ignore")(slogdet)
 
 
 def _qr_q_in_place(a: np.ndarray) -> np.ndarray:

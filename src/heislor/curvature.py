@@ -57,6 +57,7 @@ def _exact_only(exact: bool) -> None:
 
 def frame_signs(n: int) -> list[int]:
     """eps_i for the Lorentzian frame: all +1 except the last."""
+    require_dim(n)
     return [1] * (n - 1) + [-1]
 
 

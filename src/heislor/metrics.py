@@ -258,7 +258,7 @@ def canonical_metric(lam, xi, n: int, backend: str = EXACT) -> tuple[Metric, np.
     lam_val = QSqrt3(lam) if exact else float(lam)
     gram = canonical_gram(lam_val, xi_val, n, exact=exact)
     shear = shear_matrix(lam_val, xi_val, n, exact=exact)
-    return Metric(gram=gram, backend=EXACT if exact else APPROX), shear
+    return Metric(gram=gram, backend=backend), shear
 
 
 def factor_metric(metric: Metric) -> np.ndarray:

@@ -21,7 +21,6 @@ from types import MappingProxyType
 import numpy as np
 
 from ._linalg import (
-    _with_errstate,
     eigvalsh,
     embed,
     householder,
@@ -107,9 +106,11 @@ def _t_form(lam: int, t: float, n: int) -> np.ndarray:
     return u
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a float n must not read an int n's entry
 def representative_matrix(lam: int, xi_key: str, n: int) -> np.ndarray:
     """The reduction target, the t-form with t = xi, built once and read-only."""
+    require_dim(n)
+    lam, xi_key = canonical_pair(lam, xi_key)
     target = _t_form(lam, xi_float(xi_key), n)
     target.flags.writeable = False
     return target
@@ -704,7 +705,7 @@ def _outside_index(n: int) -> np.ndarray:
     return index
 
 
-@_with_errstate(all="ignore")
+@np.errstate(all="ignore")
 def verify_witness(metric: Metric, witness: Witness) -> VerificationResult:
     """Re-multiply the witness of a classified metric and check every membership claim
     at WITNESS_TOL, the recorded m-factor against the metric's Gram matrix included.

@@ -25,7 +25,7 @@ from .curvature import (
     generic_curvature,
     ricci_spectrum,
 )
-from .liealg import aut_pattern, derivation_space_dim
+from .liealg import aut_pattern, derivation_space_dim, require_dim
 from .metrics import (
     CANONICAL_PAIRS,
     Metric,
@@ -56,6 +56,7 @@ _IVT_SAMPLES, _IVT_SEED = 100, 7
 
 def codimension_table(n: int) -> dict[tuple[int, str], int]:
     """Codimensions of the six orbits as a function of n."""
+    require_dim(n)
     return {
         (0, "0"): 0,
         (1, "0"): n - 2,

@@ -310,6 +310,12 @@ def test_canonical_metric_rejects_non_representative():
         canonical_metric(0, 1, 4)
 
 
+def test_canonical_metric_refuses_an_unknown_backend():
+    # an unknown backend once fell through to an approx metric
+    with pytest.raises(ValueError, match="unknown backend 'nope'"):
+        canonical_metric(2, "sqrt3", 5, backend="nope")
+
+
 def test_canonical_frame_entries():
     # the (2, sqrt3) frame sends e_(n-1) to sqrt3 e_1 + e_(n-1)
     for n in (4, 6):

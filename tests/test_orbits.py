@@ -12,6 +12,7 @@ from heislor.curvature import (
     closed_form_riemann,
     curvature_report,
     frame_brackets,
+    frame_signs,
     generic_curvature,
     ricci_spectrum,
     soliton_certificate,
@@ -49,9 +50,11 @@ from heislor.reduction import (
     reduce_lambda2,
     reduce_last_row,
     reduce_to_t,
+    representative_matrix,
     restricted_signatures,
     signature_table,
 )
+from heislor.verification import codimension_table
 
 from references import curve_sample
 
@@ -416,6 +419,25 @@ def test_entry_points_refuse_a_float_n_and_take_a_numpy_integer(call):
     assert isinstance(caught.value, TypeError)
     assert next(code for kind, code in EXIT_CODES.items() if isinstance(caught.value, kind)) == (
         EXIT_BAD_INPUT)
+
+
+#: helpers that once took a float n, a wrong class or n = 3 to numpy's TypeError or to a
+#: wrong value: frame_signs' list product, codimension_table's n - 2 = 3.0, or an n = 3 or a
+#: non-canonical reduction target
+_BAD_CALLS = {
+    "frame_signs float n": (lambda: frame_signs(5.0), DimensionNotInteger),
+    "codimension_table float n": (lambda: codimension_table(5.0), DimensionNotInteger),
+    "representative_matrix float n": (lambda: representative_matrix(2, "2", 5.0), DimensionNotInteger),
+    "representative_matrix class": (lambda: representative_matrix(7, "2", 5), NotARepresentative),
+    "representative_matrix n = 3": (lambda: representative_matrix(2, "2", 3), DimensionTooSmall),
+}
+
+
+@pytest.mark.parametrize("call, error", _BAD_CALLS.values(), ids=_BAD_CALLS.keys())
+def test_helpers_refuse_a_float_n_a_wrong_class_and_n_below_four(call, error):
+    representative_matrix(2, "2", 5)  # a cached int n = 5 entry, which 5.0 must not read
+    with pytest.raises(error):
+        call()
 
 
 def test_invariant_reads_are_stacked(count_calls, monkeypatch):

@@ -418,14 +418,15 @@ LAPACK_WRAPPERS = {"inv", "eigh", "eigvalsh", "qr", "slogdet", "det"}
 
 
 def _private_numpy(name: str) -> bool:
-    """Whether a dotted name reads numpy's private _umath_linalg or numpy._core."""
+    """Whether a dotted name reads a private numpy module or name: a part after numpy or np
+    with a single leading underscore, or numpy.linalg's _umath_linalg bound by name."""
     parts = name.split(".")
-    return "_umath_linalg" in parts or parts[:2] in (["numpy", "_core"], ["np", "_core"])
+    private = any(part.startswith("_") and not part.startswith("__") for part in parts[1:])
+    return parts[0] == "_umath_linalg" or parts[0] in ("numpy", "np") and private
 
 
 def _lapack_uses(tree: ast.Module) -> list[str]:
-    """numpy.linalg LAPACK wrappers, _umath_linalg and numpy._core as a module reads or
-    imports them."""
+    """numpy.linalg LAPACK wrappers and private numpy names as a module reads or imports them."""
     uses = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
@@ -447,19 +448,17 @@ def _lapack_uses(tree: ast.Module) -> list[str]:
 
 
 def test_lapack_calls_go_through_the_linalg_kernels():
-    """Only _linalg reads numpy's private _umath_linalg and numpy._core, and no other
-    module calls a numpy.linalg LAPACK wrapper: every float LAPACK call is one of its
-    kernels, each under an error state _linalg builds."""
+    """numpy.linalg's _umath_linalg is the one private numpy name of the package, read by
+    _linalg alone; no module reads numpy._core, and no other module calls a numpy.linalg
+    LAPACK wrapper: every float LAPACK call is one of _linalg's kernels."""
     package = Path(heislor.__file__).resolve().parent
     uses = {
         path.name: _lapack_uses(ast.parse(path.read_text(encoding="utf-8")))
         for path in sorted(package.glob("*.py"))
     }
-    assert {
-        "numpy.linalg._umath_linalg",
-        "numpy._core._multiarray_umath._make_extobj",
-        "numpy._core._ufunc_config._extobj_contextvar",
-    } <= set(uses.pop("_linalg.py"))
+    private = {name for name in uses.pop("_linalg.py") if _private_numpy(name)}
+    assert "numpy.linalg._umath_linalg" in private
+    assert not {name for name in private if "_umath_linalg" not in name.split(".")}
     assert not {name: found for name, found in uses.items() if found}
 
 

@@ -565,6 +565,22 @@ def test_snap_refuses_a_nan_deviation():
         builder.snap(np.eye(5))
 
 
+@pytest.mark.parametrize("scale", [1.0, 10.0])
+def test_snap_absorbs_1e_6_of_the_larger_of_1_and_the_largest_entry(scale):
+    # SNAP_TOL pinned by value: the bound is 1e-6 at unit scale, and 1e-6 times the
+    # largest entry above it
+    ideal = scale * np.eye(5)
+    for dev, absorbed in ((5e-7, True), (2e-6, False)):
+        builder = reduction._Builder(ideal)
+        builder.current[0, 1] = dev * scale
+        if absorbed:
+            builder.snap(ideal)
+            assert builder.current is ideal
+        else:
+            with pytest.raises(NumericalBreakdown, match="exceeds tolerance"):
+                builder.snap(ideal)
+
+
 def test_boost_chain_refuses_a_nan_t_form():
     # t = 40 takes five halvings; a NaN anywhere in the t-form fails the first step's snap
     n = 5
