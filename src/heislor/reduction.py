@@ -403,13 +403,13 @@ def _snap_onto_wall(builder: _Builder, lam: int, key: str, wall: str, t: float) 
 
 
 def lambda2_closed_form(t: float) -> tuple[str, float, float]:
-    """The class xi and the root (s, phi) of verification.lambda2_equation for t off sqrt3.
+    """The class xi, the root s >= 5/3 and phi = sqrt(3s^2 - 8s + 5) of the lam=2 root equation
+    3 phi = t (3s - 4) (xi = 0, t < sqrt3) or (3 + 2t) phi = (t + 2)(3s - 4) (xi = 2, t > sqrt3).
 
-    With u = 3s - 4, phi^2 = (u^2 - 1)/3, so squaring either root equation
-    leaves a quadratic in u with one root u >= 1.  phi is read from t*u, not
-    from s, so nothing cancels at the branch point u = 1 (t = 0); and 3 - t^2
-    is formed as (sqrt3 - t)(sqrt3 + t) with sqrt3 in two parts, so nothing
-    cancels next to the wall either.
+    With u = 3s - 4, phi^2 = (u^2 - 1)/3, so squaring either root equation leaves a quadratic
+    in u with one root u >= 1.  phi is read from t*u, not from s, so nothing cancels at the
+    branch point u = 1 (t = 0); and 3 - t^2 is formed as (sqrt3 - t)(sqrt3 + t) with sqrt3 in
+    two parts, so nothing cancels next to the wall either.
     """
     gap = (SQRT3_F - t + SQRT3_LO) * (SQRT3_F + t)
     if gap > 0.0:

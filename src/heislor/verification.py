@@ -44,13 +44,11 @@ from .reduction import (
     verify_witness,
 )
 
-IVT_RESIDUAL = 1e-12
-SPOT_CHECK_TOL = 1e-10
-#: rounding slack below the lam=2 root's domain s >= 5/3
-ROOT_DOMAIN_SLACK = 1e-12
+#: check_ivt_roots' float residual bound, in eps times its terms' sizes; first order gives 7.39
+ROOT_RESIDUAL_EPS = 8
 #: n of the exact curvature checks: the oracle at every table n, the costlier two at 4 and 6
 _ORACLE_NS, _CURVATURE_NS = tuple(range(4, 11)), (4, 6)
-#: the seeded sample of t on each branch of the lam=2 root check
+#: the seeded sample of t in each of the lam=2 root check's five ranges
 _IVT_SAMPLES, _IVT_SEED = 100, 7
 
 
@@ -310,50 +308,51 @@ def check_degeneration_graph(n_values=(4, 5, 6)) -> CheckResult:
     return _timed("degeneration-graph", run)
 
 
-def _phi(s):
-    """sqrt(3 s^2 - 8 s + 5), clamped to 0 at the branch point s = 5/3."""
-    v = 3 * s * s - 8 * s + 5
-    return np.sqrt(v) if v > 0 else type(s)(0)
-
-
-def lambda2_equation(xi_key: str, t):
-    """The root equation in s that carries the t-form of lam=2 to xi = 0 or 2.
-
-    xi = 0 (t < sqrt3): 3 phi(s) = t (3s - 4); xi = 2 (t > sqrt3):
-    (3 + 2t) phi(s) = (t + 2)(3s - 4).  Evaluated in extended precision, as
-    the independent check of :func:`reduction.lambda2_closed_form`.
-    """
-    t = np.longdouble(t)
-    if xi_key == "0":
-        return lambda s: 3 * _phi(s) - t * (3 * s - 4)
-    if xi_key == "2":
-        return lambda s: (3 + 2 * t) * _phi(s) - (t + 2) * (3 * s - 4)
-    raise ValueError(f"no lam=2 root equation for xi = {xi_key!r}")
+def _lambda2_squares(xi_key: str, t):
+    """(d, d u^2, 3 d phi^2) of lambda2_closed_form's root, u = 3s - 4, as polynomials in t."""
+    if xi_key == "0":  # u^2 = 3/(3 - t^2), phi = t u/3
+        return 3 - t * t, 3, t * t
+    return t * t - 3, (3 + 2 * t) ** 2, 3 * (t + 2) ** 2  # u = (3 + 2t)/r, phi = (t + 2)/r, r^2 = d
 
 
 def check_ivt_roots() -> CheckResult:
-    """Certify the closed-form lam=2 root that classify runs against its equation."""
+    """Certify lambda2_closed_form, the lam=2 root classify runs, for every t >= 0 off sqrt3.
+
+    With u = 3s - 4, phi(s) = sqrt((u^2 - 1)/3), so the closed form solves its root equation
+    if u, phi >= 0 and 3 d phi^2 = d u^2 - d over its denominator d: degree <= 2 in t, so true
+    for all t if true at three.  Its float output, read exactly, must bound u^2 d - (d u^2)
+    and 3 phi^2 - (u^2 - 1) by ROOT_RESIDUAL_EPS eps times their terms' sizes.  At first order,
+    eps/2 a rounding (Higham sect. 3.1): 3 - t^2 is within 2.26 eps (four roundings and sqrt3's
+    dropped digits), u within 2.39 eps (2.63 on xi = 2), and 3s - 4 reads s's two roundings
+    back times (4 + u)/u <= 5: 7.39 eps in the first residual.  In the second the root's error
+    cancels, as 3 phi^2 - u^2 = -1, and the rest peaks at u = 1, again at 7.39 eps.
+    """
 
     def run():
+        for key, t in [(key, Fraction(t)) for key in "02" for t in (0, 1, 2)]:
+            d, du2, d3phi2 = _lambda2_squares(key, t)
+            if d3phi2 != du2 - d:
+                raise AssertionError(f"3 phi^2 != u^2 - 1 on xi={key} at t={t}")
+        if _lambda2_squares("0", 0)[:2] != (3, 3) or _lambda2_squares("2", 2)[:2] != (1, 49):
+            raise AssertionError("spot roots: u^2 != 1 (s = 5/3) at t = 0 or 49 (s = 11/3) at 2")
         rng = np.random.default_rng(_IVT_SEED)
-        worst = 0.0
-        for xi_key, lo, hi in (("0", 0.0, SQRT3_F), ("2", SQRT3_F, 20.0)):
-            for t in rng.uniform(lo, hi, _IVT_SAMPLES):
-                key, s, _ = lambda2_closed_form(t)
-                if key != xi_key:
-                    raise AssertionError(f"t={t} solved on the xi={key} branch")
-                worst = max(worst, float(abs(lambda2_equation(xi_key, t)(np.longdouble(s)))))
-                if s < 5.0 / 3.0 - ROOT_DOMAIN_SLACK:
-                    raise AssertionError(f"root below the domain: {s}")
-        if worst > IVT_RESIDUAL:
-            raise AssertionError(f"residual {worst:.2e} above {IVT_RESIDUAL:.0e}")
-        s0 = lambda2_closed_form(0.0)[1]
-        if abs(s0 - 5.0 / 3.0) > SPOT_CHECK_TOL:
-            raise AssertionError(f"t=0 root {s0} != 5/3")
-        s1 = lambda2_closed_form(2.0)[1]
-        if abs(s1 - 11.0 / 3.0) > SPOT_CHECK_TOL:
-            raise AssertionError(f"t=2 root {s1} != 11/3")
-        return f"residuals <= {IVT_RESIDUAL:.0e} (worst {worst:.2e}), spot checks hit"
+        near = 10.0 ** rng.uniform(-12.0, 0.0, (3, _IVT_SAMPLES))  # off 0, either side of sqrt3
+        ts = [0.0, 2.0, *near[0], *(SQRT3_F - near[1]), *(SQRT3_F + near[2])]
+        ts += [*rng.uniform(0.0, SQRT3_F, _IVT_SAMPLES), *rng.uniform(SQRT3_F, 20.0, _IVT_SAMPLES)]
+        worst = Fraction(0)
+        for t in ts:
+            key, s, phi = lambda2_closed_form(t)
+            t, u, phi = Fraction(t), 3 * Fraction(s) - 4, Fraction(phi)
+            if key != ("0" if t * t < 3 else "2") or not (u > 0 and phi >= 0):
+                raise AssertionError(f"t={float(t)} gave xi={key}, s={s}, phi={float(phi)}")
+            d, du2, _ = _lambda2_squares(key, t)
+            worst = max(worst, abs(u * u * d - du2) / (u * u * (t * t + 3) + du2),
+                        abs(3 * phi**2 - u * u + 1) / (3 * phi**2 + u * u + 1))
+        worst = float(worst) / np.finfo(float).eps
+        bound = f"float residuals <= {ROOT_RESIDUAL_EPS} eps x terms (worst {worst:.3g})"
+        if worst > ROOT_RESIDUAL_EPS:
+            raise AssertionError(f"failed: {bound}")
+        return f"for every t >= 0 off sqrt3: 3 phi^2 = u^2 - 1 exactly; {bound}"
 
     return _timed("ivt-roots", run)
 

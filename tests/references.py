@@ -12,6 +12,9 @@ compared with.  `householder_block` and `triangularizing_block` build a reductio
 the size of its block; placed in an identity by `embed`, each is the reference of the
 full-size builder in `_linalg`.  `riemann_terms_full` is the generic curvature route's
 column loop over every index triple, the reference of the loop over the support.
+`lambda2_equation` is the lam=2 root equation in long double: the tests bisect it for a
+reference root and put `reduction.lambda2_closed_form`'s root into it, while the package's
+`verification.check_ivt_roots` checks that root with exact identities instead.
 """
 
 import math
@@ -216,3 +219,24 @@ def riemann_terms_full(nabla: dict, br: dict, n: int) -> dict:
                 if col:
                     ops[i, j, k] = col
     return ops
+
+
+def _phi(s):
+    """sqrt(3 s^2 - 8 s + 5), clamped to 0 at the branch point s = 5/3."""
+    v = 3 * s * s - 8 * s + 5
+    return np.sqrt(v) if v > 0 else type(s)(0)
+
+
+def lambda2_equation(xi_key: str, t):
+    """The root equation in s that carries the t-form of lam=2 to xi = 0 or 2.
+
+    xi = 0 (t < sqrt3): 3 phi(s) = t (3s - 4); xi = 2 (t > sqrt3):
+    (3 + 2t) phi(s) = (t + 2)(3s - 4).  Evaluated in extended precision, as
+    the independent check of :func:`reduction.lambda2_closed_form`.
+    """
+    t = np.longdouble(t)
+    if xi_key == "0":
+        return lambda s: 3 * _phi(s) - t * (3 * s - 4)
+    if xi_key == "2":
+        return lambda s: (3 + 2 * t) * _phi(s) - (t + 2) * (3 * s - 4)
+    raise ValueError(f"no lam=2 root equation for xi = {xi_key!r}")

@@ -12,15 +12,20 @@ report when run with `pytest -s tests/test_acceptance.py`.
  5. Ricci spectra of the corner block, exact
  6. codimension table + stabilizer rank oracle + derivation dimension
  7. degeneration diagram: six direct edges, obstructed non-edges, flat sink
- 8. the closed-form lam=2 root that classify runs, certified against its
-    two root equations (residual <= 1e-12, spot checks at t = 0 and 2)
+ 8. the closed-form lam=2 root that classify runs, for every t >= 0 off sqrt3:
+    3 phi^2 = u^2 - 1 as an exact identity of degree <= 2 in t, exact spot roots
+    at t = 0 and 2, and its float output's residuals, read exactly, within
+    ROOT_RESIDUAL_EPS eps times their terms' sizes
  9. witness soundness for every witness from criterion 1
 """
 
+import math
 import time
 
 import pytest
 
+import heislor.verification as verification
+from heislor.reduction import lambda2_closed_form
 from heislor.verification import (
     CheckResult,
     check_codimension_table,
@@ -83,6 +88,39 @@ def test_criterion_7_degeneration_diagram():
 
 def test_criterion_8_ivt_equations():
     _report(check_ivt_roots())
+
+
+@pytest.mark.parametrize("seed", [21, 25, 45])
+def test_criterion_8_passes_at_seeds_that_reach_the_branch_point(monkeypatch, seed):
+    # these seeds draw t close enough to 0 that a residual of the root equation itself,
+    # ill-conditioned at its branch point s = 5/3, grows past any fixed absolute bound
+    monkeypatch.setattr(verification, "_IVT_SEED", seed)
+    _report(check_ivt_roots())
+
+
+def _phi_of_t_plus_3(t):
+    key, s, phi = lambda2_closed_form(t)
+    return key, s, phi if key == "0" else phi * (t + 3) / (t + 2)
+
+
+def _phi_negated_below_sqrt3(t):
+    key, s, phi = lambda2_closed_form(t)
+    return key, s, -phi if key == "0" else phi
+
+
+def _key_2_just_below_sqrt3(t):
+    key, s, phi = lambda2_closed_form(t)
+    return "2" if 0 < math.sqrt(3) - t < 1e-6 else key, s, phi
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [_phi_of_t_plus_3, _phi_negated_below_sqrt3, _key_2_just_below_sqrt3],
+    ids=lambda mutant: mutant.__name__.lstrip("_"),
+)
+def test_criterion_8_fails_on_a_wrong_root(monkeypatch, mutant):
+    monkeypatch.setattr(verification, "lambda2_closed_form", mutant)
+    assert check_ivt_roots().passed is False
 
 
 def test_criterion_9_witness_soundness(randomized_results):

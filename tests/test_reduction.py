@@ -71,9 +71,9 @@ from heislor.reduction import (
     signature_table,
     verify_witness,
 )
-from heislor.verification import lambda2_equation, random_orbit_metric
+from heislor.verification import random_orbit_metric
 
-from references import exact_chain_residual, verify_witness_by_side
+from references import exact_chain_residual, lambda2_equation, verify_witness_by_side
 
 SQRT3 = math.sqrt(3.0)
 
