@@ -331,34 +331,84 @@ def _reduce_to_t(builder: _Builder, lam: int) -> float:
     return t
 
 
-def _boost_t(builder: _Builder, t: float) -> float:
-    """Halve or double t into [1/2, 2] by light-cone boosts of e = 1/2 or 2: each is the one
-    right factor and a left factor of its own t, applied and snapped on its own (one boost
-    by 2^k skips those snaps, rounds differently and misses more often); returns t."""
-    if 0.5 <= t <= 2.0:
-        return t
-    n = builder.n
-    e = 0.5 if t > 2.0 else 2.0
+#: longest boost chain applied one 2-D step at a time: with the cached parts a step costs
+#: about 4.5 us, and the stacked pass 11-12 us at three boosts and 15-16 us at thirteen, so
+#: the stack pays from three boosts on (timeit, 2-vCPU x86_64, numpy 2.4.6); most lam=1
+#: chains of well-conditioned inputs take none, one or two
+STEPPED_CHAIN_MAX = 2
+
+
+@lru_cache(maxsize=None)
+def _boost_parts(n: int, e: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only parts of a light-cone boost step by e = 1/2 or 2: s = (e - 1/e) / 2, the
+    boost, the left factor's constant entries and the lam=1 t-form at t = 0, I - E_(n,1)."""
     c, s = 0.5 * (e + 1.0 / e), 0.5 * (e - 1.0 / e)
     boost = embed(np.array([[c, s], [s, c]]), n, (0, n - 1))
-    boost.flags.writeable = False  # the chain records this one array at every step
-    while t > 2.0 or t < 0.5:
-        builder.apply_right(boost)
-        h = shared_eye(n).copy()
-        h[0, 0], h[0, n - 1], h[n - 1, n - 1] = 1.0 / e, -s, e
-        h[n - 2, n - 1] = -t * s * e
-        builder.apply_left(h)
-        t *= e
-        builder.snap(_t_form(1, t, n))
-    return t
+    h = shared_eye(n).copy()
+    h[0, 0], h[0, n - 1], h[n - 1, n - 1] = 1.0 / e, -s, e
+    form = _t_form(1, 0.0, n)
+    for part in (boost, h, form):
+        part.flags.writeable = False  # shared by every chain: witnesses record the boost
+    return s, boost, h, form
 
 
-def _reduce_lambda1(builder: _Builder, t: float) -> str:
-    """From I + t E - E' reach xi = 0 (t on the wall) or xi = 1: boosts bring t into
-    [1/2, 2], and one null rotation then lands on t = 1."""
+def _boost_t(builder: _Builder, t: float) -> float:
+    """Halve or double t into [1/2, 2] by k light-cone boosts of e = 1/2 or 2; returns t e^k.
+
+    Step i is the one right factor, the boost, and a left factor of its own t e^i; its product
+    is snapped onto the t-form of t e^(i+1) (one boost by 2^k skips those snaps, rounds
+    differently and misses more often).  e is a power of 2, so every t e^i is exact, and k and
+    all factors are known before the first step.  Up to STEPPED_CHAIN_MAX steps run one at a
+    time.  A longer chain forms its k products as one stack, each step's left factor times the
+    matrix it starts from times the boost: the first starts from the working matrix, each later
+    one from the t-form the step before snaps onto.  One magnitude pass reads every snap; a
+    chain that fails it snaps step by step, so the first failing step raises.  Either way the
+    factors, the products and a NumericalBreakdown are those of the steps run one at a time.
+    """
+    if 0.5 <= t <= 2.0:
+        return t
+    m, p = math.frexp(t)
+    k, e = ((p - 2 if m == 0.5 else p - 1), 0.5) if t > 2.0 else (-p, 2.0)
     n = builder.n
-    if _snap_onto_wall(builder, 1, "1", "0", t):
-        return "0"
+    s, boost, h0, form = _boost_parts(n, e)
+    if k <= STEPPED_CHAIN_MAX:
+        for _ in range(k):
+            builder.apply_right(boost)
+            h = h0.copy()
+            h[n - 2, n - 1] = -t * s * e
+            builder.apply_left(h)
+            t *= e
+            ideal = form.copy()
+            ideal[n - 2, 0] = t
+            builder.snap(ideal)
+        return t
+    ts = np.ldexp(t, np.arange(k + 1) if e == 2.0 else np.arange(0, -k - 1, -1))
+    forms = np.empty((k + 1, n, n))
+    forms[...] = form
+    forms[:, n - 2, 0] = ts
+    forms[0] = builder.current
+    hs = np.empty((k, n, n))
+    hs[...] = h0
+    hs[:, n - 2, n - 1] = ts[:k] * s * -e  # -t * s * e bit for bit: rounding is sign-symmetric
+    products, ideals = np.matmul(hs, np.matmul(forms[:k], boost)), forms[1:]
+    if not np.maximum.reduce(np.abs(products - ideals), axis=None) <= SNAP_TOL:  # or a NaN
+        for product, ideal in zip(products, ideals):  # step by step, to the first failing snap
+            builder.current = product
+            builder.snap(ideal)
+    builder.right_app.extend([boost] * k)
+    builder.left_app.extend(hs)
+    builder.current = forms[k]
+    return float(ts[k])
+
+
+def _reduce_lambda1(builder: _Builder, t: float, xi_key: str) -> None:
+    """From I + t E - E' reach the class xi_key that _wall_side decided from t: snap onto
+    xi = 0 (t on the wall), or for xi = 1 bring t into [1/2, 2] by boosts and land on t = 1
+    by one null rotation."""
+    n = builder.n
+    if xi_key == "0":
+        _snap_onto_wall(builder, 1, "0", t)
+        return
     t = _boost_t(builder, t)
     s = (t - 1.0) / t
     c4 = (0, 1, n - 2, n - 1)
@@ -381,25 +431,26 @@ def _reduce_lambda1(builder: _Builder, t: float) -> str:
     h2[n - 2, n - 2] = 1.0 / t
     builder.apply_left(h2)
     builder.snap(representative_matrix(1, "1", n))
-    return "1"
 
 
-def _snap_onto_wall(builder: _Builder, lam: int, key: str, wall: str, t: float) -> bool:
-    """Snap onto the wall class when t is within SNAP_LIMIT of its wall.
-
-    Returns False outside WALL_BAND and raises AmbiguousNearWall between the
-    two: the band is decided from t alone, once, on the chart that reached it.
-    A snap from outside the zero band DEFAULT_TOL is flagged NearDegenerate.
-    """
+def _wall_side(lam: int, key: str, wall: str, t: float) -> str:
+    """The class of t: `key` outside WALL_BAND of the wall, `wall` within SNAP_LIMIT of it,
+    and AmbiguousNearWall between the two: the band is decided from t alone, once, on the
+    chart that reached it."""
     dist = t - xi_float(wall)
     if abs(dist) > WALL_BAND:
-        return False
+        return key
     if abs(dist) > SNAP_LIMIT:
         raise AmbiguousNearWall(((lam, key), (lam, wall)), dist)
-    if abs(dist) > DEFAULT_TOL:
+    return wall
+
+
+def _snap_onto_wall(builder: _Builder, lam: int, wall: str, t: float) -> None:
+    """Snap onto the wall class that _wall_side read t into; a snap from outside the zero
+    band DEFAULT_TOL is flagged NearDegenerate."""
+    if abs(t - xi_float(wall)) > DEFAULT_TOL:
         builder.flags.append(FLAG_NEAR_DEGENERATE)
     builder.snap(representative_matrix(lam, wall, builder.n))
-    return True
 
 
 def lambda2_closed_form(t: float) -> tuple[str, float, float]:
@@ -409,9 +460,12 @@ def lambda2_closed_form(t: float) -> tuple[str, float, float]:
     With u = 3s - 4, phi^2 = (u^2 - 1)/3, so squaring either root equation leaves a quadratic
     in u with one root u >= 1.  phi is read from t*u, not from s, so nothing cancels at the
     branch point u = 1 (t = 0); and 3 - t^2 is formed as (sqrt3 - t)(sqrt3 + t) with sqrt3 in
-    two parts, so nothing cancels next to the wall either.
+    two parts, so nothing cancels next to the wall either.  Past t of about 1.3e154 the gap
+    overflows, and so does every t-form the root would carry: NumericalBreakdown.
     """
     gap = (SQRT3_F - t + SQRT3_LO) * (SQRT3_F + t)
+    if not math.isfinite(gap):
+        raise NumericalBreakdown(f"3 - t^2 reads {gap} at t = {t:.3e}")
     if gap > 0.0:
         u = SQRT3_F / math.sqrt(gap)
         return "0", (4.0 + u) / 3.0, t * u / 3.0
@@ -422,7 +476,8 @@ def lambda2_closed_form(t: float) -> tuple[str, float, float]:
 def _reduce_lambda2(builder: _Builder, t: float) -> str:
     """From I + t E - 2 E' reach xi in {0, sqrt3, 2} via the closed-form root."""
     n = builder.n
-    if _snap_onto_wall(builder, 2, "0" if t < SQRT3_F else "2", "sqrt3", t):
+    if _wall_side(2, "0" if t < SQRT3_F else "2", "sqrt3", t) == "sqrt3":
+        _snap_onto_wall(builder, 2, "sqrt3", t)
         return "sqrt3"
     xi_key, s, phi = lambda2_closed_form(t)
     c4 = (0, 1, n - 2, n - 1)
@@ -496,9 +551,16 @@ def _reduce_from_t(lam: int, t: float, n: int, stage) -> tuple[str, Witness]:
     return xi_key, builder.witness(representative_matrix(lam, xi_key, n))
 
 
+def _lambda1_stage(builder: _Builder, t: float) -> str:
+    """reduce_lambda1's stage: the class read from t, and the reduction onto it."""
+    xi_key = _wall_side(1, "1", "0", t)
+    _reduce_lambda1(builder, t, xi_key)
+    return xi_key
+
+
 def reduce_lambda1(t: float, n: int) -> tuple[str, Witness]:
     """Decide xi in {0, 1} for the light-cone branch, with witness from the t-form."""
-    return _reduce_from_t(1, t, n, _reduce_lambda1)
+    return _reduce_from_t(1, t, n, _lambda1_stage)
 
 
 def reduce_lambda2(t: float, n: int) -> tuple[str, Witness]:
@@ -631,6 +693,10 @@ def classify(metric: Metric) -> tuple[CanonicalForm, float, Witness]:
     The scale of M is not part of its class, so both classifiers read M / 4^e (retry factors
     have |det| = 1); an exact metric keeps its exact signs.  Read unscaled, the light-cone t
     would grow with the scale, past T_RETRY_MAX on every chart from 10^3 (1, 1) on.
+
+    On the light-cone branch (lam = 1) the class is decided from t before any boost is built:
+    a class other than the invariants' raises ClassificationMismatch at once, since the
+    lam = 1 t-form barely moves between charts, and only a matching class runs the chain.
     """
     n = metric.n
     base_m, base_start, prescale = _factor_metric(metric)  # validates the signature
@@ -654,11 +720,12 @@ def classify(metric: Metric) -> tuple[CanonicalForm, float, Witness]:
                     if attempt < MAX_RETRIES:
                         continue
                     builder.flags.append(FLAG_RETRIES_EXHAUSTED)
-                xi_key = (
-                    _reduce_lambda1(builder, t)
-                    if lam == 1
-                    else _reduce_lambda2(builder, t)
-                )
+                if lam == 1:
+                    xi_key = _wall_side(1, "1", "0", t)
+                    if (lam, xi_key) == inv_form.pair:  # a mismatch raises below, unbuilt
+                        _reduce_lambda1(builder, t, xi_key)
+                else:
+                    xi_key = _reduce_lambda2(builder, t)
         except NumericalBreakdown as exc:
             last_error = exc
             continue

@@ -15,6 +15,9 @@ column loop over every index triple, the reference of the loop over the support.
 `lambda2_equation` is the lam=2 root equation in long double: the tests bisect it for a
 reference root and put `reduction.lambda2_closed_form`'s root into it, while the package's
 `verification.check_ivt_roots` checks that root with exact identities instead.
+`boost_t_per_step` is the lam=1 boost chain one step at a time, each boost built, applied
+and snapped on its own: the reference whose factors, snaps and final t the package's
+`reduction._boost_t` must reproduce bit for bit, stepped or stacked.
 """
 
 import math
@@ -26,6 +29,7 @@ from heislor import orbits
 from heislor._linalg import (
     UNDERFLOW,
     _subtract,
+    embed,
     exact_dense,
     inv,
     is_singular,
@@ -39,7 +43,7 @@ from heislor._linalg import (
 from heislor.liealg import aut_pattern, require_dim
 from heislor.metrics import APPROX, EXACT, Metric, _float_gram, canonical_gram
 from heislor.numerics import QSqrt3
-from heislor.reduction import WITNESS_TOL, VerificationResult, Witness
+from heislor.reduction import WITNESS_TOL, VerificationResult, Witness, _Builder, _t_form
 
 
 def exact_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -240,3 +244,25 @@ def lambda2_equation(xi_key: str, t):
     if xi_key == "2":
         return lambda s: (3 + 2 * t) * _phi(s) - (t + 2) * (3 * s - 4)
     raise ValueError(f"no lam=2 root equation for xi = {xi_key!r}")
+
+
+def boost_t_per_step(builder: _Builder, t: float) -> float:
+    """Halve or double t into [1/2, 2] by light-cone boosts of e = 1/2 or 2, one step at a
+    time: each step applies the boost on the right and a left factor of its own t, then
+    snaps the working matrix onto the t-form of t e; returns the final t."""
+    if 0.5 <= t <= 2.0:
+        return t
+    n = builder.n
+    e = 0.5 if t > 2.0 else 2.0
+    c, s = 0.5 * (e + 1.0 / e), 0.5 * (e - 1.0 / e)
+    boost = embed(np.array([[c, s], [s, c]]), n, (0, n - 1))
+    boost.flags.writeable = False  # the chain records this one array at every step
+    while t > 2.0 or t < 0.5:
+        builder.apply_right(boost)
+        h = shared_eye(n).copy()
+        h[0, 0], h[0, n - 1], h[n - 1, n - 1] = 1.0 / e, -s, e
+        h[n - 2, n - 1] = -t * s * e
+        builder.apply_left(h)
+        t *= e
+        builder.snap(_t_form(1, t, n))
+    return t

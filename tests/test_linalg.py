@@ -238,6 +238,26 @@ def test_full_size_builders_match_the_embedded_blocks(n):
             assert got == want, (lo, m, b)
 
 
+@pytest.mark.parametrize(
+    "root, singular", [(3 * 2.0**-52, False), (0.3 * 2.0**-52, True)], ids=("3eps", "0.3eps")
+)
+def test_is_singular_reads_a_det_root_below_eps_times_the_largest_entry(root, singular):
+    # the singularity ratio pinned by value: |det|^(1/4) = root against the largest entry 1,
+    # three times 2^-52 or a third of it, so a ratio of 10 or 0.1 times 2^-52 flips the verdict
+    assert is_singular(np.diag([1.0, 1.0, 1.0, root**4])[None]) == [singular]
+
+
+@pytest.mark.parametrize("x, reflects", [(2.2e-150, True), (5e-151, False)])
+def test_householder_reads_a_squared_norm_below_1e_300_as_underflow(x, reflects):
+    # the underflow bound pinned by value: [0, x] onto e_0 has u = (-x, x) and |u|^2 = 2 x^2,
+    # 9.7e-300 or 5e-301, so a bound of 1e-299 or 1e-301 flips the branch; the reflector
+    # swaps coordinates 2 and 3 exactly
+    want = np.eye(4)
+    if reflects:
+        want[1:3, 1:3] = [[0.0, 1.0], [1.0, 0.0]]
+    assert np.array_equal(householder(np.array([0.0, x]), 0, 4, 1), want)
+
+
 # -- the exact rank's one-entry rule ---------------------------------------------
 
 _COLUMNS = 7

@@ -489,7 +489,7 @@ def test_exact_arrays_cast_through_to_float_and_grams_through_float_gram():
 
 
 #: the reduction's stacked and vector products, where ndarray.dot would contract other axes
-MATMUL_SITES = {"o11_normalize", "verify_witness"}
+MATMUL_SITES = {"_boost_t", "o11_normalize", "verify_witness"}
 
 
 def test_reduction_multiplies_through_dot_and_matmul():

@@ -73,7 +73,12 @@ from heislor.reduction import (
 )
 from heislor.verification import random_orbit_metric
 
-from references import exact_chain_residual, lambda2_equation, verify_witness_by_side
+from references import (
+    boost_t_per_step,
+    exact_chain_residual,
+    lambda2_equation,
+    verify_witness_by_side,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -591,15 +596,64 @@ def test_boost_chain_refuses_a_nan_t_form():
 
 
 def test_boost_chain_adds_no_calls(count_calls):
-    # 1e-4 takes 13 doublings and 0.3 one: the chain builds its boost once either way
+    # 1e-4 takes 13 doublings and 0.3 one: once the doubling boost is cached at n, either
+    # chain embeds only its closing null rotation
     calls = count_calls(reduction, "embed")
     for n in (4, 6):
+        reduce_lambda1(0.3, n)
         calls.clear()
         reduce_lambda1(1e-4, n)
         long_chain = len(calls)
         calls.clear()
         reduce_lambda1(0.3, n)
-        assert long_chain == len(calls) == 2
+        assert long_chain == len(calls) == 1
+
+
+def _chain_outcome(chain, n, t):
+    """The chain's final t and factors and its working matrix, or its breakdown message."""
+    builder = reduction._Builder(_t_form(n, 1, t))
+    try:
+        t = chain(builder, t)
+    except NumericalBreakdown as exc:
+        return str(exc)
+    arrays = [*builder.left_app, "|", *builder.right_app, "|", builder.current]
+    return t.hex(), [a if isinstance(a, str) else a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("snap_tol", (1e-6, 0.0), ids=("snap-tol", "no-snap-tol"))
+@pytest.mark.parametrize("stepped_max", (0, None, 31), ids=("stacked", "as-shipped", "stepped"))
+def test_boost_chain_matches_the_per_step_reference(stepped_max, snap_tol, monkeypatch):
+    # every k in 0..30 at n = 4..8, halving and doubling, run stacked, as shipped and
+    # stepped: the same final t, factors and working matrix bit for bit as the per-step
+    # reference, or the same breakdown message; SNAP_TOL = 0 breaks the rounding halvings
+    if stepped_max is not None:
+        monkeypatch.setattr(reduction, "STEPPED_CHAIN_MAX", stepped_max)
+    monkeypatch.setattr(reduction, "SNAP_TOL", snap_tol)
+    broken = set()
+    for n in range(4, 9):
+        for k in range(31):
+            # k doublings of m 2^-k for m in [1/2, 1), k halvings of m 2^k for m in (1, 2]
+            ts = [math.ldexp(m, -k) for m in (0.5, 0.61803, 0.999)]
+            ts += [math.ldexp(m, k) for m in (1.001, 1.2345678, 2.0)]
+            ts += [3.14159, 7.7, 1234.5678] if k == 0 else []
+            for t in ts:
+                got = _chain_outcome(reduction._boost_t, n, t)
+                assert got == _chain_outcome(boost_t_per_step, n, t), (n, t)
+                if isinstance(got, str):
+                    broken.add(t)
+    assert broken >= {3.14159, 7.7, 1234.5678} if snap_tol == 0.0 else not broken
+
+
+def test_lambda1_mismatch_is_raised_before_the_boost_chain(monkeypatch):
+    # xi = 1e-5 reads (1, 1) from t and (1, 0) from the invariants: the mismatch is
+    # raised with its message before any boost is built
+    def no_chain(*args):
+        raise AssertionError("a mismatched lam=1 class reached the boost chain")
+
+    monkeypatch.setattr(reduction, "_boost_t", no_chain)
+    message = "pipeline found (1, 1), invariants say (1, '0')"
+    with pytest.raises(ClassificationMismatch, match=re.escape(message)):
+        classify(_float_metric(canonical_gram(1, 1e-5, 5, exact=False)))
 
 
 def test_reduce_lambda2_wall():
@@ -736,6 +790,15 @@ def test_closed_form_branch_point_root():
     # t = 0: 3 phi(s) = 0 forces 3 s^2 - 8 s + 5 = 0, i.e. s = 5/3, phi = 0
     assert lambda2_closed_form(0.0) == ("0", 5.0 / 3.0, 0.0)
     assert float(_lambda2_reference(0.0)[1]) == pytest.approx(5.0 / 3.0, abs=1e-15)
+
+
+def test_closed_form_refuses_an_overflowing_gap():
+    # 3 - t^2 overflows from t of about 1.34e154: there the closed form returned s = 4/3,
+    # outside its domain s >= 5/3, and NaN at t = inf; below, every bit stays
+    assert lambda2_closed_form(1.3e154) == ("2", 2.0, 1.0)
+    for t in (1.4e154, 1e160, 1e300, math.inf):
+        with pytest.raises(NumericalBreakdown, match="3 - t\\^2 reads -inf"):
+            lambda2_closed_form(t)
 
 
 def test_closed_form_quadratic_oracle():

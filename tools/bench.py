@@ -11,8 +11,13 @@ BENCHMARK.json's `run_seconds`, so every recorded run is as long as the benchmar
 Every child runs with PYTHONDONTWRITEBYTECODE=1, so each import compiles the
 package, as in a checkout that has never been run.
 
+In every pair each commit also runs `heislor verify` at its defaults once, in the
+same order as the workloads.  Its wall seconds are `verify_s`, one of the north
+star's end-to-end timings outside the benchmark: reported, never claimed.
+
 Each BENCH_<workload>.json holds one entry per commit and settings: the median
-and quartiles of every end-to-end metric, `failed` and the per-label failure
+and quartiles of every end-to-end metric, those of `verify_s` with its runs and
+exit codes (the change's with the pairs it won), `failed` and the per-label failure
 reasons of the run record in .perfbench_out/, the host line, the six lines of
 that tree's tools/digest.py, `src_lines`, the line count of its
 src/heislor/*.py, and one tier-1 run of its tests before the pairs: `tier1_s`,
@@ -58,6 +63,8 @@ CHILD_TIMEOUT_S = 1800
 FAILURE_WORKLOAD = "near-wall"
 #: the tier-1 command, run in the unpacked tree; it writes no .pytest_cache there
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
+#: `heislor verify` at its defaults, run in the unpacked tree with its own src/
+VERIFY = ("-c", "import sys; from heislor.cli import main; sys.exit(main(['verify']))")
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -68,6 +75,14 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def pairs_won(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs in which the change reads better than the parent; a tie counts for neither."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("one parent run and one change run per pair")
+    sign = 1.0 if better == "lower" else -1.0
+    return sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+
+
 def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """The change against the parent on one metric, runs matched by pair.
 
@@ -76,10 +91,8 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     interquartile range; `within_bound` when its median is not worse than the
     parent's by more than the relative bound.
     """
-    if len(parent) != len(change) or not parent:
-        raise ValueError("one parent run and one change run per pair")
+    wins = pairs_won(parent, change, better)
     sign = 1.0 if better == "lower" else -1.0
-    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     base, new = quartiles(parent), quartiles(change)
     gap = sign * (base["median"] - new["median"])
     iqr = base["q3"] - base["q1"]
@@ -176,6 +189,28 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "mismatches": record.get("mismatches", []),
         "host": record["host"],
     }
+
+
+def verify_once(tree: Path) -> tuple[float, int]:
+    """Wall seconds and exit code of one `heislor verify` at its defaults in that tree."""
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, *VERIFY], cwd=tree, env=_child_env(tree),
+        capture_output=True, timeout=CHILD_TIMEOUT_S,
+    )
+    return time.perf_counter() - t0, done.returncode
+
+
+def verify_record(
+    runs: list[tuple[float, int]], parent: list[tuple[float, int]] | None = None
+) -> dict:
+    """A tree's `verify_s`: median, quartiles, seconds and exit codes of its runs, one a pair,
+    and with the parent's runs given, the pairs this tree won."""
+    seconds = [s for s, _ in runs]
+    record = {**quartiles(seconds), "runs": seconds, "exit_codes": sorted({c for _, c in runs})}
+    if parent is not None:
+        record["pairs_won"] = pairs_won([s for s, _ in parent], seconds, "lower")
+    return record
 
 
 def seed_range(text: str) -> list[int]:
@@ -318,6 +353,7 @@ def main(argv=None) -> int:
             return 0
         facts = [tree_facts(tree) for tree in trees]
         runs = {w: ([], []) for w in workloads}
+        verify_runs = ([], [])
         for k in range(args.pairs):
             order = (0, 1) if k % 2 == 0 else (1, 0)
             for workload in workloads:
@@ -325,11 +361,14 @@ def main(argv=None) -> int:
                     runs[workload][side].append(
                         run_once(trees[side], workload, args.seed, seconds))
                 print(f"pair {k + 1}/{args.pairs} {workload} done", file=sys.stderr, flush=True)
+            for side in order:
+                verify_runs[side].append(verify_once(trees[side]))
+        verify = (verify_record(verify_runs[0]), verify_record(verify_runs[1], verify_runs[0]))
 
         for workload in workloads:
             parent, change = (
-                entry(sha, side_runs, tree, settings)
-                for sha, side_runs, tree in zip(shas, runs[workload], facts)
+                {**entry(sha, side_runs, tree, settings), "verify_s": verified}
+                for sha, side_runs, tree, verified in zip(shas, runs[workload], facts, verify)
             )
             change["compared_with"] = shas[0]
             change["comparison"] = {
@@ -350,6 +389,10 @@ def main(argv=None) -> int:
                       f"{row['wins']}/{row['pairs']}, gap {row['relative_gap']:+.2%} vs parent "
                       f"IQR {row['parent_iqr']:.3g}: {'GAIN' if row['gain'] else 'no gain'}, "
                       f"{'within bound' if row['within_bound'] else 'OUTSIDE BOUND'}")
+    a, b = verify
+    print(f"verify_s {a['median']:.3f} [{a['q1']:.3f}, {a['q3']:.3f}] -> {b['median']:.3f} "
+          f"[{b['q1']:.3f}, {b['q3']:.3f}]  won {b['pairs_won']}/{len(b['runs'])}, exit codes "
+          f"{a['exit_codes']} -> {b['exit_codes']} (reported, not claimed)")
     return 0
 
 
