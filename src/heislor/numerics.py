@@ -130,22 +130,30 @@ class QSqrt3:
 
     @classmethod
     def parse(cls, text: str) -> "QSqrt3":
-        """Parse strings like '1/2', '-2+sqrt3', '1/2-3/4*sqrt3' or '2.5e-3+sqrt3'."""
-        s = text.replace(" ", "")
-        if not s:
+        """Parse strings like '1/2', '-2+sqrt3', '1/2-3/4*sqrt3' or '2.5e-3+sqrt3'.
+
+        The whole string must be signed terms, each a rational or decimal, sqrt3, or a
+        number times sqrt3 ('*' optional), every term after the first with its sign;
+        ValueError for anything else."""
+        if not text.strip():
             raise ValueError("empty exact scalar")
+        number = r"\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+        terms = re.compile(  # re caches the compiled pattern
+            rf"\s*(?P<sign>[+-]?)\s*(?:(?:(?P<coef>{number})\s*\*?\s*)?(?P<root>sqrt3)"
+            rf"|(?P<number>{number}))\s*"
+        )
         a = b = _fraction(0)
-        for term in re.findall(r"[+-]?(?:[^+-]|(?<=[eE])[+-])+", s):
-            if "sqrt3" in term:
-                coef = term[: term.index("sqrt3")].rstrip("*")
-                if coef in ("", "+"):
-                    b += 1
-                elif coef == "-":
-                    b -= 1
-                else:
-                    b += _fraction(coef)
+        pos = 0
+        while pos < len(text):
+            term = terms.match(text, pos)
+            if term is None or (pos and not term["sign"]):
+                raise ValueError(f"{text!r} is not a sum of terms a, sqrt3 or a*sqrt3")
+            value = _fraction(term["sign"] + (term["coef"] or term["number"] or "1"))
+            if term["root"]:
+                b += value
             else:
-                a += _fraction(term)
+                a += value
+            pos = term.end()
         return cls(a, b)
 
     @property

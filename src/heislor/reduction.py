@@ -331,25 +331,26 @@ def _reduce_to_t(builder: _Builder, lam: int) -> float:
     return t
 
 
-#: longest boost chain applied one 2-D step at a time: with the cached parts a step costs
-#: about 4.5 us, and the stacked pass 11-12 us at three boosts and 15-16 us at thirteen, so
-#: the stack pays from three boosts on (timeit, 2-vCPU x86_64, numpy 2.4.6); most lam=1
-#: chains of well-conditioned inputs take none, one or two
+#: longest boost chain applied one 2-D step at a time: a chain of one or two boosts costs 5.2
+#: or 9.3 us stepped against 11.4 us stacked, and the stack pays from three boosts on (15-16 us
+#: at thirteen; n = 5, timeit, 2-vCPU x86_64, numpy 2.4.6).  Short chains are the common ones:
+#: one and two boosts are 4.8 % and 2.1 % of orbit-sweep's seed-1 inputs (254 and 110 of 5280),
+#: and stacking every chain raised its op_p99_ms 3.1 %; near-wall's chains reach 14 boosts
 STEPPED_CHAIN_MAX = 2
 
 
 @lru_cache(maxsize=None)
 def _boost_parts(n: int, e: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only parts of a light-cone boost step by e = 1/2 or 2: s = (e - 1/e) / 2, the
-    boost, the left factor's constant entries and the lam=1 t-form at t = 0, I - E_(n,1)."""
+    boost, the left factor's constant entries, and the lam=1 t-form at t = 0, I - E_(n,1),
+    which is the (1, 0) representative."""
     c, s = 0.5 * (e + 1.0 / e), 0.5 * (e - 1.0 / e)
     boost = embed(np.array([[c, s], [s, c]]), n, (0, n - 1))
     h = shared_eye(n).copy()
     h[0, 0], h[0, n - 1], h[n - 1, n - 1] = 1.0 / e, -s, e
-    form = _t_form(1, 0.0, n)
-    for part in (boost, h, form):
+    for part in (boost, h):
         part.flags.writeable = False  # shared by every chain: witnesses record the boost
-    return s, boost, h, form
+    return s, boost, h, representative_matrix(1, "0", n)
 
 
 def _boost_t(builder: _Builder, t: float) -> float:
@@ -401,17 +402,49 @@ def _boost_t(builder: _Builder, t: float) -> float:
     return float(ts[k])
 
 
-def _reduce_lambda1(builder: _Builder, t: float, xi_key: str) -> None:
-    """From I + t E - E' reach the class xi_key that _wall_side decided from t: snap onto
-    xi = 0 (t on the wall), or for xi = 1 bring t into [1/2, 2] by boosts and land on t = 1
-    by one null rotation."""
+def _wall_side(lam: int, t: float) -> str:
+    """The class xi that t reads on branch lam, the one reader of both walls, xi = 0 on lam = 1
+    and sqrt3 on lam = 2.  Outside WALL_BAND of the wall it is 1 on lam = 1, and on lam = 2 it
+    is 0 below sqrt3 and 2 above, as lambda2_closed_form's gap > 0 reads there; within
+    SNAP_LIMIT of the wall it is the wall class, and between the two AmbiguousNearWall."""
+    wall, key = ("0", "1") if lam == 1 else ("sqrt3", "0" if t < SQRT3_F else "2")
+    dist = t - xi_float(wall)
+    if abs(dist) > WALL_BAND:
+        return key
+    if abs(dist) > SNAP_LIMIT:
+        raise AmbiguousNearWall(((lam, key), (lam, wall)), dist)
+    return wall
+
+
+def _reduce_onto(builder: _Builder, lam: int, t: float, xi_key: str) -> None:
+    """From I + t E - lam E' reach the class xi_key that _wall_side read from t.
+
+    The wall class is one snap, flagged NearDegenerate from outside the zero band DEFAULT_TOL.
+    Off the wall, lam = 1 brings t into [1/2, 2] by boosts and lands on t = 1 by one null
+    rotation; lam = 2 takes lambda2_closed_form's rotation and one solve onto xi_key's target.
+    """
     n = builder.n
-    if xi_key == "0":
-        _snap_onto_wall(builder, 1, "0", t)
+    if (lam, xi_key) in ((1, "0"), (2, "sqrt3")):
+        if abs(t - xi_float(xi_key)) > DEFAULT_TOL:
+            builder.flags.append(FLAG_NEAR_DEGENERATE)
+        builder.snap(representative_matrix(lam, xi_key, n))
+        return
+    c4 = (0, 1, n - 2, n - 1)
+    if lam == 2:
+        _, s, phi = lambda2_closed_form(t)
+        k1 = np.array(
+            [
+                [s, 0.0, -phi, -2.0 * s + 2.0],
+                [0.0, 1.0, 0.0, 0.0],
+                [-phi, 0.0, 3.0 * s - 4.0, 2.0 * phi],
+                [2.0 * s - 2.0, 0.0, -2.0 * phi, -4.0 * s + 5.0],
+            ]
+        )
+        builder.apply_right(embed(k1, n, c4))
+        builder.solve_onto(representative_matrix(2, xi_key, n))
         return
     t = _boost_t(builder, t)
     s = (t - 1.0) / t
-    c4 = (0, 1, n - 2, n - 1)
     k1 = np.array(
         [
             [1.0 - s * s / 2.0, 0.0, s, s * s / 2.0],
@@ -433,26 +466,6 @@ def _reduce_lambda1(builder: _Builder, t: float, xi_key: str) -> None:
     builder.snap(representative_matrix(1, "1", n))
 
 
-def _wall_side(lam: int, key: str, wall: str, t: float) -> str:
-    """The class of t: `key` outside WALL_BAND of the wall, `wall` within SNAP_LIMIT of it,
-    and AmbiguousNearWall between the two: the band is decided from t alone, once, on the
-    chart that reached it."""
-    dist = t - xi_float(wall)
-    if abs(dist) > WALL_BAND:
-        return key
-    if abs(dist) > SNAP_LIMIT:
-        raise AmbiguousNearWall(((lam, key), (lam, wall)), dist)
-    return wall
-
-
-def _snap_onto_wall(builder: _Builder, lam: int, wall: str, t: float) -> None:
-    """Snap onto the wall class that _wall_side read t into; a snap from outside the zero
-    band DEFAULT_TOL is flagged NearDegenerate."""
-    if abs(t - xi_float(wall)) > DEFAULT_TOL:
-        builder.flags.append(FLAG_NEAR_DEGENERATE)
-    builder.snap(representative_matrix(lam, wall, builder.n))
-
-
 def lambda2_closed_form(t: float) -> tuple[str, float, float]:
     """The class xi, the root s >= 5/3 and phi = sqrt(3s^2 - 8s + 5) of the lam=2 root equation
     3 phi = t (3s - 4) (xi = 0, t < sqrt3) or (3 + 2t) phi = (t + 2)(3s - 4) (xi = 2, t > sqrt3).
@@ -471,27 +484,6 @@ def lambda2_closed_form(t: float) -> tuple[str, float, float]:
         return "0", (4.0 + u) / 3.0, t * u / 3.0
     r = math.sqrt(-gap)
     return "2", (4.0 + (3.0 + 2.0 * t) / r) / 3.0, (t + 2.0) / r
-
-
-def _reduce_lambda2(builder: _Builder, t: float) -> str:
-    """From I + t E - 2 E' reach xi in {0, sqrt3, 2} via the closed-form root."""
-    n = builder.n
-    if _wall_side(2, "0" if t < SQRT3_F else "2", "sqrt3", t) == "sqrt3":
-        _snap_onto_wall(builder, 2, "sqrt3", t)
-        return "sqrt3"
-    xi_key, s, phi = lambda2_closed_form(t)
-    c4 = (0, 1, n - 2, n - 1)
-    k1 = np.array(
-        [
-            [s, 0.0, -phi, -2.0 * s + 2.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [-phi, 0.0, 3.0 * s - 4.0, 2.0 * phi],
-            [2.0 * s - 2.0, 0.0, -2.0 * phi, -4.0 * s + 5.0],
-        ]
-    )
-    builder.apply_right(embed(k1, n, c4))
-    builder.solve_onto(representative_matrix(2, xi_key, n))
-    return xi_key
 
 
 # -- public single-stage entry points -----------------------------------------
@@ -542,30 +534,25 @@ def reduce_to_t(g: np.ndarray, lam: int) -> tuple[float, Witness]:
     return t, builder.witness(builder.current)
 
 
-def _reduce_from_t(lam: int, t: float, n: int, stage) -> tuple[str, Witness]:
+def _reduce_from_t(lam: int, t: float, n: int) -> tuple[str, Witness]:
+    """The class t reads on branch lam, and the witness from the t-form onto it."""
     require_dim(n)
     if not 0.0 <= t < math.inf:
         raise NegativeT(f"t must be finite and >= 0, got {t}")
     builder = _Builder(_t_form(lam, t, n))
-    xi_key = stage(builder, t)
+    xi_key = _wall_side(lam, t)
+    _reduce_onto(builder, lam, t, xi_key)
     return xi_key, builder.witness(representative_matrix(lam, xi_key, n))
-
-
-def _lambda1_stage(builder: _Builder, t: float) -> str:
-    """reduce_lambda1's stage: the class read from t, and the reduction onto it."""
-    xi_key = _wall_side(1, "1", "0", t)
-    _reduce_lambda1(builder, t, xi_key)
-    return xi_key
 
 
 def reduce_lambda1(t: float, n: int) -> tuple[str, Witness]:
     """Decide xi in {0, 1} for the light-cone branch, with witness from the t-form."""
-    return _reduce_from_t(1, t, n, _lambda1_stage)
+    return _reduce_from_t(1, t, n)
 
 
 def reduce_lambda2(t: float, n: int) -> tuple[str, Witness]:
     """Decide xi in {0, sqrt3, 2} for the spacelike branch."""
-    return _reduce_from_t(2, t, n, _reduce_lambda2)
+    return _reduce_from_t(2, t, n)
 
 
 # -- invariant classifier ------------------------------------------------------
@@ -694,9 +681,10 @@ def classify(metric: Metric) -> tuple[CanonicalForm, float, Witness]:
     have |det| = 1); an exact metric keeps its exact signs.  Read unscaled, the light-cone t
     would grow with the scale, past T_RETRY_MAX on every chart from 10^3 (1, 1) on.
 
-    On the light-cone branch (lam = 1) the class is decided from t before any boost is built:
-    a class other than the invariants' raises ClassificationMismatch at once, since the
-    lam = 1 t-form barely moves between charts, and only a matching class runs the chain.
+    On both branches lam = 1 and lam = 2 the class is read from t, by _wall_side, before any
+    chain is built, and only a class that matches the invariants' is reduced onto.  A lam = 1
+    mismatch raises ClassificationMismatch at once, since the lam = 1 t-form barely moves
+    between charts; a lam = 2 mismatch redraws the chart.
     """
     n = metric.n
     base_m, base_start, prescale = _factor_metric(metric)  # validates the signature
@@ -720,12 +708,9 @@ def classify(metric: Metric) -> tuple[CanonicalForm, float, Witness]:
                     if attempt < MAX_RETRIES:
                         continue
                     builder.flags.append(FLAG_RETRIES_EXHAUSTED)
-                if lam == 1:
-                    xi_key = _wall_side(1, "1", "0", t)
-                    if (lam, xi_key) == inv_form.pair:  # a mismatch raises below, unbuilt
-                        _reduce_lambda1(builder, t, xi_key)
-                else:
-                    xi_key = _reduce_lambda2(builder, t)
+                xi_key = _wall_side(lam, t)
+                if (lam, xi_key) == inv_form.pair:  # a mismatch fails below, unbuilt
+                    _reduce_onto(builder, lam, t, xi_key)
         except NumericalBreakdown as exc:
             last_error = exc
             continue

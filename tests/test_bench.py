@@ -40,18 +40,31 @@ def test_compare_counts_pairs_and_weighs_the_gap_against_the_parent_iqr():
         bench.compare(parent, change[:9], "lower", 0.25)
 
 
-def test_verify_record_keeps_each_pairs_seconds_and_exit_code_and_counts_pairs_won():
+def test_verify_record_keeps_each_pairs_seconds_and_exit_code_and_counts_pairs_won(tmp_path):
     bench = _bench()
     parent = [(2.2, 0), (2.1, 0), (2.4, 0), (2.0, 0)]
     change = [(2.0, 0), (2.1, 0), (2.3, 1), (2.1, 0)]
     assert bench.verify_record(parent) == {
         "median": pytest.approx(2.15), "q1": pytest.approx(2.075), "q3": pytest.approx(2.25),
-        "runs": [2.2, 2.1, 2.4, 2.0], "exit_codes": [0]}
+        "runs": [2.2, 2.1, 2.4, 2.0], "exit_codes": [0], "passed": True}
     # pair 2 is a tie and pair 4 a loss; a failed verify is kept among the exit codes
     record = bench.verify_record(change, parent)
-    assert (record["pairs_won"], record["exit_codes"]) == (2, [0, 1])
+    assert (record["pairs_won"], record["exit_codes"], record["passed"]) == (2, [0, 1], False)
     with pytest.raises(ValueError):
         bench.verify_record(change, parent[:3])
+    # crit1_s runs criterion 1's loop, here a stand-in package whose checks pass or fail,
+    # and exits 0 only when every check passes
+    package = tmp_path / "src" / "heislor"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    for passed, code in ((True, 0), (False, 1)):
+        (package / "verification.py").write_text(
+            "from types import SimpleNamespace as Check\n"
+            "def run_randomized_classification():\n"
+            f"    return Check(passed=True), Check(passed={passed})\n"
+        )
+        seconds, exit_code = bench.verify_once(tmp_path, bench.CRIT1)
+        assert exit_code == code and 0.0 < seconds < bench.CHILD_TIMEOUT_S
 
 
 def test_write_entries_replaces_only_an_entry_of_the_same_trees_and_settings(tmp_path):

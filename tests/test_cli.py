@@ -352,6 +352,8 @@ BAD_INPUTS = {
     "gram-not-rows": (_approx(gram=5), "gram"),
     "gram-ragged": (_approx(gram=[[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, -1]]), "gram"),
     "zero-denominator": (_exact_with("1/0"), "gram[0][0]"),
+    # once read as sqrt3 by skipping the "*2", and classified with exit 0
+    "exact-not-read-whole": (_exact_with("sqrt3*2"), "gram[0][0] = 'sqrt3*2' is not a valid"),
     "exact-beyond-float": (_exact_with("1e400"), "the metric's scale is outside the float range"),
     "nan-entry": (_approx().replace("1, 0, 0, 0]", "NaN, 0, 0, 0]", 1), "gram[0][0]"),
     "infinite-entry": (_approx().replace("1, 0, 0, 0]", "1e400, 0, 0, 0]", 1), "gram[0][0]"),

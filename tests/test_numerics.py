@@ -120,6 +120,16 @@ def test_parse_variants():
     assert QSqrt3.parse("1e+3") == QSqrt3(1000)
     assert QSqrt3.parse("-2.5e-3+sqrt3") == QSqrt3(Fraction(-1, 400), 1)
     assert QSqrt3.parse("1e400") == QSqrt3(10**400)
+    # spaces between terms and around '*', which may be left out
+    assert QSqrt3.parse(" 1 + 2 * sqrt3 ") == QSqrt3(1, 2)
+    assert QSqrt3.parse("- 3/4sqrt3") == QSqrt3(0, Fraction(-3, 4))
+
+
+@pytest.mark.parametrize("text", ["sqrt3*2", "sqrt3/2", "2**sqrt3", "sqrt3sqrt3", "1 2", "+", "--1"])
+def test_parse_refuses_a_string_it_cannot_read_whole(text):
+    # each was once read by skipping what fit no term: sqrt3, sqrt3, 2sqrt3, sqrt3, 12, 0, -1
+    with pytest.raises(ValueError, match="is not a sum of terms"):
+        QSqrt3.parse(text)
 
 
 def test_exact_sqrt():

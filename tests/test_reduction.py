@@ -656,6 +656,24 @@ def test_lambda1_mismatch_is_raised_before_the_boost_chain(monkeypatch):
         classify(_float_metric(canonical_gram(1, 1e-5, 5, exact=False)))
 
 
+def test_lambda2_mismatch_builds_no_chain_on_any_chart(monkeypatch):
+    # the invariants are made to read the float (2, 2) metric as (2, 0): every chart reads
+    # (2, 2) from t and is redrawn with no closed-form root taken and no chain built
+    def reads_2_0(grams):
+        form = reduction.CanonicalForm(2, QSqrt3(0), grams.shape[-1])
+        return [(form, flags) for _, flags in classify_grams(grams)]
+
+    def no_chain(t):
+        raise AssertionError("a mismatched lam=2 class reached the closed-form root")
+
+    classify_grams = reduction._classify_grams
+    monkeypatch.setattr(reduction, "_classify_grams", reads_2_0)
+    monkeypatch.setattr(reduction, "lambda2_closed_form", no_chain)
+    message = "pipeline found (2, 2), invariants say (2, '0')"
+    with pytest.raises(ClassificationMismatch, match=re.escape(message)):
+        classify(_float_metric(canonical_gram(2, 2.0, 5, exact=False)))
+
+
 def test_reduce_lambda2_wall():
     xi, witness = reduce_lambda2(SQRT3, 5)
     assert xi == "sqrt3"

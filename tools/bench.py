@@ -11,13 +11,18 @@ BENCHMARK.json's `run_seconds`, so every recorded run is as long as the benchmar
 Every child runs with PYTHONDONTWRITEBYTECODE=1, so each import compiles the
 package, as in a checkout that has never been run.
 
-In every pair each commit also runs `heislor verify` at its defaults once, in the
-same order as the workloads.  Its wall seconds are `verify_s`, one of the north
-star's end-to-end timings outside the benchmark: reported, never claimed.
+In every pair each commit also runs two timed checks once, in the same order as
+the workloads: `heislor verify` at its defaults, whose wall seconds are `verify_s`,
+and criterion 1's loop, `verification.run_randomized_classification()` at its
+defaults (30,000 classifications with witness checks, the loop tier-1 gates at
+60 s), whose wall seconds are `crit1_s`.  Each is timed around its child process,
+so it includes the interpreter start and the package import, well under a second.
+Both are north-star end-to-end timings outside the benchmark: reported, never claimed.
 
 Each BENCH_<workload>.json holds one entry per commit and settings: the median
-and quartiles of every end-to-end metric, those of `verify_s` with its runs and
-exit codes (the change's with the pairs it won), `failed` and the per-label failure
+and quartiles of every end-to-end metric, those of `verify_s` and `crit1_s` with
+their runs, exit codes and whether every run passed (the change's with the pairs
+it won), `failed` and the per-label failure
 reasons of the run record in .perfbench_out/, the host line, the six lines of
 that tree's tools/digest.py, `src_lines`, the line count of its
 src/heislor/*.py, and one tier-1 run of its tests before the pairs: `tier1_s`,
@@ -65,6 +70,11 @@ FAILURE_WORKLOAD = "near-wall"
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 #: `heislor verify` at its defaults, run in the unpacked tree with its own src/
 VERIFY = ("-c", "import sys; from heislor.cli import main; sys.exit(main(['verify']))")
+#: criterion 1's loop at its defaults; exit 0 when its class and witness checks both pass
+CRIT1 = ("-c", "import sys; from heislor.verification import run_randomized_classification;"
+         " sys.exit(0 if all(check.passed for check in run_randomized_classification()) else 1)")
+#: the timed checks each pair runs once per tree, by the name their seconds are recorded under
+CHECKS = {"verify_s": VERIFY, "crit1_s": CRIT1}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -191,11 +201,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def verify_once(tree: Path) -> tuple[float, int]:
-    """Wall seconds and exit code of one `heislor verify` at its defaults in that tree."""
+def verify_once(tree: Path, command: tuple[str, ...]) -> tuple[float, int]:
+    """Wall seconds and exit code of one timed check of CHECKS in that tree."""
     t0 = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, *VERIFY], cwd=tree, env=_child_env(tree),
+        [sys.executable, *command], cwd=tree, env=_child_env(tree),
         capture_output=True, timeout=CHILD_TIMEOUT_S,
     )
     return time.perf_counter() - t0, done.returncode
@@ -204,10 +214,12 @@ def verify_once(tree: Path) -> tuple[float, int]:
 def verify_record(
     runs: list[tuple[float, int]], parent: list[tuple[float, int]] | None = None
 ) -> dict:
-    """A tree's `verify_s`: median, quartiles, seconds and exit codes of its runs, one a pair,
-    and with the parent's runs given, the pairs this tree won."""
+    """A tree's record of one timed check, `verify_s` or `crit1_s`: median, quartiles, seconds
+    and exit codes of its runs, one a pair, whether every run passed (exit 0), and with the
+    parent's runs given, the pairs this tree won."""
     seconds = [s for s, _ in runs]
-    record = {**quartiles(seconds), "runs": seconds, "exit_codes": sorted({c for _, c in runs})}
+    codes = sorted({c for _, c in runs})
+    record = {**quartiles(seconds), "runs": seconds, "exit_codes": codes, "passed": codes == [0]}
     if parent is not None:
         record["pairs_won"] = pairs_won([s for s, _ in parent], seconds, "lower")
     return record
@@ -353,7 +365,7 @@ def main(argv=None) -> int:
             return 0
         facts = [tree_facts(tree) for tree in trees]
         runs = {w: ([], []) for w in workloads}
-        verify_runs = ([], [])
+        check_runs = {name: ([], []) for name in CHECKS}
         for k in range(args.pairs):
             order = (0, 1) if k % 2 == 0 else (1, 0)
             for workload in workloads:
@@ -361,14 +373,16 @@ def main(argv=None) -> int:
                     runs[workload][side].append(
                         run_once(trees[side], workload, args.seed, seconds))
                 print(f"pair {k + 1}/{args.pairs} {workload} done", file=sys.stderr, flush=True)
-            for side in order:
-                verify_runs[side].append(verify_once(trees[side]))
-        verify = (verify_record(verify_runs[0]), verify_record(verify_runs[1], verify_runs[0]))
+            for name, command in CHECKS.items():
+                for side in order:
+                    check_runs[name][side].append(verify_once(trees[side], command))
+        checks = [{name: verify_record(a) for name, (a, _) in check_runs.items()},
+                  {name: verify_record(b, a) for name, (a, b) in check_runs.items()}]
 
         for workload in workloads:
             parent, change = (
-                {**entry(sha, side_runs, tree, settings), "verify_s": verified}
-                for sha, side_runs, tree, verified in zip(shas, runs[workload], facts, verify)
+                {**entry(sha, side_runs, tree, settings), **checked}
+                for sha, side_runs, tree, checked in zip(shas, runs[workload], facts, checks)
             )
             change["compared_with"] = shas[0]
             change["comparison"] = {
@@ -389,10 +403,11 @@ def main(argv=None) -> int:
                       f"{row['wins']}/{row['pairs']}, gap {row['relative_gap']:+.2%} vs parent "
                       f"IQR {row['parent_iqr']:.3g}: {'GAIN' if row['gain'] else 'no gain'}, "
                       f"{'within bound' if row['within_bound'] else 'OUTSIDE BOUND'}")
-    a, b = verify
-    print(f"verify_s {a['median']:.3f} [{a['q1']:.3f}, {a['q3']:.3f}] -> {b['median']:.3f} "
-          f"[{b['q1']:.3f}, {b['q3']:.3f}]  won {b['pairs_won']}/{len(b['runs'])}, exit codes "
-          f"{a['exit_codes']} -> {b['exit_codes']} (reported, not claimed)")
+    for name in CHECKS:
+        a, b = checks[0][name], checks[1][name]
+        print(f"{name} {a['median']:.3f} [{a['q1']:.3f}, {a['q3']:.3f}] -> {b['median']:.3f} "
+              f"[{b['q1']:.3f}, {b['q3']:.3f}]  won {b['pairs_won']}/{len(b['runs'])}, exit "
+              f"codes {a['exit_codes']} -> {b['exit_codes']} (reported, not claimed)")
     return 0
 
 
