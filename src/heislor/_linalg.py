@@ -3,10 +3,12 @@
 Exact elimination is one sparse Gauss-Jordan kernel over Q(sqrt3) on rows
 {column: nonzero QSqrt3}; an entry is deleted the moment it cancels, so no
 zero is stored or tested again (T. A. Davis, *Direct Methods for Sparse Linear
-Systems*, 2006, ch. 3).  rank_rows first sets aside the one-entry rows, each of
-which spans its column, and eliminates only the rest with those columns dropped;
-rref_rows eliminates every row.  Callers pass sparse rows to rank_rows and rref_rows;
-exact_rank, exact_inv and exact_dense adapt object arrays of QSqrt3 to them.
+Systems*, 2006, ch. 3).  Callers pass rank_rows and rref_rows sparse rows, each an
+iterable of (column, value) pairs with zeros allowed, which neither changes.  rank_rows
+first sets aside the one-entry rows, each of which spans its column, and a set of columns
+the caller already knows spanned, and eliminates only the rest with those columns dropped;
+rref_rows eliminates every row.  exact_rank, exact_inv and exact_dense adapt object arrays
+of QSqrt3 to them.
 Float routines wrap numpy.  At the n <= 8 of a reduction a numpy call's fixed cost
 outweighs its arithmetic, so they make few calls and copies.  Every float LAPACK call of the
 package is one of the kernels below, six or seven per float classify + verify_witness: eigh
@@ -113,17 +115,21 @@ def _echelon(rows) -> dict[int, dict[int, QSqrt3]]:
     return pivots
 
 
-def rank_rows(rows) -> int:
-    """Exact rank of sparse rows: the one-entry rows counted, the rest by forward elimination.
+def rank_rows(rows, spanned: frozenset[int] = frozenset()) -> int:
+    """Exact rank of sparse rows stacked on the unit rows e_c, c in `spanned`: the one-entry
+    rows and `spanned` counted, the rest by forward elimination.
 
-    A row x e_c with x != 0 spans e_c.  Let C be the columns of the one-entry rows: they
-    span the coordinate space on C, and the quotient by it is the other coordinates, so
-    rank = |C| + the rank of the longer rows with the columns in C dropped.  This holds
-    for any rows: a repeated one-entry column counts once, and a row that has one entry
+    `rows` is an iterable of rows, each an iterable of (column, value) pairs, zeros
+    allowed; `spanned` is a set of columns.  Neither, nor any row, is changed, so a caller
+    may pass a set or rows it keeps.  A row x e_c with x != 0 spans e_c.  Let C be
+    `spanned` and the columns of the one-entry rows: they span the coordinate space on C,
+    and the quotient by it is the other coordinates, so rank = |C| + the rank of the
+    longer rows with the columns in C dropped.  This holds for any rows: a one-entry
+    column repeated, or already in `spanned`, counts once, and a row that has one entry
     or none only after the drop is eliminated as any other.
     """
     rows = [{c: x for c, x in items if x} for items in rows]
-    singles = {c for row in rows if len(row) == 1 for c in row}
+    singles = spanned.union(c for row in rows if len(row) == 1 for c in row)
     rest = ({c: x for c, x in row.items() if c not in singles} for row in rows if len(row) > 1)
     return len(singles) + len(_echelon(rest))
 

@@ -6,12 +6,14 @@ dimensions, computed both in closed form, from the (lam, xi) algebra, and as the
 exact rank of M^T G + G M = 0 over the pattern matrices M, G the canonical gram.
 The rank oracle reads G's three sparse corner rows, metrics._gram_rows, with no
 dense gram: every other row is e_i, so the (n-2)(n-3) positions off the corner
-have one-entry columns, which rank_rows counts without elimination.  The
-closure relations are re-derived from explicit metric curves (positive
-evidence), whose samples are checked against their expected classes, not
-stored.  A missing relation needs an obstruction: codimension, or a jump in
-the restricted signatures, read from signature_table, which the signature
-check (criterion 2) certifies by exact congruence for n = 4..10.
+have one-entry columns, the same in every class.  The rows they span are built
+once per n; a call builds only the 2n+1 corner columns, which rank_rows
+eliminates with the cached rows counted as spanned.  The closure relations are
+re-derived from explicit metric curves (positive evidence), whose samples are
+checked against their expected classes, not stored.  A missing relation needs
+an obstruction: codimension, or a jump in the restricted signatures, read from
+signature_table, which the signature check (criterion 2) certifies by exact
+congruence for n = 4..10.
 """
 
 from __future__ import annotations
@@ -64,49 +66,48 @@ def dims_UW(lam: int, xi, n: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _stabilizer_layout(n: int) -> tuple[tuple[tuple[int, int], ...], list[list[int]]]:
-    """The pattern positions (i, j), and row_of[a][b] = row_of[b][a], the row of the
-    upper-triangle position {a, b} in a column of the stabilizer system."""
+def _stabilizer_layout(n: int) -> tuple[int, frozenset[int], tuple]:
+    """The part of the stabilizer system that no class changes, built once per n.
+
+    The system has one column per pattern position (i, j), E_ij^T G + G E_ij =
+    sum_k G[i, k] (E_jk + E_kj), written in the basis E_rs + E_sr, r <= s, of the
+    symmetric matrices: G[i, k] in the row of {j, k}.  Row i of the canonical gram G is
+    e_i unless i is 0, n-2 or n-1 (metrics._gram_rows), so for any other i the column is
+    the one entry 1 in the row of {i, j}, in every class.  Returns the number of
+    positions, the rows those one-entry columns span, and per corner position (i, j),
+    i in {0, n-2, n-1}, the pair (i, row_of_j), row_of_j[k] the row of {j, k}.
+    """
     row_of = [[0] * n for _ in range(n)]
     for row, (r, s) in enumerate((r, s) for r in range(n) for s in range(r, n)):
         row_of[r][s] = row_of[s][r] = row
-    positions = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(aut_pattern(n).mask)))
-    return positions, row_of
+    positions = [(int(i), int(j)) for i, j in zip(*np.nonzero(aut_pattern(n).mask))]
+    corner = {0, n - 2, n - 1}
+    spanned = frozenset(row_of[j][i] for i, j in positions if i not in corner)
+    corner_positions = tuple((i, tuple(row_of[j])) for i, j in positions if i in corner)
+    return len(positions), spanned, corner_positions
 
 
-def _stabilizer_system(lam: int, xi, n: int) -> list[dict]:
-    """Per position E_ij, the upper triangle of E_ij^T G + G E_ij as a sparse column
-    {row: value}, G the canonical gram: G[i, k] in the row of {j, k}, and 2 G[i, j] in
-    the row of {j, j}.  G's rows are read sparse, from metrics._gram_rows: row i is e_i
-    unless i is 0, n-2 or n-1, so a position with any other i has a one-entry column.
-    """
-    lam, key = canonical_pair(lam, xi)
-    one = QSqrt3(1)
-    two = one + one
-    corner = _gram_rows(QSqrt3(lam), xi_exact(key), n, one)
-    positions, row_of = _stabilizer_layout(n)
-    system = []
-    for i, j in positions:
-        rows = row_of[j]
-        line = corner.get((i,))
-        if line is None:  # G[i] = e_i
-            system.append({rows[i]: two if i == j else one})
-        else:
-            system.append({rows[k]: x + x if k == j else x for k, x in line.items() if x})
-    return system
+def _corner_columns(lam: int, key: str, n: int) -> list[list[tuple[int, QSqrt3]]]:
+    """Per corner position of _stabilizer_layout, in its order, its column of the
+    stabilizer system at a canonical (lam, key) as (row, value) pairs, zeros allowed.
+    G's corner rows are read sparse, from metrics._gram_rows, with no dense gram."""
+    gram = _gram_rows(QSqrt3(lam), xi_exact(key), n, QSqrt3(1))
+    return [[(rows[k], x) for k, x in gram[(i,)].items()] for i, rows in _stabilizer_layout(n)[2]]
 
 
-def _stabilizer_rank_oracle(lam: int, xi, n: int) -> int:
-    """dim of {pattern matrices M : M^T G + G M = 0}, the stabilizer of the gram G.
+def _stabilizer_rank_oracle(lam: int, key: str, n: int) -> int:
+    """dim of {pattern matrices M : M^T G + G M = 0}, the stabilizer of the gram G, at a
+    canonical (lam, key).
 
-    The number of positions less the rank of the :func:`_stabilizer_system` columns.
+    The number of positions less the rank of the system's columns: the cached rows that
+    the one-entry columns span, counted by rank_rows as spanned, and the corner columns.
     With G = g^-T J g^-1 for the shear g and J = diag(1, ..., 1, -1), and X = g^-1 M g,
     g^T (M^T G + G M) g = X^T J + J X.  Congruence by g is invertible on symmetric
     matrices, so M solves the gram's condition exactly when X is skew with respect to
     the Lorentz form, and both systems have the same rank.
     """
-    system = _stabilizer_system(lam, xi, n)
-    return len(system) - rank_rows(col.items() for col in system)
+    positions, spanned, _ = _stabilizer_layout(n)
+    return positions - rank_rows(_corner_columns(lam, key, n), spanned)
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,11 @@
 The package passes sparse rows to `_linalg.rref_rows`; the dense adapters here take and
 return object arrays of QSqrt3, the shape the tests' references use, and write each sparse
 result out through `_linalg.exact_dense`.  The Leibniz system built densely, Der(g) as
-dense matrices from its nullspace, the metric JSON writer and the degeneration-curve
-sampler build the inputs and references of the tests.  `verify_witness_by_side` is the one
-reference the one-pass `verify_witness` must match on a classified metric, and the checker
+dense matrices from its nullspace, the full stabilizer system read off the dense gram, the
+metric JSON writer and the degeneration-curve sampler build the inputs and references of the
+tests; the rank oracle itself builds only the system's corner columns.
+`verify_witness_by_side` is the one reference the one-pass `verify_witness` must match on a
+classified metric, and the checker
 of the stage witnesses, whose subject is the starting group element.  `exact_chain_residual`
 multiplies a witness's chain with no rounding, the exact side the float chain check is
 compared with.  `householder_block` and `triangularizing_block` build a reduction factor at
@@ -41,7 +43,7 @@ from heislor._linalg import (
     to_float,
 )
 from heislor.liealg import aut_pattern, require_dim
-from heislor.metrics import APPROX, EXACT, Metric, _float_gram, canonical_gram
+from heislor.metrics import APPROX, EXACT, Metric, _float_gram, canonical_gram, xi_exact
 from heislor.numerics import QSqrt3
 from heislor.reduction import WITNESS_TOL, VerificationResult, Witness, _Builder, _t_form
 
@@ -86,6 +88,22 @@ def leibniz_system(n: int) -> np.ndarray:
 def derivation_basis(n: int) -> tuple[np.ndarray, ...]:
     """Basis of Der(g) as n x n object matrices: the nullspace of the dense Leibniz system."""
     return tuple(v.reshape(n, n) for v in exact_nullspace(leibniz_system(n)))
+
+
+def stabilizer_system(lam: int, key: str, n: int) -> dict[tuple[int, int], dict[int, QSqrt3]]:
+    """Every column of the stabilizer system at a canonical (lam, key): per pattern position
+    (i, j), in row-major order, the upper triangle of E_ij^T G + G E_ij as {row: value},
+    the row of r <= s the position {r, s}, G the dense canonical gram.  Column (i, j) holds
+    G[i, k] in the row of {j, k}, and 2 G[i, j] in the row of {j, j}."""
+    gram = canonical_gram(lam, xi_exact(key), n)
+    row_of = {}
+    for row, (r, s) in enumerate((r, s) for r in range(n) for s in range(r, n)):
+        row_of[r, s] = row_of[s, r] = row
+    mask = aut_pattern(n).mask
+    return {
+        (i, j): {row_of[j, k]: x + x if k == j else x for k, x in enumerate(gram[i]) if x}
+        for i in range(n) for j in range(n) if mask[i, j]
+    }
 
 
 def metric_to_json(metric: Metric) -> dict:

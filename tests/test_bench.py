@@ -67,6 +67,23 @@ def test_verify_record_keeps_each_pairs_seconds_and_exit_code_and_counts_pairs_w
         assert exit_code == code and 0.0 < seconds < bench.CHILD_TIMEOUT_S
 
 
+def test_a_checks_pairs_won_reads_unresolved_when_the_medians_are_within_the_parents_iqr():
+    bench = _bench()
+    parent = [(2.2, 0), (2.1, 0), (2.4, 0), (2.0, 0)]  # median 2.15, IQR 2.075 .. 2.25
+    # wins every pair, but the medians differ by 0.15, inside the parent's IQR of 0.175
+    close = bench.verify_record([(s - 0.15, 0) for s, _ in parent], parent)
+    assert (close["pairs_won"], close["resolved"]) == (4, False)
+    line = bench.check_line("crit1_s", bench.verify_record(parent), close)
+    assert "won 4/4, unresolved" in line and "(reported, not claimed)" in line
+    # a gap past the IQR is resolved, whichever way it goes
+    for shift in (-0.2, 0.2):
+        far = bench.verify_record([(s + shift, 0) for s, _ in parent], parent)
+        assert far["resolved"]
+        assert "unresolved" not in bench.check_line("verify_s", bench.verify_record(parent), far)
+    # the parent's own record has no comparison to resolve
+    assert "resolved" not in bench.verify_record(parent)
+
+
 def test_write_entries_replaces_only_an_entry_of_the_same_trees_and_settings(tmp_path):
     bench = _bench()
     path = tmp_path / "BENCH_w.json"

@@ -1,5 +1,6 @@
 """The float LAPACK kernels of _linalg against the public numpy.linalg functions, and
-the exact rank's one-entry rule against full elimination and sympy."""
+the exact rank's one-entry rule and caller-given spanned columns against full elimination
+and sympy."""
 
 import sys
 import warnings
@@ -288,6 +289,16 @@ def _sparse_systems(draw) -> list[list[tuple[int, QSqrt3]]]:
     return draw(st.permutations(rows))
 
 
+@st.composite
+def _spanned_systems(draw) -> tuple[list[list[tuple[int, QSqrt3]]], frozenset[int]]:
+    """_sparse_systems' rows and a set of columns a caller knows spanned: any columns, at
+    times one that no row has, and always one that also sits in a longer row."""
+    rows = draw(_sparse_systems())
+    longer = sorted({c for row in rows if sum(1 for _, x in row if x) > 1 for c, x in row if x})
+    spanned = draw(st.frozensets(st.integers(0, _COLUMNS + 1), max_size=4))
+    return rows, spanned | {draw(st.sampled_from(longer))}
+
+
 def test_rank_rows_counts_one_entry_rows_as_elimination_does():
     rows = [
         [(2, QSqrt3(1))],
@@ -308,6 +319,35 @@ def test_rank_rows_counts_one_entry_rows_as_elimination_does():
 def test_rank_rows_matches_full_elimination(rows):
     # rref_rows eliminates every row, one-entry rows too
     assert rank_rows(iter(rows)) == len(rref_rows(rows))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(_spanned_systems())
+def test_rank_rows_with_spanned_columns_matches_full_elimination(case):
+    # a spanned column is the unit row e_c stacked on the rows
+    rows, spanned = case
+    units = [[(c, QSqrt3(1))] for c in spanned]
+    assert rank_rows(iter(rows), spanned) == len(rref_rows(rows + units))
+
+
+def test_rank_rows_changes_no_row_or_set_it_is_given():
+    # a caller may keep what it passes, as the stabilizer oracle keeps its cached rows
+    rows = [
+        {2: QSqrt3(1)},
+        {0: QSqrt3(0), 5: SQRT3},
+        {2: QSqrt3(1), 4: QSqrt3(2)},
+        {4: QSqrt3(1), 5: QSqrt3(7), 2: QSqrt3(1)},
+        {1: QSqrt3(1), 3: SQRT3},
+    ]
+    lists = [list(row.items()) for row in rows]
+    kept = [dict(row) for row in rows], [list(line) for line in lists]
+    for spanned in ({4}, frozenset({4, 6})):
+        before = set(spanned)
+        rank = len(rref_rows(lists + [[(c, QSqrt3(1))] for c in spanned]))
+        assert rank_rows((row.items() for row in rows), spanned) == rank
+        assert rank_rows(lists, spanned) == rank_rows(lists, spanned) == rank
+        assert spanned == before
+    assert (rows, lists) == kept
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)

@@ -56,7 +56,7 @@ from heislor.reduction import (
 )
 from heislor.verification import codimension_table
 
-from references import curve_sample
+from references import curve_sample, stabilizer_system
 
 
 @pytest.mark.parametrize("n", (4, 6, 9))
@@ -93,9 +93,9 @@ def test_stabilizer_system_equals_dense_formula(n):
         ginv = exact_inv(shear_matrix(QSqrt3(lam), xi_exact(key), n, exact=True))
         gram = ginv.T @ minkowski_gram(n, exact=True) @ ginv
         # one sparse column {row: value} per position; an absent row reads zero
-        system = orbits._stabilizer_system(lam, key, n)
-        assert len(system) == len(positions)
-        for col, (i, j) in zip(system, positions):
+        system = stabilizer_system(lam, key, n)
+        assert list(system) == positions
+        for (i, j), col in system.items():
             assert set(col) <= set(range(len(upper)))
             e = exact_zeros((n, n))
             e[i, j] = QSqrt3(1)
@@ -105,12 +105,34 @@ def test_stabilizer_system_equals_dense_formula(n):
 
 
 @pytest.mark.parametrize("n", range(4, 11))
+def test_stabilizer_layout_and_corner_columns_are_the_full_system(n):
+    """The oracle's input is the full system: the cached rows are those the off-corner
+    columns span in every class, and the corner columns are the rest, in the basis
+    E_rs + E_sr, whose diagonal element is 2 E_rr: zeros dropped and each diagonal row
+    doubled, they are the upper triangles of E_ij^T G + G E_ij."""
+    corner = {0, n - 2, n - 1}
+    diagonal = {r * n - r * (r - 1) // 2 for r in range(n)}  # the row of {r, r}
+    count, spanned, corner_positions = orbits._stabilizer_layout(n)
+    assert isinstance(spanned, frozenset)
+    for lam, key in CANONICAL_PAIRS:
+        system = stabilizer_system(lam, key, n)
+        assert count == len(system)
+        assert spanned == {r for (i, _), col in system.items() if i not in corner for r in col}
+        at_corner = [col for (i, _), col in system.items() if i in corner]
+        assert [i for i, _ in corner_positions] == [i for i, _ in system if i in corner]
+        columns = orbits._corner_columns(lam, key, n)
+        assert [{r: x + x if r in diagonal else x for r, x in col if x} for col in columns] == at_corner
+    # every oracle call shares the cached layout, and none changes it
+    orbits._stabilizer_layout.cache_clear()
+    assert orbits._stabilizer_layout(n) == (count, spanned, corner_positions)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
 def test_stabilizer_columns_off_the_corner_have_one_entry(n):
     """The stabilizer step of the n-independence argument.  The gram's sparse rows put
     every off-diagonal entry on the rows and columns {0, n-2, n-1}, so the column of a
     position (i, j) with i off that corner is 2 E_jj or E_ij + E_ji: one entry."""
     corner = {0, n - 2, n - 1}
-    positions, _ = orbits._stabilizer_layout(n)
     for lam, key in CANONICAL_PAIRS:
         rows = metrics._gram_rows(QSqrt3(lam), xi_exact(key), n, QSqrt3(1))
         assert set(rows) == {(i,) for i in corner}
@@ -119,26 +141,52 @@ def test_stabilizer_columns_off_the_corner_have_one_entry(n):
         # the dense gram is those rows over the Minkowski base, with nothing else off the diagonal
         gram = canonical_gram(lam, xi_exact(key), n)
         assert {(i, j) for (i, j), x in np.ndenumerate(gram) if x and i != j} == off_diagonal
-        system = orbits._stabilizer_system(lam, key, n)
-        off_corner = [col for (i, _), col in zip(positions, system) if i not in corner]
+        system = stabilizer_system(lam, key, n)
+        off_corner = [col for (i, _), col in system.items() if i not in corner]
         assert len(off_corner) == (n - 2) * (n - 3)  # 56 of the 77 positions at n = 10
         assert all(len(col) == 1 for col in off_corner)
+
+
+#: per class, the columns of the stabilizer system with more than one entry, and their rank
+#: once the rows of the one-entry columns are dropped, at n
+_RESIDUAL = {
+    (0, "0"): lambda n: (0, 0),
+    (1, "0"): lambda n: (2, 1),
+    (1, "1"): lambda n: (2 * n + 1, n + 3),
+    (2, "0"): lambda n: (n + 2, n + 1),
+    (2, "sqrt3"): lambda n: (2 * n + 1, n + 3),
+    (2, "2"): lambda n: (2 * n + 1, n + 4),
+}
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_stabilizer_residual_table(n):
+    # what is left of the rank once the one-entry columns are counted, for the n-independence argument
+    for pair in CANONICAL_PAIRS:
+        system = stabilizer_system(*pair, n)
+        singles = {r for col in system.values() if len(col) == 1 for r in col}
+        longer = [col for col in system.values() if len(col) > 1]
+        rest = rref_rows([(r, x) for r, x in col.items() if r not in singles] for col in longer)
+        assert (len(longer), len(rest)) == _RESIDUAL[pair](n)
+        assert orbits._stabilizer_rank_oracle(*pair, n) == len(system) - len(singles) - len(rest)
 
 
 @pytest.mark.parametrize("n", range(4, 11))
 def test_stabilizer_rank_equals_full_elimination(n):
     # rref_rows eliminates every column, so it does not use rank_rows' one-entry rule
     for lam, key in CANONICAL_PAIRS:
-        system = orbits._stabilizer_system(lam, key, n)
-        assert rank_rows(col.items() for col in system) == len(rref_rows(col.items() for col in system))
+        system = stabilizer_system(lam, key, n).values()
+        rank = len(rref_rows(col.items() for col in system))
+        assert rank_rows(col.items() for col in system) == rank
+        assert orbits._stabilizer_rank_oracle(lam, key, n) == len(system) - rank
 
 
 def test_stabilizer_system_forms_no_inverse(count_calls):
-    # the system reads the canonical gram, whose closed form needs no inverse of the shear
+    # the oracle reads the canonical gram, whose closed form needs no inverse of the shear
     calls = count_calls(_linalg, "exact_inv")
     for n in range(4, 11):
         for lam, key in CANONICAL_PAIRS:
-            orbits._stabilizer_system(lam, key, n)
+            orbits._stabilizer_rank_oracle(lam, key, n)
     assert calls == []
 
 
@@ -300,7 +348,6 @@ def test_exact_lambda_reads_as_its_whole_rational_in_the_orbit_and_curvature_tab
     # a QSqrt3 lam that is a whole rational gives what its int gives; any other is refused
     tables = (
         dims_UW,
-        orbits._stabilizer_system,
         stabilizer_dim,
         codimension,
         is_closed,

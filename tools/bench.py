@@ -22,10 +22,11 @@ Both are north-star end-to-end timings outside the benchmark: reported, never cl
 Each BENCH_<workload>.json holds one entry per commit and settings: the median
 and quartiles of every end-to-end metric, those of `verify_s` and `crit1_s` with
 their runs, exit codes and whether every run passed (the change's with the pairs
-it won), `failed` and the per-label failure
-reasons of the run record in .perfbench_out/, the host line, the six lines of
-that tree's tools/digest.py, `src_lines`, the line count of its
-src/heislor/*.py, and one tier-1 run of its tests before the pairs: `tier1_s`,
+it won and whether its median differs from the parent's by more than the parent's
+interquartile range, `resolved`; the printed line says "unresolved" otherwise),
+`failed` and the per-label failure reasons of the run record in .perfbench_out/,
+the host line, the six lines of that tree's tools/digest.py, `src_lines`, the line
+count of its src/heislor/*.py, and one tier-1 run of its tests before the pairs: `tier1_s`,
 its wall seconds, and `tier1_passed` and `tier1_failed`, the counts of pytest's
 closing line (errors count as failed).  The change's entry also holds its
 comparison with the parent by the pairing rule: a gain is claimed only when the
@@ -216,13 +217,25 @@ def verify_record(
 ) -> dict:
     """A tree's record of one timed check, `verify_s` or `crit1_s`: median, quartiles, seconds
     and exit codes of its runs, one a pair, whether every run passed (exit 0), and with the
-    parent's runs given, the pairs this tree won."""
+    parent's runs given, the pairs this tree won and `resolved`, whether the medians differ
+    by more than the parent's interquartile range; unresolved, pairs won read only noise."""
     seconds = [s for s, _ in runs]
     codes = sorted({c for _, c in runs})
     record = {**quartiles(seconds), "runs": seconds, "exit_codes": codes, "passed": codes == [0]}
     if parent is not None:
+        base = quartiles([s for s, _ in parent])
         record["pairs_won"] = pairs_won([s for s, _ in parent], seconds, "lower")
+        record["resolved"] = abs(base["median"] - record["median"]) > base["q3"] - base["q1"]
     return record
+
+
+def check_line(name: str, parent: dict, change: dict) -> str:
+    """The printed summary of one timed check's parent and change records."""
+    a, b = parent, change
+    verdict = "resolved" if b["resolved"] else "unresolved: the medians are within the parent's IQR"
+    return (f"{name} {a['median']:.3f} [{a['q1']:.3f}, {a['q3']:.3f}] -> {b['median']:.3f} "
+            f"[{b['q1']:.3f}, {b['q3']:.3f}]  won {b['pairs_won']}/{len(b['runs'])}, {verdict}, "
+            f"exit codes {a['exit_codes']} -> {b['exit_codes']} (reported, not claimed)")
 
 
 def seed_range(text: str) -> list[int]:
@@ -404,10 +417,7 @@ def main(argv=None) -> int:
                       f"IQR {row['parent_iqr']:.3g}: {'GAIN' if row['gain'] else 'no gain'}, "
                       f"{'within bound' if row['within_bound'] else 'OUTSIDE BOUND'}")
     for name in CHECKS:
-        a, b = checks[0][name], checks[1][name]
-        print(f"{name} {a['median']:.3f} [{a['q1']:.3f}, {a['q3']:.3f}] -> {b['median']:.3f} "
-              f"[{b['q1']:.3f}, {b['q3']:.3f}]  won {b['pairs_won']}/{len(b['runs'])}, exit "
-              f"codes {a['exit_codes']} -> {b['exit_codes']} (reported, not claimed)")
+        print(check_line(name, checks[0][name], checks[1][name]))
     return 0
 
 
