@@ -26,9 +26,8 @@ Q(sqrt3) with no float eigenvalue.
 
 The closed forms are written once per (lam, xi), as sparse rows on the corner
 x_1, x_2, x_(n-1), x_n that the middle directions x_3, ..., x_(n-2) never reach,
-and each call places them at (0, 1, n-2, n-1) in a fresh array.  The corner
-spectrum of Ric is memoized per (lam, xi) too; a Ricci matrix a caller passes in
-is read as given and never meets either memo.
+and each call places them at (0, 1, n-2, n-1) in a fresh array.  The spectrum
+of Ric is memoized per (lam, xi) too, read off the class's sparse Ricci rows.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ HALF = QSqrt3(Fraction(1, 2))
 
 
 def _exact_only(exact: bool) -> None:
-    """Refuse exact=False, kept as a keyword only for existing callers."""
+    """Refuse exact=False; the keyword stays for its one remaining caller, perfbench/tables.py."""
     if not exact:
         raise ValueError("curvature is exact only; round the exact report instead")
 
@@ -315,8 +314,7 @@ def soliton_certificate(lam, xi, n: int, ric: np.ndarray | None = None, exact: b
     the nonzero entries of Ric, with no linear solve.
     """
     _exact_only(exact)
-    if ric is None:
-        ric = closed_form_ricci(lam, xi, n)
+    ric = closed_form_ricci(lam, xi, n) if ric is None else ric
     br = _bracket_terms(lam, xi, n)
     rows: dict[int, dict[int, QSqrt3]] = {}  # rows[a][i] = Ric[a, i]
     cols: dict[int, dict[int, QSqrt3]] = {}  # cols[k][a] = Ric[a, k], so Ric x_k
@@ -350,14 +348,15 @@ def soliton_certificate(lam, xi, n: int, ric: np.ndarray | None = None, exact: b
     return c, d
 
 
-def _charpoly(a: np.ndarray) -> list[QSqrt3]:
-    """Monic characteristic polynomial coefficients, highest degree first.
+def _charpoly(rows: list[dict[int, QSqrt3]]) -> list[QSqrt3]:
+    """Monic characteristic polynomial coefficients of the matrix with these sparse rows
+    {column: value}, highest degree first.
 
     Faddeev-LeVerrier: M_1 = A, M_k = A (M_(k-1) + c_(k-1) I) and
-    c_k = -tr(M_k) / k, on sparse rows {column: value}, so no product with a
+    c_k = -tr(M_k) / k, with every zero entry dropped, so no product with a
     zero entry is formed.
     """
-    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    rows = [{j: x for j, x in row.items() if x} for row in rows]
     negated = [{j: -x for j, x in row.items()} for row in rows]
     coeffs = [QSqrt3(1)]
     m = rows
@@ -451,21 +450,17 @@ def _split(p: list[QSqrt3]) -> list[QSqrt3] | None:
     return roots if q == [1] else None
 
 
-def _corner_spectrum(ric: np.ndarray, n: int) -> tuple[tuple, tuple | None]:
-    """The corner block's characteristic polynomial, and its roots descending or None."""
-    idx = _corner(n)
-    p = _charpoly(ric[np.ix_(idx, idx)])
+@lru_cache(maxsize=None)
+def _memo_spectrum(lam: QSqrt3, xi: QSqrt3) -> tuple[tuple, tuple | None]:
+    """The characteristic polynomial of the class's Ricci rows on the corner, and its
+    roots descending or None, once per (lam, xi)."""
+    ric = _closed_forms(lam, xi)[3]
+    p = _charpoly([ric[i,] for i in range(4)])
     roots = _split(p)
     return tuple(p), None if roots is None else tuple(sorted(roots, reverse=True))
 
 
-@lru_cache(maxsize=None)
-def _memo_spectrum(lam: QSqrt3, xi: QSqrt3) -> tuple[tuple, tuple | None]:
-    """_corner_spectrum of the class memo's Ricci corner, once per (lam, xi)."""
-    return _corner_spectrum(_on_corner(_closed_forms(lam, xi)[3], 4), 4)
-
-
-def ricci_spectrum(lam, xi, n: int, ric: np.ndarray | None = None, exact: bool = True):
+def ricci_spectrum(lam, xi, n: int, exact: bool = True):
     """Eigenvalues of the Ricci operator on the corner block, exact and descending.
 
     The roots are read off the block's characteristic polynomial in Q(sqrt3)
@@ -474,15 +469,11 @@ def ricci_spectrum(lam, xi, n: int, ric: np.ndarray | None = None, exact: bool =
     """
     _exact_only(exact)
     require_dim(n)
-    if ric is None:
-        p, roots = _memo_spectrum(QSqrt3.coerce(lam), QSqrt3.coerce(xi))
-    else:
-        p, roots = _corner_spectrum(ric, n)
+    p, roots = _memo_spectrum(QSqrt3.coerce(lam), QSqrt3.coerce(xi))
     if roots is None:
-        coeffs = ", ".join(c.format() for c in p)
         raise EvidenceFailure(
-            f"Ricci spectrum at lam={lam}, xi={xi}, n={n}: the characteristic "
-            f"polynomial [{coeffs}] does not split over Q(sqrt3)"
+            f"Ricci spectrum at lam={lam}, xi={xi}, n={n}: the characteristic polynomial "
+            f"[{', '.join(c.format() for c in p)}] does not split over Q(sqrt3)"
         )
     return list(roots)
 
@@ -565,7 +556,7 @@ def curvature_report(lam, xi, n: int, backend: str = EXACT) -> CurvatureReport:
         ric=ric,
         flat=is_flat(ops),
         einstein=einstein_test(ric),
-        soliton=soliton_certificate(lam_val, xi_val, n),
+        soliton=soliton_certificate(lam_val, xi_val, n, ric),
         spectrum=ricci_spectrum(lam_val, xi_val, n),
     )
     if backend == EXACT:

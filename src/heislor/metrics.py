@@ -11,6 +11,7 @@ are plain (plus, minus, zero) tuples.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -106,6 +107,12 @@ class Metric(_Frozen):
             raise ValueError(f"unknown backend {backend!r}")
         if backend == EXACT and gram.dtype != object:
             raise ValueError("exact backend requires QSqrt3 entries")
+        if backend == APPROX and gram.dtype.kind not in "biuf":
+            # the float cast would drop an imaginary part or parse a string
+            for at, x in np.ndenumerate(gram.astype(object)):
+                if not isinstance(x, (numbers.Real, QSqrt3)):
+                    where = "".join(f"[{k}]" for k in at)
+                    raise ValueError(f"gram{where} = {x!r} is not a real number")
         gram = np.array(_float_gram(gram)) if backend == APPROX else gram.copy()
         _check_symmetric(gram)
         require_dim(gram.shape[0])
@@ -332,7 +339,8 @@ def _unit_gram(metric: Metric) -> tuple[np.ndarray, list[float] | None]:
 
 def _json_entry(x, backend: str, where: str):
     """One gram entry read from JSON; ValueError naming the entry if unusable."""
-    if isinstance(x, bool):  # float() and str() would read true as 1
+    # float() and str() would read true as 1, and float() a string by Python's float syntax
+    if isinstance(x, bool) or (backend == APPROX and not isinstance(x, numbers.Real)):
         raise ValueError(f"{where} = {x!r} is not a number")
     try:
         if backend == EXACT:  # every Q(sqrt3) value is finite

@@ -17,6 +17,9 @@ column loop over every index triple, the reference of the loop over the support.
 `lambda2_equation` is the lam=2 root equation in long double: the tests bisect it for a
 reference root and put `reduction.lambda2_closed_form`'s root into it, while the package's
 `verification.check_ivt_roots` checks that root with exact identities instead.
+`dense_charpoly` is Faddeev-LeVerrier on dense object matrices, the reference of
+`curvature._charpoly` on sparse rows, and `corner_spectrum` reads a dense Ricci matrix's
+corner block through it: the reference of each class's memoized spectrum.
 `boost_t_per_step` is the lam=1 boost chain one step at a time, each boost built, applied
 and snapped on its own: the reference whose factors, snaps and final t the package's
 `reduction._boost_t` must reproduce bit for bit, stepped or stacked.
@@ -33,6 +36,7 @@ from heislor._linalg import (
     _subtract,
     embed,
     exact_dense,
+    exact_eye,
     inv,
     is_singular,
     max_abs,
@@ -42,6 +46,7 @@ from heislor._linalg import (
     shared_minkowski_gram,
     to_float,
 )
+from heislor.curvature import _split
 from heislor.liealg import aut_pattern, require_dim
 from heislor.metrics import APPROX, EXACT, Metric, _float_gram, canonical_gram, xi_exact
 from heislor.numerics import QSqrt3
@@ -284,3 +289,25 @@ def boost_t_per_step(builder: _Builder, t: float) -> float:
         t *= e
         builder.snap(_t_form(1, t, n))
     return t
+
+
+def dense_charpoly(a: np.ndarray) -> list[QSqrt3]:
+    """Faddeev-LeVerrier on a dense object matrix: M_1 = A, M_k = A (M_(k-1) + c_(k-1) I)
+    and c_k = -tr(M_k) / k, the coefficients highest degree first."""
+    n = a.shape[0]
+    coeffs = [QSqrt3(1)]
+    m = a.copy()
+    for k in range(1, n + 1):
+        if k > 1:
+            m = a @ (m + coeffs[-1] * exact_eye(n))
+        coeffs.append(QSqrt3(Fraction(-1, k)) * sum((m[i, i] for i in range(n)), QSqrt3(0)))
+    return coeffs
+
+
+def corner_spectrum(ric: np.ndarray, n: int) -> tuple[tuple, tuple | None]:
+    """The characteristic polynomial of a dense Ricci matrix's corner block at the indices
+    0, 1, n-2, n-1, and its roots descending or None where it does not split."""
+    idx = [0, 1, n - 2, n - 1]
+    p = dense_charpoly(ric[np.ix_(idx, idx)])
+    roots = _split(p)
+    return tuple(p), None if roots is None else tuple(sorted(roots, reverse=True))

@@ -63,7 +63,7 @@ def test_verify_record_keeps_each_pairs_seconds_and_exit_code_and_counts_pairs_w
             "def run_randomized_classification():\n"
             f"    return Check(passed=True), Check(passed={passed})\n"
         )
-        seconds, exit_code = bench.verify_once(tmp_path, bench.CRIT1)
+        seconds, exit_code, _ = bench.verify_once(tmp_path, bench.CRIT1)
         assert exit_code == code and 0.0 < seconds < bench.CHILD_TIMEOUT_S
 
 
@@ -126,6 +126,36 @@ def test_tier1_counts_read_pytests_closing_line():
     # a run that printed nothing, or no counts, records zeros
     assert bench.tier1_counts("") == {"tier1_passed": 0, "tier1_failed": 0}
     assert bench.tier1_counts("no tests ran in 0.01s") == {"tier1_passed": 0, "tier1_failed": 0}
+
+
+def test_tier1_is_a_timed_check_whose_counts_come_from_each_runs_closing_line(tmp_path):
+    bench = _bench()
+    # tier-1 runs in every pair after the other checks, and tree_facts runs no tests
+    assert list(bench.CHECKS) == ["verify_s", "crit1_s", "tier1_s"]
+    assert bench.CHECKS["tier1_s"] == bench.TIER1
+    (tmp_path / "src" / "heislor").mkdir(parents=True)
+    (tmp_path / "src" / "heislor" / "m.py").write_text("x = 1\n")
+    assert bench.tree_facts(tmp_path) == {"digest": [], "src_lines": 1}
+    # a stand-in tree's tests, one passing and one failing, run by the tier-1 command
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_t.py").write_text(
+        "def test_passes():\n    pass\n\n\ndef test_fails():\n    assert False\n")
+    seconds, code, closing = bench.verify_once(tmp_path, bench.TIER1)
+    assert code == 1 and 0.0 < seconds < bench.CHILD_TIMEOUT_S
+    assert bench.tier1_counts(closing) == {"tier1_passed": 1, "tier1_failed": 1}
+    assert not (tmp_path / ".pytest_cache").exists()
+
+    same = [(31.0, 0, "870 passed in 31.0s"), (32.5, 0, "870 passed in 32.5s")]
+    assert bench.tier1_record(same) == {
+        "tier1_passed": 870, "tier1_failed": 0, "tier1_agree": True}
+    # runs that close apart record the fewest passed and the most failed, and disagree
+    apart = [*same, (33.0, 1, "1 failed, 869 passed in 33.0s")]
+    assert bench.tier1_record(apart) == {
+        "tier1_passed": 869, "tier1_failed": 1, "tier1_agree": False}
+    # its seconds and exit codes are recorded as every check's are
+    record = bench.verify_record(apart[1:], apart[:2])
+    assert (record["runs"], record["exit_codes"], record["passed"]) == ([32.5, 33.0], [0, 1], False)
+    assert record["pairs_won"] == 0
 
 
 def test_failure_seeds_parse_a_range_and_record_each_seeds_failures_per_label():

@@ -359,6 +359,9 @@ BAD_INPUTS = {
     "infinite-entry": (_approx().replace("1, 0, 0, 0]", "1e400, 0, 0, 0]", 1), "gram[0][0]"),
     "entry-not-a-number": (_approx(gram=[[{}, 0, 0, 0], *_MINKOWSKI_4[1:]]), "gram[0][0]"),
     "approx-boolean": (_boolean_entry("approx"), "gram[0][0] = True is not a number"),
+    # once read by Python's float syntax as -10, and classified with exit 0
+    "approx-string": (_approx(gram=[*_MINKOWSKI_4[:3], [0, 0, 0, "-1_0"]]),
+                      "gram[3][3] = '-1_0' is not a number"),
     "exact-boolean": (_boolean_entry("exact"), "gram[0][0] = True is not a number"),
     "n-not-integer": (_approx(n=4.7), "n = 4.7"),
     "n1": (_approx(n=1, gram=[[-1]]), "n >= 4"),
@@ -378,6 +381,7 @@ def test_classify_bad_input_exits_bad_input(text, named, tmp_path, capsys):
     assert main(["classify", "--input", str(path)]) == EXIT_BAD_INPUT
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and named in captured.err
+    assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err and captured.out == ""
 
 

@@ -8,16 +8,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import heislor as hl
-from heislor import _linalg
+from heislor import _linalg, curvature
 from heislor.curvature import (
     EvidenceFailure,
     _charpoly,
-    _corner_spectrum,
     _closed_forms,
     _memo_spectrum,
     _nabla_terms,
     _ricci_terms,
     _riemann_terms,
+    _split,
     _u_terms,
     closed_form_nabla,
     closed_form_ricci,
@@ -39,7 +39,13 @@ from heislor.liealg import _bracket_terms
 from heislor.metrics import CANONICAL_PAIRS, NotARepresentative, shear_matrix, xi_exact
 from heislor.numerics import QSqrt3
 
-from references import derivation_basis, exact_rref, riemann_terms_full
+from references import (
+    corner_spectrum,
+    dense_charpoly,
+    derivation_basis,
+    exact_rref,
+    riemann_terms_full,
+)
 
 HALF = QSqrt3(Fraction(1, 2))
 
@@ -572,6 +578,11 @@ def _corner(ric, n):
     return ric[np.ix_(idx, idx)]
 
 
+def _rows(a):
+    """The sparse rows {column: value} of a dense matrix, as _charpoly takes them."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
 def _mu(x):
     return [x, x, QSqrt3(0), -x]
 
@@ -600,26 +611,56 @@ def _sqrt2_ricci(n):
     return ric
 
 
-def test_ricci_spectrum_refuses_a_charpoly_that_does_not_split():
+@pytest.fixture
+def fresh_spectrum_memo():
+    """An empty spectrum memo before and after the test, so no entry it makes outlives it."""
+    _memo_spectrum.cache_clear()
+    yield
+    _memo_spectrum.cache_clear()
+
+
+def test_ricci_spectrum_refuses_a_charpoly_that_does_not_split(monkeypatch, fresh_spectrum_memo):
     from heislor.cli import EXIT_CHECK_FAILED, EXIT_CODES
 
-    with pytest.raises(EvidenceFailure, match=r"\[1, 0, -2, 0, 0\] does not split over Q\(sqrt3\)"):
-        ricci_spectrum(QSqrt3(2), QSqrt3(2), 5, _sqrt2_ricci(5))
-    # complex roots do not split either
+    # the sqrt2 corner's polynomial, and one with complex roots, split over Q(sqrt3) to nothing
     ric = _sqrt2_ricci(5)
-    ric[1, 0] = QSqrt3(-1)
+    for entry, coeffs in ((1, ["1", "0", "-2", "0", "0"]), (-1, ["1", "0", "2", "0", "0"])):
+        ric[1, 0] = QSqrt3(entry)
+        p = _charpoly(_rows(_corner(ric, 5)))
+        assert [c.format() for c in p] == coeffs and _split(p) is None
+
+    # ricci_spectrum refuses a class table whose Ricci rows are that corner, naming the polynomial
+    table = {(0,): {1: QSqrt3(2)}, (1,): {0: QSqrt3(1)}, (2,): {}, (3,): {}}
+    monkeypatch.setattr(curvature, "_closed_forms", lambda lam, xi: (None, None, None, table))
+    with pytest.raises(EvidenceFailure, match=r"\[1, 0, -2, 0, 0\] does not split over Q\(sqrt3\)"):
+        ricci_spectrum(QSqrt3(2), QSqrt3(2), 5)
+    # complex roots do not split either; a new (lam, xi) key, as the memo holds the first
+    table[1,] = {0: QSqrt3(-1)}
     with pytest.raises(EvidenceFailure, match=r"\[1, 0, 2, 0, 0\] does not split"):
-        ricci_spectrum(QSqrt3(2), QSqrt3(2), 5, ric)
+        ricci_spectrum(QSqrt3(1), QSqrt3(2), 5)
     assert EXIT_CODES[EvidenceFailure] == EXIT_CHECK_FAILED
 
 
 def test_a_given_ricci_matrix_never_reads_the_memo():
     lam, xi = QSqrt3(2), QSqrt3(2)
-    ricci_spectrum(lam, xi, 5)  # fills the memo for (2, 2, 5)
-    assert soliton_certificate(lam, xi, 5) is not None
-    with pytest.raises(EvidenceFailure, match="does not split"):
-        ricci_spectrum(lam, xi, 5, _sqrt2_ricci(5))
+    assert soliton_certificate(lam, xi, 5) is not None  # fills the memo for (2, 2)
     assert soliton_certificate(lam, xi, 5, _sqrt2_ricci(5)) is None
+
+
+def test_a_report_builds_its_ricci_matrix_once_and_the_spectrum_reads_sparse_rows(
+    count_calls, fresh_spectrum_memo
+):
+    ricci = count_calls(curvature, "closed_form_ricci")
+    for backend in ("exact", "approx"):
+        curvature_report(2, "2", 6, backend=backend)
+    assert len(ricci) == 2  # one per report
+    _closed_forms.cache_clear()
+    on_corner = count_calls(curvature, "_on_corner")
+    dense = count_calls(curvature, "exact_dense")
+    for lam, key in CANONICAL_PAIRS:
+        _memo_spectrum(QSqrt3(lam), xi_exact(key))
+    assert _memo_spectrum.cache_info().currsize == len(CANONICAL_PAIRS)
+    assert on_corner == [] and dense == []
 
 
 def test_spectrum_memo_holds_one_entry_per_class():
@@ -633,7 +674,7 @@ def test_spectrum_memo_holds_one_entry_per_class():
     assert _memo_spectrum.cache_info().currsize == len(CANONICAL_PAIRS)
     for n in range(4, 11):
         for lam, xi in exact_pairs:
-            assert _memo_spectrum(lam, xi) == _corner_spectrum(closed_form_ricci(lam, xi, n), n)
+            assert _memo_spectrum(lam, xi) == corner_spectrum(closed_form_ricci(lam, xi, n), n)
 
 
 def _closed_tables(lam, xi, n):
@@ -697,7 +738,7 @@ def test_ricci_spectrum_is_the_split_charpoly(lam, xi, n):
     block = _corner(closed_form_ricci(lam, xi, n), n)
     got = ricci_spectrum(lam, xi, n)
     assert got == sorted(got, reverse=True)
-    assert _poly_from_roots(got) == _charpoly(block)
+    assert _poly_from_roots(got) == _charpoly(_rows(block))
     floats = sorted(np.linalg.eigvals(to_float(block)), key=lambda z: -z.real)
     scale = max(1.0, max(abs(z) for z in floats))
     assert max(abs(complex(float(r)) - z) for r, z in zip(got, floats)) <= 1e-6 * scale
@@ -736,13 +777,15 @@ def test_ricci_spectrum_matches_sympy_factorization():
         (QSqrt3(2), QSqrt3(2), _sqrt2_ricci(5)),
     ]
     for lam, xi, ric in cases:
-        ric = closed_form_ricci(lam, xi, 5) if ric is None else ric
-        want = _sympy_roots(sympy, _charpoly(_corner(ric, 5)))
+        p = _charpoly(_rows(_corner(closed_form_ricci(lam, xi, 5) if ric is None else ric, 5)))
+        want, roots = _sympy_roots(sympy, p), _split(p)
         if want is None:
-            with pytest.raises(EvidenceFailure):
-                ricci_spectrum(lam, xi, 5, ric)
+            assert roots is None
             continue
-        assert [_to_sympy(sympy, r) for r in ricci_spectrum(lam, xi, 5, ric)] == want
+        got = sorted(roots, reverse=True)
+        assert [_to_sympy(sympy, r) for r in got] == want
+        if ric is None:  # a class's spectrum is the memo's
+            assert ricci_spectrum(lam, xi, 5) == got
 
 
 def test_spectrum_takes_no_float_eigenvalue(monkeypatch):
@@ -754,18 +797,6 @@ def test_spectrum_takes_no_float_eigenvalue(monkeypatch):
         for pair in CANONICAL_PAIRS:
             ricci_spectrum(*_exact_frame(pair, n), n)
             curvature_report(pair[0], pair[1], n)
-
-
-def _dense_charpoly(a):
-    """Faddeev-LeVerrier on dense object matrices: the reference for _charpoly."""
-    n = a.shape[0]
-    coeffs = [QSqrt3(1)]
-    m = a.copy()
-    for k in range(1, n + 1):
-        if k > 1:
-            m = a @ (m + coeffs[-1] * exact_eye(n))
-        coeffs.append(QSqrt3(Fraction(-1, k)) * sum((m[i, i] for i in range(n)), QSqrt3(0)))
-    return coeffs
 
 
 def _ricci_blocks():
@@ -795,8 +826,8 @@ def test_sparse_charpoly_matches_dense_reference(source):
     blocks = list(_ricci_blocks() if source == "ricci-blocks" else _half_zero_matrices(5))
     assert len(blocks) in (12, 16)
     for a in blocks:
-        got = _charpoly(a)
-        assert got == _dense_charpoly(a)
+        got = _charpoly(_rows(a))
+        assert got == dense_charpoly(a)
         want = np.real_if_close(np.poly(to_float(a)))
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(np.array([float(c) for c in got]) - want)) <= 1e-9 * scale

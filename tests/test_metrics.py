@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -479,6 +480,41 @@ def test_metric_json_refuses_booleans(backend, i, j, value):
     payload["gram"][i][j] = value
     with pytest.raises(ValueError, match=re.escape(f"gram[{i}][{j}] = {value} is not a number")):
         metric_from_json(payload)
+
+
+@pytest.mark.parametrize("value", ["-1_0", " -1 ", "-1", None, [-1], {}])
+def test_metric_json_reads_only_numbers_on_the_approx_backend(value):
+    # float() would read "-1_0" as -10 and " -1 " as -1; the schema's entries are numbers
+    payload = metric_to_json(canonical_metric(0, "0", 4, backend=APPROX)[0])
+    payload["gram"][3][3] = value
+    with pytest.raises(ValueError, match=re.escape(f"gram[3][3] = {value!r} is not a number")):
+        metric_from_json(payload)
+
+
+def _minkowski_as(dtype, entry):
+    gram = np.array(minkowski_gram(4), dtype=dtype)
+    gram[1, 1] = entry
+    return gram
+
+
+@pytest.mark.parametrize(
+    "gram, named",
+    [
+        (minkowski_gram(4).astype(complex), "gram[0][0] = (1+0j)"),
+        (_minkowski_as(complex, 1 + 2j), "gram[0][0] = (1+0j)"),
+        (_minkowski_as(object, 1j), "gram[1][1] = 1j"),
+        (_minkowski_as(object, "1"), "gram[1][1] = '1'"),
+        (np.array([["1", "0"], ["0", "-1_0"]]), "gram[0][0] = '1'"),
+        (_minkowski_as(str, "-1_0"), "gram[0][0] = '1.0'"),
+    ],
+    ids=["complex-real", "complex", "object-complex", "object-string", "string", "string-float"],
+)
+def test_metric_refuses_complex_and_string_grams(gram, named):
+    # the float cast would drop an imaginary part under a ComplexWarning, or parse a string
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(named)} is not a real number$"):
+            Metric(gram=gram, backend=APPROX)
 
 
 def test_metric_json_shape_validation():

@@ -11,24 +11,27 @@ BENCHMARK.json's `run_seconds`, so every recorded run is as long as the benchmar
 Every child runs with PYTHONDONTWRITEBYTECODE=1, so each import compiles the
 package, as in a checkout that has never been run.
 
-In every pair each commit also runs two timed checks once, in the same order as
-the workloads: `heislor verify` at its defaults, whose wall seconds are `verify_s`,
-and criterion 1's loop, `verification.run_randomized_classification()` at its
+In every pair each commit also runs three timed checks once, in the same order as
+the workloads: `heislor verify` at its defaults, whose wall seconds are `verify_s`;
+criterion 1's loop, `verification.run_randomized_classification()` at its
 defaults (30,000 classifications with witness checks, the loop tier-1 gates at
-60 s), whose wall seconds are `crit1_s`.  Each is timed around its child process,
-so it includes the interpreter start and the package import, well under a second.
-Both are north-star end-to-end timings outside the benchmark: reported, never claimed.
+60 s), whose wall seconds are `crit1_s`; and the tier-1 tests of that tree, whose
+wall seconds are `tier1_s`.  Each is timed around its child process, so it includes
+the interpreter start and the package import, well under a second.  All three are
+north-star end-to-end timings outside the benchmark: reported, never claimed.  The
+tier-1 runs cost the most, about 20 runs of some 35 s each at 10 pairs.
 
 Each BENCH_<workload>.json holds one entry per commit and settings: the median
-and quartiles of every end-to-end metric, those of `verify_s` and `crit1_s` with
-their runs, exit codes and whether every run passed (the change's with the pairs
-it won and whether its median differs from the parent's by more than the parent's
-interquartile range, `resolved`; the printed line says "unresolved" otherwise),
-`failed` and the per-label failure reasons of the run record in .perfbench_out/,
-the host line, the six lines of that tree's tools/digest.py, `src_lines`, the line
-count of its src/heislor/*.py, and one tier-1 run of its tests before the pairs: `tier1_s`,
-its wall seconds, and `tier1_passed` and `tier1_failed`, the counts of pytest's
-closing line (errors count as failed).  The change's entry also holds its
+and quartiles of every end-to-end metric, those of `verify_s`, `crit1_s` and
+`tier1_s` with their runs, exit codes and whether every run passed (the change's
+with the pairs it won and whether its median differs from the parent's by more than
+the parent's interquartile range, `resolved`; the printed line says "unresolved"
+otherwise), `tier1_passed` and `tier1_failed`, the fewest passed and the most failed
+tests of the tier-1 runs' closing lines (errors count as failed), `tier1_agree`,
+whether every tier-1 run closed with the same counts, `failed` and the per-label
+failure reasons of the run record in .perfbench_out/, the host line, the six lines
+of that tree's tools/digest.py and `src_lines`, the line count of its
+src/heislor/*.py.  The change's entry also holds its
 comparison with the parent by the pairing rule: a gain is claimed only when the
 change wins at least nine tenths of the pairs, ties counting for neither, and
 the medians differ by more than the parent's interquartile range.
@@ -75,7 +78,7 @@ VERIFY = ("-c", "import sys; from heislor.cli import main; sys.exit(main(['verif
 CRIT1 = ("-c", "import sys; from heislor.verification import run_randomized_classification;"
          " sys.exit(0 if all(check.passed for check in run_randomized_classification()) else 1)")
 #: the timed checks each pair runs once per tree, by the name their seconds are recorded under
-CHECKS = {"verify_s": VERIFY, "crit1_s": CRIT1}
+CHECKS = {"verify_s": VERIFY, "crit1_s": CRIT1, "tier1_s": TIER1}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -163,20 +166,20 @@ def tier1_counts(output: str) -> dict[str, int]:
     return {"tier1_passed": counts["passed"], "tier1_failed": counts["failed"]}
 
 
-def tree_facts(tree: Path) -> dict:
-    """What an entry records of its tree alone: digests, source lines and one tier-1 run."""
-    t0 = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, *TIER1], cwd=tree, env=_child_env(tree),
-        capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
-    )
-    seconds = time.perf_counter() - t0
+def tier1_record(runs: list[tuple[float, int, str]]) -> dict:
+    """The counts of a tree's tier-1 runs, read off each run's closing line: the fewest
+    passed, the most failed, and `tier1_agree`, whether every run closed alike."""
+    counts = [tier1_counts(closing) for _, _, closing in runs]
     return {
-        "digest": digest_lines(tree),
-        "src_lines": src_lines(tree),
-        "tier1_s": seconds,
-        **tier1_counts(done.stdout),
+        "tier1_passed": min(c["tier1_passed"] for c in counts),
+        "tier1_failed": max(c["tier1_failed"] for c in counts),
+        "tier1_agree": all(c == counts[0] for c in counts),
     }
+
+
+def tree_facts(tree: Path) -> dict:
+    """What an entry records of its tree alone: digests and source lines."""
+    return {"digest": digest_lines(tree), "src_lines": src_lines(tree)}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -202,29 +205,30 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def verify_once(tree: Path, command: tuple[str, ...]) -> tuple[float, int]:
-    """Wall seconds and exit code of one timed check of CHECKS in that tree."""
+def verify_once(tree: Path, command: tuple[str, ...]) -> tuple[float, int, str]:
+    """Wall seconds, exit code and the closing line of the output of one timed check of
+    CHECKS in that tree."""
     t0 = time.perf_counter()
     done = subprocess.run(
         [sys.executable, *command], cwd=tree, env=_child_env(tree),
-        capture_output=True, timeout=CHILD_TIMEOUT_S,
+        capture_output=True, text=True, errors="replace", timeout=CHILD_TIMEOUT_S,
     )
-    return time.perf_counter() - t0, done.returncode
+    lines = done.stdout.strip().splitlines()
+    return time.perf_counter() - t0, done.returncode, lines[-1] if lines else ""
 
 
-def verify_record(
-    runs: list[tuple[float, int]], parent: list[tuple[float, int]] | None = None
-) -> dict:
-    """A tree's record of one timed check, `verify_s` or `crit1_s`: median, quartiles, seconds
-    and exit codes of its runs, one a pair, whether every run passed (exit 0), and with the
-    parent's runs given, the pairs this tree won and `resolved`, whether the medians differ
-    by more than the parent's interquartile range; unresolved, pairs won read only noise."""
-    seconds = [s for s, _ in runs]
-    codes = sorted({c for _, c in runs})
+def verify_record(runs: list[tuple], parent: list[tuple] | None = None) -> dict:
+    """A tree's record of one timed check of CHECKS: median, quartiles, seconds and exit
+    codes of its runs, one a pair, each run (seconds, exit code, ...), whether every run
+    passed (exit 0), and with the parent's runs given, the pairs this tree won and
+    `resolved`, whether the medians differ by more than the parent's interquartile range;
+    unresolved, pairs won read only noise."""
+    seconds = [run[0] for run in runs]
+    codes = sorted({run[1] for run in runs})
     record = {**quartiles(seconds), "runs": seconds, "exit_codes": codes, "passed": codes == [0]}
     if parent is not None:
-        base = quartiles([s for s, _ in parent])
-        record["pairs_won"] = pairs_won([s for s, _ in parent], seconds, "lower")
+        base = quartiles([run[0] for run in parent])
+        record["pairs_won"] = pairs_won([run[0] for run in parent], seconds, "lower")
         record["resolved"] = abs(base["median"] - record["median"]) > base["q3"] - base["q1"]
     return record
 
@@ -391,6 +395,8 @@ def main(argv=None) -> int:
                     check_runs[name][side].append(verify_once(trees[side], command))
         checks = [{name: verify_record(a) for name, (a, _) in check_runs.items()},
                   {name: verify_record(b, a) for name, (a, b) in check_runs.items()}]
+        for checked, tier1_runs in zip(checks, check_runs["tier1_s"]):
+            checked.update(tier1_record(tier1_runs))
 
         for workload in workloads:
             parent, change = (
@@ -408,7 +414,8 @@ def main(argv=None) -> int:
                   f"{parent['failed']} -> {change['failed']}, digests "
                   f"{'equal' if parent['digest'] == change['digest'] else 'DIFFER'}, tier-1 "
                   f"{parent['tier1_passed']} -> {change['tier1_passed']} passed, "
-                  f"{parent['tier1_failed']} -> {change['tier1_failed']} failed")
+                  f"{parent['tier1_failed']} -> {change['tier1_failed']} failed"
+                  f"{'' if parent['tier1_agree'] and change['tier1_agree'] else ', RUNS DIFFER'}")
             for name, row in change["comparison"].items():
                 a, b = parent["metrics"][name], change["metrics"][name]
                 print(f"  {name:12s} {a['median']:.6g} [{a['q1']:.6g}, {a['q3']:.6g}] -> "
